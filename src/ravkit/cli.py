@@ -132,9 +132,14 @@ def _parse_assignment(spec: str | None) -> dict[str, Fraction]:
             raise InputError(f"--eval: expected K=V, got {item!r}")
         name, _, value = item.partition("=")
         try:
-            assignment[name.strip()] = Fraction(value.strip())
+            parsed = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise InputError(f"--eval: not a rational value: {value!r}") from None
+        # Exponent notation builds huge integers cheaply; past the float
+        # range they could exceed the int-to-str limit when echoed back.
+        if max(parsed.numerator.bit_length(), parsed.denominator.bit_length()) > 1024:
+            raise InputError(f"--eval: value outside the float range: {value!r}")
+        assignment[name.strip()] = parsed
     return assignment
 
 

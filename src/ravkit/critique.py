@@ -275,62 +275,67 @@ def exact_scores_equal(a: RavBreakdown, b: RavBreakdown) -> bool:
     )
 
 
-def collision_search(
-    bounds: "CollisionBounds | int" = 3,
-    epsilon: float = 1e-9,
-    seed: int = 0,
-    *,
-    max_findings: int = 25,
-    include_permutation_pairs: bool = False,
-) -> list[CritiqueFinding]:
-    """Exhaustively enumerate scopes within bounds and report score collisions.
+@dataclass(frozen=True, slots=True)
+class _Slab:
+    """All states of one (porosity total, lc_sum) slab, keyed exactly.
 
-    States are enumerated up to within-meta-class control permutations and
-    control layouts sharing the same (lc_sum, missing-A, missing-B) sums;
-    collapsing those loses no reportable pair because a finding must differ
-    in porosity or limitation structure, both of which stay explicit.  Pairs
-    differing only in controls are never reported.  ``epsilon`` is the score
-    tolerance (0 means exactly-equal rational intermediates).  The search is
-    exhaustive and deterministic; ``seed`` does not change the result and is
-    recorded for reproducibility of the emitted document.
+    ``keys`` holds each state's limitation-sum numerator over the
+    denominator ``(10*s**2)**2``, flattened from the shape (porosity
+    layout, control triple, limitation tuple); a flat index is a state's
+    position in enumeration order.
     """
-    b = CollisionBounds.coerce(bounds)
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
 
-    lim_tuples = np.array(
-        list(product(range(b.limitation + 1), repeat=5)), dtype=np.int64
-    )
-    n_lims = len(lim_tuples)
-    nv, nw, nc, ne, na = (lim_tuples[:, i] for i in range(5))
+    s: int
+    lc_sum: int
+    keys: np.ndarray
+    first_ids: np.ndarray  # first base id of each porosity layout
+    lo: int  # offset of the slab's first control triple within its layout
+    triples: int
+    lims: int
 
+    def structure(self, idx):
+        """Porosity layout and limitation tuple, as one comparable integer."""
+        return idx // (self.triples * self.lims) * self.lims + idx % self.lims
+
+    def locate(self, idx):
+        """Base id and limitation id of the states at ``idx``."""
+        base = self.first_ids[idx // (self.triples * self.lims)] + self.lo
+        return base + idx // self.lims % self.triples, idx % self.lims
+
+
+def _collision_bases(
+    b: CollisionBounds,
+) -> tuple[list[_Base], dict[int, list], dict[int, list[tuple[int, int, int]]]]:
+    """Every (porosity layout, control triple) base within ``b``.
+
+    Bases come in enumeration order: trust outer, visibility+access inner,
+    control triples sorted.  The control triples depend on the porosity
+    total ``s`` alone, so all layouts of one ``s`` share them.  Returns the
+    bases, the sorted triples with witnesses of each ``s``, and the layouts
+    of each ``s`` as ``(first base id, pv+pa, pt)``.
+    """
     bases: list[_Base] = []
-    actsec_chunks: list[np.ndarray] = []
-    base_id_chunks: list[np.ndarray] = []
-    lim_id_chunks: list[np.ndarray] = []
-
-    signature_cache: dict[int, dict[tuple[int, int], tuple[int, ...]]] = {}
+    triples_by_s: dict[int, list] = {}
+    layouts: dict[int, list[tuple[int, int, int]]] = {}
     for pt in range(b.porosity + 1):
         for pvpa in range(2 * b.porosity + 1):
             s = pvpa + pt
-            if pvpa == 0 and pt == 0 and s == 0:
+            if s == 0:
                 splits = ((0, 0),)
             else:
                 splits = tuple(
                     (pv, pvpa - pv)
                     for pv in range(max(0, pvpa - b.porosity), min(pvpa, b.porosity) + 1)
                 )
-            if s not in signature_cache:
-                signature_cache[s] = _control_signatures(b.control, s)
-            sigs = signature_cache[s]
-            triples: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-            for (lca, mca), wa in sigs.items():
-                for (lcb, mcb), wb in sigs.items():
-                    triples.setdefault((lca + lcb, mca, mcb), (wa, wb))
-
-            first_base_id = len(bases)
-            trip_items = sorted(triples.items())
-            for (lc, mca, mcb), (wa, wb) in trip_items:
+            if s not in triples_by_s:
+                sigs = _control_signatures(b.control, s)
+                triples: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+                for (lca, mca), wa in sigs.items():
+                    for (lcb, mcb), wb in sigs.items():
+                        triples.setdefault((lca + lcb, mca, mcb), (wa, wb))
+                triples_by_s[s] = sorted(triples.items())
+            layouts.setdefault(s, []).append((len(bases), pvpa, pt))
+            for (lc, mca, mcb), (wa, wb) in triples_by_s[s]:
                 bases.append(
                     _Base(
                         pv=splits[0][0],
@@ -344,166 +349,264 @@ def collision_search(
                         witness_b=wb,
                     )
                 )
-            t = len(trip_items)
-            lc_arr = np.array([item[0][0] for item in trip_items], dtype=np.int64)
-            f_arr = np.log1p(10.0 * lc_arr) ** 2
+    return bases, triples_by_s, layouts
 
-            if s == 0:
-                # Zero porosity: only the all-zero limitation tuple is valid.
-                actsec = f_arr + 100.0
-                actsec_chunks.append(actsec)
-                base_id_chunks.append(
-                    np.arange(first_base_id, first_base_id + t, dtype=np.int32)
-                )
-                lim_id_chunks.append(np.zeros(t, dtype=np.int32))
+
+def _collision_slabs(
+    triples_by_s: Mapping[int, list],
+    layouts: Mapping[int, list[tuple[int, int, int]]],
+    lim_tuples: np.ndarray,
+):
+    """Yield every slab of the enumeration in ``(s, lc_sum)`` order."""
+    for s, layout in sorted(layouts.items()):
+        trip = np.array([key for key, _ in triples_by_s[s]], dtype=np.int64)
+        first_ids = np.array([fid for fid, _, _ in layout], dtype=np.int64)
+        pvpa = np.array([p for _, p, _ in layout], dtype=np.int64)[:, None, None]
+        pt = np.array([t for _, _, t in layout], dtype=np.int64)[:, None, None]
+        # Zero porosity admits only the all-zero limitation tuple.
+        n_l = 1 if s == 0 else len(lim_tuples)
+        nv, nw, nc, ne, na = lim_tuples[:n_l].T
+        edges = [0, *(np.flatnonzero(np.diff(trip[:, 0])) + 1).tolist(), len(trip)]
+        for lo, hi in zip(edges, edges[1:]):
+            mca, mcb = trip[lo:hi, 1:2], trip[lo:hi, 2:3]
+            mcs = mca + mcb
+            # Integer weights over the denominator 10*s**2, as in
+            # metrics.limitation_weights.
+            wv, ww, wc = 10 * s * (s + mcs), 10 * s * (s + mca), 10 * s * (s + mcb)
+            u10 = 10 * (nv * (s + mcs) + nw * (s + mca) + nc * (s + mcb))
+            keys = (
+                nv * wv**2
+                + nw * ww**2
+                + nc * wc**2
+                + ne * (pvpa * mcs + u10) ** 2
+                + na * (pt * mcs + u10) ** 2
+            )
+            yield _Slab(
+                s=s,
+                lc_sum=int(trip[lo, 0]),
+                keys=keys.reshape(-1),
+                first_ids=first_ids,
+                lo=lo,
+                triples=hi - lo,
+                lims=n_l,
+            )
+
+
+def _seclim_num_bound(b: CollisionBounds) -> int:
+    """An upper bound on every collision key within ``b``."""
+    s = 3 * b.porosity
+    wv, wab = 110 * s * s, 60 * s * s  # 10s(s + mc) with mc <= 10s, 5s
+    u10 = 230 * b.limitation * s
+    we, wa = 20 * b.porosity * s + u10, 10 * b.porosity * s + u10
+    return b.limitation * (wv**2 + 2 * wab**2 + we**2 + wa**2)
+
+
+def _float_scores(s: int, lc_sum: int, seclim_num: np.ndarray) -> np.ndarray:
+    """Actual Security of states sharing ``s`` and ``lc_sum``, in float."""
+    f = math.log1p(10.0 * lc_sum) ** 2
+    a = math.log1p(100.0 * s) ** 2
+    if s:
+        s_base = np.log1p(100.0 * seclim_num / float((10 * s * s) ** 2)) ** 2
+    else:
+        s_base = np.zeros(len(seclim_num))
+    return s_base * ((a - f) / 100.0 - 1.0) - (f + 100.0) * a / 100.0 + f + 100.0
+
+
+def collision_search(
+    bounds: "CollisionBounds | int" = 3,
+    epsilon: float = 1e-9,
+    seed: int = 0,
+    *,
+    max_findings: int = 25,
+    include_permutation_pairs: bool = False,
+) -> list[CritiqueFinding]:
+    """Exhaustively enumerate scopes within bounds and report score collisions.
+
+    States are enumerated up to within-meta-class control permutations and
+    control layouts sharing the same (lc_sum, missing-A, missing-B) sums;
+    collapsing those loses no reportable pair because a finding must differ
+    in porosity or limitation structure, both of which stay explicit.
+
+    The search is exact by construction.  It walks one porosity total ``s``
+    and, within it, one ``lc_sum`` slab at a time, and keys each state by
+    the integer numerator of its limitation sum over ``(10*s**2)**2``.  Two
+    states collide exactly iff their ``(s, lc_sum, key)`` triples are
+    equal, so exact collisions are groups of equal keys, found with no
+    float comparison.  A group yields a pair only if two members differ in
+    ``(pv+pa, pt)`` or in the limitation tuple; groups differing only in
+    controls are skipped.  For ``epsilon > 0`` each distinct key keeps one
+    float score and one witness state; the scores are sorted once and every
+    adjacent pair within ``epsilon`` whose witnesses differ beyond controls
+    is a near collision.  Every pair is re-verified through
+    :func:`actual_security` before it is emitted.
+
+    Findings come in a fixed order: the porosity-split pair (visibility and
+    access counts swapped), exact pairs in ``(s, lc_sum, key)`` order, then
+    near pairs in ascending score order, at most ``max_findings`` in all.
+    Each ``score-collision`` finding carries the search's ``coverage``
+    record (see docs/formats.md), whose ``truncated`` flag says whether
+    reportable pairs were left out.  The whole space is always enumerated;
+    ``seed`` does not change the result and is recorded for
+    reproducibility of the emitted document.
+    """
+    b = CollisionBounds.coerce(bounds)
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if _seclim_num_bound(b) > np.iinfo(np.int64).max:
+        raise DomainError(f"bounds {b.to_obj()} overflow the 64-bit collision keys")
+
+    lim_tuples = np.array(
+        list(product(range(b.limitation + 1), repeat=5)), dtype=np.int64
+    )
+    n_lims = len(lim_tuples)
+    bases, triples_by_s, layouts = _collision_bases(b)
+
+    states = distinct_keys = exact_groups = skipped = 0
+    exact_pairs: list[tuple[int, int, int, int]] = []
+    near_scores: list[np.ndarray] = []
+    near_codes: list[np.ndarray] = []
+    for slab in _collision_slabs(triples_by_s, layouts, lim_tuples):
+        n = slab.keys.size
+        states += n
+        order = np.argsort(slab.keys)
+        sorted_keys = slab.keys[order]
+        new_key = np.ones(n, dtype=bool)
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_key[1:])
+        starts = np.flatnonzero(new_key)
+        sizes = np.diff(starts, append=n)
+        distinct_keys += len(starts)
+        # A group's head is its first state in enumeration order; the group
+        # is reportable if a member differs from the head in structure.
+        heads = np.minimum.reduceat(order, starts)
+        differs = slab.structure(order) != np.repeat(slab.structure(heads), sizes)
+        reportable = np.logical_or.reduceat(differs, starts)
+        groups = np.flatnonzero(reportable)
+        exact_groups += len(groups)
+        skipped += int(np.count_nonzero((sizes > 1) & ~reportable))
+        for g in groups[: max(0, max_findings - len(exact_pairs))]:
+            members = slice(starts[g], starts[g] + sizes[g])
+            partner = order[members][differs[members]].min()
+            head_at, partner_at = slab.locate(heads[g]), slab.locate(partner)
+            exact_pairs.append(tuple(int(x) for x in (*head_at, *partner_at)))
+        if epsilon > 0:
+            near_scores.append(_float_scores(slab.s, slab.lc_sum, sorted_keys[starts]))
+            base_ids, lim_ids = slab.locate(heads)
+            near_codes.append(base_ids * n_lims + lim_ids)
+
+    # Near collisions: adjacent distinct keys in ascending score order.
+    near_pairs: list[tuple[int, int, int, int]] = []
+    n_near = 0
+    if near_scores:
+        scores = np.concatenate(near_scores)
+        del near_scores
+        by_score = np.argsort(scores, kind="stable")
+        scores = scores[by_score]
+        gaps = np.diff(scores)
+        del scores
+        close = np.flatnonzero(gaps <= epsilon)
+        codes = np.concatenate(near_codes)
+        del near_codes, gaps
+        for code_a, code_b in zip(
+            codes[by_score[close]].tolist(), codes[by_score[close + 1]].tolist()
+        ):
+            (base_a, lim_a), (base_b, lim_b) = divmod(code_a, n_lims), divmod(code_b, n_lims)
+            first, second = bases[base_a], bases[base_b]
+            if lim_a == lim_b and (first.pv + first.pa, first.pt) == (
+                second.pv + second.pa,
+                second.pt,
+            ):
+                skipped += 1
                 continue
+            n_near += 1
+            if len(near_pairs) < max_findings:
+                near_pairs.append((base_a, lim_a, base_b, lim_b))
 
-            mca_arr = np.array([item[0][1] for item in trip_items], dtype=np.int64)
-            mcb_arr = np.array([item[0][2] for item in trip_items], dtype=np.int64)
-            mcs_arr = mca_arr + mcb_arr
-            # Integer weights over the denominator 10*s**2 (squared below).
-            wv = 10 * s * (s + mcs_arr)
-            ww = 10 * s * (s + mca_arr)
-            wc = 10 * s * (s + mcb_arr)
-            u10 = 10 * (
-                nv[None, :] * (s + mcs_arr)[:, None]
-                + nw[None, :] * (s + mca_arr)[:, None]
-                + nc[None, :] * (s + mcb_arr)[:, None]
-            )
-            we = pvpa * mcs_arr[:, None] + u10
-            wa_i = pt * mcs_arr[:, None] + u10
-            seclim_num = (
-                nv[None, :] * (wv**2)[:, None]
-                + nw[None, :] * (ww**2)[:, None]
-                + nc[None, :] * (wc**2)[:, None]
-                + ne[None, :] * we**2
-                + na[None, :] * wa_i**2
-            )
-            d2 = float((10 * s * s) ** 2)
-            a_base = math.log1p(100.0 * s) ** 2
-            s_base = np.log1p(100.0 * seclim_num / d2) ** 2
-            f_col = f_arr[:, None]
-            actsec = (
-                s_base * ((a_base - f_col) / 100.0 - 1.0)
-                - (f_col + 100.0) * a_base / 100.0
-                + f_col
-                + 100.0
-            )
-            actsec_chunks.append(actsec.reshape(-1))
-            base_id_chunks.append(
-                np.repeat(
-                    np.arange(first_base_id, first_base_id + t, dtype=np.int32), n_lims
-                )
-            )
-            lim_id_chunks.append(np.tile(np.arange(n_lims, dtype=np.int32), t))
-
-    actsec_all = np.concatenate(actsec_chunks)
-    base_ids = np.concatenate(base_id_chunks)
-    lim_ids = np.concatenate(lim_id_chunks)
-
-    findings: list[CritiqueFinding] = []
-
-    def emit_pair(
-        scope_a: Scope, scope_b: Scope, note: str
-    ) -> bool:
-        """Verify a candidate pair with the exact pipeline; emit if it collides."""
-        ba = actual_security(scope_a)
-        bb = actual_security(scope_b)
-        exact = exact_scores_equal(ba, bb)
-        delta = abs(bb.actsec - ba.actsec)
-        if epsilon == 0:
-            if not exact:
-                return False
-        elif not exact and delta > epsilon:
-            return False
-        findings.append(
-            CritiqueFinding(
-                kind="score-collision",
-                inputs={
-                    "scope_a": scope_to_obj(scope_a),
-                    "scope_b": scope_to_obj(scope_b),
-                    "bounds": b.to_obj(),
-                    "epsilon": repr(epsilon),
-                    "seed": seed,
-                },
-                scores={
-                    "actsec_a": ba.actsec,
-                    "actsec_b": bb.actsec,
-                    "delta": repr(delta),
-                    "exact": exact,
-                },
-                verdict="holds",
-                narrative=(
-                    "Two scopes with different "
-                    + note
-                    + " receive the same Actual Security"
-                    + (" exactly" if exact else f" within {epsilon!r}")
-                    + ": the score is not injective in what it claims to "
-                    "measure, so it cannot be inverted back to the facts "
-                    "that produced it."
-                ),
-            )
-        )
-        return True
-
-    # Porosity-split collisions: swapping counts between visibility and
+    # Porosity-split collision: swapping counts between visibility and
     # access leaves every pipeline quantity identical.
-    for base_id, base in enumerate(bases):
-        if len(findings) >= max_findings:
-            break
-        if len(base.splits) >= 2:
-            lim = (
-                tuple(int(x) for x in lim_tuples[1])
-                if (base.pv + base.pa + base.pt) > 0 and n_lims > 1
-                else (0, 0, 0, 0, 0)
-            )
-            scope_a = _base_scope(base, lim, f"split-{base_id}-a", split=0)
-            scope_b = _base_scope(base, lim, f"split-{base_id}-b", split=1)
-            emit_pair(scope_a, scope_b, "porosity structure")
-            break
+    split_lim = 1 if n_lims > 1 else 0
+    split_pairs = [
+        (base_id, split_lim, base_id, split_lim)
+        for base_id, base in enumerate(bases)
+        if len(base.splits) >= 2
+    ][:1]
 
-    # Scan for (near-)equal scores across the whole enumeration.
-    order = np.argsort(actsec_all, kind="stable")
-    sorted_vals = actsec_all[order]
-    scan_eps = epsilon + 1e-10
-    close = np.diff(sorted_vals) <= scan_eps
-    idx = 0
-    n = len(sorted_vals)
-    pair_budget = 4096
-    while idx < n - 1 and len(findings) < max_findings and pair_budget > 0:
-        if not close[idx]:
-            idx += 1
-            continue
-        end = idx + 1
-        while end < n - 1 and close[end]:
-            end += 1
-        window = order[idx : end + 1]
-        head = window[0]
-        head_base = bases[base_ids[head]]
-        head_key = (head_base.pv + head_base.pa, head_base.pt)
-        for other in window[1:]:
-            pair_budget -= 1
-            if pair_budget <= 0 or len(findings) >= max_findings:
-                break
-            other_base = bases[base_ids[other]]
-            other_key = (other_base.pv + other_base.pa, other_base.pt)
-            differs_porosity = other_key != head_key
-            differs_lim = lim_ids[other] != lim_ids[head]
-            if not (differs_porosity or differs_lim):
-                continue
-            note = "porosity structure" if differs_porosity else "limitation structure"
-            tag = len(findings)
-            scope_a = _base_scope(head_base, lim_tuples[lim_ids[head]], f"collision-{tag}-a")
-            scope_b = _base_scope(other_base, lim_tuples[lim_ids[other]], f"collision-{tag}-b")
-            if emit_pair(scope_a, scope_b, note):
-                break
-        idx = end + 1
+    verified: list[tuple[Scope, Scope, RavBreakdown, RavBreakdown]] = []
+    examined = 0
+    candidates = [(True, pair) for pair in split_pairs] + [
+        (False, pair) for pair in exact_pairs + near_pairs
+    ]
+    for is_split, (base_a, lim_a, base_b, lim_b) in candidates:
+        if len(verified) >= max_findings:
+            break
+        examined += 1
+        prefix = f"split-{base_a}" if is_split else f"collision-{len(verified)}"
+        scope_a = _base_scope(bases[base_a], lim_tuples[lim_a], f"{prefix}-a")
+        scope_b = _base_scope(
+            bases[base_b], lim_tuples[lim_b], f"{prefix}-b", split=int(is_split)
+        )
+        ba, bb = actual_security(scope_a), actual_security(scope_b)
+        if exact_scores_equal(ba, bb) or (
+            epsilon > 0 and abs(bb.actsec - ba.actsec) <= epsilon
+        ):
+            verified.append((scope_a, scope_b, ba, bb))
 
+    coverage = {
+        "states": states,
+        "distinct_keys": distinct_keys,
+        "exact_groups": exact_groups,
+        "near_pairs": n_near,
+        "skipped_control_only": skipped,
+        "pairs_verified": examined,
+        "truncated": examined < len(split_pairs) + exact_groups + n_near,
+    }
+    findings = [
+        _collision_finding(*pair, b, epsilon, seed, coverage) for pair in verified
+    ]
     if include_permutation_pairs:
         findings.extend(
             _permutation_pair_findings(bases, lim_tuples, b, epsilon, seed, max_findings)
         )
     return findings
+
+
+def _collision_finding(
+    scope_a: Scope,
+    scope_b: Scope,
+    ba: RavBreakdown,
+    bb: RavBreakdown,
+    bounds: CollisionBounds,
+    epsilon: float,
+    seed: int,
+    coverage: Mapping[str, Any],
+) -> CritiqueFinding:
+    exact = exact_scores_equal(ba, bb)
+    note = "porosity" if scope_a.porosity != scope_b.porosity else "limitation"
+    return CritiqueFinding(
+        kind="score-collision",
+        inputs={
+            "scope_a": scope_to_obj(scope_a),
+            "scope_b": scope_to_obj(scope_b),
+            "bounds": bounds.to_obj(),
+            "epsilon": repr(epsilon),
+            "seed": seed,
+        },
+        scores={
+            "actsec_a": ba.actsec,
+            "actsec_b": bb.actsec,
+            "delta": repr(abs(bb.actsec - ba.actsec)),
+            "exact": exact,
+            "coverage": dict(coverage),
+        },
+        verdict="holds",
+        narrative=(
+            f"Two scopes with different {note} structure"
+            " receive the same Actual Security"
+            + (" exactly" if exact else f" within {epsilon!r}")
+            + ": the score is not injective in what it claims to "
+            "measure, so it cannot be inverted back to the facts "
+            "that produced it."
+        ),
+    )
 
 
 def _permutation_pair_findings(

@@ -217,7 +217,11 @@ class SymbolicScore:
                 raise DomainError(
                     f"atom argument {atom.key} evaluates to {arg} < 1"
                 )
-            log_sq[atom.key] = math.log(arg) ** 2
+            try:
+                log_arg = math.log(arg)
+            except OverflowError:  # arg exceeds the float range
+                log_arg = math.log(arg.numerator) - math.log(arg.denominator)
+            log_sq[atom.key] = log_arg**2
         total = 0.0
         for coeff, atoms in self.terms:
             value = float(coeff)

@@ -183,6 +183,7 @@ def test_c09_collision_search():
     assert elapsed < 60, f"collision search took {elapsed:.1f} s"
     structural = [f for f in findings if f.kind == "score-collision"]
     assert structural, "no non-permutation collision pair found"
+    assert structural[0].scores["coverage"]["states"] == 8_639_519
     for finding in structural:
         a, b = finding.inputs["scope_a"], finding.inputs["scope_b"]
         assert a["porosity"] != b["porosity"] or a["limitations"] != b["limitations"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -165,6 +166,19 @@ class TestSymbolicCommand:
         code, _, err = run("symbolic", str(fixtures / "toy.json"), "--eval", "h=two")
         assert code == 1 and b"rational" in err
 
+    @pytest.mark.parametrize("value", ["1e9999", "-1e9999", "1e-9999"])
+    def test_eval_value_beyond_float_range_never_crashes(self, fixtures, value):
+        code, out, err = run("symbolic", str(fixtures / "toy.json"), "--eval", f"h={value}")
+        assert code == 1 and out == b""
+        assert len(err.splitlines()) == 1 and b"float range" in err
+
+    def test_eval_value_whose_log_argument_overflows_a_float(self, fixtures):
+        # 100*h exceeds the float range; the log is taken exactly instead.
+        code, out, err = run("symbolic", str(fixtures / "toy.json"), "--eval", "h=1e307")
+        assert code == 0, err
+        value = float(out.decode().rsplit(": ", 1)[1])
+        assert math.isfinite(value)
+
 
 class TestDemoCommand:
     def test_each_kind_runs(self):
@@ -180,6 +194,13 @@ class TestDemoCommand:
         assert code == 0, err
         doc = json.loads(out)
         assert any(f["kind"] == "score-collision" for f in doc["findings"])
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_is_domain_error(self, epsilon):
+        code, out, err = run("demo", "--kind", "collision", "--bounds", "1",
+                             f"--epsilon={epsilon}")
+        assert code == 2 and out == b""
+        assert len(err.splitlines()) == 1 and b"epsilon" in err
 
     def test_deterministic_output(self):
         assert run("demo", "--kind", "formula") == run("demo", "--kind", "formula")

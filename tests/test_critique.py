@@ -7,8 +7,13 @@ with the same inputs.
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
 
 from ravkit.critique import (
@@ -16,14 +21,23 @@ from ravkit.critique import (
     CritiqueFinding,
     collision_search,
     cross_class_counterexample,
+    exact_scores_equal,
     formula_discrepancy_demo,
     permutation_demo,
     prose_actual_security,
     trust_aggregation_demo,
     trust_equivalence_demo,
 )
+from ravkit.critique import _collision_bases, _collision_slabs, _seclim_num_bound
 from ravkit.errors import DomainError
-from ravkit.metrics import ControlClass, ControlCounts, Scope, actual_security
+from ravkit.metrics import (
+    ControlClass,
+    ControlCounts,
+    LimitationCounts,
+    PorosityCounts,
+    Scope,
+    actual_security,
+)
 from ravkit.report import render_findings
 from ravkit.trust import ApplicantRecord, Polarity, Reference, consistency_ratios
 
@@ -148,6 +162,100 @@ class TestCollisionSearch:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(DomainError):
             collision_search(1, -1e-9, 0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(DomainError):
+            collision_search(1, epsilon, 0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [CollisionBounds(1, 1, 1), CollisionBounds(1, 1, 2)],
+        ids=["1-1-1", "1-1-2"],
+    )
+    def test_distinct_keys_match_brute_force_oracle(self, bounds):
+        # Every scope within bounds, scored one by one: all porosity triples,
+        # every control multiset per meta-class, every limitation tuple.
+        keys = set()
+        lims = [
+            LimitationCounts(*lim)
+            for lim in product(range(bounds.limitation + 1), repeat=5)
+        ]
+        multisets = list(combinations_with_replacement(range(bounds.control + 1), 5))
+        meta_a = [cls for cls in ControlClass if cls.meta_class == "A"]
+        meta_b = [cls for cls in ControlClass if cls.meta_class == "B"]
+        for pv, pa, pt in product(range(bounds.porosity + 1), repeat=3):
+            base = Scope(id="oracle", porosity=PorosityCounts(pv, pa, pt))
+            for counts_a, counts_b in product(multisets, repeat=2):
+                controls = ControlCounts.from_mapping(
+                    {**dict(zip(meta_a, counts_a)), **dict(zip(meta_b, counts_b))}
+                )
+                for lim in lims if pv + pa + pt else lims[:1]:
+                    r = actual_security(replace(base, controls=controls, limitations=lim))
+                    keys.add((r.opsec_sum, r.lc_sum, r.seclim_sum))
+        findings = collision_search(bounds, 1e-9, 0, max_findings=1)
+        assert findings[0].scores["coverage"]["distinct_keys"] == len(keys)
+
+    def test_key_bound_covers_every_key_and_fits_int64_to_bounds_five(self):
+        bounds = CollisionBounds(2, 2, 2)
+        lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
+        _, triples_by_s, layouts = _collision_bases(bounds)
+        largest = max(
+            int(slab.keys.max()) for slab in _collision_slabs(triples_by_s, layouts, lims)
+        )
+        assert 0 < largest <= _seclim_num_bound(bounds)
+        assert _seclim_num_bound(CollisionBounds.coerce(5)) < np.iinfo(np.int64).max
+
+    def test_bounds_three_peak_memory_stays_small(self):
+        # The search holds one slab at a time, never the whole state space.
+        tracemalloc.start()
+        try:
+            findings = collision_search(3, 1e-9, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250e6, f"peak {peak / 1e6:.0f} MB"
+        assert findings[0].scores["coverage"]["states"] == 8_639_519
+
+    def test_truncated_when_pairs_exceed_max_findings(self):
+        findings = collision_search(2, 1e-9, 0, max_findings=5)
+        assert len(findings) == 5
+        coverage = findings[0].scores["coverage"]
+        assert coverage["truncated"] is True
+        assert coverage["pairs_verified"] == 5
+        assert coverage["exact_groups"] + coverage["near_pairs"] + 1 > 5
+        assert all(f.scores["coverage"] == coverage for f in findings)
+
+    def test_not_truncated_when_every_pair_fits(self):
+        findings = collision_search(CollisionBounds(1, 1, 0), 0.05, 0, max_findings=25)
+        coverage = findings[0].scores["coverage"]
+        assert coverage["truncated"] is False
+        assert len(findings) == 1 + coverage["exact_groups"] + coverage["near_pairs"] < 25
+        assert coverage["near_pairs"] >= 1
+
+    def test_emission_order_split_exact_near(self):
+        findings = collision_search(CollisionBounds(1, 0, 2), 0.05, 0, max_findings=500)
+        assert findings[0].scores["coverage"]["truncated"] is False
+        scopes = [
+            (scope_from_obj(dict(f.inputs["scope_a"])), scope_from_obj(dict(f.inputs["scope_b"])))
+            for f in findings
+        ]
+        split_a, split_b = scopes[0]
+        assert split_a.porosity != split_b.porosity
+        assert split_a.porosity.total == split_b.porosity.total
+        exact = [f.scores["exact"] for f in findings]
+        n_exact = exact.count(True)
+        assert exact == [True] * n_exact + [False] * (len(exact) - n_exact)
+        keys = []
+        for scope_a, scope_b in scopes[1:n_exact]:
+            ra, rb = actual_security(scope_a), actual_security(scope_b)
+            assert exact_scores_equal(ra, rb)
+            keys.append((ra.opsec_sum, ra.lc_sum, ra.seclim_sum))
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        lows = [min(f.scores["actsec_a"], f.scores["actsec_b"]) for f in findings[n_exact:]]
+        assert lows and all(x <= y + 1e-9 for x, y in zip(lows, lows[1:]))
+        for f in findings[n_exact:]:
+            assert abs(f.scores["actsec_a"] - f.scores["actsec_b"]) <= 0.05
 
     def test_bounds_coercion(self):
         assert CollisionBounds.coerce(2) == CollisionBounds(2, 2, 2)
