@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import BinaryIO, Sequence
@@ -28,6 +29,14 @@ from .trust import score_applicant
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Read "-1e-9", "-inf" and "-nan" as values, as argparse already does
+        # for "-1" and "-.5", so a negative float reaches the domain checks.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise InputError(f"{message}\n{self.format_usage()}".rstrip())
 

@@ -41,7 +41,10 @@ from .metrics import (
     RavBreakdown,
     Scope,
     actual_security,
+    combine_bases,
+    seclim_numerator,
     toy_scope,
+    weight_numerators,
 )
 from .trust import (
     ApplicantRecord,
@@ -365,21 +368,12 @@ def _collision_slabs(
         pt = np.array([t for _, _, t in layout], dtype=np.int64)[:, None, None]
         # Zero porosity admits only the all-zero limitation tuple.
         n_l = 1 if s == 0 else len(lim_tuples)
-        nv, nw, nc, ne, na = lim_tuples[:n_l].T
+        lims = tuple(lim_tuples[:n_l].T)
         edges = [0, *(np.flatnonzero(np.diff(trip[:, 0])) + 1).tolist(), len(trip)]
         for lo, hi in zip(edges, edges[1:]):
             mca, mcb = trip[lo:hi, 1:2], trip[lo:hi, 2:3]
-            mcs = mca + mcb
-            # Integer weights over the denominator 10*s**2, as in
-            # metrics.limitation_weights.
-            wv, ww, wc = 10 * s * (s + mcs), 10 * s * (s + mca), 10 * s * (s + mcb)
-            u10 = 10 * (nv * (s + mcs) + nw * (s + mca) + nc * (s + mcb))
-            keys = (
-                nv * wv**2
-                + nw * ww**2
-                + nc * wc**2
-                + ne * (pvpa * mcs + u10) ** 2
-                + na * (pt * mcs + u10) ** 2
+            keys = seclim_numerator(
+                lims, weight_numerators(s, pvpa, pt, mca + mcb, mca, mcb, lims)
             )
             yield _Slab(
                 s=s,
@@ -393,12 +387,12 @@ def _collision_slabs(
 
 
 def _seclim_num_bound(b: CollisionBounds) -> int:
-    """An upper bound on every collision key within ``b``."""
-    s = 3 * b.porosity
-    wv, wab = 110 * s * s, 60 * s * s  # 10s(s + mc) with mc <= 10s, 5s
-    u10 = 230 * b.limitation * s
-    we, wa = 20 * b.porosity * s + u10, 10 * b.porosity * s + u10
-    return b.limitation * (wv**2 + 2 * wab**2 + we**2 + wa**2)
+    """An upper bound on every collision key within ``b``: the key grows with
+    every kernel argument, taken at its largest (``mc <= 10*s``, ``5*s``)."""
+    s, lims = 3 * b.porosity, (b.limitation,) * 5
+    return seclim_numerator(
+        lims, weight_numerators(s, 2 * b.porosity, b.porosity, 10 * s, 5 * s, 5 * s, lims)
+    )
 
 
 def _float_scores(s: int, lc_sum: int, seclim_num: np.ndarray) -> np.ndarray:
@@ -409,7 +403,7 @@ def _float_scores(s: int, lc_sum: int, seclim_num: np.ndarray) -> np.ndarray:
         s_base = np.log1p(100.0 * seclim_num / float((10 * s * s) ** 2)) ** 2
     else:
         s_base = np.zeros(len(seclim_num))
-    return s_base * ((a - f) / 100.0 - 1.0) - (f + 100.0) * a / 100.0 + f + 100.0
+    return combine_bases(a, f, s_base)
 
 
 def collision_search(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -101,6 +102,13 @@ def parse_scope_document(data: Union[bytes, str]) -> ScopeDocument:
         raise ScopeFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:
+        # json.loads refuses integers past the interpreter's int-digit limit.
+        raise ScopeFormatError(
+            f"invalid JSON: a number has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise ScopeFormatError("invalid JSON: nested too deeply") from None
     doc = _expect_object(doc, "$")
     unknown = sorted(set(doc) - {"schema", "scopes"})
     if unknown:

@@ -1,7 +1,6 @@
 """Exact rav (Actual Security) pipeline over porosity, control, and limitation counts.
 
-The score is computed in three stages, all in exact rational arithmetic up to
-the final logarithms:
+The score is computed in three stages:
 
 1. Porosity: ``opsec_sum = visibility + access + trust``.
 2. Controls: per-class shortfalls ``MC = max(opsec_sum - LC, 0)`` against the
@@ -16,8 +15,12 @@ into the final polynomial:
     actsec = S*((A - F)/100 - 1) - (F + 100)*A/100 + F + 100
 
 with ``A`` the porosity base, ``F`` the control base and ``S`` the limitation
-base.  An empty scope scores exactly 100; floating point enters only inside
-:func:`base_value`.
+base.  Every intermediate is an integer over a known denominator (the weights
+over ``10*s**2``, ``seclim_sum`` over ``(10*s**2)**2``, ``s`` the porosity
+total), computed by :func:`weight_numerators` and :func:`seclim_numerator` on
+ints here and on numpy int64 arrays in the collision search.  Floats enter
+only at the four logarithms, each of an exact int ratio, and in their
+combination; an empty scope scores exactly 100.
 
 All values are immutable and all functions are pure, so concurrent use on
 independent data is safe.
@@ -29,6 +32,7 @@ import enum
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, UndefinedWeightError
@@ -47,6 +51,8 @@ LIMITATION_CATEGORIES = (
     "exposures",
     "anomalies",
 )
+#: The five per-category values of a LimitationCounts or Weights, as a tuple.
+_by_category = attrgetter(*LIMITATION_CATEGORIES)
 
 
 class ControlClass(enum.Enum):
@@ -95,6 +101,9 @@ META_CLASS_A = frozenset(
     }
 )
 META_CLASS_B = frozenset(set(ControlClass) - META_CLASS_A)
+#: The control classes and their count fields; meta-class A's five come first.
+_CLASSES = tuple(ControlClass)
+_control_counts = attrgetter(*(cls.value.replace("-", "_") for cls in _CLASSES))
 
 
 def _check_count(name: str, value: int) -> None:
@@ -271,12 +280,44 @@ def opsec_sum(porosity: PorosityCounts) -> Fraction:
     return Fraction(porosity.total)
 
 
+def weight_numerators(s, ext, trust, mc_sum, mc_a, mc_b, lims):
+    """The five limitation weights as numerators over ``10*s**2``.
+
+    ``ext`` counts the visibility+access pores, ``lims`` the limitations in
+    pipeline order.  Plain operators only: runs on ints, Fractions and
+    broadcast numpy int64 arrays alike.
+    """
+    nv, nw, nc = lims[:3]
+    u10 = 10 * (nv * (s + mc_sum) + nw * (s + mc_a) + nc * (s + mc_b))
+    wv, ww, wc = 10 * s * (s + mc_sum), 10 * s * (s + mc_a), 10 * s * (s + mc_b)
+    return wv, ww, wc, ext * mc_sum + u10, trust * mc_sum + u10
+
+
+def seclim_numerator(lims, weights):
+    """``sum(count * weight**2)``, over ``(10*s**2)**2`` for weight numerators."""
+    (nv, nw, nc, ne, na), (wv, ww, wc, we, wa) = lims, weights
+    return nv * wv**2 + nw * ww**2 + nc * wc**2 + ne * we**2 + na * wa**2
+
+
+def combine_bases(a, f, s):
+    """Actual Security from the three bases, as floats or float arrays alike."""
+    return s * ((a - f) / 100 - 1) - (f + 100) * a / 100 + f + 100
+
+
+def _log_ratio(num: int, den: int) -> float:
+    """``ln(num/den)`` of positive ints, past the float range as a difference of logs."""
+    try:
+        return math.log(num / den)
+    except OverflowError:
+        return math.log(num) - math.log(den)
+
+
 def base_value(scale: Rational, magnitude: Rational) -> float:
     """``ln(1 + scale*magnitude)**2``; exactly 0 iff ``magnitude`` is 0.
 
-    The argument is assembled in exact arithmetic before the single float
-    conversion, so equal rational magnitudes always give bit-identical
-    results.
+    The argument is assembled in exact arithmetic before the single
+    correctly rounded division, so equal rational magnitudes always give
+    bit-identical results.
     """
     scale = Fraction(scale)
     magnitude = Fraction(magnitude)
@@ -286,7 +327,8 @@ def base_value(scale: Rational, magnitude: Rational) -> float:
         raise DomainError(f"magnitude must be >= 0, got {magnitude}")
     if magnitude == 0:
         return 0.0
-    return math.log(1 + scale * magnitude) ** 2
+    arg = 1 + scale * magnitude
+    return _log_ratio(arg.numerator, arg.denominator) ** 2
 
 
 def missing_controls(opsec: Rational, controls: ControlCounts) -> MissingControls:
@@ -298,21 +340,16 @@ def missing_controls(opsec: Rational, controls: ControlCounts) -> MissingControl
     opsec = Fraction(opsec)
     if opsec < 0:
         raise DomainError(f"opsec_sum must be >= 0, got {opsec}")
-    per_class: dict[ControlClass, Fraction] = {}
-    true_per_class: dict[ControlClass, Fraction] = {}
-    for cls in ControlClass:
-        lc = Fraction(controls.get(cls))
-        per_class[cls] = max(opsec - lc, Fraction(0))
-        true_per_class[cls] = min(lc, opsec)
+    lc = {cls: Fraction(controls.get(cls)) for cls in _CLASSES}
+    per_class = {cls: max(opsec - n, Fraction(0)) for cls, n in lc.items()}
     total = sum(per_class.values(), Fraction(0))
-    class_a = sum((per_class[c] for c in ControlClass if c in META_CLASS_A), Fraction(0))
-    class_b = total - class_a
+    class_a = sum((per_class[cls] for cls in META_CLASS_A), Fraction(0))
     return MissingControls(
         per_class=per_class,
         total=total,
         class_a=class_a,
-        class_b=class_b,
-        true_per_class=true_per_class,
+        class_b=total - class_a,
+        true_per_class={cls: min(n, opsec) for cls, n in lc.items()},
     )
 
 
@@ -335,44 +372,20 @@ def limitation_weights(
     Undefined for zero porosity: callers must bypass this stage (the whole
     limitation section is zero only when every limitation count is zero).
     """
-    opsec = Fraction(opsec)
-    mc_sum = Fraction(mc_sum)
-    mc_class_a = Fraction(mc_class_a)
-    mc_class_b = Fraction(mc_class_b)
+    opsec, mc_sum, mc_a, mc_b = map(Fraction, (opsec, mc_sum, mc_class_a, mc_class_b))
     if opsec == 0:
         raise UndefinedWeightError(
             "limitation weights are undefined for a scope with zero porosity"
         )
-    w_v = (opsec + mc_sum) / opsec
-    w_w = (opsec + mc_class_a) / opsec
-    w_c = (opsec + mc_class_b) / opsec
-    mc_vg = mc_sum / (10 * opsec)
-    weighted_vwc = (
-        limitations.vulnerabilities * w_v
-        + limitations.weaknesses * w_w
-        + limitations.concerns * w_c
-    )
-    w_e = ((porosity.visibility + porosity.access) * mc_vg + weighted_vwc) / opsec
-    w_a = (porosity.trust * mc_vg + weighted_vwc) / opsec
-    return Weights(
-        vulnerabilities=w_v,
-        weaknesses=w_w,
-        concerns=w_c,
-        exposures=w_e,
-        anomalies=w_a,
-        mc_vg=mc_vg,
-    )
+    ext, lims = porosity.visibility + porosity.access, _by_category(limitations)
+    numerators = weight_numerators(opsec, ext, porosity.trust, mc_sum, mc_a, mc_b, lims)
+    den = 10 * opsec**2
+    return Weights(*(w / den for w in numerators), mc_vg=mc_sum / (10 * opsec))
 
 
 def security_limitations_sum(limitations: LimitationCounts, weights: Weights) -> Fraction:
     """``sum(count * weight**2)`` over the five limitation categories."""
-    return sum(
-        (
-            Fraction(getattr(limitations, name)) * weights.for_category(name) ** 2
-            for name in LIMITATION_CATEGORIES
-        ),
-        Fraction(0),
-    )
+    return seclim_numerator(_by_category(limitations), _by_category(weights))
 
 
 _ZERO_WEIGHTS = Weights(*(Fraction(0),) * 6)
@@ -381,53 +394,57 @@ _ZERO_WEIGHTS = Weights(*(Fraction(0),) * 6)
 def actual_security(scope: Scope) -> RavBreakdown:
     """Run the full pipeline on one scope and return every intermediate.
 
+    The counts go through the integer kernel; ``Fraction``s are built only
+    for the returned fields, and each log is taken of an exact int ratio.
     Raises :class:`UndefinedWeightError` for a zero-porosity scope with any
     nonzero limitation count.
     """
-    opsec = opsec_sum(scope.porosity)
-    mc = missing_controls(opsec, scope.controls)
-    lc_sum = Fraction(scope.controls.total)
+    p, lims = scope.porosity, _by_category(scope.limitations)
+    s = p.visibility + p.access + p.trust
+    lc = _control_counts(scope.controls)
+    mc = [s - n if n < s else 0 for n in lc]
+    lc_sum, mc_a, mc_b = sum(lc), sum(mc[:5]), sum(mc[5:])
+    mc_sum = mc_a + mc_b
 
-    if opsec == 0:
-        if scope.limitations.total != 0:
+    if s == 0:
+        if any(lims):
             raise UndefinedWeightError(
                 f"scope {scope.id!r} has zero porosity but nonzero limitations; "
                 "limitation weights are undefined"
             )
-        weights = _ZERO_WEIGHTS
-        seclim = Fraction(0)
+        weights, seclim, seclim_base = _ZERO_WEIGHTS, Fraction(0), 0.0
     else:
-        weights = limitation_weights(
-            scope.porosity, scope.limitations, opsec, mc.total, mc.class_a, mc.class_b
+        numerators = weight_numerators(
+            s, p.visibility + p.access, p.trust, mc_sum, mc_a, mc_b, lims
         )
-        seclim = security_limitations_sum(scope.limitations, weights)
+        key, den = seclim_numerator(lims, numerators), 10 * s * s
+        weights = Weights(
+            *(Fraction(w, den) for w in numerators), mc_vg=Fraction(mc_sum, 10 * s)
+        )
+        seclim = Fraction(key, den * den)
+        # 1 + 100*seclim == (s**4 + key) / s**4
+        seclim_base = _log_ratio(s**4 + key, s**4) ** 2
 
-    opsec_base = base_value(100, opsec)
-    fc_base = base_value(100, lc_sum / 10)
-    # The tc argument is provably >= 0 (each shortfall is capped by opsec);
-    # the clamp only guards against future count-type changes.
-    tc_base = base_value(100, max(opsec - mc.total / 10, Fraction(0)))
-    seclim_base = base_value(100, seclim)
-
-    a, f, s = opsec_base, fc_base, seclim_base
-    actsec = s * ((a - f) / 100 - 1) - (f + 100) * a / 100 + f + 100
-
+    # Each shortfall is capped by s, so the tc argument 1 + 100*s - 10*mc_sum >= 1.
+    opsec_base = _log_ratio(1 + 100 * s, 1) ** 2
+    fc_base = _log_ratio(1 + 10 * lc_sum, 1) ** 2
+    tc_base = _log_ratio(1 + 100 * s - 10 * mc_sum, 1) ** 2
     return RavBreakdown(
-        opsec_sum=opsec,
+        opsec_sum=Fraction(s),
         opsec_base=opsec_base,
-        lc_sum=lc_sum,
-        mc_per_class=mc.per_class,
-        mc_sum=mc.total,
-        mc_class_a=mc.class_a,
-        mc_class_b=mc.class_b,
+        lc_sum=Fraction(lc_sum),
+        mc_per_class=dict(zip(_CLASSES, map(Fraction, mc))),
+        mc_sum=Fraction(mc_sum),
+        mc_class_a=Fraction(mc_a),
+        mc_class_b=Fraction(mc_b),
         mc_vg=weights.mc_vg,
-        tc_per_class=mc.true_per_class,
+        tc_per_class=dict(zip(_CLASSES, map(Fraction, [n if n < s else s for n in lc]))),
         tc_base=tc_base,
         fc_base=fc_base,
         weights=weights,
         seclim_sum=seclim,
         seclim_base=seclim_base,
-        actsec=actsec,
+        actsec=combine_bases(opsec_base, fc_base, seclim_base),
     )
 
 

@@ -11,6 +11,7 @@ recovers every rational intermediate exactly.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence, Union
 
@@ -33,7 +34,14 @@ FORMATS = ("text", "json")
 
 
 def fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        # str() of an int past the interpreter's int-digit limit.
+        raise InputError(
+            f"a rational result has more than {sys.get_int_max_str_digits()} digits "
+            "and cannot be rendered; the counts are too large"
+        ) from None
 
 
 def parse_fraction(text: str) -> Fraction:

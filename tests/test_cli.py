@@ -55,6 +55,18 @@ class TestRavCommand:
         code, out, err = run("rav", str(bad))
         assert code == 2 and out == b"" and b"porosity" in err
 
+    @pytest.mark.parametrize("exponent", [307, 400])
+    def test_counts_past_the_float_range_score(self, tmp_path, exponent):
+        big = 10**exponent
+        scope = tmp_path / "huge.json"
+        scope.write_text(json.dumps({"schema": "ravkit-scope/1", "scopes": [
+            {"id": "huge", "porosity": {"visibility": big},
+             "limitations": {"vulnerabilities": big, "anomalies": 1}}]}))
+        for fmt in ("text", "json"):
+            code, out, err = run("rav", str(scope), "--format", fmt)
+            assert code == 0 and err == b""
+        assert math.isfinite(json.loads(out)["breakdown"]["actsec"])
+
     def test_byte_identical_across_runs(self, fixtures):
         for fmt in ("text", "json"):
             first = run("rav", str(fixtures / "toy.json"), "--format", fmt)
@@ -199,6 +211,13 @@ class TestDemoCommand:
     def test_non_finite_epsilon_is_domain_error(self, epsilon):
         code, out, err = run("demo", "--kind", "collision", "--bounds", "1",
                              f"--epsilon={epsilon}")
+        assert code == 2 and out == b""
+        assert len(err.splitlines()) == 1 and b"epsilon" in err
+
+    @pytest.mark.parametrize("epsilon", ["-1e-9", "-inf", "-.5E-3"])
+    def test_negative_epsilon_without_equals_is_domain_error(self, epsilon):
+        code, out, err = run("demo", "--kind", "collision", "--bounds", "1",
+                             "--epsilon", epsilon)
         assert code == 2 and out == b""
         assert len(err.splitlines()) == 1 and b"epsilon" in err
 

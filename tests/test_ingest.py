@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ravkit.cli import dispatch
 from ravkit.errors import CsvFormatError, ScanFormatError, ScopeFormatError, RavkitError
 from ravkit.ingest import (
     import_scan_report,
@@ -88,6 +89,29 @@ class TestScopeParsing:
             parse_scope_file(data)
         except RavkitError:
             pass
+
+    @pytest.mark.parametrize(
+        "case", ["5000-digit count", "2000-digit count", "nested 100000 deep"]
+    )
+    def test_rav_on_extreme_documents_is_one_line_input_error(self, tmp_path, case):
+        # 2000 digits parse, but the limitation sum passes the int-to-str
+        # digit limit when the report renders it.
+        digits = {"5000-digit count": 5000, "2000-digit count": 2000}.get(case)
+        if digits is None:
+            text = "[" * 100_000 + "]" * 100_000
+        else:
+            text = (
+                '{"schema": "ravkit-scope/1", "scopes": [{"id": "x", "porosity": '
+                '{"visibility": 1%s, "access": 3, "trust": 1}, "controls": '
+                '{"authentication": 7}, "limitations": {"vulnerabilities": 1, '
+                '"exposures": 1, "anomalies": 2}}]}' % ("7" * (digits - 1))
+            )
+        path = tmp_path / "extreme.json"
+        path.write_text(text)
+        for fmt in ("text", "json"):
+            code, out, err = dispatch(["rav", str(path), "--format", fmt])
+            assert code == 1 and out == b""
+            assert len(err.splitlines()) == 1 and b"Traceback" not in err
 
 
 class TestScanImport:

@@ -8,21 +8,26 @@ of the final log combination (see ``decimal_actsec`` below).
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import fields
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ravkit.errors import DomainError, UndefinedWeightError
 from ravkit.metrics import (
+    LIMITATION_CATEGORIES,
     ControlClass,
     ControlCounts,
     LimitationCounts,
     META_CLASS_A,
     META_CLASS_B,
     PorosityCounts,
+    RavBreakdown,
     Scope,
     Weights,
     actual_security,
@@ -357,3 +362,176 @@ class TestAggregation:
                 assert left.porosity == other.porosity
                 assert left.controls == other.controls
                 assert left.limitations == other.limitations
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the stage-by-stage Fraction pipeline
+# ---------------------------------------------------------------------------
+
+
+def _reference_rationals(scope: Scope) -> dict:
+    """Every rational of the Fraction pipeline as it stood before the
+    integer kernel, one stage after another."""
+    opsec = Fraction(scope.porosity.total)
+    per_class, true_per_class = {}, {}
+    for cls in ControlClass:
+        lc = Fraction(scope.controls.get(cls))
+        per_class[cls] = max(opsec - lc, Fraction(0))
+        true_per_class[cls] = min(lc, opsec)
+    mc_sum = sum(per_class.values(), Fraction(0))
+    mc_a = sum((per_class[c] for c in ControlClass if c in META_CLASS_A), Fraction(0))
+    lims = scope.limitations
+    if opsec == 0:
+        if lims.total != 0:
+            raise UndefinedWeightError(
+                f"scope {scope.id!r} has zero porosity but nonzero limitations; "
+                "limitation weights are undefined"
+            )
+        weights = Weights(*(Fraction(0),) * 6)
+    else:
+        mc_b = mc_sum - mc_a
+        w_v, w_w, w_c = (opsec + mc_sum) / opsec, (opsec + mc_a) / opsec, (opsec + mc_b) / opsec
+        mc_vg = mc_sum / (10 * opsec)
+        vwc = lims.vulnerabilities * w_v + lims.weaknesses * w_w + lims.concerns * w_c
+        w_e = ((scope.porosity.visibility + scope.porosity.access) * mc_vg + vwc) / opsec
+        w_a = (scope.porosity.trust * mc_vg + vwc) / opsec
+        weights = Weights(w_v, w_w, w_c, w_e, w_a, mc_vg)
+    return dict(
+        opsec_sum=opsec,
+        lc_sum=Fraction(scope.controls.total),
+        mc_per_class=per_class,
+        mc_sum=mc_sum,
+        mc_class_a=mc_a,
+        mc_class_b=mc_sum - mc_a,
+        mc_vg=weights.mc_vg,
+        tc_per_class=true_per_class,
+        weights=weights,
+        seclim_sum=sum(
+            (Fraction(getattr(lims, n)) * weights.for_category(n) ** 2
+             for n in LIMITATION_CATEGORIES),
+            Fraction(0),
+        ),
+    )
+
+
+def _reference_actual_security(scope: Scope) -> RavBreakdown:
+    """The reference rationals, with ``math.log`` taken of each Fraction."""
+    r = _reference_rationals(scope)
+
+    def base(magnitude: Fraction) -> float:
+        return 0.0 if magnitude == 0 else math.log(1 + 100 * magnitude) ** 2
+
+    a, f, s = base(r["opsec_sum"]), base(r["lc_sum"] / 10), base(r["seclim_sum"])
+    return RavBreakdown(
+        **r,
+        opsec_base=a,
+        tc_base=base(max(r["opsec_sum"] - r["mc_sum"] / 10, Fraction(0))),
+        fc_base=f,
+        seclim_base=s,
+        actsec=s * ((a - f) / 100 - 1) - (f + 100) * a / 100 + f + 100,
+    )
+
+
+def _draw_scope(rng: random.Random, lo: int, hi: int, i: int) -> Scope:
+    """Each count is zero one time in four, else uniform in [lo, hi]."""
+    def count() -> int:
+        return 0 if rng.random() < 0.25 else rng.randint(lo, hi)
+
+    return Scope(
+        id=f"draw-{i}",
+        porosity=PorosityCounts(count(), count(), count()),
+        controls=ControlCounts(*(count() for _ in ControlClass)),
+        limitations=LimitationCounts(*(count() for _ in LIMITATION_CATEGORIES)),
+    )
+
+
+class TestIntegerKernelBitExact:
+    RANGES = ((0, 3), (0, 50), (0, 10**6), (10**20, 10**40))
+
+    def test_every_field_equals_the_fraction_pipeline(self):
+        rng = random.Random(20261018)
+        scopes = [Scope(id="empty"), Scope(id="controls-only", controls=ControlCounts(alarm=4))]
+        for lo, hi in self.RANGES:
+            scopes.extend(_draw_scope(rng, lo, hi, len(scopes)) for _ in range(500))
+        undefined = 0
+        for scope in scopes:
+            try:
+                expected = _reference_actual_security(scope)
+            except UndefinedWeightError as exc:
+                undefined += 1
+                with pytest.raises(UndefinedWeightError) as raised:
+                    actual_security(scope)
+                assert str(raised.value) == str(exc)
+                continue
+            got = actual_security(scope)
+            for f in fields(RavBreakdown):
+                want, have = getattr(expected, f.name), getattr(got, f.name)
+                if isinstance(want, dict):
+                    assert all(type(v) is Fraction for v in have.values())
+                    want, have = dict(want), dict(have)
+                assert type(have) is type(want) and have == want, (scope, f.name)
+        # Zero porosity with limitations occurs in the small ranges.
+        assert undefined > 0
+
+    def test_collision_keys_match_seclim_numerators(self):
+        import numpy as np
+
+        from ravkit.critique import (
+            CollisionBounds,
+            _base_scope,
+            _collision_bases,
+            _collision_slabs,
+        )
+
+        b = CollisionBounds.coerce(2)
+        lim_tuples = np.array(list(product(range(b.limitation + 1), repeat=5)), dtype=np.int64)
+        bases, triples_by_s, layouts = _collision_bases(b)
+        rng = random.Random(77)
+        checked = 0
+        for slab in _collision_slabs(triples_by_s, layouts, lim_tuples):
+            for i in rng.sample(range(slab.keys.size), min(8, slab.keys.size)):
+                base_id, lim_id = slab.locate(i)
+                scope = _base_scope(bases[int(base_id)], lim_tuples[int(lim_id)], "state")
+                bd = actual_security(scope)
+                assert bd.opsec_sum == slab.s and bd.lc_sum == slab.lc_sum
+                assert int(slab.keys[i]) == bd.seclim_sum * (10 * slab.s**2) ** 2
+                checked += 1
+        assert checked > 100
+
+
+class TestHugeCounts:
+    """Counts past the float range score instead of overflowing."""
+
+    def test_base_value_past_the_float_range(self):
+        value = base_value(100, 10**400)
+        assert math.isfinite(value)
+        assert value == pytest.approx((402 * math.log(10)) ** 2, rel=1e-12)
+        assert base_value(100, Fraction(10**400, 3)) < value
+
+    @pytest.mark.parametrize("exponent", [307, 400])
+    def test_actsec_matches_mpmath_oracle(self, exponent):
+        mpmath = pytest.importorskip("mpmath")
+        big = 10**exponent
+        scopes = [
+            Scope(id="visible", porosity=PorosityCounts(visibility=big)),
+            Scope(
+                id="mixed",
+                porosity=PorosityCounts(big, 3 * big + 1, 7),
+                controls=ControlCounts(authentication=big, alarm=5 * big),
+                limitations=LimitationCounts(big, 2, 0, big // 7, 1),
+            ),
+        ]
+        for scope in scopes:
+            got = actual_security(scope)
+            r = _reference_rationals(scope)
+            assert got.seclim_sum == r["seclim_sum"]
+            with mpmath.workdps(50):
+                def base(magnitude: Fraction):
+                    arg = 1 + magnitude
+                    return mpmath.log(mpmath.mpf(arg.numerator) / arg.denominator) ** 2
+
+                a, f = base(100 * r["opsec_sum"]), base(10 * r["lc_sum"])
+                s = base(100 * r["seclim_sum"])
+                want = s * ((a - f) / 100 - 1) - (f + 100) * a / 100 + f + 100
+                assert math.isfinite(got.actsec)
+                assert abs(got.actsec - want) <= 1e-12 * abs(want), scope.id
