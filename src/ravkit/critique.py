@@ -19,6 +19,9 @@ verdict, narrative) rather than prose alone:
   in opposite order; :func:`trust_equivalence_demo` reproduces the claimed
   1/32 equivalence of a prior-conviction record and a small-town-community
   record, which holds only up to rounding.
+
+numpy serves the collision search alone and is imported inside it, so
+importing this module (and with it ``ravkit``) does not load numpy.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from typing import Any, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import DomainError
 from .ingest import scope_to_obj
@@ -54,6 +55,9 @@ from .trust import (
     consistency_score,
     porosity_rule,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _META_A = tuple(cls for cls in ControlClass if cls.meta_class == "A")
 _META_B = tuple(cls for cls in ControlClass if cls.meta_class == "B")
@@ -361,6 +365,8 @@ def _collision_slabs(
     lim_tuples: np.ndarray,
 ):
     """Yield every slab of the enumeration in ``(s, lc_sum)`` order."""
+    import numpy as np
+
     for s, layout in sorted(layouts.items()):
         trip = np.array([key for key, _ in triples_by_s[s]], dtype=np.int64)
         first_ids = np.array([fid for fid, _, _ in layout], dtype=np.int64)
@@ -397,6 +403,8 @@ def _seclim_num_bound(b: CollisionBounds) -> int:
 
 def _float_scores(s: int, lc_sum: int, seclim_num: np.ndarray) -> np.ndarray:
     """Actual Security of states sharing ``s`` and ``lc_sum``, in float."""
+    import numpy as np
+
     f = math.log1p(10.0 * lc_sum) ** 2
     a = math.log1p(100.0 * s) ** 2
     if s:
@@ -443,6 +451,8 @@ def collision_search(
     ``seed`` does not change the result and is recorded for
     reproducibility of the emitted document.
     """
+    import numpy as np
+
     b = CollisionBounds.coerce(bounds)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")

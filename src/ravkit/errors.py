@@ -9,6 +9,8 @@ arguments).  The CLI maps them to exit codes 1 and 2 respectively.
 
 from __future__ import annotations
 
+import sys
+
 
 class RavkitError(Exception):
     """Base class for all errors raised by this package."""
@@ -16,6 +18,16 @@ class RavkitError(Exception):
 
 class InputError(RavkitError):
     """A document could not be parsed or failed validation."""
+
+
+class DigitLimitError(InputError):
+    """A number to be rendered is past the interpreter's int-to-str digit limit."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            f"a result has more than {sys.get_int_max_str_digits()} digits "
+            "and cannot be rendered; the counts are too large"
+        )
 
 
 class ScopeFormatError(InputError):

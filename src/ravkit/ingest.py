@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence, Union
 
-from .errors import CsvFormatError, DomainError, ScanFormatError, ScopeFormatError
+from .errors import (
+    CsvFormatError,
+    DigitLimitError,
+    DomainError,
+    InputError,
+    ScanFormatError,
+    ScopeFormatError,
+)
 from .metrics import (
     AGGREGATE_CHANNEL,
     CHANNELS,
@@ -62,6 +69,23 @@ class ScopeDocument:
         return [entry.scope for entry in self.entries]
 
 
+def load_json(text: str, error: type[InputError], what: str) -> Any:
+    """``json.loads`` whose every failure is raised as ``error``: a syntax
+    error, an integer past the int-digit limit, or nesting past the
+    recursion limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:
+        # json.loads refuses integers past the interpreter's int-digit limit.
+        raise error(
+            f"{what}: a number has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise error(f"{what}: nested too deeply") from None
+
+
 def _expect_object(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise ScopeFormatError(f"{path}: expected an object, got {type(value).__name__}")
@@ -96,20 +120,7 @@ def parse_scope_document(data: Union[bytes, str]) -> ScopeDocument:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ScopeFormatError(f"scope file is not valid UTF-8: {exc}") from None
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ScopeFormatError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    except ValueError:
-        # json.loads refuses integers past the interpreter's int-digit limit.
-        raise ScopeFormatError(
-            f"invalid JSON: a number has more than {sys.get_int_max_str_digits()} digits"
-        ) from None
-    except RecursionError:
-        raise ScopeFormatError("invalid JSON: nested too deeply") from None
-    doc = _expect_object(doc, "$")
+    doc = _expect_object(load_json(data, ScopeFormatError, "invalid JSON"), "$")
     unknown = sorted(set(doc) - {"schema", "scopes"})
     if unknown:
         raise ScopeFormatError(f"$: unknown field(s) {', '.join(unknown)}")
@@ -204,7 +215,11 @@ def render_scope_document(
         "schema": SCOPE_SCHEMA,
         "scopes": [scope_to_obj(e.scope, e.units or None) for e in entries],
     }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    try:
+        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    except ValueError:
+        # A merged count can pass the int-digit limit its parts were under.
+        raise DigitLimitError() from None
 
 
 # ---------------------------------------------------------------------------

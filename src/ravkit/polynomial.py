@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .errors import DomainError, UnassignedVariableError
+from .errors import DigitLimitError, DomainError, UnassignedVariableError
 
 Mono = tuple  # tuple[tuple[str, int], ...]
 Scalar = Union[int, Fraction]
@@ -242,12 +242,16 @@ class Polynomial:
         for mono, coeff in self.sorted_terms():
             mag = abs(coeff)
             body = _mono_render(mono)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
+            try:
+                if not body:
+                    text = str(mag)
+                elif mag == 1:
+                    text = body
+                else:
+                    text = f"{mag}*{body}"
+            except ValueError:
+                # str() of a coefficient past the int-digit limit.
+                raise DigitLimitError() from None
             if not parts:
                 parts.append(text if coeff > 0 else f"-{text}")
             else:

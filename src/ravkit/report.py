@@ -11,12 +11,11 @@ recovers every rational intermediate exactly.
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence, Union
 
-from .errors import InputError
-from .ingest import ScopeEntry, _parse_scope_obj, scope_to_obj
+from .errors import DigitLimitError, InputError
+from .ingest import ScopeEntry, _parse_scope_obj, load_json, scope_to_obj
 from .metrics import (
     LIMITATION_CATEGORIES,
     ControlClass,
@@ -38,17 +37,14 @@ def fraction_str(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:
         # str() of an int past the interpreter's int-digit limit.
-        raise InputError(
-            f"a rational result has more than {sys.get_int_max_str_digits()} digits "
-            "and cannot be rendered; the counts are too large"
-        ) from None
+        raise DigitLimitError() from None
 
 
 def parse_fraction(text: str) -> Fraction:
     try:
         num, den = text.split("/")
         return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, ValueError, ZeroDivisionError):
         raise InputError(f"not a num/den rational: {text!r}") from None
 
 
@@ -133,17 +129,22 @@ def breakdown_to_obj(breakdown: RavBreakdown) -> dict:
 
 def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -> bytes:
     """Render one scope's breakdown, inputs included, as text or JSON."""
-    if format == "json":
-        return emit_json(
-            {
-                "schema": REPORT_SCHEMA,
-                "scope": scope_to_obj(scope),
-                "breakdown": breakdown_to_obj(breakdown),
-            }
-        )
-    if format != "text":
+    if format not in FORMATS:
         raise InputError(f"unknown report format {format!r}; expected text or json")
-    return _render_text(breakdown, scope)
+    try:
+        if format == "json":
+            return emit_json(
+                {
+                    "schema": REPORT_SCHEMA,
+                    "scope": scope_to_obj(scope),
+                    "breakdown": breakdown_to_obj(breakdown),
+                }
+            )
+        return _render_text(breakdown, scope)
+    except ValueError:
+        # str() of an echoed count past the int-digit limit (an aggregate
+        # can sum counts that each parsed to one past it).
+        raise DigitLimitError() from None
 
 
 def _class_pairs(values: Mapping[ControlClass, Fraction]) -> str:
@@ -193,10 +194,7 @@ def parse_report(data: Union[bytes, str]) -> tuple[Scope, RavBreakdown]:
     """Recover the scope and every intermediate from a JSON report."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid report JSON: {exc.msg}") from None
+    doc = load_json(data, InputError, "invalid report JSON")
     if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
         raise InputError(f"not a {REPORT_SCHEMA} document")
     entry: ScopeEntry = _parse_scope_obj(doc.get("scope"), "$.scope")
@@ -210,6 +208,15 @@ def parse_report(data: Union[bytes, str]) -> tuple[Scope, RavBreakdown]:
     def per_class(key: str) -> dict[ControlClass, Fraction]:
         return {cls: parse_fraction(raw[key][cls.value]) for cls in ControlClass}
 
+    def number(key: str) -> float:
+        value = raw[key]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+        raise InputError(f"$.breakdown.{key}: expected a number")
+
     try:
         weights = Weights(
             **{name: parse_fraction(raw["weights"][name]) for name in LIMITATION_CATEGORIES},
@@ -217,7 +224,7 @@ def parse_report(data: Union[bytes, str]) -> tuple[Scope, RavBreakdown]:
         )
         breakdown = RavBreakdown(
             opsec_sum=frac("opsec_sum"),
-            opsec_base=float(raw["opsec_base"]),
+            opsec_base=number("opsec_base"),
             lc_sum=frac("lc_sum"),
             mc_per_class=per_class("mc_per_class"),
             mc_sum=frac("mc_sum"),
@@ -225,15 +232,18 @@ def parse_report(data: Union[bytes, str]) -> tuple[Scope, RavBreakdown]:
             mc_class_b=frac("mc_class_b"),
             mc_vg=frac("mc_vg"),
             tc_per_class=per_class("tc_per_class"),
-            tc_base=float(raw["tc_base"]),
-            fc_base=float(raw["fc_base"]),
+            tc_base=number("tc_base"),
+            fc_base=number("fc_base"),
             weights=weights,
             seclim_sum=frac("seclim_sum"),
-            seclim_base=float(raw["seclim_base"]),
-            actsec=float(raw["actsec"]),
+            seclim_base=number("seclim_base"),
+            actsec=number("actsec"),
         )
     except KeyError as exc:
         raise InputError(f"$.breakdown: missing field {exc.args[0]!r}") from None
+    except TypeError:
+        # A per-class or weights field that is not an object.
+        raise InputError("$.breakdown: a field has the wrong type") from None
     return entry.scope, breakdown
 
 

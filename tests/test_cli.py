@@ -16,6 +16,24 @@ def run(*argv: str) -> tuple[int, bytes, bytes]:
     return dispatch(list(argv))
 
 
+def scope_file(tmp_path, porosity: dict, controls: dict | None = None,
+               limitations: dict | None = None):
+    """A one-scope document; counts are written as given, so they may be huge."""
+    path = tmp_path / "scope.json"
+    path.write_text(json.dumps({
+        "schema": "ravkit-scope/1",
+        "scopes": [{"id": "x", "porosity": porosity, "controls": controls or {},
+                    "limitations": limitations or {}}],
+    }))
+    return path
+
+
+def assert_one_line_input_error(code: int, out: bytes, err: bytes) -> None:
+    assert code == 1 and out == b""
+    assert len(err.splitlines()) == 1 and b"Traceback" not in err
+    assert err.startswith(b"ravkit: error: ")
+
+
 class TestRavCommand:
     def test_toy_json_contains_published_value(self, fixtures):
         code, out, err = run("rav", str(fixtures / "toy.json"), "--format", "json")
@@ -102,6 +120,13 @@ class TestImportNmap:
         code, _, err = run("import-nmap", str(bad))
         assert code == 1 and b"malformed" in err
 
+    def test_merged_count_past_the_digit_limit_is_one_line_input_error(self, fixtures, tmp_path):
+        # 4300 nines parse; one more scanned pore makes a 4301-digit count.
+        base = scope_file(tmp_path, {"visibility": int("9" * 4300)})
+        assert_one_line_input_error(*run(
+            "import-nmap", str(fixtures / "scan_1host_1port.xml"), "--merge", str(base)
+        ))
+
 
 class TestAggregate:
     def test_fifty_plus_hundred_gives_150_targets(self, fixtures):
@@ -122,6 +147,13 @@ class TestAggregate:
                            str(fixtures / "hundred.json"))
         assert code == 0
         assert b"visibility=150" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_summed_count_past_the_digit_limit_is_one_line_input_error(self, tmp_path, fmt):
+        path = scope_file(tmp_path, {"visibility": int("9" * 4300)})
+        assert_one_line_input_error(
+            *run("aggregate", str(path), str(path), "--format", fmt)
+        )
 
 
 class TestTrustCommand:
@@ -190,6 +222,18 @@ class TestSymbolicCommand:
         assert code == 0, err
         value = float(out.decode().rsplit(": ", 1)[1])
         assert math.isfinite(value)
+
+    def test_counts_past_the_digit_limit_are_one_line_input_error(self, tmp_path):
+        # The rendered polynomial's coefficients pass the int-to-str limit.
+        huge = int("9" * 2000)
+        path = scope_file(
+            tmp_path,
+            {"visibility": huge, "access": 3, "trust": 1},
+            {"authentication": huge, "alarm": 2},
+            {"vulnerabilities": huge, "concerns": 1},
+        )
+        assert_one_line_input_error(*run("symbolic", str(path)))
+        assert_one_line_input_error(*run("rav", str(path)))
 
 
 class TestDemoCommand:

@@ -115,6 +115,27 @@ class TestRavReport:
         with pytest.raises(InputError):
             parse_report(b"not json")
 
+    @pytest.mark.parametrize("case", ["5000-digit number", "nested 100000 deep"])
+    def test_parse_extreme_documents_is_input_error(self, case):
+        if case == "nested 100000 deep":
+            text = "[" * 100_000 + "]" * 100_000
+        else:
+            text = '{"schema": "ravkit-report/1", "breakdown": {"actsec": 1%s}}' % ("0" * 4999)
+        with pytest.raises(InputError):
+            parse_report(text)
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, "x", "1/0", [], {}, True, 10**400],
+        ids=["null", "string", "zero-den", "list", "object", "bool", "1e400"],
+    )
+    @pytest.mark.parametrize("field", ["actsec", "mc_sum", "mc_per_class", "weights"])
+    def test_parse_wrongly_typed_field_is_input_error(self, toy, field, value):
+        doc = json.loads(render_report(actual_security(toy), toy, "json"))
+        doc["breakdown"][field] = value
+        with pytest.raises(InputError):
+            parse_report(json.dumps(doc))
+
 
 class TestTrustReport:
     def test_json_shape(self):
