@@ -405,14 +405,24 @@ def _record_from_cells(cells: Mapping[str, str], line_no: int) -> ApplicantRecor
         except (ValueError, ZeroDivisionError):
             raise CsvFormatError(f"column {name!r}: not a rational number: {text!r}") from None
 
-    references = []
-    for polarity, column in (
-        (Polarity.POSITIVE, "references_positive"),
-        (Polarity.NEUTRAL, "references_neutral"),
-        (Polarity.NEGATIVE, "references_negative"),
-    ):
-        for i in range(int_cell(column)):
-            references.append(Reference(f"{polarity.value}-{i + 1}", polarity))
+    # One Reference is built per counted reference, so the counts are
+    # checked the way ApplicantRecord checks them before any is built.
+    columns = {polarity: f"references_{polarity.value}" for polarity in Polarity}
+    counts = {name: int_cell(name) for name in (*columns.values(), "past_employer_count")}
+    for name, count in counts.items():
+        if count < 0:
+            raise DomainError(f"{name} must be a non-negative integer, got {count!r}")
+    past_employer_count = counts.pop("past_employer_count")
+    total = sum(counts.values())
+    if past_employer_count == 0 and total:
+        raise DomainError("references require at least one past employer")
+    if past_employer_count < total:
+        raise DomainError("more references than past employers")
+    references = [
+        Reference(f"{polarity.value}-{i + 1}", polarity)
+        for polarity, name in columns.items()
+        for i in range(counts[name])
+    ]
 
     return ApplicantRecord(
         applicant_id=cells.get("applicant_id", "") or f"row-{line_no}",
@@ -422,7 +432,7 @@ def _record_from_cells(cells: Mapping[str, str], line_no: int) -> ApplicantRecor
         age_years=int_cell("age_years"),
         legal_adult_age=int_cell("legal_adult_age", default=18),
         references=tuple(references),
-        past_employer_count=int_cell("past_employer_count"),
+        past_employer_count=past_employer_count,
         hours_alone_per_day=rational_cell("hours_alone_per_day"),
         working_hours_per_day=rational_cell("working_hours_per_day"),
         employees_in_community=int_cell("employees_in_community"),

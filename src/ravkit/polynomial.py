@@ -1,18 +1,24 @@
 """Multivariate polynomials over the rationals with exact gcd.
 
 Just enough of a polynomial ring for reduced rational functions: arithmetic,
-evaluation, exact division, and a primitive-remainder-sequence gcd.  Terms
-map monomials to nonzero Fraction coefficients; a monomial is a tuple of
-``(variable, exponent)`` pairs sorted by variable name with all exponents
-positive.  Rendering and leading-term selection use graded-lexicographic
+evaluation, exact division, and a primitive-remainder-sequence gcd.  A
+polynomial is stored as integer numerators over one common denominator:
+``terms`` maps monomials to nonzero ints and ``den`` is a positive int
+coprime to their content, so coefficient ``m`` is ``terms[m] / den`` and
+the pair is unique.  All arithmetic runs on ints; ``Fraction`` appears only
+at the public boundary (the constructor, ``constant_value``,
+``leading_term``, ``sorted_terms`` and ``evaluate``).  A monomial is a tuple
+of ``(variable, exponent)`` pairs sorted by variable name with all
+exponents positive.  Rendering and leading-term selection use graded-lex
 order with alphabetical variables.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import DigitLimitError, DomainError, UnassignedVariableError
 
@@ -44,10 +50,9 @@ def _mono_sort_key(mono: Mono):
 
 def _mono_divide(a: Mono, b: Mono) -> Mono | None:
     """a / b, or None when b does not divide a."""
-    exps = dict(a)
     out: dict[str, int] = dict(a)
     for var, e in b:
-        have = exps.get(var, 0)
+        have = out.get(var, 0)
         if have < e:
             return None
         if have == e:
@@ -57,48 +62,52 @@ def _mono_divide(a: Mono, b: Mono) -> Mono | None:
     return tuple(sorted(out.items()))
 
 
-def _mono_gcd(a: Mono, b: Mono) -> Mono:
-    if not a or not b:
-        return _EMPTY_MONO
-    eb = dict(b)
-    out = []
-    for var, e in a:
-        m = min(e, eb.get(var, 0))
-        if m > 0:
-            out.append((var, m))
-    return tuple(out)
-
-
 def _mono_render(mono: Mono) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial: int numerators over one positive int."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "den", "_hash")
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        clean: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    clean[mono] = c
-        self.terms = clean
+        coeffs = {m: Fraction(c) for m, c in (terms or {}).items()}
+        coeffs = {m: c for m, c in coeffs.items() if c}
+        # The lcm of reduced denominators is coprime to the numerators' content.
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.terms = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        self.den = den
         self._hash = None
+
+    @classmethod
+    def _from_numerators(cls, terms: dict[Mono, int], den: int = 1) -> "Polynomial":
+        """Wrap nonzero int numerators over ``den > 0`` (taking ownership of
+        ``terms``), reduced to lowest terms."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
+        out = cls.__new__(cls)
+        out.terms = terms
+        out.den = den
+        out._hash = None
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls({_EMPTY_MONO: Fraction(value)})
+        if type(value) is int:
+            return cls._from_numerators({_EMPTY_MONO: value} if value else {})
+        return cls({_EMPTY_MONO: value})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
         if not name or any(ch in name for ch in " \t\n*^+-/()"):
             raise DomainError(f"invalid variable name {name!r}")
-        return cls({((name, 1),): Fraction(1)})
+        return cls._from_numerators({((name, 1),): 1})
 
     @staticmethod
     def coerce(value: "Polynomial | Scalar") -> "Polynomial":
@@ -119,7 +128,7 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise DomainError("polynomial is not constant")
-        return self.terms.get(_EMPTY_MONO, Fraction(0))
+        return Fraction(self.terms.get(_EMPTY_MONO, 0), self.den)
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for mono in self.terms for v, _ in mono)
@@ -137,39 +146,39 @@ class Polynomial:
                     deg = e
         return deg
 
-    def leading_term(self) -> tuple[Mono, Fraction]:
-        """Leading (monomial, coefficient) under graded-lex order."""
+    def _leading_mono(self) -> Mono:
         if not self.terms:
             raise DomainError("zero polynomial has no leading term")
-        mono = min(self.terms, key=_mono_sort_key)
-        return mono, self.terms[mono]
+        return min(self.terms, key=_mono_sort_key)
+
+    def leading_term(self) -> tuple[Mono, Fraction]:
+        """Leading (monomial, coefficient) under graded-lex order."""
+        mono = self._leading_mono()
+        return mono, Fraction(self.terms[mono], self.den)
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=_mono_sort_key)]
+        return [(m, Fraction(self.terms[m], self.den))
+                for m in sorted(self.terms, key=_mono_sort_key)]
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
         other = Polynomial.coerce(other)
-        res = dict(self.terms)
+        den = self.den * other.den // math.gcd(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        res = dict(self.terms) if ka == 1 else {m: c * ka for m, c in self.terms.items()}
         for mono, coeff in other.terms.items():
-            c = res.get(mono, Fraction(0)) + coeff
-            if c == 0:
-                res.pop(mono, None)
-            else:
+            c = res.get(mono, 0) + coeff * kb
+            if c:
                 res[mono] = c
-        out = Polynomial.__new__(Polynomial)
-        out.terms = res
-        out._hash = None
-        return out
+            else:
+                del res[mono]
+        return Polynomial._from_numerators(res, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        out._hash = None
-        return out
+        return Polynomial._from_numerators({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         return self + (-Polynomial.coerce(other))
@@ -178,22 +187,26 @@ class Polynomial:
         return Polynomial.coerce(other) - self
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
+        if type(other) is int:
+            if not other:
+                return Polynomial()
+            return Polynomial._from_numerators(
+                {m: c * other for m, c in self.terms.items()}, self.den
+            )
         other = Polynomial.coerce(other)
-        if not self.terms or not other.terms:
-            return Polynomial()
-        res: dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        res: dict[Mono, int] = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 mono = _mono_mul(m1, m2)
-                c = res.get(mono, Fraction(0)) + c1 * c2
-                if c == 0:
-                    res.pop(mono, None)
-                else:
+                c = res.get(mono, 0) + c1 * c2
+                if c:
                     res[mono] = c
-        out = Polynomial.__new__(Polynomial)
-        out.terms = res
-        out._hash = None
-        return out
+                else:
+                    del res[mono]
+        return Polynomial._from_numerators(res, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -215,32 +228,31 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # The hash of the {monomial: Fraction coefficient} items; an int
+        # numerator over 1 hashes like the equal Fraction.
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            items = self.terms.items()
+            if self.den != 1:
+                items = ((m, Fraction(c, self.den)) for m, c in items)
+            self._hash = hash(frozenset(items))
         return self._hash
 
     # -- evaluation and rendering -------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for var, e in mono:
-                if var not in assignment:
-                    raise UnassignedVariableError(f"no value assigned to variable {var!r}")
-                value *= Fraction(assignment[var]) ** e
-            total += value
-        return total
+        point = Point(assignment, (self,))
+        return Fraction(point.scaled_value(self), self.den * point.scale)
 
     def render(self) -> str:
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            mag = abs(coeff)
+        for mono in sorted(self.terms, key=_mono_sort_key):
+            coeff = self.terms[mono]
+            mag = abs(coeff) if self.den == 1 else Fraction(abs(coeff), self.den)
             body = _mono_render(mono)
             try:
                 if not body:
@@ -262,42 +274,125 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
+class Point:
+    """A rational point at which polynomials are evaluated exactly.
+
+    With each variable ``v = p/q`` and ``D`` its highest exponent among the
+    polynomials given, ``poly * den * prod(q**D)`` is an integer: a monomial
+    contributes ``p**e * q**(D - e)`` for each variable in it and ``q**D``
+    for each variable not in it.  The powers are computed once per
+    ``(variable, exponent)`` and shared by every polynomial evaluated here,
+    so the sums run on ints and a value costs one ``Fraction`` division.
+    """
+
+    __slots__ = ("_values", "_top", "_powers", "_absent", "scale")
+
+    def __init__(self, assignment: Mapping[str, Scalar], polys: Iterable[Polynomial]):
+        top: dict[str, int] = {}
+        for poly in polys:
+            for mono in poly.terms:
+                for var, e in mono:
+                    if var not in assignment:
+                        raise UnassignedVariableError(f"no value assigned to variable {var!r}")
+                    if e > top.get(var, 0):
+                        top[var] = e
+        self._values = {var: Fraction(assignment[var]) for var in top}
+        self._top = top
+        self._powers: dict[tuple[str, int], int] = {}
+        # q**D of each non-integer value, the factor of monomials without it.
+        self._absent = {
+            var: value.denominator ** top[var]
+            for var, value in self._values.items()
+            if value.denominator != 1
+        }
+        self.scale = math.prod(self._absent.values())
+
+    def scaled_value(self, poly: Polynomial) -> int:
+        """``poly``'s value times ``poly.den * self.scale``: an int."""
+        powers = self._powers
+        total = 0
+        for mono, coeff in poly.terms.items():
+            for ve in mono:
+                power = powers.get(ve)
+                if power is None:
+                    var, e = ve
+                    value = self._values[var]
+                    power = powers[ve] = (
+                        value.numerator**e * value.denominator ** (self._top[var] - e)
+                    )
+                coeff *= power
+            if self._absent:
+                present = {v for v, _ in mono}
+                for var, factor in self._absent.items():
+                    if var not in present:
+                        coeff *= factor
+            total += coeff
+        return total
+
+
 # ---------------------------------------------------------------------------
 # Exact division and gcd
-#
-# The gcd machinery runs on plain-int coefficient dicts (the inputs are made
-# integer-primitive first); Fractions only cross the boundary.
 # ---------------------------------------------------------------------------
 
-IntPoly = dict  # dict[Mono, int], no zero values
+
+def _content(poly: Polynomial) -> int:
+    """The gcd of the int numerators (0 for the zero polynomial)."""
+    return math.gcd(*poly.terms.values())
 
 
 def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Exact quotient num/den; raises DomainError when the division is inexact."""
+    """Exact quotient num/den; raises DomainError when the division is inexact.
+
+    Runs on the int numerators.  Once ``den``'s numerators are divided by
+    their content, an exact quotient of integer polynomials has integer
+    coefficients (Gauss's lemma), so each step must divide the remainder's
+    leading coefficient exactly.  The remainder's monomials wait in a heap
+    under graded-lex order, so each step pops the leading one instead of
+    scanning the remainder.
+    """
     if den.is_zero:
         raise DomainError("division by the zero polynomial")
+    # num/den = (num.terms / den.terms) * den.den / num.den, and with
+    # den.terms = content * primitive the quotient's numerators are
+    # (num.terms / primitive) * den.den over num.den * content.
+    content = _content(den)
+    scale = den.den
     if den.is_constant:
-        c = den.constant_value()
-        return Polynomial({m: coeff / c for m, coeff in num.terms.items()})
-    quotient: dict[Mono, Fraction] = {}
+        if den.terms[_EMPTY_MONO] < 0:
+            scale = -scale
+        quotient = {m: c * scale for m, c in num.terms.items()}
+        return Polynomial._from_numerators(quotient, num.den * content)
+    lead_mono = den._leading_mono()
+    lead_coeff = den.terms[lead_mono] // content
+    rest = [(m, c // content) for m, c in den.terms.items() if m != lead_mono]
     rem = dict(num.terms)
-    den_mono, den_coeff = den.leading_term()
-    den_terms = den.terms
-    while rem:
-        rem_mono = min(rem, key=_mono_sort_key)
-        q_mono = _mono_divide(rem_mono, den_mono)
+    heap = [(_mono_sort_key(m), m) for m in rem]
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        # A popped monomial never reappears: every later product is smaller.
+        # Stale heap entries (cancelled or already taken) find nothing here.
+        coeff = rem.pop(mono, 0)
+        if not coeff:
+            continue
+        q_mono = _mono_divide(mono, lead_mono)
         if q_mono is None:
             raise DomainError("inexact polynomial division")
-        q_coeff = rem[rem_mono] / den_coeff
-        quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
-        for m, c in den_terms.items():
+        q_coeff, residue = divmod(coeff, lead_coeff)
+        if residue:
+            raise DomainError("inexact polynomial division")
+        quotient[q_mono] = q_coeff * scale
+        for m, c in rest:
             key = _mono_mul(m, q_mono)
-            left = rem.get(key, Fraction(0)) - c * q_coeff
-            if left == 0:
-                rem.pop(key, None)
-            else:
-                rem[key] = left
-    return Polynomial(quotient)
+            left = rem.get(key, 0) - c * q_coeff
+            if not left:
+                del rem[key]
+                continue
+            if key not in rem:
+                heapq.heappush(heap, (_mono_sort_key(key), key))
+            rem[key] = left
+    return Polynomial._from_numerators(quotient, num.den * content)
 
 
 def try_divide_exact(num: Polynomial, den: Polynomial) -> Polynomial | None:
@@ -313,112 +408,35 @@ def integer_primitive(poly: Polynomial) -> tuple[Polynomial, Fraction]:
     leading coefficient, and ``poly == factor * primitive``."""
     if poly.is_zero:
         return poly, Fraction(1)
-    den_lcm = 1
-    for c in poly.terms.values():
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in poly.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    factor = Fraction(num_gcd, den_lcm)
-    if poly.leading_term()[1] < 0:
-        factor = -factor
-    primitive = Polynomial({m: c / factor for m, c in poly.terms.items()})
-    return primitive, factor
+    content = _content(poly)
+    if poly.terms[poly._leading_mono()] < 0:
+        content = -content
+    primitive = {m: c // content for m, c in poly.terms.items()}
+    return Polynomial._from_numerators(primitive), Fraction(content, poly.den)
 
 
 def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Gcd with positive leading coefficient, including the integer content
     gcd (so ``gcd(6, 4) == 2``); constant 1 for coprime primitive inputs.
-    Rational coefficients are cleared per operand before the integer gcd."""
+    Rational coefficients are cleared per operand (the gcd runs on the
+    numerators) before the integer gcd."""
     if f.is_zero:
         return _sign_normalized(g)
     if g.is_zero:
         return _sign_normalized(f)
-    return Polynomial({m: Fraction(c) for m, c in _igcd(_to_int(f), _to_int(g)).items()})
+    return _igcd(Polynomial._from_numerators(f.terms), Polynomial._from_numerators(g.terms))
 
 
 def _sign_normalized(poly: Polynomial) -> Polynomial:
-    if poly.is_zero or poly.leading_term()[1] > 0:
+    if poly.is_zero or poly.terms[poly._leading_mono()] > 0:
         return poly
     return -poly
 
 
-def _to_int(poly: Polynomial) -> IntPoly:
-    """Clear denominators (keep content): the integer polynomial lcm*poly."""
-    lcm = 1
-    for c in poly.terms.values():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return {m: c.numerator * (lcm // c.denominator) for m, c in poly.terms.items()}
-
-
-# -- int-dict polynomial helpers ---------------------------------------------
-
-
-def _imul(a: IntPoly, b: IntPoly) -> IntPoly:
-    out: IntPoly = {}
-    if len(a) > len(b):
-        a, b = b, a
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = _mono_mul(m1, m2)
-            c = out.get(mono, 0) + c1 * c2
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
-    return out
-
-
-def _iscale(a: IntPoly, k: int) -> IntPoly:
-    return {m: c * k for m, c in a.items()} if k != 1 else a
-
-
-def _isub_scaled(a: IntPoly, ka: int, b: IntPoly, kb: int) -> IntPoly:
-    """ka*a - kb*b."""
-    out = {m: c * ka for m, c in a.items()}
-    for m, c in b.items():
-        v = out.get(m, 0) - c * kb
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _icontent(a: IntPoly) -> int:
-    c = 0
-    for v in a.values():
-        c = math.gcd(c, v)
-        if c == 1:
-            return 1
-    return c
-
-
-def _idiv_int(a: IntPoly, k: int) -> IntPoly:
-    return {m: c // k for m, c in a.items()} if k != 1 else a
-
-
-def _idegree_in(a: IntPoly, var: str) -> int:
-    deg = 0
-    for mono in a:
-        for v, e in mono:
-            if v == var and e > deg:
-                deg = e
-    return deg
-
-
-def _ivariables(a: IntPoly) -> set[str]:
-    return {v for mono in a for v, _ in mono}
-
-
-def _ilead_sign(a: IntPoly) -> int:
-    mono = min(a, key=_mono_sort_key)
-    return 1 if a[mono] > 0 else -1
-
-
-def _icoefficients_in(a: IntPoly, var: str) -> dict[int, IntPoly]:
-    out: dict[int, IntPoly] = {}
-    for mono, c in a.items():
+def _coefficients_in(poly: Polynomial, var: str) -> dict[int, Polynomial]:
+    """Coefficients of poly as a polynomial in var, keyed by degree."""
+    out: dict[int, dict[Mono, int]] = {}
+    for mono, c in poly.terms.items():
         deg = 0
         rest = []
         for v, e in mono:
@@ -427,137 +445,53 @@ def _icoefficients_in(a: IntPoly, var: str) -> dict[int, IntPoly]:
             else:
                 rest.append((v, e))
         out.setdefault(deg, {})[tuple(rest)] = c
-    return out
+    return {deg: Polynomial._from_numerators(terms) for deg, terms in out.items()}
 
 
-def _idivide_exact(num: IntPoly, den: IntPoly) -> IntPoly:
-    """Exact division of int polynomials (den primitive or exact scalar)."""
-    if not num:
-        return {}
-    if len(den) == 1 and () in den:
-        return _idiv_int(num, den[()])
-    quotient: IntPoly = {}
-    rem = dict(num)
-    den_mono = min(den, key=_mono_sort_key)
-    den_coeff = den[den_mono]
-    while rem:
-        rem_mono = min(rem, key=_mono_sort_key)
-        q_mono = _mono_divide(rem_mono, den_mono)
-        if q_mono is None:
-            raise DomainError("inexact polynomial division")
-        q_coeff, residue = divmod(rem[rem_mono], den_coeff)
-        if residue:
-            raise DomainError("inexact polynomial division")
-        quotient[q_mono] = quotient.get(q_mono, 0) + q_coeff
-        for m, c in den.items():
-            key = _mono_mul(m, q_mono)
-            left = rem.get(key, 0) - c * q_coeff
-            if left:
-                rem[key] = left
-            else:
-                rem.pop(key, None)
-    return quotient
-
-
-def _imono_content(a: IntPoly) -> Mono:
-    mono = None
-    for m in a:
-        mono = m if mono is None else _mono_gcd(mono, m)
-        if not mono:
-            break
-    return mono or _EMPTY_MONO
-
-
-def _istrip_mono(a: IntPoly, mono: Mono) -> IntPoly:
-    if not mono:
-        return a
-    return {_mono_divide(m, mono): c for m, c in a.items()}
-
-
-def _igcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Gcd of int polynomials (content included), positive leading coefficient."""
-    if not f or not g:
-        other = g if not f else f
-        if not other:
-            return {}
-        return other if _ilead_sign(other) > 0 else _iscale(other, -1)
-    if f == g:
-        return f if _ilead_sign(f) > 0 else _iscale(f, -1)
-    mono_f = _imono_content(f)
-    mono_g = _imono_content(g)
-    common = _mono_gcd(mono_f, mono_g)
-    f = _istrip_mono(f, mono_f)
-    g = _istrip_mono(g, mono_g)
-    core = _igcd_core(f, g)
-    if common:
-        core = {_mono_mul(m, common): c for m, c in core.items()}
-    return core
-
-
-def _igcd_core(f: IntPoly, g: IntPoly) -> IntPoly:
-    const_f = len(f) == 1 and () in f
-    const_g = len(g) == 1 and () in g
-    if const_f or const_g:
-        return {(): math.gcd(_icontent(f), _icontent(g))}
-    shared = _ivariables(f) & _ivariables(g)
+def _igcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Gcd of nonzero integer polynomials, content included, positive
+    leading coefficient: a primitive remainder sequence in the first shared
+    variable, with contents handled recursively in the other variables."""
+    shared = f.variables() & g.variables()
     if not shared:
-        return {(): math.gcd(_icontent(f), _icontent(g))}
+        return Polynomial.constant(math.gcd(_content(f), _content(g)))
     var = min(shared)
-
-    def content_and_pp(p: IntPoly) -> tuple[IntPoly, IntPoly]:
-        # Chain from the structurally smallest coefficient: the content
-        # usually collapses to a constant immediately.
-        coeffs = sorted(
-            _icoefficients_in(p, var).values(),
-            key=lambda c: (len(c), max(_mono_degree(m) for m in c)),
-        )
-        cont = coeffs[0]
-        for c in coeffs[1:]:
-            if len(cont) == 1 and () in cont:
-                cont = {(): math.gcd(cont[()], _icontent(c))}
-                if abs(cont[()]) == 1:
-                    break
-            else:
-                cont = _igcd(cont, c)
-        if cont == {(): 1}:
-            return cont, p
-        return cont, _idivide_exact(p, cont)
-
-    cont_f, pp_f = content_and_pp(f)
-    cont_g, pp_g = content_and_pp(g)
-    cont = _igcd(cont_f, cont_g)
-
-    a, b = pp_f, pp_g
-    if _idegree_in(a, var) < _idegree_in(b, var):
+    cont_f, a = _content_and_primitive(f, var)
+    cont_g, b = _content_and_primitive(g, var)
+    if a.degree_in(var) < b.degree_in(var):
         a, b = b, a
-    while True:
-        deg_b = _idegree_in(b, var)
-        if deg_b == 0:
-            pp_gcd = {(): 1}
+    while b.degree_in(var):
+        r = _prem(a, b, var)
+        if r.is_zero:
             break
-        r = _iprem(a, b, var, deg_b)
-        if not r:
-            pp_gcd = content_and_pp(b)[1]
-            break
-        c = _icontent(r)
-        a, b = b, content_and_pp(_idiv_int(r, c))[1]
-    # gcd = gcd(contents) * gcd(primitive parts); pp_gcd is primitive, so no
-    # further content division is wanted here.
-    result = _imul(cont, pp_gcd)
-    if _ilead_sign(result) < 0:
-        result = _iscale(result, -1)
-    return result
+        a, b = b, _content_and_primitive(r, var)[1]
+    else:
+        b = Polynomial.constant(1)
+    return _sign_normalized(_igcd(cont_f, cont_g) * b)
 
 
-def _iprem(f: IntPoly, g: IntPoly, var: str, deg_g: int) -> IntPoly:
-    lc_g = _icoefficients_in(g, var)[deg_g]
+def _content_and_primitive(poly: Polynomial, var: str) -> tuple[Polynomial, Polynomial]:
+    """Content of poly in var (a gcd over the other variables, integer
+    content included) and the primitive part poly / content."""
+    coeffs = iter(_coefficients_in(poly, var).values())
+    cont = _sign_normalized(next(coeffs))
+    for c in coeffs:
+        if cont == 1:
+            break
+        cont = _igcd(cont, c)
+    return cont, poly if cont == 1 else divide_exact(poly, cont)
+
+
+def _prem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
+    """Pseudo-remainder of f by g in var."""
+    deg_g = g.degree_in(var)
+    lc_g = _coefficients_in(g, var)[deg_g]
     rem = f
-    while rem:
-        deg_r = _idegree_in(rem, var)
+    while not rem.is_zero:
+        deg_r = rem.degree_in(var)
         if deg_r < deg_g:
             break
-        lc_r = _icoefficients_in(rem, var)[deg_r]
-        shift = ((var, deg_r - deg_g),) if deg_r > deg_g else _EMPTY_MONO
-        shifted = {_mono_mul(m, shift): c for m, c in lc_r.items()}
-        rem = _isub_scaled(_imul(rem, lc_g), 1, _imul(shifted, g), 1)
+        lc_r = _coefficients_in(rem, var)[deg_r]
+        shift = Polynomial._from_numerators({((var, deg_r - deg_g),) if deg_r > deg_g else (): 1})
+        rem = rem * lc_g - lc_r * shift * g
     return rem

@@ -1,14 +1,16 @@
 """Reduced rational functions: quotients of polynomials in canonical form.
 
 Canonical form means numerator and denominator are coprime polynomials with
-integer coefficients of joint content 1 and a positive leading denominator
-coefficient under graded-lex order.  Equality of canonical forms is plain
-structural equality, which makes canonicalization idempotent and bit-exact.
+integer coefficients (each stored over ``den == 1``) of joint content 1 and
+a positive leading denominator coefficient under graded-lex order.
+Equality of canonical forms is plain structural equality, which makes
+canonicalization idempotent and bit-exact.
 
 Arithmetic keeps operands reduced throughout, so it can use the classic
 reduced-fraction shortcuts: addition only needs a gcd against the small
 common denominator factor, multiplication and division only need the cross
-gcds, and powers of a reduced quotient need no gcd at all.
+gcds, and powers of a reduced quotient need no gcd at all.  Bringing a
+coprime pair to canonical scaling needs only the integer content of each.
 """
 
 from __future__ import annotations
@@ -17,14 +19,21 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError, ZeroDenominatorError
-from .polynomial import Polynomial, Scalar, divide_exact, integer_primitive, polynomial_gcd
+from .polynomial import (
+    Point,
+    Polynomial,
+    Scalar,
+    divide_exact,
+    integer_primitive,
+    polynomial_gcd,
+)
 
 _ONE = Polynomial.constant(1)
 _ZERO = Polynomial()
 
 
 def _is_one(poly: Polynomial) -> bool:
-    return poly.is_constant and not poly.is_zero and poly.constant_value() == 1
+    return poly == _ONE
 
 
 def _scale_normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -204,10 +213,14 @@ class RationalFunction:
     # -- evaluation and rendering ---------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        den = self.den.evaluate(assignment)
+        return self.value_at(Point(assignment, (self.den, self.num)))
+
+    def value_at(self, point: Point) -> Fraction:
+        """The exact value at a point that covers both polynomials."""
+        den = point.scaled_value(self.den)
         if den == 0:
             raise ZeroDenominatorError("evaluation at a pole of the rational function")
-        return self.num.evaluate(assignment) / den
+        return Fraction(point.scaled_value(self.num) * self.den.den, den * self.num.den)
 
     def render(self) -> str:
         if self.den == _ONE:

@@ -29,7 +29,7 @@ from .metrics import (
     META_CLASS_A,
     Scope,
 )
-from .polynomial import Polynomial, Scalar, try_divide_exact
+from .polynomial import Point, Polynomial, Scalar, try_divide_exact
 from .ratfun import RationalFunction
 
 #: Count kinds accepted as unit_map keys.
@@ -176,9 +176,8 @@ class SymbolicScore:
 
     def variables(self) -> frozenset[str]:
         out: set[str] = set()
-        for _, atoms in self.terms:
-            for atom in atoms:
-                out |= atom.arg.variables()
+        for atom in self.atoms():
+            out |= atom.arg.variables()
         return frozenset(out)
 
     def atoms(self) -> tuple[LogSquareAtom, ...]:
@@ -197,7 +196,10 @@ class SymbolicScore:
         """Substitute exactly, then apply natural logs in floating point.
 
         Every variable must be assigned a positive rational; every atom
-        argument must evaluate to at least 1.
+        argument must evaluate to at least 1.  All atom arguments are
+        evaluated at one shared :class:`~ravkit.polynomial.Point`, so each
+        power of a variable is computed once and each argument is one
+        division of two exact integers.
         """
         import math
 
@@ -210,9 +212,11 @@ class SymbolicScore:
             raise UnassignedVariableError(
                 f"no value assigned to variable(s) {', '.join(sorted(missing))}"
             )
+        atoms = self.atoms()
+        point = Point(values, (p for atom in atoms for p in (atom.arg.den, atom.arg.num)))
         log_sq: dict[str, float] = {}
-        for atom in self.atoms():
-            arg = atom.arg.evaluate(values)
+        for atom in atoms:
+            arg = atom.arg.value_at(point)
             if arg < 1:
                 raise DomainError(
                     f"atom argument {atom.key} evaluates to {arg} < 1"
@@ -262,6 +266,9 @@ def _coerce_score(value: "SymbolicScore | Scalar") -> SymbolicScore:
 # ---------------------------------------------------------------------------
 # Symbolic pipeline
 # ---------------------------------------------------------------------------
+
+
+_ONE = Polynomial.constant(1)
 
 
 def _branch_max_zero(value: Polynomial) -> Polynomial:
@@ -323,7 +330,8 @@ def symbolic_breakdown(
 
     lc = {cls: counted(cls.value, scope.controls.get(cls)) for cls in ControlClass}
     lc_sum = sum(lc.values(), Polynomial())
-    f_arg = RationalFunction(1 + 10 * lc_sum)
+    # 1 + 10*lc_sum and 1 + 100*opsec have denominator 1: no gcd to take.
+    f_arg = RationalFunction.from_coprime(1 + 10 * lc_sum, _ONE)
 
     if opsec.is_zero:
         if scope.limitations.total != 0:
@@ -372,7 +380,7 @@ def symbolic_breakdown(
         s_den_power -= 1
     s_arg = RationalFunction.from_coprime(s_num, 100 * opsec**s_den_power)
 
-    a_arg = RationalFunction(1 + 100 * opsec)
+    a_arg = RationalFunction.from_coprime(1 + 100 * opsec, _ONE)
     a_score = SymbolicScore.atom(a_arg)
     f_score = SymbolicScore.atom(f_arg)
     s_score = SymbolicScore.atom(s_arg)

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -187,6 +188,44 @@ class TestTrustCommand:
         code, _, err = run("trust", str(csv))
         assert code == 1 and b"line 2" in err
 
+    @staticmethod
+    def references_csv(tmp_path, positive: str, neutral: str, negative: str, past: str):
+        csv = tmp_path / "refs.csv"
+        csv.write_text(
+            "applicant_id,age_years,references_positive,references_neutral,"
+            "references_negative,past_employer_count,working_hours_per_day\n"
+            f"x,30,{positive},{neutral},{negative},{past},8\n"
+        )
+        return csv
+
+    def test_reference_count_past_employers_fails_before_building_references(self, tmp_path):
+        csv = self.references_csv(tmp_path, "2000000", "0", "0", "3")
+        start = time.perf_counter()
+        code, out, err = run("trust", str(csv))
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_input_error(code, out, err)
+        assert b"more references than past employers" in err
+
+    def test_references_without_past_employers_rejected(self, tmp_path):
+        code, out, err = run("trust", str(self.references_csv(tmp_path, "2000000", "", "", "0")))
+        assert_one_line_input_error(code, out, err)
+        assert b"references require at least one past employer" in err
+
+    def test_400_digit_reference_counts_rejected(self, tmp_path):
+        n = "9" * 400
+        code, out, err = run("trust", str(self.references_csv(tmp_path, n, n, n, n)))
+        assert_one_line_input_error(code, out, err)
+
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])
+    def test_negative_reference_count_names_the_column(self, tmp_path, column):
+        cells = ["0", "0", "0", "2"]
+        cells[column] = "-3"
+        code, out, err = run("trust", str(self.references_csv(tmp_path, *cells)))
+        assert_one_line_input_error(code, out, err)
+        name = ("references_positive", "references_neutral", "references_negative",
+                "past_employer_count")[column]
+        assert f"{name} must be a non-negative integer, got -3".encode() in err
+
 
 class TestSymbolicCommand:
     def test_renders_expression_and_unit_value(self, fixtures):
@@ -205,6 +244,14 @@ class TestSymbolicCommand:
         assert run("symbolic", str(fixtures / "toy.json")) == run(
             "symbolic", str(fixtures / "toy.json")
         )
+
+    def test_unit_scopes_golden(self, fixtures):
+        # 12 scopes, 0-3 porosity units crossed with 5-8 unit variables,
+        # evaluated at integers, non-integer rationals and defaulted ones.
+        code, out, err = run("symbolic", str(fixtures / "units_symbolic.json"),
+                             "--eval", "a=2,b=3/2,c=3,d=5/4,e=4,f=7/3")
+        assert code == 0, err
+        assert out == (fixtures / "units_symbolic.txt").read_bytes()
 
     def test_bad_eval_spec(self, fixtures):
         code, _, err = run("symbolic", str(fixtures / "toy.json"), "--eval", "h=two")
