@@ -30,6 +30,16 @@ class DigitLimitError(InputError):
         )
 
 
+class FloatRangeError(InputError):
+    """A result to be rendered as a decimal is past the float range."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            "a result is past the float range and cannot be rendered as a decimal; "
+            "the counts are too large"
+        )
+
+
 class ScopeFormatError(InputError):
     """Malformed or invalid scope JSON document."""
 

@@ -47,9 +47,18 @@ from .trust import ApplicantRecord, Polarity, Reference
 
 SCOPE_SCHEMA = "ravkit-scope/1"
 
-_POROSITY_KEYS = ("visibility", "access", "trust")
-_CONTROL_KEYS = tuple(cls.value for cls in ControlClass)
-_SCOPE_KEYS = ("id", "channel", "vector", "index", "porosity", "controls", "limitations", "units")
+# The keys each object of a scope document may have.
+_DOCUMENT_KEYS = frozenset(("schema", "scopes"))
+_SCOPE_KEYS = frozenset(
+    ("id", "channel", "vector", "index", "porosity", "controls", "limitations", "units")
+)
+_POROSITY_KEYS = frozenset(("visibility", "access", "trust"))
+_CONTROL_KEYS = frozenset(cls.value for cls in ControlClass)
+_LIMITATION_KEYS = frozenset(LIMITATION_CATEGORIES)
+_UNIT_KEYS = frozenset(UNIT_KINDS)
+_SCOPE_CHANNELS = frozenset((*CHANNELS, AGGREGATE_CHANNEL))
+#: Stands in for an absent count group or unit map; never mutated.
+_EMPTY_OBJECT: dict = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,11 +115,31 @@ def _expect_string(value: Any, path: str) -> str:
     return value
 
 
-def _counts(obj: dict, allowed: Sequence[str], path: str) -> dict[str, int]:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ScopeFormatError(f"{path}: unknown field(s) {', '.join(unknown)}")
-    return {key: _expect_count(value, f"{path}.{key}") for key, value in obj.items()}
+def _reject_unknown(obj: dict, allowed: frozenset, path: str, what: str = "field(s)") -> None:
+    if not obj.keys() <= allowed:
+        raise ScopeFormatError(f"{path}: unknown {what} {', '.join(sorted(obj.keys() - allowed))}")
+
+
+# The two readers below check one member of a scope object in one pass, and
+# build its JSON path only for an error message.
+
+
+def _string_member(obj: dict, key: str, default: str, path: str) -> str:
+    value = obj.get(key, default)
+    if type(value) is not str:
+        _expect_string(value, f"{path}.{key}")
+    return value
+
+
+def _count_member(obj: dict, key: str, allowed: frozenset, path: str) -> dict[str, int]:
+    """A count group, checked item by item; the parsed object itself is returned."""
+    group = obj.get(key, _EMPTY_OBJECT)
+    if type(group) is not dict or not group.keys() <= allowed:
+        _reject_unknown(_expect_object(group, f"{path}.{key}"), allowed, f"{path}.{key}")
+    for name, value in group.items():
+        if type(value) is not int or value < 0:
+            _expect_count(value, f"{path}.{key}.{name}")
+    return group
 
 
 def parse_scope_document(data: Union[bytes, str]) -> ScopeDocument:
@@ -121,9 +150,7 @@ def parse_scope_document(data: Union[bytes, str]) -> ScopeDocument:
         except UnicodeDecodeError as exc:
             raise ScopeFormatError(f"scope file is not valid UTF-8: {exc}") from None
     doc = _expect_object(load_json(data, ScopeFormatError, "invalid JSON"), "$")
-    unknown = sorted(set(doc) - {"schema", "scopes"})
-    if unknown:
-        raise ScopeFormatError(f"$: unknown field(s) {', '.join(unknown)}")
+    _reject_unknown(doc, _DOCUMENT_KEYS, "$")
     if doc.get("schema") != SCOPE_SCHEMA:
         raise ScopeFormatError(
             f"$.schema: expected {SCOPE_SCHEMA!r}, got {doc.get('schema')!r}"
@@ -139,32 +166,24 @@ def parse_scope_document(data: Union[bytes, str]) -> ScopeDocument:
 
 def _parse_scope_obj(raw: Any, path: str) -> ScopeEntry:
     obj = _expect_object(raw, path)
-    unknown = sorted(set(obj) - set(_SCOPE_KEYS))
-    if unknown:
-        raise ScopeFormatError(f"{path}: unknown field(s) {', '.join(unknown)}")
+    _reject_unknown(obj, _SCOPE_KEYS, path)
     if "id" not in obj:
         raise ScopeFormatError(f"{path}: missing required field 'id'")
-    scope_id = _expect_string(obj["id"], f"{path}.id")
-    channel = _expect_string(obj.get("channel", "data-network"), f"{path}.channel")
-    if channel not in CHANNELS and channel != AGGREGATE_CHANNEL:
+    scope_id = _string_member(obj, "id", "", path)
+    channel = _string_member(obj, "channel", "data-network", path)
+    if channel not in _SCOPE_CHANNELS:
         raise ScopeFormatError(
             f"{path}.channel: unknown channel {channel!r}; expected one of "
             f"{', '.join(CHANNELS)} (or {AGGREGATE_CHANNEL!r})"
         )
-    vector = _expect_string(obj.get("vector", ""), f"{path}.vector")
-    index = _expect_string(obj.get("index", ""), f"{path}.index")
+    vector = _string_member(obj, "vector", "", path)
+    index = _string_member(obj, "index", "", path)
+    porosity = _count_member(obj, "porosity", _POROSITY_KEYS, path)
+    controls = _count_member(obj, "controls", _CONTROL_KEYS, path)
+    limitations = _count_member(obj, "limitations", _LIMITATION_KEYS, path)
 
-    porosity = _counts(_expect_object(obj.get("porosity", {}), f"{path}.porosity"),
-                       _POROSITY_KEYS, f"{path}.porosity")
-    controls = _counts(_expect_object(obj.get("controls", {}), f"{path}.controls"),
-                       _CONTROL_KEYS, f"{path}.controls")
-    limitations = _counts(_expect_object(obj.get("limitations", {}), f"{path}.limitations"),
-                          LIMITATION_CATEGORIES, f"{path}.limitations")
-
-    units_obj = _expect_object(obj.get("units", {}), f"{path}.units")
-    unknown_units = sorted(set(units_obj) - set(UNIT_KINDS))
-    if unknown_units:
-        raise ScopeFormatError(f"{path}.units: unknown count kind(s) {', '.join(unknown_units)}")
+    units_obj = _expect_object(obj.get("units", _EMPTY_OBJECT), f"{path}.units")
+    _reject_unknown(units_obj, _UNIT_KEYS, f"{path}.units", "count kind(s)")
     units = {kind: _expect_string(name, f"{path}.units.{kind}") for kind, name in units_obj.items()}
 
     try:

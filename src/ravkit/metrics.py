@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 from typing import Mapping, Sequence, Union
@@ -102,8 +102,16 @@ META_CLASS_A = frozenset(
 )
 META_CLASS_B = frozenset(set(ControlClass) - META_CLASS_A)
 #: The control classes and their count fields; meta-class A's five come first.
+#: The fields of ControlCounts are declared in this order too.
 _CLASSES = tuple(ControlClass)
-_control_counts = attrgetter(*(cls.value.replace("-", "_") for cls in _CLASSES))
+_CONTROL_FIELDS = tuple(cls.value.replace("-", "_") for cls in _CLASSES)
+_control_counts = attrgetter(*_CONTROL_FIELDS)
+#: The count field of each control class, keyed by the class and by its value.
+_CONTROL_FIELD_OF = {
+    key: name for cls, name in zip(_CLASSES, _CONTROL_FIELDS) for key in (cls, cls.value)
+}
+_POROSITY_FIELDS = ("visibility", "access", "trust")
+_porosity_counts = attrgetter(*_POROSITY_FIELDS)
 
 
 def _check_count(name: str, value: int) -> None:
@@ -111,6 +119,12 @@ def _check_count(name: str, value: int) -> None:
         raise DomainError(f"{name} must be an integer count, got {value!r}")
     if value < 0:
         raise DomainError(f"{name} must be >= 0, got {value}")
+
+
+def _check_counts(names: Sequence[str], values: Sequence[int]) -> None:
+    for name, value in zip(names, values):
+        if type(value) is not int or value < 0:
+            _check_count(name, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,8 +136,7 @@ class PorosityCounts:
     trust: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            _check_count(f.name, getattr(self, f.name))
+        _check_counts(_POROSITY_FIELDS, _porosity_counts(self))
 
     @property
     def total(self) -> int:
@@ -153,11 +166,10 @@ class ControlCounts:
     alarm: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            _check_count(f.name, getattr(self, f.name))
+        _check_counts(_CONTROL_FIELDS, _control_counts(self))
 
     def get(self, cls: ControlClass) -> int:
-        return getattr(self, cls.value.replace("-", "_"))
+        return getattr(self, _CONTROL_FIELD_OF[cls])
 
     @property
     def total(self) -> int:
@@ -168,16 +180,17 @@ class ControlCounts:
 
     @classmethod
     def from_mapping(cls, counts: Mapping[Union[ControlClass, str], int]) -> "ControlCounts":
-        kwargs: dict[str, int] = {}
-        for key, value in counts.items():
-            name = key.value if isinstance(key, ControlClass) else str(key)
-            kwargs[name.replace("-", "_")] = value
-        return cls(**kwargs)
+        return cls(
+            **{
+                _CONTROL_FIELD_OF.get(key) or str(key).replace("-", "_"): value
+                for key, value in counts.items()
+            }
+        )
 
 
 @dataclass(frozen=True, slots=True)
 class LimitationCounts:
-    """Counts per limitation category."""
+    """Counts per limitation category, declared in pipeline order."""
 
     vulnerabilities: int = 0
     weaknesses: int = 0
@@ -186,8 +199,7 @@ class LimitationCounts:
     anomalies: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            _check_count(f.name, getattr(self, f.name))
+        _check_counts(LIMITATION_CATEGORIES, _by_category(self))
 
     @property
     def total(self) -> int:

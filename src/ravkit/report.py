@@ -6,24 +6,35 @@ can act on.  JSON output uses sorted keys, rationals as exact ``num/den``
 strings, and floats (log-derived quantities only) fixed to six decimals,
 so two runs on the same input are byte-identical.  ``parse_report``
 recovers every rational intermediate exactly.
+
+The keys of ``ravkit-report/1`` and ``ravkit-trust/1`` are fixed, so those
+reports are written from templates built once at import, with every key in
+the fixed sorted order; only strings taken from the input are escaped per
+report.  Findings still go through the generic emitter ``emit_json``, which
+sorts each object's keys as it writes it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Mapping, Sequence, Union
 
-from .errors import DigitLimitError, InputError
-from .ingest import ScopeEntry, _parse_scope_obj, load_json, scope_to_obj
+from .errors import DigitLimitError, FloatRangeError, InputError
+from .ingest import ScopeEntry, _parse_scope_obj, load_json
 from .metrics import (
     LIMITATION_CATEGORIES,
     ControlClass,
     RavBreakdown,
     Scope,
     Weights,
+    _POROSITY_FIELDS,
+    _by_category,
+    _control_counts,
+    _porosity_counts,
 )
-from .trust import RuleResult, TrustScore
+from .trust import RuleResult, TrustProperty, TrustScore
 
 REPORT_SCHEMA = "ravkit-report/1"
 TRUST_SCHEMA = "ravkit-trust/1"
@@ -98,96 +109,142 @@ def _emit(value: Any, out: list[str]) -> None:
 # ---------------------------------------------------------------------------
 # rav reports
 # ---------------------------------------------------------------------------
+#
+# The keys of ``ravkit-report/1`` are fixed, so each format is one ``%``
+# template, built at import with the JSON keys in the sorted order that
+# ``emit_json`` gives them.  A report fills its template from one mapping of
+# value strings; only the scope's id, channel, vector and index are quoted.
+
+_FRACTIONS = ("opsec_sum", "lc_sum", "mc_sum", "mc_class_a", "mc_class_b", "mc_vg", "seclim_sum")
+_FLOATS = ("opsec_base", "tc_base", "fc_base", "seclim_base", "actsec")
+_SCOPE_LABELS = ("id", "channel", "vector", "index")
+#: The JSON key and text label of each control class, in pipeline order.
+_CLASS_KEYS = tuple(cls.value for cls in ControlClass)
+_CLASS_ABBREVIATIONS = tuple(cls.abbreviation for cls in ControlClass)
+
+_fractions = attrgetter(*_FRACTIONS)
+_floats = attrgetter(*_FLOATS)
+_scope_labels = attrgetter(*_SCOPE_LABELS)
+_by_class = itemgetter(*ControlClass)
+
+# Placeholder names, each tuple in the order of the values its getters return.
+_COUNT_NAMES = (
+    *(f"porosity.{key}" for key in _POROSITY_FIELDS),
+    *(f"controls.{key}" for key in _CLASS_KEYS),
+    *(f"limitations.{name}" for name in LIMITATION_CATEGORIES),
+)
+_FRACTION_NAMES = (
+    *_FRACTIONS,
+    *(f"mc_per_class.{key}" for key in _CLASS_KEYS),
+    *(f"tc_per_class.{key}" for key in _CLASS_KEYS),
+    *(f"weights.{name}" for name in LIMITATION_CATEGORIES),
+)
 
 
-def breakdown_to_obj(breakdown: RavBreakdown) -> dict:
-    return {
-        "opsec_sum": fraction_str(breakdown.opsec_sum),
-        "opsec_base": breakdown.opsec_base,
-        "lc_sum": fraction_str(breakdown.lc_sum),
-        "mc_per_class": {
-            cls.value: fraction_str(breakdown.mc_per_class[cls]) for cls in ControlClass
-        },
-        "mc_sum": fraction_str(breakdown.mc_sum),
-        "mc_class_a": fraction_str(breakdown.mc_class_a),
-        "mc_class_b": fraction_str(breakdown.mc_class_b),
-        "mc_vg": fraction_str(breakdown.mc_vg),
-        "tc_per_class": {
-            cls.value: fraction_str(breakdown.tc_per_class[cls]) for cls in ControlClass
-        },
-        "tc_base": breakdown.tc_base,
-        "fc_base": breakdown.fc_base,
-        "weights": {
-            name: fraction_str(breakdown.weights.for_category(name))
-            for name in LIMITATION_CATEGORIES
-        },
-        "seclim_sum": fraction_str(breakdown.seclim_sum),
-        "seclim_base": breakdown.seclim_base,
-        "actsec": breakdown.actsec,
+def _object(members: Mapping[str, str]) -> str:
+    """An object's JSON text with its keys sorted as ``emit_json`` sorts them;
+    each member is the text of its value: a placeholder or a template."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {members[key]}" for key in sorted(members)) + "}"
+
+
+def _members(prefix: str, keys: Iterable[str], quoted: bool = False) -> str:
+    text = '"%%(%s.%s)s"' if quoted else "%%(%s.%s)s"
+    return _object({key: text % (prefix, key) for key in keys})
+
+
+_REPORT_JSON = _object(
+    {
+        "schema": json.dumps(REPORT_SCHEMA),
+        "scope": _object(
+            {
+                **{key: f"%({key})s" for key in _SCOPE_LABELS},
+                "porosity": _members("porosity", _POROSITY_FIELDS),
+                "controls": _members("controls", _CLASS_KEYS),
+                "limitations": _members("limitations", LIMITATION_CATEGORIES),
+            }
+        ),
+        "breakdown": _object(
+            {
+                **{key: f'"%({key})s"' for key in _FRACTIONS},
+                **{key: f"%({key}).6f" for key in _FLOATS},
+                "mc_per_class": _members("mc_per_class", _CLASS_KEYS, quoted=True),
+                "tc_per_class": _members("tc_per_class", _CLASS_KEYS, quoted=True),
+                "weights": _members("weights", LIMITATION_CATEGORIES, quoted=True),
+            }
+        ),
     }
+) + "\n"
+
+
+def _assignments(prefix: str, keys: Sequence[str], labels: Sequence[str] = ()) -> str:
+    """The text report's ``label=value`` list; the labels default to the keys."""
+    return " ".join(f"{label}=%({prefix}.{key})s" for label, key in zip(labels or keys, keys))
+
+
+_REPORT_TEXT = "\n".join(
+    (
+        "rav report: %(id)s",
+        "scope: channel=%(channel)s vector=%(vector)s index=%(index)s",
+        "",
+        "inputs",
+        "  porosity     " + _assignments("porosity", _POROSITY_FIELDS),
+        "  controls     " + _assignments("controls", _CLASS_KEYS, _CLASS_ABBREVIATIONS),
+        "  limitations  " + _assignments("limitations", LIMITATION_CATEGORIES),
+        "",
+        "pipeline",
+        "  opsec_sum    %(opsec_sum)s",
+        "  opsec_base   %(opsec_base).6f",
+        "  lc_sum       %(lc_sum)s",
+        "  fc_base      %(fc_base).6f",
+        "  mc_per_class " + _assignments("mc_per_class", _CLASS_KEYS, _CLASS_ABBREVIATIONS),
+        "  mc_sum       %(mc_sum)s (class_a %(mc_class_a)s, class_b %(mc_class_b)s, vg %(mc_vg)s)",
+        "  tc_per_class " + _assignments("tc_per_class", _CLASS_KEYS, _CLASS_ABBREVIATIONS),
+        "  tc_base      %(tc_base).6f",
+        "  weights      " + _assignments("weights", LIMITATION_CATEGORIES),
+        "  seclim_sum   %(seclim_sum)s",
+        "  seclim_base  %(seclim_base).6f",
+        "  actsec       %(actsec).6f",
+        "",
+    )
+)
+
+
+def _report_values(b: RavBreakdown, scope: Scope) -> dict[str, Any]:
+    """The numbers both report templates share, by placeholder name."""
+    values: dict[str, Any] = dict(zip(_FLOATS, _floats(b)))
+    fractions = (
+        *_fractions(b),
+        *_by_class(b.mc_per_class),
+        *_by_class(b.tc_per_class),
+        *_by_category(b.weights),
+    )
+    values.update(zip(_FRACTION_NAMES, map(fraction_str, fractions)))
+    counts = (
+        *_porosity_counts(scope.porosity),
+        *_control_counts(scope.controls),
+        *_by_category(scope.limitations),
+    )
+    values.update(zip(_COUNT_NAMES, counts))
+    return values
 
 
 def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -> bytes:
     """Render one scope's breakdown, inputs included, as text or JSON."""
     if format not in FORMATS:
         raise InputError(f"unknown report format {format!r}; expected text or json")
+    values = _report_values(breakdown, scope)
     try:
         if format == "json":
-            return emit_json(
-                {
-                    "schema": REPORT_SCHEMA,
-                    "scope": scope_to_obj(scope),
-                    "breakdown": breakdown_to_obj(breakdown),
-                }
-            )
-        return _render_text(breakdown, scope)
+            values.update(zip(_SCOPE_LABELS, map(json.dumps, _scope_labels(scope))))
+            return (_REPORT_JSON % values).encode("utf-8")
+        values.update(
+            id=scope.id, channel=scope.channel, vector=scope.vector or "-", index=scope.index or "-"
+        )
+        return (_REPORT_TEXT % values).encode("utf-8")
     except ValueError:
         # str() of an echoed count past the int-digit limit (an aggregate
         # can sum counts that each parsed to one past it).
         raise DigitLimitError() from None
-
-
-def _class_pairs(values: Mapping[ControlClass, Fraction]) -> str:
-    return " ".join(
-        f"{cls.abbreviation}={fraction_str(values[cls])}" for cls in ControlClass
-    )
-
-
-def _render_text(b: RavBreakdown, scope: Scope) -> bytes:
-    lines = [
-        f"rav report: {scope.id}",
-        f"scope: channel={scope.channel} vector={scope.vector or '-'} index={scope.index or '-'}",
-        "",
-        "inputs",
-        "  porosity     visibility={visibility} access={access} trust={trust}".format(
-            **scope.porosity.as_dict()
-        ),
-        "  controls     "
-        + " ".join(f"{cls.abbreviation}={scope.controls.get(cls)}" for cls in ControlClass),
-        "  limitations  "
-        + " ".join(f"{name}={getattr(scope.limitations, name)}" for name in LIMITATION_CATEGORIES),
-        "",
-        "pipeline",
-        f"  opsec_sum    {fraction_str(b.opsec_sum)}",
-        f"  opsec_base   {b.opsec_base:.6f}",
-        f"  lc_sum       {fraction_str(b.lc_sum)}",
-        f"  fc_base      {b.fc_base:.6f}",
-        f"  mc_per_class {_class_pairs(b.mc_per_class)}",
-        f"  mc_sum       {fraction_str(b.mc_sum)} (class_a {fraction_str(b.mc_class_a)},"
-        f" class_b {fraction_str(b.mc_class_b)}, vg {fraction_str(b.mc_vg)})",
-        f"  tc_per_class {_class_pairs(b.tc_per_class)}",
-        f"  tc_base      {b.tc_base:.6f}",
-        "  weights      "
-        + " ".join(
-            f"{name}={fraction_str(b.weights.for_category(name))}"
-            for name in LIMITATION_CATEGORIES
-        ),
-        f"  seclim_sum   {fraction_str(b.seclim_sum)}",
-        f"  seclim_base  {b.seclim_base:.6f}",
-        f"  actsec       {b.actsec:.6f}",
-        "",
-    ]
-    return "\n".join(lines).encode("utf-8")
 
 
 def parse_report(data: Union[bytes, str]) -> tuple[Scope, RavBreakdown]:
@@ -250,55 +307,73 @@ def parse_report(data: Union[bytes, str]) -> tuple[Scope, RavBreakdown]:
 # ---------------------------------------------------------------------------
 # Trust reports
 # ---------------------------------------------------------------------------
+#
+# Like the rav report, a trust report's objects are templates with their
+# keys in ``emit_json`` order; ids, rule ids and reasons are quoted per call.
+
+_RULE_JSON = _object(
+    {
+        key: f"%({key})s"
+        for key in ("rule_id", "property", "value", "undefined_reason", "excluded")
+    }
+)
+_APPLICANT_JSON = _object(
+    {
+        "applicant_id": "%(applicant_id)s",
+        "rules": "[%(rules)s]",
+        "per_property": "%(per_property)s",
+        "combined": '"%(combined)s"',
+        "combined_decimal": "%(combined_decimal).6f",
+        "mode": "%(mode)s",
+    }
+)
+_TRUST_JSON = _object({"schema": json.dumps(TRUST_SCHEMA), "applicants": "[%s]"}) + "\n"
+#: Each property's JSON key.  The values are lowercase words, so the quoted
+#: keys sort in the same order as the values themselves.
+_PROPERTY_KEYS = {prop: json.dumps(prop.value) for prop in TrustProperty}
 
 
-def trust_to_obj(
-    applicant_id: str, results: Sequence[RuleResult], score: TrustScore
-) -> dict:
-    return {
-        "applicant_id": applicant_id,
-        "rules": [
-            {
-                "rule_id": r.rule_id,
-                "property": r.property.value,
-                "value": fraction_str(r.value) if r.defined else None,
-                "undefined_reason": r.undefined_reason,
-                "excluded": [list(pair) for pair in r.excluded],
-            }
-            for r in results
-        ],
-        "per_property": {
-            prop.value: (fraction_str(v) if v is not None else None)
-            for prop, v in score.per_property.items()
-        },
-        "combined": fraction_str(score.combined),
-        "combined_decimal": float(score.combined),
-        "mode": score.mode,
+def _fraction_or_null(value: Fraction | None) -> str:
+    return "null" if value is None else f'"{fraction_str(value)}"'
+
+
+def _string_or_null(value: str | None) -> str:
+    return "null" if value is None else json.dumps(value)
+
+
+def _rule_json(r: RuleResult) -> str:
+    excluded = ", ".join(f"[{', '.join(map(json.dumps, pair))}]" for pair in r.excluded)
+    return _RULE_JSON % {
+        "rule_id": json.dumps(r.rule_id),
+        "property": _PROPERTY_KEYS[r.property],
+        "value": _fraction_or_null(r.value),
+        "undefined_reason": _string_or_null(r.undefined_reason),
+        "excluded": f"[{excluded}]",
     }
 
 
-def render_trust_report(
-    scored: Sequence[tuple[str, Sequence[RuleResult], TrustScore]],
-    format: str = "text",
-) -> bytes:
-    """Render per-applicant rule values and combined trust scores."""
-    if format == "json":
-        return emit_json(
-            {
-                "schema": TRUST_SCHEMA,
-                "applicants": [trust_to_obj(aid, res, sc) for aid, res, sc in scored],
-            }
-        )
-    if format != "text":
-        raise InputError(f"unknown report format {format!r}; expected text or json")
+def _applicant_json(applicant_id: str, results: Sequence[RuleResult], score: TrustScore) -> str:
+    per_property = sorted(
+        (_PROPERTY_KEYS[prop], _fraction_or_null(value))
+        for prop, value in score.per_property.items()
+    )
+    return _APPLICANT_JSON % {
+        "applicant_id": json.dumps(applicant_id),
+        "rules": ", ".join(map(_rule_json, results)),
+        "per_property": "{" + ", ".join(f"{key}: {value}" for key, value in per_property) + "}",
+        "combined": fraction_str(score.combined),
+        "combined_decimal": float(score.combined),
+        "mode": json.dumps(score.mode),
+    }
+
+
+def _trust_text(scored: Sequence[tuple[str, Sequence[RuleResult], TrustScore]]) -> str:
     lines: list[str] = []
     for applicant_id, results, score in scored:
         lines.append(f"applicant: {applicant_id}")
         for r in results:
-            if r.defined:
-                lines.append(
-                    f"  {r.rule_id:<32}{fraction_str(r.value)} ({float(r.value):.6f})"
-                )
+            if r.value is not None:
+                lines.append(f"  {r.rule_id:<32}{fraction_str(r.value)} ({float(r.value):.6f})")
             else:
                 lines.append(f"  {r.rule_id:<32}undefined: {r.undefined_reason}")
             for rule_id, reason in r.excluded:
@@ -306,7 +381,24 @@ def render_trust_report(
         label = f"combined({score.mode})"
         lines.append(f"  {label:<32}{fraction_str(score.combined)} ({float(score.combined):.6f})")
         lines.append("")
-    return "\n".join(lines).encode("utf-8")
+    return "\n".join(lines)
+
+
+def render_trust_report(
+    scored: Sequence[tuple[str, Sequence[RuleResult], TrustScore]],
+    format: str = "text",
+) -> bytes:
+    """Render per-applicant rule values and combined trust scores."""
+    try:
+        if format == "json":
+            applicants = ", ".join(_applicant_json(*entry) for entry in scored)
+            return (_TRUST_JSON % applicants).encode("utf-8")
+        if format != "text":
+            raise InputError(f"unknown report format {format!r}; expected text or json")
+        return _trust_text(scored).encode("utf-8")
+    except OverflowError:
+        # float() of a rule value or combined score past the float range.
+        raise FloatRangeError() from None
 
 
 def render_findings(findings: Iterable[Any]) -> bytes:

@@ -188,6 +188,28 @@ class TestTrustCommand:
         code, _, err = run("trust", str(csv))
         assert code == 1 and b"line 2" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rule_value_past_the_float_range_is_one_line_input_error(self, tmp_path, fmt):
+        csv = tmp_path / "huge.csv"
+        csv.write_text(
+            "applicant_id,criminal_offenses_known,age_years,legal_adult_age\n"
+            f"x,{10**400},19,18\n"
+        )
+        code, out, err = run("trust", str(csv), "--format", fmt)
+        assert_one_line_input_error(code, out, err)
+        assert b"past the float range and cannot be rendered as a decimal" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rule_value_near_the_float_limit_renders(self, tmp_path, fmt):
+        csv = tmp_path / "big.csv"
+        csv.write_text(
+            "applicant_id,criminal_offenses_known,age_years,legal_adult_age\n"
+            f"x,{10**300},19,18\n"
+        )
+        code, out, err = run("trust", str(csv), "--format", fmt)
+        assert code == 0 and err == b""
+        assert f"{float(10**300):.6f}".encode() in out
+
     @staticmethod
     def references_csv(tmp_path, positive: str, neutral: str, negative: str, past: str):
         csv = tmp_path / "refs.csv"

@@ -6,6 +6,7 @@ never crash, and never coerce unknown input into silent zero counts.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,94 @@ class TestScopeParsing:
     def test_non_utf8_rejected(self):
         with pytest.raises(ScopeFormatError, match="UTF-8"):
             parse_scope_file(b"\xff\xfe{}")
+
+    @pytest.mark.parametrize(
+        "scopes, message",
+        [
+            pytest.param([{"id": "a", "zeta": 1, "alpha": 2}],
+                         "$.scopes[0]: unknown field(s) alpha, zeta", id="unknown scope field"),
+            pytest.param([{"id": "a", "porosity": {"visibility": 1, "pores": 2}}],
+                         "$.scopes[0].porosity: unknown field(s) pores",
+                         id="unknown porosity field"),
+            pytest.param([{"id": "a", "controls": {"firewall": 1, "alarm": 1}}],
+                         "$.scopes[0].controls: unknown field(s) firewall",
+                         id="unknown controls field"),
+            pytest.param([{"id": "a", "limitations": {"bugs": 1}}],
+                         "$.scopes[0].limitations: unknown field(s) bugs",
+                         id="unknown limitations field"),
+            pytest.param([{"id": "a", "units": {"visibility": "v", "speed": "s"}}],
+                         "$.scopes[0].units: unknown count kind(s) speed",
+                         id="unknown units field"),
+            pytest.param([{"channel": "human"}],
+                         "$.scopes[0]: missing required field 'id'", id="missing id"),
+            pytest.param([{"id": 5}], "$.scopes[0].id: expected a string, got 5",
+                         id="non-string id"),
+            pytest.param([{"id": "a", "channel": None}],
+                         "$.scopes[0].channel: expected a string, got None",
+                         id="non-string channel"),
+            pytest.param([{"id": "a", "vector": 1.5}],
+                         "$.scopes[0].vector: expected a string, got 1.5",
+                         id="non-string vector"),
+            pytest.param([{"id": "a", "index": ["x"]}],
+                         "$.scopes[0].index: expected a string, got ['x']",
+                         id="non-string index"),
+            pytest.param([{"id": "a", "units": {"access": 3}}],
+                         "$.scopes[0].units.access: expected a string, got 3",
+                         id="non-string unit name"),
+            pytest.param([{"id": "a", "porosity": {"visibility": True}}],
+                         "$.scopes[0].porosity.visibility: expected an integer count, got True",
+                         id="bool count"),
+            pytest.param([{"id": "a", "controls": {"alarm": 1.5}}],
+                         "$.scopes[0].controls.alarm: expected an integer count, got 1.5",
+                         id="float count"),
+            pytest.param([{"id": "a", "limitations": {"concerns": -2}}],
+                         "$.scopes[0].limitations.concerns: count must be >= 0, got -2",
+                         id="negative count"),
+            pytest.param([{"id": "a", "porosity": {"trust": "3"}}],
+                         "$.scopes[0].porosity.trust: expected an integer count, got '3'",
+                         id="string count"),
+            pytest.param([{"id": "a", "channel": "astral"}],
+                         "$.scopes[0].channel: unknown channel 'astral'; expected one of "
+                         "human, physical, wireless, telecom, data-network (or 'aggregate')",
+                         id="unknown channel"),
+            pytest.param([{"id": ""}], "$.scopes[0]: scope id must be non-empty",
+                         id="empty id"),
+            pytest.param([[1]], "$.scopes[0]: expected an object, got list",
+                         id="non-object scope"),
+            pytest.param([{"id": "a", "porosity": []}],
+                         "$.scopes[0].porosity: expected an object, got list",
+                         id="non-object porosity"),
+            pytest.param([{"id": "a", "units": None}],
+                         "$.scopes[0].units: expected an object, got NoneType",
+                         id="null units"),
+            # With several faults, the checks run in the same order as before.
+            pytest.param([{"id": 5, "zeta": 1}], "$.scopes[0]: unknown field(s) zeta",
+                         id="unknown field before a bad id"),
+            pytest.param([{"id": 5, "porosity": {"visibility": -1}}],
+                         "$.scopes[0].id: expected a string, got 5",
+                         id="bad id before a bad count"),
+            pytest.param([{"id": "a", "controls": {"privacy": -1, "alarm": True}}],
+                         "$.scopes[0].controls.privacy: count must be >= 0, got -1",
+                         id="first bad count in document order"),
+            pytest.param([{"id": "a", "controls": {"alarm": -1}, "porosity": {"access": -1}}],
+                         "$.scopes[0].porosity.access: count must be >= 0, got -1",
+                         id="porosity before controls"),
+            pytest.param([{"id": "a"}, {"id": "b", "porosity": {"access": -3}}],
+                         "$.scopes[1].porosity.access: count must be >= 0, got -3",
+                         id="second scope"),
+        ],
+    )
+    def test_error_messages_are_pinned(self, scopes, message):
+        doc = json.dumps({"schema": "ravkit-scope/1", "scopes": scopes})
+        with pytest.raises(ScopeFormatError) as exc:
+            parse_scope_document(doc)
+        assert str(exc.value) == message
+
+    def test_unknown_top_level_field_message_is_pinned(self):
+        doc = json.dumps({"schema": "ravkit-scope/1", "scopes": [], "extra": 1})
+        with pytest.raises(ScopeFormatError) as exc:
+            parse_scope_document(doc)
+        assert str(exc.value) == "$: unknown field(s) extra"
 
     def test_round_trip_identity(self, fixtures):
         for name in ("toy.json", "empty.json", "fifty.json", "hundred.json"):

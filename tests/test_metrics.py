@@ -103,6 +103,42 @@ class TestOpsecSum:
             PorosityCounts(-1, 0, 0)
 
 
+class TestCountValidation:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PorosityCounts(1, True, 0), "access must be an integer count, got True"),
+            (lambda: PorosityCounts(trust=-4), "trust must be >= 0, got -4"),
+            (lambda: ControlCounts(non_repudiation=-1), "non_repudiation must be >= 0, got -1"),
+            (lambda: ControlCounts(alarm=-1, authentication="x"),
+             "authentication must be an integer count, got 'x'"),
+            (lambda: LimitationCounts(anomalies=1.5), "anomalies must be an integer count, got 1.5"),
+            (lambda: LimitationCounts(concerns=None, weaknesses=-2), "weaknesses must be >= 0, got -2"),
+        ],
+    )
+    def test_first_bad_field_in_declaration_order_is_named(self, build, message):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_checked_names_are_the_declared_fields(self):
+        assert tuple(f.name for f in fields(ControlCounts)) == tuple(
+            cls.value.replace("-", "_") for cls in ControlClass
+        )
+        assert tuple(f.name for f in fields(LimitationCounts)) == LIMITATION_CATEGORIES
+        assert tuple(f.name for f in fields(PorosityCounts)) == ("visibility", "access", "trust")
+
+    def test_from_mapping_takes_classes_values_and_field_names(self):
+        expected = ControlCounts(non_repudiation=3, alarm=1, privacy=2)
+        assert ControlCounts.from_mapping(
+            {ControlClass.NON_REPUDIATION: 3, "alarm": 1, "privacy": 2}
+        ) == expected
+        assert ControlCounts.from_mapping({"non-repudiation": 3, "alarm": 1, "privacy": 2}) == expected
+        assert ControlCounts.from_mapping({"non_repudiation": 3, "alarm": 1, "privacy": 2}) == expected
+        with pytest.raises(TypeError):
+            ControlCounts.from_mapping({"firewall": 1})
+
+
 class TestMissingControls:
     def test_toy_example_against_per_class_oracle(self):
         # Independent oracle: apply the shortfall definition class by class.
