@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import DomainError
@@ -401,6 +401,51 @@ def _seclim_num_bound(b: CollisionBounds) -> int:
     )
 
 
+def _slab_size_bound(b: CollisionBounds) -> int:
+    """An upper bound on the states of one slab within ``b``, from the bounds alone.
+
+    A slab holds the porosity layouts of one total ``s``, the control
+    triples of one ``lc_sum`` and every limitation tuple.  Once ``s`` reaches
+    the control bound, every class misses ``s - count`` controls, so a triple
+    is fixed by its meta-class A count sum: at most ``5*c + 1`` per slab.
+    Below that the two missing sums take at most ``5*s + 1`` values each.
+    """
+    p, c = b.porosity, b.control
+    largest = 1
+    for s in range(1, 3 * p + 1):
+        layouts = min(p, s) - max(0, s - 2 * p) + 1
+        triples = 5 * c + 1 if s >= c else (5 * s + 1) ** 2
+        largest = max(largest, layouts * triples * (b.limitation + 1) ** 5)
+    return largest
+
+
+def _packed_key_bits(b: CollisionBounds) -> int:
+    """Bits of the largest packed sort key ``key << shift | index`` within ``b``."""
+    return _seclim_num_bound(b).bit_length() + (_slab_size_bound(b) - 1).bit_length()
+
+
+def _group_keys(slab: _Slab) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort a slab's states by key, equal keys in enumeration order.
+
+    One in-place sort of ``key << shift | index`` (``slab.keys`` is
+    consumed).  Returns the sorted keys, the enumeration index of each
+    sorted state, and the start of each run of equal keys.
+    """
+    import numpy as np
+
+    keys = slab.keys
+    n = keys.size
+    shift = (n - 1).bit_length()
+    keys <<= shift
+    keys |= np.arange(n, dtype=np.int64)
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    new_key = np.ones(n, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new_key[1:])
+    return keys, order, np.flatnonzero(new_key)
+
+
 def _float_scores(s: int, lc_sum: int, seclim_num: np.ndarray) -> np.ndarray:
     """Actual Security of states sharing ``s`` and ``lc_sum``, in float."""
     import numpy as np
@@ -414,13 +459,71 @@ def _float_scores(s: int, lc_sum: int, seclim_num: np.ndarray) -> np.ndarray:
     return combine_bases(a, f, s_base)
 
 
+def _close_gaps(scores: np.ndarray, epsilon: float) -> np.ndarray:
+    """Positions ``i`` of sorted ``scores`` with ``scores[i+1] - scores[i] <= epsilon``.
+
+    The differences are taken a block at a time, so no second array of
+    the full length is held.
+    """
+    import numpy as np
+
+    block = 1 << 20
+    found = [
+        np.flatnonzero(np.diff(scores[lo : lo + block + 1]) <= epsilon) + lo
+        for lo in range(0, len(scores) - 1, block)
+    ]
+    return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
+
+
+def _witness_codes(
+    slabs, values: np.ndarray, first_at: np.ndarray, needed: np.ndarray, n_lims: int
+) -> np.ndarray:
+    """The witness state of each ``needed`` position of the sorted scores.
+
+    The sorted scores hold every slab's distinct-key scores; ties take the
+    order a stable sort of the slabs' runs (slab order, then key order)
+    gives them.  ``values`` are the distinct scores at the needed
+    positions and ``first_at`` the sorted position of each one's first copy.
+    The slabs are enumerated again, and each score equal to one of
+    ``values`` counts its rank among the equal scores seen so far: first
+    position plus rank is its sorted position.  Returns
+    ``base_id * n_lims + lim_id`` per needed position.
+    """
+    import numpy as np
+
+    seen = np.zeros(len(values), dtype=np.int64)
+    codes = np.empty(len(needed), dtype=np.int64)
+    for slab in slabs:
+        keys, order, starts = _group_keys(slab)
+        slab_scores = _float_scores(slab.s, slab.lc_sum, keys[starts])
+        del keys
+        at = np.searchsorted(values, slab_scores)
+        np.minimum(at, len(values) - 1, out=at)
+        hits = np.flatnonzero(values[at] == slab_scores)
+        if not len(hits):
+            continue
+        # Hits in value order, each value's hits kept in key order.
+        by_value = np.argsort(at[hits], kind="stable")
+        hits, at = hits[by_value], at[hits][by_value]
+        new_value = np.ones(len(at), dtype=bool)
+        np.not_equal(at[1:], at[:-1], out=new_value[1:])
+        runs = np.flatnonzero(new_value)
+        run_sizes = np.diff(runs, append=len(at))
+        position = first_at[at] + seen[at] + np.arange(len(at)) - np.repeat(runs, run_sizes)
+        seen[at[runs]] += run_sizes
+        slot = np.minimum(np.searchsorted(needed, position), len(needed) - 1)
+        wanted = needed[slot] == position
+        base_ids, lim_ids = slab.locate(order[starts[hits[wanted]]])
+        codes[slot[wanted]] = base_ids * n_lims + lim_ids
+    return codes
+
+
 def collision_search(
     bounds: "CollisionBounds | int" = 3,
     epsilon: float = 1e-9,
     seed: int = 0,
     *,
     max_findings: int = 25,
-    include_permutation_pairs: bool = False,
 ) -> list[CritiqueFinding]:
     """Exhaustively enumerate scopes within bounds and report score collisions.
 
@@ -434,13 +537,20 @@ def collision_search(
     the integer numerator of its limitation sum over ``(10*s**2)**2``.  Two
     states collide exactly iff their ``(s, lc_sum, key)`` triples are
     equal, so exact collisions are groups of equal keys, found with no
-    float comparison.  A group yields a pair only if two members differ in
-    ``(pv+pa, pt)`` or in the limitation tuple; groups differing only in
-    controls are skipped.  For ``epsilon > 0`` each distinct key keeps one
-    float score and one witness state; the scores are sorted once and every
-    adjacent pair within ``epsilon`` whose witnesses differ beyond controls
-    is a near collision.  Every pair is re-verified through
-    :func:`actual_security` before it is emitted.
+    float comparison.  Each slab is sorted once, in place, as the int64
+    ``key << shift | index``, so every group lists its members in
+    enumeration order; bounds whose packed keys could pass 63 bits are
+    refused before anything is enumerated.  A group yields a pair only if
+    two members differ in ``(pv+pa, pt)`` or in the limitation tuple;
+    groups differing only in controls are skipped.
+
+    For ``epsilon > 0`` each distinct key has one float score and, as its
+    witness, the group's first state.  The first pass keeps only the
+    scores, in one buffer sorted in place; every adjacent pair within
+    ``epsilon`` whose witnesses differ beyond controls is a near
+    collision.  A second enumeration recovers the witnesses of just those
+    scores, ties ordered by slab and then by key.  Every pair is
+    re-verified through :func:`actual_security` before it is emitted.
 
     Findings come in a fixed order: the porosity-split pair (visibility and
     access counts swapped), exact pairs in ``(s, lc_sum, key)`` order, then
@@ -450,14 +560,21 @@ def collision_search(
     reportable pairs were left out.  The whole space is always enumerated;
     ``seed`` does not change the result and is recorded for
     reproducibility of the emitted document.
+
+    Measured cold (``ravkit demo --kind collision``, Python 3.11, numpy
+    2.4, a 2-core x86-64 host): bounds 3 takes 1.4-1.6 s and 64 MB peak
+    RSS at ``epsilon`` 1e-9; bounds 4 takes 12-13 s and 221 MB at 1e-9,
+    5.6-5.9 s and 99 MB at 0.
     """
     import numpy as np
 
     b = CollisionBounds.coerce(bounds)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if _seclim_num_bound(b) > np.iinfo(np.int64).max:
-        raise DomainError(f"bounds {b.to_obj()} overflow the 64-bit collision keys")
+    if _packed_key_bits(b) > 63:
+        raise DomainError(
+            f"bounds {b.to_obj()} overflow the 64-bit packed collision keys"
+        )
 
     lim_tuples = np.array(
         list(product(range(b.limitation + 1), repeat=5)), dtype=np.int64
@@ -467,52 +584,50 @@ def collision_search(
 
     states = distinct_keys = exact_groups = skipped = 0
     exact_pairs: list[tuple[int, int, int, int]] = []
-    near_scores: list[np.ndarray] = []
-    near_codes: list[np.ndarray] = []
+    # Near pass: every distinct key's score, appended to one growing buffer.
+    scores = np.empty(0)
+    filled = 0
     for slab in _collision_slabs(triples_by_s, layouts, lim_tuples):
         n = slab.keys.size
         states += n
-        order = np.argsort(slab.keys)
-        sorted_keys = slab.keys[order]
-        new_key = np.ones(n, dtype=bool)
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_key[1:])
-        starts = np.flatnonzero(new_key)
+        sorted_keys, order, starts = _group_keys(slab)
         sizes = np.diff(starts, append=n)
         distinct_keys += len(starts)
         # A group's head is its first state in enumeration order; the group
         # is reportable if a member differs from the head in structure.
-        heads = np.minimum.reduceat(order, starts)
+        heads = order[starts]
         differs = slab.structure(order) != np.repeat(slab.structure(heads), sizes)
         reportable = np.logical_or.reduceat(differs, starts)
         groups = np.flatnonzero(reportable)
         exact_groups += len(groups)
         skipped += int(np.count_nonzero((sizes > 1) & ~reportable))
         for g in groups[: max(0, max_findings - len(exact_pairs))]:
-            members = slice(starts[g], starts[g] + sizes[g])
-            partner = order[members][differs[members]].min()
+            partner = order[starts[g] + np.argmax(differs[starts[g] : starts[g] + sizes[g]])]
             head_at, partner_at = slab.locate(heads[g]), slab.locate(partner)
             exact_pairs.append(tuple(int(x) for x in (*head_at, *partner_at)))
         if epsilon > 0:
-            near_scores.append(_float_scores(slab.s, slab.lc_sum, sorted_keys[starts]))
-            base_ids, lim_ids = slab.locate(heads)
-            near_codes.append(base_ids * n_lims + lim_ids)
+            end = filled + len(starts)
+            if end > len(scores):
+                scores.resize(max(end, len(scores) * 9 // 8, 1 << 10), refcheck=False)
+            scores[filled:end] = _float_scores(slab.s, slab.lc_sum, sorted_keys[starts])
+            filled = end
 
     # Near collisions: adjacent distinct keys in ascending score order.
     near_pairs: list[tuple[int, int, int, int]] = []
     n_near = 0
-    if near_scores:
-        scores = np.concatenate(near_scores)
-        del near_scores
-        by_score = np.argsort(scores, kind="stable")
-        scores = scores[by_score]
-        gaps = np.diff(scores)
+    scores = scores[:filled]
+    scores.sort()
+    close = _close_gaps(scores, epsilon)
+    if len(close):
+        needed = np.union1d(close, close + 1)
+        values = np.unique(scores[needed])
+        first_at = np.searchsorted(scores, values)
         del scores
-        close = np.flatnonzero(gaps <= epsilon)
-        codes = np.concatenate(near_codes)
-        del near_codes, gaps
-        for code_a, code_b in zip(
-            codes[by_score[close]].tolist(), codes[by_score[close + 1]].tolist()
-        ):
+        codes = _witness_codes(
+            _collision_slabs(triples_by_s, layouts, lim_tuples), values, first_at, needed, n_lims
+        )
+        slots = np.searchsorted(needed, close)
+        for code_a, code_b in zip(codes[slots].tolist(), codes[slots + 1].tolist()):
             (base_a, lim_a), (base_b, lim_b) = divmod(code_a, n_lims), divmod(code_b, n_lims)
             first, second = bases[base_a], bases[base_b]
             if lim_a == lim_b and (first.pv + first.pa, first.pt) == (
@@ -563,14 +678,7 @@ def collision_search(
         "pairs_verified": examined,
         "truncated": examined < len(split_pairs) + exact_groups + n_near,
     }
-    findings = [
-        _collision_finding(*pair, b, epsilon, seed, coverage) for pair in verified
-    ]
-    if include_permutation_pairs:
-        findings.extend(
-            _permutation_pair_findings(bases, lim_tuples, b, epsilon, seed, max_findings)
-        )
-    return findings
+    return [_collision_finding(*pair, b, epsilon, seed, coverage) for pair in verified]
 
 
 def _collision_finding(
@@ -611,68 +719,6 @@ def _collision_finding(
             "that produced it."
         ),
     )
-
-
-def _permutation_pair_findings(
-    bases: Sequence[_Base],
-    lim_tuples: np.ndarray,
-    bounds: CollisionBounds,
-    epsilon: float,
-    seed: int,
-    max_findings: int,
-) -> list[CritiqueFinding]:
-    """Within-meta-class permutation pairs, verified as exact collisions."""
-    out: list[CritiqueFinding] = []
-    for base_id, base in enumerate(bases):
-        if len(set(base.witness_a)) < 2:
-            continue
-        arrangements = sorted(set(permutations(base.witness_a)))
-        lim = (0, 0, 0, 0, 0) if base.pv + base.pa + base.pt == 0 else tuple(
-            int(x) for x in lim_tuples[min(1, len(lim_tuples) - 1)]
-        )
-        reference = _base_scope(base, lim, f"perm-{base_id}-0")
-        ref_breakdown = actual_security(reference)
-        for i, arrangement in enumerate(arrangements[1:], start=1):
-            if len(out) >= max_findings:
-                return out
-            counts = dict(zip(_META_A, arrangement))
-            for cls, count in zip(_META_B, base.witness_b):
-                counts[cls] = count
-            permuted = replace(
-                reference,
-                id=f"perm-{base_id}-{i}",
-                controls=ControlCounts.from_mapping(counts),
-            )
-            pb = actual_security(permuted)
-            exact = exact_scores_equal(ref_breakdown, pb)
-            out.append(
-                CritiqueFinding(
-                    kind="within-class-permutation",
-                    inputs={
-                        "scope_a": scope_to_obj(reference),
-                        "scope_b": scope_to_obj(permuted),
-                        "bounds": bounds.to_obj(),
-                        "epsilon": repr(epsilon),
-                        "seed": seed,
-                    },
-                    scores={
-                        "actsec_a": ref_breakdown.actsec,
-                        "actsec_b": pb.actsec,
-                        "delta": repr(abs(pb.actsec - ref_breakdown.actsec)),
-                        "exact": exact,
-                    },
-                    verdict="holds" if exact else "violated",
-                    narrative=(
-                        "Reassigning the same counts to different control "
-                        "classes inside one meta-class is an exact score "
-                        "collision: the pipeline depends on controls only "
-                        "through their sums."
-                    ),
-                )
-            )
-        if out:
-            return out
-    return out
 
 
 # ---------------------------------------------------------------------------

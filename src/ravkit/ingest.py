@@ -112,12 +112,28 @@ def _expect_count(value: Any, path: str) -> int:
 def _expect_string(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise ScopeFormatError(f"{path}: expected a string, got {value!r}")
+    if not value.isascii():
+        _expect_text(value, path)
     return value
+
+
+def _expect_text(text: str, path: str, what: str = "string") -> None:
+    """Reject a lone surrogate (a JSON ``\\ud800`` escape): no report could
+    write it as UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ScopeFormatError(
+            f"{path}: {what} has a lone surrogate {text[exc.start]!r} at index {exc.start}"
+        ) from None
 
 
 def _reject_unknown(obj: dict, allowed: frozenset, path: str, what: str = "field(s)") -> None:
     if not obj.keys() <= allowed:
-        raise ScopeFormatError(f"{path}: unknown {what} {', '.join(sorted(obj.keys() - allowed))}")
+        unknown = sorted(obj.keys() - allowed)
+        for name in unknown:
+            _expect_text(name, path, "field name")
+        raise ScopeFormatError(f"{path}: unknown {what} {', '.join(unknown)}")
 
 
 # The two readers below check one member of a scope object in one pass, and
@@ -126,7 +142,7 @@ def _reject_unknown(obj: dict, allowed: frozenset, path: str, what: str = "field
 
 def _string_member(obj: dict, key: str, default: str, path: str) -> str:
     value = obj.get(key, default)
-    if type(value) is not str:
+    if type(value) is not str or not value.isascii():
         _expect_string(value, f"{path}.{key}")
     return value
 

@@ -233,18 +233,21 @@ def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -
     if format not in FORMATS:
         raise InputError(f"unknown report format {format!r}; expected text or json")
     values = _report_values(breakdown, scope)
-    try:
-        if format == "json":
-            values.update(zip(_SCOPE_LABELS, map(json.dumps, _scope_labels(scope))))
-            return (_REPORT_JSON % values).encode("utf-8")
+    if format == "json":
+        values.update(zip(_SCOPE_LABELS, map(json.dumps, _scope_labels(scope))))
+        template = _REPORT_JSON
+    else:
         values.update(
             id=scope.id, channel=scope.channel, vector=scope.vector or "-", index=scope.index or "-"
         )
-        return (_REPORT_TEXT % values).encode("utf-8")
+        template = _REPORT_TEXT
+    try:
+        text = template % values
     except ValueError:
         # str() of an echoed count past the int-digit limit (an aggregate
         # can sum counts that each parsed to one past it).
         raise DigitLimitError() from None
+    return text.encode("utf-8")
 
 
 def parse_report(data: Union[bytes, str]) -> tuple[Scope, RavBreakdown]:

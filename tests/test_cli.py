@@ -157,6 +157,43 @@ class TestAggregate:
         )
 
 
+class TestLoneSurrogates:
+    """A JSON ``\\udXXX`` escape can put a lone surrogate into a scope string;
+    no report can write it as UTF-8, so parsing rejects it, naming the path."""
+
+    SCOPES = {
+        "id": ({"id": "\ud800x", "porosity": {"visibility": 1}}, b"$.scopes[0].id"),
+        "vector": ({"id": "x", "vector": "in\udfff"}, b"$.scopes[0].vector"),
+        "unit": ({"id": "x", "units": {"visibility": "h\udc80"}}, b"$.scopes[0].units.visibility"),
+        "field name": ({"id": "x", "\udcff": 1}, b"$.scopes[0]: field name"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SCOPES))
+    @pytest.mark.parametrize(
+        "command",
+        [("rav",), ("rav", "--format", "json"), ("aggregate",), ("symbolic",)],
+        ids=" ".join,
+    )
+    def test_rejected_with_the_json_path(self, tmp_path, command, case):
+        scope, where = self.SCOPES[case]
+        path = tmp_path / "scope.json"
+        # json.dumps writes the surrogate as a \udXXX escape.
+        path.write_text(json.dumps({"schema": "ravkit-scope/1", "scopes": [scope]}))
+        code, out, err = run(command[0], str(path), *command[1:])
+        assert_one_line_input_error(code, out, err)
+        assert where in err and b"lone surrogate" in err
+
+    def test_non_ascii_text_still_scores(self, tmp_path):
+        path = tmp_path / "scope.json"
+        path.write_text(json.dumps({
+            "schema": "ravkit-scope/1",
+            "scopes": [{"id": "na\u00efve-\U0001F512", "vector": "\u65e5\u672c"}],
+        }))
+        code, out, err = run("rav", str(path))
+        assert code == 0, err
+        assert "rav report: na\u00efve-\U0001F512\n".encode() in out
+
+
 class TestTrustCommand:
     def test_average_mode(self, fixtures):
         code, out, err = run("trust", str(fixtures / "applicants.csv"), "--format", "json")

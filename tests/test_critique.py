@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, permutations, product
 
 import numpy as np
 import pytest
@@ -28,7 +29,19 @@ from ravkit.critique import (
     trust_aggregation_demo,
     trust_equivalence_demo,
 )
-from ravkit.critique import _collision_bases, _collision_slabs, _seclim_num_bound
+from ravkit import critique
+from ravkit.cli import dispatch
+from ravkit.critique import (
+    _close_gaps,
+    _collision_bases,
+    _collision_slabs,
+    _float_scores,
+    _group_keys,
+    _packed_key_bits,
+    _seclim_num_bound,
+    _slab_size_bound,
+    _witness_codes,
+)
 from ravkit.errors import DomainError
 from ravkit.metrics import (
     ControlClass,
@@ -100,6 +113,36 @@ class TestPermutationDemo:
         target = ControlClass(finding.inputs["target"])
         assert source.meta_class != target.meta_class
 
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            (source, target)
+            for source, target in permutations(ControlClass, 2)
+            if source.meta_class == target.meta_class
+        ],
+        ids=lambda cls: cls.value,
+    )
+    def test_same_meta_class_swap_is_an_exact_collision(self, source, target):
+        # Every class holds a different count, so each swap moves counts.
+        scope = Scope(
+            id="swap",
+            porosity=PorosityCounts(2, 3, 1),
+            controls=ControlCounts.from_mapping(
+                {cls: i + 1 for i, cls in enumerate(ControlClass)}
+            ),
+            limitations=LimitationCounts(1, 2, 0, 1, 1),
+        )
+        finding = permutation_demo(scope, source, target)
+        assert finding.verdict == "holds"
+        assert finding.scores["rational_intermediates_identical"] is True
+        scope_a = scope_from_obj(dict(finding.inputs["scope"]))
+        scope_b = scope_from_obj(dict(finding.inputs["swapped_scope"]))
+        assert scope_a.porosity == scope_b.porosity
+        assert scope_a.limitations == scope_b.limitations
+        assert scope_a.controls != scope_b.controls
+        ba, bb = actual_security(scope_a), actual_security(scope_b)
+        assert exact_scores_equal(ba, bb) and ba.actsec == bb.actsec
+
     def test_same_class_rejected(self, toy):
         with pytest.raises(DomainError):
             permutation_demo(toy, ControlClass.ALARM, ControlClass.ALARM)
@@ -142,22 +185,6 @@ class TestCollisionSearch:
         findings = collision_search(1, 0.0, 0, max_findings=8)
         assert findings
         assert all(f.scores["exact"] for f in findings)
-
-    def test_permutation_pairs_reported_as_exact_collisions(self):
-        findings = collision_search(
-            1, 0.0, 0, max_findings=40, include_permutation_pairs=True
-        )
-        perm = [f for f in findings if f.kind == "within-class-permutation"]
-        assert perm
-        for finding in perm:
-            assert finding.verdict == "holds"
-            assert finding.scores["exact"] is True
-            scope_a = scope_from_obj(dict(finding.inputs["scope_a"]))
-            scope_b = scope_from_obj(dict(finding.inputs["scope_b"]))
-            assert scope_a.porosity == scope_b.porosity
-            assert scope_a.limitations == scope_b.limitations
-            assert scope_a.controls != scope_b.controls
-            assert actual_security(scope_a).actsec == actual_security(scope_b).actsec
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(DomainError):
@@ -216,6 +243,150 @@ class TestCollisionSearch:
             tracemalloc.stop()
         assert peak < 250e6, f"peak {peak / 1e6:.0f} MB"
         assert findings[0].scores["coverage"]["states"] == 8_639_519
+
+    def test_bounds_three_near_pass_peak_under_fifty_mb(self):
+        # The near pass keeps one float score per distinct key (2,381,746
+        # at bounds 3, 19 MB), never a witness or a sort index beside it.
+        tracemalloc.start()
+        try:
+            collision_search(3, 1e-9, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("bound", range(1, 7))
+    def test_packed_keys_fit_int64_for_every_slab_through_bounds_six(self, bound):
+        # Slab sizes come from the control triples and porosity layouts
+        # alone, so no state is enumerated even at bounds 6.
+        bounds = CollisionBounds.coerce(bound)
+        key_bits = _seclim_num_bound(bounds).bit_length()
+        _, triples_by_s, layouts = _collision_bases(bounds)
+        for s, layout in layouts.items():
+            n_lims = (bound + 1) ** 5 if s else 1
+            for triples in Counter(key[0] for key, _ in triples_by_s[s]).values():
+                n = len(layout) * triples * n_lims
+                assert n <= _slab_size_bound(bounds)
+                assert key_bits + (n - 1).bit_length() <= 63
+        assert _packed_key_bits(bounds) <= 63
+
+    def test_slab_sizes_match_the_enumeration(self):
+        bounds = CollisionBounds.coerce(2)
+        lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
+        _, triples_by_s, layouts = _collision_bases(bounds)
+        sizes = [slab.keys.size for slab in _collision_slabs(triples_by_s, layouts, lims)]
+        expected = [
+            len(layouts[s]) * triples * (len(lims) if s else 1)
+            for s in sorted(layouts)
+            for triples in Counter(key[0] for key, _ in triples_by_s[s]).values()
+        ]
+        assert sizes == expected and max(sizes) <= _slab_size_bound(bounds)
+
+    def test_first_bound_past_the_packed_width_refused_before_enumerating(
+        self, monkeypatch
+    ):
+        first = next(b for b in count(1) if _packed_key_bits(CollisionBounds.coerce(b)) > 63)
+        assert first == 7
+
+        def no_enumeration(*args):
+            raise AssertionError("the state space was enumerated")
+
+        monkeypatch.setattr(critique, "_collision_bases", no_enumeration)
+        code, out, err = dispatch(["demo", "--kind", "collision", "--bounds", str(first)])
+        assert code == 2 and out == b""
+        assert len(err.splitlines()) == 1 and b"packed collision keys" in err
+        assert err.startswith(b"ravkit: domain error: ")
+
+    @pytest.mark.parametrize("bound, epsilon", [(2, 1e-6), (2, 1e-3)])
+    def test_near_witnesses_match_a_stable_argsort_oracle(self, bound, epsilon):
+        # The oracle holds every distinct key's score and head together and
+        # sorts them once, stably: equal scores in slab order, then key order.
+        bounds = CollisionBounds.coerce(bound)
+        lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
+        _, triples_by_s, layouts = _collision_bases(bounds)
+        scores, codes = [], []
+        for slab in _collision_slabs(triples_by_s, layouts, lims):
+            order = np.argsort(slab.keys, kind="stable")
+            keys = slab.keys[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            scores.append(_float_scores(slab.s, slab.lc_sum, keys[starts]))
+            base_ids, lim_ids = slab.locate(order[starts])
+            codes.append(base_ids * len(lims) + lim_ids)
+        scores = np.concatenate(scores)
+        by_score = np.argsort(scores, kind="stable")
+        sorted_scores = scores[by_score]
+        close = np.flatnonzero(np.diff(sorted_scores) <= epsilon)
+        assert np.count_nonzero(np.diff(sorted_scores) == 0) > 0  # ties occur
+        codes = np.concatenate(codes)[by_score]
+
+        scores.sort()
+        assert np.array_equal(_close_gaps(scores, epsilon), close)
+        needed = np.union1d(close, close + 1)
+        values = np.unique(scores[needed])
+        found = _witness_codes(
+            _collision_slabs(triples_by_s, layouts, lims),
+            values,
+            np.searchsorted(scores, values),
+            needed,
+            len(lims),
+        )
+        assert np.array_equal(found, codes[needed])
+
+    def test_witness_ties_rank_by_slab_then_key(self):
+        # No two keys of one slab share a float score through bounds 4, so
+        # fake slabs stand in: at s = 0 every key scores the same.
+        def slab(keys, first_id):
+            return critique._Slab(
+                s=0, lc_sum=1, keys=np.array(keys, dtype=np.int64),
+                first_ids=np.array([first_id]), lo=0, triples=len(keys), lims=1,
+            )
+
+        value = _float_scores(0, 1, np.zeros(1))
+        needed = np.arange(5)
+        codes = _witness_codes(
+            [slab([5, 3, 5, 7], 0), slab([2, 2, 9], 10)], value, np.array([0]), needed, 1
+        )
+        # Keys 3, 5 (first at index 0), 7, then the second slab's 2 and 9.
+        assert codes.tolist() == [1, 0, 3, 10, 12]
+
+    def test_close_gaps_across_block_boundaries(self):
+        # Gaps are taken a block of 2**20 at a time; close pairs that
+        # straddle a block edge must still be found.
+        scores = np.arange(3 * 2**20 + 5, dtype=float)
+        for edge in (2**20, 2 * 2**20, 3 * 2**20):
+            scores[edge] = scores[edge - 1] + 1e-12
+            scores[edge + 2] = scores[edge + 1]
+        expected = np.flatnonzero(np.diff(scores) <= 1e-9)
+        assert len(expected) == 6
+        assert np.array_equal(_close_gaps(scores, 1e-9), expected)
+        assert len(_close_gaps(scores[:1], 1e-9)) == 0
+
+    def test_group_keys_orders_equal_keys_by_enumeration_index(self):
+        bounds = CollisionBounds.coerce(2)
+        lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
+        _, triples_by_s, layouts = _collision_bases(bounds)
+        for slab in _collision_slabs(triples_by_s, layouts, lims):
+            expected_order = np.argsort(slab.keys, kind="stable")
+            expected_keys = slab.keys[expected_order]
+            keys, order, starts = _group_keys(slab)
+            assert np.array_equal(order, expected_order)
+            assert np.array_equal(keys, expected_keys)
+            assert np.array_equal(starts, np.flatnonzero(np.diff(keys, prepend=-1)))
+
+    @pytest.mark.parametrize("bound", [2, 3], ids=["b2", "b3"])
+    @pytest.mark.parametrize(
+        "epsilon, tag",
+        [
+            pytest.param(0.0, "0", id="eps0"),
+            pytest.param(1e-9, "1e-9", id="eps1e-9"),
+            pytest.param(1e-6, "1e-6", id="eps1e-6"),
+        ],
+    )
+    def test_findings_match_golden(self, bound, epsilon, tag, fixtures):
+        # Recorded before the packed-key sort and the scores-only near pass;
+        # the coverage records pin the near-pair and skip counts.
+        golden = fixtures / f"collision_b{bound}_eps{tag}.json"
+        assert render_findings(collision_search(bound, epsilon, 0)) == golden.read_bytes()
 
     def test_truncated_when_pairs_exceed_max_findings(self):
         findings = collision_search(2, 1e-9, 0, max_findings=5)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,14 @@ class TestRavReport:
     def test_unknown_format_rejected(self, toy):
         with pytest.raises(InputError):
             render_report(actual_security(toy), toy, "yaml")
+
+    def test_unencodable_text_is_not_reported_as_a_digit_limit(self, toy):
+        # A library caller can build a scope id that no parser accepts; the
+        # text report fails on the encoding, not with the digit-limit error.
+        scope = replace(toy, id="\ud800x")
+        with pytest.raises(UnicodeEncodeError):
+            render_report(actual_security(scope), scope, "text")
+        assert b'"\\ud800x"' in render_report(actual_security(scope), scope, "json")
 
     def test_round_trip_recovers_every_intermediate_exactly(self, toy):
         b = actual_security(toy)
