@@ -9,6 +9,11 @@ Exit codes: 0 success, 1 input error (unparseable files, bad flags),
 2 domain error (zero-porosity scopes with limitations, all-undefined
 trust records).  Output is deterministic for identical inputs; errors go
 to stderr only.  RAVKIT_SEED provides a fallback seed for ``demo``.
+
+Each command loads only the layers it runs: ``ingest``, ``report`` and the
+``metrics`` functions load with this module, while ``critique``,
+``symbolic_rav`` and ``score_applicant`` load the first time they are read
+as attributes of this module (PEP 562).
 """
 
 from __future__ import annotations
@@ -21,11 +26,31 @@ import sys
 from fractions import Fraction
 from typing import BinaryIO, Sequence
 
-from . import critique, ingest, report
+from . import ingest, report
 from .errors import DomainError, InputError, RavkitError
 from .metrics import Scope, actual_security, aggregate_scopes
-from .symbolic import symbolic_rav
-from .trust import score_applicant
+
+
+def __getattr__(name: str):
+    # The layers only some commands run, loaded the first time they are read.
+    if name == "critique":
+        from . import critique as value
+    elif name == "symbolic_rav":
+        from .symbolic import symbolic_rav as value
+    elif name == "score_applicant":
+        from .trust import score_applicant as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+# The commands call every layer through a module attribute read when they
+# run, so a layer replaced on this module (say, wrapped by a profiler) is the
+# one called.  The eager layers are globals, which a function reads at call
+# time anyway; the lazy ones are globals only once loaded, so the commands
+# read those through the module object, which falls back on __getattr__.
+_layers = sys.modules[__name__]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,6 +148,7 @@ def _cmd_aggregate(args, out: BinaryIO) -> None:
 def _cmd_trust(args, out: BinaryIO) -> None:
     records = ingest.parse_applicants_csv(_read(args.csv_file))
     scored = []
+    score_applicant = _layers.score_applicant
     for record in records:
         results, score = score_applicant(record, mode=args.mode)
         scored.append((record.applicant_id, results, score))
@@ -157,6 +183,7 @@ def _cmd_symbolic(args, out: BinaryIO) -> None:
     if not document.entries:
         raise InputError(f"{args.scope_file}: no scopes in file")
     overrides = _parse_assignment(args.eval_spec)
+    symbolic_rav = _layers.symbolic_rav
     blocks = []
     for entry in document.entries:
         score = symbolic_rav(entry.scope, entry.units or None)
@@ -175,7 +202,12 @@ def _cmd_symbolic(args, out: BinaryIO) -> None:
 def _cmd_demo(args, out: BinaryIO) -> None:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("RAVKIT_SEED", "0"))
+        text = os.environ.get("RAVKIT_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise InputError(f"RAVKIT_SEED: not an integer: {text!r}") from None
+    critique = _layers.critique
     findings = []
     if args.kind in (None, "permutation"):
         from .metrics import ControlClass, toy_scope
@@ -211,23 +243,23 @@ _COMMANDS = {
 def dispatch(argv: Sequence[str]) -> tuple[int, bytes, bytes]:
     """Run one command line; returns (exit code, stdout bytes, stderr bytes)."""
     out = io.BytesIO()
-    err = io.StringIO()
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
         if not args.command:
             raise InputError(parser.format_usage().rstrip())
         _COMMANDS[args.command](args, out)
-    except InputError as exc:
-        print(f"ravkit: error: {exc}", file=err)
-        return 1, out.getvalue(), err.getvalue().encode("utf-8")
     except DomainError as exc:
-        print(f"ravkit: domain error: {exc}", file=err)
-        return 2, out.getvalue(), err.getvalue().encode("utf-8")
+        return 2, out.getvalue(), _error_line("domain error", exc)
     except RavkitError as exc:
-        print(f"ravkit: error: {exc}", file=err)
-        return 1, out.getvalue(), err.getvalue().encode("utf-8")
-    return 0, out.getvalue(), err.getvalue().encode("utf-8")
+        return 1, out.getvalue(), _error_line("error", exc)
+    return 0, out.getvalue(), b""
+
+
+def _error_line(label: str, exc: Exception) -> bytes:
+    # surrogateescape gives back the raw bytes of a command-line path that
+    # is not valid UTF-8.
+    return f"ravkit: {label}: {exc}\n".encode("utf-8", "surrogateescape")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -235,7 +267,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     sys.stdout.buffer.write(out)
     sys.stdout.buffer.flush()
     if err:
-        sys.stderr.write(err.decode("utf-8"))
+        sys.stderr.buffer.write(err)
         sys.stderr.flush()
     return code
 

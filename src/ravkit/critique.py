@@ -47,17 +47,11 @@ from .metrics import (
     toy_scope,
     weight_numerators,
 )
-from .trust import (
-    ApplicantRecord,
-    Polarity,
-    Reference,
-    consistency_ratios,
-    consistency_score,
-    porosity_rule,
-)
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .trust import ApplicantRecord
 
 _META_A = tuple(cls for cls in ControlClass if cls.meta_class == "A")
 _META_B = tuple(cls for cls in ControlClass if cls.meta_class == "B")
@@ -420,8 +414,15 @@ def _slab_size_bound(b: CollisionBounds) -> int:
 
 
 def _packed_key_bits(b: CollisionBounds) -> int:
-    """Bits of the largest packed sort key ``key << shift | index`` within ``b``."""
-    return _seclim_num_bound(b).bit_length() + (_slab_size_bound(b) - 1).bit_length()
+    """Bits of the largest packed sort key ``key << shift | index`` within ``b``.
+
+    Past 63 key bits the index bits cannot matter, and the slab bound, which
+    walks every porosity total, is not computed: huge bounds fail at once.
+    """
+    key_bits = _seclim_num_bound(b).bit_length()
+    if key_bits > 63:
+        return key_bits
+    return key_bits + (_slab_size_bound(b) - 1).bit_length()
 
 
 def _group_keys(slab: _Slab) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -777,9 +778,12 @@ def formula_discrepancy_demo(scope: Scope | None = None) -> CritiqueFinding:
 # ---------------------------------------------------------------------------
 # Trust aggregation
 # ---------------------------------------------------------------------------
+# These demos import trust when they run, so the other demos do not load it.
 
 
 def _default_disagreement_record() -> ApplicantRecord:
+    from .trust import ApplicantRecord, Polarity, Reference
+
     # Consistency ratios 1/5, 1/12, 1/4.
     return ApplicantRecord(
         applicant_id="applicant-a",
@@ -799,6 +803,8 @@ def _uniform_ratio_record(q: Fraction, applicant_id: str) -> ApplicantRecord:
     For q <= 1 all three ratios are constructed; otherwise only the
     offenses-per-adult-year ratio (the one not structurally capped at 1).
     """
+    from .trust import ApplicantRecord, Polarity, Reference
+
     if q <= 1:
         refs = tuple(
             Reference(f"e{i}", Polarity.NEUTRAL) for i in range(q.numerator)
@@ -828,6 +834,8 @@ def trust_aggregation_demo(
     uniform-ratio record strictly between them is ranked riskier by the
     average rule and safer by the worst-case rule.
     """
+    from .trust import consistency_ratios
+
     record = record or _default_disagreement_record()
     ratios = [r.value for r in consistency_ratios(record) if r.defined]
     if len(ratios) < 2 or len(set(ratios)) < 2:
@@ -901,6 +909,8 @@ def trust_equivalence_demo(tolerance: float = 1e-3) -> CritiqueFinding:
     claim that both are 'the same security liability (1/32)' holds only up
     to rounding: exactly, 39/1250 = 0.0312 while 1/32 = 0.03125.
     """
+    from .trust import ApplicantRecord, consistency_score, porosity_rule
+
     conviction = ApplicantRecord(
         applicant_id="conviction-case", criminal_offenses_known=1, age_years=50
     )

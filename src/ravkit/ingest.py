@@ -15,14 +15,12 @@ arbitrary bytes, and never silently return zero counts for unknown input.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import sys
-import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any, Mapping, Sequence, Union
 
 from .errors import (
     CsvFormatError,
@@ -36,14 +34,16 @@ from .metrics import (
     AGGREGATE_CHANNEL,
     CHANNELS,
     LIMITATION_CATEGORIES,
+    UNIT_KINDS,
     ControlClass,
     ControlCounts,
     LimitationCounts,
     PorosityCounts,
     Scope,
 )
-from .symbolic import UNIT_KINDS
-from .trust import ApplicantRecord, Polarity, Reference
+
+if TYPE_CHECKING:
+    from .trust import ApplicantRecord
 
 SCOPE_SCHEMA = "ravkit-scope/1"
 
@@ -278,6 +278,8 @@ class ScanReport:
 
 def import_scan_report(data: Union[bytes, str]) -> ScanReport:
     """Parse the scanner XML subset and count hosts/ports."""
+    import xml.etree.ElementTree as ElementTree
+
     try:
         root = ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:
@@ -377,6 +379,8 @@ def parse_applicants_csv(
     of positive/neutral/negative.  Row-level problems are collected and
     reported together with their line numbers.
     """
+    import csv
+
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -422,6 +426,8 @@ def parse_applicants_csv(
 
 
 def _record_from_cells(cells: Mapping[str, str], line_no: int) -> ApplicantRecord:
+    from .trust import ApplicantRecord, Polarity, Reference
+
     def int_cell(name: str, default: int = 0) -> int:
         text = cells.get(name, "")
         if text == "":

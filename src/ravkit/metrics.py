@@ -112,6 +112,10 @@ _CONTROL_FIELD_OF = {
 }
 _POROSITY_FIELDS = ("visibility", "access", "trust")
 _porosity_counts = attrgetter(*_POROSITY_FIELDS)
+#: Count kinds accepted as unit_map keys (porosity, control classes, limitations).
+UNIT_KINDS = (
+    _POROSITY_FIELDS + tuple(cls.value for cls in ControlClass) + LIMITATION_CATEGORIES
+)
 
 
 def _check_count(name: str, value: int) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Any, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, Union
 
 from .errors import DigitLimitError, FloatRangeError, InputError
 from .ingest import ScopeEntry, _parse_scope_obj, load_json
@@ -34,7 +34,9 @@ from .metrics import (
     _control_counts,
     _porosity_counts,
 )
-from .trust import RuleResult, TrustProperty, TrustScore
+
+if TYPE_CHECKING:
+    from .trust import RuleResult, TrustScore
 
 REPORT_SCHEMA = "ravkit-report/1"
 TRUST_SCHEMA = "ravkit-trust/1"
@@ -331,9 +333,19 @@ _APPLICANT_JSON = _object(
     }
 )
 _TRUST_JSON = _object({"schema": json.dumps(TRUST_SCHEMA), "applicants": "[%s]"}) + "\n"
-#: Each property's JSON key.  The values are lowercase words, so the quoted
-#: keys sort in the same order as the values themselves.
-_PROPERTY_KEYS = {prop: json.dumps(prop.value) for prop in TrustProperty}
+
+
+class _PropertyKeys(dict):
+    """Each trust property's JSON key, quoted on first use, so rendering a
+    scope report never loads ``trust``.  The values are lowercase words, so
+    the quoted keys sort in the same order as the values themselves."""
+
+    def __missing__(self, prop):
+        self[prop] = key = json.dumps(prop.value)
+        return key
+
+
+_PROPERTY_KEYS = _PropertyKeys()
 
 
 def _fraction_or_null(value: Fraction | None) -> str:

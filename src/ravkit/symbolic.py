@@ -27,17 +27,11 @@ from .metrics import (
     LIMITATION_CATEGORIES,
     ControlClass,
     META_CLASS_A,
+    UNIT_KINDS,
     Scope,
 )
 from .polynomial import Point, Polynomial, Scalar, try_divide_exact
 from .ratfun import RationalFunction
-
-#: Count kinds accepted as unit_map keys.
-UNIT_KINDS = (
-    ("visibility", "access", "trust")
-    + tuple(cls.value for cls in ControlClass)
-    + LIMITATION_CATEGORIES
-)
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -381,6 +382,27 @@ class TestDemoCommand:
         doc = json.loads(out)
         assert doc["findings"][0]["inputs"]["seed"] == 7
 
+    @pytest.mark.parametrize(
+        "value", ["abc", "1.5", "", pytest.param("7" * 5000, id="5000-digits")]
+    )
+    def test_non_integer_seed_env_is_one_line_input_error(self, monkeypatch, value):
+        monkeypatch.setenv("RAVKIT_SEED", value)
+        code, out, err = run("demo", "--kind", "formula")
+        assert_one_line_input_error(code, out, err)
+        assert b"RAVKIT_SEED" in err
+
+    def test_seed_flag_overrides_a_bad_seed_env(self, monkeypatch):
+        monkeypatch.setenv("RAVKIT_SEED", "abc")
+        code, _, err = run("demo", "--kind", "formula", "--seed", "3")
+        assert code == 0 and err == b""
+
+    def test_huge_bounds_refused_at_once(self):
+        start = time.perf_counter()
+        code, out, err = run("demo", "--kind", "collision", "--bounds", str(10**20))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == b""
+        assert len(err.splitlines()) == 1 and b"packed collision keys" in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -395,6 +417,32 @@ class TestUsageErrors:
     def test_no_command_prints_usage(self):
         code, _, err = run()
         assert code == 1 and b"usage" in err.lower()
+
+
+class TestNonUtf8Path:
+    """A path that is not valid UTF-8 reaches ravkit surrogate-escaped; the
+    error line gives its bytes back unchanged."""
+
+    RAW = b"no-such-\xffdir/scope.json"
+
+    def test_main_writes_one_line_with_the_raw_path(self, capsysbinary):
+        from ravkit.cli import main
+
+        path = self.RAW.decode("utf-8", "surrogateescape")
+        assert main(["rav", path]) == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"ravkit: error: cannot read " + self.RAW + b": ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_subprocess_exits_one_with_one_line(self, tmp_path):
+        raw = os.fsencode(tmp_path) + b"/" + self.RAW
+        proc = subprocess.run(
+            [sys.executable, "-m", "ravkit.cli", "rav", raw], capture_output=True
+        )
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert proc.stderr.startswith(b"ravkit: error: cannot read " + raw + b": ")
+        assert len(proc.stderr.splitlines()) == 1 and b"Traceback" not in proc.stderr
 
 
 class TestInstalledEntryPoint:
