@@ -166,10 +166,7 @@ def _parse_assignment(spec: str | None) -> dict[str, Fraction]:
         if "=" not in item:
             raise InputError(f"--eval: expected K=V, got {item!r}")
         name, _, value = item.partition("=")
-        try:
-            parsed = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"--eval: not a rational value: {value!r}") from None
+        parsed = ingest.parse_rational(value.strip(), "--eval")
         # Exponent notation builds huge integers cheaply; past the float
         # range they could exceed the int-to-str limit when echoed back.
         if max(parsed.numerator.bit_length(), parsed.denominator.bit_length()) > 1024:

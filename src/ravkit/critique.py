@@ -782,7 +782,7 @@ def formula_discrepancy_demo(scope: Scope | None = None) -> CritiqueFinding:
 
 
 def _default_disagreement_record() -> ApplicantRecord:
-    from .trust import ApplicantRecord, Polarity, Reference
+    from .trust import ApplicantRecord
 
     # Consistency ratios 1/5, 1/12, 1/4.
     return ApplicantRecord(
@@ -792,7 +792,7 @@ def _default_disagreement_record() -> ApplicantRecord:
         criminal_offenses_known=1,
         age_years=30,
         legal_adult_age=18,
-        references=(Reference("e1", Polarity.NEUTRAL),),
+        references_neutral=1,
         past_employer_count=4,
     )
 
@@ -803,19 +803,16 @@ def _uniform_ratio_record(q: Fraction, applicant_id: str) -> ApplicantRecord:
     For q <= 1 all three ratios are constructed; otherwise only the
     offenses-per-adult-year ratio (the one not structurally capped at 1).
     """
-    from .trust import ApplicantRecord, Polarity, Reference
+    from .trust import ApplicantRecord
 
     if q <= 1:
-        refs = tuple(
-            Reference(f"e{i}", Polarity.NEUTRAL) for i in range(q.numerator)
-        )
         return ApplicantRecord(
             applicant_id=applicant_id,
             months_unemployed=q.numerator,
             months_eligible=q.denominator,
             criminal_offenses_known=q.numerator,
             age_years=18 + q.denominator,
-            references=refs,
+            references_neutral=q.numerator,
             past_employer_count=q.denominator,
         )
     return ApplicantRecord(

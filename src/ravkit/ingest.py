@@ -95,6 +95,32 @@ def load_json(text: str, error: type[InputError], what: str) -> Any:
         raise error(f"{what}: nested too deeply") from None
 
 
+def parse_rational(text: str, what: str) -> Fraction:
+    """``Fraction(text)`` for one input value, or an :class:`InputError`
+    naming ``what``.
+
+    A decimal exponent past the int-digit limit is refused before the
+    ``Fraction`` is built: ``1e10000000`` is ten characters, but its power
+    of ten takes seconds to compute, and the same number written out in
+    digits would be refused anyway.
+    """
+    _, e, exponent = text.upper().partition("E")
+    if e:
+        limit = sys.get_int_max_str_digits()
+        try:
+            huge = limit and abs(int(exponent)) > limit
+        except ValueError:
+            huge = False  # not an exponent Fraction accepts: reported below
+        if huge:
+            raise InputError(
+                f"{what}: decimal exponent past {limit}, far outside the float range: {text!r}"
+            )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{what}: not a rational number: {text!r}") from None
+
+
 def _expect_object(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise ScopeFormatError(f"{path}: expected an object, got {type(value).__name__}")
@@ -383,7 +409,8 @@ def parse_applicants_csv(
 
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            # utf-8-sig drops the byte-order mark spreadsheet programs write.
+            data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"applicant CSV is not valid UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(data))
@@ -418,7 +445,7 @@ def parse_applicants_csv(
         cells = {name: row[i].strip() if i < len(row) else "" for i, name in enumerate(header)}
         try:
             records.append(_record_from_cells(cells, line_no))
-        except (CsvFormatError, DomainError, ValueError) as exc:
+        except (InputError, DomainError) as exc:
             errors.append(f"line {line_no}: {exc}")
     if errors:
         raise CsvFormatError("; ".join(errors))
@@ -426,7 +453,7 @@ def parse_applicants_csv(
 
 
 def _record_from_cells(cells: Mapping[str, str], line_no: int) -> ApplicantRecord:
-    from .trust import ApplicantRecord, Polarity, Reference
+    from .trust import ApplicantRecord
 
     def int_cell(name: str, default: int = 0) -> int:
         text = cells.get(name, "")
@@ -439,41 +466,21 @@ def _record_from_cells(cells: Mapping[str, str], line_no: int) -> ApplicantRecor
 
     def rational_cell(name: str) -> Fraction:
         text = cells.get(name, "")
-        if text == "":
-            return Fraction(0)
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise CsvFormatError(f"column {name!r}: not a rational number: {text!r}") from None
+        return parse_rational(text, f"column {name!r}") if text else Fraction(0)
 
-    # One Reference is built per counted reference, so the counts are
-    # checked the way ApplicantRecord checks them before any is built.
-    columns = {polarity: f"references_{polarity.value}" for polarity in Polarity}
-    counts = {name: int_cell(name) for name in (*columns.values(), "past_employer_count")}
-    for name, count in counts.items():
-        if count < 0:
-            raise DomainError(f"{name} must be a non-negative integer, got {count!r}")
-    past_employer_count = counts.pop("past_employer_count")
-    total = sum(counts.values())
-    if past_employer_count == 0 and total:
-        raise DomainError("references require at least one past employer")
-    if past_employer_count < total:
-        raise DomainError("more references than past employers")
-    references = [
-        Reference(f"{polarity.value}-{i + 1}", polarity)
-        for polarity, name in columns.items()
-        for i in range(counts[name])
-    ]
-
+    # The reference columns are read first, so a malformed one is reported
+    # before any other malformed cell of the row.
     return ApplicantRecord(
+        references_positive=int_cell("references_positive"),
+        references_neutral=int_cell("references_neutral"),
+        references_negative=int_cell("references_negative"),
+        past_employer_count=int_cell("past_employer_count"),
         applicant_id=cells.get("applicant_id", "") or f"row-{line_no}",
         months_unemployed=int_cell("months_unemployed"),
         months_eligible=int_cell("months_eligible"),
         criminal_offenses_known=int_cell("criminal_offenses_known"),
         age_years=int_cell("age_years"),
         legal_adult_age=int_cell("legal_adult_age", default=18),
-        references=tuple(references),
-        past_employer_count=past_employer_count,
         hours_alone_per_day=rational_cell("hours_alone_per_day"),
         working_hours_per_day=rational_cell("working_hours_per_day"),
         employees_in_community=int_cell("employees_in_community"),

@@ -10,14 +10,22 @@ excluded from averages but reported with their reason.
 
 Additional ratio rules can be attached declaratively via :class:`RatioRule`
 (numerator field / denominator field / property); reference polarity is an
-explicit input, never inferred.
+explicit input, never inferred.  A record holds its references as three
+polarity counts, so a record with millions of references costs no more
+than one with none.
+
+The rules and :func:`trust_combine` work on int numerators and
+denominators: each ratio is reduced with one gcd, and averages and sums are
+taken over a common denominator (the max by cross-multiplication).
+``Fraction`` objects are built only for the returned values.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, UndefinedTrustError
@@ -41,6 +49,13 @@ class TrustProperty(enum.Enum):
     COMPONENTS = "components"
     POROSITY = "porosity"
 
+    # Members compare by identity, so they may hash by it too; Enum's own
+    # __hash__ is a Python call, paid on every dict lookup of a property.
+    __hash__ = object.__hash__
+
+
+_PROPERTIES = tuple(TrustProperty)
+
 
 class Polarity(enum.Enum):
     POSITIVE = "positive"
@@ -56,16 +71,72 @@ class Reference:
     polarity: Polarity
 
 
+def _exact(num: int, den: int) -> Fraction:
+    """The ``Fraction`` ``num/den`` (``den > 0``), reduced with one gcd.
+
+    The reduced pair is stored directly, as ``Fraction`` itself does for
+    pairs it knows are coprime, so no second gcd is taken.
+    """
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
+
+
+def _quotient(a: Rational, b: Rational) -> Fraction:
+    """``a / b`` of two non-negative rationals with ``b > 0``."""
+    return _exact(a.numerator * b.denominator, a.denominator * b.numerator)
+
+
+def _sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of (numerator, denominator) pairs, unreduced, over their
+    least common denominator."""
+    if len(pairs) == 1:
+        return pairs[0]
+    den = lcm(*[d for _, d in pairs])
+    return sum([n * (den // d) for n, d in pairs]), den
+
+
+def _mean(pairs: Sequence[tuple[int, int]]) -> Fraction:
+    num, den = _sum(pairs)
+    return _exact(num, den * len(pairs))
+
+
 def _coerce_hours(name: str, value: Rational) -> Fraction:
-    v = Fraction(value)
-    if v < 0:
+    v = value if type(value) is Fraction else Fraction(value)
+    if v.numerator < 0:
         raise DomainError(f"{name} must be >= 0, got {v}")
     return v
+
+
+# The reference counts are checked first, so a record with a reference
+# fault reports it before any other count fault.
+_COUNT_FIELDS = (
+    "references_positive",
+    "references_neutral",
+    "references_negative",
+    "past_employer_count",
+    "months_unemployed",
+    "months_eligible",
+    "criminal_offenses_known",
+    "age_years",
+    "legal_adult_age",
+    "employees_in_community",
+    "community_population",
+)
 
 
 @dataclass(frozen=True)
 class ApplicantRecord:
     """Inputs to the hiring Trust Rules.
+
+    References are stored as three counts by polarity.  ``references=``
+    takes :class:`Reference` objects instead and counts them; it cannot be
+    combined with nonzero counts.
 
     Reference entries must not outnumber past employers, unemployment months
     must fit inside the eligible months, unmonitored hours must fit inside
@@ -79,27 +150,34 @@ class ApplicantRecord:
     criminal_offenses_known: int = 0
     age_years: int = 0
     legal_adult_age: int = 18
-    references: tuple[Reference, ...] = ()
+    references: InitVar[Iterable[Reference] | None] = None
     past_employer_count: int = 0
     hours_alone_per_day: Fraction = Fraction(0)
     working_hours_per_day: Fraction = Fraction(0)
     employees_in_community: int = 0
     community_population: int = 0
+    references_positive: int = 0
+    references_neutral: int = 0
+    references_negative: int = 0
 
-    def __post_init__(self) -> None:
-        for name in (
-            "months_unemployed",
-            "months_eligible",
-            "criminal_offenses_known",
-            "age_years",
-            "legal_adult_age",
-            "past_employer_count",
-            "employees_in_community",
-            "community_population",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    def __post_init__(self, references: Iterable[Reference] | None) -> None:
+        if references is not None:
+            if self.references_positive or self.references_neutral or self.references_negative:
+                raise DomainError("give references or reference counts, not both")
+            counts = dict.fromkeys(Polarity, 0)
+            for ref in references:
+                counts[ref.polarity] += 1
+            for polarity, count in counts.items():
+                object.__setattr__(self, f"references_{polarity.value}", count)
+        for name in _COUNT_FIELDS[:4]:
+            _check_count(name, getattr(self, name))
+        total = self.references_positive + self.references_neutral + self.references_negative
+        if total and self.past_employer_count == 0:
+            raise DomainError("references require at least one past employer")
+        if self.past_employer_count < total:
+            raise DomainError("more references than past employers")
+        for name in _COUNT_FIELDS[4:]:
+            _check_count(name, getattr(self, name))
         object.__setattr__(
             self, "hours_alone_per_day", _coerce_hours("hours_alone_per_day", self.hours_alone_per_day)
         )
@@ -108,20 +186,20 @@ class ApplicantRecord:
             "working_hours_per_day",
             _coerce_hours("working_hours_per_day", self.working_hours_per_day),
         )
-        object.__setattr__(self, "references", tuple(self.references))
         if self.months_eligible > 0 and self.months_unemployed > self.months_eligible:
             raise DomainError("months_unemployed cannot exceed months_eligible")
         if self.hours_alone_per_day > self.working_hours_per_day:
             raise DomainError("hours_alone_per_day cannot exceed working_hours_per_day")
         if self.community_population > 0 and self.employees_in_community > self.community_population:
             raise DomainError("employees_in_community cannot exceed community_population")
-        if self.past_employer_count == 0 and self.references:
-            raise DomainError("references require at least one past employer")
-        if 0 < self.past_employer_count < len(self.references):
-            raise DomainError("more references than past employers")
 
     def reference_count(self, *polarities: Polarity) -> int:
-        return sum(1 for ref in self.references if ref.polarity in polarities)
+        return sum(getattr(self, f"references_{p.value}") for p in set(polarities))
+
+
+def _check_count(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,7 +215,7 @@ class RuleResult:
     def __post_init__(self) -> None:
         if self.value is None and not self.undefined_reason:
             raise DomainError(f"undefined rule {self.rule_id!r} needs a reason")
-        if self.value is not None and self.value < 0:
+        if self.value is not None and self.value.numerator < 0:
             raise DomainError(f"rule {self.rule_id!r} value must be >= 0, got {self.value}")
 
     @property
@@ -160,41 +238,40 @@ class TrustScore:
 # ---------------------------------------------------------------------------
 
 
+def _consistency_terms(record: ApplicantRecord) -> tuple[tuple[str, int, int, str], ...]:
+    """The three consistency ratios as (rule id, numerator, denominator,
+    reason); a zero denominator marks an undefined ratio and its reason."""
+    adult_years = record.age_years - record.legal_adult_age
+    return (
+        ("consistency/unemployment", record.months_unemployed, record.months_eligible,
+         "no eligible workforce months on record"),
+        ("consistency/offenses", record.criminal_offenses_known, max(adult_years, 0),
+         "applicant not beyond the legal adult age"),
+        ("consistency/references", record.references_neutral + record.references_negative,
+         record.past_employer_count, "no past employers"),
+    )
+
+
 def consistency_ratios(record: ApplicantRecord) -> tuple[RuleResult, RuleResult, RuleResult]:
     """The three consistency ratios, before the rule-5.4 averaging."""
     prop = TrustProperty.CONSISTENCY
-    if record.months_eligible > 0:
-        r1 = RuleResult(prop, "consistency/unemployment",
-                        Fraction(record.months_unemployed, record.months_eligible))
-    else:
-        r1 = RuleResult(prop, "consistency/unemployment", None,
-                        "no eligible workforce months on record")
-    adult_years = record.age_years - record.legal_adult_age
-    if adult_years > 0:
-        r2 = RuleResult(prop, "consistency/offenses",
-                        Fraction(record.criminal_offenses_known, adult_years))
-    else:
-        r2 = RuleResult(prop, "consistency/offenses", None,
-                        "applicant not beyond the legal adult age")
-    if record.past_employer_count > 0:
-        flagged = record.reference_count(Polarity.NEUTRAL, Polarity.NEGATIVE)
-        r3 = RuleResult(prop, "consistency/references",
-                        Fraction(flagged, record.past_employer_count))
-    else:
-        r3 = RuleResult(prop, "consistency/references", None, "no past employers")
+    r1, r2, r3 = (
+        RuleResult(prop, rule_id, _exact(num, den)) if den
+        else RuleResult(prop, rule_id, None, reason)
+        for rule_id, num, den, reason in _consistency_terms(record)
+    )
     return r1, r2, r3
 
 
 def consistency_score(record: ApplicantRecord) -> RuleResult:
     """Average of the defined consistency ratios; excluded ratios are reported."""
-    ratios = consistency_ratios(record)
-    defined = [r.value for r in ratios if r.defined]
-    excluded = tuple((r.rule_id, r.undefined_reason) for r in ratios if not r.defined)
+    terms = _consistency_terms(record)
+    defined = [(num, den) for _, num, den, _ in terms if den]
+    excluded = tuple((rule_id, reason) for rule_id, _, den, reason in terms if not den)
     if not defined:
         return RuleResult(TrustProperty.CONSISTENCY, "consistency", None,
                           "all three consistency ratios undefined", excluded)
-    average = sum(defined, Fraction(0)) / len(defined)
-    return RuleResult(TrustProperty.CONSISTENCY, "consistency", average, None, excluded)
+    return RuleResult(TrustProperty.CONSISTENCY, "consistency", _mean(defined), None, excluded)
 
 
 def porosity_rule(record: ApplicantRecord) -> RuleResult:
@@ -203,7 +280,7 @@ def porosity_rule(record: ApplicantRecord) -> RuleResult:
         return RuleResult(TrustProperty.POROSITY, "porosity/community", None,
                           "community population not recorded")
     return RuleResult(TrustProperty.POROSITY, "porosity/community",
-                      Fraction(record.employees_in_community, record.community_population))
+                      _exact(record.employees_in_community, record.community_population))
 
 
 def unmonitored_hours_rule(
@@ -218,7 +295,11 @@ def unmonitored_hours_rule(
         return RuleResult(property, "subjugation/unmonitored-hours", None,
                           "no working hours recorded")
     return RuleResult(property, "subjugation/unmonitored-hours",
-                      record.hours_alone_per_day / record.working_hours_per_day)
+                      _quotient(record.hours_alone_per_day, record.working_hours_per_day))
+
+
+#: The record fields a :class:`RatioRule` may divide: every field but the id.
+_RATIO_FIELDS = frozenset(f.name for f in fields(ApplicantRecord)) - {"applicant_id"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,14 +313,16 @@ class RatioRule:
 
     def evaluate(self, record: ApplicantRecord) -> RuleResult:
         for name in (self.numerator, self.denominator):
-            if not any(f.name == name for f in fields(ApplicantRecord)):
-                raise DomainError(f"rule {self.rule_id!r}: unknown record field {name!r}")
-        den = Fraction(getattr(record, self.denominator))
+            if name not in _RATIO_FIELDS:
+                detail = (f"record field {name!r} is not a number" if name == "applicant_id"
+                          else f"unknown record field {name!r}")
+                raise DomainError(f"rule {self.rule_id!r}: {detail}")
+        den = getattr(record, self.denominator)
         if den == 0:
             return RuleResult(self.property, self.rule_id, None,
                               f"{self.denominator} is zero")
         return RuleResult(self.property, self.rule_id,
-                          Fraction(getattr(record, self.numerator)) / den)
+                          _quotient(getattr(record, self.numerator), den))
 
 
 RuleFn = Callable[[ApplicantRecord], RuleResult]
@@ -270,33 +353,42 @@ def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> Trust
     the defined per-property values under ``average``, ``sum`` or ``max``."""
     if mode not in COMBINE_MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {', '.join(COMBINE_MODES)}")
-    results = list(results)
     groups: dict[TrustProperty, list[RuleResult]] = {}
     for result in results:
-        groups.setdefault(result.property, []).append(result)
+        group = groups.get(result.property)
+        if group is None:
+            groups[result.property] = group = []
+        group.append(result)
 
     per_property: dict[TrustProperty, Fraction | None] = {}
+    values: list[Fraction] = []
     reasons: list[tuple[str, str]] = []
-    for prop in TrustProperty:
-        if prop not in groups:
+    for prop in _PROPERTIES:
+        group = groups.get(prop)
+        if group is None:
             continue
-        defined = [r.value for r in groups[prop] if r.defined]
-        for r in groups[prop]:
-            if not r.defined:
+        defined = []
+        for r in group:
+            if r.value is None:
                 reasons.append((r.rule_id, r.undefined_reason or ""))
-        per_property[prop] = (
-            sum(defined, Fraction(0)) / len(defined) if defined else None
-        )
+            else:
+                defined.append((r.value.numerator, r.value.denominator))
+        if defined:
+            per_property[prop] = value = _mean(defined)
+            values.append(value)
+        else:
+            per_property[prop] = None
 
-    values = [v for v in per_property.values() if v is not None]
     if not values:
         raise UndefinedTrustError("every supplied rule result is undefined")
-    if mode == "average":
-        combined = sum(values, Fraction(0)) / len(values)
-    elif mode == "sum":
-        combined = sum(values, Fraction(0))
+    if mode == "max":
+        combined = values[0]
+        for value in values[1:]:
+            if value.numerator * combined.denominator > combined.numerator * value.denominator:
+                combined = value
     else:
-        combined = max(values)
+        num, den = _sum([(v.numerator, v.denominator) for v in values])
+        combined = _exact(num, den * len(values) if mode == "average" else den)
     return TrustScore(
         per_property=per_property,
         combined=combined,
@@ -311,7 +403,7 @@ def score_applicant(
     extra_rules: Sequence[Union[RuleFn, RatioRule]] = (),
 ) -> tuple[list[RuleResult], TrustScore]:
     """Evaluate the built-in rules (plus any extra) and combine them."""
-    results = evaluate_rules(record, tuple(DEFAULT_RULES) + tuple(extra_rules))
+    results = evaluate_rules(record, DEFAULT_RULES + tuple(extra_rules))
     return results, trust_combine(results, mode)
 
 

@@ -8,10 +8,16 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from ravkit.cli import dispatch
+
+
+# Ten characters each, but a power of ten that takes seconds (or, for the
+# last, hours and hundreds of MB) to build.
+HUGE_EXPONENTS = ["1e10000000", "1E+10000000", "1e-10000000", "1e1000000000"]
 
 
 def run(*argv: str) -> tuple[int, bytes, bytes]:
@@ -286,6 +292,65 @@ class TestTrustCommand:
                 "past_employer_count")[column]
         assert f"{name} must be a non-negative integer, got -3".encode() in err
 
+    @pytest.mark.parametrize("mode", ["average", "sum", "max"])
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_fixture_report_matches_golden(self, fixtures, mode, fmt, suffix):
+        code, out, err = run("trust", str(fixtures / "applicants.csv"),
+                             "--mode", mode, "--format", fmt)
+        assert (code, err) == (0, b"")
+        assert out == (fixtures / f"applicants_{mode}.{suffix}").read_bytes()
+
+    def test_two_million_references_score_at_once(self, tmp_path):
+        csv = self.references_csv(tmp_path, "1500000", "400000", "100000", "2000000")
+        start = time.perf_counter()
+        code, out, err = run("trust", str(csv))
+        assert time.perf_counter() - start < 0.1
+        assert (code, err) == (0, b"")
+        assert b"consistency                     1/8 (0.125000)" in out
+
+    @pytest.mark.parametrize("positive, expected_code", [("", 0), ("7" * 400, 1)])
+    def test_equal_400_digit_counts_in_bounded_memory(self, tmp_path, positive, expected_code):
+        # Counts past any enumerable size: the record holds them as ints.
+        n = "7" * 400
+        csv = tmp_path / "huge.csv"
+        csv.write_text(
+            "applicant_id,age_years,months_unemployed,months_eligible,references_positive,"
+            "references_neutral,references_negative,past_employer_count,working_hours_per_day\n"
+            f"x,30,{n},{n},{positive},{n},,{n},8\n"
+        )
+        tracemalloc.start()
+        try:
+            code, out, err = run("trust", str(csv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert code == expected_code
+        if code:
+            assert_one_line_input_error(code, out, err)
+            assert b"more references than past employers" in err
+        else:
+            assert err == b"" and b"consistency                     2/3 (0.666667)" in out
+
+    @pytest.mark.parametrize("column", ["hours_alone_per_day", "working_hours_per_day"])
+    @pytest.mark.parametrize("value", HUGE_EXPONENTS)
+    def test_huge_exponent_refused_at_once(self, tmp_path, column, value):
+        csv = tmp_path / "exp.csv"
+        csv.write_text(f"applicant_id,{column}\nx,{value}\n")
+        start = time.perf_counter()
+        code, out, err = run("trust", str(csv))
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_input_error(code, out, err)
+        assert f"line 2: column '{column}': decimal exponent past 4300".encode() in err
+
+    def test_exponent_at_the_limit_parses(self, tmp_path):
+        csv = tmp_path / "exp.csv"
+        csv.write_text("applicant_id,hours_alone_per_day,working_hours_per_day\n"
+                       "x,1e4300,2e4300\n")
+        code, out, err = run("trust", str(csv))
+        assert (code, err) == (0, b"")
+        assert b"subjugation/unmonitored-hours   1/2 (0.500000)" in out
+
 
 class TestSymbolicCommand:
     def test_renders_expression_and_unit_value(self, fixtures):
@@ -322,6 +387,14 @@ class TestSymbolicCommand:
         code, out, err = run("symbolic", str(fixtures / "toy.json"), "--eval", f"h={value}")
         assert code == 1 and out == b""
         assert len(err.splitlines()) == 1 and b"float range" in err
+
+    @pytest.mark.parametrize("value", HUGE_EXPONENTS)
+    def test_eval_huge_exponent_refused_at_once(self, fixtures, value):
+        start = time.perf_counter()
+        code, out, err = run("symbolic", str(fixtures / "toy.json"), "--eval", f"h={value}")
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_input_error(code, out, err)
+        assert b"--eval: decimal exponent past 4300" in err
 
     def test_eval_value_whose_log_argument_overflows_a_float(self, fixtures):
         # 100*h exceeds the float range; the log is taken exactly instead.

@@ -40,6 +40,12 @@ class TestScopeParsing:
         assert scopes[0].controls.total == 0
         assert scopes[0].limitations.total == 0
 
+    def test_byte_order_mark_is_a_clear_error(self, fixtures):
+        # Scope documents are JSON, which RFC 8259 says is written without one.
+        data = b"\xef\xbb\xbf" + (fixtures / "toy.json").read_bytes()
+        with pytest.raises(ScopeFormatError, match=r"line 1, column 1: Unexpected UTF-8 BOM"):
+            parse_scope_document(data)
+
     def test_negative_count_names_the_field(self):
         doc = b'{"schema": "ravkit-scope/1", "scopes": [{"id": "x", "porosity": {"access": -1}}]}'
         with pytest.raises(ScopeFormatError, match=r"porosity\.access"):
@@ -281,7 +287,8 @@ class TestApplicantCsv:
         assert community.community_population == 5000
         mixed = records[2]
         assert mixed.hours_alone_per_day == Fraction(2)
-        assert len(mixed.references) == 4
+        assert (mixed.references_positive, mixed.references_neutral,
+                mixed.references_negative, mixed.past_employer_count) == (3, 1, 0, 4)
 
     def test_reproduces_published_ratio(self, fixtures):
         from ravkit.trust import consistency_score
@@ -299,6 +306,10 @@ class TestApplicantCsv:
 
     def test_empty_data_section(self):
         assert parse_applicants_csv(b"applicant_id,age_years\n") == []
+
+    def test_utf8_byte_order_mark_is_dropped(self, fixtures):
+        data = (fixtures / "applicants.csv").read_bytes()
+        assert parse_applicants_csv(b"\xef\xbb\xbf" + data) == parse_applicants_csv(data)
 
     def test_missing_required_column(self):
         with pytest.raises(CsvFormatError, match="age_years"):

@@ -271,10 +271,27 @@ class TestRatioRule:
                          "employees_in_community", "community_population")
         assert not rule.evaluate(ApplicantRecord()).defined
 
-    def test_unknown_field_rejected(self):
-        rule = RatioRule("bad", TrustProperty.SIZE, "nope", "community_population")
-        with pytest.raises(DomainError):
-            rule.evaluate(ApplicantRecord())
+    @pytest.mark.parametrize("name, message", [
+        ("nope", "unknown record field 'nope'"),
+        ("references", "unknown record field 'references'"),
+        ("applicant_id", "record field 'applicant_id' is not a number"),
+    ])
+    def test_unknown_field_rejected(self, name, message):
+        rule = RatioRule("bad", TrustProperty.SIZE, name, "community_population")
+        with pytest.raises(DomainError, match=f"^rule 'bad': {message}$"):
+            rule.evaluate(ApplicantRecord(community_population=1))
+
+    def test_reference_count_field(self):
+        rule = RatioRule("consistency/neutral", TrustProperty.CONSISTENCY,
+                         "references_neutral", "past_employer_count")
+        record = ApplicantRecord(references=refs(neutral=2, positive=1), past_employer_count=6)
+        assert rule.evaluate(record).value == Fraction(1, 3)
+
+    def test_hours_fields(self):
+        rule = RatioRule("hours", TrustProperty.VALUE, "hours_alone_per_day", "months_eligible")
+        record = ApplicantRecord(months_eligible=6, hours_alone_per_day=Fraction(3, 2),
+                                 working_hours_per_day=Fraction(8))
+        assert rule.evaluate(record).value == Fraction(1, 4)
 
 
 class TestScoreApplicant:

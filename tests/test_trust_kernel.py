@@ -1,0 +1,326 @@
+"""The integer trust kernel against the ``Fraction`` rules it replaced.
+
+``reference_*`` below are the rules and ``trust_combine`` as they were
+written on ``Fraction`` arithmetic, kept here as the oracle.  Records are
+drawn with counts up to 10**300, extra ``RatioRule``s (several per
+property, so within-property averaging runs) and rules that are always
+undefined; every rule value, every per-property value, the combined score
+and the rendered report must match exactly.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from ravkit.errors import DomainError, UndefinedTrustError
+from ravkit.report import render_trust_report
+from ravkit.trust import (
+    COMBINE_MODES,
+    ApplicantRecord,
+    RatioRule,
+    RuleResult,
+    TrustProperty,
+    TrustScore,
+    score_applicant,
+    trust_combine,
+)
+
+RECORDS_PER_MODE = 2000
+
+
+# ---------------------------------------------------------------------------
+# The Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_consistency(record: ApplicantRecord) -> RuleResult:
+    prop = TrustProperty.CONSISTENCY
+    if record.months_eligible > 0:
+        r1 = RuleResult(prop, "consistency/unemployment",
+                        Fraction(record.months_unemployed, record.months_eligible))
+    else:
+        r1 = RuleResult(prop, "consistency/unemployment", None,
+                        "no eligible workforce months on record")
+    adult_years = record.age_years - record.legal_adult_age
+    if adult_years > 0:
+        r2 = RuleResult(prop, "consistency/offenses",
+                        Fraction(record.criminal_offenses_known, adult_years))
+    else:
+        r2 = RuleResult(prop, "consistency/offenses", None,
+                        "applicant not beyond the legal adult age")
+    if record.past_employer_count > 0:
+        flagged = record.references_neutral + record.references_negative
+        r3 = RuleResult(prop, "consistency/references",
+                        Fraction(flagged, record.past_employer_count))
+    else:
+        r3 = RuleResult(prop, "consistency/references", None, "no past employers")
+    ratios = (r1, r2, r3)
+    defined = [r.value for r in ratios if r.defined]
+    excluded = tuple((r.rule_id, r.undefined_reason) for r in ratios if not r.defined)
+    if not defined:
+        return RuleResult(prop, "consistency", None,
+                          "all three consistency ratios undefined", excluded)
+    return RuleResult(prop, "consistency", sum(defined, Fraction(0)) / len(defined),
+                      None, excluded)
+
+
+def reference_porosity(record: ApplicantRecord) -> RuleResult:
+    if record.community_population == 0:
+        return RuleResult(TrustProperty.POROSITY, "porosity/community", None,
+                          "community population not recorded")
+    return RuleResult(TrustProperty.POROSITY, "porosity/community",
+                      Fraction(record.employees_in_community, record.community_population))
+
+
+def reference_unmonitored(record: ApplicantRecord) -> RuleResult:
+    prop = TrustProperty.SUBJUGATION
+    if record.working_hours_per_day == 0:
+        return RuleResult(prop, "subjugation/unmonitored-hours", None,
+                          "no working hours recorded")
+    return RuleResult(prop, "subjugation/unmonitored-hours",
+                      record.hours_alone_per_day / record.working_hours_per_day)
+
+
+def reference_ratio(rule: RatioRule, record: ApplicantRecord) -> RuleResult:
+    den = Fraction(getattr(record, rule.denominator))
+    if den == 0:
+        return RuleResult(rule.property, rule.rule_id, None, f"{rule.denominator} is zero")
+    return RuleResult(rule.property, rule.rule_id,
+                      Fraction(getattr(record, rule.numerator)) / den)
+
+
+def reference_combine(results, mode: str) -> TrustScore:
+    results = list(results)
+    groups: dict = {}
+    for result in results:
+        groups.setdefault(result.property, []).append(result)
+    per_property: dict = {}
+    reasons = []
+    for prop in TrustProperty:
+        if prop not in groups:
+            continue
+        defined = [r.value for r in groups[prop] if r.defined]
+        for r in groups[prop]:
+            if not r.defined:
+                reasons.append((r.rule_id, r.undefined_reason or ""))
+        per_property[prop] = sum(defined, Fraction(0)) / len(defined) if defined else None
+    values = [v for v in per_property.values() if v is not None]
+    if not values:
+        raise UndefinedTrustError("every supplied rule result is undefined")
+    if mode == "average":
+        combined = sum(values, Fraction(0)) / len(values)
+    elif mode == "sum":
+        combined = sum(values, Fraction(0))
+    else:
+        combined = max(values)
+    return TrustScore(per_property=per_property, combined=combined, mode=mode,
+                      undefined_reasons=tuple(reasons))
+
+
+def reference_score(record, mode, extra_rules):
+    results = [reference_consistency(record), reference_porosity(record),
+               reference_unmonitored(record)]
+    for rule in extra_rules:
+        results.append(reference_ratio(rule, record) if isinstance(rule, RatioRule)
+                       else rule(record))
+    return results, reference_combine(results, mode)
+
+
+# ---------------------------------------------------------------------------
+# Seeded records and rules
+# ---------------------------------------------------------------------------
+
+
+def _count(rng: random.Random) -> int:
+    """Small counts mostly, some zeros, some up to 10**300."""
+    roll = rng.random()
+    if roll < 0.2:
+        return 0
+    if roll < 0.8:
+        return rng.randint(1, 60)
+    return rng.randint(1, 10 ** rng.randint(2, 300))
+
+
+def _hours(rng: random.Random) -> tuple[Fraction, Fraction]:
+    working = Fraction(_count(rng), rng.choice((1, 2, 3, 8, _count(rng) or 1)))
+    alone = working * Fraction(rng.randint(0, 8), 8)
+    return alone, working
+
+
+def kernel_record(rng: random.Random, i: int) -> ApplicantRecord:
+    eligible = _count(rng)
+    past = _count(rng)
+    negative = rng.randint(0, past)
+    neutral = rng.randint(0, past - negative)
+    positive = rng.randint(0, past - negative - neutral)
+    population = _count(rng)
+    alone, working = _hours(rng)
+    legal = rng.choice((18, 21, _count(rng)))
+    return ApplicantRecord(
+        applicant_id=f"app-{i}",
+        months_unemployed=rng.randint(0, eligible),
+        months_eligible=eligible,
+        criminal_offenses_known=_count(rng),
+        age_years=rng.choice((legal, legal + _count(rng), rng.randint(0, legal))),
+        legal_adult_age=legal,
+        references_positive=positive,
+        references_neutral=neutral,
+        references_negative=negative,
+        past_employer_count=past,
+        hours_alone_per_day=alone,
+        working_hours_per_day=working,
+        employees_in_community=rng.randint(0, population),
+        community_population=population,
+    )
+
+
+_NUMBER_FIELDS = (
+    "months_unemployed", "months_eligible", "criminal_offenses_known", "age_years",
+    "legal_adult_age", "references_positive", "references_neutral", "references_negative",
+    "past_employer_count", "hours_alone_per_day", "working_hours_per_day",
+    "employees_in_community", "community_population",
+)
+
+
+def never_defined(record: ApplicantRecord) -> RuleResult:
+    return RuleResult(TrustProperty.INTEGRITY, "integrity/never", None, "never recorded")
+
+
+def kernel_rules(rng: random.Random) -> tuple:
+    """0-4 extra rules: ratio rules on any numeric fields, some sharing a
+    property with a built-in rule, and sometimes a rule never defined."""
+    rules: list = []
+    for k in range(rng.randint(0, 3)):
+        rules.append(RatioRule(
+            f"extra/{k}",
+            rng.choice((TrustProperty.SIZE, TrustProperty.CONSISTENCY,
+                        TrustProperty.POROSITY, TrustProperty.VALUE)),
+            rng.choice(_NUMBER_FIELDS),
+            rng.choice(_NUMBER_FIELDS),
+        ))
+    if rng.random() < 0.3:
+        rules.insert(rng.randint(0, len(rules)), never_defined)
+    return tuple(rules)
+
+
+def _assert_normal(value) -> None:
+    """A Fraction in lowest terms, as Fraction(n, d) would build it."""
+    assert type(value) is Fraction
+    assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
+    assert hash(value) == hash(Fraction(value.numerator, value.denominator))
+
+
+@pytest.mark.parametrize("mode", COMBINE_MODES)
+def test_kernel_matches_fraction_rules(mode):
+    rng = random.Random(f"trust-kernel/{mode}")
+    scored, expected = [], []
+    undefined = 0
+    for i in range(RECORDS_PER_MODE):
+        record = kernel_record(rng, i)
+        extra = kernel_rules(rng)
+        try:
+            want = reference_score(record, mode, extra)
+        except UndefinedTrustError:
+            undefined += 1
+            with pytest.raises(UndefinedTrustError):
+                score_applicant(record, mode, extra)
+            continue
+        results, score = score_applicant(record, mode, extra)
+        assert (results, score) == want
+        for r in results:
+            if r.value is not None:
+                _assert_normal(r.value)
+        for value in score.per_property.values():
+            if value is not None:
+                _assert_normal(value)
+        _assert_normal(score.combined)
+        assert list(score.per_property) == list(want[1].per_property)
+        scored.append((record.applicant_id, results, score))
+        expected.append((record.applicant_id, *want))
+    assert len(scored) > RECORDS_PER_MODE // 2 and undefined > 0
+    # Values past the float range are a render error on both sides; the
+    # rest must render to the same bytes.
+    renderable = [
+        (a, b) for a, b in zip(scored, expected)
+        if max(abs(a[2].combined), *(r.value for r in a[1] if r.value is not None))
+        < 10**300
+    ]
+    assert len(renderable) > RECORDS_PER_MODE // 4
+    for fmt in ("text", "json"):
+        assert (render_trust_report([a for a, _ in renderable], fmt)
+                == render_trust_report([b for _, b in renderable], fmt))
+
+
+@pytest.mark.parametrize("mode", COMBINE_MODES)
+def test_combine_matches_fraction_combine(mode):
+    rng = random.Random(f"trust-combine/{mode}")
+    properties = list(TrustProperty)
+    for _ in range(RECORDS_PER_MODE):
+        results = []
+        for k in range(rng.randint(1, 8)):
+            if rng.random() < 0.2:
+                results.append(RuleResult(rng.choice(properties), f"u{k}", None, "why"))
+            else:
+                value = Fraction(_count(rng), _count(rng) or 1)
+                results.append(RuleResult(rng.choice(properties), f"r{k}", value))
+        try:
+            want = reference_combine(results, mode)
+        except UndefinedTrustError:
+            with pytest.raises(UndefinedTrustError):
+                trust_combine(results, mode)
+            continue
+        got = trust_combine(results, mode)
+        assert got == want
+        assert list(got.per_property) == list(want.per_property)
+        _assert_normal(got.combined)
+
+
+def test_combine_accepts_int_values():
+    results = [RuleResult(TrustProperty.SIZE, "a", 1), RuleResult(TrustProperty.VALUE, "b", 0)]
+    for mode in COMBINE_MODES:
+        assert trust_combine(results, mode) == reference_combine(results, mode)
+
+
+class TestReferencesArgument:
+    def test_references_are_counted_by_polarity(self):
+        from ravkit.trust import Polarity, Reference
+
+        refs = [Reference(f"e{i}", p) for i, p in enumerate(
+            [Polarity.NEGATIVE, Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.NEUTRAL])]
+        record = ApplicantRecord(references=refs, past_employer_count=5)
+        assert record == ApplicantRecord(
+            references_positive=1, references_neutral=1, references_negative=2,
+            past_employer_count=5,
+        )
+        assert record.reference_count(Polarity.NEUTRAL, Polarity.NEGATIVE) == 3
+        assert record.reference_count(Polarity.NEUTRAL, Polarity.NEUTRAL) == 1
+
+    def test_references_and_counts_together_rejected(self):
+        from ravkit.trust import Polarity, Reference
+
+        with pytest.raises(DomainError, match="give references or reference counts, not both"):
+            ApplicantRecord(references=[Reference("e", Polarity.NEUTRAL)],
+                            references_neutral=1, past_employer_count=2)
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"references_neutral": 2, "past_employer_count": 1},
+         "more references than past employers"),
+        ({"references_negative": 1}, "references require at least one past employer"),
+        ({"references_positive": -1, "past_employer_count": 1},
+         "references_positive must be a non-negative integer, got -1"),
+        ({"references_neutral": True, "past_employer_count": 1},
+         "references_neutral must be a non-negative integer, got True"),
+    ])
+    def test_count_messages(self, counts, message):
+        with pytest.raises(DomainError, match=message):
+            ApplicantRecord(**counts)
+
+    def test_huge_counts_cost_nothing(self):
+        n = 10**400
+        record = ApplicantRecord(references_neutral=n, past_employer_count=n)
+        results, score = score_applicant(record)
+        assert results[0].value == 1 and score.combined == 1
