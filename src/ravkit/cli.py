@@ -166,12 +166,17 @@ def _parse_assignment(spec: str | None) -> dict[str, Fraction]:
         if "=" not in item:
             raise InputError(f"--eval: expected K=V, got {item!r}")
         name, _, value = item.partition("=")
+        name = name.strip()
+        if not name:
+            raise InputError(f"--eval: empty variable name in {item!r}")
+        if name in assignment:
+            raise InputError(f"--eval: variable {name!r} assigned twice, again in {item!r}")
         parsed = ingest.parse_rational(value.strip(), "--eval")
         # Exponent notation builds huge integers cheaply; past the float
         # range they could exceed the int-to-str limit when echoed back.
         if max(parsed.numerator.bit_length(), parsed.denominator.bit_length()) > 1024:
             raise InputError(f"--eval: value outside the float range: {value!r}")
-        assignment[name.strip()] = parsed
+        assignment[name] = parsed
     return assignment
 
 

@@ -9,8 +9,26 @@ the pair is unique.  All arithmetic runs on ints; ``Fraction`` appears only
 at the public boundary (the constructor, ``constant_value``,
 ``leading_term``, ``sorted_terms`` and ``evaluate``).  A monomial is a tuple
 of ``(variable, exponent)`` pairs sorted by variable name with all
-exponents positive.  Rendering and leading-term selection use graded-lex
-order with alphabetical variables.
+exponents positive; the constructor brings any monomial it is given to
+that form.  Rendering and leading-term selection use graded-lex order with
+alphabetical variables.
+
+The monomial algebra is done once per distinct monomial or pair:
+
+- every monomial a polynomial stores is interned, so equal monomials are
+  one object and dict lookups compare them by identity;
+- ``_PRODUCTS`` maps a monomial ``a`` to ``{b: a*b}``; multiplication and
+  exact division read it inline and call ``_mono_mul`` only on a miss;
+- ``_SORT_KEYS`` holds the graded-lex sort key of each monomial, used by
+  ``render``, ``sorted_terms``, the leading term and the division heap.
+
+The intern table and both memos are cleared together, all at once, when
+any of them reaches ``_MEMO_CAP`` (16384) entries; clearing only costs
+recomputation.  At the cap they hold about 12 MB when every product is a
+new three-variable monomial.  A 100-scope file with 5-8 unit variables
+stores about 7.8k products of 1.2k monomials, half the cap, and about
+1 MB.  Every entry is a function of its key alone, so threads racing on
+the memos can lose entries but never store a wrong one.
 """
 
 from __future__ import annotations
@@ -27,25 +45,84 @@ Scalar = Union[int, Fraction]
 
 _EMPTY_MONO: Mono = ()
 
+# ---------------------------------------------------------------------------
+# Monomials: interned, with memoized products and sort keys
+# ---------------------------------------------------------------------------
+
+_MEMO_CAP = 1 << 14
+
+_MONOS: dict[Mono, Mono] = {}
+_PRODUCTS: dict[Mono, dict[Mono, Mono]] = {}
+_NO_ROW: dict[Mono, Mono] = {}  # stands in for a missing row; never written
+_products_stored = 0
+
+
+class _SortKeys(dict):
+    """Monomial -> graded-lex sort key, computed on first lookup.
+
+    Ascending sort under the key is descending graded-lex: higher total
+    degree first, then alphabetical variables with higher exponents first.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, mono: Mono) -> tuple:
+        if len(self) >= _MEMO_CAP:
+            _clear_memos()
+        key = self[mono] = (-sum(e for _, e in mono), tuple((v, -e) for v, e in mono))
+        return key
+
+
+_SORT_KEYS = _SortKeys()
+_mono_sort_key = _SORT_KEYS.__getitem__
+
+
+def _clear_memos() -> None:
+    global _products_stored
+    _MONOS.clear()
+    _PRODUCTS.clear()
+    _SORT_KEYS.clear()
+    _products_stored = 0
+
+
+def _intern(mono: Mono) -> Mono:
+    """The one stored copy of a canonical monomial."""
+    got = _MONOS.get(mono)
+    if got is None:
+        if len(_MONOS) >= _MEMO_CAP:
+            _clear_memos()
+        got = _MONOS[mono] = mono
+    return got
+
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
+    """a*b through the product memo, computed and stored on a miss."""
+    global _products_stored
+    product = _PRODUCTS.get(a, _NO_ROW).get(b)
+    if product is not None:
+        return product
     if not a:
-        return b
-    if not b:
-        return a
-    exps: dict[str, int] = dict(a)
-    for var, e in b:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
+        product = b
+    elif not b:
+        product = a
+    else:
+        exps: dict[str, int] = dict(a)
+        for var, e in b:
+            exps[var] = exps.get(var, 0) + e
+        product = tuple(sorted(exps.items()))
+    if _products_stored >= _MEMO_CAP:
+        _clear_memos()
+    product = _intern(product)
+    row = _PRODUCTS.get(a)  # after _intern, which may have cleared the memos
+    if row is None:
+        row = _PRODUCTS[a] = {}
+    row[b] = product
+    _products_stored += 1
+    return product
 
 
 def _mono_degree(mono: Mono) -> int:
     return sum(e for _, e in mono)
-
-
-def _mono_sort_key(mono: Mono):
-    # Ascending sort under this key is descending graded-lex.
-    return (-_mono_degree(mono), tuple((v, -e) for v, e in mono))
 
 
 def _mono_divide(a: Mono, b: Mono) -> Mono | None:
@@ -59,11 +136,33 @@ def _mono_divide(a: Mono, b: Mono) -> Mono | None:
             del out[var]
         else:
             out[var] = have - e
-    return tuple(sorted(out.items()))
+    return _intern(tuple(sorted(out.items())))
 
 
 def _mono_render(mono: Mono) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+
+
+def _check_name(name: object) -> None:
+    if not isinstance(name, str) or not name or any(ch in name for ch in " \t\n*^+-/()"):
+        raise DomainError(f"invalid variable name {name!r}")
+
+
+def _canonical_mono(mono: object) -> Mono:
+    """A caller's monomial sorted by variable, with repeated variables
+    merged and zero exponents dropped, interned."""
+    if _MONOS.get(mono) is mono:  # an interned monomial is canonical
+        return mono
+    exps: dict[str, int] = {}
+    try:
+        for var, e in mono:
+            _check_name(var)
+            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                raise DomainError(f"exponent of {var!r} must be a non-negative int, got {e!r}")
+            exps[var] = exps.get(var, 0) + int(e)
+    except (TypeError, ValueError):
+        raise DomainError(f"monomial {mono!r} is not (variable, exponent) pairs") from None
+    return _intern(tuple(sorted((v, e) for v, e in exps.items() if e)))
 
 
 class Polynomial:
@@ -72,7 +171,10 @@ class Polynomial:
     __slots__ = ("terms", "den", "_hash")
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        coeffs = {m: Fraction(c) for m, c in (terms or {}).items()}
+        coeffs: dict[Mono, Fraction] = {}
+        for mono, c in (terms or {}).items():
+            mono = _canonical_mono(mono)
+            coeffs[mono] = coeffs.get(mono, 0) + Fraction(c)
         coeffs = {m: c for m, c in coeffs.items() if c}
         # The lcm of reduced denominators is coprime to the numerators' content.
         den = math.lcm(*(c.denominator for c in coeffs.values()))
@@ -105,9 +207,8 @@ class Polynomial:
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        if not name or any(ch in name for ch in " \t\n*^+-/()"):
-            raise DomainError(f"invalid variable name {name!r}")
-        return cls._from_numerators({((name, 1),): 1})
+        _check_name(name)
+        return cls._from_numerators({_intern(((name, 1),)): 1})
 
     @staticmethod
     def coerce(value: "Polynomial | Scalar") -> "Polynomial":
@@ -199,8 +300,11 @@ class Polynomial:
             a, b = b, a
         res: dict[Mono, int] = {}
         for m1, c1 in a.items():
+            row = _PRODUCTS.get(m1, _NO_ROW)
             for m2, c2 in b.items():
-                mono = _mono_mul(m1, m2)
+                mono = row.get(m2)
+                if mono is None:
+                    mono = _mono_mul(m1, m2)
                 c = res.get(mono, 0) + c1 * c2
                 if c:
                     res[mono] = c
@@ -231,13 +335,16 @@ class Polynomial:
         return self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
-        # The hash of the {monomial: Fraction coefficient} items; an int
-        # numerator over 1 hashes like the equal Fraction.
+        # A constant hashes as its value, like the equal int or Fraction;
+        # otherwise the hash of the {monomial: Fraction coefficient} items.
         if self._hash is None:
-            items = self.terms.items()
-            if self.den != 1:
-                items = ((m, Fraction(c, self.den)) for m, c in items)
-            self._hash = hash(frozenset(items))
+            if self.is_constant:
+                self._hash = hash(self.constant_value())
+            else:
+                items = self.terms.items()
+                if self.den != 1:
+                    items = ((m, Fraction(c, self.den)) for m, c in items)
+                self._hash = hash(frozenset(items))
         return self._hash
 
     # -- evaluation and rendering -------------------------------------------
@@ -383,8 +490,11 @@ def divide_exact(num: Polynomial, den: Polynomial) -> Polynomial:
         if residue:
             raise DomainError("inexact polynomial division")
         quotient[q_mono] = q_coeff * scale
+        row = _PRODUCTS.get(q_mono, _NO_ROW)
         for m, c in rest:
-            key = _mono_mul(m, q_mono)
+            key = row.get(m)
+            if key is None:
+                key = _mono_mul(q_mono, m)
             left = rem.get(key, 0) - c * q_coeff
             if not left:
                 del rem[key]
@@ -444,7 +554,7 @@ def _coefficients_in(poly: Polynomial, var: str) -> dict[int, Polynomial]:
                 deg = e
             else:
                 rest.append((v, e))
-        out.setdefault(deg, {})[tuple(rest)] = c
+        out.setdefault(deg, {})[_intern(tuple(rest))] = c
     return {deg: Polynomial._from_numerators(terms) for deg, terms in out.items()}
 
 
@@ -492,6 +602,8 @@ def _prem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
         if deg_r < deg_g:
             break
         lc_r = _coefficients_in(rem, var)[deg_r]
-        shift = Polynomial._from_numerators({((var, deg_r - deg_g),) if deg_r > deg_g else (): 1})
+        shift = Polynomial._from_numerators(
+            {_intern(((var, deg_r - deg_g),)) if deg_r > deg_g else _EMPTY_MONO: 1}
+        )
         rem = rem * lc_g - lc_r * shift * g
     return rem

@@ -206,8 +206,14 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # Over a constant denominator (1 included) hash as the equal
+        # polynomial, so the hash agrees with an equal Polynomial, int or
+        # Fraction.
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            if self.den.is_constant:
+                self._hash = hash(self.num * (1 / self.den.constant_value()))
+            else:
+                self._hash = hash((self.num, self.den))
         return self._hash
 
     # -- evaluation and rendering ---------------------------------------------

@@ -382,6 +382,33 @@ class TestSymbolicCommand:
         code, _, err = run("symbolic", str(fixtures / "toy.json"), "--eval", "h=two")
         assert code == 1 and b"rational" in err
 
+    @pytest.mark.parametrize("spec, item", [
+        ("=2", "'=2'"),
+        ("h=2, =3", "'=3'"),
+        (" =1/2,p=3", "'=1/2'"),
+    ])
+    def test_eval_empty_name_is_one_line_input_error(self, fixtures, spec, item):
+        code, out, err = run("symbolic", str(fixtures / "toy.json"), "--eval", spec)
+        assert_one_line_input_error(code, out, err)
+        assert err == f"ravkit: error: --eval: empty variable name in {item}\n".encode()
+
+    @pytest.mark.parametrize("spec, item", [
+        ("a=2,a=3", "'a=3'"),
+        ("h=2,p=3,h=2", "'h=2'"),
+        ("h=2, h =5", "'h =5'"),
+    ])
+    def test_eval_repeated_name_is_one_line_input_error(self, fixtures, spec, item):
+        name = spec.partition("=")[0]
+        code, out, err = run("symbolic", str(fixtures / "toy.json"), "--eval", spec)
+        assert_one_line_input_error(code, out, err)
+        assert err == (f"ravkit: error: --eval: variable {name!r} assigned twice, "
+                       f"again in {item}\n").encode()
+
+    def test_eval_names_no_scope_uses_and_empty_items_are_allowed(self, fixtures):
+        code, out, err = run("symbolic", str(fixtures / "toy.json"), "--eval", "h=2,,zz=9,")
+        assert code == 0, err
+        assert "at h=2, l=1, p=1: " in out.decode()
+
     @pytest.mark.parametrize("value", ["1e9999", "-1e9999", "1e-9999"])
     def test_eval_value_beyond_float_range_never_crashes(self, fixtures, value):
         code, out, err = run("symbolic", str(fixtures / "toy.json"), "--eval", f"h={value}")

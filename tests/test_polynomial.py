@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from ravkit import polynomial
 from ravkit.errors import DomainError
 from ravkit.polynomial import Polynomial, divide_exact, polynomial_gcd, try_divide_exact
+from ravkit.ratfun import RationalFunction
 
 
 def var(name: str) -> Polynomial:
@@ -149,3 +152,184 @@ class TestGcd:
             gcd = polynomial_gcd(f, g)
             assert try_divide_exact(f, gcd) is not None
             assert try_divide_exact(g, gcd) is not None
+
+
+class TestCanonicalMonomials:
+    """The constructor brings every monomial to the stored form: sorted by
+    variable, repeated variables merged, zero exponents dropped."""
+
+    X, Y = var("x"), var("y")
+
+    def test_unsorted_monomial_equals_the_sorted_one(self):
+        poly = Polynomial({(("y", 1), ("x", 1)): 1})
+        assert poly == self.X * self.Y
+        assert (poly - self.X * self.Y).is_zero
+        assert poly.render() == "x*y"
+        assert list(poly.terms) == [(("x", 1), ("y", 1))]
+
+    def test_zero_exponent_dropped(self):
+        poly = Polynomial({(("x", 0),): 3})
+        assert poly == 3 and poly.is_constant
+        assert poly.render() == "3"
+        assert Polynomial({(("x", 0), ("y", 2)): 1}) == self.Y**2
+
+    def test_repeated_variable_merged(self):
+        assert Polynomial({(("x", 1), ("x", 1)): 1}) == self.X**2
+        assert Polynomial({(("y", 1), ("x", 2), ("y", 2)): 5}) == 5 * self.X**2 * self.Y**3
+
+    def test_monomials_that_become_equal_add_up(self):
+        xy = self.X * self.Y
+        assert Polynomial({(("x", 1), ("y", 1)): 1, (("y", 1), ("x", 1)): 2}) == 3 * xy
+        assert Polynomial({(("x", 1), ("y", 1)): 1, (("y", 1), ("x", 1)): -1}).is_zero
+        assert Polynomial({(): 1, (("x", 0),): Fraction(1, 2)}) == Fraction(3, 2)
+
+    @pytest.mark.parametrize("exponent", [-1, 1.0, 2.5, "1", True, Fraction(1), None])
+    def test_negative_or_non_int_exponent_refused(self, exponent):
+        with pytest.raises(DomainError, match="exponent of 'x' must be a non-negative int"):
+            Polynomial({(("x", exponent),): 1})
+
+    @pytest.mark.parametrize("name", ["", "a b", "x*y", "x^2", "-x", "(x)", "a/b", 3, None])
+    def test_name_variable_would_reject_refused(self, name):
+        with pytest.raises(DomainError, match="invalid variable name"):
+            Polynomial.variable(name)
+        with pytest.raises(DomainError, match="invalid variable name"):
+            Polynomial({((name, 1),): 1})
+
+    @pytest.mark.parametrize("mono", [(("x",),), (("x", 1, 2),), ("x",), 5])
+    def test_malformed_monomial_refused(self, mono):
+        with pytest.raises(DomainError):
+            Polynomial({mono: 1})
+
+    def test_equal_monomials_are_one_object(self):
+        given = Polynomial({(("y", 1), ("x", 1)): 1})
+        product = self.X * self.Y
+        (a,), (b,) = given.terms, product.terms
+        assert a is b
+        quotient = divide_exact(product * self.X, self.X)
+        assert next(iter(quotient.terms)) is a
+
+
+class TestHashAgreesWithEquality:
+    X = var("x")
+
+    def values(self):
+        x = self.X
+        return [
+            0, 1, 5, -3, Fraction(5), Fraction(1, 2), Fraction(-3),
+            Polynomial(), Polynomial.constant(5), Polynomial.constant(Fraction(10, 2)),
+            Polynomial.constant(Fraction(1, 2)), Polynomial({(("x", 0),): 5}),
+            Polynomial.constant(-3), x, x + 1, 2 * x, Polynomial({(("x", 1),): Fraction(4, 2)}),
+            RationalFunction.constant(0), RationalFunction.constant(5),
+            RationalFunction.constant(Fraction(1, 2)), RationalFunction(x),
+            RationalFunction(2 * x + 2, 2), RationalFunction(x * x, x), RationalFunction(x, x + 1),
+            RationalFunction(2 * x, 2 * x + 2),
+            RationalFunction(x, 2), Polynomial({(("x", 1),): Fraction(1, 2)}),
+            RationalFunction(3 * x + 1, 6), (3 * x + 1) * Fraction(1, 6),
+        ]
+
+    def test_hash_agrees_wherever_equality_holds(self):
+        values = self.values()
+        equal_pairs = 0
+        for a in values:
+            for b in values:
+                if a == b:
+                    equal_pairs += 1
+                    assert hash(a) == hash(b), (a, b)
+        # Every value with itself, plus the cross-type equalities.
+        assert equal_pairs > len(values) + 30
+
+    def test_constant_polynomial_finds_the_equal_number_in_a_dict(self):
+        assert {Polynomial.constant(5): 1}.get(5) == 1
+        assert {5: 1}.get(Polynomial.constant(5)) == 1
+        assert {Fraction(1, 2): 1}.get(Polynomial.constant(Fraction(1, 2))) == 1
+        assert {RationalFunction(self.X): 1}.get(self.X) == 1
+        assert {RationalFunction.constant(7): 1}.get(7) == 1
+
+
+@pytest.fixture
+def cold_memos():
+    polynomial._clear_memos()
+    yield
+    polynomial._clear_memos()
+
+
+def naive_product(f: Polynomial, g: Polynomial) -> dict:
+    """f*g as {monomial: Fraction}, without the product memo."""
+    out: dict = {}
+    for m1, c1 in f.sorted_terms():
+        for m2, c2 in g.sorted_terms():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            mono = tuple(sorted(exps.items()))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def graded_lex(mono) -> tuple:
+    return (-sum(e for _, e in mono), [(v, -e) for v, e in mono])
+
+
+class TestMemosPastTheirCap:
+    """Filling the monomial memos past ``_MEMO_CAP`` clears them; results,
+    renders and sorted terms come out the same as with cold memos."""
+
+    def small_cases(self):
+        rng = random.Random(77)
+        return [(random_poly(rng, 3, 5, 3), random_poly(rng, 3, 4, 2)) for _ in range(10)]
+
+    def observe(self, cases):
+        out = []
+        for f, g in cases:
+            product = f * g
+            out.append((product.render(), product.sorted_terms(), product.leading_term()
+                        if not product.is_zero else None,
+                        try_divide_exact(product, g) if not g.is_zero else None,
+                        polynomial_gcd(f, g).render()))
+        return out
+
+    def test_results_unchanged_after_the_memos_overflow(self, cold_memos):
+        cap = polynomial._MEMO_CAP
+        cold = self.observe(self.small_cases())
+        # side**2 distinct pairs and as many distinct products: more than
+        # the cap, so the memos are cleared while one product is formed.
+        side = math.isqrt(cap) + 10
+        f = sum((var("x") ** i * (i + 1) for i in range(side)), Polynomial())
+        g = sum((var("y") ** j * (j + 2) for j in range(side)), Polynomial())
+        big = f * g
+        assert polynomial._products_stored < side * side
+        assert {m: c for m, c in big.sorted_terms()} == naive_product(f, g)
+        ordered = big.sorted_terms()
+        assert [m for m, _ in ordered] == sorted(big.terms, key=graded_lex)
+        assert big.render().startswith(f"{side * (side + 1)}*x^{side - 1}*y^{side - 1} + ")
+        assert divide_exact(big, g) == f
+        assert polynomial._products_stored <= cap
+        assert sum(len(row) for row in polynomial._PRODUCTS.values()) == polynomial._products_stored
+        assert len(polynomial._MONOS) <= cap and len(polynomial._SORT_KEYS) <= cap
+        # Pairs past the cap over few distinct monomials: the product memo
+        # alone overflows.
+        f = sum((var("x") ** i for i in range(side)), Polynomial())
+        square = f * f
+        assert polynomial._products_stored <= cap and len(polynomial._MONOS) < cap
+        assert square == Polynomial(
+            {(("x", k),): min(k, 2 * side - 2 - k) + 1 for k in range(2 * side - 1)}
+        )
+        # Warm from the big products, then cleared again: same answers.
+        assert self.observe(self.small_cases()) == cold
+        polynomial._clear_memos()
+        assert self.observe(self.small_cases()) == cold
+
+
+def test_repeated_product_is_read_from_the_memo(cold_memos):
+    rng = random.Random(78)
+    f, g = random_poly(rng, 3, 6, 3), random_poly(rng, 3, 5, 3)
+    before = polynomial._products_stored
+    first = f * g
+    stored = polynomial._products_stored
+    assert before < stored <= before + len(f.terms) * len(g.terms)
+    assert f * g == first and g * f == first
+    assert polynomial._products_stored == stored
+    assert divide_exact(first, g) == f
+    stored = polynomial._products_stored
+    assert divide_exact(first, g) == f
+    assert polynomial._products_stored == stored
