@@ -66,40 +66,57 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{message}\n{self.format_usage()}".rstrip())
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The ``ravkit`` argument parser.
+
+    When ``argv`` starts with a command name, only that command's subparser
+    is built, since parsing never reaches the others; its help, usage and
+    errors are the full parser's.  For no command, an option or an unknown
+    name first (``-h``, say), every subparser is built.
+    """
     parser = _Parser(prog="ravkit", description="rav scoring, trust rules, and critique suite")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p_rav = sub.add_parser("rav", help="compute Actual Security for every scope in a file")
-    p_rav.add_argument("scope_file")
-    p_rav.add_argument("--format", choices=report.FORMATS, default="text")
-
-    p_imp = sub.add_parser("import-nmap", help="derive porosity from scanner XML")
-    p_imp.add_argument("xml_file")
-    p_imp.add_argument("--merge", metavar="SCOPE_FILE",
-                       help="add the scanned porosity onto this file's first scope")
-
-    p_agg = sub.add_parser("aggregate", help="combine scopes from one or more files")
-    p_agg.add_argument("scope_files", nargs="+")
-    p_agg.add_argument("--format", choices=report.FORMATS, default="text")
-
-    p_trust = sub.add_parser("trust", help="score applicant records from CSV")
-    p_trust.add_argument("csv_file")
-    p_trust.add_argument("--mode", choices=("average", "sum", "max"), default="average")
-    p_trust.add_argument("--format", choices=report.FORMATS, default="text")
-
-    p_sym = sub.add_parser("symbolic", help="render the symbolic score of each scope")
-    p_sym.add_argument("scope_file")
-    p_sym.add_argument("--eval", dest="eval_spec", metavar="K=V,...", default=None,
-                       help="evaluate at an assignment; unlisted variables default to 1")
-
-    p_demo = sub.add_parser("demo", help="run the critique suite and emit findings JSON")
-    p_demo.add_argument("--kind", choices=("permutation", "collision", "formula", "trust"),
-                        default=None, help="run one kind only (default: all)")
-    p_demo.add_argument("--seed", type=int, default=None)
-    p_demo.add_argument("--bounds", type=int, default=3)
-    p_demo.add_argument("--epsilon", type=float, default=1e-9)
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        summary, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
+
+
+def _rav_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("scope_file")
+    p.add_argument("--format", choices=report.FORMATS, default="text")
+
+
+def _import_nmap_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("xml_file")
+    p.add_argument("--merge", metavar="SCOPE_FILE",
+                   help="add the scanned porosity onto this file's first scope")
+
+
+def _aggregate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("scope_files", nargs="+")
+    p.add_argument("--format", choices=report.FORMATS, default="text")
+
+
+def _trust_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("csv_file")
+    p.add_argument("--mode", choices=("average", "sum", "max"), default="average")
+    p.add_argument("--format", choices=report.FORMATS, default="text")
+
+
+def _symbolic_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("scope_file")
+    p.add_argument("--eval", dest="eval_spec", metavar="K=V,...", default=None,
+                   help="evaluate at an assignment; unlisted variables default to 1")
+
+
+def _demo_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=("permutation", "collision", "formula", "trust"),
+                   default=None, help="run one kind only (default: all)")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--bounds", type=int, default=3)
+    p.add_argument("--epsilon", type=float, default=1e-9)
 
 
 def _read(path: str) -> bytes:
@@ -232,25 +249,28 @@ def _cmd_demo(args, out: BinaryIO) -> None:
     out.write(report.render_findings(findings))
 
 
+#: Each command, in help order: its help line, the function that adds its
+#: arguments to its subparser, and the function that runs it.
 _COMMANDS = {
-    "rav": _cmd_rav,
-    "import-nmap": _cmd_import_nmap,
-    "aggregate": _cmd_aggregate,
-    "trust": _cmd_trust,
-    "symbolic": _cmd_symbolic,
-    "demo": _cmd_demo,
+    "rav": ("compute Actual Security for every scope in a file", _rav_arguments, _cmd_rav),
+    "import-nmap": ("derive porosity from scanner XML", _import_nmap_arguments, _cmd_import_nmap),
+    "aggregate": ("combine scopes from one or more files", _aggregate_arguments, _cmd_aggregate),
+    "trust": ("score applicant records from CSV", _trust_arguments, _cmd_trust),
+    "symbolic": ("render the symbolic score of each scope", _symbolic_arguments, _cmd_symbolic),
+    "demo": ("run the critique suite and emit findings JSON", _demo_arguments, _cmd_demo),
 }
 
 
 def dispatch(argv: Sequence[str]) -> tuple[int, bytes, bytes]:
     """Run one command line; returns (exit code, stdout bytes, stderr bytes)."""
     out = io.BytesIO()
-    parser = build_parser()
+    argv = list(argv)
+    parser = build_parser(argv)
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
         if not args.command:
             raise InputError(parser.format_usage().rstrip())
-        _COMMANDS[args.command](args, out)
+        _COMMANDS[args.command][2](args, out)
     except DomainError as exc:
         return 2, out.getvalue(), _error_line("domain error", exc)
     except RavkitError as exc:

@@ -27,7 +27,6 @@ importing this module (and with it ``ravkit``) does not load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -40,6 +39,7 @@ from .metrics import (
     LimitationCounts,
     PorosityCounts,
     RavBreakdown,
+    Record,
     Scope,
     actual_security,
     combine_bases,
@@ -57,19 +57,32 @@ _META_A = tuple(cls for cls in ControlClass if cls.meta_class == "A")
 _META_B = tuple(cls for cls in ControlClass if cls.meta_class == "B")
 
 
-@dataclass(frozen=True, slots=True)
-class CritiqueFinding:
+class CritiqueFinding(Record):
     """One reproducible demonstration: inputs, scores, verdict, explanation."""
 
+    __slots__ = __match_args__ = ("kind", "inputs", "scores", "verdict", "narrative")
     kind: str
     inputs: Mapping[str, Any]
     scores: Mapping[str, Any]
     verdict: str
     narrative: str
 
-    def __post_init__(self) -> None:
-        if self.verdict not in ("holds", "violated"):
-            raise DomainError(f"verdict must be holds|violated, got {self.verdict!r}")
+    def __init__(
+        self,
+        kind: str,
+        inputs: Mapping[str, Any],
+        scores: Mapping[str, Any],
+        verdict: str,
+        narrative: str,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "kind", kind)
+        set_(self, "inputs", inputs)
+        set_(self, "scores", scores)
+        set_(self, "verdict", verdict)
+        set_(self, "narrative", narrative)
+        if verdict not in ("holds", "violated"):
+            raise DomainError(f"verdict must be holds|violated, got {verdict!r}")
 
     def to_obj(self) -> dict:
         return {
@@ -106,7 +119,15 @@ def rational_signature(breakdown: RavBreakdown) -> tuple:
 def swap_control_counts(scope: Scope, source: ControlClass, target: ControlClass) -> Scope:
     counts = {cls: scope.controls.get(cls) for cls in ControlClass}
     counts[source], counts[target] = counts[target], counts[source]
-    return replace(scope, controls=ControlCounts.from_mapping(counts))
+    return Scope(
+        scope.id,
+        scope.channel,
+        scope.vector,
+        scope.index,
+        scope.porosity,
+        ControlCounts.from_mapping(counts),
+        scope.limitations,
+    )
 
 
 def permutation_demo(
@@ -203,13 +224,18 @@ def cross_class_counterexample(limit: int = 3) -> CritiqueFinding:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CollisionBounds:
+class CollisionBounds(Record):
     """Per-count maxima for the exhaustive enumeration."""
 
-    porosity: int = 3
-    control: int = 3
-    limitation: int = 3
+    __slots__ = __match_args__ = ("porosity", "control", "limitation")
+    porosity: int
+    control: int
+    limitation: int
+
+    def __init__(self, porosity: int = 3, control: int = 3, limitation: int = 3) -> None:
+        object.__setattr__(self, "porosity", porosity)
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "limitation", limitation)
 
     @classmethod
     def coerce(cls, bounds: "CollisionBounds | int") -> "CollisionBounds":
@@ -239,8 +265,13 @@ def _control_signatures(bound: int, opsec: int) -> dict[tuple[int, int], tuple[i
     return seen
 
 
-@dataclass(frozen=True, slots=True)
-class _Base:
+class _Base(Record):
+    """One (porosity layout, control triple) of the collision enumeration,
+    with a witness count tuple for each meta-class."""
+
+    __slots__ = __match_args__ = (
+        "pv", "pa", "pt", "splits", "lc_sum", "mc_a", "mc_b", "witness_a", "witness_b"
+    )
     pv: int
     pa: int
     pt: int
@@ -250,6 +281,29 @@ class _Base:
     mc_b: int
     witness_a: tuple[int, ...]
     witness_b: tuple[int, ...]
+
+    def __init__(
+        self,
+        pv: int,
+        pa: int,
+        pt: int,
+        splits: tuple[tuple[int, int], ...],
+        lc_sum: int,
+        mc_a: int,
+        mc_b: int,
+        witness_a: tuple[int, ...],
+        witness_b: tuple[int, ...],
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "pv", pv)
+        set_(self, "pa", pa)
+        set_(self, "pt", pt)
+        set_(self, "splits", splits)
+        set_(self, "lc_sum", lc_sum)
+        set_(self, "mc_a", mc_a)
+        set_(self, "mc_b", mc_b)
+        set_(self, "witness_a", witness_a)
+        set_(self, "witness_b", witness_b)
 
 
 def _base_scope(base: _Base, lim: Sequence[int], scope_id: str, split: int = 0) -> Scope:
@@ -276,23 +330,44 @@ def exact_scores_equal(a: RavBreakdown, b: RavBreakdown) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class _Slab:
+class _Slab(Record):
     """All states of one (porosity total, lc_sum) slab, keyed exactly.
 
     ``keys`` holds each state's limitation-sum numerator over the
     denominator ``(10*s**2)**2``, flattened from the shape (porosity
     layout, control triple, limitation tuple); a flat index is a state's
-    position in enumeration order.
+    position in enumeration order.  ``first_ids`` holds the first base id
+    of each porosity layout, and ``lo`` the offset of the slab's first
+    control triple within its layout.
     """
 
+    __slots__ = __match_args__ = ("s", "lc_sum", "keys", "first_ids", "lo", "triples", "lims")
     s: int
     lc_sum: int
     keys: np.ndarray
-    first_ids: np.ndarray  # first base id of each porosity layout
-    lo: int  # offset of the slab's first control triple within its layout
+    first_ids: np.ndarray
+    lo: int
     triples: int
     lims: int
+
+    def __init__(
+        self,
+        s: int,
+        lc_sum: int,
+        keys: np.ndarray,
+        first_ids: np.ndarray,
+        lo: int,
+        triples: int,
+        lims: int,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "s", s)
+        set_(self, "lc_sum", lc_sum)
+        set_(self, "keys", keys)
+        set_(self, "first_ids", first_ids)
+        set_(self, "lo", lo)
+        set_(self, "triples", triples)
+        set_(self, "lims", lims)
 
     def structure(self, idx):
         """Porosity layout and limitation tuple, as one comparable integer."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping, Sequence, Union
 
@@ -39,6 +38,7 @@ from .metrics import (
     ControlCounts,
     LimitationCounts,
     PorosityCounts,
+    Record,
     Scope,
 )
 
@@ -61,17 +61,29 @@ _SCOPE_CHANNELS = frozenset((*CHANNELS, AGGREGATE_CHANNEL))
 _EMPTY_OBJECT: dict = {}
 
 
-@dataclass(frozen=True, slots=True)
-class ScopeEntry:
-    """One scope plus its optional unit-variable names for symbolic mode."""
+class ScopeEntry(Record):
+    """One scope plus its optional unit-variable names for symbolic mode.
 
+    ``units`` defaults to a new empty mapping.
+    """
+
+    __slots__ = __match_args__ = ("scope", "units")
     scope: Scope
-    units: Mapping[str, str] = field(default_factory=dict)
+    units: Mapping[str, str]
+
+    def __init__(self, scope: Scope, units: Mapping[str, str] | None = None) -> None:
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "units", {} if units is None else units)
 
 
-@dataclass(frozen=True, slots=True)
-class ScopeDocument:
+class ScopeDocument(Record):
+    """The scope entries of one ``ravkit-scope/1`` document, in file order."""
+
+    __slots__ = __match_args__ = ("entries",)
     entries: tuple[ScopeEntry, ...]
+
+    def __init__(self, entries: tuple[ScopeEntry, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     @property
     def scopes(self) -> list[Scope]:
@@ -291,15 +303,32 @@ def render_scope_document(
 SCAN_ELEMENTS = ("nmaprun", "host", "status", "ports", "port", "state")
 
 
-@dataclass(frozen=True, slots=True)
-class ScanReport:
+class ScanReport(Record):
     """Porosity derived from one scan plus import diagnostics."""
 
+    __slots__ = __match_args__ = (
+        "porosity", "hosts_up", "hosts_total", "open_ports", "ignored_elements"
+    )
     porosity: PorosityCounts
     hosts_up: int
     hosts_total: int
     open_ports: int
     ignored_elements: Mapping[str, int]
+
+    def __init__(
+        self,
+        porosity: PorosityCounts,
+        hosts_up: int,
+        hosts_total: int,
+        open_ports: int,
+        ignored_elements: Mapping[str, int],
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "porosity", porosity)
+        set_(self, "hosts_up", hosts_up)
+        set_(self, "hosts_total", hosts_total)
+        set_(self, "open_ports", open_ports)
+        set_(self, "ignored_elements", ignored_elements)
 
 
 def import_scan_report(data: Union[bytes, str]) -> ScanReport:
@@ -310,6 +339,10 @@ def import_scan_report(data: Union[bytes, str]) -> ScanReport:
         root = ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:
         raise ScanFormatError(f"malformed scanner XML: {exc}") from None
+    except (LookupError, ValueError) as exc:
+        # The declared encoding is unknown to Python, not a text encoding,
+        # or a multi-byte one the XML parser cannot read.
+        raise ScanFormatError(f"unsupported scanner XML encoding: {exc}") from None
     if root.tag != "nmaprun":
         raise ScanFormatError(
             f"unknown scanner schema: expected <nmaprun> root, got <{root.tag}>"
@@ -423,7 +456,7 @@ def parse_applicants_csv(
     header = [h.strip() for h in header]
     unknown = sorted(set(header) - set(CSV_COLUMNS))
     if unknown:
-        raise CsvFormatError(f"unknown column(s): {', '.join(unknown)}")
+        raise CsvFormatError(f"unknown column(s): {', '.join(map(repr, unknown))}")
     if len(set(header)) != len(header):
         raise CsvFormatError("duplicate column names in header")
     missing = sorted(set(required_columns) - set(header))

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NoReturn, Sequence, Union
 
 from .errors import DomainError, UndefinedWeightError
 
@@ -131,16 +130,108 @@ def _check_counts(names: Sequence[str], values: Sequence[int]) -> None:
             _check_count(name, value)
 
 
-@dataclass(frozen=True, slots=True)
-class PorosityCounts:
+class _DataclassFields:
+    """The ``__dataclass_fields__`` of a :class:`Record` class, built the
+    first time it is read, so that :func:`dataclasses.fields` and
+    :func:`dataclasses.replace` accept the class and its instances.
+
+    The fields are those of a ``dataclasses.make_dataclass`` twin made from
+    the class's ``__init__``: its parameters in order, each a field if it is
+    a slot and an ``InitVar`` if not, with the same defaults.  The result is
+    stored on the class, so later reads skip this descriptor.
+    """
+
+    def __get__(self, instance, owner):
+        init = owner.__dict__.get("__init__")
+        if init is None:
+            raise AttributeError("__dataclass_fields__")
+        import dataclasses
+
+        code = init.__code__
+        params = code.co_varnames[1:code.co_argcount]
+        defaults = init.__defaults__ or ()
+        first_default = len(params) - len(defaults)
+        spec = []
+        for i, name in enumerate(params):
+            if name in owner.__slots__:
+                kind = owner.__annotations__[name]
+            else:
+                kind = dataclasses.InitVar(init.__annotations__.get(name))
+            if i < first_default:
+                spec.append((name, kind))
+            else:
+                spec.append((name, kind, dataclasses.field(default=defaults[i - first_default])))
+        twin = dataclasses.make_dataclass(owner.__qualname__, spec, init=False, repr=False, eq=False)
+        owner.__dataclass_fields__ = fields = twin.__dataclass_fields__
+        return fields
+
+
+def _refuse(message: str) -> NoReturn:
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(message)
+
+
+class Record:
+    """Base of ravkit's frozen record classes.
+
+    A subclass lists its fields, in order, as ``__slots__`` and sets them in
+    an explicit ``__init__`` with ``object.__setattr__``.  This base supplies
+    the rest of what ``@dataclass(frozen=True, slots=True)`` would generate:
+    equality and hashing by the field tuple, the same repr, refusal to assign
+    or delete, pickling and copying, and ``__dataclass_fields__`` for
+    :func:`dataclasses.fields` and :func:`dataclasses.replace`.  Written out
+    in source, the classes import no ``dataclasses`` and generate no code
+    when the module loads.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        _refuse(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        _refuse(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._values()
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    __dataclass_fields__ = _DataclassFields()
+
+
+class PorosityCounts(Record):
     """Visibility, access, and trust counts of one scope."""
 
-    visibility: int = 0
-    access: int = 0
-    trust: int = 0
+    __slots__ = __match_args__ = _POROSITY_FIELDS
+    visibility: int
+    access: int
+    trust: int
 
-    def __post_init__(self) -> None:
-        _check_counts(_POROSITY_FIELDS, _porosity_counts(self))
+    def __init__(self, visibility: int = 0, access: int = 0, trust: int = 0) -> None:
+        set_ = object.__setattr__
+        set_(self, "visibility", visibility)
+        set_(self, "access", access)
+        set_(self, "trust", trust)
+        _check_counts(_POROSITY_FIELDS, (visibility, access, trust))
 
     @property
     def total(self) -> int:
@@ -154,23 +245,52 @@ class PorosityCounts:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class ControlCounts:
+class ControlCounts(Record):
     """Per-class loss-control counts; absent classes count as zero."""
 
-    authentication: int = 0
-    indemnification: int = 0
-    resilience: int = 0
-    subjugation: int = 0
-    continuity: int = 0
-    non_repudiation: int = 0
-    integrity: int = 0
-    privacy: int = 0
-    confidentiality: int = 0
-    alarm: int = 0
+    __slots__ = __match_args__ = _CONTROL_FIELDS
+    authentication: int
+    indemnification: int
+    resilience: int
+    subjugation: int
+    continuity: int
+    non_repudiation: int
+    integrity: int
+    privacy: int
+    confidentiality: int
+    alarm: int
 
-    def __post_init__(self) -> None:
-        _check_counts(_CONTROL_FIELDS, _control_counts(self))
+    def __init__(
+        self,
+        authentication: int = 0,
+        indemnification: int = 0,
+        resilience: int = 0,
+        subjugation: int = 0,
+        continuity: int = 0,
+        non_repudiation: int = 0,
+        integrity: int = 0,
+        privacy: int = 0,
+        confidentiality: int = 0,
+        alarm: int = 0,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "authentication", authentication)
+        set_(self, "indemnification", indemnification)
+        set_(self, "resilience", resilience)
+        set_(self, "subjugation", subjugation)
+        set_(self, "continuity", continuity)
+        set_(self, "non_repudiation", non_repudiation)
+        set_(self, "integrity", integrity)
+        set_(self, "privacy", privacy)
+        set_(self, "confidentiality", confidentiality)
+        set_(self, "alarm", alarm)
+        _check_counts(
+            _CONTROL_FIELDS,
+            (
+                authentication, indemnification, resilience, subjugation, continuity,
+                non_repudiation, integrity, privacy, confidentiality, alarm,
+            ),
+        )
 
     def get(self, cls: ControlClass) -> int:
         return getattr(self, _CONTROL_FIELD_OF[cls])
@@ -192,18 +312,33 @@ class ControlCounts:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class LimitationCounts:
+class LimitationCounts(Record):
     """Counts per limitation category, declared in pipeline order."""
 
-    vulnerabilities: int = 0
-    weaknesses: int = 0
-    concerns: int = 0
-    exposures: int = 0
-    anomalies: int = 0
+    __slots__ = __match_args__ = LIMITATION_CATEGORIES
+    vulnerabilities: int
+    weaknesses: int
+    concerns: int
+    exposures: int
+    anomalies: int
 
-    def __post_init__(self) -> None:
-        _check_counts(LIMITATION_CATEGORIES, _by_category(self))
+    def __init__(
+        self,
+        vulnerabilities: int = 0,
+        weaknesses: int = 0,
+        concerns: int = 0,
+        exposures: int = 0,
+        anomalies: int = 0,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "vulnerabilities", vulnerabilities)
+        set_(self, "weaknesses", weaknesses)
+        set_(self, "concerns", concerns)
+        set_(self, "exposures", exposures)
+        set_(self, "anomalies", anomalies)
+        _check_counts(
+            LIMITATION_CATEGORIES, (vulnerabilities, weaknesses, concerns, exposures, anomalies)
+        )
 
     @property
     def total(self) -> int:
@@ -213,47 +348,87 @@ class LimitationCounts:
         return {name: getattr(self, name) for name in LIMITATION_CATEGORIES}
 
 
-@dataclass(frozen=True, slots=True)
-class Scope:
+# The default count groups of a Scope; immutable, so every Scope may share them.
+_NO_POROSITY = PorosityCounts()
+_NO_CONTROLS = ControlCounts()
+_NO_LIMITATIONS = LimitationCounts()
+
+
+class Scope(Record):
     """One testable unit: a channel/vector/index with its three count groups.
 
     A change of channel, vector, or index is a new scope; merged scopes carry
     the synthetic channel label ``"aggregate"``.
     """
 
+    __slots__ = __match_args__ = (
+        "id", "channel", "vector", "index", "porosity", "controls", "limitations"
+    )
     id: str
-    channel: str = "data-network"
-    vector: str = ""
-    index: str = ""
-    porosity: PorosityCounts = field(default_factory=PorosityCounts)
-    controls: ControlCounts = field(default_factory=ControlCounts)
-    limitations: LimitationCounts = field(default_factory=LimitationCounts)
+    channel: str
+    vector: str
+    index: str
+    porosity: PorosityCounts
+    controls: ControlCounts
+    limitations: LimitationCounts
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        channel: str = "data-network",
+        vector: str = "",
+        index: str = "",
+        porosity: PorosityCounts = _NO_POROSITY,
+        controls: ControlCounts = _NO_CONTROLS,
+        limitations: LimitationCounts = _NO_LIMITATIONS,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "id", id)
+        set_(self, "channel", channel)
+        set_(self, "vector", vector)
+        set_(self, "index", index)
+        set_(self, "porosity", porosity)
+        set_(self, "controls", controls)
+        set_(self, "limitations", limitations)
+        if not id:
             raise DomainError("scope id must be non-empty")
-        if self.channel not in CHANNELS and self.channel != AGGREGATE_CHANNEL:
+        if channel not in CHANNELS and channel != AGGREGATE_CHANNEL:
             raise DomainError(
-                f"unknown channel {self.channel!r}; expected one of "
+                f"unknown channel {channel!r}; expected one of "
                 f"{', '.join(CHANNELS)} (or {AGGREGATE_CHANNEL!r})"
             )
 
 
-@dataclass(frozen=True, slots=True)
-class MissingControls:
+class MissingControls(Record):
     """Per-class and grouped control shortfalls, plus the true-control counts."""
 
+    __slots__ = __match_args__ = ("per_class", "total", "class_a", "class_b", "true_per_class")
     per_class: Mapping[ControlClass, Fraction]
     total: Fraction
     class_a: Fraction
     class_b: Fraction
     true_per_class: Mapping[ControlClass, Fraction]
 
+    def __init__(
+        self,
+        per_class: Mapping[ControlClass, Fraction],
+        total: Fraction,
+        class_a: Fraction,
+        class_b: Fraction,
+        true_per_class: Mapping[ControlClass, Fraction],
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "per_class", per_class)
+        set_(self, "total", total)
+        set_(self, "class_a", class_a)
+        set_(self, "class_b", class_b)
+        set_(self, "true_per_class", true_per_class)
 
-@dataclass(frozen=True, slots=True)
-class Weights:
+
+class Weights(Record):
     """The five limitation weights and the normalized missing-control ratio."""
 
+    __slots__ = __match_args__ = LIMITATION_CATEGORIES + ("mc_vg",)
     vulnerabilities: Fraction
     weaknesses: Fraction
     concerns: Fraction
@@ -261,14 +436,35 @@ class Weights:
     anomalies: Fraction
     mc_vg: Fraction
 
+    def __init__(
+        self,
+        vulnerabilities: Fraction,
+        weaknesses: Fraction,
+        concerns: Fraction,
+        exposures: Fraction,
+        anomalies: Fraction,
+        mc_vg: Fraction,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "vulnerabilities", vulnerabilities)
+        set_(self, "weaknesses", weaknesses)
+        set_(self, "concerns", concerns)
+        set_(self, "exposures", exposures)
+        set_(self, "anomalies", anomalies)
+        set_(self, "mc_vg", mc_vg)
+
     def for_category(self, category: str) -> Fraction:
         return getattr(self, category)
 
 
-@dataclass(frozen=True, slots=True)
-class RavBreakdown:
+class RavBreakdown(Record):
     """Every intermediate of the pipeline plus the final Actual Security value."""
 
+    __slots__ = __match_args__ = (
+        "opsec_sum", "opsec_base", "lc_sum", "mc_per_class", "mc_sum", "mc_class_a",
+        "mc_class_b", "mc_vg", "tc_per_class", "tc_base", "fc_base", "weights",
+        "seclim_sum", "seclim_base", "actsec",
+    )
     opsec_sum: Fraction
     opsec_base: float
     lc_sum: Fraction
@@ -284,6 +480,41 @@ class RavBreakdown:
     seclim_sum: Fraction
     seclim_base: float
     actsec: float
+
+    def __init__(
+        self,
+        opsec_sum: Fraction,
+        opsec_base: float,
+        lc_sum: Fraction,
+        mc_per_class: Mapping[ControlClass, Fraction],
+        mc_sum: Fraction,
+        mc_class_a: Fraction,
+        mc_class_b: Fraction,
+        mc_vg: Fraction,
+        tc_per_class: Mapping[ControlClass, Fraction],
+        tc_base: float,
+        fc_base: float,
+        weights: Weights,
+        seclim_sum: Fraction,
+        seclim_base: float,
+        actsec: float,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "opsec_sum", opsec_sum)
+        set_(self, "opsec_base", opsec_base)
+        set_(self, "lc_sum", lc_sum)
+        set_(self, "mc_per_class", mc_per_class)
+        set_(self, "mc_sum", mc_sum)
+        set_(self, "mc_class_a", mc_class_a)
+        set_(self, "mc_class_b", mc_class_b)
+        set_(self, "mc_vg", mc_vg)
+        set_(self, "tc_per_class", tc_per_class)
+        set_(self, "tc_base", tc_base)
+        set_(self, "fc_base", fc_base)
+        set_(self, "weights", weights)
+        set_(self, "seclim_sum", seclim_sum)
+        set_(self, "seclim_base", seclim_base)
+        set_(self, "actsec", actsec)
 
 
 # ---------------------------------------------------------------------------

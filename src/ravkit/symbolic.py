@@ -18,7 +18,6 @@ values and takes natural logs in floating point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -28,20 +27,22 @@ from .metrics import (
     ControlClass,
     META_CLASS_A,
     UNIT_KINDS,
+    Record,
     Scope,
 )
 from .polynomial import Point, Polynomial, Scalar, try_divide_exact
 from .ratfun import RationalFunction
 
 
-@dataclass(frozen=True, slots=True)
-class FormalVar:
+class FormalVar(Record):
     """A named formal unit variable (e.g. ``h`` for one visible host)."""
 
+    __slots__ = __match_args__ = ("name",)
     name: str
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+        if not name:
             raise DomainError("formal variable name must be non-empty")
 
 
@@ -289,14 +290,29 @@ def _validate_units(
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolicBreakdown:
+class SymbolicBreakdown(Record):
     """The three atom arguments of a scope's score, plus the score itself."""
 
+    __slots__ = __match_args__ = (
+        "opsec_argument", "controls_argument", "seclim_argument", "score"
+    )
     opsec_argument: RationalFunction
     controls_argument: RationalFunction
     seclim_argument: RationalFunction
     score: SymbolicScore
+
+    def __init__(
+        self,
+        opsec_argument: RationalFunction,
+        controls_argument: RationalFunction,
+        seclim_argument: RationalFunction,
+        score: SymbolicScore,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "opsec_argument", opsec_argument)
+        set_(self, "controls_argument", controls_argument)
+        set_(self, "seclim_argument", seclim_argument)
+        set_(self, "score", score)
 
 
 def symbolic_breakdown(
@@ -403,13 +419,20 @@ def symbolic_rav(
     return symbolic_breakdown(scope, unit_map).score
 
 
-@dataclass(frozen=True, slots=True)
-class EquivalenceResult:
+class EquivalenceResult(Record):
     """Outcome of an equivalence check, with a witness point on failure."""
 
+    __slots__ = __match_args__ = ("equivalent", "method", "witness")
     equivalent: bool
     method: str
-    witness: Mapping[str, Fraction] | None = None
+    witness: Mapping[str, Fraction] | None
+
+    def __init__(
+        self, equivalent: bool, method: str, witness: Mapping[str, Fraction] | None = None
+    ) -> None:
+        object.__setattr__(self, "equivalent", equivalent)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.equivalent

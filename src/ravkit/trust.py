@@ -23,12 +23,12 @@ taken over a common denominator (the max by cross-multiplication).
 from __future__ import annotations
 
 import enum
-from dataclasses import InitVar, dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, UndefinedTrustError
+from .metrics import Record
 
 Rational = Union[int, Fraction]
 
@@ -63,12 +63,16 @@ class Polarity(enum.Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True, slots=True)
-class Reference:
+class Reference(Record):
     """One reference from a past employer with an explicitly labelled polarity."""
 
+    __slots__ = __match_args__ = ("employer_id", "polarity")
     employer_id: str
     polarity: Polarity
+
+    def __init__(self, employer_id: str, polarity: Polarity) -> None:
+        object.__setattr__(self, "employer_id", employer_id)
+        object.__setattr__(self, "polarity", polarity)
 
 
 def _exact(num: int, den: int) -> Fraction:
@@ -113,25 +117,7 @@ def _coerce_hours(name: str, value: Rational) -> Fraction:
     return v
 
 
-# The reference counts are checked first, so a record with a reference
-# fault reports it before any other count fault.
-_COUNT_FIELDS = (
-    "references_positive",
-    "references_neutral",
-    "references_negative",
-    "past_employer_count",
-    "months_unemployed",
-    "months_eligible",
-    "criminal_offenses_known",
-    "age_years",
-    "legal_adult_age",
-    "employees_in_community",
-    "community_population",
-)
-
-
-@dataclass(frozen=True)
-class ApplicantRecord:
+class ApplicantRecord(Record):
     """Inputs to the hiring Trust Rules.
 
     References are stored as three counts by polarity.  ``references=``
@@ -144,54 +130,109 @@ class ApplicantRecord:
     population (when the respective denominators are nonzero).
     """
 
-    applicant_id: str = ""
-    months_unemployed: int = 0
-    months_eligible: int = 0
-    criminal_offenses_known: int = 0
-    age_years: int = 0
-    legal_adult_age: int = 18
-    references: InitVar[Iterable[Reference] | None] = None
-    past_employer_count: int = 0
-    hours_alone_per_day: Fraction = Fraction(0)
-    working_hours_per_day: Fraction = Fraction(0)
-    employees_in_community: int = 0
-    community_population: int = 0
-    references_positive: int = 0
-    references_neutral: int = 0
-    references_negative: int = 0
+    __slots__ = (
+        "applicant_id",
+        "months_unemployed",
+        "months_eligible",
+        "criminal_offenses_known",
+        "age_years",
+        "legal_adult_age",
+        "past_employer_count",
+        "hours_alone_per_day",
+        "working_hours_per_day",
+        "employees_in_community",
+        "community_population",
+        "references_positive",
+        "references_neutral",
+        "references_negative",
+    )
+    __match_args__ = __slots__[:6] + ("references",) + __slots__[6:]
+    applicant_id: str
+    months_unemployed: int
+    months_eligible: int
+    criminal_offenses_known: int
+    age_years: int
+    legal_adult_age: int
+    past_employer_count: int
+    hours_alone_per_day: Fraction
+    working_hours_per_day: Fraction
+    employees_in_community: int
+    community_population: int
+    references_positive: int
+    references_neutral: int
+    references_negative: int
+    #: ``references`` is an init-only argument, never stored; this default is
+    #: what ``dataclasses.replace`` and pattern matching read for it.
+    references = None
 
-    def __post_init__(self, references: Iterable[Reference] | None) -> None:
+    def __init__(
+        self,
+        applicant_id: str = "",
+        months_unemployed: int = 0,
+        months_eligible: int = 0,
+        criminal_offenses_known: int = 0,
+        age_years: int = 0,
+        legal_adult_age: int = 18,
+        references: Iterable[Reference] | None = None,
+        past_employer_count: int = 0,
+        hours_alone_per_day: Fraction = Fraction(0),
+        working_hours_per_day: Fraction = Fraction(0),
+        employees_in_community: int = 0,
+        community_population: int = 0,
+        references_positive: int = 0,
+        references_neutral: int = 0,
+        references_negative: int = 0,
+    ) -> None:
         if references is not None:
-            if self.references_positive or self.references_neutral or self.references_negative:
+            if references_positive or references_neutral or references_negative:
                 raise DomainError("give references or reference counts, not both")
             counts = dict.fromkeys(Polarity, 0)
             for ref in references:
                 counts[ref.polarity] += 1
-            for polarity, count in counts.items():
-                object.__setattr__(self, f"references_{polarity.value}", count)
-        for name in _COUNT_FIELDS[:4]:
-            _check_count(name, getattr(self, name))
-        total = self.references_positive + self.references_neutral + self.references_negative
-        if total and self.past_employer_count == 0:
+            references_positive = counts[Polarity.POSITIVE]
+            references_neutral = counts[Polarity.NEUTRAL]
+            references_negative = counts[Polarity.NEGATIVE]
+        # The reference counts are checked first, so a record with a reference
+        # fault reports it before any other count fault.
+        _check_count("references_positive", references_positive)
+        _check_count("references_neutral", references_neutral)
+        _check_count("references_negative", references_negative)
+        _check_count("past_employer_count", past_employer_count)
+        total = references_positive + references_neutral + references_negative
+        if total and past_employer_count == 0:
             raise DomainError("references require at least one past employer")
-        if self.past_employer_count < total:
+        if past_employer_count < total:
             raise DomainError("more references than past employers")
-        for name in _COUNT_FIELDS[4:]:
-            _check_count(name, getattr(self, name))
-        object.__setattr__(
-            self, "hours_alone_per_day", _coerce_hours("hours_alone_per_day", self.hours_alone_per_day)
-        )
-        object.__setattr__(
-            self,
-            "working_hours_per_day",
-            _coerce_hours("working_hours_per_day", self.working_hours_per_day),
-        )
-        if self.months_eligible > 0 and self.months_unemployed > self.months_eligible:
+        _check_count("months_unemployed", months_unemployed)
+        _check_count("months_eligible", months_eligible)
+        _check_count("criminal_offenses_known", criminal_offenses_known)
+        _check_count("age_years", age_years)
+        _check_count("legal_adult_age", legal_adult_age)
+        _check_count("employees_in_community", employees_in_community)
+        _check_count("community_population", community_population)
+        hours_alone_per_day = _coerce_hours("hours_alone_per_day", hours_alone_per_day)
+        working_hours_per_day = _coerce_hours("working_hours_per_day", working_hours_per_day)
+        if months_eligible > 0 and months_unemployed > months_eligible:
             raise DomainError("months_unemployed cannot exceed months_eligible")
-        if self.hours_alone_per_day > self.working_hours_per_day:
+        if hours_alone_per_day > working_hours_per_day:
             raise DomainError("hours_alone_per_day cannot exceed working_hours_per_day")
-        if self.community_population > 0 and self.employees_in_community > self.community_population:
+        if community_population > 0 and employees_in_community > community_population:
             raise DomainError("employees_in_community cannot exceed community_population")
+        set_ = object.__setattr__
+        set_(self, "applicant_id", applicant_id)
+        set_(self, "months_unemployed", months_unemployed)
+        set_(self, "months_eligible", months_eligible)
+        set_(self, "criminal_offenses_known", criminal_offenses_known)
+        set_(self, "age_years", age_years)
+        set_(self, "legal_adult_age", legal_adult_age)
+        set_(self, "past_employer_count", past_employer_count)
+        set_(self, "hours_alone_per_day", hours_alone_per_day)
+        set_(self, "working_hours_per_day", working_hours_per_day)
+        set_(self, "employees_in_community", employees_in_community)
+        set_(self, "community_population", community_population)
+        set_(self, "references_positive", references_positive)
+        set_(self, "references_neutral", references_neutral)
+        set_(self, "references_negative", references_negative)
 
     def reference_count(self, *polarities: Polarity) -> int:
         return sum(getattr(self, f"references_{p.value}") for p in set(polarities))
@@ -202,35 +243,61 @@ def _check_count(name: str, value: object) -> None:
         raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class RuleResult:
+class RuleResult(Record):
     """Value of one trust rule: an exact ratio, or undefined with a reason."""
 
+    __slots__ = __match_args__ = ("property", "rule_id", "value", "undefined_reason", "excluded")
     property: TrustProperty
     rule_id: str
     value: Fraction | None
-    undefined_reason: str | None = None
-    excluded: tuple[tuple[str, str], ...] = ()
+    undefined_reason: str | None
+    excluded: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
-        if self.value is None and not self.undefined_reason:
-            raise DomainError(f"undefined rule {self.rule_id!r} needs a reason")
-        if self.value is not None and self.value.numerator < 0:
-            raise DomainError(f"rule {self.rule_id!r} value must be >= 0, got {self.value}")
+    def __init__(
+        self,
+        property: TrustProperty,
+        rule_id: str,
+        value: Fraction | None,
+        undefined_reason: str | None = None,
+        excluded: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "property", property)
+        set_(self, "rule_id", rule_id)
+        set_(self, "value", value)
+        set_(self, "undefined_reason", undefined_reason)
+        set_(self, "excluded", excluded)
+        if value is None and not undefined_reason:
+            raise DomainError(f"undefined rule {rule_id!r} needs a reason")
+        if value is not None and value.numerator < 0:
+            raise DomainError(f"rule {rule_id!r} value must be >= 0, got {value}")
 
     @property
     def defined(self) -> bool:
         return self.value is not None
 
 
-@dataclass(frozen=True, slots=True)
-class TrustScore:
+class TrustScore(Record):
     """Per-property trust values and their combination under one mode."""
 
+    __slots__ = __match_args__ = ("per_property", "combined", "mode", "undefined_reasons")
     per_property: Mapping[TrustProperty, Fraction | None]
     combined: Fraction
     mode: str
-    undefined_reasons: tuple[tuple[str, str], ...] = ()
+    undefined_reasons: tuple[tuple[str, str], ...]
+
+    def __init__(
+        self,
+        per_property: Mapping[TrustProperty, Fraction | None],
+        combined: Fraction,
+        mode: str,
+        undefined_reasons: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "per_property", per_property)
+        set_(self, "combined", combined)
+        set_(self, "mode", mode)
+        set_(self, "undefined_reasons", undefined_reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +366,26 @@ def unmonitored_hours_rule(
 
 
 #: The record fields a :class:`RatioRule` may divide: every field but the id.
-_RATIO_FIELDS = frozenset(f.name for f in fields(ApplicantRecord)) - {"applicant_id"}
+_RATIO_FIELDS = frozenset(ApplicantRecord.__slots__) - {"applicant_id"}
 
 
-@dataclass(frozen=True, slots=True)
-class RatioRule:
+class RatioRule(Record):
     """Declarative extra rule: one record field divided by another."""
 
+    __slots__ = __match_args__ = ("rule_id", "property", "numerator", "denominator")
     rule_id: str
     property: TrustProperty
     numerator: str
     denominator: str
+
+    def __init__(
+        self, rule_id: str, property: TrustProperty, numerator: str, denominator: str
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "rule_id", rule_id)
+        set_(self, "property", property)
+        set_(self, "numerator", numerator)
+        set_(self, "denominator", denominator)
 
     def evaluate(self, record: ApplicantRecord) -> RuleResult:
         for name in (self.numerator, self.denominator):

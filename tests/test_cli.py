@@ -128,6 +128,14 @@ class TestImportNmap:
         code, _, err = run("import-nmap", str(bad))
         assert code == 1 and b"malformed" in err
 
+    @pytest.mark.parametrize("encoding", ["UTF-8e", "rot13", "shift_jis", "idna"])
+    def test_unsupported_encoding_is_one_line_input_error(self, tmp_path, encoding):
+        bad = tmp_path / "enc.xml"
+        bad.write_bytes(f'<?xml version="1.0" encoding="{encoding}"?><nmaprun/>'.encode())
+        code, out, err = run("import-nmap", str(bad))
+        assert_one_line_input_error(code, out, err)
+        assert err.startswith(b"ravkit: error: unsupported scanner XML encoding: ")
+
     def test_merged_count_past_the_digit_limit_is_one_line_input_error(self, fixtures, tmp_path):
         # 4300 nines parse; one more scanned pore makes a 4301-digit count.
         base = scope_file(tmp_path, {"visibility": int("9" * 4300)})
@@ -219,6 +227,13 @@ class TestTrustCommand:
         avg = json.loads(avg_out)["applicants"][2]
         top = json.loads(max_out)["applicants"][2]
         assert avg["combined"] != top["combined"]
+
+    def test_header_cell_with_a_newline_is_one_line_input_error(self, tmp_path):
+        csv = tmp_path / "header.csv"
+        csv.write_bytes(b'applicant_id,"bad\nname",zeta\nx,1,2\n')
+        code, out, err = run("trust", str(csv))
+        assert_one_line_input_error(code, out, err)
+        assert err == b"ravkit: error: unknown column(s): 'bad\\nname', 'zeta'\n"
 
     def test_all_undefined_record_is_domain_error(self, tmp_path):
         csv = tmp_path / "undef.csv"

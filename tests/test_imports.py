@@ -22,8 +22,9 @@ import ravkit.cli as cli
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 
-# Prints the ravkit modules and whether numpy is loaded after importing
-# ravkit or running one command line through the CLI in-process.
+# Prints the ravkit modules, whether numpy is loaded and which of dataclasses
+# and inspect are loaded after importing ravkit or running one command line
+# through the CLI in-process.
 PROBE = """\
 import json, sys
 if sys.argv[1:] == ["--import-only"]:
@@ -35,6 +36,7 @@ else:
 print(json.dumps({
     "numpy": "numpy" in sys.modules,
     "ravkit": sorted(m for m in sys.modules if m.split(".")[0] == "ravkit"),
+    "record_machinery": sorted({"dataclasses", "inspect"} & set(sys.modules)),
 }))
 """
 
@@ -95,6 +97,13 @@ def numpy_loaded(argv: list[str]) -> bool:
 @pytest.mark.parametrize("argv", WITHOUT_NUMPY.values(), ids=WITHOUT_NUMPY.keys())
 def test_command_does_not_load_numpy(argv):
     assert not numpy_loaded(argv)
+
+
+@pytest.mark.parametrize("argv", WITHOUT_NUMPY.values(), ids=WITHOUT_NUMPY.keys())
+def test_command_does_not_load_dataclasses_or_inspect(argv):
+    # The record classes are written out in source: building them with
+    # @dataclass would import dataclasses, and with it inspect, at start-up.
+    assert probe(tuple(argv))["record_machinery"] == []
 
 
 def test_collision_demo_loads_numpy():
