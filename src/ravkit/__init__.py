@@ -43,18 +43,12 @@ _SOURCES = {
         "ControlClass",
         "ControlCounts",
         "LimitationCounts",
-        "MissingControls",
         "PorosityCounts",
         "RavBreakdown",
         "Scope",
         "Weights",
         "actual_security",
         "aggregate_scopes",
-        "base_value",
-        "limitation_weights",
-        "missing_controls",
-        "opsec_sum",
-        "security_limitations_sum",
         "toy_scope",
     ),
     "polynomial": ("Polynomial", "divide_exact", "polynomial_gcd"),

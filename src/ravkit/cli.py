@@ -53,6 +53,10 @@ def __getattr__(name: str):
 _layers = sys.modules[__name__]
 
 
+class _HelpRequested(Exception):
+    """``-h`` was given; carries the help text in place of printing it."""
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -64,6 +68,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise InputError(f"{message}\n{self.format_usage()}".rstrip())
+
+    def print_help(self, file=None) -> None:
+        # The -h action calls this, then exits; dispatch returns the text.
+        raise _HelpRequested(self.format_help())
 
 
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
@@ -271,6 +279,8 @@ def dispatch(argv: Sequence[str]) -> tuple[int, bytes, bytes]:
         if not args.command:
             raise InputError(parser.format_usage().rstrip())
         _COMMANDS[args.command][2](args, out)
+    except _HelpRequested as shown:
+        return 0, str(shown).encode("utf-8"), b""
     except DomainError as exc:
         return 2, out.getvalue(), _error_line("domain error", exc)
     except RavkitError as exc:

@@ -1,10 +1,13 @@
-"""Exact rav (Actual Security) pipeline over porosity, control, and limitation counts.
+"""Exact rav (Actual Security) of one scope from its three groups of counts.
 
-The score is computed in three stages:
+:func:`actual_security` is the one entry point: it runs the whole pipeline
+on a :class:`Scope` and returns a :class:`RavBreakdown` holding every
+intermediate.  The pipeline has three stages:
 
 1. Porosity: ``opsec_sum = visibility + access + trust``.
 2. Controls: per-class shortfalls ``MC = max(opsec_sum - LC, 0)`` against the
-   ten control classes, grouped into meta-classes A and B.
+   ten control classes, grouped into meta-classes A and B, and the true
+   controls ``min(LC, opsec_sum)``.
 3. Limitations: five weights derived from porosity and missing controls, then
    ``seclim_sum = sum(count * weight**2)`` over the five limitation categories.
 
@@ -20,7 +23,8 @@ over ``10*s**2``, ``seclim_sum`` over ``(10*s**2)**2``, ``s`` the porosity
 total), computed by :func:`weight_numerators` and :func:`seclim_numerator` on
 ints here and on numpy int64 arrays in the collision search.  Floats enter
 only at the four logarithms, each of an exact int ratio, and in their
-combination; an empty scope scores exactly 100.
+combination; a base is exactly 0.0 when its magnitude is 0, so an empty
+scope scores exactly 100.
 
 All values are immutable and all functions are pure, so concurrent use on
 independent data is safe.
@@ -35,8 +39,6 @@ from operator import attrgetter
 from typing import Mapping, NoReturn, Sequence, Union
 
 from .errors import DomainError, UndefinedWeightError
-
-Rational = Union[int, Fraction]
 
 #: The five scope channels plus the synthetic label given to merged scopes.
 CHANNELS = ("human", "physical", "wireless", "telecom", "data-network")
@@ -399,32 +401,6 @@ class Scope(Record):
             )
 
 
-class MissingControls(Record):
-    """Per-class and grouped control shortfalls, plus the true-control counts."""
-
-    __slots__ = __match_args__ = ("per_class", "total", "class_a", "class_b", "true_per_class")
-    per_class: Mapping[ControlClass, Fraction]
-    total: Fraction
-    class_a: Fraction
-    class_b: Fraction
-    true_per_class: Mapping[ControlClass, Fraction]
-
-    def __init__(
-        self,
-        per_class: Mapping[ControlClass, Fraction],
-        total: Fraction,
-        class_a: Fraction,
-        class_b: Fraction,
-        true_per_class: Mapping[ControlClass, Fraction],
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "per_class", per_class)
-        set_(self, "total", total)
-        set_(self, "class_a", class_a)
-        set_(self, "class_b", class_b)
-        set_(self, "true_per_class", true_per_class)
-
-
 class Weights(Record):
     """The five limitation weights and the normalized missing-control ratio."""
 
@@ -518,21 +494,16 @@ class RavBreakdown(Record):
 
 
 # ---------------------------------------------------------------------------
-# Pipeline stages
+# The pipeline
 # ---------------------------------------------------------------------------
-
-
-def opsec_sum(porosity: PorosityCounts) -> Fraction:
-    """Sum of the three porosity counts (the scope's operational security)."""
-    return Fraction(porosity.total)
 
 
 def weight_numerators(s, ext, trust, mc_sum, mc_a, mc_b, lims):
     """The five limitation weights as numerators over ``10*s**2``.
 
     ``ext`` counts the visibility+access pores, ``lims`` the limitations in
-    pipeline order.  Plain operators only: runs on ints, Fractions and
-    broadcast numpy int64 arrays alike.
+    pipeline order.  Plain operators only: runs on ints and broadcast numpy
+    int64 arrays alike.
     """
     nv, nw, nc = lims[:3]
     u10 = 10 * (nv * (s + mc_sum) + nw * (s + mc_a) + nc * (s + mc_b))
@@ -557,82 +528,6 @@ def _log_ratio(num: int, den: int) -> float:
         return math.log(num / den)
     except OverflowError:
         return math.log(num) - math.log(den)
-
-
-def base_value(scale: Rational, magnitude: Rational) -> float:
-    """``ln(1 + scale*magnitude)**2``; exactly 0 iff ``magnitude`` is 0.
-
-    The argument is assembled in exact arithmetic before the single
-    correctly rounded division, so equal rational magnitudes always give
-    bit-identical results.
-    """
-    scale = Fraction(scale)
-    magnitude = Fraction(magnitude)
-    if scale <= 0:
-        raise DomainError(f"scale must be positive, got {scale}")
-    if magnitude < 0:
-        raise DomainError(f"magnitude must be >= 0, got {magnitude}")
-    if magnitude == 0:
-        return 0.0
-    arg = 1 + scale * magnitude
-    return _log_ratio(arg.numerator, arg.denominator) ** 2
-
-
-def missing_controls(opsec: Rational, controls: ControlCounts) -> MissingControls:
-    """Per-class shortfalls ``max(opsec - LC, 0)`` and the grouped sums.
-
-    Also returns the true controls ``min(LC, opsec)``: one cannot miss fewer
-    than zero controls, nor apply more than the porosity admits.
-    """
-    opsec = Fraction(opsec)
-    if opsec < 0:
-        raise DomainError(f"opsec_sum must be >= 0, got {opsec}")
-    lc = {cls: Fraction(controls.get(cls)) for cls in _CLASSES}
-    per_class = {cls: max(opsec - n, Fraction(0)) for cls, n in lc.items()}
-    total = sum(per_class.values(), Fraction(0))
-    class_a = sum((per_class[cls] for cls in META_CLASS_A), Fraction(0))
-    return MissingControls(
-        per_class=per_class,
-        total=total,
-        class_a=class_a,
-        class_b=total - class_a,
-        true_per_class={cls: min(n, opsec) for cls, n in lc.items()},
-    )
-
-
-def limitation_weights(
-    porosity: PorosityCounts,
-    limitations: LimitationCounts,
-    opsec: Rational,
-    mc_sum: Rational,
-    mc_class_a: Rational,
-    mc_class_b: Rational,
-) -> Weights:
-    """The five limitation weights for one scope.
-
-    Vulnerabilities weigh against all missing controls, weaknesses against
-    meta-class A, concerns against meta-class B; exposures and anomalies
-    weigh the already-weighted first three categories plus the normalized
-    missing-control ratio ``mc_vg = mc_sum / (10 * opsec)`` applied to the
-    external (visibility+access) and internal (trust) pores respectively.
-
-    Undefined for zero porosity: callers must bypass this stage (the whole
-    limitation section is zero only when every limitation count is zero).
-    """
-    opsec, mc_sum, mc_a, mc_b = map(Fraction, (opsec, mc_sum, mc_class_a, mc_class_b))
-    if opsec == 0:
-        raise UndefinedWeightError(
-            "limitation weights are undefined for a scope with zero porosity"
-        )
-    ext, lims = porosity.visibility + porosity.access, _by_category(limitations)
-    numerators = weight_numerators(opsec, ext, porosity.trust, mc_sum, mc_a, mc_b, lims)
-    den = 10 * opsec**2
-    return Weights(*(w / den for w in numerators), mc_vg=mc_sum / (10 * opsec))
-
-
-def security_limitations_sum(limitations: LimitationCounts, weights: Weights) -> Fraction:
-    """``sum(count * weight**2)`` over the five limitation categories."""
-    return seclim_numerator(_by_category(limitations), _by_category(weights))
 
 
 _ZERO_WEIGHTS = Weights(*(Fraction(0),) * 6)
@@ -704,28 +599,18 @@ def aggregate_scopes(scopes: Sequence[Scope]) -> Scope:
     """
     if not scopes:
         raise DomainError("cannot aggregate an empty list of scopes")
-    porosity = PorosityCounts(
-        visibility=sum(s.porosity.visibility for s in scopes),
-        access=sum(s.porosity.access for s in scopes),
-        trust=sum(s.porosity.trust for s in scopes),
-    )
-    controls = ControlCounts.from_mapping(
-        {cls: sum(s.controls.get(cls) for s in scopes) for cls in ControlClass}
-    )
-    limitations = LimitationCounts(
-        **{
-            name: sum(getattr(s.limitations, name) for s in scopes)
-            for name in LIMITATION_CATEGORIES
-        }
-    )
+    # One column of counts per field, across the scopes.
+    porosity = zip(*(_porosity_counts(s.porosity) for s in scopes))
+    controls = zip(*(_control_counts(s.controls) for s in scopes))
+    limitations = zip(*(_by_category(s.limitations) for s in scopes))
     return Scope(
         id="+".join(s.id for s in scopes),
         channel=AGGREGATE_CHANNEL,
         vector=AGGREGATE_CHANNEL,
         index=AGGREGATE_CHANNEL,
-        porosity=porosity,
-        controls=controls,
-        limitations=limitations,
+        porosity=PorosityCounts(*map(sum, porosity)),
+        controls=ControlCounts(*map(sum, controls)),
+        limitations=LimitationCounts(*map(sum, limitations)),
     )
 
 

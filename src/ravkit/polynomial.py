@@ -121,10 +121,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return product
 
 
-def _mono_degree(mono: Mono) -> int:
-    return sum(e for _, e in mono)
-
-
 def _mono_divide(a: Mono, b: Mono) -> Mono | None:
     """a / b, or None when b does not divide a."""
     out: dict[str, int] = dict(a)
@@ -197,6 +193,11 @@ class Polynomial:
         out._hash = None
         return out
 
+    def __reduce__(self):
+        # Rebuilt by the constructor, which interns the monomials again and
+        # leaves out the cached hash: string hashes differ between processes.
+        return Polynomial, ({m: Fraction(c, self.den) for m, c in self.terms.items()},)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -233,11 +234,6 @@ class Polynomial:
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for mono in self.terms for v, _ in mono)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
 
     def degree_in(self, var: str) -> int:
         deg = 0

@@ -77,6 +77,10 @@ class RationalFunction:
         out._hash = None
         return out
 
+    def __reduce__(self):
+        # Leaves out the cached hash: string hashes differ between processes.
+        return RationalFunction._raw, (self.num, self.den)
+
     @classmethod
     def from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """Build from a pair the caller guarantees polynomial-coprime.

@@ -59,6 +59,9 @@ class LogSquareAtom:
         self.arg = arg
         self._key = None
 
+    def __reduce__(self):
+        return LogSquareAtom, (self.arg,)  # without the cached key
+
     @property
     def key(self) -> str:
         if self._key is None:
@@ -110,6 +113,10 @@ class SymbolicScore:
             merged.items(), key=lambda kv: (-len(kv[0]), [a.key for a in kv[0]])
         )
         self.terms = tuple((coeff, atoms) for atoms, coeff in ordered)
+
+    def __reduce__(self):
+        # Pickle protocols 0 and 1 cannot save slots on their own.
+        return SymbolicScore, (self.terms,)
 
     # -- constructors --------------------------------------------------------
 

@@ -22,7 +22,6 @@ from ravkit.metrics import (
     Scope,
     actual_security,
     aggregate_scopes,
-    base_value,
     toy_scope,
 )
 from ravkit.report import render_findings
@@ -99,10 +98,10 @@ def test_c03_intermediates_exact():
 
 
 def test_c04_trivial_anchors():
-    assert actual_security(Scope(id="empty")).actsec == 100.0
-    assert base_value(100, 0) == 0.0
-    assert base_value(10, Fraction(0)) == 0.0
-    _report(4, "empty scope scores exactly 100; base_value(., 0) is exactly 0")
+    b = actual_security(Scope(id="empty"))
+    assert b.actsec == 100.0
+    assert (b.opsec_base, b.fc_base, b.tc_base, b.seclim_base) == (0.0, 0.0, 0.0, 0.0)
+    _report(4, "empty scope scores exactly 100; each of its bases is exactly 0")
 
 
 def test_c05_permutation_invariance_and_counterexample():

@@ -5,7 +5,8 @@ fixtures directory with an 80-column terminal and compares the exit code and
 both streams with ``tests/fixtures/usage/<case>.txt``: stdout on exit 0,
 stderr otherwise, the other stream empty.  The files were recorded with
 Python 3.11's argparse; other versions word some of these messages
-differently, so the byte-for-byte comparison runs on 3.11 only.  The
+differently, so the byte-for-byte comparison runs on 3.11 only.  The help
+cases are also compared in process, as the bytes ``dispatch`` returns.  The
 comparison of the one-command parser with the full parser runs everywhere.
 """
 
@@ -84,12 +85,21 @@ def test_one_command_parser_fails_like_the_full_parser(case, monkeypatch):
 
 @pytest.mark.parametrize("command", [argv[0] for argv, code in CASES.values()
                                      if code == 0 and argv[0] != "-h"])
-def test_one_command_help_is_the_full_parsers(command, monkeypatch, capsys):
+def test_one_command_help_is_the_full_parsers(command, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    helps = []
-    for parser in (cli.build_parser([command, "-h"]), cli.build_parser()):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args([command, "-h"])
-        assert exc.value.code == 0
-        helps.append(capsys.readouterr())
-    assert helps[0] == helps[1] and helps[0].out.startswith(f"usage: ravkit {command} ")
+    expected = cli.dispatch([command, "-h"])
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full_parser())
+    assert cli.dispatch([command, "-h"]) == expected
+    assert expected[1].startswith(f"usage: ravkit {command} ".encode())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != RECORDED_ON,
+                    reason="goldens recorded with Python 3.11's argparse")
+@pytest.mark.parametrize("case", [c for c in CASES if CASES[c][1] == 0])
+def test_dispatch_returns_the_help(case, monkeypatch):
+    # In process: the help comes back as stdout bytes instead of being
+    # printed before a SystemExit.
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = (GOLDENS / f"{case}.txt").read_bytes()
+    assert cli.dispatch(CASES[case][0]) == (0, golden, b"")

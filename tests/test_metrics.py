@@ -32,11 +32,6 @@ from ravkit.metrics import (
     Weights,
     actual_security,
     aggregate_scopes,
-    base_value,
-    limitation_weights,
-    missing_controls,
-    opsec_sum,
-    security_limitations_sum,
 )
 
 from conftest import random_scope
@@ -61,33 +56,67 @@ def decimal_actsec(opsec: Fraction, lc_sum: Fraction, seclim: Fraction) -> float
 TOY_ACTSEC = -12.743031310693671
 
 
-class TestBaseValue:
-    def test_zero_magnitude_is_exactly_zero(self):
-        assert base_value(100, 0) == 0.0
-        assert base_value(10, Fraction(0)) == 0.0
+def _all_controls(count: int) -> ControlCounts:
+    return ControlCounts(*(count for _ in ControlClass))
 
-    def test_against_high_precision_oracle(self):
-        assert base_value(100, 2) == pytest.approx(
+
+def _bases_and_magnitudes(b: RavBreakdown):
+    """Each base of a breakdown beside the exact magnitude it is the log of."""
+    return (
+        (b.opsec_base, b.opsec_sum),
+        (b.fc_base, b.lc_sum),
+        (b.tc_base, sum(b.tc_per_class.values())),
+        (b.seclim_base, b.seclim_sum),
+    )
+
+
+class TestBases:
+    def test_zero_magnitude_is_exactly_zero(self):
+        b = actual_security(Scope(id="empty"))
+        assert (b.opsec_base, b.fc_base, b.tc_base, b.seclim_base) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_against_high_precision_oracle(self, toy):
+        b = actual_security(toy)
+        assert b.opsec_base == pytest.approx(
             float(decimal_ln_squared(Fraction(201))), abs=1e-12
         )
-        assert base_value(100, 2) == pytest.approx(28.1250, abs=1e-4)
-        assert base_value(10, 1) == pytest.approx(5.7499, abs=1e-4)
+        assert b.fc_base == pytest.approx(float(decimal_ln_squared(Fraction(11))), abs=1e-12)
+        assert b.opsec_base == pytest.approx(28.1250, abs=1e-4)
+        assert b.fc_base == pytest.approx(5.7499, abs=1e-4)
 
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(DomainError):
-            base_value(100, -1)
-        with pytest.raises(DomainError):
-            base_value(0, 1)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=10**6))
+    def test_strictly_increasing_in_magnitude(self, total, step):
+        def opsec_base(visibility: int) -> float:
+            return actual_security(
+                Scope(id="p", porosity=PorosityCounts(visibility=visibility))
+            ).opsec_base
 
-    @given(
-        st.fractions(min_value=0, max_value=1000),
-        st.fractions(min_value=Fraction(1, 1000), max_value=1000),
-    )
-    def test_strictly_increasing_in_magnitude(self, magnitude, step):
-        assert base_value(100, magnitude + step) > base_value(100, magnitude)
+        assert opsec_base(total + step) > opsec_base(total)
 
     def test_zero_iff_zero(self):
-        assert base_value(100, Fraction(1, 10**9)) > 0.0
+        rng = random.Random(5)
+        scopes = [
+            Scope(id="empty"),
+            Scope(id="controls-only", controls=ControlCounts(alarm=2)),
+            Scope(id="porosity-only", porosity=PorosityCounts(0, 0, 3)),
+            # Fully controlled: exposures and anomalies weigh nothing.
+            Scope(id="weightless", porosity=PorosityCounts(1, 1, 0),
+                  controls=_all_controls(2), limitations=LimitationCounts(0, 0, 0, 1, 1)),
+            # One alarm short: one exposure weighs 10**-7, seclim_sum 10**-14.
+            Scope(id="tiny", porosity=PorosityCounts(visibility=10**6),
+                  controls=ControlCounts(*[10**6] * 9, alarm=10**6 - 1),
+                  limitations=LimitationCounts(exposures=1)),
+        ]
+        scopes.extend(random_scope(rng, allow_empty=True) for _ in range(200))
+        zeros = set()
+        for scope in scopes:
+            for i, (base, magnitude) in enumerate(_bases_and_magnitudes(actual_security(scope))):
+                assert (base == 0.0) == (magnitude == 0), (scope.id, i)
+                assert base >= 0.0
+                if magnitude == 0:
+                    zeros.add(i)
+        assert actual_security(scopes[4]).seclim_sum == Fraction(1, 10**14)
+        assert zeros == {0, 1, 2, 3}
 
 
 class TestOpsecSum:
@@ -96,7 +125,7 @@ class TestOpsecSum:
         [((1, 1, 0), 2), ((0, 0, 0), 0), ((50, 100, 3), 153)],
     )
     def test_examples(self, counts, expected):
-        assert opsec_sum(PorosityCounts(*counts)) == expected
+        assert actual_security(Scope(id="p", porosity=PorosityCounts(*counts))).opsec_sum == expected
 
     def test_negative_count_rejected(self):
         with pytest.raises(DomainError):
@@ -140,45 +169,45 @@ class TestCountValidation:
 
 
 class TestMissingControls:
-    def test_toy_example_against_per_class_oracle(self):
+    def test_toy_example_against_per_class_oracle(self, toy):
         # Independent oracle: apply the shortfall definition class by class.
         opsec = Fraction(2)
         counts = {ControlClass.AUTHENTICATION: 1}
         expected = {
             cls: max(opsec - counts.get(cls, 0), Fraction(0)) for cls in ControlClass
         }
-        mc = missing_controls(opsec, ControlCounts(authentication=1))
-        assert dict(mc.per_class) == expected
-        assert mc.per_class[ControlClass.AUTHENTICATION] == 1
-        assert mc.total == 19
-        assert mc.class_a == 9
-        assert mc.class_b == 10
-        assert all(mc.per_class[c] == 2 for c in ControlClass if c != ControlClass.AUTHENTICATION)
+        b = actual_security(toy)
+        assert dict(b.mc_per_class) == expected
+        assert b.mc_per_class[ControlClass.AUTHENTICATION] == 1
+        assert b.mc_sum == 19
+        assert b.mc_class_a == 9
+        assert b.mc_class_b == 10
+        assert all(b.mc_per_class[c] == 2 for c in ControlClass if c != ControlClass.AUTHENTICATION)
 
     def test_zero_opsec_all_zero(self):
-        mc = missing_controls(0, ControlCounts(authentication=3, alarm=1))
-        assert mc.total == 0
-        assert all(v == 0 for v in mc.per_class.values())
+        b = actual_security(Scope(id="z", controls=ControlCounts(authentication=3, alarm=1)))
+        assert b.mc_sum == 0
+        assert all(v == 0 for v in b.mc_per_class.values())
+        assert all(v == 0 for v in b.tc_per_class.values())
 
     def test_fully_controlled(self):
-        controls = ControlCounts(**{c.value.replace("-", "_"): 2 for c in ControlClass})
-        mc = missing_controls(2, controls)
-        assert mc.total == 0
+        b = actual_security(Scope(id="f", porosity=PorosityCounts(1, 1, 0),
+                                  controls=_all_controls(2)))
+        assert b.mc_sum == 0
 
     def test_true_controls_cap_and_complement(self):
-        mc = missing_controls(2, ControlCounts(authentication=5, alarm=1))
-        assert mc.true_per_class[ControlClass.AUTHENTICATION] == 2
-        assert mc.true_per_class[ControlClass.ALARM] == 1
+        b = actual_security(Scope(id="c", porosity=PorosityCounts(1, 1, 0),
+                                  controls=ControlCounts(authentication=5, alarm=1)))
+        assert b.tc_per_class[ControlClass.AUTHENTICATION] == 2
+        assert b.tc_per_class[ControlClass.ALARM] == 1
         for cls in ControlClass:
-            assert 0 <= mc.per_class[cls] <= 2
-            assert mc.true_per_class[cls] + mc.per_class[cls] == 2
+            assert 0 <= b.mc_per_class[cls] <= 2
+            assert b.tc_per_class[cls] + b.mc_per_class[cls] == 2
 
 
 class TestLimitationWeights:
-    def test_toy_weights_exact(self):
-        porosity = PorosityCounts(1, 1, 0)
-        lims = LimitationCounts(1, 1, 1, 1, 1)
-        w = limitation_weights(porosity, lims, 2, 19, 9, 10)
+    def test_toy_weights_exact(self, toy):
+        w = actual_security(toy).weights
         assert w.vulnerabilities == Fraction(21, 2)
         assert w.weaknesses == Fraction(11, 2)
         assert w.concerns == Fraction(6)
@@ -187,44 +216,32 @@ class TestLimitationWeights:
         assert w.mc_vg == Fraction(19, 20)
 
     def test_no_missing_controls_gives_unit_weights(self):
-        w = limitation_weights(PorosityCounts(1, 1, 0), LimitationCounts(), 2, 0, 0, 0)
+        w = actual_security(Scope(id="f", porosity=PorosityCounts(1, 1, 0),
+                                  controls=_all_controls(2))).weights
         assert (w.vulnerabilities, w.weaknesses, w.concerns) == (1, 1, 1)
         assert w.mc_vg == 0
 
     def test_anomaly_weight_vanishes_without_trust_or_flaws(self):
-        w = limitation_weights(PorosityCounts(1, 1, 0), LimitationCounts(), 2, 19, 9, 10)
+        w = actual_security(Scope(id="a", porosity=PorosityCounts(1, 1, 0),
+                                  controls=ControlCounts(authentication=1))).weights
+        assert w.mc_vg == Fraction(19, 20)
         assert w.anomalies == 0
-
-    def test_zero_opsec_rejected(self):
-        with pytest.raises(UndefinedWeightError):
-            limitation_weights(PorosityCounts(0, 0, 0), LimitationCounts(1, 0, 0, 0, 0), 0, 0, 0, 0)
 
 
 class TestSecurityLimitationsSum:
-    def test_toy_against_expansion_terms(self):
+    def test_toy_against_expansion_terms(self, toy):
         # Independent oracle: the five expansion terms at unit counts.
         expected = (
             Fraction(441, 4) + Fraction(121, 4) + 36 + Fraction(57121, 400) + 121
         )
         assert expected == Fraction(176121, 400)
-        w = Weights(
-            Fraction(21, 2), Fraction(11, 2), Fraction(6), Fraction(239, 20), Fraction(11),
-            mc_vg=Fraction(19, 20),
-        )
-        assert security_limitations_sum(LimitationCounts(1, 1, 1, 1, 1), w) == expected
+        assert actual_security(toy).seclim_sum == expected
 
     def test_zero_counts(self):
-        w = Weights(*(Fraction(1),) * 5, mc_vg=Fraction(0))
-        assert security_limitations_sum(LimitationCounts(), w) == 0
-
-    def test_linear_in_counts_at_fixed_weights(self):
-        w = Weights(
-            Fraction(21, 2), Fraction(11, 2), Fraction(6), Fraction(239, 20), Fraction(11),
-            mc_vg=Fraction(19, 20),
-        )
-        one = security_limitations_sum(LimitationCounts(1, 1, 1, 1, 1), w)
-        two = security_limitations_sum(LimitationCounts(2, 1, 1, 1, 1), w)
-        assert two - one == w.vulnerabilities**2
+        b = actual_security(Scope(id="n", porosity=PorosityCounts(1, 1, 0),
+                                  controls=ControlCounts(authentication=1)))
+        assert b.seclim_sum == 0
+        assert b.seclim_base == 0.0
 
 
 class TestActualSecurity:
@@ -538,11 +555,16 @@ class TestIntegerKernelBitExact:
 class TestHugeCounts:
     """Counts past the float range score instead of overflowing."""
 
-    def test_base_value_past_the_float_range(self):
-        value = base_value(100, 10**400)
+    def test_bases_past_the_float_range(self):
+        def opsec_base(visibility: int) -> float:
+            return actual_security(
+                Scope(id="big", porosity=PorosityCounts(visibility=visibility))
+            ).opsec_base
+
+        value = opsec_base(10**400)
         assert math.isfinite(value)
         assert value == pytest.approx((402 * math.log(10)) ** 2, rel=1e-12)
-        assert base_value(100, Fraction(10**400, 3)) < value
+        assert opsec_base(10**400 // 3) < value
 
     @pytest.mark.parametrize("exponent", [307, 400])
     def test_actsec_matches_mpmath_oracle(self, exponent):

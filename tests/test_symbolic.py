@@ -8,8 +8,13 @@ pipeline-built score.
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,11 +25,13 @@ from ravkit.metrics import (
     PorosityCounts,
     Scope,
     actual_security,
+    toy_scope,
 )
 from ravkit.polynomial import Polynomial
 from ravkit.ratfun import RationalFunction, ratfun_arith
 from ravkit.symbolic import (
     FormalVar,
+    LogSquareAtom,
     SymbolicScore,
     equivalent,
     symbolic_breakdown,
@@ -345,3 +352,65 @@ class TestEquivalence:
     def test_trials_validated(self):
         with pytest.raises(DomainError):
             equivalent(SymbolicScore.constant(1), SymbolicScore.constant(1), trials=0)
+
+
+
+def _symbolic_values() -> list:
+    """One value of each slotted symbolic class, zeros included."""
+    b = symbolic_breakdown(toy_scope(), TOY_UNITS)
+    return [b.seclim_argument.num, Polynomial(), b.seclim_argument, b.score.atoms()[0],
+            b.score, SymbolicScore(), b]
+
+
+# Run in fresh interpreters: pickle _symbolic_values() at every protocol with
+# their hashes cached, then load the pickles under another hash seed and find
+# each value equal to, hashed as, and in a set with the one built there.
+_DUMP = """
+import pickle, sys
+from test_symbolic import _symbolic_values
+values = _symbolic_values()
+for value in values:
+    hash(value)
+dumps = {p: pickle.dumps(values, p) for p in range(pickle.HIGHEST_PROTOCOL + 1)}
+sys.stdout.buffer.write(pickle.dumps(dumps))
+"""
+_LOAD = """
+import pickle, sys
+from test_symbolic import _symbolic_values
+dumps = pickle.loads(sys.stdin.buffer.read())
+assert sorted(dumps) == list(range(pickle.HIGHEST_PROTOCOL + 1))
+for protocol, data in dumps.items():
+    for loaded, fresh in zip(pickle.loads(data), _symbolic_values(), strict=True):
+        assert loaded == fresh, (protocol, fresh)
+        assert hash(loaded) == hash(fresh), (protocol, fresh)
+        assert loaded in {fresh}, (protocol, fresh)
+print("ok")
+"""
+
+
+class TestPickling:
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_round_trip(self, protocol):
+        values = _symbolic_values()
+        assert isinstance(values[3], LogSquareAtom)
+        for value in values:
+            hash(value)
+            loaded = pickle.loads(pickle.dumps(value, protocol))
+            assert type(loaded) is type(value) and loaded is not value
+            assert loaded == value and hash(loaded) == hash(value)
+
+    def test_loaded_hash_is_the_loading_process_hash(self):
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(here.parent / "src"), str(here), env.get("PYTHONPATH")) if p
+        )
+
+        def run(code: str, seed: str, stdin: bytes = b"") -> bytes:
+            proc = subprocess.run([sys.executable, "-c", code], input=stdin,
+                                  capture_output=True, timeout=120,
+                                  env=dict(env, PYTHONHASHSEED=seed))
+            assert proc.returncode == 0, proc.stderr.decode()
+            return proc.stdout
+
+        assert run(_LOAD, "2", run(_DUMP, "1")) == b"ok\n"
