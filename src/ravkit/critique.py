@@ -27,8 +27,9 @@ importing this module (and with it ``ravkit``) does not load numpy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import DomainError
@@ -41,6 +42,7 @@ from .metrics import (
     RavBreakdown,
     Record,
     Scope,
+    _log_ratio,
     actual_security,
     combine_bases,
     seclim_numerator,
@@ -265,62 +267,6 @@ def _control_signatures(bound: int, opsec: int) -> dict[tuple[int, int], tuple[i
     return seen
 
 
-class _Base(Record):
-    """One (porosity layout, control triple) of the collision enumeration,
-    with a witness count tuple for each meta-class."""
-
-    __slots__ = __match_args__ = (
-        "pv", "pa", "pt", "splits", "lc_sum", "mc_a", "mc_b", "witness_a", "witness_b"
-    )
-    pv: int
-    pa: int
-    pt: int
-    splits: tuple[tuple[int, int], ...]
-    lc_sum: int
-    mc_a: int
-    mc_b: int
-    witness_a: tuple[int, ...]
-    witness_b: tuple[int, ...]
-
-    def __init__(
-        self,
-        pv: int,
-        pa: int,
-        pt: int,
-        splits: tuple[tuple[int, int], ...],
-        lc_sum: int,
-        mc_a: int,
-        mc_b: int,
-        witness_a: tuple[int, ...],
-        witness_b: tuple[int, ...],
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "pv", pv)
-        set_(self, "pa", pa)
-        set_(self, "pt", pt)
-        set_(self, "splits", splits)
-        set_(self, "lc_sum", lc_sum)
-        set_(self, "mc_a", mc_a)
-        set_(self, "mc_b", mc_b)
-        set_(self, "witness_a", witness_a)
-        set_(self, "witness_b", witness_b)
-
-
-def _base_scope(base: _Base, lim: Sequence[int], scope_id: str, split: int = 0) -> Scope:
-    pv, pa = base.splits[split]
-    counts: dict[ControlClass, int] = {}
-    for cls, count in zip(_META_A, base.witness_a):
-        counts[cls] = count
-    for cls, count in zip(_META_B, base.witness_b):
-        counts[cls] = count
-    return Scope(
-        id=scope_id,
-        porosity=PorosityCounts(pv, pa, base.pt),
-        controls=ControlCounts.from_mapping(counts),
-        limitations=LimitationCounts(*(int(x) for x in lim)),
-    )
-
-
 def exact_scores_equal(a: RavBreakdown, b: RavBreakdown) -> bool:
     """Exact collision: the rational triple feeding the logs is identical."""
     return (
@@ -379,30 +325,25 @@ class _Slab(Record):
         return base + idx // self.lims % self.triples, idx % self.lims
 
 
-def _collision_bases(
+def _collision_tables(
     b: CollisionBounds,
-) -> tuple[list[_Base], dict[int, list], dict[int, list[tuple[int, int, int]]]]:
-    """Every (porosity layout, control triple) base within ``b``.
+) -> tuple[dict[int, list], dict[int, list[tuple[int, int, int]]]]:
+    """The control triples and porosity layouts of the enumeration within ``b``.
 
-    Bases come in enumeration order: trust outer, visibility+access inner,
-    control triples sorted.  The control triples depend on the porosity
-    total ``s`` alone, so all layouts of one ``s`` share them.  Returns the
-    bases, the sorted triples with witnesses of each ``s``, and the layouts
-    of each ``s`` as ``(first base id, pv+pa, pt)``.
+    A base is one (porosity layout, control triple); base ids count them in
+    enumeration order: trust outer, visibility+access inner, control
+    triples sorted.  A state is a base and a limitation tuple, coded as
+    ``base_id * n_lims + lim_id``.  The control triples depend on the
+    porosity total ``s`` alone, so all layouts of one ``s`` share them.
+    Returns the sorted triples with witnesses of each ``s``, and the
+    layouts of each ``s`` as ``(first base id, pv+pa, pt)``.
     """
-    bases: list[_Base] = []
     triples_by_s: dict[int, list] = {}
     layouts: dict[int, list[tuple[int, int, int]]] = {}
+    n_bases = 0
     for pt in range(b.porosity + 1):
         for pvpa in range(2 * b.porosity + 1):
             s = pvpa + pt
-            if s == 0:
-                splits = ((0, 0),)
-            else:
-                splits = tuple(
-                    (pv, pvpa - pv)
-                    for pv in range(max(0, pvpa - b.porosity), min(pvpa, b.porosity) + 1)
-                )
             if s not in triples_by_s:
                 sigs = _control_signatures(b.control, s)
                 triples: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -410,22 +351,36 @@ def _collision_bases(
                     for (lcb, mcb), wb in sigs.items():
                         triples.setdefault((lca + lcb, mca, mcb), (wa, wb))
                 triples_by_s[s] = sorted(triples.items())
-            layouts.setdefault(s, []).append((len(bases), pvpa, pt))
-            for (lc, mca, mcb), (wa, wb) in triples_by_s[s]:
-                bases.append(
-                    _Base(
-                        pv=splits[0][0],
-                        pa=splits[0][1],
-                        pt=pt,
-                        splits=splits,
-                        lc_sum=lc,
-                        mc_a=mca,
-                        mc_b=mcb,
-                        witness_a=wa,
-                        witness_b=wb,
-                    )
-                )
-    return bases, triples_by_s, layouts
+            layouts.setdefault(s, []).append((n_bases, pvpa, pt))
+            n_bases += len(triples_by_s[s])
+    return triples_by_s, layouts
+
+
+def _layout_of(by_id: Sequence[tuple[int, int, int]], base_id: int) -> tuple[int, int, int]:
+    """The layout ``(first base id, pv+pa, pt)`` holding ``base_id``;
+    ``by_id`` lists every layout in base id order."""
+    return by_id[bisect_right(by_id, (base_id, math.inf)) - 1]
+
+
+def _state_scope(
+    code: int, scope_id: str, b: CollisionBounds, triples_by_s: Mapping[int, list],
+    by_id: Sequence[tuple[int, int, int]], lim_tuples: np.ndarray, split: int = 0,
+) -> Scope:
+    """The scope of state ``code``, with its control triple's witness counts.
+
+    Its visibility count is the ``split``-th of the layout's splits
+    ``max(0, pv+pa - p) .. min(pv+pa, p)``, ``p`` the porosity bound.
+    """
+    base_id, lim_id = divmod(code, len(lim_tuples))
+    first_id, pvpa, pt = _layout_of(by_id, base_id)
+    _, (witness_a, witness_b) = triples_by_s[pvpa + pt][base_id - first_id]
+    pv = max(0, pvpa - b.porosity) + split
+    return Scope(
+        id=scope_id,
+        porosity=PorosityCounts(pv, pvpa - pv, pt),
+        controls=ControlCounts.from_mapping(dict(zip(_META_A + _META_B, witness_a + witness_b))),
+        limitations=LimitationCounts(*(int(x) for x in lim_tuples[lim_id])),
+    )
 
 
 def _collision_slabs(
@@ -623,10 +578,15 @@ def collision_search(
     For ``epsilon > 0`` each distinct key has one float score and, as its
     witness, the group's first state.  The first pass keeps only the
     scores, in one buffer sorted in place; every adjacent pair within
-    ``epsilon`` whose witnesses differ beyond controls is a near
-    collision.  A second enumeration recovers the witnesses of just those
-    scores, ties ordered by slab and then by key.  Every pair is
-    re-verified through :func:`actual_security` before it is emitted.
+    ``epsilon`` whose witnesses differ beyond controls (lie in different
+    porosity layouts or limitation tuples) is a near collision.  A second
+    enumeration recovers the witnesses of just those scores, ties ordered
+    by slab and then by key.
+
+    Each state of a split, exact or near pair is carried as its int code
+    ``base_id * n_lims + lim_id`` (see :func:`_collision_tables`) and made
+    a :class:`Scope` only when the pair is re-verified through
+    :func:`actual_security`, before it is emitted.
 
     Findings come in a fixed order: the porosity-split pair (visibility and
     access counts swapped), exact pairs in ``(s, lc_sum, key)`` order, then
@@ -656,10 +616,11 @@ def collision_search(
         list(product(range(b.limitation + 1), repeat=5)), dtype=np.int64
     )
     n_lims = len(lim_tuples)
-    bases, triples_by_s, layouts = _collision_bases(b)
+    triples_by_s, layouts = _collision_tables(b)
+    by_id = sorted(chain.from_iterable(layouts.values()))
 
     states = distinct_keys = exact_groups = skipped = 0
-    exact_pairs: list[tuple[int, int, int, int]] = []
+    exact_pairs: list[tuple[int, int]] = []
     # Near pass: every distinct key's score, appended to one growing buffer.
     scores = np.empty(0)
     filled = 0
@@ -679,8 +640,8 @@ def collision_search(
         skipped += int(np.count_nonzero((sizes > 1) & ~reportable))
         for g in groups[: max(0, max_findings - len(exact_pairs))]:
             partner = order[starts[g] + np.argmax(differs[starts[g] : starts[g] + sizes[g]])]
-            head_at, partner_at = slab.locate(heads[g]), slab.locate(partner)
-            exact_pairs.append(tuple(int(x) for x in (*head_at, *partner_at)))
+            base_ids, lim_ids = slab.locate(np.array([heads[g], partner]))
+            exact_pairs.append(tuple((base_ids * n_lims + lim_ids).tolist()))
         if epsilon > 0:
             end = filled + len(starts)
             if end > len(scores):
@@ -689,7 +650,7 @@ def collision_search(
             filled = end
 
     # Near collisions: adjacent distinct keys in ascending score order.
-    near_pairs: list[tuple[int, int, int, int]] = []
+    near_pairs: list[tuple[int, int]] = []
     n_near = 0
     scores = scores[:filled]
     scores.sort()
@@ -705,24 +666,21 @@ def collision_search(
         slots = np.searchsorted(needed, close)
         for code_a, code_b in zip(codes[slots].tolist(), codes[slots + 1].tolist()):
             (base_a, lim_a), (base_b, lim_b) = divmod(code_a, n_lims), divmod(code_b, n_lims)
-            first, second = bases[base_a], bases[base_b]
-            if lim_a == lim_b and (first.pv + first.pa, first.pt) == (
-                second.pv + second.pa,
-                second.pt,
-            ):
+            if lim_a == lim_b and _layout_of(by_id, base_a) == _layout_of(by_id, base_b):
                 skipped += 1
                 continue
             n_near += 1
             if len(near_pairs) < max_findings:
-                near_pairs.append((base_a, lim_a, base_b, lim_b))
+                near_pairs.append((code_a, code_b))
 
     # Porosity-split collision: swapping counts between visibility and
-    # access leaves every pipeline quantity identical.
+    # access leaves every pipeline quantity identical.  A layout splits
+    # pv+pa two ways or more when 0 < pv+pa < 2*p.
     split_lim = 1 if n_lims > 1 else 0
     split_pairs = [
-        (base_id, split_lim, base_id, split_lim)
-        for base_id, base in enumerate(bases)
-        if len(base.splits) >= 2
+        (first_id * n_lims + split_lim,) * 2
+        for first_id, pvpa, _ in by_id
+        if 0 < pvpa < 2 * b.porosity
     ][:1]
 
     verified: list[tuple[Scope, Scope, RavBreakdown, RavBreakdown]] = []
@@ -730,15 +688,14 @@ def collision_search(
     candidates = [(True, pair) for pair in split_pairs] + [
         (False, pair) for pair in exact_pairs + near_pairs
     ]
-    for is_split, (base_a, lim_a, base_b, lim_b) in candidates:
+    tables = (b, triples_by_s, by_id, lim_tuples)
+    for is_split, (code_a, code_b) in candidates:
         if len(verified) >= max_findings:
             break
         examined += 1
-        prefix = f"split-{base_a}" if is_split else f"collision-{len(verified)}"
-        scope_a = _base_scope(bases[base_a], lim_tuples[lim_a], f"{prefix}-a")
-        scope_b = _base_scope(
-            bases[base_b], lim_tuples[lim_b], f"{prefix}-b", split=int(is_split)
-        )
+        prefix = f"split-{code_a // n_lims}" if is_split else f"collision-{len(verified)}"
+        scope_a = _state_scope(code_a, f"{prefix}-a", *tables)
+        scope_b = _state_scope(code_b, f"{prefix}-b", *tables, split=int(is_split))
         ba, bb = actual_security(scope_a), actual_security(scope_b)
         if exact_scores_equal(ba, bb) or (
             epsilon > 0 and abs(bb.actsec - ba.actsec) <= epsilon
@@ -811,7 +768,8 @@ def prose_actual_security(scope: Scope, squared: bool = False) -> float:
     """
     b = actual_security(scope)
     a, f = b.opsec_base, b.fc_base
-    s_lin = math.log(1 + 100 * b.seclim_sum) if b.seclim_sum > 0 else 0.0
+    arg = 1 + 100 * b.seclim_sum
+    s_lin = _log_ratio(arg.numerator, arg.denominator)
     s_term = s_lin**2 if squared else s_lin
     return 100 + f - a - s_term - a * (f - s_term) / 100 + f * s_term / 100
 

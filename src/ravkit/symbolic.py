@@ -274,9 +274,12 @@ _ONE = Polynomial.constant(1)
 
 
 def _branch_max_zero(value: Polynomial) -> Polynomial:
-    """``max(value, 0)`` with the branch picked at the all-units point."""
-    at_units = value.evaluate({v: 1 for v in value.variables()})
-    return value if at_units >= 0 else Polynomial()
+    """``max(value, 0)`` with the branch picked at the all-units point.
+
+    Every monomial is 1 there, and the denominator is positive, so the
+    value's sign is the sign of its numerators' sum.
+    """
+    return value if sum(value.terms.values()) >= 0 else Polynomial()
 
 
 def _validate_units(

@@ -12,7 +12,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, count, permutations, product
+from itertools import chain, combinations_with_replacement, count, permutations, product
 
 import numpy as np
 import pytest
@@ -33,13 +33,14 @@ from ravkit import critique
 from ravkit.cli import dispatch
 from ravkit.critique import (
     _close_gaps,
-    _collision_bases,
     _collision_slabs,
+    _collision_tables,
     _float_scores,
     _group_keys,
     _packed_key_bits,
     _seclim_num_bound,
     _slab_size_bound,
+    _state_scope,
     _witness_codes,
 )
 from ravkit.errors import DomainError
@@ -226,7 +227,7 @@ class TestCollisionSearch:
     def test_key_bound_covers_every_key_and_fits_int64_to_bounds_five(self):
         bounds = CollisionBounds(2, 2, 2)
         lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
-        _, triples_by_s, layouts = _collision_bases(bounds)
+        triples_by_s, layouts = _collision_tables(bounds)
         largest = max(
             int(slab.keys.max()) for slab in _collision_slabs(triples_by_s, layouts, lims)
         )
@@ -261,7 +262,7 @@ class TestCollisionSearch:
         # alone, so no state is enumerated even at bounds 6.
         bounds = CollisionBounds.coerce(bound)
         key_bits = _seclim_num_bound(bounds).bit_length()
-        _, triples_by_s, layouts = _collision_bases(bounds)
+        triples_by_s, layouts = _collision_tables(bounds)
         for s, layout in layouts.items():
             n_lims = (bound + 1) ** 5 if s else 1
             for triples in Counter(key[0] for key, _ in triples_by_s[s]).values():
@@ -270,10 +271,30 @@ class TestCollisionSearch:
                 assert key_bits + (n - 1).bit_length() <= 63
         assert _packed_key_bits(bounds) <= 63
 
+    @pytest.mark.parametrize("bound", range(4))
+    def test_state_scopes_cover_every_layout_and_split(self, bound):
+        # Oracle: every (pv, pa) within the bound that sums to the layout's
+        # pv+pa, in ascending pv; zero porosity has the one split (0, 0).
+        b = CollisionBounds.coerce(bound)
+        lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
+        triples_by_s, layouts = _collision_tables(b)
+        by_id = sorted(chain.from_iterable(layouts.values()))
+        ends = [first_id + len(triples_by_s[pvpa + pt]) for first_id, pvpa, pt in by_id]
+        assert len(by_id) == (bound + 1) * (2 * bound + 1)
+        assert [first_id for first_id, _, _ in by_id] == [0, *ends[:-1]]
+        for (first_id, pvpa, pt), end in zip(by_id, ends):
+            pairs = [(pv, pvpa - pv) for pv in range(bound + 1) if 0 <= pvpa - pv <= bound]
+            for base_id in (first_id, end - 1):
+                for split, (pv, pa) in enumerate(pairs):
+                    code = base_id * len(lims) + len(lims) - 1
+                    scope = _state_scope(code, "s", b, triples_by_s, by_id, lims, split)
+                    assert scope.porosity == PorosityCounts(pv, pa, pt)
+                    assert scope.limitations == LimitationCounts(*(bound,) * 5)
+
     def test_slab_sizes_match_the_enumeration(self):
         bounds = CollisionBounds.coerce(2)
         lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
-        _, triples_by_s, layouts = _collision_bases(bounds)
+        triples_by_s, layouts = _collision_tables(bounds)
         sizes = [slab.keys.size for slab in _collision_slabs(triples_by_s, layouts, lims)]
         expected = [
             len(layouts[s]) * triples * (len(lims) if s else 1)
@@ -291,7 +312,7 @@ class TestCollisionSearch:
         def no_enumeration(*args):
             raise AssertionError("the state space was enumerated")
 
-        monkeypatch.setattr(critique, "_collision_bases", no_enumeration)
+        monkeypatch.setattr(critique, "_collision_tables", no_enumeration)
         code, out, err = dispatch(["demo", "--kind", "collision", "--bounds", str(first)])
         assert code == 2 and out == b""
         assert len(err.splitlines()) == 1 and b"packed collision keys" in err
@@ -303,7 +324,7 @@ class TestCollisionSearch:
         # sorts them once, stably: equal scores in slab order, then key order.
         bounds = CollisionBounds.coerce(bound)
         lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
-        _, triples_by_s, layouts = _collision_bases(bounds)
+        triples_by_s, layouts = _collision_tables(bounds)
         scores, codes = [], []
         for slab in _collision_slabs(triples_by_s, layouts, lims):
             order = np.argsort(slab.keys, kind="stable")
@@ -349,6 +370,22 @@ class TestCollisionSearch:
         # Keys 3, 5 (first at index 0), 7, then the second slab's 2 and 9.
         assert codes.tolist() == [1, 0, 3, 10, 12]
 
+    @pytest.mark.parametrize("bound, n_slabs", [(1, 44), (2, 147), (3, 310)])
+    def test_slab_scores_strictly_decrease_in_key_order(self, bound, n_slabs):
+        # Within a slab the score falls as the limitation key grows, so one
+        # score interval is one key interval: a near-pass filter on key
+        # ranges rests on this, checked in float as the search computes it.
+        bounds = CollisionBounds.coerce(bound)
+        lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
+        triples_by_s, layouts = _collision_tables(bounds)
+        slabs = 0
+        for slab in _collision_slabs(triples_by_s, layouts, lims):
+            keys, _, starts = _group_keys(slab)
+            scores = _float_scores(slab.s, slab.lc_sum, keys[starts])
+            assert np.all(np.diff(scores) < 0), (slab.s, slab.lc_sum)
+            slabs += 1
+        assert slabs == n_slabs
+
     def test_close_gaps_across_block_boundaries(self):
         # Gaps are taken a block of 2**20 at a time; close pairs that
         # straddle a block edge must still be found.
@@ -364,7 +401,7 @@ class TestCollisionSearch:
     def test_group_keys_orders_equal_keys_by_enumeration_index(self):
         bounds = CollisionBounds.coerce(2)
         lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
-        _, triples_by_s, layouts = _collision_bases(bounds)
+        triples_by_s, layouts = _collision_tables(bounds)
         for slab in _collision_slabs(triples_by_s, layouts, lims):
             expected_order = np.argsort(slab.keys, kind="stable")
             expected_keys = slab.keys[expected_order]
@@ -451,6 +488,31 @@ class TestFormulaDiscrepancy:
         assert prose_actual_security(scope, squared=True) == 100.0
         finding = formula_discrepancy_demo(scope)
         assert finding.verdict == "holds"
+
+    def test_limitation_sum_past_the_float_range(self):
+        mpmath = pytest.importorskip("mpmath")
+        # 1 + 100*seclim_sum is about 10**202: its log is taken as a
+        # difference of logs, as actual_security takes its own.
+        scope = Scope(
+            id="huge",
+            porosity=PorosityCounts(visibility=10**200),
+            limitations=LimitationCounts(vulnerabilities=10**400),
+        )
+        single = prose_actual_security(scope)
+        squared = prose_actual_security(scope, squared=True)
+        assert math.isfinite(single) and math.isfinite(squared)
+        b = actual_security(scope)
+        arg = 1 + 100 * b.seclim_sum
+        s_lin = float(mpmath.log(mpmath.mpf(arg.numerator) / arg.denominator))
+        a, f = b.opsec_base, b.fc_base
+        for got, s_term in ((single, s_lin), (squared, s_lin**2)):
+            want = 100 + f - a - s_term - a * (f - s_term) / 100 + f * s_term / 100
+            assert got == pytest.approx(want, rel=1e-12)
+        finding = formula_discrepancy_demo(scope)
+        assert finding.scores["figure_form"] == actual_security(scope).actsec
+        assert finding.scores["prose_single_log"] == single
+        assert finding.scores["prose_log_squared"] == squared
+        assert math.isfinite(float(finding.scores["max_divergence"]))
 
     def test_reproducible(self, toy):
         assert render_findings([formula_discrepancy_demo(toy)]) == render_findings(

@@ -531,20 +531,26 @@ class TestIntegerKernelBitExact:
 
         from ravkit.critique import (
             CollisionBounds,
-            _base_scope,
-            _collision_bases,
             _collision_slabs,
+            _collision_tables,
+            _state_scope,
         )
 
         b = CollisionBounds.coerce(2)
         lim_tuples = np.array(list(product(range(b.limitation + 1), repeat=5)), dtype=np.int64)
-        bases, triples_by_s, layouts = _collision_bases(b)
+        triples_by_s, layouts = _collision_tables(b)
+        by_id = sorted(row for layout in layouts.values() for row in layout)
         rng = random.Random(77)
         checked = 0
         for slab in _collision_slabs(triples_by_s, layouts, lim_tuples):
-            for i in rng.sample(range(slab.keys.size), min(8, slab.keys.size)):
+            # Each porosity layout's first and last state in the slab; over
+            # the slabs of one total these reach both ends of its id range.
+            n, block = slab.keys.size, slab.triples * slab.lims
+            ends = {*range(0, n, block), *range(block - 1, n, block)}
+            for i in ends.union(rng.sample(range(n), min(8, n))):
                 base_id, lim_id = slab.locate(i)
-                scope = _base_scope(bases[int(base_id)], lim_tuples[int(lim_id)], "state")
+                code = int(base_id) * len(lim_tuples) + int(lim_id)
+                scope = _state_scope(code, "state", b, triples_by_s, by_id, lim_tuples)
                 bd = actual_security(scope)
                 assert bd.opsec_sum == slab.s and bd.lc_sum == slab.lc_sum
                 assert int(slab.keys[i]) == bd.seclim_sum * (10 * slab.s**2) ** 2

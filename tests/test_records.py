@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ravkit.critique import CollisionBounds, CritiqueFinding, _Base, _Slab
+from ravkit.critique import CollisionBounds, CritiqueFinding, _Slab
 from ravkit.errors import DomainError
 from ravkit.ingest import ScanReport, ScopeDocument, ScopeEntry
 from ravkit.metrics import (
@@ -97,9 +97,6 @@ CASES = {
                         ("narrative", "m"), False),
     "CollisionBounds": (lambda v: CollisionBounds(1, 2, 3 + v), ("porosity", "control", "limitation"),
                         ("control", 0), True),
-    "_Base": (lambda v: _Base(1, 0, v, ((1, 0),), 2, 0, 1, (0, 0, 0, 0, 1), (1, 1, 0, 0, 0)),
-              ("pv", "pa", "pt", "splits", "lc_sum", "mc_a", "mc_b", "witness_a", "witness_b"),
-              ("mc_b", 4), True),
     "_Slab": (lambda v: _slab(1 + v),
               ("s", "lc_sum", "keys", "first_ids", "lo", "triples", "lims"), ("lo", 2), False),
     "Reference": (lambda v: Reference(f"e{v}", Polarity.NEUTRAL), ("employer_id", "polarity"),

@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ravkit.errors import DomainError, UnassignedVariableError, UndefinedWeightError
 from ravkit.metrics import (
@@ -33,6 +34,7 @@ from ravkit.symbolic import (
     FormalVar,
     LogSquareAtom,
     SymbolicScore,
+    _branch_max_zero,
     equivalent,
     symbolic_breakdown,
     symbolic_rav,
@@ -244,6 +246,22 @@ class TestSymbolicPipeline:
             symbolic_rav(toy, {"visibility": "h", "access": "h"})
         with pytest.raises(DomainError):
             symbolic_rav(toy, {"not-a-kind": "x"})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 3)), max_size=3).map(tuple),
+            st.integers(-20, 20),
+            max_size=6,
+        ),
+        st.integers(1, 6),
+    )
+    def test_branch_max_zero_matches_all_ones_evaluation(self, terms, den):
+        # Monomials given unsorted, repeated or with zero exponents merge, so
+        # the terms may cancel; a denominator above 1 is kept.
+        value = Polynomial({mono: Fraction(c, den) for mono, c in terms.items()})
+        at_ones = value.evaluate({v: 1 for v in value.variables()})
+        assert _branch_max_zero(value) == (value if at_ones >= 0 else Polynomial())
 
     def test_formal_var_names(self, toy):
         score = symbolic_rav(toy, {"visibility": FormalVar("h"), "access": "p",
