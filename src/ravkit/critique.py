@@ -518,12 +518,13 @@ def _witness_codes(
     The slabs are enumerated again, and each score equal to one of
     ``values`` counts its rank among the equal scores seen so far: first
     position plus rank is its sorted position.  Returns
-    ``base_id * n_lims + lim_id`` per needed position.
+    ``base_id * n_lims + lim_id`` per needed position; a position that no
+    state fills is an internal error, raised rather than decoded.
     """
     import numpy as np
 
     seen = np.zeros(len(values), dtype=np.int64)
-    codes = np.empty(len(needed), dtype=np.int64)
+    codes = np.full(len(needed), -1, dtype=np.int64)
     for slab in slabs:
         keys, order, starts = _group_keys(slab)
         slab_scores = _float_scores(slab.s, slab.lc_sum, keys[starts])
@@ -546,6 +547,12 @@ def _witness_codes(
         wanted = needed[slot] == position
         base_ids, lim_ids = slab.locate(order[starts[hits[wanted]]])
         codes[slot[wanted]] = base_ids * n_lims + lim_ids
+    unset = int(np.count_nonzero(codes < 0))
+    if unset:
+        raise RuntimeError(
+            f"internal error: {unset} of {len(needed)} sorted score positions "
+            "matched no enumerated state"
+        )
     return codes
 
 

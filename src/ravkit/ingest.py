@@ -19,7 +19,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any, Mapping, NoReturn, Sequence, Union
 
 from .errors import (
     CsvFormatError,
@@ -426,6 +426,32 @@ _CSV_INT_COLUMNS = (
 )
 _CSV_RATIONAL_COLUMNS = ("hours_alone_per_day", "working_hours_per_day")
 CSV_COLUMNS = ("applicant_id",) + _CSV_INT_COLUMNS + _CSV_RATIONAL_COLUMNS
+#: Each column with the value of an empty cell, in the order a row's cells
+#: are read.  The reference columns come first, so a malformed one is
+#: reported before any other malformed cell of the row; past the id (whose
+#: empty cell reads as None), the cells are read in ApplicantRecord's order.
+_CSV_READ_ORDER = (
+    ("references_positive", 0),
+    ("references_neutral", 0),
+    ("references_negative", 0),
+    ("past_employer_count", 0),
+    ("applicant_id", None),
+    ("months_unemployed", 0),
+    ("months_eligible", 0),
+    ("criminal_offenses_known", 0),
+    ("age_years", 0),
+    ("legal_adult_age", 18),
+    ("hours_alone_per_day", 0),
+    ("working_hours_per_day", 0),
+    ("employees_in_community", 0),
+    ("community_population", 0),
+)
+#: The position in _CSV_READ_ORDER and the empty-cell value of each count column.
+_CSV_COUNTS = tuple(
+    (i, default)
+    for i, (name, default) in enumerate(_CSV_READ_ORDER)
+    if default is not None and name not in _CSV_RATIONAL_COLUMNS
+)
 
 
 def parse_applicants_csv(
@@ -462,6 +488,10 @@ def parse_applicants_csv(
     missing = sorted(set(required_columns) - set(header))
     if missing:
         raise CsvFormatError(f"missing required column(s): {', '.join(missing)}")
+    # Each column's cell position in _CSV_READ_ORDER order; an absent column
+    # is placed past every row that is not refused, so it reads as empty.
+    width = len(header)
+    positions = [header.index(name) if name in header else width for name, _ in _CSV_READ_ORDER]
 
     records: list[ApplicantRecord] = []
     errors: list[str] = []
@@ -470,12 +500,15 @@ def parse_applicants_csv(
     except csv.Error as exc:
         raise CsvFormatError(f"malformed CSV: {exc}") from None
     for line_no, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        n = len(row)
+        if n > width:
+            if any(cell.strip() for cell in row):
+                errors.append(f"line {line_no}: more cells than header columns")
             continue
-        if len(row) > len(header):
-            errors.append(f"line {line_no}: more cells than header columns")
-            continue
-        cells = {name: row[i].strip() if i < len(row) else "" for i, name in enumerate(header)}
+        # Every header column has a position, so these are all of the row's cells.
+        cells = [row[i].strip() if i < n else "" for i in positions]
+        if not any(cells):
+            continue  # a blank row
         try:
             records.append(_record_from_cells(cells, line_no))
         except (InputError, DomainError) as exc:
@@ -485,37 +518,61 @@ def parse_applicants_csv(
     return records
 
 
-def _record_from_cells(cells: Mapping[str, str], line_no: int) -> ApplicantRecord:
-    from .trust import ApplicantRecord
-
-    def int_cell(name: str, default: int = 0) -> int:
-        text = cells.get(name, "")
-        if text == "":
-            return default
+def _hours_cell(text: str, name: str) -> Union[int, Fraction]:
+    """The value of an hours cell of column ``name``: an int for plain
+    digits, else ``parse_rational``'s value or error."""
+    if text.isdigit():
         try:
             return int(text)
         except ValueError:
-            raise CsvFormatError(f"column {name!r}: not an integer count: {text!r}") from None
+            pass  # past the int-digit limit, or digits int() refuses
+    return parse_rational(text, f"column {name!r}")
 
-    def rational_cell(name: str) -> Fraction:
-        text = cells.get(name, "")
-        return parse_rational(text, f"column {name!r}") if text else Fraction(0)
 
-    # The reference columns are read first, so a malformed one is reported
-    # before any other malformed cell of the row.
+def _record_from_cells(cells: list[str], line_no: int) -> ApplicantRecord:
+    """The record of one row's stripped cells, given in ``_CSV_READ_ORDER``."""
+    from .trust import ApplicantRecord
+
+    try:
+        (
+            positive, neutral, negative, employers, unemployed, eligible, offenses, age,
+            adult_age, employees, population,
+        ) = [int(cells[i]) if cells[i] else default for i, default in _CSV_COUNTS]
+    except ValueError:
+        _raise_first_malformed(cells)
+    # The id and the two hours cells, at their _CSV_READ_ORDER positions.
+    applicant_id, hours_alone, working_hours = cells[4], cells[10], cells[11]
     return ApplicantRecord(
-        references_positive=int_cell("references_positive"),
-        references_neutral=int_cell("references_neutral"),
-        references_negative=int_cell("references_negative"),
-        past_employer_count=int_cell("past_employer_count"),
-        applicant_id=cells.get("applicant_id", "") or f"row-{line_no}",
-        months_unemployed=int_cell("months_unemployed"),
-        months_eligible=int_cell("months_eligible"),
-        criminal_offenses_known=int_cell("criminal_offenses_known"),
-        age_years=int_cell("age_years"),
-        legal_adult_age=int_cell("legal_adult_age", default=18),
-        hours_alone_per_day=rational_cell("hours_alone_per_day"),
-        working_hours_per_day=rational_cell("working_hours_per_day"),
-        employees_in_community=int_cell("employees_in_community"),
-        community_population=int_cell("community_population"),
+        applicant_id=applicant_id or f"row-{line_no}",
+        months_unemployed=unemployed,
+        months_eligible=eligible,
+        criminal_offenses_known=offenses,
+        age_years=age,
+        legal_adult_age=adult_age,
+        past_employer_count=employers,
+        hours_alone_per_day=_hours_cell(hours_alone, "hours_alone_per_day") if hours_alone else 0,
+        working_hours_per_day=(
+            _hours_cell(working_hours, "working_hours_per_day") if working_hours else 0
+        ),
+        employees_in_community=employees,
+        community_population=population,
+        references_positive=positive,
+        references_neutral=neutral,
+        references_negative=negative,
     )
+
+
+def _raise_first_malformed(cells: list[str]) -> NoReturn:
+    """Raise the error of a row's first malformed count or hours cell, in
+    ``_CSV_READ_ORDER``; the row has a malformed count."""
+    for (name, default), text in zip(_CSV_READ_ORDER, cells):
+        if not text or default is None:
+            continue
+        if name in _CSV_RATIONAL_COLUMNS:
+            _hours_cell(text, name)
+            continue
+        try:
+            int(text)
+        except ValueError:
+            raise CsvFormatError(f"column {name!r}: not an integer count: {text!r}") from None
+    raise AssertionError("no malformed cell")

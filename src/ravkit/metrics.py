@@ -433,8 +433,37 @@ class Weights(Record):
         return getattr(self, category)
 
 
-class RavBreakdown(Record):
-    """Every intermediate of the pipeline plus the final Actual Security value."""
+class _KernelInts(Record):
+    """Private base of :class:`RavBreakdown`: one slot for the kernel's ints.
+
+    A subclass's ``__slots__`` names its public fields only, so ``Record``
+    compares, hashes, prints and pickles those and never this slot.
+    """
+
+    __slots__ = ("_kernel",)
+
+
+#: The rational fields of a RavBreakdown; actual_security leaves them unset
+#: and RavBreakdown.__getattr__ builds them from the kernel ints.
+_RATIONAL_FIELDS = frozenset(
+    ("opsec_sum", "lc_sum", "mc_per_class", "mc_sum", "mc_class_a", "mc_class_b", "mc_vg",
+     "tc_per_class", "weights", "seclim_sum")
+)
+
+
+class RavBreakdown(_KernelInts):
+    """Every intermediate of the pipeline plus the final Actual Security value.
+
+    A breakdown from :func:`actual_security` holds the kernel's ints in
+    ``_kernel``, as the tuple ``(s, lc_sum, mc_a, mc_b, mc, tc, vg_den,
+    weights, den, key)``: the porosity total, the control sum, the two
+    meta-class shortfall sums, the ten shortfalls and ten true controls in
+    pipeline order, the denominator of ``mc_vg`` (over which ``mc_a + mc_b``
+    is its numerator), the five weight numerators over ``den`` and the
+    limitation key over ``den**2``.  Its rational fields are built from those
+    ints the first time one is read; a report is rendered from the ints
+    directly.  A breakdown built field by field has ``_kernel`` None.
+    """
 
     __slots__ = __match_args__ = (
         "opsec_sum", "opsec_base", "lc_sum", "mc_per_class", "mc_sum", "mc_class_a",
@@ -492,6 +521,28 @@ class RavBreakdown(Record):
         set_(self, "seclim_base", seclim_base)
         set_(self, "actsec", actsec)
 
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot or an unknown name.
+        if name == "_kernel":
+            return None
+        kernel = self._kernel
+        if kernel is None or name not in _RATIONAL_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key = kernel
+        mc_vg = Fraction(mc_a + mc_b, vg_den)
+        set_ = object.__setattr__
+        set_(self, "opsec_sum", Fraction(s))
+        set_(self, "lc_sum", Fraction(lc_sum))
+        set_(self, "mc_per_class", dict(zip(_CLASSES, map(Fraction, mc))))
+        set_(self, "mc_sum", Fraction(mc_a + mc_b))
+        set_(self, "mc_class_a", Fraction(mc_a))
+        set_(self, "mc_class_b", Fraction(mc_b))
+        set_(self, "mc_vg", mc_vg)
+        set_(self, "tc_per_class", dict(zip(_CLASSES, map(Fraction, tc))))
+        set_(self, "weights", Weights(*(Fraction(w, den) for w in weights), mc_vg=mc_vg))
+        set_(self, "seclim_sum", Fraction(key, den * den))
+        return object.__getattribute__(self, name)
+
 
 # ---------------------------------------------------------------------------
 # The pipeline
@@ -530,16 +581,14 @@ def _log_ratio(num: int, den: int) -> float:
         return math.log(num) - math.log(den)
 
 
-_ZERO_WEIGHTS = Weights(*(Fraction(0),) * 6)
-
-
 def actual_security(scope: Scope) -> RavBreakdown:
     """Run the full pipeline on one scope and return every intermediate.
 
-    The counts go through the integer kernel; ``Fraction``s are built only
-    for the returned fields, and each log is taken of an exact int ratio.
-    Raises :class:`UndefinedWeightError` for a zero-porosity scope with any
-    nonzero limitation count.
+    The counts go through the integer kernel, and each log is taken of an
+    exact int ratio.  The breakdown keeps the kernel's ints and builds its
+    ``Fraction`` fields only when they are read.  Raises
+    :class:`UndefinedWeightError` for a zero-porosity scope with any nonzero
+    limitation count.
     """
     p, lims = scope.porosity, _by_category(scope.limitations)
     s = p.visibility + p.access + p.trust
@@ -554,16 +603,13 @@ def actual_security(scope: Scope) -> RavBreakdown:
                 f"scope {scope.id!r} has zero porosity but nonzero limitations; "
                 "limitation weights are undefined"
             )
-        weights, seclim, seclim_base = _ZERO_WEIGHTS, Fraction(0), 0.0
+        # Every weight, mc_vg and the limitation sum are 0/1.
+        weights, den, key, vg_den, seclim_base = (0,) * 5, 1, 0, 1, 0.0
     else:
-        numerators = weight_numerators(
+        weights = weight_numerators(
             s, p.visibility + p.access, p.trust, mc_sum, mc_a, mc_b, lims
         )
-        key, den = seclim_numerator(lims, numerators), 10 * s * s
-        weights = Weights(
-            *(Fraction(w, den) for w in numerators), mc_vg=Fraction(mc_sum, 10 * s)
-        )
-        seclim = Fraction(key, den * den)
+        key, den, vg_den = seclim_numerator(lims, weights), 10 * s * s, 10 * s
         # 1 + 100*seclim == (s**4 + key) / s**4
         seclim_base = _log_ratio(s**4 + key, s**4) ** 2
 
@@ -571,23 +617,16 @@ def actual_security(scope: Scope) -> RavBreakdown:
     opsec_base = _log_ratio(1 + 100 * s, 1) ** 2
     fc_base = _log_ratio(1 + 10 * lc_sum, 1) ** 2
     tc_base = _log_ratio(1 + 100 * s - 10 * mc_sum, 1) ** 2
-    return RavBreakdown(
-        opsec_sum=Fraction(s),
-        opsec_base=opsec_base,
-        lc_sum=Fraction(lc_sum),
-        mc_per_class=dict(zip(_CLASSES, map(Fraction, mc))),
-        mc_sum=Fraction(mc_sum),
-        mc_class_a=Fraction(mc_a),
-        mc_class_b=Fraction(mc_b),
-        mc_vg=weights.mc_vg,
-        tc_per_class=dict(zip(_CLASSES, map(Fraction, [n if n < s else s for n in lc]))),
-        tc_base=tc_base,
-        fc_base=fc_base,
-        weights=weights,
-        seclim_sum=seclim,
-        seclim_base=seclim_base,
-        actsec=combine_bases(opsec_base, fc_base, seclim_base),
-    )
+    b = object.__new__(RavBreakdown)
+    set_ = object.__setattr__
+    set_(b, "opsec_base", opsec_base)
+    set_(b, "tc_base", tc_base)
+    set_(b, "fc_base", fc_base)
+    set_(b, "seclim_base", seclim_base)
+    set_(b, "actsec", combine_bases(opsec_base, fc_base, seclim_base))
+    tc = [n if n < s else s for n in lc]
+    set_(b, "_kernel", (s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key))
+    return b
 
 
 def aggregate_scopes(scopes: Sequence[Scope]) -> Scope:

@@ -20,9 +20,10 @@ The monomial algebra is done once per distinct monomial or pair:
 - ``_PRODUCTS`` maps a monomial ``a`` to ``{b: a*b}``; multiplication and
   exact division read it inline and call ``_mono_mul`` only on a miss;
 - ``_SORT_KEYS`` holds the graded-lex sort key of each monomial, used by
-  ``render``, ``sorted_terms``, the leading term and the division heap.
+  ``render``, ``sorted_terms``, the leading term and the division heap;
+- ``_RENDERED`` holds the text ``render`` writes for each monomial.
 
-The intern table and both memos are cleared together, all at once, when
+The intern table and the three memos are cleared together, all at once, when
 any of them reaches ``_MEMO_CAP`` (16384) entries; clearing only costs
 recomputation.  At the cap they hold about 12 MB when every product is a
 new three-variable monomial.  A 100-scope file with 5-8 unit variables
@@ -77,11 +78,28 @@ _SORT_KEYS = _SortKeys()
 _mono_sort_key = _SORT_KEYS.__getitem__
 
 
+class _Rendered(dict):
+    """Monomial -> its text in ``render``, such as ``h^2*p``, computed on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, mono: Mono) -> str:
+        if len(self) >= _MEMO_CAP:
+            _clear_memos()
+        text = self[mono] = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+        return text
+
+
+_RENDERED = _Rendered()
+_mono_render = _RENDERED.__getitem__
+
+
 def _clear_memos() -> None:
     global _products_stored
     _MONOS.clear()
     _PRODUCTS.clear()
     _SORT_KEYS.clear()
+    _RENDERED.clear()
     _products_stored = 0
 
 
@@ -133,10 +151,6 @@ def _mono_divide(a: Mono, b: Mono) -> Mono | None:
         else:
             out[var] = have - e
     return _intern(tuple(sorted(out.items())))
-
-
-def _mono_render(mono: Mono) -> str:
-    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
 
 
 def _check_name(name: object) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, Union
 
@@ -114,8 +115,10 @@ def _emit(value: Any, out: list[str]) -> None:
 #
 # The keys of ``ravkit-report/1`` are fixed, so each format is one ``%``
 # template, built at import with the JSON keys in the sorted order that
-# ``emit_json`` gives them.  A report fills its template from one mapping of
-# value strings; only the scope's id, channel, vector and index are quoted.
+# ``emit_json`` gives them, and then made positional: each ``%(name)``
+# placeholder becomes a bare ``%`` and the template keeps a getter that puts
+# one tuple of values, in ``_VALUE_NAMES`` order, into its placeholder order.
+# Only the scope's id, channel, vector and index are quoted per report.
 
 _FRACTIONS = ("opsec_sum", "lc_sum", "mc_sum", "mc_class_a", "mc_class_b", "mc_vg", "seclim_sum")
 _FLOATS = ("opsec_base", "tc_base", "fc_base", "seclim_base", "actsec")
@@ -141,6 +144,19 @@ _FRACTION_NAMES = (
     *(f"tc_per_class.{key}" for key in _CLASS_KEYS),
     *(f"weights.{name}" for name in LIMITATION_CATEGORIES),
 )
+_VALUE_NAMES = (*_SCOPE_LABELS, *_COUNT_NAMES, *_FRACTION_NAMES, *_FLOATS)
+
+
+def _positional(template: str) -> tuple[str, itemgetter]:
+    """A named-placeholder template as a positional one, with the getter
+    that orders a ``_VALUE_NAMES`` tuple for it."""
+    text, *rest = template.split("%(")
+    pieces, names = [text], []
+    for part in rest:
+        name, text = part.split(")", 1)
+        names.append(name)
+        pieces.append("%" + text)
+    return "".join(pieces), itemgetter(*map(_VALUE_NAMES.index, names))
 
 
 def _object(members: Mapping[str, str]) -> str:
@@ -154,7 +170,7 @@ def _members(prefix: str, keys: Iterable[str], quoted: bool = False) -> str:
     return _object({key: text % (prefix, key) for key in keys})
 
 
-_REPORT_JSON = _object(
+_REPORT_JSON = _positional(_object(
     {
         "schema": json.dumps(REPORT_SCHEMA),
         "scope": _object(
@@ -175,7 +191,7 @@ _REPORT_JSON = _object(
             }
         ),
     }
-) + "\n"
+) + "\n")
 
 
 def _assignments(prefix: str, keys: Sequence[str], labels: Sequence[str] = ()) -> str:
@@ -183,7 +199,7 @@ def _assignments(prefix: str, keys: Sequence[str], labels: Sequence[str] = ()) -
     return " ".join(f"{label}=%({prefix}.{key})s" for label, key in zip(labels or keys, keys))
 
 
-_REPORT_TEXT = "\n".join(
+_REPORT_TEXT = _positional("\n".join(
     (
         "rav report: %(id)s",
         "scope: channel=%(channel)s vector=%(vector)s index=%(index)s",
@@ -208,46 +224,73 @@ _REPORT_TEXT = "\n".join(
         "  actsec       %(actsec).6f",
         "",
     )
-)
+))
 
 
-def _report_values(b: RavBreakdown, scope: Scope) -> dict[str, Any]:
-    """The numbers both report templates share, by placeholder name."""
-    values: dict[str, Any] = dict(zip(_FLOATS, _floats(b)))
-    fractions = (
-        *_fractions(b),
-        *_by_class(b.mc_per_class),
-        *_by_class(b.tc_per_class),
-        *_by_category(b.weights),
+def _ratio_str(num: int, den: int) -> str:
+    """``num/den`` (``den > 0``) in lowest terms, as ``fraction_str`` writes it."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
+def _kernel_strings(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key) -> tuple:
+    """The rational fields' strings, in ``_FRACTION_NAMES`` order, from the
+    kernel ints an ``actual_security`` breakdown holds."""
+    return (
+        f"{s}/1",
+        f"{lc_sum}/1",
+        f"{mc_a + mc_b}/1",
+        f"{mc_a}/1",
+        f"{mc_b}/1",
+        _ratio_str(mc_a + mc_b, vg_den),
+        _ratio_str(key, den * den),
+        *[f"{n}/1" for n in mc],
+        *[f"{n}/1" for n in tc],
+        *[_ratio_str(w, den) for w in weights],
     )
-    values.update(zip(_FRACTION_NAMES, map(fraction_str, fractions)))
-    counts = (
+
+
+def _report_values(b: RavBreakdown, scope: Scope) -> tuple:
+    """The numbers both report templates share: the counts, the rational
+    fields' strings and the floats, in ``_VALUE_NAMES`` order."""
+    kernel = b._kernel
+    if kernel is None:
+        rationals = map(
+            fraction_str,
+            (
+                *_fractions(b),
+                *_by_class(b.mc_per_class),
+                *_by_class(b.tc_per_class),
+                *_by_category(b.weights),
+            ),
+        )
+    else:
+        rationals = _kernel_strings(*kernel)
+    return (
         *_porosity_counts(scope.porosity),
         *_control_counts(scope.controls),
         *_by_category(scope.limitations),
+        *rationals,
+        *_floats(b),
     )
-    values.update(zip(_COUNT_NAMES, counts))
-    return values
 
 
 def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -> bytes:
     """Render one scope's breakdown, inputs included, as text or JSON."""
-    if format not in FORMATS:
-        raise InputError(f"unknown report format {format!r}; expected text or json")
-    values = _report_values(breakdown, scope)
     if format == "json":
-        values.update(zip(_SCOPE_LABELS, map(json.dumps, _scope_labels(scope))))
-        template = _REPORT_JSON
+        template, order = _REPORT_JSON
+        labels = map(json.dumps, _scope_labels(scope))
+    elif format == "text":
+        template, order = _REPORT_TEXT
+        labels = (scope.id, scope.channel, scope.vector or "-", scope.index or "-")
     else:
-        values.update(
-            id=scope.id, channel=scope.channel, vector=scope.vector or "-", index=scope.index or "-"
-        )
-        template = _REPORT_TEXT
+        raise InputError(f"unknown report format {format!r}; expected text or json")
     try:
-        text = template % values
+        text = template % order((*labels, *_report_values(breakdown, scope)))
     except ValueError:
-        # str() of an echoed count past the int-digit limit (an aggregate
-        # can sum counts that each parsed to one past it).
+        # str() of an int past the int-digit limit: a rational field, or an
+        # echoed count (an aggregate can sum counts that each parsed to one
+        # past it).
         raise DigitLimitError() from None
     return text.encode("utf-8")
 

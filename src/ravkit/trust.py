@@ -194,22 +194,22 @@ class ApplicantRecord(Record):
             references_negative = counts[Polarity.NEGATIVE]
         # The reference counts are checked first, so a record with a reference
         # fault reports it before any other count fault.
-        _check_count("references_positive", references_positive)
-        _check_count("references_neutral", references_neutral)
-        _check_count("references_negative", references_negative)
-        _check_count("past_employer_count", past_employer_count)
+        _check_counts(
+            _REFERENCE_COUNTS,
+            (references_positive, references_neutral, references_negative, past_employer_count),
+        )
         total = references_positive + references_neutral + references_negative
         if total and past_employer_count == 0:
             raise DomainError("references require at least one past employer")
         if past_employer_count < total:
             raise DomainError("more references than past employers")
-        _check_count("months_unemployed", months_unemployed)
-        _check_count("months_eligible", months_eligible)
-        _check_count("criminal_offenses_known", criminal_offenses_known)
-        _check_count("age_years", age_years)
-        _check_count("legal_adult_age", legal_adult_age)
-        _check_count("employees_in_community", employees_in_community)
-        _check_count("community_population", community_population)
+        _check_counts(
+            _OTHER_COUNTS,
+            (
+                months_unemployed, months_eligible, criminal_offenses_known, age_years,
+                legal_adult_age, employees_in_community, community_population,
+            ),
+        )
         hours_alone_per_day = _coerce_hours("hours_alone_per_day", hours_alone_per_day)
         working_hours_per_day = _coerce_hours("working_hours_per_day", working_hours_per_day)
         if months_eligible > 0 and months_unemployed > months_eligible:
@@ -241,6 +241,22 @@ class ApplicantRecord(Record):
 def _check_count(name: str, value: object) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+# The count fields of an ApplicantRecord, in the order they are checked.
+_REFERENCE_COUNTS = (
+    "references_positive", "references_neutral", "references_negative", "past_employer_count"
+)
+_OTHER_COUNTS = (
+    "months_unemployed", "months_eligible", "criminal_offenses_known", "age_years",
+    "legal_adult_age", "employees_in_community", "community_population",
+)
+
+
+def _check_counts(names: Sequence[str], values: Sequence[object]) -> None:
+    for name, value in zip(names, values):
+        if type(value) is not int or value < 0:
+            _check_count(name, value)
 
 
 class RuleResult(Record):

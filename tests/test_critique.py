@@ -370,6 +370,24 @@ class TestCollisionSearch:
         # Keys 3, 5 (first at index 0), 7, then the second slab's 2 and 9.
         assert codes.tolist() == [1, 0, 3, 10, 12]
 
+    def test_witness_position_no_slab_fills_is_an_internal_error(self):
+        # A needed score that no enumerated state has leaves its slot unset;
+        # it is refused rather than decoded into an arbitrary state.
+        bounds = CollisionBounds.coerce(1)
+        lims = np.array(list(product(range(2), repeat=5)), dtype=np.int64)
+        triples_by_s, layouts = _collision_tables(bounds)
+        held = _float_scores(1, 0, np.zeros(1))
+        assert np.isfinite(held).all()
+        for values in (np.array([1e300]), np.array([held[0], 1e300])):
+            with pytest.raises(RuntimeError, match="^internal error: 1 of .* matched no"):
+                _witness_codes(
+                    _collision_slabs(triples_by_s, layouts, lims),
+                    values,
+                    np.arange(len(values)),
+                    np.arange(len(values)),
+                    len(lims),
+                )
+
     @pytest.mark.parametrize("bound, n_slabs", [(1, 44), (2, 147), (3, 310)])
     def test_slab_scores_strictly_decrease_in_key_order(self, bound, n_slabs):
         # Within a slab the score falls as the limitation key grows, so one

@@ -7,18 +7,28 @@ never crash, and never coerce unknown input into silent zero counts.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ravkit.cli import dispatch
-from ravkit.errors import CsvFormatError, ScanFormatError, ScopeFormatError, RavkitError
+from ravkit.errors import (
+    CsvFormatError,
+    InputError,
+    RavkitError,
+    ScanFormatError,
+    ScopeFormatError,
+)
 from ravkit.ingest import (
+    CSV_COLUMNS,
+    _hours_cell,
     import_scan_report,
     import_scan_xml,
     merge_scan_into_scope,
     parse_applicants_csv,
+    parse_rational,
     parse_scope_document,
     parse_scope_file,
     render_scope_document,
@@ -352,3 +362,156 @@ class TestApplicantCsv:
             parse_applicants_csv(data)
         except RavkitError:
             pass
+
+
+def _csv(*rows: dict, extra: str = "") -> bytes:
+    """A CSV with every column in the header and one line per row; a row
+    names only its non-empty cells, and ``extra`` is appended to the last."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(row.get(name, "") for name in CSV_COLUMNS) for row in rows]
+    return ("\n".join(lines) + extra + "\n").encode()
+
+
+_LIMIT = sys.get_int_max_str_digits()
+
+#: case -> (CSV bytes, the full CsvFormatError text).
+CSV_ERRORS = {
+    "non-integer count": (
+        _csv({"age_years": "thirty"}),
+        "line 2: column 'age_years': not an integer count: 'thirty'",
+    ),
+    "decimal count": (
+        _csv({"months_eligible": "1.5"}),
+        "line 2: column 'months_eligible': not an integer count: '1.5'",
+    ),
+    "count past the digit limit": (
+        _csv({"community_population": "9" * (_LIMIT + 1)}),
+        f"line 2: column 'community_population': not an integer count: '{'9' * (_LIMIT + 1)}'",
+    ),
+    "negative count": (
+        _csv({"months_unemployed": "-3"}),
+        "line 2: months_unemployed must be a non-negative integer, got -3",
+    ),
+    "negative reference count": (
+        _csv({"references_neutral": "-1", "age_years": "-2"}),
+        "line 2: references_neutral must be a non-negative integer, got -1",
+    ),
+    "malformed hours": (
+        _csv({"hours_alone_per_day": "two"}),
+        "line 2: column 'hours_alone_per_day': not a rational number: 'two'",
+    ),
+    "superscript hours": (
+        _csv({"working_hours_per_day": "\u00b2"}),
+        "line 2: column 'working_hours_per_day': not a rational number: '\u00b2'",
+    ),
+    "hours past the digit limit": (
+        _csv({"working_hours_per_day": "8" * (_LIMIT + 1)}),
+        f"line 2: column 'working_hours_per_day': not a rational number: '{'8' * (_LIMIT + 1)}'",
+    ),
+    "hours exponent past the digit limit": (
+        _csv({"working_hours_per_day": f"1e{_LIMIT + 1}"}),
+        f"line 2: column 'working_hours_per_day': decimal exponent past {_LIMIT}, "
+        f"far outside the float range: '1e{_LIMIT + 1}'",
+    ),
+    "negative hours": (
+        _csv({"hours_alone_per_day": "-1/2", "working_hours_per_day": "8"}),
+        "line 2: hours_alone_per_day must be >= 0, got -1/2",
+    ),
+    "more cells than header columns": (
+        _csv({"applicant_id": "x"}, extra=",7"),
+        "line 2: more cells than header columns",
+    ),
+    "malformed reference beside a malformed count": (
+        _csv({"age_years": "x", "references_negative": "y"}),
+        "line 2: column 'references_negative': not an integer count: 'y'",
+    ),
+    "malformed reference beside malformed hours": (
+        _csv({"hours_alone_per_day": "h", "past_employer_count": "p"}),
+        "line 2: column 'past_employer_count': not an integer count: 'p'",
+    ),
+    "malformed count before malformed hours": (
+        _csv({"legal_adult_age": "adult", "hours_alone_per_day": "h"}),
+        "line 2: column 'legal_adult_age': not an integer count: 'adult'",
+    ),
+    "malformed hours before a malformed count": (
+        _csv({"employees_in_community": "many", "working_hours_per_day": "w"}),
+        "line 2: column 'working_hours_per_day': not a rational number: 'w'",
+    ),
+    "references without a past employer": (
+        _csv({"references_positive": "1"}),
+        "line 2: references require at least one past employer",
+    ),
+    "more references than past employers": (
+        _csv({"references_positive": "2", "references_negative": "1",
+              "past_employer_count": "2"}),
+        "line 2: more references than past employers",
+    ),
+    "unemployment past the eligible months": (
+        _csv({"months_unemployed": "10", "months_eligible": "5"}),
+        "line 2: months_unemployed cannot exceed months_eligible",
+    ),
+    "hours alone past the working hours": (
+        _csv({"hours_alone_per_day": "9", "working_hours_per_day": "17/2"}),
+        "line 2: hours_alone_per_day cannot exceed working_hours_per_day",
+    ),
+    "employees past the population": (
+        _csv({"employees_in_community": "11", "community_population": "10"}),
+        "line 2: employees_in_community cannot exceed community_population",
+    ),
+    "two bad rows": (
+        _csv({"applicant_id": "a", "age_years": "x"}, {"applicant_id": "ok"},
+             {"applicant_id": "c", "months_unemployed": "3", "months_eligible": "2"}),
+        "line 2: column 'age_years': not an integer count: 'x'; "
+        "line 4: months_unemployed cannot exceed months_eligible",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CSV_ERRORS)
+def test_csv_error_text(case):
+    data, message = CSV_ERRORS[case]
+    with pytest.raises(CsvFormatError) as raised:
+        parse_applicants_csv(data)
+    assert str(raised.value) == message
+
+
+def test_csv_rows_that_are_not_errors():
+    # Blank rows are skipped, even past the header's width; cells are
+    # stripped; an empty id becomes the row's.
+    data = _csv(
+        {"applicant_id": " a ", "age_years": " 40 ", "hours_alone_per_day": "0007",
+         "working_hours_per_day": "\u0668"},
+        {},
+        {"months_unemployed": "1"},
+    )
+    data += b"\n, ,\n" + b"," * len(CSV_COLUMNS) + b"\n"
+    records = parse_applicants_csv(data)
+    assert [r.applicant_id for r in records] == ["a", "row-4"]
+    assert records[0].age_years == 40 and records[1].months_unemployed == 1
+    assert records[0].hours_alone_per_day == 7 and records[0].working_hours_per_day == 8
+    assert type(records[0].hours_alone_per_day) is Fraction
+
+
+_DIGITS = "0123456789\u0660\u0669\u06f4\u07c0\u0e53\uff19\U0001d7d8\u00b2\u00b9\u2155_"
+
+
+@given(
+    st.one_of(
+        st.text(st.characters(whitelist_categories=("Nd",)), min_size=1, max_size=12),
+        st.text(st.sampled_from(_DIGITS), min_size=1, max_size=12),
+        st.builds(lambda zeros, n: "0" * zeros + str(n),
+                  st.integers(0, 5), st.integers(0, 10**30)),
+        st.builds(lambda digit, n: digit * n,
+                  st.sampled_from("19\u0661"), st.integers(_LIMIT - 2, _LIMIT + 2)),
+    )
+)
+@settings(max_examples=300)
+def test_hours_fast_path_agrees_with_parse_rational(text):
+    def outcome(read):
+        try:
+            return Fraction(read())
+        except InputError as exc:
+            return type(exc), str(exc)
+
+    fast = outcome(lambda: _hours_cell(text, "hours_alone_per_day"))
+    assert fast == outcome(lambda: parse_rational(text, "column 'hours_alone_per_day'"))

@@ -306,6 +306,7 @@ class TestMemosPastTheirCap:
         assert polynomial._products_stored <= cap
         assert sum(len(row) for row in polynomial._PRODUCTS.values()) == polynomial._products_stored
         assert len(polynomial._MONOS) <= cap and len(polynomial._SORT_KEYS) <= cap
+        assert len(polynomial._RENDERED) <= cap
         # Pairs past the cap over few distinct monomials: the product memo
         # alone overflows.
         f = sum((var("x") ** i for i in range(side)), Polynomial())
@@ -333,3 +334,11 @@ def test_repeated_product_is_read_from_the_memo(cold_memos):
     stored = polynomial._products_stored
     assert divide_exact(first, g) == f
     assert polynomial._products_stored == stored
+
+
+def test_rendered_monomials_are_memoized(cold_memos):
+    poly = var("h") ** 2 * var("p") * 3 - var("z") + 1
+    text = poly.render()
+    assert text == "3*h^2*p - z + 1"
+    assert polynomial._RENDERED == {(("h", 2), ("p", 1)): "h^2*p", (("z", 1),): "z", (): ""}
+    assert poly.render() == text and len(polynomial._RENDERED) == 3

@@ -320,3 +320,50 @@ class TestApplicantReferences:
         with pytest.raises(DomainError, match="^hours_alone_per_day cannot exceed "
                                               "working_hours_per_day$"):
             ApplicantRecord(hours_alone_per_day=2, working_hours_per_day=1)
+
+
+class TestKernelBreakdown:
+    """``actual_security`` keeps the kernel ints and builds the rational
+    fields when one is first read; every record method sees what a
+    breakdown built field by field has."""
+
+    SCOPES = (toy_scope(), Scope("empty"), _other_scope(),
+              Scope("zero-porosity", controls=ControlCounts(alarm=3)))
+
+    @pytest.mark.parametrize("scope", SCOPES, ids=lambda s: s.id)
+    def test_unread_breakdown_is_its_eager_twin(self, scope):
+        eager = dataclasses.replace(actual_security(scope))
+        assert eager._kernel is None
+        checks = {
+            "eq": lambda b: b == eager and eager == b,
+            "repr": lambda b: repr(b) == repr(eager),
+            "pickle": lambda b: pickle.loads(pickle.dumps(b)) == eager,
+            "copy": lambda b: copy.copy(b) == eager and copy.deepcopy(b) == eager,
+            "fields": lambda b: [getattr(b, f.name) for f in dataclasses.fields(b)]
+            == [getattr(eager, f.name) for f in dataclasses.fields(eager)],
+            "match": lambda b: b.__match_args__ == _BREAKDOWN,
+        }
+        for name, check in checks.items():
+            assert check(actual_security(scope)), name
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(actual_security(scope))
+        b = actual_security(scope)
+        for name in _BREAKDOWN:
+            value = getattr(b, name)
+            if name.endswith("_per_class"):
+                assert all(type(v) is Fraction for v in value.values())
+            elif name == "weights":
+                assert all(type(getattr(value, n)) is Fraction for n in value.__slots__)
+                assert value.mc_vg == b.mc_vg
+            elif not name.endswith(("_base", "actsec")):
+                assert type(value) is Fraction, name
+        assert pickle.loads(pickle.dumps(b))._kernel is None
+
+    def test_kernel_slot_is_not_a_field(self):
+        assert "_kernel" not in RavBreakdown.__slots__
+        assert "_kernel" not in {f.name for f in dataclasses.fields(RavBreakdown)}
+        b = actual_security(toy_scope())
+        with pytest.raises(AttributeError, match="^'RavBreakdown' object has no attribute 'x'$"):
+            b.x
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b._kernel = None

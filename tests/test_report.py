@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from ravkit.cli import dispatch
 from ravkit.errors import DigitLimitError, InputError, UndefinedTrustError
 from ravkit.ingest import scope_to_obj
 from ravkit.metrics import (
@@ -372,6 +374,56 @@ def differential_scope(rng: random.Random, i: int) -> Scope:
         controls=controls,
         limitations=limitations,
     )
+
+
+class TestKernelFill:
+    """A breakdown from ``actual_security`` is rendered from its kernel ints;
+    one built field by field, from its ``Fraction``s.  Both give the same bytes."""
+
+    @pytest.mark.parametrize("format, golden", [("text", "multi_scope_report.txt"),
+                                                ("json", "multi_scope_report.json")])
+    def test_multi_scope_golden(self, fixtures, format, golden):
+        # Six scopes: empty, zero porosity with controls, counts of 10**6
+        # and 10**300, non-ASCII ids and labels.
+        argv = ["rav", str(fixtures / "multi_scope.json"), "--format", format]
+        assert dispatch(argv) == (0, (fixtures / golden).read_bytes(), b"")
+
+    def test_kernel_fill_matches_the_fraction_fill_on_500_seeded_scopes(self):
+        rng = random.Random("kernel-fill")
+        shapes = {"empty": 0, "huge": 0, "awkward": 0}
+        for i in range(500):
+            scope = differential_scope(rng, i)
+            b = actual_security(scope)
+            text, json_report = render_report(b, scope, "text"), render_report(b, scope, "json")
+            _, parsed = parse_report(json_report)
+            assert b._kernel is not None and parsed._kernel is None
+            assert render_report(parsed, scope, "json") == json_report, scope
+            assert render_report(parsed, scope, "text") == text, scope
+            # The same fields built eagerly from the breakdown's own Fractions.
+            eager = replace(b)
+            assert eager._kernel is None and eager == b
+            assert render_report(eager, scope, "text") == text, scope
+            assert render_report(eager, scope, "json") == json_report, scope
+            shapes["empty"] += scope.porosity.total == 0
+            shapes["huge"] += scope.porosity.total > 10**200
+            shapes["awkward"] += scope.vector in AWKWARD or scope.id in AWKWARD
+        assert min(shapes.values()) >= 5, shapes
+
+    @pytest.mark.parametrize("format", ["json", "text"])
+    def test_kernel_field_past_the_digit_limit(self, format):
+        # Every count has fewer digits than the limit, but the limitation
+        # sum in lowest terms has more.
+        big = 10 ** (sys.get_int_max_str_digits() // 2) + 7
+        scope = Scope(id="big", porosity=PorosityCounts(big, 3, 1),
+                      controls=ControlCounts(authentication=7),
+                      limitations=LimitationCounts(1, 0, 0, 1, 2))
+        b = actual_security(scope)
+        with pytest.raises(ValueError):
+            str(b.seclim_sum.denominator)
+        with pytest.raises(DigitLimitError):
+            render_report(b, scope, format)
+        with pytest.raises(DigitLimitError):
+            render_report(replace(b), scope, format)
 
 
 class TestFixedSchemaEmittersMatchGenericEmitter:
