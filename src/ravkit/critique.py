@@ -315,10 +315,6 @@ class _Slab(Record):
         set_(self, "triples", triples)
         set_(self, "lims", lims)
 
-    def structure(self, idx):
-        """Porosity layout and limitation tuple, as one comparable integer."""
-        return idx // (self.triples * self.lims) * self.lims + idx % self.lims
-
     def locate(self, idx):
         """Base id and limitation id of the states at ``idx``."""
         base = self.first_ids[idx // (self.triples * self.lims)] + self.lo
@@ -388,20 +384,37 @@ def _collision_slabs(
     layouts: Mapping[int, list[tuple[int, int, int]]],
     lim_tuples: np.ndarray,
 ):
-    """Yield every slab of the enumeration in ``(s, lc_sum)`` order."""
+    """Yield every slab of the enumeration in ``(s, lc_sum)`` order.
+
+    ``lim_tuples`` is every limitation tuple within one bound, in
+    ``itertools.product`` order.  The kernel runs on an open grid of shape
+    (layout, triple, nv, nw, nc, ne*na): ``nv``, ``nw`` and ``nc`` vary
+    along their own axes, ``ne`` and ``na`` share the last one.  So the
+    weights are built at ``1/(bound+1)**2`` of the slab's size, and only
+    the last products and sums are full size.  Flattened, the grid is the
+    (layout, triple, limitation tuple) order.
+    """
     import numpy as np
 
+    bound = int(lim_tuples[-1, 0])
     for s, layout in sorted(layouts.items()):
         trip = np.array([key for key, _ in triples_by_s[s]], dtype=np.int64)
         first_ids = np.array([fid for fid, _, _ in layout], dtype=np.int64)
-        pvpa = np.array([p for _, p, _ in layout], dtype=np.int64)[:, None, None]
-        pt = np.array([t for _, _, t in layout], dtype=np.int64)[:, None, None]
+        pvpa = np.array([p for _, p, _ in layout], dtype=np.int64).reshape(-1, 1, 1, 1, 1, 1)
+        pt = np.array([t for _, _, t in layout], dtype=np.int64).reshape(-1, 1, 1, 1, 1, 1)
         # Zero porosity admits only the all-zero limitation tuple.
-        n_l = 1 if s == 0 else len(lim_tuples)
-        lims = tuple(lim_tuples[:n_l].T)
+        ax = np.arange(bound + 1 if s else 1, dtype=np.int64)
+        lims = (
+            ax[:, None, None, None],
+            ax[:, None, None],
+            ax[:, None],
+            np.repeat(ax, len(ax)),
+            np.tile(ax, len(ax)),
+        )
+        n_l = len(ax) ** 5
         edges = [0, *(np.flatnonzero(np.diff(trip[:, 0])) + 1).tolist(), len(trip)]
         for lo, hi in zip(edges, edges[1:]):
-            mca, mcb = trip[lo:hi, 1:2], trip[lo:hi, 2:3]
+            mca, mcb = (trip[lo:hi, i].reshape(-1, 1, 1, 1, 1) for i in (1, 2))
             keys = seclim_numerator(
                 lims, weight_numerators(s, pvpa, pt, mca + mcb, mca, mcb, lims)
             )
@@ -605,9 +618,9 @@ def collision_search(
     reproducibility of the emitted document.
 
     Measured cold (``ravkit demo --kind collision``, Python 3.11, numpy
-    2.4, a 2-core x86-64 host): bounds 3 takes 1.4-1.6 s and 64 MB peak
-    RSS at ``epsilon`` 1e-9; bounds 4 takes 12-13 s and 221 MB at 1e-9,
-    5.6-5.9 s and 99 MB at 0.
+    2.4, a 2-core x86-64 host): bounds 3 takes 0.8-1.0 s and 62 MB peak
+    RSS at ``epsilon`` 1e-9; bounds 4 takes 6.4-6.5 s and 214 MB at 1e-9,
+    2.8-3.2 s and 82 MB at 0.
     """
     import numpy as np
 
@@ -638,9 +651,14 @@ def collision_search(
         sizes = np.diff(starts, append=n)
         distinct_keys += len(starts)
         # A group's head is its first state in enumeration order; the group
-        # is reportable if a member differs from the head in structure.
+        # is reportable if a member differs from the head in structure:
+        # porosity layout and limitation tuple, read from a table of
+        # ``layout * lims + lim_id`` over the slab's states.
         heads = order[starts]
-        differs = slab.structure(order) != np.repeat(slab.structure(heads), sizes)
+        n_layouts = len(slab.first_ids)
+        ids = np.arange(n_layouts * slab.lims, dtype=np.int32).reshape(n_layouts, 1, -1)
+        structure = np.broadcast_to(ids, (n_layouts, slab.triples, slab.lims)).reshape(-1)[order]
+        differs = structure != np.repeat(structure[starts], sizes)
         reportable = np.logical_or.reduceat(differs, starts)
         groups = np.flatnonzero(reportable)
         exact_groups += len(groups)

@@ -520,12 +520,16 @@ def parse_applicants_csv(
 
 def _hours_cell(text: str, name: str) -> Union[int, Fraction]:
     """The value of an hours cell of column ``name``: an int for plain
-    digits, else ``parse_rational``'s value or error."""
-    if text.isdigit():
-        try:
+    digits, a ``Fraction`` for ASCII ``digits/digits`` with a nonzero
+    denominator, else ``parse_rational``'s value or error."""
+    try:
+        if text.isdigit():
             return int(text)
-        except ValueError:
-            pass  # past the int-digit limit, or digits int() refuses
+        num, slash, den = text.partition("/")
+        if slash and text.isascii() and num.isdigit() and den.isdigit():
+            return Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
+        pass  # past the int-digit limit, digits int() refuses, or a zero denominator
     return parse_rational(text, f"column {name!r}")
 
 

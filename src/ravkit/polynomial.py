@@ -178,7 +178,7 @@ def _canonical_mono(mono: object) -> Mono:
 class Polynomial:
     """Immutable sparse polynomial: int numerators over one positive int."""
 
-    __slots__ = ("terms", "den", "_hash")
+    __slots__ = ("terms", "den", "_hash", "_vars")
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
         coeffs: dict[Mono, Fraction] = {}
@@ -191,6 +191,7 @@ class Polynomial:
         self.terms = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
         self.den = den
         self._hash = None
+        self._vars = None
 
     @classmethod
     def _from_numerators(cls, terms: dict[Mono, int], den: int = 1) -> "Polynomial":
@@ -205,11 +206,13 @@ class Polynomial:
         out.terms = terms
         out.den = den
         out._hash = None
+        out._vars = None
         return out
 
     def __reduce__(self):
         # Rebuilt by the constructor, which interns the monomials again and
-        # leaves out the cached hash: string hashes differ between processes.
+        # leaves out the cached hash (string hashes differ between processes)
+        # and the cached variable set.
         return Polynomial, ({m: Fraction(c, self.den) for m, c in self.terms.items()},)
 
     # -- constructors ------------------------------------------------------
@@ -247,7 +250,9 @@ class Polynomial:
         return Fraction(self.terms.get(_EMPTY_MONO, 0), self.den)
 
     def variables(self) -> frozenset[str]:
-        return frozenset(v for mono in self.terms for v, _ in mono)
+        if self._vars is None:
+            self._vars = frozenset(v for mono in self.terms for v, _ in mono)
+        return self._vars
 
     def degree_in(self, var: str) -> int:
         deg = 0

@@ -51,6 +51,8 @@ from ravkit.metrics import (
     PorosityCounts,
     Scope,
     actual_security,
+    seclim_numerator,
+    weight_numerators,
 )
 from ravkit.report import render_findings
 from ravkit.trust import ApplicantRecord, Polarity, Reference, consistency_ratios
@@ -389,6 +391,34 @@ class TestCollisionSearch:
                 )
 
     @pytest.mark.parametrize("bound, n_slabs", [(1, 44), (2, 147), (3, 310)])
+    def test_grid_keys_match_the_kernel_on_flat_columns(self, bound, n_slabs):
+        # The open-grid kernel against the same kernel on one flat column per
+        # limitation count, shaped (layout, triple, limitation tuple).
+        bounds = CollisionBounds.coerce(bound)
+        lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
+        triples_by_s, layouts = _collision_tables(bounds)
+        slabs = 0
+        for slab in _collision_slabs(triples_by_s, layouts, lims):
+            layout = layouts[slab.s]
+            assert slab.first_ids.tolist() == [first_id for first_id, _, _ in layout]
+            assert slab.lims == (len(lims) if slab.s else 1)
+            trip = np.array(
+                [key for key, _ in triples_by_s[slab.s]][slab.lo : slab.lo + slab.triples],
+                dtype=np.int64,
+            )
+            assert (trip[:, 0] == slab.lc_sum).all()
+            pvpa = np.array([pvpa for _, pvpa, _ in layout], dtype=np.int64)[:, None, None]
+            pt = np.array([pt for _, _, pt in layout], dtype=np.int64)[:, None, None]
+            mca, mcb = trip[:, 1:2], trip[:, 2:3]
+            columns = tuple(lims[: slab.lims].T)
+            expected = seclim_numerator(
+                columns, weight_numerators(slab.s, pvpa, pt, mca + mcb, mca, mcb, columns)
+            )
+            assert np.array_equal(slab.keys, expected.reshape(-1)), (slab.s, slab.lc_sum)
+            slabs += 1
+        assert slabs == n_slabs
+
+    @pytest.mark.parametrize("bound, n_slabs", [(1, 44), (2, 147), (3, 310), (4, 533)])
     def test_slab_scores_strictly_decrease_in_key_order(self, bound, n_slabs):
         # Within a slab the score falls as the limitation key grows, so one
         # score interval is one key interval: a near-pass filter on key

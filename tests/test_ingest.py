@@ -515,3 +515,36 @@ def test_hours_fast_path_agrees_with_parse_rational(text):
 
     fast = outcome(lambda: _hours_cell(text, "hours_alone_per_day"))
     assert fast == outcome(lambda: parse_rational(text, "column 'hours_alone_per_day'"))
+
+
+_RATIO_PARTS = st.one_of(
+    st.text(st.sampled_from("0123456789"), min_size=0, max_size=8),
+    st.text(st.sampled_from(_DIGITS + "+- ./e"), min_size=0, max_size=6),
+    st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 3), st.integers(0, 10**30)),
+    st.builds(
+        lambda digit, n: digit * n, st.sampled_from("10"), st.integers(_LIMIT - 1, _LIMIT + 1)
+    ),
+)
+
+
+@given(st.builds(lambda num, den: f"{num}/{den}", _RATIO_PARTS, _RATIO_PARTS))
+@settings(max_examples=400)
+def test_hours_ratio_fast_path_agrees_with_fraction(text):
+    # ``digits/digits`` cells skip Fraction's parser; every other cell,
+    # a zero denominator, a sign, a space or a part past the int-digit
+    # limit among them, must read and fail exactly as parse_rational does.
+    def outcome(read):
+        try:
+            value = read()
+        except InputError as exc:
+            return type(exc), str(exc)
+        return type(value), value
+
+    fast = outcome(lambda: _hours_cell(text, "working_hours_per_day"))
+    assert fast == outcome(lambda: parse_rational(text, "column 'working_hours_per_day'"))
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        assert fast[0] is InputError
+    else:
+        assert fast == (Fraction, expected)

@@ -342,3 +342,41 @@ def test_rendered_monomials_are_memoized(cold_memos):
     assert text == "3*h^2*p - z + 1"
     assert polynomial._RENDERED == {(("h", 2), ("p", 1)): "h^2*p", (("z", 1),): "z", (): ""}
     assert poly.render() == text and len(polynomial._RENDERED) == 3
+
+
+def test_cached_variables_match_a_fresh_scan(fixtures, monkeypatch):
+    # Every polynomial the symbolic pipeline builds for the units fixture,
+    # scored and evaluated as `ravkit symbolic --eval` does: the cached set
+    # is the set a scan of the monomials gives, and a pickle carries no
+    # cache, so the loaded copy scans again and agrees.
+    import pickle
+
+    from ravkit.ingest import parse_scope_document
+    from ravkit.symbolic import symbolic_rav
+
+    built: list[Polynomial] = []
+    init, wrap = Polynomial.__init__, Polynomial._from_numerators.__func__
+
+    def record_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def record_wrap(cls, *args):
+        built.append(wrap(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(Polynomial, "__init__", record_init)
+    monkeypatch.setattr(Polynomial, "_from_numerators", classmethod(record_wrap))
+    document = parse_scope_document((fixtures / "units_symbolic.json").read_bytes())
+    for entry in document.entries:
+        score = symbolic_rav(entry.scope, entry.units)
+        score.evaluate({name: Fraction(3, 2) for name in score.variables()})
+    monkeypatch.undo()
+
+    assert len(built) > 1000 and any(poly._vars is not None for poly in built)
+    for poly in built:
+        scanned = frozenset(v for mono in poly.terms for v, _ in mono)
+        assert poly.variables() == scanned and poly.variables() is poly.variables()
+        loaded = pickle.loads(pickle.dumps(poly))
+        assert loaded._vars is None
+        assert loaded.variables() == scanned
