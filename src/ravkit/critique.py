@@ -42,6 +42,7 @@ from .metrics import (
     RavBreakdown,
     Record,
     Scope,
+    _RATIONAL_AGGREGATES,
     _log_ratio,
     actual_security,
     combine_bases,
@@ -100,20 +101,9 @@ class CritiqueFinding(Record):
 # Control permutations
 # ---------------------------------------------------------------------------
 
-_RATIONAL_FIELDS = (
-    "opsec_sum",
-    "lc_sum",
-    "mc_sum",
-    "mc_class_a",
-    "mc_class_b",
-    "mc_vg",
-    "seclim_sum",
-)
-
-
 def rational_signature(breakdown: RavBreakdown) -> tuple:
     """The aggregate exact-rational intermediates that determine the score."""
-    return tuple(getattr(breakdown, name) for name in _RATIONAL_FIELDS) + (
+    return tuple(getattr(breakdown, name) for name in _RATIONAL_AGGREGATES) + (
         breakdown.weights,
     )
 
@@ -620,7 +610,9 @@ def collision_search(
     Measured cold (``ravkit demo --kind collision``, Python 3.11, numpy
     2.4, a 2-core x86-64 host): bounds 3 takes 0.8-1.0 s and 62 MB peak
     RSS at ``epsilon`` 1e-9; bounds 4 takes 6.4-6.5 s and 214 MB at 1e-9,
-    2.8-3.2 s and 82 MB at 0.
+    2.8-3.2 s and 82 MB at 0; bounds 5 (489,421,491 states, 130,563,789
+    distinct keys, 333,392 near pairs at 1e-9) takes 44-48 s and 1,204 MB
+    at 1e-9, 18-24 s and 239-246 MB at 0.
     """
     import numpy as np
 

@@ -443,12 +443,13 @@ class _KernelInts(Record):
     __slots__ = ("_kernel",)
 
 
+#: The seven aggregate rational fields of a RavBreakdown, in report order.
+_RATIONAL_AGGREGATES = (
+    "opsec_sum", "lc_sum", "mc_sum", "mc_class_a", "mc_class_b", "mc_vg", "seclim_sum"
+)
 #: The rational fields of a RavBreakdown; actual_security leaves them unset
 #: and RavBreakdown.__getattr__ builds them from the kernel ints.
-_RATIONAL_FIELDS = frozenset(
-    ("opsec_sum", "lc_sum", "mc_per_class", "mc_sum", "mc_class_a", "mc_class_b", "mc_vg",
-     "tc_per_class", "weights", "seclim_sum")
-)
+_RATIONAL_FIELDS = frozenset((*_RATIONAL_AGGREGATES, "mc_per_class", "tc_per_class", "weights"))
 
 
 class RavBreakdown(_KernelInts):

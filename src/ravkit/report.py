@@ -5,7 +5,8 @@ its own hides the data it came from, and the data is the part an engineer
 can act on.  JSON output uses sorted keys, rationals as exact ``num/den``
 strings, and floats (log-derived quantities only) fixed to six decimals,
 so two runs on the same input are byte-identical.  ``parse_report``
-recovers every rational intermediate exactly.
+verifies a report against the kernel: it scores the echoed scope and
+refuses a report whose breakdown disagrees with it.
 
 The keys of ``ravkit-report/1`` and ``ravkit-trust/1`` are fixed, so those
 reports are written from templates built once at import, with every key in
@@ -22,18 +23,19 @@ from math import gcd
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, Union
 
-from .errors import DigitLimitError, FloatRangeError, InputError
-from .ingest import ScopeEntry, _parse_scope_obj, load_json
+from .errors import DigitLimitError, FloatRangeError, InputError, UndefinedWeightError
+from .ingest import _parse_scope_obj, _reject_unknown, load_json
 from .metrics import (
     LIMITATION_CATEGORIES,
     ControlClass,
     RavBreakdown,
     Scope,
-    Weights,
     _POROSITY_FIELDS,
+    _RATIONAL_AGGREGATES as _FRACTIONS,
     _by_category,
     _control_counts,
     _porosity_counts,
+    actual_security,
 )
 
 if TYPE_CHECKING:
@@ -52,14 +54,6 @@ def fraction_str(value: Fraction) -> str:
     except ValueError:
         # str() of an int past the interpreter's int-digit limit.
         raise DigitLimitError() from None
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    except (AttributeError, ValueError, ZeroDivisionError):
-        raise InputError(f"not a num/den rational: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +114,6 @@ def _emit(value: Any, out: list[str]) -> None:
 # one tuple of values, in ``_VALUE_NAMES`` order, into its placeholder order.
 # Only the scope's id, channel, vector and index are quoted per report.
 
-_FRACTIONS = ("opsec_sum", "lc_sum", "mc_sum", "mc_class_a", "mc_class_b", "mc_vg", "seclim_sum")
 _FLOATS = ("opsec_base", "tc_base", "fc_base", "seclim_base", "actsec")
 _SCOPE_LABELS = ("id", "channel", "vector", "index")
 #: The JSON key and text label of each control class, in pipeline order.
@@ -296,60 +289,44 @@ def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -
 
 
 def parse_report(data: Union[bytes, str]) -> tuple[Scope, RavBreakdown]:
-    """Recover the scope and every intermediate from a JSON report."""
+    """Verify a JSON report against the kernel and return its scope and breakdown.
+
+    The scope is parsed and scored with :func:`actual_security`; the
+    document's ``breakdown`` must equal, key for key and in type as well as
+    value, the one :func:`render_report` writes for that scope.  A report
+    that disagrees with its own counts is refused with an
+    :class:`InputError` naming the first differing path.  The breakdown
+    returned is the kernel's, with full-precision floats.
+    """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"report is not valid UTF-8: {exc}") from None
     doc = load_json(data, InputError, "invalid report JSON")
     if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
         raise InputError(f"not a {REPORT_SCHEMA} document")
-    entry: ScopeEntry = _parse_scope_obj(doc.get("scope"), "$.scope")
-    raw = doc.get("breakdown")
-    if not isinstance(raw, dict):
-        raise InputError("$.breakdown: expected an object")
-
-    def frac(key: str) -> Fraction:
-        return parse_fraction(raw[key])
-
-    def per_class(key: str) -> dict[ControlClass, Fraction]:
-        return {cls: parse_fraction(raw[key][cls.value]) for cls in ControlClass}
-
-    def number(key: str) -> float:
-        value = raw[key]
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            try:
-                return float(value)
-            except OverflowError:
-                pass
-        raise InputError(f"$.breakdown.{key}: expected a number")
-
+    scope = _parse_scope_obj(doc.get("scope"), "$.scope").scope
     try:
-        weights = Weights(
-            **{name: parse_fraction(raw["weights"][name]) for name in LIMITATION_CATEGORIES},
-            mc_vg=frac("mc_vg"),
-        )
-        breakdown = RavBreakdown(
-            opsec_sum=frac("opsec_sum"),
-            opsec_base=number("opsec_base"),
-            lc_sum=frac("lc_sum"),
-            mc_per_class=per_class("mc_per_class"),
-            mc_sum=frac("mc_sum"),
-            mc_class_a=frac("mc_class_a"),
-            mc_class_b=frac("mc_class_b"),
-            mc_vg=frac("mc_vg"),
-            tc_per_class=per_class("tc_per_class"),
-            tc_base=number("tc_base"),
-            fc_base=number("fc_base"),
-            weights=weights,
-            seclim_sum=frac("seclim_sum"),
-            seclim_base=number("seclim_base"),
-            actsec=number("actsec"),
-        )
-    except KeyError as exc:
-        raise InputError(f"$.breakdown: missing field {exc.args[0]!r}") from None
-    except TypeError:
-        # A per-class or weights field that is not an object.
-        raise InputError("$.breakdown: a field has the wrong type") from None
-    return entry.scope, breakdown
+        breakdown = actual_security(scope)
+    except UndefinedWeightError as exc:
+        raise InputError(f"$.scope: {exc}") from None
+    expected = json.loads(render_report(breakdown, scope, "json"))["breakdown"]
+    _expect_same(doc.get("breakdown"), expected, "$.breakdown")
+    return scope, breakdown
+
+
+def _expect_same(found: Any, expected: Any, path: str) -> None:
+    """Raise an :class:`InputError` at the first path where ``found``
+    differs from ``expected`` in a key, a type or a value."""
+    if type(expected) is dict and type(found) is dict:
+        _reject_unknown(found, expected.keys(), path)
+        for key, value in expected.items():
+            if key not in found:
+                raise InputError(f"{path}.{key}: missing")
+            _expect_same(found[key], value, f"{path}.{key}")
+    elif type(found) is not type(expected) or found != expected:
+        raise InputError(f"{path}: disagrees with the breakdown computed from $.scope")
 
 
 # ---------------------------------------------------------------------------

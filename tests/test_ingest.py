@@ -96,6 +96,9 @@ class TestScopeParsing:
         [
             pytest.param([{"id": "a", "zeta": 1, "alpha": 2}],
                          "$.scopes[0]: unknown field(s) alpha, zeta", id="unknown scope field"),
+            pytest.param([{"id": "a", "z\nline": 1, "a\tb": 2, "b c": 3}],
+                         "$.scopes[0]: unknown field(s) 'a\\tb', b c, 'z\\nline'",
+                         id="unknown field with a control character"),
             pytest.param([{"id": "a", "porosity": {"visibility": 1, "pores": 2}}],
                          "$.scopes[0].porosity: unknown field(s) pores",
                          id="unknown porosity field"),

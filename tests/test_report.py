@@ -9,11 +9,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ravkit.cli import dispatch
 from ravkit.errors import DigitLimitError, InputError, UndefinedTrustError
 from ravkit.ingest import scope_to_obj
 from ravkit.metrics import (
+    _RATIONAL_AGGREGATES,
     CHANNELS,
     LIMITATION_CATEGORIES,
     ControlClass,
@@ -22,11 +24,11 @@ from ravkit.metrics import (
     PorosityCounts,
     Scope,
     actual_security,
+    toy_scope,
 )
 from ravkit.report import (
     emit_json,
     fraction_str,
-    parse_fraction,
     parse_report,
     render_report,
     render_trust_report,
@@ -42,19 +44,7 @@ from ravkit.trust import (
     trust_combine,
 )
 
-from conftest import random_scope
-
-
-class TestFractionStrings:
-    def test_round_trip(self):
-        for value in (Fraction(19, 20), Fraction(2), Fraction(0), Fraction(-7, 3)):
-            assert parse_fraction(fraction_str(value)) == value
-
-    def test_bad_input(self):
-        with pytest.raises(InputError):
-            parse_fraction("1.5")
-        with pytest.raises(InputError):
-            parse_fraction("1/0")
+from conftest import FIXTURES, random_scope
 
 
 class TestJsonEmitter:
@@ -131,8 +121,8 @@ class TestRavReport:
         assert dict(parsed.mc_per_class) == dict(b.mc_per_class)
         assert dict(parsed.tc_per_class) == dict(b.tc_per_class)
         assert parsed.weights == b.weights
-        # Floats are stored at six decimals by design.
-        assert parsed.actsec == pytest.approx(b.actsec, abs=1e-6)
+        # The breakdown is the kernel's, so its floats are not cut to six decimals.
+        assert parsed.actsec == b.actsec
 
     def test_round_trip_render_is_stable(self, toy):
         b = actual_security(toy)
@@ -166,6 +156,128 @@ class TestRavReport:
         doc["breakdown"][field] = value
         with pytest.raises(InputError):
             parse_report(json.dumps(doc))
+
+
+def _leaf_paths(obj: dict, prefix: tuple = ()) -> list[tuple]:
+    """The key path of every non-object value under ``obj``."""
+    paths = []
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            paths.extend(_leaf_paths(value, (*prefix, key)))
+        else:
+            paths.append((*prefix, key))
+    return paths
+
+
+def _toy_doc() -> dict:
+    return json.loads((FIXTURES / "toy_report.json").read_bytes())
+
+
+_BREAKDOWN_LEAVES = _leaf_paths(_toy_doc()["breakdown"])
+
+
+def _refusal(doc: dict) -> str:
+    """The one-line message ``parse_report`` refuses ``doc`` with."""
+    with pytest.raises(InputError) as exc:
+        parse_report(json.dumps(doc))
+    message = str(exc.value)
+    assert message and "\n" not in message
+    return message
+
+
+class TestReportVerifier:
+    """``parse_report`` scores the echoed scope and returns the kernel's
+    breakdown, or refuses a report whose breakdown disagrees with it."""
+
+    @pytest.mark.parametrize("golden", ["toy_report.json", "multi_scope_report.json"])
+    def test_every_golden_line_parses_to_a_kernel_breakdown(self, golden):
+        lines = (FIXTURES / golden).read_bytes().splitlines(keepends=True)
+        for line in lines:
+            scope, parsed = parse_report(line)
+            assert parsed._kernel is not None
+            assert parsed == actual_security(scope)
+            assert render_report(parsed, scope, "json") == line
+        assert len(lines) == {"toy_report.json": 1, "multi_scope_report.json": 6}[golden]
+
+    def test_the_breakdown_has_37_leaves(self):
+        # 7 rationals, 5 floats, 10 + 10 per-class values and 5 weights.
+        assert len(_BREAKDOWN_LEAVES) == 37
+        assert sorted(map(len, _BREAKDOWN_LEAVES)).count(2) == 25
+
+    @pytest.mark.parametrize("path", _BREAKDOWN_LEAVES, ids=".".join)
+    def test_each_tampered_leaf_is_refused_by_path(self, path):
+        def holder(doc: dict) -> dict:
+            obj = doc["breakdown"]
+            for key in path[:-1]:
+                obj = obj[key]
+            return obj
+
+        value = holder(_toy_doc())[path[-1]]
+        if isinstance(value, str):
+            num, den = value.split("/")
+            tampered = (f"{int(num) + 1}/{den}", f"{2 * int(num)}/{2 * int(den)}", float(num))
+        else:
+            tampered = (value + 0.5, value + 1e-6, f"{value:.6f}")
+        where = "$.breakdown." + ".".join(path)
+        for bad in tampered:
+            doc = _toy_doc()
+            holder(doc)[path[-1]] = bad
+            assert _refusal(doc) == f"{where}: disagrees with the breakdown computed from $.scope"
+
+    def test_missing_leaf_is_refused_by_path(self):
+        doc = _toy_doc()
+        del doc["breakdown"]["weights"]["concerns"]
+        assert _refusal(doc) == "$.breakdown.weights.concerns: missing"
+
+    @pytest.mark.parametrize("where", [(), ("weights",), ("mc_per_class",)])
+    def test_extra_key_is_refused(self, where):
+        doc = _toy_doc()
+        parent = doc["breakdown"]
+        for key in where:
+            parent = parent[key]
+        parent["extra\nkey"] = "0/1"
+        path = ".".join(("$.breakdown", *where))
+        assert _refusal(doc) == f"{path}: unknown field(s) 'extra\\nkey'"
+
+    @pytest.mark.parametrize("value", [False, 0, "0/1", None])
+    def test_zero_float_is_not_false_or_an_int(self, value):
+        scope = Scope(id="empty")
+        doc = json.loads(render_report(actual_security(scope), scope, "json"))
+        assert doc["breakdown"]["opsec_base"] == 0.0
+        doc["breakdown"]["opsec_base"] = value
+        assert _refusal(doc).startswith("$.breakdown.opsec_base: ")
+
+    def test_unscorable_scope_is_input_error(self):
+        doc = _toy_doc()
+        doc["scope"]["porosity"] = {"visibility": 0, "access": 0, "trust": 0}
+        assert _refusal(doc) == (
+            "$.scope: scope 'toy' has zero porosity but nonzero limitations; "
+            "limitation weights are undefined"
+        )
+
+    def test_rational_fields_read_back_as_the_fractions_written(self):
+        # 19/20, 2, 0 and an awkward ratio, as the report writes and reads them.
+        scopes = [toy_scope(), Scope(id="empty"),
+                  Scope(id="ratio", porosity=PorosityCounts(3, 4, 5),
+                        controls=ControlCounts(alarm=2), limitations=LimitationCounts(0, 1, 2, 0, 7))]
+        for scope in scopes:
+            doc = json.loads(render_report(actual_security(scope), scope, "json"))
+            _, parsed = parse_report(json.dumps(doc))
+            for name in _RATIONAL_AGGREGATES:
+                value = getattr(parsed, name)
+                assert fraction_str(value) == doc["breakdown"][name]
+                assert Fraction(doc["breakdown"][name]) == value
+
+    @pytest.mark.parametrize("text", ["1.5", "1/0", "19/20 ", "+19/20", "0x13/20"])
+    def test_rational_not_as_written_is_refused(self, text):
+        doc = _toy_doc()
+        assert doc["breakdown"]["mc_vg"] == "19/20"
+        doc["breakdown"]["mc_vg"] = text
+        assert _refusal(doc).startswith("$.breakdown.mc_vg: ")
+
+    def test_undecodable_bytes_are_input_error(self):
+        with pytest.raises(InputError, match="not valid UTF-8"):
+            parse_report(b"\xff" + (FIXTURES / "toy_report.json").read_bytes())
 
 
 class TestTrustReport:
@@ -396,7 +508,7 @@ class TestKernelFill:
             b = actual_security(scope)
             text, json_report = render_report(b, scope, "text"), render_report(b, scope, "json")
             _, parsed = parse_report(json_report)
-            assert b._kernel is not None and parsed._kernel is None
+            assert b._kernel is not None and parsed._kernel is not None
             assert render_report(parsed, scope, "json") == json_report, scope
             assert render_report(parsed, scope, "text") == text, scope
             # The same fields built eagerly from the breakdown's own Fractions.
@@ -514,3 +626,93 @@ def differential_record(rng: random.Random, i: int) -> ApplicantRecord:
         employees_in_community=rng.randint(0, min(population, 5000)),
         community_population=population,
     )
+
+
+# ---------------------------------------------------------------------------
+# Mutated reports: every outcome is a verified breakdown or one error line
+# ---------------------------------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["0/1", "1/1", "19/20", "1/0", "1.5", "-1/2", "2/4", "100.000000"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=4,
+)
+
+
+def _near_misses(value) -> list:
+    """Values a hand edit might put in place of ``value``: the same number
+    in another type or spelling, or a count group set to zero."""
+    if isinstance(value, dict):
+        return [{}, dict.fromkeys(value, 0)]
+    if isinstance(value, list) or isinstance(value, bool) or value is None:
+        return [0, 0.0, "false"]
+    if isinstance(value, float):
+        return [int(value), bool(value), -value, value + 1e-6, f"{value:.6f}"]
+    if isinstance(value, int):
+        return [0, value + 1, float(value), bool(value), str(value)]
+    num, _, den = value.partition("/")
+    return [f"{num}/{den}0", f"{num} / {den}", num, "0/1", value.upper() + "x"]
+
+
+def _members_of(doc: dict) -> list[tuple[dict, str]]:
+    """Every (object, key) pair in a parsed JSON document."""
+    found, stack = [], [doc]
+    while stack:
+        obj = stack.pop()
+        for key, value in obj.items():
+            found.append((obj, key))
+            if isinstance(value, dict):
+                stack.append(value)
+    return found
+
+
+def _typed(value):
+    """A JSON value with every scalar paired with its type, so that
+    ``false`` and ``0.0`` compare unequal."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_typed(item) for item in value]
+    return type(value), value
+
+
+@given(st.integers(0, 10**6), st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_mutated_report_is_verified_or_refused_in_one_line(seed, data):
+    # One scope in four is empty, so that zero floats are common.
+    scope = differential_scope(random.Random(seed), seed) if seed % 4 else Scope(id="empty")
+    report = json.loads(render_report(actual_security(scope), scope, "json"))
+    doc = {"report": report}
+    # Mutations land anywhere in the document, or only in its breakdown.
+    root = data.draw(st.sampled_from([doc, report["breakdown"]]), label="root")
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        obj, key = data.draw(st.sampled_from(_members_of(root)), label="at")
+        action = data.draw(st.sampled_from(["nudge", "replace", "copy", "delete", "rename", "add"]))
+        if action == "nudge":
+            obj[key] = data.draw(st.sampled_from(_near_misses(obj[key])), label="value")
+        elif action == "replace":
+            obj[key] = data.draw(_JSON_VALUES, label="value")
+        elif action == "copy":
+            # Another member's value, often of the right type for this key.
+            other, other_key = data.draw(st.sampled_from(_members_of(doc)), label="from")
+            obj[key] = json.loads(json.dumps(other[other_key]))
+        elif action == "delete" and obj is not doc:
+            del obj[key]
+        elif action == "rename" and obj is not doc:
+            obj[data.draw(st.text(max_size=6), label="name")] = obj.pop(key)
+        elif action == "add" and isinstance(obj[key], dict):
+            obj[key][data.draw(st.text(max_size=6), label="name")] = data.draw(_JSON_VALUES)
+    text = json.dumps(doc["report"])
+    try:
+        parsed_scope, parsed = parse_report(text.encode() if seed % 2 else text)
+    except InputError as exc:
+        assert str(exc) and "\n" not in str(exc), str(exc)
+    else:
+        rendered = json.loads(render_report(parsed, parsed_scope, "json"))
+        assert _typed(rendered["breakdown"]) == _typed(doc["report"]["breakdown"])
