@@ -127,18 +127,28 @@ def _demo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=1e-9)
 
 
+def _shown(path: str) -> str:
+    """``path`` as an error line writes it: unchanged if every character is
+    printable or a surrogate escape (a byte that is not UTF-8, given back raw
+    by :func:`_error_line`), else quoted by ``repr`` so the line stays one."""
+    if all(ch.isprintable() or "\udc80" <= ch <= "\udcff" for ch in path):
+        return path
+    return repr(path)
+
+
 def _read(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
             return handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte, or a lone surrogate that no encoding takes.
+        raise InputError(f"cannot read {_shown(path)}: {exc}") from None
 
 
 def _cmd_rav(args, out: BinaryIO) -> None:
     scopes = ingest.parse_scope_file(_read(args.scope_file))
     if not scopes:
-        raise InputError(f"{args.scope_file}: no scopes in file")
+        raise InputError(f"{_shown(args.scope_file)}: no scopes in file")
     for i, scope in enumerate(scopes):
         if i and args.format == "text":
             out.write(b"\n")
@@ -150,7 +160,7 @@ def _cmd_import_nmap(args, out: BinaryIO) -> None:
     if args.merge:
         document = ingest.parse_scope_document(_read(args.merge))
         if not document.entries:
-            raise InputError(f"{args.merge}: no scopes to merge into")
+            raise InputError(f"{_shown(args.merge)}: no scopes to merge into")
         first = document.entries[0]
         merged = ingest.merge_scan_into_scope(scan.porosity, first.scope)
         entries = (ingest.ScopeEntry(scope=merged, units=first.units),) + document.entries[1:]
@@ -208,7 +218,7 @@ def _parse_assignment(spec: str | None) -> dict[str, Fraction]:
 def _cmd_symbolic(args, out: BinaryIO) -> None:
     document = ingest.parse_scope_document(_read(args.scope_file))
     if not document.entries:
-        raise InputError(f"{args.scope_file}: no scopes in file")
+        raise InputError(f"{_shown(args.scope_file)}: no scopes in file")
     overrides = _parse_assignment(args.eval_spec)
     symbolic_rav = _layers.symbolic_rav
     blocks = []

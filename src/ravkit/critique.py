@@ -27,7 +27,6 @@ importing this module (and with it ``ravkit``) does not load numpy.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, product
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -266,51 +265,6 @@ def exact_scores_equal(a: RavBreakdown, b: RavBreakdown) -> bool:
     )
 
 
-class _Slab(Record):
-    """All states of one (porosity total, lc_sum) slab, keyed exactly.
-
-    ``keys`` holds each state's limitation-sum numerator over the
-    denominator ``(10*s**2)**2``, flattened from the shape (porosity
-    layout, control triple, limitation tuple); a flat index is a state's
-    position in enumeration order.  ``first_ids`` holds the first base id
-    of each porosity layout, and ``lo`` the offset of the slab's first
-    control triple within its layout.
-    """
-
-    __slots__ = __match_args__ = ("s", "lc_sum", "keys", "first_ids", "lo", "triples", "lims")
-    s: int
-    lc_sum: int
-    keys: np.ndarray
-    first_ids: np.ndarray
-    lo: int
-    triples: int
-    lims: int
-
-    def __init__(
-        self,
-        s: int,
-        lc_sum: int,
-        keys: np.ndarray,
-        first_ids: np.ndarray,
-        lo: int,
-        triples: int,
-        lims: int,
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "s", s)
-        set_(self, "lc_sum", lc_sum)
-        set_(self, "keys", keys)
-        set_(self, "first_ids", first_ids)
-        set_(self, "lo", lo)
-        set_(self, "triples", triples)
-        set_(self, "lims", lims)
-
-    def locate(self, idx):
-        """Base id and limitation id of the states at ``idx``."""
-        base = self.first_ids[idx // (self.triples * self.lims)] + self.lo
-        return base + idx // self.lims % self.triples, idx % self.lims
-
-
 def _collision_tables(
     b: CollisionBounds,
 ) -> tuple[dict[int, list], dict[int, list[tuple[int, int, int]]]]:
@@ -342,23 +296,28 @@ def _collision_tables(
     return triples_by_s, layouts
 
 
-def _layout_of(by_id: Sequence[tuple[int, int, int]], base_id: int) -> tuple[int, int, int]:
-    """The layout ``(first base id, pv+pa, pt)`` holding ``base_id``;
-    ``by_id`` lists every layout in base id order."""
-    return by_id[bisect_right(by_id, (base_id, math.inf)) - 1]
+def _layout_index(triples_by_s: Mapping[int, list], by_id: Sequence[tuple]) -> np.ndarray:
+    """The position in ``by_id`` of each base id's layout; ``by_id`` lists
+    every layout ``(first base id, pv+pa, pt)`` in base id order."""
+    import numpy as np
+
+    sizes = [len(triples_by_s[pvpa + pt]) for _, pvpa, pt in by_id]
+    return np.repeat(np.arange(len(by_id)), sizes)
 
 
 def _state_scope(
     code: int, scope_id: str, b: CollisionBounds, triples_by_s: Mapping[int, list],
-    by_id: Sequence[tuple[int, int, int]], lim_tuples: np.ndarray, split: int = 0,
+    by_id: Sequence[tuple[int, int, int]], layout_of: np.ndarray, lim_tuples: np.ndarray,
+    split: int = 0,
 ) -> Scope:
     """The scope of state ``code``, with its control triple's witness counts.
 
-    Its visibility count is the ``split``-th of the layout's splits
+    ``layout_of`` is :func:`_layout_index` of ``by_id``.  The visibility
+    count is the ``split``-th of the layout's splits
     ``max(0, pv+pa - p) .. min(pv+pa, p)``, ``p`` the porosity bound.
     """
     base_id, lim_id = divmod(code, len(lim_tuples))
-    first_id, pvpa, pt = _layout_of(by_id, base_id)
+    first_id, pvpa, pt = by_id[layout_of[base_id]]
     _, (witness_a, witness_b) = triples_by_s[pvpa + pt][base_id - first_id]
     pv = max(0, pvpa - b.porosity) + split
     return Scope(
@@ -369,20 +328,31 @@ def _state_scope(
     )
 
 
+def _state_codes(base_ids: np.ndarray, n_states: int, idx, n_lims: int):
+    """The codes ``base_id * n_lims + lim_id`` of the states at flat indices
+    ``idx`` of a slab of ``n_states`` states over the bases ``base_ids``."""
+    slab_lims = n_states // base_ids.size
+    return base_ids.reshape(-1)[idx // slab_lims] * n_lims + idx % slab_lims
+
+
 def _collision_slabs(
     triples_by_s: Mapping[int, list],
     layouts: Mapping[int, list[tuple[int, int, int]]],
     lim_tuples: np.ndarray,
 ):
-    """Yield every slab of the enumeration in ``(s, lc_sum)`` order.
+    """Yield every slab ``(s, lc_sum, keys, base_ids)``, in ``(s, lc_sum)`` order.
 
+    A slab is all states of one porosity total ``s`` and one ``lc_sum``.
+    ``base_ids`` is its grid of base ids, (porosity layout, control triple);
+    ``keys`` holds each state's limitation-sum numerator over
+    ``(10*s**2)**2`` in (layout, triple, limitation tuple) order, so a flat
+    index is a state's place in enumeration order (see :func:`_state_codes`).
     ``lim_tuples`` is every limitation tuple within one bound, in
     ``itertools.product`` order.  The kernel runs on an open grid of shape
     (layout, triple, nv, nw, nc, ne*na): ``nv``, ``nw`` and ``nc`` vary
     along their own axes, ``ne`` and ``na`` share the last one.  So the
     weights are built at ``1/(bound+1)**2`` of the slab's size, and only
-    the last products and sums are full size.  Flattened, the grid is the
-    (layout, triple, limitation tuple) order.
+    the last products and sums are full size.
     """
     import numpy as np
 
@@ -401,22 +371,13 @@ def _collision_slabs(
             np.repeat(ax, len(ax)),
             np.tile(ax, len(ax)),
         )
-        n_l = len(ax) ** 5
         edges = [0, *(np.flatnonzero(np.diff(trip[:, 0])) + 1).tolist(), len(trip)]
         for lo, hi in zip(edges, edges[1:]):
             mca, mcb = (trip[lo:hi, i].reshape(-1, 1, 1, 1, 1) for i in (1, 2))
             keys = seclim_numerator(
                 lims, weight_numerators(s, pvpa, pt, mca + mcb, mca, mcb, lims)
             )
-            yield _Slab(
-                s=s,
-                lc_sum=int(trip[lo, 0]),
-                keys=keys.reshape(-1),
-                first_ids=first_ids,
-                lo=lo,
-                triples=hi - lo,
-                lims=n_l,
-            )
+            yield s, int(trip[lo, 0]), keys.reshape(-1), first_ids[:, None] + np.arange(lo, hi)
 
 
 def _seclim_num_bound(b: CollisionBounds) -> int:
@@ -458,16 +419,15 @@ def _packed_key_bits(b: CollisionBounds) -> int:
     return key_bits + (_slab_size_bound(b) - 1).bit_length()
 
 
-def _group_keys(slab: _Slab) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort a slab's states by key, equal keys in enumeration order.
+def _group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort a slab's state keys, equal keys in enumeration order.
 
-    One in-place sort of ``key << shift | index`` (``slab.keys`` is
-    consumed).  Returns the sorted keys, the enumeration index of each
-    sorted state, and the start of each run of equal keys.
+    One in-place sort of ``key << shift | index`` (``keys`` is consumed).
+    Returns the sorted keys, the enumeration index of each sorted state,
+    and the start of each run of equal keys.
     """
     import numpy as np
 
-    keys = slab.keys
     n = keys.size
     shift = (n - 1).bit_length()
     keys <<= shift
@@ -520,17 +480,17 @@ def _witness_codes(
     positions and ``first_at`` the sorted position of each one's first copy.
     The slabs are enumerated again, and each score equal to one of
     ``values`` counts its rank among the equal scores seen so far: first
-    position plus rank is its sorted position.  Returns
-    ``base_id * n_lims + lim_id`` per needed position; a position that no
+    position plus rank is its sorted position.  Returns the state code
+    (:func:`_state_codes`) of each needed position; a position that no
     state fills is an internal error, raised rather than decoded.
     """
     import numpy as np
 
     seen = np.zeros(len(values), dtype=np.int64)
     codes = np.full(len(needed), -1, dtype=np.int64)
-    for slab in slabs:
-        keys, order, starts = _group_keys(slab)
-        slab_scores = _float_scores(slab.s, slab.lc_sum, keys[starts])
+    for s, lc_sum, keys, base_ids in slabs:
+        keys, order, starts = _group_keys(keys)
+        slab_scores = _float_scores(s, lc_sum, keys[starts])
         del keys
         at = np.searchsorted(values, slab_scores)
         np.minimum(at, len(values) - 1, out=at)
@@ -548,8 +508,9 @@ def _witness_codes(
         seen[at[runs]] += run_sizes
         slot = np.minimum(np.searchsorted(needed, position), len(needed) - 1)
         wanted = needed[slot] == position
-        base_ids, lim_ids = slab.locate(order[starts[hits[wanted]]])
-        codes[slot[wanted]] = base_ids * n_lims + lim_ids
+        codes[slot[wanted]] = _state_codes(
+            base_ids, order.size, order[starts[hits[wanted]]], n_lims
+        )
     unset = int(np.count_nonzero(codes < 0))
     if unset:
         raise RuntimeError(
@@ -594,7 +555,7 @@ def collision_search(
     by slab and then by key.
 
     Each state of a split, exact or near pair is carried as its int code
-    ``base_id * n_lims + lim_id`` (see :func:`_collision_tables`) and made
+    ``base_id * n_lims + lim_id``, from :func:`_state_codes`, and made
     a :class:`Scope` only when the pair is re-verified through
     :func:`actual_security`, before it is emitted.
 
@@ -630,40 +591,40 @@ def collision_search(
     n_lims = len(lim_tuples)
     triples_by_s, layouts = _collision_tables(b)
     by_id = sorted(chain.from_iterable(layouts.values()))
+    layout_of = _layout_index(triples_by_s, by_id)
 
     states = distinct_keys = exact_groups = skipped = 0
     exact_pairs: list[tuple[int, int]] = []
     # Near pass: every distinct key's score, appended to one growing buffer.
     scores = np.empty(0)
     filled = 0
-    for slab in _collision_slabs(triples_by_s, layouts, lim_tuples):
-        n = slab.keys.size
+    for s, lc_sum, keys, base_ids in _collision_slabs(triples_by_s, layouts, lim_tuples):
+        n = keys.size
         states += n
-        sorted_keys, order, starts = _group_keys(slab)
+        sorted_keys, order, starts = _group_keys(keys)
         sizes = np.diff(starts, append=n)
         distinct_keys += len(starts)
         # A group's head is its first state in enumeration order; the group
         # is reportable if a member differs from the head in structure:
         # porosity layout and limitation tuple, read from a table of
         # ``layout * lims + lim_id`` over the slab's states.
-        heads = order[starts]
-        n_layouts = len(slab.first_ids)
-        ids = np.arange(n_layouts * slab.lims, dtype=np.int32).reshape(n_layouts, 1, -1)
-        structure = np.broadcast_to(ids, (n_layouts, slab.triples, slab.lims)).reshape(-1)[order]
+        n_layouts, n_triples = base_ids.shape
+        ids = np.arange(n // n_triples, dtype=np.int32).reshape(n_layouts, 1, -1)
+        structure = np.broadcast_to(ids, (n_layouts, n_triples, ids.shape[2])).reshape(-1)[order]
         differs = structure != np.repeat(structure[starts], sizes)
         reportable = np.logical_or.reduceat(differs, starts)
         groups = np.flatnonzero(reportable)
         exact_groups += len(groups)
         skipped += int(np.count_nonzero((sizes > 1) & ~reportable))
         for g in groups[: max(0, max_findings - len(exact_pairs))]:
-            partner = order[starts[g] + np.argmax(differs[starts[g] : starts[g] + sizes[g]])]
-            base_ids, lim_ids = slab.locate(np.array([heads[g], partner]))
-            exact_pairs.append(tuple((base_ids * n_lims + lim_ids).tolist()))
+            partner = starts[g] + np.argmax(differs[starts[g] : starts[g] + sizes[g]])
+            pair = _state_codes(base_ids, n, order[[starts[g], partner]], n_lims)
+            exact_pairs.append(tuple(pair.tolist()))
         if epsilon > 0:
             end = filled + len(starts)
             if end > len(scores):
                 scores.resize(max(end, len(scores) * 9 // 8, 1 << 10), refcheck=False)
-            scores[filled:end] = _float_scores(slab.s, slab.lc_sum, sorted_keys[starts])
+            scores[filled:end] = _float_scores(s, lc_sum, sorted_keys[starts])
             filled = end
 
     # Near collisions: adjacent distinct keys in ascending score order.
@@ -681,14 +642,13 @@ def collision_search(
             _collision_slabs(triples_by_s, layouts, lim_tuples), values, first_at, needed, n_lims
         )
         slots = np.searchsorted(needed, close)
-        for code_a, code_b in zip(codes[slots].tolist(), codes[slots + 1].tolist()):
-            (base_a, lim_a), (base_b, lim_b) = divmod(code_a, n_lims), divmod(code_b, n_lims)
-            if lim_a == lim_b and _layout_of(by_id, base_a) == _layout_of(by_id, base_b):
-                skipped += 1
-                continue
-            n_near += 1
-            if len(near_pairs) < max_findings:
-                near_pairs.append((code_a, code_b))
+        base_a, lim_a = np.divmod(codes[slots], n_lims)
+        base_b, lim_b = np.divmod(codes[slots + 1], n_lims)
+        near = (lim_a != lim_b) | (layout_of[base_a] != layout_of[base_b])
+        n_near = int(np.count_nonzero(near))
+        skipped += len(near) - n_near
+        kept = slots[near][:max_findings]
+        near_pairs = list(zip(codes[kept].tolist(), codes[kept + 1].tolist()))
 
     # Porosity-split collision: swapping counts between visibility and
     # access leaves every pipeline quantity identical.  A layout splits
@@ -705,7 +665,7 @@ def collision_search(
     candidates = [(True, pair) for pair in split_pairs] + [
         (False, pair) for pair in exact_pairs + near_pairs
     ]
-    tables = (b, triples_by_s, by_id, lim_tuples)
+    tables = (b, triples_by_s, by_id, layout_of, lim_tuples)
     for is_split, (code_a, code_b) in candidates:
         if len(verified) >= max_findings:
             break

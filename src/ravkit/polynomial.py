@@ -58,39 +58,28 @@ _NO_ROW: dict[Mono, Mono] = {}  # stands in for a missing row; never written
 _products_stored = 0
 
 
-class _SortKeys(dict):
-    """Monomial -> graded-lex sort key, computed on first lookup.
+class _Memo(dict):
+    """Monomial -> ``fn(monomial)``, computed on first lookup."""
 
-    Ascending sort under the key is descending graded-lex: higher total
-    degree first, then alphabetical variables with higher exponents first.
-    """
+    __slots__ = ("fn",)
 
-    __slots__ = ()
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
 
-    def __missing__(self, mono: Mono) -> tuple:
+    def __missing__(self, mono: Mono):
         if len(self) >= _MEMO_CAP:
             _clear_memos()
-        key = self[mono] = (-sum(e for _, e in mono), tuple((v, -e) for v, e in mono))
-        return key
+        value = self[mono] = self.fn(mono)
+        return value
 
 
-_SORT_KEYS = _SortKeys()
+# Ascending sort under the key is descending graded-lex: higher total degree
+# first, then alphabetical variables with higher exponents first.
+_SORT_KEYS = _Memo(lambda mono: (-sum(e for _, e in mono), tuple((v, -e) for v, e in mono)))
 _mono_sort_key = _SORT_KEYS.__getitem__
-
-
-class _Rendered(dict):
-    """Monomial -> its text in ``render``, such as ``h^2*p``, computed on first lookup."""
-
-    __slots__ = ()
-
-    def __missing__(self, mono: Mono) -> str:
-        if len(self) >= _MEMO_CAP:
-            _clear_memos()
-        text = self[mono] = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
-        return text
-
-
-_RENDERED = _Rendered()
+# The text ``render`` writes for a monomial, such as ``h^2*p``.
+_RENDERED = _Memo(lambda mono: "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono))
 _mono_render = _RENDERED.__getitem__
 
 
@@ -369,31 +358,42 @@ class Polynomial:
         return Fraction(point.scaled_value(self), self.den * point.scale)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for mono in sorted(self.terms, key=_mono_sort_key):
-            coeff = self.terms[mono]
-            mag = abs(coeff) if self.den == 1 else Fraction(abs(coeff), self.den)
-            body = _mono_render(mono)
-            try:
-                if not body:
-                    text = str(mag)
-                elif mag == 1:
-                    text = body
-                else:
-                    text = f"{mag}*{body}"
-            except ValueError:
-                # str() of a coefficient past the int-digit limit.
-                raise DigitLimitError() from None
-            if not parts:
-                parts.append(text if coeff > 0 else f"-{text}")
-            else:
-                parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(parts)
+        terms, den = self.terms, self.den
+        return render_sum(
+            (terms[m] if den == 1 else Fraction(terms[m], den), _mono_render(m))
+            for m in sorted(terms, key=_mono_sort_key)
+        )
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
+
+
+def render_sum(terms: Iterable[tuple[Scalar, str]]) -> str:
+    """Join ``(nonzero coefficient, product text)`` terms by the rendering
+    grammar of docs/formats.md.
+
+    The first term carries its own sign and the rest join with `` + `` or
+    `` - ``; a magnitude of 1 is left out before a product (``""`` for a
+    constant term), and an empty sum renders as ``0``.
+    """
+    parts: list[str] = []
+    for coeff, body in terms:
+        mag = abs(coeff)
+        try:
+            if not body:
+                text = str(mag)
+            elif mag == 1:
+                text = body
+            else:
+                text = f"{mag}*{body}"
+        except ValueError:
+            # str() of a coefficient past the int-digit limit.
+            raise DigitLimitError() from None
+        if parts:
+            parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
+        else:
+            parts.append(text if coeff > 0 else f"-{text}")
+    return " ".join(parts) or "0"
 
 
 class Point:

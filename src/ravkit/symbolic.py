@@ -30,7 +30,7 @@ from .metrics import (
     Record,
     Scope,
 )
-from .polynomial import Point, Polynomial, Scalar, try_divide_exact
+from .polynomial import Point, Polynomial, Scalar, render_sum, try_divide_exact
 from .ratfun import RationalFunction
 
 
@@ -237,23 +237,7 @@ class SymbolicScore:
         return total
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for coeff, atoms in self.terms:
-            mag = abs(coeff)
-            body = "*".join(a.render() for a in atoms)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not parts:
-                parts.append(text if coeff > 0 else f"-{text}")
-            else:
-                parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(parts)
+        return render_sum((c, "*".join(a.render() for a in atoms)) for c, atoms in self.terms)
 
     def __repr__(self) -> str:
         return f"SymbolicScore({self.render()})"

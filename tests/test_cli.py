@@ -560,6 +560,47 @@ class TestNonUtf8Path:
         assert len(proc.stderr.splitlines()) == 1 and b"Traceback" not in proc.stderr
 
 
+class TestPathsInErrorLines:
+    """A path goes into an error line as given when every character is
+    printable (or a surrogate escape, above), and quoted by ``repr`` when a
+    character could break the line."""
+
+    NO_SCOPES = b'{"schema": "ravkit-scope/1", "scopes": []}'
+
+    def test_printable_path_keeps_its_text(self, tmp_path):
+        path = str(tmp_path / "no such dir é" / "scope file.json")
+        code, out, err = run("rav", path)
+        assert_one_line_input_error(code, out, err)
+        assert err.startswith(f"ravkit: error: cannot read {path}: ".encode())
+
+    @pytest.mark.parametrize("command", ["rav", "aggregate", "trust", "import-nmap"])
+    def test_missing_path_with_a_line_break_is_quoted(self, tmp_path, command):
+        path = str(tmp_path / "a\nb")
+        code, out, err = run(command, path)
+        assert_one_line_input_error(code, out, err)
+        assert err.startswith(f"ravkit: error: cannot read {path!r}: ".encode())
+
+    @pytest.mark.parametrize("path", ["a\x00b", "\ud800.json"], ids=["nul", "lone-surrogate"])
+    def test_path_open_refuses_is_an_input_error(self, tmp_path, path):
+        path = f"{tmp_path}/{path}"
+        code, out, err = run("rav", path)
+        assert_one_line_input_error(code, out, err)
+        assert err.startswith(f"ravkit: error: cannot read {path!r}: ".encode())
+
+    def test_scope_file_with_no_scopes_and_a_line_break_is_quoted(self, tmp_path, fixtures):
+        path = tmp_path / "no\nscopes.json"
+        path.write_bytes(self.NO_SCOPES)
+        scan = str(fixtures / "scan_1host_1port.xml")
+        for argv, message in [
+            (["rav", str(path)], "no scopes in file"),
+            (["symbolic", str(path)], "no scopes in file"),
+            (["import-nmap", scan, "--merge", str(path)], "no scopes to merge into"),
+        ]:
+            code, out, err = run(*argv)
+            assert (code, out) == (1, b"")
+            assert err == f"ravkit: error: {str(path)!r}: {message}\n".encode()
+
+
 class TestInstalledEntryPoint:
     def test_module_invocation_matches_dispatch(self, fixtures):
         proc = subprocess.run(

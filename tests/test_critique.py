@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -37,9 +38,11 @@ from ravkit.critique import (
     _collision_tables,
     _float_scores,
     _group_keys,
+    _layout_index,
     _packed_key_bits,
     _seclim_num_bound,
     _slab_size_bound,
+    _state_codes,
     _state_scope,
     _witness_codes,
 )
@@ -231,7 +234,7 @@ class TestCollisionSearch:
         lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
         triples_by_s, layouts = _collision_tables(bounds)
         largest = max(
-            int(slab.keys.max()) for slab in _collision_slabs(triples_by_s, layouts, lims)
+            int(keys.max()) for _, _, keys, _ in _collision_slabs(triples_by_s, layouts, lims)
         )
         assert 0 < largest <= _seclim_num_bound(bounds)
         assert _seclim_num_bound(CollisionBounds.coerce(5)) < np.iinfo(np.int64).max
@@ -281,6 +284,7 @@ class TestCollisionSearch:
         lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
         triples_by_s, layouts = _collision_tables(b)
         by_id = sorted(chain.from_iterable(layouts.values()))
+        layout_of = _layout_index(triples_by_s, by_id)
         ends = [first_id + len(triples_by_s[pvpa + pt]) for first_id, pvpa, pt in by_id]
         assert len(by_id) == (bound + 1) * (2 * bound + 1)
         assert [first_id for first_id, _, _ in by_id] == [0, *ends[:-1]]
@@ -289,15 +293,27 @@ class TestCollisionSearch:
             for base_id in (first_id, end - 1):
                 for split, (pv, pa) in enumerate(pairs):
                     code = base_id * len(lims) + len(lims) - 1
-                    scope = _state_scope(code, "s", b, triples_by_s, by_id, lims, split)
+                    scope = _state_scope(code, "s", b, triples_by_s, by_id, layout_of, lims, split)
                     assert scope.porosity == PorosityCounts(pv, pa, pt)
                     assert scope.limitations == LimitationCounts(*(bound,) * 5)
+
+    @pytest.mark.parametrize("bound", range(1, 7))
+    def test_layout_index_matches_the_bisect_rule(self, bound):
+        # The per-base layout index against the rule it replaced: the last
+        # layout, in base id order, whose first base id is <= the base id.
+        triples_by_s, layouts = _collision_tables(CollisionBounds.coerce(bound))
+        by_id = sorted(chain.from_iterable(layouts.values()))
+        first_id, pvpa, pt = by_id[-1]
+        n_bases = first_id + len(triples_by_s[pvpa + pt])
+        assert _layout_index(triples_by_s, by_id).tolist() == [
+            bisect_right(by_id, (base_id, math.inf)) - 1 for base_id in range(n_bases)
+        ]
 
     def test_slab_sizes_match_the_enumeration(self):
         bounds = CollisionBounds.coerce(2)
         lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
         triples_by_s, layouts = _collision_tables(bounds)
-        sizes = [slab.keys.size for slab in _collision_slabs(triples_by_s, layouts, lims)]
+        sizes = [keys.size for _, _, keys, _ in _collision_slabs(triples_by_s, layouts, lims)]
         expected = [
             len(layouts[s]) * triples * (len(lims) if s else 1)
             for s in sorted(layouts)
@@ -328,13 +344,19 @@ class TestCollisionSearch:
         lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
         triples_by_s, layouts = _collision_tables(bounds)
         scores, codes = [], []
-        for slab in _collision_slabs(triples_by_s, layouts, lims):
-            order = np.argsort(slab.keys, kind="stable")
-            keys = slab.keys[order]
+        for s, lc_sum, slab_keys, base_ids in _collision_slabs(triples_by_s, layouts, lims):
+            order = np.argsort(slab_keys, kind="stable")
+            keys = slab_keys[order]
             starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            scores.append(_float_scores(slab.s, slab.lc_sum, keys[starts]))
-            base_ids, lim_ids = slab.locate(order[starts])
-            codes.append(base_ids * len(lims) + lim_ids)
+            scores.append(_float_scores(s, lc_sum, keys[starts]))
+            # Each head decoded from the layout grid by hand: (layout,
+            # triple, limitation tuple) order, over the slab's base ids.
+            slab_lims = keys.size // base_ids.size
+            base, lim_ids = np.divmod(order[starts], slab_lims)
+            codes.append(base_ids.reshape(-1)[base] * len(lims) + lim_ids)
+            assert np.array_equal(
+                _state_codes(base_ids, keys.size, order[starts], len(lims)), codes[-1]
+            )
         scores = np.concatenate(scores)
         by_score = np.argsort(scores, kind="stable")
         sorted_scores = scores[by_score]
@@ -359,10 +381,8 @@ class TestCollisionSearch:
         # No two keys of one slab share a float score through bounds 4, so
         # fake slabs stand in: at s = 0 every key scores the same.
         def slab(keys, first_id):
-            return critique._Slab(
-                s=0, lc_sum=1, keys=np.array(keys, dtype=np.int64),
-                first_ids=np.array([first_id]), lo=0, triples=len(keys), lims=1,
-            )
+            base_ids = first_id + np.arange(len(keys))[None, :]
+            return 0, 1, np.array(keys, dtype=np.int64), base_ids
 
         value = _float_scores(0, 1, np.zeros(1))
         needed = np.arange(5)
@@ -398,23 +418,28 @@ class TestCollisionSearch:
         lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
         triples_by_s, layouts = _collision_tables(bounds)
         slabs = 0
-        for slab in _collision_slabs(triples_by_s, layouts, lims):
-            layout = layouts[slab.s]
-            assert slab.first_ids.tolist() == [first_id for first_id, _, _ in layout]
-            assert slab.lims == (len(lims) if slab.s else 1)
+        for s, lc_sum, keys, base_ids in _collision_slabs(triples_by_s, layouts, lims):
+            layout = layouts[s]
+            # The slab's triples are the run of sorted triples with its lc_sum.
+            lc_sums = [key[0] for key, _ in triples_by_s[s]]
+            lo, n_triples = lc_sums.index(lc_sum), lc_sums.count(lc_sum)
+            assert base_ids.tolist() == [
+                [first_id + lo + i for i in range(n_triples)] for first_id, _, _ in layout
+            ]
+            slab_lims = len(lims) if s else 1
+            assert keys.size == base_ids.size * slab_lims
             trip = np.array(
-                [key for key, _ in triples_by_s[slab.s]][slab.lo : slab.lo + slab.triples],
-                dtype=np.int64,
+                [key for key, _ in triples_by_s[s]][lo : lo + n_triples], dtype=np.int64
             )
-            assert (trip[:, 0] == slab.lc_sum).all()
+            assert (trip[:, 0] == lc_sum).all()
             pvpa = np.array([pvpa for _, pvpa, _ in layout], dtype=np.int64)[:, None, None]
             pt = np.array([pt for _, _, pt in layout], dtype=np.int64)[:, None, None]
             mca, mcb = trip[:, 1:2], trip[:, 2:3]
-            columns = tuple(lims[: slab.lims].T)
+            columns = tuple(lims[:slab_lims].T)
             expected = seclim_numerator(
-                columns, weight_numerators(slab.s, pvpa, pt, mca + mcb, mca, mcb, columns)
+                columns, weight_numerators(s, pvpa, pt, mca + mcb, mca, mcb, columns)
             )
-            assert np.array_equal(slab.keys, expected.reshape(-1)), (slab.s, slab.lc_sum)
+            assert np.array_equal(keys, expected.reshape(-1)), (s, lc_sum)
             slabs += 1
         assert slabs == n_slabs
 
@@ -427,10 +452,10 @@ class TestCollisionSearch:
         lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
         triples_by_s, layouts = _collision_tables(bounds)
         slabs = 0
-        for slab in _collision_slabs(triples_by_s, layouts, lims):
-            keys, _, starts = _group_keys(slab)
-            scores = _float_scores(slab.s, slab.lc_sum, keys[starts])
-            assert np.all(np.diff(scores) < 0), (slab.s, slab.lc_sum)
+        for s, lc_sum, keys, _ in _collision_slabs(triples_by_s, layouts, lims):
+            keys, _, starts = _group_keys(keys)
+            scores = _float_scores(s, lc_sum, keys[starts])
+            assert np.all(np.diff(scores) < 0), (s, lc_sum)
             slabs += 1
         assert slabs == n_slabs
 
@@ -450,10 +475,10 @@ class TestCollisionSearch:
         bounds = CollisionBounds.coerce(2)
         lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
         triples_by_s, layouts = _collision_tables(bounds)
-        for slab in _collision_slabs(triples_by_s, layouts, lims):
-            expected_order = np.argsort(slab.keys, kind="stable")
-            expected_keys = slab.keys[expected_order]
-            keys, order, starts = _group_keys(slab)
+        for _, _, slab_keys, _ in _collision_slabs(triples_by_s, layouts, lims):
+            expected_order = np.argsort(slab_keys, kind="stable")
+            expected_keys = slab_keys[expected_order]
+            keys, order, starts = _group_keys(slab_keys)
             assert np.array_equal(order, expected_order)
             assert np.array_equal(keys, expected_keys)
             assert np.array_equal(starts, np.flatnonzero(np.diff(keys, prepend=-1)))

@@ -533,6 +533,8 @@ class TestIntegerKernelBitExact:
             CollisionBounds,
             _collision_slabs,
             _collision_tables,
+            _layout_index,
+            _state_codes,
             _state_scope,
         )
 
@@ -540,20 +542,23 @@ class TestIntegerKernelBitExact:
         lim_tuples = np.array(list(product(range(b.limitation + 1), repeat=5)), dtype=np.int64)
         triples_by_s, layouts = _collision_tables(b)
         by_id = sorted(row for layout in layouts.values() for row in layout)
+        layout_of = _layout_index(triples_by_s, by_id)
         rng = random.Random(77)
         checked = 0
-        for slab in _collision_slabs(triples_by_s, layouts, lim_tuples):
+        for s, lc_sum, keys, base_ids in _collision_slabs(triples_by_s, layouts, lim_tuples):
             # Each porosity layout's first and last state in the slab; over
             # the slabs of one total these reach both ends of its id range.
-            n, block = slab.keys.size, slab.triples * slab.lims
+            n = keys.size
+            block = n // len(base_ids)
             ends = {*range(0, n, block), *range(block - 1, n, block)}
             for i in ends.union(rng.sample(range(n), min(8, n))):
-                base_id, lim_id = slab.locate(i)
-                code = int(base_id) * len(lim_tuples) + int(lim_id)
-                scope = _state_scope(code, "state", b, triples_by_s, by_id, lim_tuples)
+                code = int(_state_codes(base_ids, n, i, len(lim_tuples)))
+                scope = _state_scope(
+                    code, "state", b, triples_by_s, by_id, layout_of, lim_tuples
+                )
                 bd = actual_security(scope)
-                assert bd.opsec_sum == slab.s and bd.lc_sum == slab.lc_sum
-                assert int(slab.keys[i]) == bd.seclim_sum * (10 * slab.s**2) ** 2
+                assert bd.opsec_sum == s and bd.lc_sum == lc_sum
+                assert int(keys[i]) == bd.seclim_sum * (10 * s**2) ** 2
                 checked += 1
         assert checked > 100
 

@@ -12,10 +12,9 @@ import dataclasses
 import pickle
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from ravkit.critique import CollisionBounds, CritiqueFinding, _Slab
+from ravkit.critique import CollisionBounds, CritiqueFinding
 from ravkit.errors import DomainError
 from ravkit.ingest import ScanReport, ScopeDocument, ScopeEntry
 from ravkit.metrics import (
@@ -63,10 +62,6 @@ def _other_scope():
     return Scope("other", porosity=PorosityCounts(2, 1, 1), limitations=LimitationCounts(0, 1))
 
 
-def _slab(s=1):
-    return _Slab(s, 2, np.arange(3), np.zeros(1, dtype=np.int64), 0, 1, 3)
-
-
 # name -> (make(variant), field names, one field and a new value for replace,
 # hashable).  make(0) and make(1) are unequal instances of the class.
 CASES = {
@@ -97,8 +92,6 @@ CASES = {
                         ("narrative", "m"), False),
     "CollisionBounds": (lambda v: CollisionBounds(1, 2, 3 + v), ("porosity", "control", "limitation"),
                         ("control", 0), True),
-    "_Slab": (lambda v: _slab(1 + v),
-              ("s", "lc_sum", "keys", "first_ids", "lo", "triples", "lims"), ("lo", 2), False),
     "Reference": (lambda v: Reference(f"e{v}", Polarity.NEUTRAL), ("employer_id", "polarity"),
                   ("polarity", Polarity.NEGATIVE), True),
     "ApplicantRecord": (lambda v: ApplicantRecord("a", 2 + v, 10, past_employer_count=3,
@@ -128,17 +121,6 @@ def make(name, variant=0):
     return CASES[name][0](variant)
 
 
-def values_equal(a, b) -> bool:
-    """Field-wise equality that compares numpy arrays by content."""
-    for x, y in zip(a, b):
-        if isinstance(x, np.ndarray):
-            if not np.array_equal(x, y):
-                return False
-        elif x != y:
-            return False
-    return True
-
-
 def field_values(obj) -> tuple:
     return tuple(getattr(obj, name) for name in CASES[type(obj).__name__][1])
 
@@ -160,15 +142,10 @@ class TestRecordClass:
 
     def test_equality(self, name):
         a, b = make(name), make(name, 1)
-        if name == "_Slab":
-            # Arrays compare elementwise, so slabs compare only when their
-            # other fields already differ.
-            assert a != b
-        else:
-            assert a == make(name) and not a != make(name)
-            assert a != b and not a == b
+        assert a == make(name) and not a != make(name)
+        assert a != b and not a == b
         assert a.__eq__(object()) is NotImplemented
-        other = next(make(n) for n in CASES if n != name and n != "_Slab")
+        other = next(make(n) for n in CASES if n != name)
         assert a.__eq__(other) is NotImplemented and a != other
 
     def test_hash(self, name):
@@ -194,7 +171,7 @@ class TestRecordClass:
         # FrozenInstanceError that field names get.
         with pytest.raises((TypeError, dataclasses.FrozenInstanceError)):
             a.extra = 1
-        assert values_equal(field_values(a), before)
+        assert field_values(a) == before
 
     def test_replace(self, name):
         a = make(name)
@@ -212,7 +189,7 @@ class TestRecordClass:
         for b in (copy.copy(a), copy.deepcopy(a),
                   *(pickle.loads(pickle.dumps(a, protocol)) for protocol in (0, 2, 5))):
             assert type(b) is type(a) and b is not a
-            assert values_equal(field_values(b), field_values(a))
+            assert field_values(b) == field_values(a)
 
 
 def test_every_record_class_is_covered():

@@ -19,7 +19,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ravkit.errors import DomainError, UnassignedVariableError, UndefinedWeightError
+from ravkit.errors import (
+    DigitLimitError,
+    DomainError,
+    UnassignedVariableError,
+    UndefinedWeightError,
+)
 from ravkit.metrics import (
     ControlClass,
     LimitationCounts,
@@ -167,6 +172,21 @@ class TestSymbolicScoreAlgebra:
     def test_constant_and_zero(self):
         assert SymbolicScore.constant(100).render() == "100"
         assert (SymbolicScore.constant(1) - 1).render() == "0"
+
+    def test_signs_and_unit_magnitudes_render_like_polynomials(self):
+        a = SymbolicScore.atom(RationalFunction(10 * L + 1))
+        assert (-a - Fraction(1, 3)).render() == "-ln(10*l + 1)^2 - 1/3"
+        assert (2 * a + 1).render() == "2*ln(10*l + 1)^2 + 1"
+        assert (1 - 10 * L + 2 * L * L).render() == "2*l^2 - 10*l + 1"
+        assert (-L - Polynomial.constant(Fraction(1, 3))).render() == "-l - 1/3"
+
+    def test_coefficient_past_the_digit_limit_is_a_digit_limit_error(self):
+        # Both renderers share one guard: a str() past the int-digit limit.
+        huge = 10 ** (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(DigitLimitError):
+            SymbolicScore.constant(huge).render()
+        with pytest.raises(DigitLimitError):
+            (huge * L).render()
 
     def test_atom_of_one_vanishes(self):
         assert SymbolicScore.atom(RationalFunction.constant(1)).terms == ()
