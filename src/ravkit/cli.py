@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import BinaryIO, Sequence
 
 from . import ingest, report
-from .errors import DomainError, InputError, RavkitError
+from .errors import DomainError, InputError, RavkitError, shown
 from .metrics import Scope, actual_security, aggregate_scopes
 
 
@@ -66,8 +66,18 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
         )
 
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        # argparse's own version writes the extra arguments raw, so one with
+        # a line break would split the error line.
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(map(shown, extras))}")
+        return args
+
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise InputError(f"{message}\n{self.format_usage()}".rstrip())
+        # Some messages still carry an argument raw (an ambiguous option such
+        # as "--=a<newline>b"); such a message is quoted whole.
+        raise InputError(f"{shown(message)}\n{self.format_usage()}".rstrip())
 
     def print_help(self, file=None) -> None:
         # The -h action calls this, then exits; dispatch returns the text.
@@ -127,28 +137,19 @@ def _demo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=1e-9)
 
 
-def _shown(path: str) -> str:
-    """``path`` as an error line writes it: unchanged if every character is
-    printable or a surrogate escape (a byte that is not UTF-8, given back raw
-    by :func:`_error_line`), else quoted by ``repr`` so the line stays one."""
-    if all(ch.isprintable() or "\udc80" <= ch <= "\udcff" for ch in path):
-        return path
-    return repr(path)
-
-
 def _read(path: str) -> bytes:
     try:
         with open(path, "rb") as handle:
             return handle.read()
     except (OSError, ValueError) as exc:
         # ValueError: a NUL byte, or a lone surrogate that no encoding takes.
-        raise InputError(f"cannot read {_shown(path)}: {exc}") from None
+        raise InputError(f"cannot read {shown(path)}: {exc}") from None
 
 
 def _cmd_rav(args, out: BinaryIO) -> None:
     scopes = ingest.parse_scope_file(_read(args.scope_file))
     if not scopes:
-        raise InputError(f"{_shown(args.scope_file)}: no scopes in file")
+        raise InputError(f"{shown(args.scope_file)}: no scopes in file")
     for i, scope in enumerate(scopes):
         if i and args.format == "text":
             out.write(b"\n")
@@ -160,7 +161,7 @@ def _cmd_import_nmap(args, out: BinaryIO) -> None:
     if args.merge:
         document = ingest.parse_scope_document(_read(args.merge))
         if not document.entries:
-            raise InputError(f"{_shown(args.merge)}: no scopes to merge into")
+            raise InputError(f"{shown(args.merge)}: no scopes to merge into")
         first = document.entries[0]
         merged = ingest.merge_scan_into_scope(scan.porosity, first.scope)
         entries = (ingest.ScopeEntry(scope=merged, units=first.units),) + document.entries[1:]
@@ -218,7 +219,7 @@ def _parse_assignment(spec: str | None) -> dict[str, Fraction]:
 def _cmd_symbolic(args, out: BinaryIO) -> None:
     document = ingest.parse_scope_document(_read(args.scope_file))
     if not document.entries:
-        raise InputError(f"{_shown(args.scope_file)}: no scopes in file")
+        raise InputError(f"{shown(args.scope_file)}: no scopes in file")
     overrides = _parse_assignment(args.eval_spec)
     symbolic_rav = _layers.symbolic_rav
     blocks = []
@@ -289,8 +290,8 @@ def dispatch(argv: Sequence[str]) -> tuple[int, bytes, bytes]:
         if not args.command:
             raise InputError(parser.format_usage().rstrip())
         _COMMANDS[args.command][2](args, out)
-    except _HelpRequested as shown:
-        return 0, str(shown).encode("utf-8"), b""
+    except _HelpRequested as help_text:
+        return 0, str(help_text).encode("utf-8"), b""
     except DomainError as exc:
         return 2, out.getvalue(), _error_line("domain error", exc)
     except RavkitError as exc:

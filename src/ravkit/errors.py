@@ -12,6 +12,15 @@ from __future__ import annotations
 import sys
 
 
+def shown(text: str) -> str:
+    """``text`` as an error line writes it: unchanged if every character is
+    printable or a surrogate escape (a command-line byte that is not UTF-8,
+    written back raw), else quoted by ``repr`` so the line stays one."""
+    if all(ch.isprintable() or "\udc80" <= ch <= "\udcff" for ch in text):
+        return text
+    return repr(text)
+
+
 class RavkitError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -28,6 +28,7 @@ from .errors import (
     InputError,
     ScanFormatError,
     ScopeFormatError,
+    shown,
 )
 from .metrics import (
     AGGREGATE_CHANNEL,
@@ -171,10 +172,7 @@ def _reject_unknown(obj: dict, allowed: frozenset, path: str, what: str = "field
         unknown = sorted(obj.keys() - allowed)
         for name in unknown:
             _expect_text(name, path, "field name")
-        # A name with a line break or other control character is quoted, so
-        # the message stays one line.
-        names = (name if name.isprintable() else repr(name) for name in unknown)
-        raise ScopeFormatError(f"{path}: unknown {what} {', '.join(names)}")
+        raise ScopeFormatError(f"{path}: unknown {what} {', '.join(map(shown, unknown))}")
 
 
 # The two readers below check one member of a scope object in one pass, and

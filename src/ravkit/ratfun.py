@@ -6,11 +6,12 @@ a positive leading denominator coefficient under graded-lex order.
 Equality of canonical forms is plain structural equality, which makes
 canonicalization idempotent and bit-exact.
 
-Arithmetic keeps operands reduced throughout, so it can use the classic
-reduced-fraction shortcuts: addition only needs a gcd against the small
-common denominator factor, multiplication and division only need the cross
-gcds, and powers of a reduced quotient need no gcd at all.  Bringing a
-coprime pair to canonical scaling needs only the integer content of each.
+Every sum, product and quotient is built by the reducing constructor, which
+divides out the gcd of the pair and normalizes the integer scaling; the
+canonical form is unique, so no operation needs a reduction of its own.
+Negations and powers of a coprime pair are still coprime, so those, and
+unpickling, go through :meth:`RationalFunction.from_coprime`, which
+normalizes the integer scaling only.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ _ONE = Polynomial.constant(1)
 _ZERO = Polynomial()
 
 
-def _is_one(poly: Polynomial) -> bool:
-    return poly == _ONE
-
-
 def _scale_normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Normalize a polynomial-coprime pair to the canonical integer scaling."""
     if num.is_zero:
@@ -50,7 +47,7 @@ def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     if num.is_zero:
         return _ZERO, _ONE
     g = polynomial_gcd(num, den)
-    if not _is_one(g):
+    if g != _ONE:
         num = divide_exact(num, g)
         den = divide_exact(den, g)
     return _scale_normalize(num, den)
@@ -69,17 +66,9 @@ class RationalFunction:
         self.num, self.den = _reduce(num, den)
         self._hash = None
 
-    @classmethod
-    def _raw(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """Wrap an already-canonical pair without re-reducing."""
-        out = cls.__new__(cls)
-        out.num, out.den = num, den
-        out._hash = None
-        return out
-
     def __reduce__(self):
         # Leaves out the cached hash: string hashes differ between processes.
-        return RationalFunction._raw, (self.num, self.den)
+        return RationalFunction.from_coprime, (self.num, self.den)
 
     @classmethod
     def from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
@@ -90,7 +79,10 @@ class RationalFunction:
         """
         if den.is_zero:
             raise ZeroDenominatorError("denominator is the zero polynomial")
-        return cls._raw(*_scale_normalize(num, den))
+        out = cls.__new__(cls)
+        out.num, out.den = _scale_normalize(num, den)
+        out._hash = None
+        return out
 
     @classmethod
     def constant(cls, value: Scalar) -> "RationalFunction":
@@ -129,33 +121,16 @@ class RationalFunction:
 
     def __add__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
         other = RationalFunction.coerce(other)
-        if self.num.is_zero:
-            return other
-        if other.num.is_zero:
-            return self
         if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        g = polynomial_gcd(self.den, other.den)
-        if _is_one(g):
-            num = self.num * other.den + other.num * self.den
-            if num.is_zero:
-                return RationalFunction._raw(_ZERO, _ONE)
-            return RationalFunction._raw(*_scale_normalize(num, self.den * other.den))
-        d1 = divide_exact(self.den, g)
-        d2 = divide_exact(other.den, g)
-        t = self.num * d2 + other.num * d1
-        if t.is_zero:
-            return RationalFunction._raw(_ZERO, _ONE)
-        g2 = polynomial_gcd(t, g)
-        if not _is_one(g2):
-            t = divide_exact(t, g2)
-            g = divide_exact(g, g2)
-        return RationalFunction._raw(*_scale_normalize(t, d1 * d2 * g))
+            num, den = self.num + other.num, self.den
+        else:
+            num, den = self.num * other.den + other.num * self.den, self.den * other.den
+        return RationalFunction(num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction._raw(-self.num, self.den)
+        return RationalFunction.from_coprime(-self.num, self.den)
 
     def __sub__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
         return self + (-RationalFunction.coerce(other))
@@ -165,18 +140,7 @@ class RationalFunction:
 
     def __mul__(self, other: "RationalFunction | Polynomial | Scalar") -> "RationalFunction":
         other = RationalFunction.coerce(other)
-        if self.num.is_zero or other.num.is_zero:
-            return RationalFunction._raw(_ZERO, _ONE)
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        g1 = polynomial_gcd(n1, d2)
-        if not _is_one(g1):
-            n1 = divide_exact(n1, g1)
-            d2 = divide_exact(d2, g1)
-        g2 = polynomial_gcd(n2, d1)
-        if not _is_one(g2):
-            n2 = divide_exact(n2, g2)
-            d1 = divide_exact(d1, g2)
-        return RationalFunction._raw(*_scale_normalize(n1 * n2, d1 * d2))
+        return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -184,23 +148,18 @@ class RationalFunction:
         other = RationalFunction.coerce(other)
         if other.is_zero:
             raise ZeroDenominatorError("division by the zero rational function")
-        return self * RationalFunction._raw(other.den, other.num)
+        return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other: Scalar) -> "RationalFunction":
         return RationalFunction.coerce(other) / self
 
     def __pow__(self, exponent: int) -> "RationalFunction":
+        num, den = self.num, self.den
         if exponent < 0:
             if self.is_zero:
                 raise ZeroDenominatorError("zero rational function has no inverse")
-            return RationalFunction._raw(
-                *_scale_normalize(self.den**-exponent, self.num**-exponent)
-            )
-        if exponent == 0:
-            return RationalFunction._raw(_ONE, _ONE)
-        return RationalFunction._raw(
-            *_scale_normalize(self.num**exponent, self.den**exponent)
-        )
+            num, den, exponent = den, num, -exponent
+        return RationalFunction.from_coprime(num**exponent, den**exponent)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, Polynomial)):

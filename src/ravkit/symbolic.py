@@ -29,6 +29,7 @@ from .metrics import (
     UNIT_KINDS,
     Record,
     Scope,
+    _log_ratio,
 )
 from .polynomial import Point, Polynomial, Scalar, render_sum, try_divide_exact
 from .ratfun import RationalFunction
@@ -203,8 +204,6 @@ class SymbolicScore:
         power of a variable is computed once and each argument is one
         division of two exact integers.
         """
-        import math
-
         values = {_var_name(k): Fraction(v) for k, v in assignment.items()}
         for name, value in values.items():
             if value <= 0:
@@ -223,11 +222,7 @@ class SymbolicScore:
                 raise DomainError(
                     f"atom argument {atom.key} evaluates to {arg} < 1"
                 )
-            try:
-                log_arg = math.log(arg)
-            except OverflowError:  # arg exceeds the float range
-                log_arg = math.log(arg.numerator) - math.log(arg.denominator)
-            log_sq[atom.key] = log_arg**2
+            log_sq[atom.key] = _log_ratio(arg.numerator, arg.denominator) ** 2
         total = 0.0
         for coeff, atoms in self.terms:
             value = float(coeff)
@@ -436,13 +431,20 @@ def equivalent(
     a: SymbolicScore, b: SymbolicScore, trials: int = 100, seed: int = 0
 ) -> EquivalenceResult:
     """Decide score equivalence: structural match first, else seeded random
-    rational points (all >= 1) compared at 1e-9 relative tolerance."""
+    rational points (all >= 1) compared at 1e-9 relative tolerance.
+
+    A point where exactly one score is undefined is a witness against
+    equivalence; a point where both are undefined is skipped.  If every
+    point is skipped there is no evidence either way, and a
+    :class:`DomainError` is raised rather than a verdict returned.
+    """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if a.canonical() == b.canonical():
         return EquivalenceResult(True, "structural")
     rng = random.Random(seed)
     names = sorted(a.variables() | b.variables())
+    compared = 0
     for _ in range(trials):
         point = {
             name: 1 + Fraction(rng.randrange(0, 4000), rng.randrange(1, 64))
@@ -462,4 +464,7 @@ def equivalent(
         va, vb = values
         if abs(va - vb) > 1e-9 * max(1.0, abs(va), abs(vb)):
             return EquivalenceResult(False, "sampled", witness=point)
+        compared += 1
+    if not compared:
+        raise DomainError(f"none of the {trials} trial points is in the domain of both scores")
     return EquivalenceResult(True, "sampled")

@@ -461,6 +461,18 @@ CSV_ERRORS = {
         _csv({"employees_in_community": "11", "community_population": "10"}),
         "line 2: employees_in_community cannot exceed community_population",
     ),
+    "duplicate column": (
+        (",".join(CSV_COLUMNS + CSV_COLUMNS[:1]) + "\n").encode(),
+        "duplicate column names in header",
+    ),
+    "header field past the csv field limit": (
+        b"x" * 131073 + b"\n",
+        "malformed CSV: field larger than field limit (131072)",
+    ),
+    "row field past the csv field limit": (
+        _csv({"applicant_id": "x" * 131073}),
+        "malformed CSV: field larger than field limit (131072)",
+    ),
     "two bad rows": (
         _csv({"applicant_id": "a", "age_years": "x"}, {"applicant_id": "ok"},
              {"applicant_id": "c", "months_unemployed": "3", "months_eligible": "2"}),

@@ -85,6 +85,18 @@ def pairs(seed: int, count: int):
         yield f, g
 
 
+def bivariate_pairs(seed: int, count: int):
+    """Random (f, g) pairs in two variables, half sharing a common factor."""
+    rng = random.Random(seed)
+    for i in range(count):
+        f = random_nonzero(rng, 2, rng.randint(1, 3), 2)
+        g = random_nonzero(rng, 2, rng.randint(1, 3), 2)
+        if i % 2:
+            common = random_nonzero(rng, 2, rng.randint(1, 2), 1)
+            f, g = f * common, g * common
+        yield f, g
+
+
 class TestGcdAgainstSympy:
     def test_gcd_equals_sympy_up_to_sign(self):
         for f, g in pairs(5101, 60):
@@ -113,6 +125,23 @@ class TestCancelAgainstSympy:
             assert rf.den.leading_term()[1] > 0
             p, q = sympy.fraction(sympy.cancel(to_sympy(f) / to_sympy(g)))
             assert sympy.expand(to_sympy(rf.num) * q - p * to_sympy(rf.den)) == 0
+
+    def test_arithmetic_results_are_canonical_and_equal_cancel(self):
+        # Bivariate operands: polynomial_gcd can take seconds on the sum or
+        # product of two 3-variable fractions (see CHANGES.md).
+        rng = random.Random(5108)
+        operands = [RationalFunction(f, g) for f, g in bivariate_pairs(5109, 40)]
+        for a, b in zip(operands[::2], operands[1::2]):
+            if rng.random() < 0.3:
+                b = RationalFunction(b.num, a.den)  # the shared-denominator sum
+            sa, sb = to_sympy(a.num) / to_sympy(a.den), to_sympy(b.num) / to_sympy(b.den)
+            k = rng.choice([-2, -1, 0, 1, 2, 3])
+            cases = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb), (-a, -sa),
+                     (a / b, sa / sb), (a**k, sa**k)]
+            for got, expected in cases:
+                assert got == RationalFunction(got.num, got.den)
+                p, q = sympy.fraction(sympy.cancel(expected))
+                assert sympy.expand(to_sympy(got.num) * q - p * to_sympy(got.den)) == 0
 
 
 class TestDivisionAgainstSympy:

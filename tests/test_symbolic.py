@@ -36,6 +36,7 @@ from ravkit.metrics import (
 from ravkit.polynomial import Polynomial
 from ravkit.ratfun import RationalFunction, ratfun_arith
 from ravkit.symbolic import (
+    EquivalenceResult,
     FormalVar,
     LogSquareAtom,
     SymbolicScore,
@@ -132,6 +133,50 @@ class TestRatfunArithmetic:
         a = RationalFunction(Polynomial.constant(1), H)
         with pytest.raises(DomainError):
             a.evaluate({"h": 0})
+
+    def test_powers_match_repeated_multiplication(self):
+        a = RationalFunction(2 * H - P, 3 * H + 6)
+        one = RationalFunction.constant(1)
+        assert a**0 == one and RationalFunction.constant(0) ** 0 == one
+        product = one
+        for k in range(1, 4):
+            product = product * a
+            assert a**k == product
+            assert a**-k == one / product
+        assert (a**-2).render() == "(9*h^2 + 36*h + 36) / (4*h^2 - 4*h*p + p^2)"
+        assert RationalFunction.constant(0) ** 3 == RationalFunction.constant(0)
+
+    def test_inverse_of_zero_rejected(self):
+        with pytest.raises(DomainError, match="^zero rational function has no inverse$"):
+            RationalFunction.constant(0) ** -1
+        with pytest.raises(DomainError, match="^division by the zero rational function$"):
+            RationalFunction(H) / 0
+
+    def test_zero_denominator_rejected_by_both_constructors(self):
+        for build in (RationalFunction, RationalFunction.from_coprime):
+            with pytest.raises(DomainError, match="^denominator is the zero polynomial$"):
+                build(H, Polynomial())
+
+    def test_unknown_operation_rejected(self):
+        with pytest.raises(DomainError) as excinfo:
+            ratfun_arith(RationalFunction(H), RationalFunction(H), "pow")
+        assert str(excinfo.value) == "unknown operation 'pow'; expected add|sub|mul|div"
+
+    def test_reflected_operations_and_repr(self):
+        a = RationalFunction(H, H + 1)
+        assert 1 - a == RationalFunction(1, H + 1)
+        assert ratfun_arith(a, a, "mul") == a * a == RationalFunction(H * H, (H + 1) ** 2)
+        assert a != "h/(h + 1)"
+        assert repr(a) == "RationalFunction((h) / (h + 1))"
+
+    def test_variable_and_constants(self):
+        h = RationalFunction.variable("h")
+        assert h == RationalFunction(H) and h.variables() == {"h"}
+        assert not h.is_constant
+        half = RationalFunction(Polynomial.constant(3), 6)
+        assert half.is_constant and half.constant_value() == Fraction(1, 2)
+        assert type(half.constant_value()) is Fraction
+        assert (h / h).is_constant and (h / h).constant_value() == 1
 
 
 def _random_ratfun(rng: random.Random) -> RationalFunction:
@@ -390,6 +435,56 @@ class TestEquivalence:
     def test_trials_validated(self):
         with pytest.raises(DomainError):
             equivalent(SymbolicScore.constant(1), SymbolicScore.constant(1), trials=0)
+
+    def test_sampled_equivalence(self):
+        # ln(h^2)^2 = 4*ln(h)^2 at every h >= 1, with no structural match.
+        a = SymbolicScore.atom(RationalFunction(H * H))
+        b = SymbolicScore.atom(RationalFunction(H), 4)
+        assert a.canonical() != b.canonical()
+        assert equivalent(a, b) == EquivalenceResult(True, "sampled")
+
+    def test_point_outside_one_domain_is_a_witness(self):
+        # Equal where both are defined (h <= 2), but only a is defined at h >= 4.
+        a = SymbolicScore.atom(RationalFunction((3 - H) ** 2))
+        b = SymbolicScore.atom(RationalFunction(3 - H), 4)
+        result = equivalent(a, b)
+        assert not result.equivalent and result.method == "sampled"
+        a.evaluate(result.witness)
+        with pytest.raises(DomainError):
+            b.evaluate(result.witness)
+
+    def test_points_outside_both_domains_are_skipped(self):
+        # Both are defined only at h <= 100, where they agree.
+        a = SymbolicScore.atom(RationalFunction(101 - H)) + SymbolicScore.atom(
+            RationalFunction(L * L)
+        )
+        b = SymbolicScore.atom(RationalFunction(101 - H)) + SymbolicScore.atom(
+            RationalFunction(L), 4
+        )
+        outside = [point for point in _trial_points(["h", "l"], 100, 0) if point["h"] > 100]
+        assert 0 < len(outside) < 100
+        assert equivalent(a, b, trials=100, seed=0) == EquivalenceResult(True, "sampled")
+
+    def test_no_point_in_both_domains_is_an_error(self):
+        # Every trial point has h > 2, where 3 - h < 1: nothing is compared,
+        # so there is no verdict to give.
+        c = SymbolicScore.atom(RationalFunction(3 - H))
+        assert all(point["h"] > 2 for point in _trial_points(["h"], 100, 0))
+        assert c.evaluate({"h": 1}) != (2 * c).evaluate({"h": 1})
+        with pytest.raises(DomainError) as excinfo:
+            equivalent(c, 2 * c)
+        assert str(excinfo.value) == (
+            "none of the 100 trial points is in the domain of both scores"
+        )
+
+
+def _trial_points(names: list[str], trials: int, seed: int) -> list[dict[str, Fraction]]:
+    """The points ``equivalent`` samples for these variables, trials and seed."""
+    rng = random.Random(seed)
+    return [
+        {name: 1 + Fraction(rng.randrange(0, 4000), rng.randrange(1, 64)) for name in names}
+        for _ in range(trials)
+    ]
 
 
 
