@@ -66,17 +66,10 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
         )
 
-    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
-        # argparse's own version writes the extra arguments raw, so one with
-        # a line break would split the error line.
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(map(shown, extras))}")
-        return args
-
     def error(self, message: str) -> None:  # type: ignore[override]
-        # Some messages still carry an argument raw (an ambiguous option such
-        # as "--=a<newline>b"); such a message is quoted whole.
+        # argparse writes some arguments into its message raw (unrecognized
+        # arguments, an ambiguous option such as "--=a<newline>b"); a message
+        # that one would split is quoted whole.
         raise InputError(f"{shown(message)}\n{self.format_usage()}".rstrip())
 
     def print_help(self, file=None) -> None:

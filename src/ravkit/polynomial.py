@@ -1,7 +1,8 @@
 """Multivariate polynomials over the rationals with exact gcd.
 
 Just enough of a polynomial ring for reduced rational functions: arithmetic,
-evaluation, exact division, and a primitive-remainder-sequence gcd.  A
+evaluation, exact division, and a gcd (a heuristic by evaluation and
+interpolation, with a subresultant remainder sequence behind it).  A
 polynomial is stored as integer numerators over one common denominator:
 ``terms`` maps monomials to nonzero ints and ``den`` is a positive int
 coprime to their content, so coefficient ``m`` is ``terms[m] / den`` and
@@ -573,23 +574,110 @@ def _coefficients_in(poly: Polynomial, var: str) -> dict[int, Polynomial]:
     return {deg: Polynomial._from_numerators(terms) for deg, terms in out.items()}
 
 
+# Evaluation points for the heuristic gcd stop at this many bits; the
+# remainder sequence takes over past it.
+_HEURISTIC_BITS = 1 << 14
+
+
 def _igcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Gcd of nonzero integer polynomials, content included, positive
-    leading coefficient: a primitive remainder sequence in the first shared
-    variable, with contents handled recursively in the other variables."""
-    shared = f.variables() & g.variables()
-    if not shared:
+    leading coefficient: the heuristic gcd, or the subresultant remainder
+    sequence when that finds none."""
+    if not f.variables() & g.variables():
         return Polynomial.constant(math.gcd(_content(f), _content(g)))
-    var = min(shared)
+    gcd = _heuristic_gcd(f, g)
+    return gcd if gcd is not None else _subresultant_gcd(f, g)
+
+
+def _heuristic_gcd(f: Polynomial, g: Polynomial) -> Polynomial | None:
+    """Gcd by evaluation and interpolation (Char, Geddes and Gonnet's
+    GCDHEU), or None when it finds none.
+
+    The last shared variable is set to an integer ``xi`` above twice the
+    smaller coefficient norm, the gcd of the two images is taken by
+    ``_igcd`` in the remaining variables, and its coefficients are read back
+    as balanced base-``xi`` digits.  With ``xi`` that large, a primitive
+    result that divides both f and g is their gcd up to the integer content.
+    Six points are tried, each larger than the last.
+    """
+    var = max(f.variables() & g.variables())
+    content = math.gcd(_content(f), _content(g))
+    norm = min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values())))
+    xi = 2 * norm + 29
+    for _ in range(6):
+        if xi.bit_length() > _HEURISTIC_BITS:
+            break
+        f_image, g_image = _substitute(f, var, xi), _substitute(g, var, xi)
+        if not (f_image.is_zero or g_image.is_zero):
+            image = _igcd(f_image, g_image)
+            gcd = integer_primitive(_interpolate(image, var, xi))[0]
+            if try_divide_exact(f, gcd) is not None and try_divide_exact(g, gcd) is not None:
+                return gcd * content
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _substitute(poly: Polynomial, var: str, value: int) -> Polynomial:
+    """poly with the integer value put in for var."""
+    out: dict[Mono, int] = {}
+    for mono, c in poly.terms.items():
+        rest = []
+        for v, e in mono:
+            if v == var:
+                c *= value**e
+            else:
+                rest.append((v, e))
+        key = _intern(tuple(rest))
+        out[key] = out.get(key, 0) + c
+    return Polynomial._from_numerators({m: c for m, c in out.items() if c})
+
+
+def _interpolate(image: Polynomial, var: str, xi: int) -> Polynomial:
+    """The polynomial whose coefficients in var are the balanced base-xi
+    digits of image's.  Every variable of image sorts before var, so var's
+    power goes last in each monomial."""
+    out: dict[Mono, int] = {}
+    half = xi // 2
+    for mono, c in image.terms.items():
+        e = 0
+        while c:
+            digit = c % xi
+            if digit > half:
+                digit -= xi
+            if digit:
+                out[_intern(mono + ((var, e),) if e else mono)] = digit
+            c = (c - digit) // xi
+            e += 1
+    return Polynomial._from_numerators(out)
+
+
+def _subresultant_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """_igcd by a subresultant remainder sequence in the first shared
+    variable, with contents handled recursively in the other variables.
+
+    Each pseudo-remainder is divided by ``lc * h**delta`` (Collins and
+    Brown's scheme), which keeps its coefficients at the size of a
+    subresultant determinant without a content gcd per step; only the last
+    nonzero remainder is made primitive.
+    """
+    var = min(f.variables() & g.variables())
     cont_f, a = _content_and_primitive(f, var)
     cont_g, b = _content_and_primitive(g, var)
     if a.degree_in(var) < b.degree_in(var):
         a, b = b, a
+    lc = h = Polynomial.constant(1)
     while b.degree_in(var):
+        delta = a.degree_in(var) - b.degree_in(var)
         r = _prem(a, b, var)
         if r.is_zero:
+            b = _content_and_primitive(b, var)[1]
             break
-        a, b = b, _content_and_primitive(r, var)[1]
+        a, b = b, divide_exact(r, lc * h**delta)
+        lc = _coefficients_in(a, var)[a.degree_in(var)]
+        if delta == 1:
+            h = lc
+        elif delta:
+            h = divide_exact(lc**delta, h ** (delta - 1))
     else:
         b = Polynomial.constant(1)
     return _sign_normalized(_igcd(cont_f, cont_g) * b)
@@ -608,10 +696,13 @@ def _content_and_primitive(poly: Polynomial, var: str) -> tuple[Polynomial, Poly
 
 
 def _prem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
-    """Pseudo-remainder of f by g in var."""
+    """Pseudo-remainder of f by g in var: the remainder of
+    ``lc(g)**(deg f - deg g + 1) * f``, the multiple the subresultant
+    divisions assume."""
     deg_g = g.degree_in(var)
     lc_g = _coefficients_in(g, var)[deg_g]
     rem = f
+    steps = f.degree_in(var) - deg_g + 1
     while not rem.is_zero:
         deg_r = rem.degree_in(var)
         if deg_r < deg_g:
@@ -621,4 +712,5 @@ def _prem(f: Polynomial, g: Polynomial, var: str) -> Polynomial:
             {_intern(((var, deg_r - deg_g),)) if deg_r > deg_g else _EMPTY_MONO: 1}
         )
         rem = rem * lc_g - lc_r * shift * g
-    return rem
+        steps -= 1
+    return rem * lc_g**steps if steps else rem

@@ -154,6 +154,48 @@ class TestGcd:
             assert try_divide_exact(g, gcd) is not None
 
 
+    def test_a_zero_image_moves_to_the_next_point(self):
+        # The first evaluation point is 2 * 1 + 29 = 31, where y - 31 vanishes.
+        x, y = var("x"), var("y")
+        assert polynomial_gcd(y - 31, y + 1) == 1
+        assert polynomial_gcd((y - 31) * (x + 1), (y + 1) * (x + 1)) == x + 1
+
+
+class TestSubresultantFallback:
+    """The remainder sequence behind the heuristic gcd gives the same gcds
+    when it runs alone."""
+
+    @staticmethod
+    def cases() -> list[tuple[Polynomial, Polynomial]]:
+        x, y, z = var("x"), var("y"), var("z")
+        out = [
+            # Degree gaps of 3 and 0 in x, besides the usual 1.
+            ((x**5 + y * x + 1) * (x + y), (x**2 * y + z) * (x + y)),
+            ((x**2 + y) * (x * z + 1), (x**2 - y) * (x * z + 1)),
+            (6 * x * y, 4 * y * z),
+        ]
+        rng = random.Random(44)
+        for _ in range(30):
+            common = random_poly(rng, nvars=3, terms=2, degree=2)
+            f = common * random_poly(rng, nvars=3, terms=3, degree=2)
+            g = common * random_poly(rng, nvars=3, terms=3, degree=2)
+            if not (f.is_zero or g.is_zero):
+                out.append((f, g))
+        return out
+
+    def test_without_the_heuristic(self, monkeypatch):
+        cases = self.cases()
+        expected = [polynomial_gcd(f, g) for f, g in cases]
+        monkeypatch.setattr(polynomial, "_heuristic_gcd", lambda f, g: None)
+        assert [polynomial_gcd(f, g) for f, g in cases] == expected
+
+    def test_past_the_bit_limit_of_the_heuristic(self, monkeypatch):
+        cases = self.cases()
+        expected = [polynomial_gcd(f, g) for f, g in cases]
+        monkeypatch.setattr(polynomial, "_HEURISTIC_BITS", 4)
+        assert [polynomial_gcd(f, g) for f, g in cases] == expected
+
+
 class TestCanonicalMonomials:
     """The constructor brings every monomial to the stored form: sorted by
     variable, repeated variables merged, zero exponents dropped."""

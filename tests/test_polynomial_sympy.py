@@ -10,6 +10,7 @@ each term a product of at most three of them.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -85,18 +86,6 @@ def pairs(seed: int, count: int):
         yield f, g
 
 
-def bivariate_pairs(seed: int, count: int):
-    """Random (f, g) pairs in two variables, half sharing a common factor."""
-    rng = random.Random(seed)
-    for i in range(count):
-        f = random_nonzero(rng, 2, rng.randint(1, 3), 2)
-        g = random_nonzero(rng, 2, rng.randint(1, 3), 2)
-        if i % 2:
-            common = random_nonzero(rng, 2, rng.randint(1, 2), 1)
-            f, g = f * common, g * common
-        yield f, g
-
-
 class TestGcdAgainstSympy:
     def test_gcd_equals_sympy_up_to_sign(self):
         for f, g in pairs(5101, 60):
@@ -105,6 +94,19 @@ class TestGcdAgainstSympy:
             assert got in (expected, -expected)
             assert got.leading_term()[1] > 0
             assert all(c.denominator == 1 for _, c in got.sorted_terms())
+
+    def test_gcd_of_a_three_variable_sum(self):
+        # The unreduced sum of (4w^2 + 4x) / (14w^2x - 5w^2 + 8w) and
+        # (24wxy + 28xy + 72x) / (36xy^2 + 12w^2 + 24y + 21): coprime, but a
+        # primitive remainder sequence in w took seconds on it.
+        w, x, y = (Polynomial.variable(n) for n in "wxy")
+        a_num, a_den = 4 * w**2 + 4 * x, 14 * w**2 * x - 5 * w**2 + 8 * w
+        b_num, b_den = 24 * w * x * y + 28 * x * y + 72 * x, 36 * x * y**2 + 12 * w**2 + 24 * y + 21
+        num, den = a_num * b_den + b_num * a_den, a_den * b_den
+        assert polynomial_gcd(num, den) == Polynomial.constant(1)
+        common = x * y + 3 * w - 1
+        assert polynomial_gcd(num * common, den * common) == common
+        assert sympy.gcd(to_sympy(num), to_sympy(den)) == 1
 
     def test_gcd_of_integer_multiples_keeps_the_content(self):
         for f, g in pairs(5102, 20):
@@ -127,10 +129,8 @@ class TestCancelAgainstSympy:
             assert sympy.expand(to_sympy(rf.num) * q - p * to_sympy(rf.den)) == 0
 
     def test_arithmetic_results_are_canonical_and_equal_cancel(self):
-        # Bivariate operands: polynomial_gcd can take seconds on the sum or
-        # product of two 3-variable fractions (see CHANGES.md).
         rng = random.Random(5108)
-        operands = [RationalFunction(f, g) for f, g in bivariate_pairs(5109, 40)]
+        operands = [RationalFunction(f, g) for f, g in pairs(5109, 40)]
         for a, b in zip(operands[::2], operands[1::2]):
             if rng.random() < 0.3:
                 b = RationalFunction(b.num, a.den)  # the shared-denominator sum
@@ -142,6 +142,25 @@ class TestCancelAgainstSympy:
                 assert got == RationalFunction(got.num, got.den)
                 p, q = sympy.fraction(sympy.cancel(expected))
                 assert sympy.expand(to_sympy(got.num) * q - p * to_sympy(got.den)) == 0
+
+
+    def test_three_variable_arithmetic_stays_within_a_time_budget(self):
+        # Every sum and product hands polynomial_gcd the whole unreduced
+        # pair, and undoing one cancels a large common factor.  These 30
+        # pairs take about 0.1 s; the budget catches a gcd whose
+        # coefficients grow out of hand, which takes seconds per pair.
+        rng = random.Random(5110)
+        operands = [
+            RationalFunction(random_poly(rng, 3, 4, 2), random_nonzero(rng, 3, 4, 2))
+            for _ in range(60)
+        ]
+        start = time.process_time()
+        results = [(a + b, a * b) for a, b in zip(operands[::2], operands[1::2])]
+        assert time.process_time() - start < 10
+        for (a, b), (total, product) in zip(zip(operands[::2], operands[1::2]), results):
+            assert total - b == a
+            if not b.is_zero:
+                assert product / b == a
 
 
 class TestDivisionAgainstSympy:
