@@ -19,7 +19,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Mapping, NoReturn, Sequence, Union
+from typing import TYPE_CHECKING, Any, Mapping, Sequence, Union
 
 from .errors import (
     CsvFormatError,
@@ -300,8 +300,20 @@ def render_scope_document(
 # Scanner XML
 # ---------------------------------------------------------------------------
 
-#: Elements the importer reads; everything else is ignored but counted.
-SCAN_ELEMENTS = ("nmaprun", "host", "status", "ports", "port", "state")
+#: Each element the importer reads, and the children it reads of it: every
+#: child of that tag (True) or only the first (False).  Every other element,
+#: a known one elsewhere or a second ``status`` included, is ignored but
+#: tallied under its tag.
+_SCAN_READS: dict[str, dict[str, bool]] = {
+    "nmaprun": {"host": True},
+    "host": {"status": False, "ports": False},
+    "status": {},
+    "ports": {"port": True},
+    "port": {"state": False},
+    "state": {},
+}
+#: Elements the importer reads.
+SCAN_ELEMENTS = tuple(_SCAN_READS)
 
 
 class ScanReport(Record):
@@ -352,25 +364,28 @@ def import_scan_report(data: Union[bytes, str]) -> ScanReport:
     if version is not None and not version.startswith("1."):
         raise ScanFormatError(f"unsupported scanner XML output version {version!r}")
 
-    hosts_total = 0
-    hosts_up = 0
-    open_ports = 0
+    hosts_total = hosts_up = open_ports = 0
     ignored: dict[str, int] = {}
-    for element in root.iter():
-        if element.tag not in SCAN_ELEMENTS:
-            ignored[element.tag] = ignored.get(element.tag, 0) + 1
-    for host in root.findall("host"):
-        hosts_total += 1
-        status = host.find("status")
-        if status is not None and status.get("state") == "up":
-            hosts_up += 1
-        ports = host.find("ports")
-        if ports is None:
-            continue
-        for port in ports.findall("port"):
-            state = port.find("state")
-            if state is not None and state.get("state") == "open":
-                open_ports += 1
+    unread = [root]  # elements read whose children are still to walk
+    while unread:
+        element = unread.pop()
+        reads = _SCAN_READS[element.tag]
+        taken = set()  # the tags read once under this element
+        for child in element:
+            tag = child.tag
+            if tag in reads and tag not in taken:
+                if not reads[tag]:
+                    taken.add(tag)
+                unread.append(child)
+                if tag == "host":
+                    hosts_total += 1
+                elif tag == "status":
+                    hosts_up += child.get("state") == "up"
+                elif tag == "state":
+                    open_ports += child.get("state") == "open"
+            else:
+                for inner in child.iter():
+                    ignored[inner.tag] = ignored.get(inner.tag, 0) + 1
     porosity = PorosityCounts(visibility=hosts_up, access=open_ports, trust=0)
     return ScanReport(
         porosity=porosity,
@@ -412,46 +427,32 @@ def merge_scan_into_scope(porosity: PorosityCounts, scope: Scope) -> Scope:
 # Applicant CSV
 # ---------------------------------------------------------------------------
 
-_CSV_INT_COLUMNS = (
-    "months_unemployed",
-    "months_eligible",
-    "criminal_offenses_known",
-    "age_years",
-    "legal_adult_age",
-    "references_positive",
-    "references_neutral",
-    "references_negative",
-    "past_employer_count",
-    "employees_in_community",
-    "community_population",
-)
-_CSV_RATIONAL_COLUMNS = ("hours_alone_per_day", "working_hours_per_day")
-CSV_COLUMNS = ("applicant_id",) + _CSV_INT_COLUMNS + _CSV_RATIONAL_COLUMNS
-#: Each column with the value of an empty cell, in the order a row's cells
-#: are read.  The reference columns come first, so a malformed one is
-#: reported before any other malformed cell of the row; past the id (whose
-#: empty cell reads as None), the cells are read in ApplicantRecord's order.
+#: Each column, the kind of its cells (a count, an hours value or the id) and
+#: the value of an empty cell, in the order a row's cells are read.  The
+#: first malformed cell in this order is the one reported: the reference
+#: columns come first, and an empty id becomes the row's (``row-<line>``).
 _CSV_READ_ORDER = (
-    ("references_positive", 0),
-    ("references_neutral", 0),
-    ("references_negative", 0),
-    ("past_employer_count", 0),
-    ("applicant_id", None),
-    ("months_unemployed", 0),
-    ("months_eligible", 0),
-    ("criminal_offenses_known", 0),
-    ("age_years", 0),
-    ("legal_adult_age", 18),
-    ("hours_alone_per_day", 0),
-    ("working_hours_per_day", 0),
-    ("employees_in_community", 0),
-    ("community_population", 0),
+    ("references_positive", "count", 0),
+    ("references_neutral", "count", 0),
+    ("references_negative", "count", 0),
+    ("past_employer_count", "count", 0),
+    ("applicant_id", "id", None),
+    ("months_unemployed", "count", 0),
+    ("months_eligible", "count", 0),
+    ("criminal_offenses_known", "count", 0),
+    ("age_years", "count", 0),
+    ("legal_adult_age", "count", 18),
+    ("hours_alone_per_day", "hours", 0),
+    ("working_hours_per_day", "hours", 0),
+    ("employees_in_community", "count", 0),
+    ("community_population", "count", 0),
 )
-#: The position in _CSV_READ_ORDER and the empty-cell value of each count column.
-_CSV_COUNTS = tuple(
-    (i, default)
-    for i, (name, default) in enumerate(_CSV_READ_ORDER)
-    if default is not None and name not in _CSV_RATIONAL_COLUMNS
+#: Every column a header may name, in any order.
+CSV_COLUMNS = (
+    "applicant_id", "months_unemployed", "months_eligible", "criminal_offenses_known",
+    "age_years", "legal_adult_age", "references_positive", "references_neutral",
+    "references_negative", "past_employer_count", "employees_in_community",
+    "community_population", "hours_alone_per_day", "working_hours_per_day",
 )
 
 
@@ -466,6 +467,8 @@ def parse_applicants_csv(
     reported together with their line numbers.
     """
     import csv
+
+    from .trust import ApplicantRecord
 
     if isinstance(data, bytes):
         try:
@@ -492,7 +495,7 @@ def parse_applicants_csv(
     # Each column's cell position in _CSV_READ_ORDER order; an absent column
     # is placed past every row that is not refused, so it reads as empty.
     width = len(header)
-    positions = [header.index(name) if name in header else width for name, _ in _CSV_READ_ORDER]
+    positions = [header.index(name) if name in header else width for name, _, _ in _CSV_READ_ORDER]
 
     records: list[ApplicantRecord] = []
     errors: list[str] = []
@@ -511,7 +514,7 @@ def parse_applicants_csv(
         if not any(cells):
             continue  # a blank row
         try:
-            records.append(_record_from_cells(cells, line_no))
+            records.append(ApplicantRecord(**_record_fields(cells, line_no)))
         except (InputError, DomainError) as exc:
             errors.append(f"line {line_no}: {exc}")
     if errors:
@@ -534,50 +537,23 @@ def _hours_cell(text: str, name: str) -> Union[int, Fraction]:
     return parse_rational(text, f"column {name!r}")
 
 
-def _record_from_cells(cells: list[str], line_no: int) -> ApplicantRecord:
-    """The record of one row's stripped cells, given in ``_CSV_READ_ORDER``."""
-    from .trust import ApplicantRecord
-
-    try:
-        (
-            positive, neutral, negative, employers, unemployed, eligible, offenses, age,
-            adult_age, employees, population,
-        ) = [int(cells[i]) if cells[i] else default for i, default in _CSV_COUNTS]
-    except ValueError:
-        _raise_first_malformed(cells)
-    # The id and the two hours cells, at their _CSV_READ_ORDER positions.
-    applicant_id, hours_alone, working_hours = cells[4], cells[10], cells[11]
-    return ApplicantRecord(
-        applicant_id=applicant_id or f"row-{line_no}",
-        months_unemployed=unemployed,
-        months_eligible=eligible,
-        criminal_offenses_known=offenses,
-        age_years=age,
-        legal_adult_age=adult_age,
-        past_employer_count=employers,
-        hours_alone_per_day=_hours_cell(hours_alone, "hours_alone_per_day") if hours_alone else 0,
-        working_hours_per_day=(
-            _hours_cell(working_hours, "working_hours_per_day") if working_hours else 0
-        ),
-        employees_in_community=employees,
-        community_population=population,
-        references_positive=positive,
-        references_neutral=neutral,
-        references_negative=negative,
-    )
-
-
-def _raise_first_malformed(cells: list[str]) -> NoReturn:
-    """Raise the error of a row's first malformed count or hours cell, in
-    ``_CSV_READ_ORDER``; the row has a malformed count."""
-    for (name, default), text in zip(_CSV_READ_ORDER, cells):
-        if not text or default is None:
-            continue
-        if name in _CSV_RATIONAL_COLUMNS:
-            _hours_cell(text, name)
-            continue
-        try:
-            int(text)
-        except ValueError:
-            raise CsvFormatError(f"column {name!r}: not an integer count: {text!r}") from None
-    raise AssertionError("no malformed cell")
+def _record_fields(cells: list[str], line_no: int) -> dict[str, Any]:
+    """The ``ApplicantRecord`` keyword arguments of one row's stripped cells,
+    given in ``_CSV_READ_ORDER``; each cell is parsed once, and the first
+    malformed one raises."""
+    fields: dict[str, Any] = {}
+    for (name, kind, empty), text in zip(_CSV_READ_ORDER, cells):
+        if not text:
+            fields[name] = empty
+        elif kind == "count":
+            try:
+                fields[name] = int(text)
+            except ValueError:
+                raise CsvFormatError(f"column {name!r}: not an integer count: {text!r}") from None
+        elif kind == "hours":
+            fields[name] = _hours_cell(text, name)
+        else:
+            fields[name] = text
+    if fields["applicant_id"] is None:
+        fields["applicant_id"] = f"row-{line_no}"
+    return fields

@@ -519,6 +519,25 @@ class TestDemoCommand:
         assert len(err.splitlines()) == 1 and b"packed collision keys" in err
 
 
+#: Command lines pinned byte for byte by no other test: each golden under
+#: tests/fixtures/ and its arguments, fixture names standing for their paths.
+#: The CI workflow runs the same lines through the installed script.
+COMMAND_GOLDENS = {
+    "demo_b2.json": ["demo", "--bounds", "2"],
+    "scan_1host_3ports_merged_toy.json":
+        ["import-nmap", "scan_1host_3ports.xml", "--merge", "toy.json"],
+    "aggregate_fifty_hundred.txt": ["aggregate", "fifty.json", "hundred.json"],
+}
+
+
+@pytest.mark.parametrize("golden", COMMAND_GOLDENS)
+def test_command_matches_golden(fixtures, monkeypatch, golden):
+    monkeypatch.delenv("RAVKIT_SEED", raising=False)  # demo's seed is then 0
+    argv = [str(fixtures / arg) if (fixtures / arg).is_file() else arg
+            for arg in COMMAND_GOLDENS[golden]]
+    assert run(*argv) == (0, (fixtures / golden).read_bytes(), b"")
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         code, out, err = run("frobnicate")

@@ -145,6 +145,7 @@ class TestScopeParsing:
                          id="unknown channel"),
             pytest.param([{"id": ""}], "$.scopes[0]: scope id must be non-empty",
                          id="empty id"),
+            pytest.param({}, "$.scopes: expected a list", id="scopes not a list"),
             pytest.param([[1]], "$.scopes[0]: expected an object, got list",
                          id="non-object scope"),
             pytest.param([{"id": "a", "porosity": []}],
@@ -241,6 +242,36 @@ class TestScanImport:
         assert report.ignored_elements.get("address") == 1
         assert report.ignored_elements.get("extraports") == 1
         assert "service" in report.ignored_elements
+
+    # A known element the importer does not read, where it stands, is tallied
+    # under its tag like any unknown one.
+    @pytest.mark.parametrize("xml, ignored", [
+        pytest.param(
+            b'<nmaprun><foo><host><status state="up"/><ports><port><state state="open"/>'
+            b"</port></ports></host></foo></nmaprun>",
+            {"foo": 1, "host": 1, "port": 1, "ports": 1, "state": 1, "status": 1},
+            id="host under an unknown element",
+        ),
+        pytest.param(
+            b'<nmaprun><port><state state="open"/></port><host><status state="down"/>'
+            b"</host></nmaprun>",
+            {"port": 1, "state": 1},
+            id="port under the root",
+        ),
+    ])
+    def test_misplaced_known_elements_are_tallied(self, xml, ignored):
+        report = import_scan_report(xml)
+        assert report.porosity == PorosityCounts(0, 0, 0)
+        assert report.ignored_elements == ignored
+
+    def test_only_the_first_status_ports_and_state_are_read(self):
+        report = import_scan_report(
+            b'<nmaprun><host><status state="down"/><status state="up"/>'
+            b'<ports><port><state state="open"/><state state="closed"/></port></ports>'
+            b'<ports><port><state state="open"/></port></ports></host></nmaprun>'
+        )
+        assert (report.hosts_total, report.hosts_up, report.open_ports) == (1, 0, 1)
+        assert report.ignored_elements == {"port": 1, "ports": 1, "state": 2, "status": 1}
 
     def test_malformed_xml_rejected(self):
         with pytest.raises(ScanFormatError, match="malformed"):
@@ -439,6 +470,15 @@ CSV_ERRORS = {
     "malformed hours before a malformed count": (
         _csv({"employees_in_community": "many", "working_hours_per_day": "w"}),
         "line 2: column 'working_hours_per_day': not a rational number: 'w'",
+    ),
+    "malformed count after the hours": (
+        b"applicant_id,hours_alone_per_day,working_hours_per_day,community_population\n"
+        b"a,1/2,8,x\n",
+        "line 2: column 'community_population': not an integer count: 'x'",
+    ),
+    "zero-denominator hours before a malformed count": (
+        b"applicant_id,community_population,hours_alone_per_day\na,x,1/0\n",
+        "line 2: column 'hours_alone_per_day': not a rational number: '1/0'",
     ),
     "references without a past employer": (
         _csv({"references_positive": "1"}),

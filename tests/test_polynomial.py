@@ -51,6 +51,8 @@ class TestArithmetic:
 
     def test_scalar_mixing(self):
         assert 2 * H + H == 3 * H
+        assert (H + P) * 0 == 0 * (H + P) == Polynomial()
+        assert ((H + P) * 0).is_zero
         assert (H + Fraction(1, 2)) * 2 == 2 * H + 1
 
     def test_evaluate(self):

@@ -55,6 +55,15 @@ class TestJsonEmitter:
     def test_six_decimal_floats(self):
         assert emit_json(1 / 3) == b"0.333333\n"
 
+    @pytest.mark.parametrize("value, message", [
+        ({1: "x"}, "JSON object keys must be strings, got 1"),
+        ({"a": [Fraction(1, 3)]}, "cannot render Fraction in a report"),
+    ])
+    def test_what_json_cannot_hold_is_an_input_error(self, value, message):
+        with pytest.raises(InputError) as raised:
+            emit_json(value)
+        assert str(raised.value) == message
+
 
 class TestRavReport:
     def test_json_fields(self, toy):
@@ -299,6 +308,11 @@ class TestTrustReport:
         assert "consistency" in text
         assert "undefined" in text
         assert "combined(average)" in text
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(InputError) as raised:
+            render_trust_report([], "xml")
+        assert str(raised.value) == "unknown report format 'xml'; expected text or json"
 
 
 # ---------------------------------------------------------------------------

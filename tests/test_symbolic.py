@@ -246,6 +246,16 @@ class TestSymbolicScoreAlgebra:
         assert score.canonical() == score
         assert score.canonical().render() == score.render()
 
+    def test_division_reflected_subtraction_and_is_constant(self):
+        a = SymbolicScore.atom(RationalFunction(10 * L + 1))
+        assert (a / 4).terms == ((Fraction(1, 4), a.terms[0][1]),)
+        assert (a / Fraction(1, 2)) == 2 * a
+        assert (3 - a).render() == "-ln(10*l + 1)^2 + 3"
+        assert (3 - a) == -(a - 3)
+        assert not a.is_constant and not (a + 1).is_constant
+        assert SymbolicScore().is_constant and SymbolicScore.constant(5).is_constant
+        assert (a - a + 7).is_constant
+
     def test_product_multiplies_atom_multisets(self):
         a = SymbolicScore.atom(RationalFunction(10 * L + 1))
         b = SymbolicScore.atom(RationalFunction(100 * H + 1))
