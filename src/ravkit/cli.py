@@ -5,10 +5,11 @@ porosity, optionally merged into a scope file), ``aggregate`` (combine
 scopes), ``trust`` (score applicant CSVs), ``symbolic`` (render and
 evaluate the symbolic score), ``demo`` (run the critique suite).
 
-Exit codes: 0 success, 1 input error (unparseable files, bad flags),
-2 domain error (zero-porosity scopes with limitations, all-undefined
-trust records).  Output is deterministic for identical inputs; errors go
-to stderr only.  RAVKIT_SEED provides a fallback seed for ``demo``.
+Exit codes: 0 success, 1 input error (unparseable files, bad flags) or a
+temporary file that cannot be used, 2 domain error (zero-porosity scopes
+with limitations, all-undefined trust records).  Output is deterministic
+for identical inputs; errors go to stderr only.  RAVKIT_SEED provides a
+fallback seed for ``demo``.
 
 Each command loads only the layers it runs: ``ingest``, ``report`` and the
 ``metrics`` functions load with this module, while ``critique``,
@@ -250,9 +251,11 @@ def _cmd_demo(args, out: BinaryIO) -> None:
         )
         findings.append(critique.cross_class_counterexample())
     if args.kind in (None, "collision"):
-        findings.extend(
-            critique.collision_search(args.bounds, args.epsilon, seed)
-        )
+        try:
+            findings.extend(critique.collision_search(args.bounds, args.epsilon, seed))
+        except OSError as exc:
+            # The near pass spills its score runs to a temporary file.
+            raise RavkitError(f"collision search: temporary file: {exc}") from None
     if args.kind in (None, "formula"):
         findings.append(critique.formula_discrepancy_demo())
     if args.kind in (None, "trust"):

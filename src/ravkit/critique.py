@@ -469,29 +469,49 @@ def _close_gaps(scores: np.ndarray, epsilon: float) -> np.ndarray:
     return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
+def _spilled_runs(spill, runs):
+    """Read back, one at a time, the slab runs the first pass wrote to ``spill``.
+
+    On disk a run is its slab's distinct-key scores in key order (float64),
+    then each key's head (uint32), the slab index of its first state.
+    ``runs`` holds each run's ``(length, base_ids, n_states)`` in write
+    order.  Yields the ``(scores, heads, base_ids, n_states)`` that
+    :func:`_witness_codes` takes; a file that ends early is an ``OSError``.
+    """
+    import numpy as np
+
+    spill.seek(0)
+    for length, base_ids, n_states in runs:
+        run = np.empty(12 * length, dtype=np.uint8)
+        if spill.readinto(run) != run.size:
+            raise OSError("the collision spill file ended early")
+        scores, heads = run[: 8 * length].view(np.float64), run[8 * length :].view(np.uint32)
+        yield scores, heads, base_ids, n_states
+
+
 def _witness_codes(
-    slabs, values: np.ndarray, first_at: np.ndarray, needed: np.ndarray, n_lims: int
+    slab_runs, values: np.ndarray, first_at: np.ndarray, needed: np.ndarray, n_lims: int
 ) -> np.ndarray:
     """The witness state of each ``needed`` position of the sorted scores.
 
     The sorted scores hold every slab's distinct-key scores; ties take the
     order a stable sort of the slabs' runs (slab order, then key order)
-    gives them.  ``values`` are the distinct scores at the needed
-    positions and ``first_at`` the sorted position of each one's first copy.
-    The slabs are enumerated again, and each score equal to one of
-    ``values`` counts its rank among the equal scores seen so far: first
-    position plus rank is its sorted position.  Returns the state code
-    (:func:`_state_codes`) of each needed position; a position that no
-    state fills is an internal error, raised rather than decoded.
+    gives them.  ``slab_runs`` yields, in slab order, each slab's
+    ``(scores, heads, base_ids, n_states)``: its distinct-key scores in key
+    order, each key's head (the slab index of its first state), and the
+    slab's base ids and state count.  ``values`` are the distinct scores at
+    the needed positions and ``first_at`` the sorted position of each one's
+    first copy.  Each run score equal to one of ``values`` counts its rank
+    among the equal scores seen so far: first position plus rank is its
+    sorted position.  Returns the state code (:func:`_state_codes`) of each
+    needed position; a position that no state fills is an internal error,
+    raised rather than decoded.
     """
     import numpy as np
 
     seen = np.zeros(len(values), dtype=np.int64)
     codes = np.full(len(needed), -1, dtype=np.int64)
-    for s, lc_sum, keys, base_ids in slabs:
-        keys, order, starts = _group_keys(keys)
-        slab_scores = _float_scores(s, lc_sum, keys[starts])
-        del keys
+    for slab_scores, heads, base_ids, n_states in slab_runs:
         at = np.searchsorted(values, slab_scores)
         np.minimum(at, len(values) - 1, out=at)
         hits = np.flatnonzero(values[at] == slab_scores)
@@ -508,9 +528,7 @@ def _witness_codes(
         seen[at[runs]] += run_sizes
         slot = np.minimum(np.searchsorted(needed, position), len(needed) - 1)
         wanted = needed[slot] == position
-        codes[slot[wanted]] = _state_codes(
-            base_ids, order.size, order[starts[hits[wanted]]], n_lims
-        )
+        codes[slot[wanted]] = _state_codes(base_ids, n_states, heads[hits[wanted]], n_lims)
     unset = int(np.count_nonzero(codes < 0))
     if unset:
         raise RuntimeError(
@@ -550,9 +568,15 @@ def collision_search(
     witness, the group's first state.  The first pass keeps only the
     scores, in one buffer sorted in place; every adjacent pair within
     ``epsilon`` whose witnesses differ beyond controls (lie in different
-    porosity layouts or limitation tuples) is a near collision.  A second
-    enumeration recovers the witnesses of just those scores, ties ordered
-    by slab and then by key.
+    porosity layouts or limitation tuples) is a near collision.  The state
+    space is enumerated once: beside the buffer, the first pass writes each
+    slab's run (its distinct-key scores in key order, then each key's head
+    as uint32) to one anonymous temporary file, 12 bytes per distinct key,
+    and keeps only the run's length, base ids and state count in memory.
+    The runs are read back one at a time to recover the witnesses of just
+    the close scores, ties ordered by slab and then by key.  ``epsilon``
+    0 opens no file.  Raises ``OSError`` if the file cannot be created
+    (``tempfile`` honours ``TMPDIR``), written or read back.
 
     Each state of a split, exact or near pair is carried as its int code
     ``base_id * n_lims + lim_id``, from :func:`_state_codes`, and made
@@ -569,12 +593,17 @@ def collision_search(
     reproducibility of the emitted document.
 
     Measured cold (``ravkit demo --kind collision``, Python 3.11, numpy
-    2.4, a 2-core x86-64 host): bounds 3 takes 0.8-1.0 s and 62 MB peak
-    RSS at ``epsilon`` 1e-9; bounds 4 takes 6.4-6.5 s and 214 MB at 1e-9,
-    2.8-3.2 s and 82 MB at 0; bounds 5 (489,421,491 states, 130,563,789
-    distinct keys, 333,392 near pairs at 1e-9) takes 44-48 s and 1,204 MB
-    at 1e-9, 18-24 s and 239-246 MB at 0.
+    2.4, a 2-core x86-64 host): bounds 3 takes 0.7-1.0 s and 62 MB peak
+    RSS at ``epsilon`` 1e-9, with a 29 MB spill; bounds 4 (21,922,139
+    distinct keys, a 263 MB spill) takes 4.7-5.8 s and 215-223 MB at
+    1e-9, 35-39 s and 1,158 MB at 1e-6, 3.1-3.7 s and 80 MB at 0; bounds
+    5 (489,421,491 states, 130,563,789 distinct keys, 333,392 near pairs
+    at 1e-9) takes 36-41 s and 1,210-1,240 MB with a 1.6 GB spill at
+    1e-9, 18-24 s and 239-254 MB at 0.
     """
+    import tempfile
+    from contextlib import nullcontext
+
     import numpy as np
 
     b = CollisionBounds.coerce(bounds)
@@ -595,60 +624,66 @@ def collision_search(
 
     states = distinct_keys = exact_groups = skipped = 0
     exact_pairs: list[tuple[int, int]] = []
-    # Near pass: every distinct key's score, appended to one growing buffer.
-    scores = np.empty(0)
-    filled = 0
-    for s, lc_sum, keys, base_ids in _collision_slabs(triples_by_s, layouts, lim_tuples):
-        n = keys.size
-        states += n
-        sorted_keys, order, starts = _group_keys(keys)
-        sizes = np.diff(starts, append=n)
-        distinct_keys += len(starts)
-        # A group's head is its first state in enumeration order; the group
-        # is reportable if a member differs from the head in structure:
-        # porosity layout and limitation tuple, read from a table of
-        # ``layout * lims + lim_id`` over the slab's states.
-        n_layouts, n_triples = base_ids.shape
-        ids = np.arange(n // n_triples, dtype=np.int32).reshape(n_layouts, 1, -1)
-        structure = np.broadcast_to(ids, (n_layouts, n_triples, ids.shape[2])).reshape(-1)[order]
-        differs = structure != np.repeat(structure[starts], sizes)
-        reportable = np.logical_or.reduceat(differs, starts)
-        groups = np.flatnonzero(reportable)
-        exact_groups += len(groups)
-        skipped += int(np.count_nonzero((sizes > 1) & ~reportable))
-        for g in groups[: max(0, max_findings - len(exact_pairs))]:
-            partner = starts[g] + np.argmax(differs[starts[g] : starts[g] + sizes[g]])
-            pair = _state_codes(base_ids, n, order[[starts[g], partner]], n_lims)
-            exact_pairs.append(tuple(pair.tolist()))
-        if epsilon > 0:
-            end = filled + len(starts)
-            if end > len(scores):
-                scores.resize(max(end, len(scores) * 9 // 8, 1 << 10), refcheck=False)
-            scores[filled:end] = _float_scores(s, lc_sum, sorted_keys[starts])
-            filled = end
-
-    # Near collisions: adjacent distinct keys in ascending score order.
     near_pairs: list[tuple[int, int]] = []
     n_near = 0
-    scores = scores[:filled]
-    scores.sort()
-    close = _close_gaps(scores, epsilon)
-    if len(close):
-        needed = np.union1d(close, close + 1)
-        values = np.unique(scores[needed])
-        first_at = np.searchsorted(scores, values)
-        del scores
-        codes = _witness_codes(
-            _collision_slabs(triples_by_s, layouts, lim_tuples), values, first_at, needed, n_lims
-        )
-        slots = np.searchsorted(needed, close)
-        base_a, lim_a = np.divmod(codes[slots], n_lims)
-        base_b, lim_b = np.divmod(codes[slots + 1], n_lims)
-        near = (lim_a != lim_b) | (layout_of[base_a] != layout_of[base_b])
-        n_near = int(np.count_nonzero(near))
-        skipped += len(near) - n_near
-        kept = slots[near][:max_findings]
-        near_pairs = list(zip(codes[kept].tolist(), codes[kept + 1].tolist()))
+    # Near pass: every distinct key's score, appended to one growing buffer,
+    # and each slab's run of scores and heads spilled to one temporary file,
+    # of which only ``(length, base_ids, n_states)`` stays in memory.
+    scores = np.empty(0)
+    filled = 0
+    runs: list[tuple[int, np.ndarray, int]] = []
+    with tempfile.TemporaryFile() if epsilon > 0 else nullcontext() as spill:
+        for s, lc_sum, keys, base_ids in _collision_slabs(triples_by_s, layouts, lim_tuples):
+            n = keys.size
+            states += n
+            sorted_keys, order, starts = _group_keys(keys)
+            sizes = np.diff(starts, append=n)
+            distinct_keys += len(starts)
+            # A group's head is its first state in enumeration order; the
+            # group is reportable if a member differs from the head in
+            # structure: porosity layout and limitation tuple, read from a
+            # table of ``layout * lims + lim_id`` over the slab's states.
+            n_layouts, n_triples = base_ids.shape
+            ids = np.arange(n // n_triples, dtype=np.int32).reshape(n_layouts, 1, -1)
+            structure = np.broadcast_to(ids, (n_layouts, n_triples, ids.shape[2]))
+            structure = structure.reshape(-1)[order]
+            differs = structure != np.repeat(structure[starts], sizes)
+            reportable = np.logical_or.reduceat(differs, starts)
+            groups = np.flatnonzero(reportable)
+            exact_groups += len(groups)
+            skipped += int(np.count_nonzero((sizes > 1) & ~reportable))
+            for g in groups[: max(0, max_findings - len(exact_pairs))]:
+                partner = starts[g] + np.argmax(differs[starts[g] : starts[g] + sizes[g]])
+                pair = _state_codes(base_ids, n, order[[starts[g], partner]], n_lims)
+                exact_pairs.append(tuple(pair.tolist()))
+            if epsilon > 0:
+                end = filled + len(starts)
+                if end > len(scores):
+                    scores.resize(max(end, len(scores) * 9 // 8, 1 << 10), refcheck=False)
+                scores[filled:end] = _float_scores(s, lc_sum, sorted_keys[starts])
+                spill.write(scores[filled:end])
+                spill.write(order[starts].astype(np.uint32))
+                runs.append((len(starts), base_ids, n))
+                filled = end
+
+        # Near collisions: adjacent distinct keys in ascending score order.
+        scores = scores[:filled]
+        scores.sort()
+        close = _close_gaps(scores, epsilon)
+        if len(close):
+            needed = np.union1d(close, close + 1)
+            values = np.unique(scores[needed])
+            first_at = np.searchsorted(scores, values)
+            del scores
+            codes = _witness_codes(_spilled_runs(spill, runs), values, first_at, needed, n_lims)
+            slots = np.searchsorted(needed, close)
+            base_a, lim_a = np.divmod(codes[slots], n_lims)
+            base_b, lim_b = np.divmod(codes[slots + 1], n_lims)
+            near = (lim_a != lim_b) | (layout_of[base_a] != layout_of[base_b])
+            n_near = int(np.count_nonzero(near))
+            skipped += len(near) - n_near
+            kept = slots[near][:max_findings]
+            near_pairs = list(zip(codes[kept].tolist(), codes[kept + 1].tolist()))
 
     # Porosity-split collision: swapping counts between visibility and
     # access leaves every pipeline quantity identical.  A layout splits

@@ -70,11 +70,13 @@ def emit_json(value: Any) -> bytes:
 
 def _emit(value: Any, out: list[str]) -> None:
     if isinstance(value, dict):
+        # Checked before sorting, which keys of mixed types would fail.
+        for key in value:
+            if not isinstance(key, str):
+                raise InputError(f"JSON object keys must be strings, got {key!r}")
         out.append("{")
         first = True
         for key in sorted(value):
-            if not isinstance(key, str):
-                raise InputError(f"JSON object keys must be strings, got {key!r}")
             if not first:
                 out.append(", ")
             out.append(json.dumps(key))

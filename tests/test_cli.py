@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -510,6 +511,39 @@ class TestDemoCommand:
         monkeypatch.setenv("RAVKIT_SEED", "abc")
         code, _, err = run("demo", "--kind", "formula", "--seed", "3")
         assert code == 0 and err == b""
+
+    @pytest.mark.parametrize("epsilon", ["1e-9", "0"])
+    def test_missing_temporary_directory_fails_only_the_near_pass(
+        self, monkeypatch, tmp_path, epsilon
+    ):
+        # Only the near pass (epsilon > 0) spills to a temporary file.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        code, out, err = run("demo", "--kind", "collision", "--bounds", "1",
+                             "--epsilon", epsilon)
+        if epsilon == "0":
+            assert code == 0 and err == b""
+            assert json.loads(out)["findings"]
+        else:
+            assert_one_line_input_error(code, out, err)
+            assert err.startswith(b"ravkit: error: collision search: temporary file: ")
+
+    def test_spill_write_failure_is_one_line_error(self, monkeypatch):
+        # A full disk, say: the first write to the spill fails.
+        class Full:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", Full)
+        code, out, err = run("demo", "--kind", "collision", "--bounds", "1")
+        assert_one_line_input_error(code, out, err)
+        assert err == (b"ravkit: error: collision search: temporary file: "
+                       b"[Errno 28] No space left on device\n")
 
     def test_huge_bounds_refused_at_once(self):
         start = time.perf_counter()

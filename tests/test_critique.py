@@ -8,6 +8,7 @@ with the same inputs.
 from __future__ import annotations
 
 import math
+import tempfile
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
@@ -42,6 +43,7 @@ from ravkit.critique import (
     _packed_key_bits,
     _seclim_num_bound,
     _slab_size_bound,
+    _spilled_runs,
     _state_codes,
     _state_scope,
     _witness_codes,
@@ -59,6 +61,15 @@ from ravkit.metrics import (
 )
 from ravkit.report import render_findings
 from ravkit.trust import ApplicantRecord, Polarity, Reference, consistency_ratios
+
+
+def slab_runs(slabs):
+    """Each slab's run as the first pass of ``collision_search`` builds it:
+    its distinct-key scores in key order and each key's head as uint32."""
+    for s, lc_sum, keys, base_ids in slabs:
+        n = keys.size
+        keys, order, starts = _group_keys(keys)
+        yield _float_scores(s, lc_sum, keys[starts]), order[starts].astype(np.uint32), base_ids, n
 
 
 def scope_from_obj(obj: dict) -> Scope:
@@ -336,7 +347,7 @@ class TestCollisionSearch:
         assert len(err.splitlines()) == 1 and b"packed collision keys" in err
         assert err.startswith(b"ravkit: domain error: ")
 
-    @pytest.mark.parametrize("bound, epsilon", [(2, 1e-6), (2, 1e-3)])
+    @pytest.mark.parametrize("bound, epsilon", [(2, 1e-6), (2, 1e-3), (3, 1e-6)])
     def test_near_witnesses_match_a_stable_argsort_oracle(self, bound, epsilon):
         # The oracle holds every distinct key's score and head together and
         # sorts them once, stably: equal scores in slab order, then key order.
@@ -369,13 +380,63 @@ class TestCollisionSearch:
         needed = np.union1d(close, close + 1)
         values = np.unique(scores[needed])
         found = _witness_codes(
-            _collision_slabs(triples_by_s, layouts, lims),
+            slab_runs(_collision_slabs(triples_by_s, layouts, lims)),
             values,
             np.searchsorted(scores, values),
             needed,
             len(lims),
         )
         assert np.array_equal(found, codes[needed])
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 1e-6])
+    def test_state_space_is_enumerated_once(self, monkeypatch, epsilon):
+        # The near pass reads the witnesses back from the first pass's spill.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _collision_slabs(*args)
+
+        monkeypatch.setattr(critique, "_collision_slabs", counted)
+        coverage = collision_search(2, epsilon, 0)[0].scores["coverage"]
+        assert len(calls) == 1
+        assert (coverage["near_pairs"] > 0) == (epsilon > 0)
+
+    def test_spill_is_closed_when_the_search_raises(self, monkeypatch):
+        opened = []
+        real = tempfile.TemporaryFile
+
+        def recorded(*args, **kwargs):
+            opened.append(real(*args, **kwargs))
+            return opened[-1]
+
+        def failing(*args):
+            raise RuntimeError("witness pass failed")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+        monkeypatch.setattr(critique, "_witness_codes", failing)
+        with pytest.raises(RuntimeError, match="witness pass failed"):
+            collision_search(2, 1e-9, 0)
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_spilled_runs_read_back_each_run_and_refuse_a_short_file(self):
+        runs = [(2, np.array([[7, 8]]), 6), (1, np.array([[9]]), 3)]
+        with tempfile.TemporaryFile() as spill:
+            spill.write(np.array([3.5, 2.5]))
+            spill.write(np.array([5, 0], dtype=np.uint32))
+            spill.write(np.array([1.5]))
+            spill.write(np.array([2], dtype=np.uint32))
+            read = [
+                (scores.tolist(), heads.tolist(), base_ids, n)
+                for scores, heads, base_ids, n in _spilled_runs(spill, runs)
+            ]
+            assert read == [
+                ([3.5, 2.5], [5, 0], runs[0][1], 6),
+                ([1.5], [2], runs[1][1], 3),
+            ]
+            spill.truncate(30)
+            with pytest.raises(OSError, match="ended early"):
+                list(_spilled_runs(spill, runs))
 
     def test_witness_ties_rank_by_slab_then_key(self):
         # No two keys of one slab share a float score through bounds 4, so
@@ -387,7 +448,11 @@ class TestCollisionSearch:
         value = _float_scores(0, 1, np.zeros(1))
         needed = np.arange(5)
         codes = _witness_codes(
-            [slab([5, 3, 5, 7], 0), slab([2, 2, 9], 10)], value, np.array([0]), needed, 1
+            slab_runs([slab([5, 3, 5, 7], 0), slab([2, 2, 9], 10)]),
+            value,
+            np.array([0]),
+            needed,
+            1,
         )
         # Keys 3, 5 (first at index 0), 7, then the second slab's 2 and 9.
         assert codes.tolist() == [1, 0, 3, 10, 12]
@@ -403,7 +468,7 @@ class TestCollisionSearch:
         for values in (np.array([1e300]), np.array([held[0], 1e300])):
             with pytest.raises(RuntimeError, match="^internal error: 1 of .* matched no"):
                 _witness_codes(
-                    _collision_slabs(triples_by_s, layouts, lims),
+                    slab_runs(_collision_slabs(triples_by_s, layouts, lims)),
                     values,
                     np.arange(len(values)),
                     np.arange(len(values)),

@@ -57,6 +57,7 @@ class TestJsonEmitter:
 
     @pytest.mark.parametrize("value, message", [
         ({1: "x"}, "JSON object keys must be strings, got 1"),
+        ({1: "a", "b": 2}, "JSON object keys must be strings, got 1"),
         ({"a": [Fraction(1, 3)]}, "cannot render Fraction in a report"),
     ])
     def test_what_json_cannot_hold_is_an_input_error(self, value, message):
