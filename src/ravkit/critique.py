@@ -461,7 +461,7 @@ def _close_gaps(scores: np.ndarray, epsilon: float) -> np.ndarray:
     """
     import numpy as np
 
-    block = 1 << 20
+    block = 1 << 16
     found = [
         np.flatnonzero(np.diff(scores[lo : lo + block + 1]) <= epsilon) + lo
         for lo in range(0, len(scores) - 1, block)
@@ -469,73 +469,220 @@ def _close_gaps(scores: np.ndarray, epsilon: float) -> np.ndarray:
     return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
-def _spilled_runs(spill, runs):
-    """Read back, one at a time, the slab runs the first pass wrote to ``spill``.
+#: Every this many scores of a spilled run, the first pass keeps one in memory.
+_SAMPLE_EVERY = 64
+#: The most scores one value range of the near pass holds, bar one tied value.
+_RANGE_SCORES = 1 << 18
+#: One distinct key of a spilled run: its score and its head, the slab
+#: index of its first state.
+_RUN_RECORD = [("score", "<f8"), ("head", "<u4")]
 
-    On disk a run is its slab's distinct-key scores in key order (float64),
-    then each key's head (uint32), the slab index of its first state.
-    ``runs`` holds each run's ``(length, base_ids, n_states)`` in write
-    order.  Yields the ``(scores, heads, base_ids, n_states)`` that
-    :func:`_witness_codes` takes; a file that ends early is an ``OSError``.
+
+def _value_ranges(samples: Sequence[np.ndarray], lengths: Sequence[int]):
+    """Cut the score axis into value ranges for the near pass, from the samples.
+
+    ``samples`` holds, for each spilled run of ``lengths[r]`` scores, every
+    ``_SAMPLE_EVERY``-th of its scores in key order, the first included.
+    Splitters drawn from the sorted samples cut the axis into ranges
+    ``[lo, hi)``, the first from ``-inf`` and the last to ``inf``; equal
+    scores never straddle two.  A run's scores fall in key order, so a
+    range is one block of each run, and a run holds at most
+    ``_SAMPLE_EVERY - 1`` scores more than its samples in the range account
+    for: each range holds at most ``_RANGE_SCORES`` scores, unless one value
+    alone has more or there are so many runs that ``_RANGE_SCORES`` is under
+    ``(runs + 1) * _SAMPLE_EVERY`` (then each range holds one distinct
+    sample).  Yields ``(lo, hi, first, stop)``, where the indices
+    ``first[r]:stop[r]`` of run ``r`` hold every score of run ``r`` in the
+    range, with fewer than ``_SAMPLE_EVERY`` others at each end.
     """
     import numpy as np
 
-    spill.seek(0)
-    for length, base_ids, n_states in runs:
-        run = np.empty(12 * length, dtype=np.uint8)
-        if spill.readinto(run) != run.size:
+    k = _SAMPLE_EVERY
+    flat = np.concatenate(samples)
+    flat.sort()
+    step = max(1, (_RANGE_SCORES - len(lengths) * (k - 1)) // k)
+    edges = [-math.inf]
+    p = 0
+    while p + step < len(flat):
+        q = int(np.searchsorted(flat, flat[p + step]))
+        if q == p:  # one value holds more than ``step`` samples
+            q = int(np.searchsorted(flat, flat[p], "right"))
+            if q == len(flat):
+                break
+        edges.append(flat[q])
+        p = q
+    edges.append(math.inf)
+    del flat
+    # ``at_least[j, r]``: samples of run ``r`` at or above ``edges[j]``.
+    at_least = np.empty((len(edges), len(lengths)), dtype=np.int64)
+    for r, run_samples in enumerate(samples):
+        at_least[:, r] = len(run_samples) - np.searchsorted(run_samples[::-1], edges)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    for j in range(len(edges) - 1):
+        first = np.maximum((at_least[j + 1] - 1) * k + 1, 0)
+        stop = np.minimum(at_least[j] * k, lengths)
+        yield edges[j], edges[j + 1], first, stop
+
+
+def _range_records(spill, run_starts: np.ndarray, first: np.ndarray, stop: np.ndarray):
+    """Read the records ``first[r]:stop[r]`` of each spilled run ``r`` into one array.
+
+    On disk the runs lie one after another, run ``r`` from record
+    ``run_starts[r]`` on, one ``_RUN_RECORD`` per distinct key of its slab
+    in key order.  Each nonempty block is read with ``seek`` and
+    ``readinto``; a file that ends early is an ``OSError``.  Returns the
+    records in run order, the runs read and where each one's block starts
+    in the records.
+    """
+    import numpy as np
+
+    read = np.flatnonzero(stop > first)
+    first, sizes = first[read], (stop - first)[read]
+    starts = np.cumsum(sizes) - sizes
+    records = np.empty(int(sizes.sum()), dtype=_RUN_RECORD)
+    raw = records.view(np.uint8)
+    for at, start, end in zip((run_starts[read] + first).tolist(), starts.tolist(),
+                              (starts + sizes).tolist()):
+        spill.seek(12 * at)
+        if spill.readinto(raw[12 * start : 12 * end]) != 12 * (end - start):
             raise OSError("the collision spill file ended early")
-        scores, heads = run[: 8 * length].view(np.float64), run[8 * length :].view(np.uint32)
-        yield scores, heads, base_ids, n_states
+    return records, read, starts
 
 
-def _witness_codes(
-    slab_runs, values: np.ndarray, first_at: np.ndarray, needed: np.ndarray, n_lims: int
+def _witness_positions(
+    scores: np.ndarray, values: np.ndarray, first_at: np.ndarray, needed: np.ndarray
 ) -> np.ndarray:
-    """The witness state of each ``needed`` position of the sorted scores.
+    """Where in ``scores`` the witness of each ``needed`` sorted position lies.
 
-    The sorted scores hold every slab's distinct-key scores; ties take the
-    order a stable sort of the slabs' runs (slab order, then key order)
-    gives them.  ``slab_runs`` yields, in slab order, each slab's
-    ``(scores, heads, base_ids, n_states)``: its distinct-key scores in key
-    order, each key's head (the slab index of its first state), and the
-    slab's base ids and state count.  ``values`` are the distinct scores at
-    the needed positions and ``first_at`` the sorted position of each one's
-    first copy.  Each run score equal to one of ``values`` counts its rank
-    among the equal scores seen so far: first position plus rank is its
-    sorted position.  Returns the state code (:func:`_state_codes`) of each
-    needed position; a position that no state fills is an internal error,
-    raised rather than decoded.
+    ``scores`` is runs of scores in slab order, each in key order.  The
+    sorted scores are those of ``scores`` in some value range, ties in the
+    order a stable sort gives them: slab order, then key order.
+    ``values`` are the distinct scores at the needed positions, all in the
+    range, and ``first_at`` the sorted position of each one's first copy.
+    A copy's sorted position is its value's first position plus the copies
+    before it in ``scores``.  The copies are found in one pass: a table of
+    20 mantissa bits of ``values`` lets few other scores through, and those
+    are searched into ``values``.  Returns the index into ``scores`` of
+    each needed position's witness; a position that no score fills is an
+    internal error, raised rather than decoded.
     """
     import numpy as np
 
-    seen = np.zeros(len(values), dtype=np.int64)
-    codes = np.full(len(needed), -1, dtype=np.int64)
-    for slab_scores, heads, base_ids, n_states in slab_runs:
-        at = np.searchsorted(values, slab_scores)
-        np.minimum(at, len(values) - 1, out=at)
-        hits = np.flatnonzero(values[at] == slab_scores)
-        if not len(hits):
-            continue
-        # Hits in value order, each value's hits kept in key order.
-        by_value = np.argsort(at[hits], kind="stable")
-        hits, at = hits[by_value], at[hits][by_value]
-        new_value = np.ones(len(at), dtype=bool)
-        np.not_equal(at[1:], at[:-1], out=new_value[1:])
-        runs = np.flatnonzero(new_value)
-        run_sizes = np.diff(runs, append=len(at))
-        position = first_at[at] + seen[at] + np.arange(len(at)) - np.repeat(runs, run_sizes)
-        seen[at[runs]] += run_sizes
-        slot = np.minimum(np.searchsorted(needed, position), len(needed) - 1)
-        wanted = needed[slot] == position
-        codes[slot[wanted]] = _state_codes(base_ids, n_states, heads[hits[wanted]], n_lims)
-    unset = int(np.count_nonzero(codes < 0))
+    table = np.zeros(1 << 20, dtype=bool)
+    table[values.getfield(np.uint32, 2) >> 12] = True
+    copy = np.flatnonzero(table[scores.getfield(np.uint32, 2) >> 12])
+    held = scores[copy]
+    value = values.searchsorted(held)
+    found = values.take(value, mode="clip") == held
+    copy, value = copy[found], value[found]
+    # Each value's copies in the order of ``scores``, ranked.
+    by_value = np.argsort(value, kind="stable")
+    copy, value = copy[by_value], value[by_value]
+    new_value = np.ones(len(value), dtype=bool)
+    np.not_equal(value[1:], value[:-1], out=new_value[1:])
+    groups = np.flatnonzero(new_value)
+    rank = np.arange(len(value)) - np.repeat(groups, np.diff(groups, append=len(value)))
+    position = first_at[value] + rank
+    slot = np.minimum(np.searchsorted(needed, position), len(needed) - 1)
+    wanted = needed[slot] == position
+    where = np.full(len(needed), -1, dtype=np.intp)
+    where[slot[wanted]] = copy[wanted]
+    unset = int(np.count_nonzero(where < 0))
     if unset:
         raise RuntimeError(
             f"internal error: {unset} of {len(needed)} sorted score positions "
             "matched no enumerated state"
         )
-    return codes
+    return where
+
+
+def _close_pairs(spill, run_starts, decode, lo: float, hi: float, first, stop, last,
+                 epsilon: float):
+    """Every pair of adjacent sorted scores within ``epsilon`` whose upper
+    score lies in ``[lo, hi)``, as the state codes of both witnesses.
+
+    The records ``first[r]:stop[r]`` of each spilled run ``r`` hold its
+    scores in the range (see :func:`_value_ranges` and
+    :func:`_range_records`); a copy of their scores is sorted beside
+    ``last``, the score and witness code of the greatest score below
+    ``lo``, so the pair across the boundary is found too.  ``decode(run,
+    head)`` gives the state codes of heads of the given runs.  Returns
+    the two codes of each pair, in ascending score order, and the greatest
+    score in the range with its code, for the next range's ``last``.
+    """
+    import numpy as np
+
+    last_score, last_code = last
+    records, read, starts = _range_records(spill, run_starts, first, stop)
+    scores = records["score"]
+    # The scores read below lo lie in earlier ranges, so none is above
+    # last_score: cut there, the sorted copy is last_score, then [lo, hi).
+    ordered = np.empty(len(scores) + 1)
+    ordered[0] = last_score
+    ordered[1:] = scores
+    ordered.sort()
+    i, j = ordered[1:].searchsorted([lo, hi]) + 1
+    ordered = ordered[i - 1 : j]
+    close = _close_gaps(ordered, epsilon)
+    # Witnesses are needed at both ends of each close pair and at the top.
+    wanted = np.zeros(len(ordered), dtype=bool)
+    wanted[close] = wanted[close + 1] = wanted[-1] = True
+    needed = np.flatnonzero(wanted[1:]) + 1
+    held = ordered[needed]
+    values = held[np.diff(held, prepend=-math.inf) > 0]
+    first_at = ordered.searchsorted(values) - 1
+    top = ordered[-1]
+    del ordered
+    at = _witness_positions(scores, values, first_at, needed - 1)
+    run = read[np.searchsorted(starts, at, "right") - 1]
+    codes = np.concatenate([[last_code], decode(run, records["head"][at])])
+    slots = needed.searchsorted(close, "right")
+    return codes[slots], codes[slots + 1], (top, int(codes[-1]))
+
+
+def _near_pass(spill, runs, samples, epsilon: float, max_findings: int,
+               n_lims: int, layout_of: np.ndarray) -> tuple[int, int, list[tuple[int, int]]]:
+    """Near collisions among the spilled runs, one value range at a time.
+
+    ``runs`` holds each spilled run's ``(length, base_ids, n_states)`` in
+    write order, and ``samples`` every ``_SAMPLE_EVERY``-th score of each
+    (see :func:`_value_ranges`).  Every close pair
+    (:func:`_close_pairs`) whose witnesses differ beyond controls (lie in
+    different porosity layouts or limitation tuples) is a near collision.
+    Returns the number of near pairs, the number of close pairs skipped as
+    control-only, and the first ``max_findings`` near pairs as state codes,
+    in ascending score order.
+    """
+    import numpy as np
+
+    # Every run's base ids in one table, to decode heads as
+    # :func:`_state_codes` does, for all runs at once.
+    sizes = np.array([base_ids.size for _, base_ids, _ in runs])
+    bases = np.concatenate([base_ids.reshape(-1) for _, base_ids, _ in runs])
+    base_at = np.cumsum(sizes) - sizes
+    slab_lims = np.array([n_states for _, _, n_states in runs]) // sizes
+    lengths = np.array([length for length, _, _ in runs])
+    run_starts = np.cumsum(lengths) - lengths
+
+    def decode(run: np.ndarray, head: np.ndarray) -> np.ndarray:
+        return bases[base_at[run] + head // slab_lims[run]] * n_lims + head % slab_lims[run]
+
+    n_near = skipped = 0
+    pairs: list[tuple[int, int]] = []
+    last = (-math.inf, -1)
+    for lo, hi, first, stop in _value_ranges(samples, lengths):
+        code_a, code_b, last = _close_pairs(
+            spill, run_starts, decode, lo, hi, first, stop, last, epsilon
+        )
+        near = (code_a % n_lims != code_b % n_lims) | (
+            layout_of[code_a // n_lims] != layout_of[code_b // n_lims]
+        )
+        found = int(np.count_nonzero(near))
+        n_near += found
+        skipped += len(near) - found
+        kept = np.flatnonzero(near)[: max_findings - len(pairs)]
+        pairs += zip(code_a[kept].tolist(), code_b[kept].tolist())
+    return n_near, skipped, pairs
 
 
 def collision_search(
@@ -565,18 +712,20 @@ def collision_search(
     groups differing only in controls are skipped.
 
     For ``epsilon > 0`` each distinct key has one float score and, as its
-    witness, the group's first state.  The first pass keeps only the
-    scores, in one buffer sorted in place; every adjacent pair within
-    ``epsilon`` whose witnesses differ beyond controls (lie in different
-    porosity layouts or limitation tuples) is a near collision.  The state
-    space is enumerated once: beside the buffer, the first pass writes each
-    slab's run (its distinct-key scores in key order, then each key's head
-    as uint32) to one anonymous temporary file, 12 bytes per distinct key,
-    and keeps only the run's length, base ids and state count in memory.
-    The runs are read back one at a time to recover the witnesses of just
-    the close scores, ties ordered by slab and then by key.  ``epsilon``
-    0 opens no file.  Raises ``OSError`` if the file cannot be created
-    (``tempfile`` honours ``TMPDIR``), written or read back.
+    witness, the group's first state.  Every adjacent pair of scores in
+    ascending order that lie within ``epsilon`` and whose witnesses differ
+    beyond controls (lie in different porosity layouts or limitation
+    tuples) is a near collision; equal scores are ordered by slab and then
+    by key.  The state space is enumerated once: the first pass writes each
+    slab's run, one 12-byte record (score, head) per distinct key in key
+    order, to one anonymous temporary file, and keeps in memory only the
+    run's length, base ids and state count and every ``_SAMPLE_EVERY``-th
+    score.  The near pass (:func:`_near_pass`) cuts
+    the score axis at those samples into value ranges of at most
+    ``_RANGE_SCORES`` scores and reads, sorts and searches one range at a
+    time, so its memory does not grow with the number of distinct keys.
+    ``epsilon`` 0 opens no file.  Raises ``OSError`` if the file cannot be
+    created (``tempfile`` honours ``TMPDIR``), written or read back.
 
     Each state of a split, exact or near pair is carried as its int code
     ``base_id * n_lims + lim_id``, from :func:`_state_codes`, and made
@@ -593,13 +742,16 @@ def collision_search(
     reproducibility of the emitted document.
 
     Measured cold (``ravkit demo --kind collision``, Python 3.11, numpy
-    2.4, a 2-core x86-64 host): bounds 3 takes 0.7-1.0 s and 62 MB peak
+    2.4, a 2-core x86-64 host): bounds 3 takes 0.7-0.8 s and 40 MB peak
     RSS at ``epsilon`` 1e-9, with a 29 MB spill; bounds 4 (21,922,139
-    distinct keys, a 263 MB spill) takes 4.7-5.8 s and 215-223 MB at
-    1e-9, 35-39 s and 1,158 MB at 1e-6, 3.1-3.7 s and 80 MB at 0; bounds
-    5 (489,421,491 states, 130,563,789 distinct keys, 333,392 near pairs
-    at 1e-9) takes 36-41 s and 1,210-1,240 MB with a 1.6 GB spill at
-    1e-9, 18-24 s and 239-254 MB at 0.
+    distinct keys, a 263 MB spill) takes 4.2-4.7 s and 82 MB at 1e-9,
+    11 s and 82 MB at 1e-6, 2.8-3.4 s and 81 MB at 0; bounds 5
+    (489,421,491 states, 130,563,789 distinct keys, 333,392 near pairs at
+    1e-9) takes 33-37 s and 255-263 MB with a 1.6 GB spill at 1e-9,
+    23 s and 235 MB at 0; bounds 6 (2,233,482,291 states, 583,434,111
+    distinct keys) takes 3.1-3.7 minutes and 0.7 GB with a 7 GB spill at
+    1e-9.  Past the enumeration's own peak, the near pass holds one range
+    and the samples, whatever the number of distinct keys.
     """
     import tempfile
     from contextlib import nullcontext
@@ -626,12 +778,11 @@ def collision_search(
     exact_pairs: list[tuple[int, int]] = []
     near_pairs: list[tuple[int, int]] = []
     n_near = 0
-    # Near pass: every distinct key's score, appended to one growing buffer,
-    # and each slab's run of scores and heads spilled to one temporary file,
-    # of which only ``(length, base_ids, n_states)`` stays in memory.
-    scores = np.empty(0)
-    filled = 0
+    # Near pass: each slab's run of (score, head) records is spilled to one
+    # temporary file; only ``(length, base_ids, n_states)`` and every
+    # ``_SAMPLE_EVERY``-th score of the run stay in memory.
     runs: list[tuple[int, np.ndarray, int]] = []
+    samples: list[np.ndarray] = []
     with tempfile.TemporaryFile() if epsilon > 0 else nullcontext() as spill:
         for s, lc_sum, keys, base_ids in _collision_slabs(triples_by_s, layouts, lim_tuples):
             n = keys.size
@@ -657,33 +808,18 @@ def collision_search(
                 pair = _state_codes(base_ids, n, order[[starts[g], partner]], n_lims)
                 exact_pairs.append(tuple(pair.tolist()))
             if epsilon > 0:
-                end = filled + len(starts)
-                if end > len(scores):
-                    scores.resize(max(end, len(scores) * 9 // 8, 1 << 10), refcheck=False)
-                scores[filled:end] = _float_scores(s, lc_sum, sorted_keys[starts])
-                spill.write(scores[filled:end])
-                spill.write(order[starts].astype(np.uint32))
-                runs.append((len(starts), base_ids, n))
-                filled = end
+                run = np.empty(len(starts), dtype=_RUN_RECORD)
+                run["score"] = _float_scores(s, lc_sum, sorted_keys[starts])
+                run["head"] = order[starts]
+                spill.write(run)
+                runs.append((len(run), base_ids, n))
+                samples.append(run["score"][::_SAMPLE_EVERY].copy())
 
-        # Near collisions: adjacent distinct keys in ascending score order.
-        scores = scores[:filled]
-        scores.sort()
-        close = _close_gaps(scores, epsilon)
-        if len(close):
-            needed = np.union1d(close, close + 1)
-            values = np.unique(scores[needed])
-            first_at = np.searchsorted(scores, values)
-            del scores
-            codes = _witness_codes(_spilled_runs(spill, runs), values, first_at, needed, n_lims)
-            slots = np.searchsorted(needed, close)
-            base_a, lim_a = np.divmod(codes[slots], n_lims)
-            base_b, lim_b = np.divmod(codes[slots + 1], n_lims)
-            near = (lim_a != lim_b) | (layout_of[base_a] != layout_of[base_b])
-            n_near = int(np.count_nonzero(near))
-            skipped += len(near) - n_near
-            kept = slots[near][:max_findings]
-            near_pairs = list(zip(codes[kept].tolist(), codes[kept + 1].tolist()))
+        if epsilon > 0:
+            n_near, near_skipped, near_pairs = _near_pass(
+                spill, runs, samples, epsilon, max_findings, n_lims, layout_of
+            )
+            skipped += near_skipped
 
     # Porosity-split collision: swapping counts between visibility and
     # access leaves every pipeline quantity identical.  A layout splits

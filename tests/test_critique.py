@@ -34,6 +34,7 @@ from ravkit.critique import (
 from ravkit import critique
 from ravkit.cli import dispatch
 from ravkit.critique import (
+    _RUN_RECORD,
     _close_gaps,
     _collision_slabs,
     _collision_tables,
@@ -41,12 +42,13 @@ from ravkit.critique import (
     _group_keys,
     _layout_index,
     _packed_key_bits,
+    _range_records,
     _seclim_num_bound,
     _slab_size_bound,
-    _spilled_runs,
     _state_codes,
     _state_scope,
-    _witness_codes,
+    _value_ranges,
+    _witness_positions,
 )
 from ravkit.errors import DomainError
 from ravkit.metrics import (
@@ -64,12 +66,13 @@ from ravkit.trust import ApplicantRecord, Polarity, Reference, consistency_ratio
 
 
 def slab_runs(slabs):
-    """Each slab's run as the first pass of ``collision_search`` builds it:
-    its distinct-key scores in key order and each key's head as uint32."""
+    """Each slab's run as the first pass of ``collision_search`` spills it:
+    its distinct-key scores in key order, and the state code of each key's
+    head."""
     for s, lc_sum, keys, base_ids in slabs:
         n = keys.size
         keys, order, starts = _group_keys(keys)
-        yield _float_scores(s, lc_sum, keys[starts]), order[starts].astype(np.uint32), base_ids, n
+        yield _float_scores(s, lc_sum, keys[starts]), _state_codes(base_ids, n, order[starts], 1)
 
 
 def scope_from_obj(obj: dict) -> Scope:
@@ -262,8 +265,9 @@ class TestCollisionSearch:
         assert findings[0].scores["coverage"]["states"] == 8_639_519
 
     def test_bounds_three_near_pass_peak_under_fifty_mb(self):
-        # The near pass keeps one float score per distinct key (2,381,746
-        # at bounds 3, 19 MB), never a witness or a sort index beside it.
+        # The near pass holds one value range of at most 2**18 scores and
+        # every 64th score, never one float per distinct key (2,381,746 at
+        # bounds 3).
         tracemalloc.start()
         try:
             collision_search(3, 1e-9, 0)
@@ -271,6 +275,18 @@ class TestCollisionSearch:
         finally:
             tracemalloc.stop()
         assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("epsilon", [1e-9, 1e-6])
+    def test_bounds_three_near_pass_peak_under_twenty_mb(self, epsilon):
+        # At 1e-6 a third of the scores are witnesses of close pairs; still
+        # one range at a time.  The enumeration alone peaks near 14 MB.
+        tracemalloc.start()
+        try:
+            collision_search(3, epsilon, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("bound", range(1, 7))
     def test_packed_keys_fit_int64_for_every_slab_through_bounds_six(self, bound):
@@ -368,25 +384,20 @@ class TestCollisionSearch:
             assert np.array_equal(
                 _state_codes(base_ids, keys.size, order[starts], len(lims)), codes[-1]
             )
-        scores = np.concatenate(scores)
+        scores, codes = np.concatenate(scores), np.concatenate(codes)
         by_score = np.argsort(scores, kind="stable")
         sorted_scores = scores[by_score]
         close = np.flatnonzero(np.diff(sorted_scores) <= epsilon)
         assert np.count_nonzero(np.diff(sorted_scores) == 0) > 0  # ties occur
-        codes = np.concatenate(codes)[by_score]
 
-        scores.sort()
-        assert np.array_equal(_close_gaps(scores, epsilon), close)
+        # The runs in slab order, as one value range covering them all.
+        ordered = np.sort(scores)
+        assert np.array_equal(_close_gaps(ordered, epsilon), close)
         needed = np.union1d(close, close + 1)
-        values = np.unique(scores[needed])
-        found = _witness_codes(
-            slab_runs(_collision_slabs(triples_by_s, layouts, lims)),
-            values,
-            np.searchsorted(scores, values),
-            needed,
-            len(lims),
-        )
-        assert np.array_equal(found, codes[needed])
+        values = np.unique(ordered[needed])
+        found = _witness_positions(scores, values, np.searchsorted(ordered, values), needed)
+        assert np.array_equal(found, by_score[needed])
+        assert np.array_equal(codes[found], codes[by_score][needed])
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 1e-6])
     def test_state_space_is_enumerated_once(self, monkeypatch, epsilon):
@@ -414,29 +425,94 @@ class TestCollisionSearch:
             raise RuntimeError("witness pass failed")
 
         monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
-        monkeypatch.setattr(critique, "_witness_codes", failing)
+        monkeypatch.setattr(critique, "_witness_positions", failing)
         with pytest.raises(RuntimeError, match="witness pass failed"):
             collision_search(2, 1e-9, 0)
         assert len(opened) == 1 and opened[0].closed
 
-    def test_spilled_runs_read_back_each_run_and_refuse_a_short_file(self):
-        runs = [(2, np.array([[7, 8]]), 6), (1, np.array([[9]]), 3)]
+    @pytest.mark.parametrize("size, every", [(1, 1), (7, 1), (64, 4), (300, 16)])
+    def test_value_ranges_bracket_every_score_once(self, monkeypatch, size, every):
+        # Runs that never rise, over few values, so ties are common within
+        # and across runs; one value has more copies than a range holds.
+        monkeypatch.setattr(critique, "_RANGE_SCORES", size)
+        monkeypatch.setattr(critique, "_SAMPLE_EVERY", every)
+        rng = np.random.default_rng(size)
+        runs = [-np.sort(-rng.integers(0, 40, rng.integers(1, 200)).astype(float))
+                for _ in range(9)] + [np.full(500, 17.0)]
+        samples = [run[::every] for run in runs]
+        ranges = list(_value_ranges(samples, [len(run) for run in runs]))
+        assert ranges[0][0] == -math.inf and ranges[-1][1] == math.inf
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert len(ranges) > 5
+        for lo, hi, first, stop in ranges:
+            held = 0
+            for run, a, b in zip(runs, first.tolist(), stop.tolist()):
+                inside = np.flatnonzero((run >= lo) & (run < hi))
+                held += len(inside)
+                if len(inside):
+                    assert a <= inside[0] and inside[-1] < b
+                assert max(0, b - a) - len(inside) <= 2 * (every - 1)
+            sampled = {x for run in samples for x in run.tolist() if lo <= x < hi}
+            assert held <= size or len(sampled) == 1, (lo, hi, held)
+
+    def test_range_size_moves_no_near_pair(self, monkeypatch):
+        # Against the default ranges (one holds all of bounds 2), on the same
+        # spill and with every near pair kept.  At the default spacing of
+        # samples, ranges of 1, 7 or 64 scores all come out as one range per
+        # distinct sample; with every score a sample, ranges of 64 scores.
+        # Close pairs straddle thousands of range edges, the edges fall
+        # inside runs, and ties across slabs must keep their order.  The
+        # close pairs at 1e-3 include every pair at 1e-6 and 1e-9, ties too.
+        real, default_every = critique._near_pass, critique._SAMPLE_EVERY
+        cases = {(1, 64): (1e-3,), (7, 64): (), (64, 64): (), (64, 1): (1e-9, 1e-6, 1e-3)}
+        edges = {}
+
+        def compare(spill, runs, samples, epsilon, max_findings, *rest):
+            expected = {eps: real(spill, runs, samples, eps, 10**6, *rest)
+                        for eps in (1e-9, 1e-6, 1e-3)}
+            assert [n_near for n_near, _, _ in expected.values()] == [12, 306, 105293]
+            lengths = np.array([length for length, _, _ in runs])
+            records, _, starts = _range_records(spill, np.cumsum(lengths) - lengths,
+                                                0 * lengths, lengths)
+            for (size, every), epsilons in cases.items():
+                monkeypatch.setattr(critique, "_RANGE_SCORES", size)
+                monkeypatch.setattr(critique, "_SAMPLE_EVERY", every)
+                resampled = [records["score"][start : start + n : every]
+                             for start, n in zip(starts.tolist(), lengths.tolist())]
+                edges[size, every] = [lo for lo, *_ in _value_ranges(resampled, lengths)]
+                for eps in epsilons:
+                    assert real(spill, runs, resampled, eps, 10**6, *rest) == expected[eps]
+            monkeypatch.setattr(critique, "_SAMPLE_EVERY", default_every)
+            n_near, skipped, pairs = expected[epsilon]
+            return n_near, skipped, pairs[:max_findings]
+
+        monkeypatch.setattr(critique, "_near_pass", compare)
+        collision_search(2, 1e-9, 0)
+        assert edges[1, 64] == edges[7, 64] == edges[64, 64]
+        assert len(edges[1, 64]) > 2000 and len(edges[64, 1]) > 2000
+
+    def test_range_records_read_back_each_block_and_refuse_a_short_file(self):
+        run_starts = np.array([0, 2])
         with tempfile.TemporaryFile() as spill:
-            spill.write(np.array([3.5, 2.5]))
-            spill.write(np.array([5, 0], dtype=np.uint32))
-            spill.write(np.array([1.5]))
-            spill.write(np.array([2], dtype=np.uint32))
-            read = [
-                (scores.tolist(), heads.tolist(), base_ids, n)
-                for scores, heads, base_ids, n in _spilled_runs(spill, runs)
-            ]
-            assert read == [
-                ([3.5, 2.5], [5, 0], runs[0][1], 6),
-                ([1.5], [2], runs[1][1], 3),
-            ]
+            for scores, heads in (([3.5, 2.5], [5, 0]), ([1.5], [2])):
+                run = np.empty(len(scores), dtype=_RUN_RECORD)
+                run["score"], run["head"] = scores, heads
+                spill.write(run)
+
+            def read(first, stop):
+                records, runs_read, starts = _range_records(
+                    spill, run_starts, np.array(first), np.array(stop)
+                )
+                return (records["score"].tolist(), records["head"].tolist(),
+                        runs_read.tolist(), starts.tolist())
+
+            assert read([0, 0], [2, 1]) == ([3.5, 2.5, 1.5], [5, 0, 2], [0, 1], [0, 2])
+            assert read([1, 0], [2, 1]) == ([2.5, 1.5], [0, 2], [0, 1], [0, 1])
+            assert read([1, 0], [2, 0]) == ([2.5], [0], [0], [0])
+            assert read([0, 1], [0, 1]) == ([], [], [], [])
             spill.truncate(30)
             with pytest.raises(OSError, match="ended early"):
-                list(_spilled_runs(spill, runs))
+                read([0, 0], [2, 1])
 
     def test_witness_ties_rank_by_slab_then_key(self):
         # No two keys of one slab share a float score through bounds 4, so
@@ -445,17 +521,12 @@ class TestCollisionSearch:
             base_ids = first_id + np.arange(len(keys))[None, :]
             return 0, 1, np.array(keys, dtype=np.int64), base_ids
 
+        runs = list(slab_runs([slab([5, 3, 5, 7], 0), slab([2, 2, 9], 10)]))
+        scores, codes = (np.concatenate(column) for column in zip(*runs))
         value = _float_scores(0, 1, np.zeros(1))
-        needed = np.arange(5)
-        codes = _witness_codes(
-            slab_runs([slab([5, 3, 5, 7], 0), slab([2, 2, 9], 10)]),
-            value,
-            np.array([0]),
-            needed,
-            1,
-        )
+        found = _witness_positions(scores, value, np.array([0]), np.arange(5))
         # Keys 3, 5 (first at index 0), 7, then the second slab's 2 and 9.
-        assert codes.tolist() == [1, 0, 3, 10, 12]
+        assert codes[found].tolist() == [1, 0, 3, 10, 12]
 
     def test_witness_position_no_slab_fills_is_an_internal_error(self):
         # A needed score that no enumerated state has leaves its slot unset;
@@ -463,16 +534,15 @@ class TestCollisionSearch:
         bounds = CollisionBounds.coerce(1)
         lims = np.array(list(product(range(2), repeat=5)), dtype=np.int64)
         triples_by_s, layouts = _collision_tables(bounds)
+        scores = np.concatenate(
+            [run for run, _ in slab_runs(_collision_slabs(triples_by_s, layouts, lims))]
+        )
         held = _float_scores(1, 0, np.zeros(1))
-        assert np.isfinite(held).all()
+        assert np.isfinite(held).all() and held[0] in scores
         for values in (np.array([1e300]), np.array([held[0], 1e300])):
             with pytest.raises(RuntimeError, match="^internal error: 1 of .* matched no"):
-                _witness_codes(
-                    slab_runs(_collision_slabs(triples_by_s, layouts, lims)),
-                    values,
-                    np.arange(len(values)),
-                    np.arange(len(values)),
-                    len(lims),
+                _witness_positions(
+                    scores, values, np.arange(len(values)), np.arange(len(values))
                 )
 
     @pytest.mark.parametrize("bound, n_slabs", [(1, 44), (2, 147), (3, 310)])
@@ -525,7 +595,7 @@ class TestCollisionSearch:
         assert slabs == n_slabs
 
     def test_close_gaps_across_block_boundaries(self):
-        # Gaps are taken a block of 2**20 at a time; close pairs that
+        # Gaps are taken a block of 2**16 at a time; close pairs that
         # straddle a block edge must still be found.
         scores = np.arange(3 * 2**20 + 5, dtype=float)
         for edge in (2**20, 2 * 2**20, 3 * 2**20):
