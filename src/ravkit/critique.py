@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import DomainError
@@ -216,7 +216,7 @@ def cross_class_counterexample(limit: int = 3) -> CritiqueFinding:
 
 
 class CollisionBounds(Record):
-    """Per-count maxima for the exhaustive enumeration."""
+    """Per-count maxima for the exhaustive enumeration, each an int >= 0."""
 
     __slots__ = __match_args__ = ("porosity", "control", "limitation")
     porosity: int
@@ -224,18 +224,24 @@ class CollisionBounds(Record):
     limitation: int
 
     def __init__(self, porosity: int = 3, control: int = 3, limitation: int = 3) -> None:
-        object.__setattr__(self, "porosity", porosity)
-        object.__setattr__(self, "control", control)
-        object.__setattr__(self, "limitation", limitation)
+        for name, value in zip(self.__slots__, (porosity, control, limitation)):
+            self._check(f"bounds.{name}", value)
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _check(label: str, value: object) -> None:
+        """Refuse a bound that is not an int (a bool is not) or is negative."""
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"{label} must be an int, got {value!r}")
+        if value < 0:
+            raise DomainError(f"{label} must be >= 0, got {value}")
 
     @classmethod
     def coerce(cls, bounds: "CollisionBounds | int") -> "CollisionBounds":
         if isinstance(bounds, CollisionBounds):
             return bounds
-        b = int(bounds)
-        if b < 0:
-            raise DomainError(f"bounds must be >= 0, got {b}")
-        return cls(porosity=b, control=b, limitation=b)
+        cls._check("bounds", bounds)
+        return cls(porosity=bounds, control=bounds, limitation=bounds)
 
     def to_obj(self) -> dict:
         return {
@@ -265,90 +271,105 @@ def exact_scores_equal(a: RavBreakdown, b: RavBreakdown) -> bool:
     )
 
 
-def _collision_tables(
-    b: CollisionBounds,
-) -> tuple[dict[int, list], dict[int, list[tuple[int, int, int]]]]:
-    """The control triples and porosity layouts of the enumeration within ``b``.
+class _StateSpace:
+    """The enumerated state space within ``b``, and the one owner of state codes.
 
     A base is one (porosity layout, control triple); base ids count them in
     enumeration order: trust outer, visibility+access inner, control
     triples sorted.  A state is a base and a limitation tuple, coded as
-    ``base_id * n_lims + lim_id``.  The control triples depend on the
-    porosity total ``s`` alone, so all layouts of one ``s`` share them.
-    Returns the sorted triples with witnesses of each ``s``, and the
-    layouts of each ``s`` as ``(first base id, pv+pa, pt)``.
+    ``base_id * n_lims + lim_id``; only this class writes or reads a code.
+    The control triples depend on the porosity total ``s`` alone, so all
+    layouts of one ``s`` share them.  Holds ``lim_tuples``, every
+    limitation tuple within the bound in ``itertools.product`` order;
+    ``triples_by_s``, the sorted triples with witnesses of each ``s``;
+    ``layouts``, the layouts of each ``s`` as ``(first base id, pv+pa,
+    pt)``; ``by_id``, every layout in base id order; and ``layout_of``, the
+    position in ``by_id`` of each base id's layout.
     """
-    triples_by_s: dict[int, list] = {}
-    layouts: dict[int, list[tuple[int, int, int]]] = {}
-    n_bases = 0
-    for pt in range(b.porosity + 1):
-        for pvpa in range(2 * b.porosity + 1):
-            s = pvpa + pt
-            if s not in triples_by_s:
-                sigs = _control_signatures(b.control, s)
-                triples: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-                for (lca, mca), wa in sigs.items():
-                    for (lcb, mcb), wb in sigs.items():
-                        triples.setdefault((lca + lcb, mca, mcb), (wa, wb))
-                triples_by_s[s] = sorted(triples.items())
-            layouts.setdefault(s, []).append((n_bases, pvpa, pt))
-            n_bases += len(triples_by_s[s])
-    return triples_by_s, layouts
+
+    def __init__(self, b: CollisionBounds) -> None:
+        import numpy as np
+
+        self.b = b
+        self.lim_tuples = np.array(
+            list(product(range(b.limitation + 1), repeat=5)), dtype=np.int64
+        )
+        self.n_lims = len(self.lim_tuples)
+        self.triples_by_s: dict[int, list] = {}
+        self.layouts: dict[int, list[tuple[int, int, int]]] = {}
+        self.by_id: list[tuple[int, int, int]] = []
+        n_bases = 0
+        for pt in range(b.porosity + 1):
+            for pvpa in range(2 * b.porosity + 1):
+                s = pvpa + pt
+                if s not in self.triples_by_s:
+                    sigs = _control_signatures(b.control, s)
+                    triples: dict[tuple[int, int, int], tuple] = {}
+                    for (lca, mca), wa in sigs.items():
+                        for (lcb, mcb), wb in sigs.items():
+                            triples.setdefault((lca + lcb, mca, mcb), (wa, wb))
+                    self.triples_by_s[s] = sorted(triples.items())
+                layout = (n_bases, pvpa, pt)
+                self.layouts.setdefault(s, []).append(layout)
+                self.by_id.append(layout)
+                n_bases += len(self.triples_by_s[s])
+        sizes = [len(self.triples_by_s[pvpa + pt]) for _, pvpa, pt in self.by_id]
+        self.layout_of = np.repeat(np.arange(len(self.by_id)), sizes)
+
+    def codes(self, bases: np.ndarray, slab_lims, idx, offset=0):
+        """The codes of the states at slab indices ``idx``: a slab lists
+        ``slab_lims`` limitation tuples for each of its base ids, which
+        start at ``offset`` in the flat ``bases``."""
+        return bases[offset + idx // slab_lims] * self.n_lims + idx % slab_lims
+
+    def differs(self, code_a: np.ndarray, code_b: np.ndarray) -> np.ndarray:
+        """Whether the states differ beyond controls: in porosity layout or
+        limitation tuple."""
+        n_lims, layout_of = self.n_lims, self.layout_of
+        return (code_a % n_lims != code_b % n_lims) | (
+            layout_of[code_a // n_lims] != layout_of[code_b // n_lims]
+        )
+
+    def split_pairs(self) -> list[tuple[str, int, int]]:
+        """The porosity-split candidate, at most one: swapping counts between
+        visibility and access leaves every pipeline quantity identical.  A
+        layout splits pv+pa two ways or more when 0 < pv+pa < 2*p; its
+        first base's state is taken twice, to be read at two splits, and
+        the candidate ``(name, code, code)`` is named after that base."""
+        for first_id, pvpa, _ in self.by_id:
+            if 0 < pvpa < 2 * self.b.porosity:
+                code = first_id * self.n_lims + (1 if self.n_lims > 1 else 0)
+                return [(f"split-{first_id}", code, code)]
+        return []
+
+    def scope(self, code: int, scope_id: str, split: int = 0) -> Scope:
+        """The scope of state ``code``, with its control triple's witness counts.
+
+        The visibility count is the ``split``-th of the layout's splits
+        ``max(0, pv+pa - p) .. min(pv+pa, p)``, ``p`` the porosity bound.
+        """
+        base_id, lim_id = divmod(code, self.n_lims)
+        first_id, pvpa, pt = self.by_id[self.layout_of[base_id]]
+        _, (witness_a, witness_b) = self.triples_by_s[pvpa + pt][base_id - first_id]
+        pv = max(0, pvpa - self.b.porosity) + split
+        witnesses = dict(zip(_META_A + _META_B, witness_a + witness_b))
+        return Scope(
+            id=scope_id,
+            porosity=PorosityCounts(pv, pvpa - pv, pt),
+            controls=ControlCounts.from_mapping(witnesses),
+            limitations=LimitationCounts(*(int(x) for x in self.lim_tuples[lim_id])),
+        )
 
 
-def _layout_index(triples_by_s: Mapping[int, list], by_id: Sequence[tuple]) -> np.ndarray:
-    """The position in ``by_id`` of each base id's layout; ``by_id`` lists
-    every layout ``(first base id, pv+pa, pt)`` in base id order."""
-    import numpy as np
-
-    sizes = [len(triples_by_s[pvpa + pt]) for _, pvpa, pt in by_id]
-    return np.repeat(np.arange(len(by_id)), sizes)
-
-
-def _state_scope(
-    code: int, scope_id: str, b: CollisionBounds, triples_by_s: Mapping[int, list],
-    by_id: Sequence[tuple[int, int, int]], layout_of: np.ndarray, lim_tuples: np.ndarray,
-    split: int = 0,
-) -> Scope:
-    """The scope of state ``code``, with its control triple's witness counts.
-
-    ``layout_of`` is :func:`_layout_index` of ``by_id``.  The visibility
-    count is the ``split``-th of the layout's splits
-    ``max(0, pv+pa - p) .. min(pv+pa, p)``, ``p`` the porosity bound.
-    """
-    base_id, lim_id = divmod(code, len(lim_tuples))
-    first_id, pvpa, pt = by_id[layout_of[base_id]]
-    _, (witness_a, witness_b) = triples_by_s[pvpa + pt][base_id - first_id]
-    pv = max(0, pvpa - b.porosity) + split
-    return Scope(
-        id=scope_id,
-        porosity=PorosityCounts(pv, pvpa - pv, pt),
-        controls=ControlCounts.from_mapping(dict(zip(_META_A + _META_B, witness_a + witness_b))),
-        limitations=LimitationCounts(*(int(x) for x in lim_tuples[lim_id])),
-    )
-
-
-def _state_codes(base_ids: np.ndarray, n_states: int, idx, n_lims: int):
-    """The codes ``base_id * n_lims + lim_id`` of the states at flat indices
-    ``idx`` of a slab of ``n_states`` states over the bases ``base_ids``."""
-    slab_lims = n_states // base_ids.size
-    return base_ids.reshape(-1)[idx // slab_lims] * n_lims + idx % slab_lims
-
-
-def _collision_slabs(
-    triples_by_s: Mapping[int, list],
-    layouts: Mapping[int, list[tuple[int, int, int]]],
-    lim_tuples: np.ndarray,
-):
+def _collision_slabs(space: _StateSpace):
     """Yield every slab ``(s, lc_sum, keys, base_ids)``, in ``(s, lc_sum)`` order.
 
     A slab is all states of one porosity total ``s`` and one ``lc_sum``.
     ``base_ids`` is its grid of base ids, (porosity layout, control triple);
     ``keys`` holds each state's limitation-sum numerator over
     ``(10*s**2)**2`` in (layout, triple, limitation tuple) order, so a flat
-    index is a state's place in enumeration order (see :func:`_state_codes`).
-    ``lim_tuples`` is every limitation tuple within one bound, in
-    ``itertools.product`` order.  The kernel runs on an open grid of shape
+    index is a state's place in enumeration order (see
+    :meth:`_StateSpace.codes`).  The kernel runs on an open grid of shape
     (layout, triple, nv, nw, nc, ne*na): ``nv``, ``nw`` and ``nc`` vary
     along their own axes, ``ne`` and ``na`` share the last one.  So the
     weights are built at ``1/(bound+1)**2`` of the slab's size, and only
@@ -356,12 +377,10 @@ def _collision_slabs(
     """
     import numpy as np
 
-    bound = int(lim_tuples[-1, 0])
-    for s, layout in sorted(layouts.items()):
-        trip = np.array([key for key, _ in triples_by_s[s]], dtype=np.int64)
-        first_ids = np.array([fid for fid, _, _ in layout], dtype=np.int64)
-        pvpa = np.array([p for _, p, _ in layout], dtype=np.int64).reshape(-1, 1, 1, 1, 1, 1)
-        pt = np.array([t for _, _, t in layout], dtype=np.int64).reshape(-1, 1, 1, 1, 1, 1)
+    bound = space.b.limitation
+    for s, layout in sorted(space.layouts.items()):
+        trip = np.array([key for key, _ in space.triples_by_s[s]], dtype=np.int64)
+        first_ids, pvpa, pt = np.array(layout, dtype=np.int64).T.reshape(3, -1, 1, 1, 1, 1, 1)
         # Zero porosity admits only the all-zero limitation tuple.
         ax = np.arange(bound + 1 if s else 1, dtype=np.int64)
         lims = (
@@ -377,7 +396,8 @@ def _collision_slabs(
             keys = seclim_numerator(
                 lims, weight_numerators(s, pvpa, pt, mca + mcb, mca, mcb, lims)
             )
-            yield s, int(trip[lo, 0]), keys.reshape(-1), first_ids[:, None] + np.arange(lo, hi)
+            base_ids = first_ids.reshape(-1, 1) + np.arange(lo, hi)
+            yield s, int(trip[lo, 0]), keys.reshape(-1), base_ids
 
 
 def _seclim_num_bound(b: CollisionBounds) -> int:
@@ -641,22 +661,22 @@ def _close_pairs(spill, run_starts, decode, lo: float, hi: float, first, stop, l
 
 
 def _near_pass(spill, runs, samples, epsilon: float, max_findings: int,
-               n_lims: int, layout_of: np.ndarray) -> tuple[int, int, list[tuple[int, int]]]:
+               space: _StateSpace) -> tuple[int, int, list[tuple[int, int]]]:
     """Near collisions among the spilled runs, one value range at a time.
 
     ``runs`` holds each spilled run's ``(length, base_ids, n_states)`` in
     write order, and ``samples`` every ``_SAMPLE_EVERY``-th score of each
     (see :func:`_value_ranges`).  Every close pair
-    (:func:`_close_pairs`) whose witnesses differ beyond controls (lie in
-    different porosity layouts or limitation tuples) is a near collision.
-    Returns the number of near pairs, the number of close pairs skipped as
-    control-only, and the first ``max_findings`` near pairs as state codes,
-    in ascending score order.
+    (:func:`_close_pairs`) whose witnesses differ beyond controls
+    (:meth:`_StateSpace.differs`) is a near collision.  Returns the number
+    of near pairs, the number of close pairs skipped as control-only, and
+    the first ``max_findings`` near pairs as state codes, in ascending
+    score order.
     """
     import numpy as np
 
-    # Every run's base ids in one table, to decode heads as
-    # :func:`_state_codes` does, for all runs at once.
+    # Every run's base ids in one table, to decode the heads of all runs
+    # at once.
     sizes = np.array([base_ids.size for _, base_ids, _ in runs])
     bases = np.concatenate([base_ids.reshape(-1) for _, base_ids, _ in runs])
     base_at = np.cumsum(sizes) - sizes
@@ -665,7 +685,7 @@ def _near_pass(spill, runs, samples, epsilon: float, max_findings: int,
     run_starts = np.cumsum(lengths) - lengths
 
     def decode(run: np.ndarray, head: np.ndarray) -> np.ndarray:
-        return bases[base_at[run] + head // slab_lims[run]] * n_lims + head % slab_lims[run]
+        return space.codes(bases, slab_lims[run], head, base_at[run])
 
     n_near = skipped = 0
     pairs: list[tuple[int, int]] = []
@@ -674,15 +694,95 @@ def _near_pass(spill, runs, samples, epsilon: float, max_findings: int,
         code_a, code_b, last = _close_pairs(
             spill, run_starts, decode, lo, hi, first, stop, last, epsilon
         )
-        near = (code_a % n_lims != code_b % n_lims) | (
-            layout_of[code_a // n_lims] != layout_of[code_b // n_lims]
-        )
+        near = space.differs(code_a, code_b)
         found = int(np.count_nonzero(near))
         n_near += found
         skipped += len(near) - found
         kept = np.flatnonzero(near)[: max_findings - len(pairs)]
         pairs += zip(code_a[kept].tolist(), code_b[kept].tolist())
     return n_near, skipped, pairs
+
+
+def _enumeration_pass(space: _StateSpace, spill, max_findings: int):
+    """The first pass: every slab's exact collisions, and its run spilled.
+
+    Each slab's keys are grouped (:func:`_group_keys`).  A group's head is
+    its first state in enumeration order; the group is reportable if a
+    member differs from the head in porosity layout or limitation tuple,
+    and then its first such member and the head are an exact pair.  Unless
+    ``spill`` is None, each slab's run, one ``_RUN_RECORD`` (score, head)
+    per distinct key in key order, is written to it.  Returns the
+    counters that open the ``coverage`` record (``near_pairs`` still 0),
+    the first ``max_findings`` exact pairs as state codes, each spilled
+    run's ``(length, base_ids, n_states)`` and every
+    ``_SAMPLE_EVERY``-th score of each run (see :func:`_near_pass`).
+    """
+    import numpy as np
+
+    coverage = {"states": 0, "distinct_keys": 0, "exact_groups": 0, "near_pairs": 0,
+                "skipped_control_only": 0}
+    exact_pairs: list[tuple[int, int]] = []
+    runs: list[tuple[int, np.ndarray, int]] = []
+    samples: list[np.ndarray] = []
+    for s, lc_sum, keys, base_ids in _collision_slabs(space):
+        n = keys.size
+        coverage["states"] += n
+        sorted_keys, order, starts = _group_keys(keys)
+        sizes = np.diff(starts, append=n)
+        coverage["distinct_keys"] += len(starts)
+        # Structure is read from a slab-local table of ``layout * lims +
+        # lim_id``: cheaper than decoding every member's state code.
+        n_layouts, n_triples = base_ids.shape
+        ids = np.arange(n // n_triples, dtype=np.int32).reshape(n_layouts, 1, -1)
+        structure = np.broadcast_to(ids, (n_layouts, n_triples, ids.shape[2]))
+        structure = structure.reshape(-1)[order]
+        differs = structure != np.repeat(structure[starts], sizes)
+        reportable = np.logical_or.reduceat(differs, starts)
+        groups = np.flatnonzero(reportable)
+        coverage["exact_groups"] += len(groups)
+        coverage["skipped_control_only"] += int(np.count_nonzero((sizes > 1) & ~reportable))
+        for g in groups[: max(0, max_findings - len(exact_pairs))]:
+            partner = starts[g] + np.argmax(differs[starts[g] : starts[g] + sizes[g]])
+            pair = space.codes(base_ids.reshape(-1), n // base_ids.size,
+                               order[[starts[g], partner]])
+            exact_pairs.append(tuple(pair.tolist()))
+        if spill is not None:
+            run = np.empty(len(starts), dtype=_RUN_RECORD)
+            run["score"] = _float_scores(s, lc_sum, sorted_keys[starts])
+            run["head"] = order[starts]
+            spill.write(run)
+            runs.append((len(run), base_ids, n))
+            samples.append(run["score"][::_SAMPLE_EVERY].copy())
+    return coverage, exact_pairs, runs, samples
+
+
+def _verify(space: _StateSpace, candidates, epsilon: float, max_findings: int):
+    """Re-verify candidate pairs through :func:`actual_security`, in order.
+
+    ``candidates`` holds ``(name, code_a, code_b)``.  Only the split pair
+    (:meth:`_StateSpace.split_pairs`) comes named, and its second state is
+    read at the layout's next split; the others are named
+    ``collision-<n>``, ``n`` the pairs kept before them.  A pair is kept
+    if its exact triples are equal or, for ``epsilon > 0``, its scores lie
+    within ``epsilon``.  Stops at ``max_findings`` kept pairs.  Returns the
+    kept pairs as ``(scope_a, scope_b, breakdown_a, breakdown_b)`` and the
+    number of candidates examined.
+    """
+    verified: list[tuple[Scope, Scope, RavBreakdown, RavBreakdown]] = []
+    examined = 0
+    for name, code_a, code_b in candidates:
+        if len(verified) >= max_findings:
+            break
+        examined += 1
+        prefix = name or f"collision-{len(verified)}"
+        scope_a = space.scope(code_a, f"{prefix}-a")
+        scope_b = space.scope(code_b, f"{prefix}-b", split=int(name is not None))
+        ba, bb = actual_security(scope_a), actual_security(scope_b)
+        if exact_scores_equal(ba, bb) or (
+            epsilon > 0 and abs(bb.actsec - ba.actsec) <= epsilon
+        ):
+            verified.append((scope_a, scope_b, ba, bb))
+    return verified, examined
 
 
 def collision_search(
@@ -716,21 +816,22 @@ def collision_search(
     ascending order that lie within ``epsilon`` and whose witnesses differ
     beyond controls (lie in different porosity layouts or limitation
     tuples) is a near collision; equal scores are ordered by slab and then
-    by key.  The state space is enumerated once: the first pass writes each
-    slab's run, one 12-byte record (score, head) per distinct key in key
-    order, to one anonymous temporary file, and keeps in memory only the
-    run's length, base ids and state count and every ``_SAMPLE_EVERY``-th
-    score.  The near pass (:func:`_near_pass`) cuts
-    the score axis at those samples into value ranges of at most
-    ``_RANGE_SCORES`` scores and reads, sorts and searches one range at a
-    time, so its memory does not grow with the number of distinct keys.
-    ``epsilon`` 0 opens no file.  Raises ``OSError`` if the file cannot be
-    created (``tempfile`` honours ``TMPDIR``), written or read back.
+    by key.  The state space is enumerated once: the first pass
+    (:func:`_enumeration_pass`) writes each slab's run, one 12-byte record
+    (score, head) per distinct key in key order, to one anonymous temporary
+    file, and keeps in memory only the run's length, base ids and state
+    count and every ``_SAMPLE_EVERY``-th score.  The near pass
+    (:func:`_near_pass`) cuts the score axis at those samples into value
+    ranges of at most ``_RANGE_SCORES`` scores and reads, sorts and
+    searches one range at a time, so its memory does not grow with the
+    number of distinct keys.  ``epsilon`` 0 opens no file.  Raises
+    ``OSError`` if the file cannot be created (``tempfile`` honours
+    ``TMPDIR``), written or read back.
 
     Each state of a split, exact or near pair is carried as its int code
-    ``base_id * n_lims + lim_id``, from :func:`_state_codes`, and made
-    a :class:`Scope` only when the pair is re-verified through
-    :func:`actual_security`, before it is emitted.
+    (:class:`_StateSpace`) and made a :class:`Scope` only when the pair is
+    re-verified through :func:`actual_security` (:func:`_verify`), before
+    it is emitted.
 
     Findings come in a fixed order: the porosity-split pair (visibility and
     access counts swapped), exact pairs in ``(s, lc_sum, key)`` order, then
@@ -741,22 +842,11 @@ def collision_search(
     ``seed`` does not change the result and is recorded for
     reproducibility of the emitted document.
 
-    Measured cold (``ravkit demo --kind collision``, Python 3.11, numpy
-    2.4, a 2-core x86-64 host): bounds 3 takes 0.7-0.8 s and 40 MB peak
-    RSS at ``epsilon`` 1e-9, with a 29 MB spill; bounds 4 (21,922,139
-    distinct keys, a 263 MB spill) takes 4.2-4.7 s and 82 MB at 1e-9,
-    11 s and 82 MB at 1e-6, 2.8-3.4 s and 81 MB at 0; bounds 5
-    (489,421,491 states, 130,563,789 distinct keys, 333,392 near pairs at
-    1e-9) takes 33-37 s and 255-263 MB with a 1.6 GB spill at 1e-9,
-    23 s and 235 MB at 0; bounds 6 (2,233,482,291 states, 583,434,111
-    distinct keys) takes 3.1-3.7 minutes and 0.7 GB with a 7 GB spill at
-    1e-9.  Past the enumeration's own peak, the near pass holds one range
-    and the samples, whatever the number of distinct keys.
+    Time, peak memory and spill size at bounds 3 to 6 are measured in the
+    README ("Collisions").
     """
     import tempfile
     from contextlib import nullcontext
-
-    import numpy as np
 
     b = CollisionBounds.coerce(bounds)
     if not (math.isfinite(epsilon) and epsilon >= 0):
@@ -765,100 +855,21 @@ def collision_search(
         raise DomainError(
             f"bounds {b.to_obj()} overflow the 64-bit packed collision keys"
         )
-
-    lim_tuples = np.array(
-        list(product(range(b.limitation + 1), repeat=5)), dtype=np.int64
-    )
-    n_lims = len(lim_tuples)
-    triples_by_s, layouts = _collision_tables(b)
-    by_id = sorted(chain.from_iterable(layouts.values()))
-    layout_of = _layout_index(triples_by_s, by_id)
-
-    states = distinct_keys = exact_groups = skipped = 0
-    exact_pairs: list[tuple[int, int]] = []
+    space = _StateSpace(b)
     near_pairs: list[tuple[int, int]] = []
-    n_near = 0
-    # Near pass: each slab's run of (score, head) records is spilled to one
-    # temporary file; only ``(length, base_ids, n_states)`` and every
-    # ``_SAMPLE_EVERY``-th score of the run stay in memory.
-    runs: list[tuple[int, np.ndarray, int]] = []
-    samples: list[np.ndarray] = []
     with tempfile.TemporaryFile() if epsilon > 0 else nullcontext() as spill:
-        for s, lc_sum, keys, base_ids in _collision_slabs(triples_by_s, layouts, lim_tuples):
-            n = keys.size
-            states += n
-            sorted_keys, order, starts = _group_keys(keys)
-            sizes = np.diff(starts, append=n)
-            distinct_keys += len(starts)
-            # A group's head is its first state in enumeration order; the
-            # group is reportable if a member differs from the head in
-            # structure: porosity layout and limitation tuple, read from a
-            # table of ``layout * lims + lim_id`` over the slab's states.
-            n_layouts, n_triples = base_ids.shape
-            ids = np.arange(n // n_triples, dtype=np.int32).reshape(n_layouts, 1, -1)
-            structure = np.broadcast_to(ids, (n_layouts, n_triples, ids.shape[2]))
-            structure = structure.reshape(-1)[order]
-            differs = structure != np.repeat(structure[starts], sizes)
-            reportable = np.logical_or.reduceat(differs, starts)
-            groups = np.flatnonzero(reportable)
-            exact_groups += len(groups)
-            skipped += int(np.count_nonzero((sizes > 1) & ~reportable))
-            for g in groups[: max(0, max_findings - len(exact_pairs))]:
-                partner = starts[g] + np.argmax(differs[starts[g] : starts[g] + sizes[g]])
-                pair = _state_codes(base_ids, n, order[[starts[g], partner]], n_lims)
-                exact_pairs.append(tuple(pair.tolist()))
-            if epsilon > 0:
-                run = np.empty(len(starts), dtype=_RUN_RECORD)
-                run["score"] = _float_scores(s, lc_sum, sorted_keys[starts])
-                run["head"] = order[starts]
-                spill.write(run)
-                runs.append((len(run), base_ids, n))
-                samples.append(run["score"][::_SAMPLE_EVERY].copy())
-
+        coverage, exact_pairs, runs, samples = _enumeration_pass(space, spill, max_findings)
         if epsilon > 0:
-            n_near, near_skipped, near_pairs = _near_pass(
-                spill, runs, samples, epsilon, max_findings, n_lims, layout_of
+            coverage["near_pairs"], near_skipped, near_pairs = _near_pass(
+                spill, runs, samples, epsilon, max_findings, space
             )
-            skipped += near_skipped
-
-    # Porosity-split collision: swapping counts between visibility and
-    # access leaves every pipeline quantity identical.  A layout splits
-    # pv+pa two ways or more when 0 < pv+pa < 2*p.
-    split_lim = 1 if n_lims > 1 else 0
-    split_pairs = [
-        (first_id * n_lims + split_lim,) * 2
-        for first_id, pvpa, _ in by_id
-        if 0 < pvpa < 2 * b.porosity
-    ][:1]
-
-    verified: list[tuple[Scope, Scope, RavBreakdown, RavBreakdown]] = []
-    examined = 0
-    candidates = [(True, pair) for pair in split_pairs] + [
-        (False, pair) for pair in exact_pairs + near_pairs
-    ]
-    tables = (b, triples_by_s, by_id, layout_of, lim_tuples)
-    for is_split, (code_a, code_b) in candidates:
-        if len(verified) >= max_findings:
-            break
-        examined += 1
-        prefix = f"split-{code_a // n_lims}" if is_split else f"collision-{len(verified)}"
-        scope_a = _state_scope(code_a, f"{prefix}-a", *tables)
-        scope_b = _state_scope(code_b, f"{prefix}-b", *tables, split=int(is_split))
-        ba, bb = actual_security(scope_a), actual_security(scope_b)
-        if exact_scores_equal(ba, bb) or (
-            epsilon > 0 and abs(bb.actsec - ba.actsec) <= epsilon
-        ):
-            verified.append((scope_a, scope_b, ba, bb))
-
-    coverage = {
-        "states": states,
-        "distinct_keys": distinct_keys,
-        "exact_groups": exact_groups,
-        "near_pairs": n_near,
-        "skipped_control_only": skipped,
-        "pairs_verified": examined,
-        "truncated": examined < len(split_pairs) + exact_groups + n_near,
-    }
+            coverage["skipped_control_only"] += near_skipped
+    split_pairs = space.split_pairs()
+    candidates = split_pairs + [(None, *pair) for pair in exact_pairs + near_pairs]
+    verified, coverage["pairs_verified"] = _verify(space, candidates, epsilon, max_findings)
+    coverage["truncated"] = coverage["pairs_verified"] < (
+        len(split_pairs) + coverage["exact_groups"] + coverage["near_pairs"]
+    )
     return [_collision_finding(*pair, b, epsilon, seed, coverage) for pair in verified]
 
 

@@ -35,18 +35,15 @@ from ravkit import critique
 from ravkit.cli import dispatch
 from ravkit.critique import (
     _RUN_RECORD,
+    _StateSpace,
     _close_gaps,
     _collision_slabs,
-    _collision_tables,
     _float_scores,
     _group_keys,
-    _layout_index,
     _packed_key_bits,
     _range_records,
     _seclim_num_bound,
     _slab_size_bound,
-    _state_codes,
-    _state_scope,
     _value_ranges,
     _witness_positions,
 )
@@ -65,14 +62,15 @@ from ravkit.report import render_findings
 from ravkit.trust import ApplicantRecord, Polarity, Reference, consistency_ratios
 
 
-def slab_runs(slabs):
+def slab_runs(space, slabs):
     """Each slab's run as the first pass of ``collision_search`` spills it:
-    its distinct-key scores in key order, and the state code of each key's
-    head."""
+    its distinct-key scores in key order, and the state code in ``space``
+    of each key's head."""
     for s, lc_sum, keys, base_ids in slabs:
         n = keys.size
         keys, order, starts = _group_keys(keys)
-        yield _float_scores(s, lc_sum, keys[starts]), _state_codes(base_ids, n, order[starts], 1)
+        codes = space.codes(base_ids.reshape(-1), n // base_ids.size, order[starts])
+        yield _float_scores(s, lc_sum, keys[starts]), codes
 
 
 def scope_from_obj(obj: dict) -> Scope:
@@ -245,11 +243,7 @@ class TestCollisionSearch:
 
     def test_key_bound_covers_every_key_and_fits_int64_to_bounds_five(self):
         bounds = CollisionBounds(2, 2, 2)
-        lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
-        triples_by_s, layouts = _collision_tables(bounds)
-        largest = max(
-            int(keys.max()) for _, _, keys, _ in _collision_slabs(triples_by_s, layouts, lims)
-        )
+        largest = max(int(keys.max()) for _, _, keys, _ in _collision_slabs(_StateSpace(bounds)))
         assert 0 < largest <= _seclim_num_bound(bounds)
         assert _seclim_num_bound(CollisionBounds.coerce(5)) < np.iinfo(np.int64).max
 
@@ -294,33 +288,49 @@ class TestCollisionSearch:
         # alone, so no state is enumerated even at bounds 6.
         bounds = CollisionBounds.coerce(bound)
         key_bits = _seclim_num_bound(bounds).bit_length()
-        triples_by_s, layouts = _collision_tables(bounds)
-        for s, layout in layouts.items():
+        space = _StateSpace(bounds)
+        for s, layout in space.layouts.items():
             n_lims = (bound + 1) ** 5 if s else 1
-            for triples in Counter(key[0] for key, _ in triples_by_s[s]).values():
+            for triples in Counter(key[0] for key, _ in space.triples_by_s[s]).values():
                 n = len(layout) * triples * n_lims
                 assert n <= _slab_size_bound(bounds)
                 assert key_bits + (n - 1).bit_length() <= 63
         assert _packed_key_bits(bounds) <= 63
 
+    def test_spill_heads_fit_u4_wherever_the_keys_pack(self):
+        # A run record stores each head, an index into its slab, as <u4.
+        # On this grid, from the bound helpers alone (nothing enumerated),
+        # every bound the packed-key rule accepts has slabs under 2**32
+        # states; the largest is 1,045,529,856 at (1, 4, 20), and 68,169,192
+        # at bounds 6.  Past the grid the rule alone does not promise it:
+        # (350, 1051, 0) packs in 33 bits with a slab bound over 2**32.
+        assert dict(_RUN_RECORD)["head"] == "<u4"
+        accepted = 0
+        for p, c, lim in product(range(12), range(40), range(90)):
+            bounds = CollisionBounds(p, c, lim)
+            if _packed_key_bits(bounds) <= 63:
+                accepted += 1
+                assert _slab_size_bound(bounds) < 2**32, bounds
+        assert accepted == 7614
+        assert _slab_size_bound(CollisionBounds.coerce(6)) == 68_169_192
+
     @pytest.mark.parametrize("bound", range(4))
     def test_state_scopes_cover_every_layout_and_split(self, bound):
         # Oracle: every (pv, pa) within the bound that sums to the layout's
         # pv+pa, in ascending pv; zero porosity has the one split (0, 0).
-        b = CollisionBounds.coerce(bound)
-        lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
-        triples_by_s, layouts = _collision_tables(b)
-        by_id = sorted(chain.from_iterable(layouts.values()))
-        layout_of = _layout_index(triples_by_s, by_id)
-        ends = [first_id + len(triples_by_s[pvpa + pt]) for first_id, pvpa, pt in by_id]
+        space = _StateSpace(CollisionBounds.coerce(bound))
+        n_lims = (bound + 1) ** 5
+        by_id = space.by_id
+        ends = [first_id + len(space.triples_by_s[pvpa + pt]) for first_id, pvpa, pt in by_id]
         assert len(by_id) == (bound + 1) * (2 * bound + 1)
         assert [first_id for first_id, _, _ in by_id] == [0, *ends[:-1]]
+        assert by_id == sorted(chain.from_iterable(space.layouts.values()))
         for (first_id, pvpa, pt), end in zip(by_id, ends):
             pairs = [(pv, pvpa - pv) for pv in range(bound + 1) if 0 <= pvpa - pv <= bound]
             for base_id in (first_id, end - 1):
                 for split, (pv, pa) in enumerate(pairs):
-                    code = base_id * len(lims) + len(lims) - 1
-                    scope = _state_scope(code, "s", b, triples_by_s, by_id, layout_of, lims, split)
+                    code = base_id * n_lims + n_lims - 1
+                    scope = space.scope(code, "s", split)
                     assert scope.porosity == PorosityCounts(pv, pa, pt)
                     assert scope.limitations == LimitationCounts(*(bound,) * 5)
 
@@ -328,23 +338,22 @@ class TestCollisionSearch:
     def test_layout_index_matches_the_bisect_rule(self, bound):
         # The per-base layout index against the rule it replaced: the last
         # layout, in base id order, whose first base id is <= the base id.
-        triples_by_s, layouts = _collision_tables(CollisionBounds.coerce(bound))
-        by_id = sorted(chain.from_iterable(layouts.values()))
+        space = _StateSpace(CollisionBounds.coerce(bound))
+        by_id = space.by_id
         first_id, pvpa, pt = by_id[-1]
-        n_bases = first_id + len(triples_by_s[pvpa + pt])
-        assert _layout_index(triples_by_s, by_id).tolist() == [
+        n_bases = first_id + len(space.triples_by_s[pvpa + pt])
+        assert space.layout_of.tolist() == [
             bisect_right(by_id, (base_id, math.inf)) - 1 for base_id in range(n_bases)
         ]
 
     def test_slab_sizes_match_the_enumeration(self):
         bounds = CollisionBounds.coerce(2)
-        lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
-        triples_by_s, layouts = _collision_tables(bounds)
-        sizes = [keys.size for _, _, keys, _ in _collision_slabs(triples_by_s, layouts, lims)]
+        space = _StateSpace(bounds)
+        sizes = [keys.size for _, _, keys, _ in _collision_slabs(space)]
         expected = [
-            len(layouts[s]) * triples * (len(lims) if s else 1)
-            for s in sorted(layouts)
-            for triples in Counter(key[0] for key, _ in triples_by_s[s]).values()
+            len(space.layouts[s]) * triples * (space.n_lims if s else 1)
+            for s in sorted(space.layouts)
+            for triples in Counter(key[0] for key, _ in space.triples_by_s[s]).values()
         ]
         assert sizes == expected and max(sizes) <= _slab_size_bound(bounds)
 
@@ -357,7 +366,7 @@ class TestCollisionSearch:
         def no_enumeration(*args):
             raise AssertionError("the state space was enumerated")
 
-        monkeypatch.setattr(critique, "_collision_tables", no_enumeration)
+        monkeypatch.setattr(critique, "_StateSpace", no_enumeration)
         code, out, err = dispatch(["demo", "--kind", "collision", "--bounds", str(first)])
         assert code == 2 and out == b""
         assert len(err.splitlines()) == 1 and b"packed collision keys" in err
@@ -367,11 +376,10 @@ class TestCollisionSearch:
     def test_near_witnesses_match_a_stable_argsort_oracle(self, bound, epsilon):
         # The oracle holds every distinct key's score and head together and
         # sorts them once, stably: equal scores in slab order, then key order.
-        bounds = CollisionBounds.coerce(bound)
-        lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
-        triples_by_s, layouts = _collision_tables(bounds)
+        space = _StateSpace(CollisionBounds.coerce(bound))
+        n_lims = (bound + 1) ** 5
         scores, codes = [], []
-        for s, lc_sum, slab_keys, base_ids in _collision_slabs(triples_by_s, layouts, lims):
+        for s, lc_sum, slab_keys, base_ids in _collision_slabs(space):
             order = np.argsort(slab_keys, kind="stable")
             keys = slab_keys[order]
             starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -380,9 +388,9 @@ class TestCollisionSearch:
             # triple, limitation tuple) order, over the slab's base ids.
             slab_lims = keys.size // base_ids.size
             base, lim_ids = np.divmod(order[starts], slab_lims)
-            codes.append(base_ids.reshape(-1)[base] * len(lims) + lim_ids)
+            codes.append(base_ids.reshape(-1)[base] * n_lims + lim_ids)
             assert np.array_equal(
-                _state_codes(base_ids, keys.size, order[starts], len(lims)), codes[-1]
+                space.codes(base_ids.reshape(-1), slab_lims, order[starts]), codes[-1]
             )
         scores, codes = np.concatenate(scores), np.concatenate(codes)
         by_score = np.argsort(scores, kind="stable")
@@ -521,7 +529,9 @@ class TestCollisionSearch:
             base_ids = first_id + np.arange(len(keys))[None, :]
             return 0, 1, np.array(keys, dtype=np.int64), base_ids
 
-        runs = list(slab_runs([slab([5, 3, 5, 7], 0), slab([2, 2, 9], 10)]))
+        # One limitation tuple, so a state's code is its base id.
+        space = _StateSpace(CollisionBounds(0, 0, 0))
+        runs = list(slab_runs(space, [slab([5, 3, 5, 7], 0), slab([2, 2, 9], 10)]))
         scores, codes = (np.concatenate(column) for column in zip(*runs))
         value = _float_scores(0, 1, np.zeros(1))
         found = _witness_positions(scores, value, np.array([0]), np.arange(5))
@@ -531,12 +541,8 @@ class TestCollisionSearch:
     def test_witness_position_no_slab_fills_is_an_internal_error(self):
         # A needed score that no enumerated state has leaves its slot unset;
         # it is refused rather than decoded into an arbitrary state.
-        bounds = CollisionBounds.coerce(1)
-        lims = np.array(list(product(range(2), repeat=5)), dtype=np.int64)
-        triples_by_s, layouts = _collision_tables(bounds)
-        scores = np.concatenate(
-            [run for run, _ in slab_runs(_collision_slabs(triples_by_s, layouts, lims))]
-        )
+        space = _StateSpace(CollisionBounds.coerce(1))
+        scores = np.concatenate([run for run, _ in slab_runs(space, _collision_slabs(space))])
         held = _float_scores(1, 0, np.zeros(1))
         assert np.isfinite(held).all() and held[0] in scores
         for values in (np.array([1e300]), np.array([held[0], 1e300])):
@@ -549,14 +555,14 @@ class TestCollisionSearch:
     def test_grid_keys_match_the_kernel_on_flat_columns(self, bound, n_slabs):
         # The open-grid kernel against the same kernel on one flat column per
         # limitation count, shaped (layout, triple, limitation tuple).
-        bounds = CollisionBounds.coerce(bound)
-        lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
-        triples_by_s, layouts = _collision_tables(bounds)
+        space = _StateSpace(CollisionBounds.coerce(bound))
+        lims = space.lim_tuples
+        assert lims.tolist() == [list(lim) for lim in product(range(bound + 1), repeat=5)]
         slabs = 0
-        for s, lc_sum, keys, base_ids in _collision_slabs(triples_by_s, layouts, lims):
-            layout = layouts[s]
+        for s, lc_sum, keys, base_ids in _collision_slabs(space):
+            layout = space.layouts[s]
             # The slab's triples are the run of sorted triples with its lc_sum.
-            lc_sums = [key[0] for key, _ in triples_by_s[s]]
+            lc_sums = [key[0] for key, _ in space.triples_by_s[s]]
             lo, n_triples = lc_sums.index(lc_sum), lc_sums.count(lc_sum)
             assert base_ids.tolist() == [
                 [first_id + lo + i for i in range(n_triples)] for first_id, _, _ in layout
@@ -564,7 +570,7 @@ class TestCollisionSearch:
             slab_lims = len(lims) if s else 1
             assert keys.size == base_ids.size * slab_lims
             trip = np.array(
-                [key for key, _ in triples_by_s[s]][lo : lo + n_triples], dtype=np.int64
+                [key for key, _ in space.triples_by_s[s]][lo : lo + n_triples], dtype=np.int64
             )
             assert (trip[:, 0] == lc_sum).all()
             pvpa = np.array([pvpa for _, pvpa, _ in layout], dtype=np.int64)[:, None, None]
@@ -583,11 +589,8 @@ class TestCollisionSearch:
         # Within a slab the score falls as the limitation key grows, so one
         # score interval is one key interval: a near-pass filter on key
         # ranges rests on this, checked in float as the search computes it.
-        bounds = CollisionBounds.coerce(bound)
-        lims = np.array(list(product(range(bound + 1), repeat=5)), dtype=np.int64)
-        triples_by_s, layouts = _collision_tables(bounds)
         slabs = 0
-        for s, lc_sum, keys, _ in _collision_slabs(triples_by_s, layouts, lims):
+        for s, lc_sum, keys, _ in _collision_slabs(_StateSpace(CollisionBounds.coerce(bound))):
             keys, _, starts = _group_keys(keys)
             scores = _float_scores(s, lc_sum, keys[starts])
             assert np.all(np.diff(scores) < 0), (s, lc_sum)
@@ -607,10 +610,7 @@ class TestCollisionSearch:
         assert len(_close_gaps(scores[:1], 1e-9)) == 0
 
     def test_group_keys_orders_equal_keys_by_enumeration_index(self):
-        bounds = CollisionBounds.coerce(2)
-        lims = np.array(list(product(range(3), repeat=5)), dtype=np.int64)
-        triples_by_s, layouts = _collision_tables(bounds)
-        for _, _, slab_keys, _ in _collision_slabs(triples_by_s, layouts, lims):
+        for _, _, slab_keys, _ in _collision_slabs(_StateSpace(CollisionBounds.coerce(2))):
             expected_order = np.argsort(slab_keys, kind="stable")
             expected_keys = slab_keys[expected_order]
             keys, order, starts = _group_keys(slab_keys)
@@ -676,8 +676,27 @@ class TestCollisionSearch:
     def test_bounds_coercion(self):
         assert CollisionBounds.coerce(2) == CollisionBounds(2, 2, 2)
         assert CollisionBounds.coerce(CollisionBounds(1, 2, 3)).limitation == 3
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^bounds must be >= 0, got -1$"):
             CollisionBounds.coerce(-1)
+        # Each field is checked where the record is built, before numpy
+        # sees it; a bool or a float is refused, not truncated.
+        for args, message in [
+            ((-1, 2, 2), "bounds.porosity must be >= 0, got -1"),
+            ((2, -1, 2), "bounds.control must be >= 0, got -1"),
+            ((2, 2, -1), "bounds.limitation must be >= 0, got -1"),
+            ((2.0, 2, 2), "bounds.porosity must be an int, got 2.0"),
+            ((2, True, 2), "bounds.control must be an int, got True"),
+            ((2, 2, "2"), "bounds.limitation must be an int, got '2'"),
+        ]:
+            with pytest.raises(DomainError) as raised:
+                CollisionBounds(*args)
+            assert str(raised.value) == message
+        code, out, err = dispatch(["demo", "--kind", "collision", "--bounds", "-1"])
+        assert (code, out) == (2, b"")
+        assert err == b"ravkit: domain error: bounds must be >= 0, got -1\n"
+        for bounds, message in [(2.7, "got 2.7"), (True, "got True"), (False, "got False")]:
+            with pytest.raises(DomainError, match=f"^bounds must be an int, {message}$"):
+                collision_search(bounds)
 
 
 class TestFormulaDiscrepancy:

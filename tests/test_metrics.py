@@ -527,35 +527,20 @@ class TestIntegerKernelBitExact:
         assert undefined > 0
 
     def test_collision_keys_match_seclim_numerators(self):
-        import numpy as np
+        from ravkit.critique import CollisionBounds, _StateSpace, _collision_slabs
 
-        from ravkit.critique import (
-            CollisionBounds,
-            _collision_slabs,
-            _collision_tables,
-            _layout_index,
-            _state_codes,
-            _state_scope,
-        )
-
-        b = CollisionBounds.coerce(2)
-        lim_tuples = np.array(list(product(range(b.limitation + 1), repeat=5)), dtype=np.int64)
-        triples_by_s, layouts = _collision_tables(b)
-        by_id = sorted(row for layout in layouts.values() for row in layout)
-        layout_of = _layout_index(triples_by_s, by_id)
+        space = _StateSpace(CollisionBounds.coerce(2))
         rng = random.Random(77)
         checked = 0
-        for s, lc_sum, keys, base_ids in _collision_slabs(triples_by_s, layouts, lim_tuples):
+        for s, lc_sum, keys, base_ids in _collision_slabs(space):
             # Each porosity layout's first and last state in the slab; over
             # the slabs of one total these reach both ends of its id range.
             n = keys.size
             block = n // len(base_ids)
             ends = {*range(0, n, block), *range(block - 1, n, block)}
             for i in ends.union(rng.sample(range(n), min(8, n))):
-                code = int(_state_codes(base_ids, n, i, len(lim_tuples)))
-                scope = _state_scope(
-                    code, "state", b, triples_by_s, by_id, layout_of, lim_tuples
-                )
+                code = int(space.codes(base_ids.reshape(-1), n // base_ids.size, i))
+                scope = space.scope(code, "state")
                 bd = actual_security(scope)
                 assert bd.opsec_sum == s and bd.lc_sum == lc_sum
                 assert int(keys[i]) == bd.seclim_sum * (10 * s**2) ** 2
