@@ -439,6 +439,47 @@ def _packed_key_bits(b: CollisionBounds) -> int:
     return key_bits + (_slab_size_bound(b) - 1).bit_length()
 
 
+# The most entries any table of a collision search may hold.  Bounds 6 needs
+# 91 porosity layouts, 462 control multisets, 213,444 control signature pairs
+# and 16,807 limitation tuples.
+_TABLE_CAP = 1 << 24
+
+
+def _refusal(b: CollisionBounds) -> str | None:
+    """Why a search within ``b`` can never be built, or None; from the bounds alone.
+
+    The packed sort key must fit 63 bits, and every slab index must fit a
+    run record's ``<u4`` head.  No table of :class:`_StateSpace` may pass
+    ``_TABLE_CAP`` entries: the porosity layouts, the control multisets
+    :func:`_control_signatures` walks, the pairs of one porosity total's
+    control signatures (a meta-class's distinct ``(lc, mc)``: ``5*c + 1``
+    values of ``lc`` at most, each with at most ``5*s + 1`` values of ``mc``
+    below ``s = c`` and one from there on) and the limitation tuples.  Keys
+    that alone pass 63 bits are named first; the caps come before the slab
+    bound, so it walks a few thousand porosity totals at most.
+    """
+    overflow = "overflow the 64-bit packed collision keys"
+    if _seclim_num_bound(b).bit_length() > 63:
+        return overflow
+    p, c = b.porosity, b.control
+    multisets = math.comb(c + 5, 5)
+    signatures = min(multisets, (5 * c + 1) * (5 * min(3 * p, c) + 1))
+    tables = (
+        ("porosity layouts", (p + 1) * (2 * p + 1)),
+        ("control multisets", multisets),
+        ("control signature pairs", signatures**2),
+        ("limitation tuples", (b.limitation + 1) ** 5),
+    )
+    for name, size in tables:
+        if size > _TABLE_CAP:
+            return f"need more than {_TABLE_CAP:,} {name}"
+    if _packed_key_bits(b) > 63:
+        return overflow
+    if _slab_size_bound(b) > 2**32:
+        return "allow slabs past 2**32 states, more than a 32-bit head can index"
+    return None
+
+
 def _group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort a slab's state keys, equal keys in enumeration order.
 
@@ -851,10 +892,9 @@ def collision_search(
     b = CollisionBounds.coerce(bounds)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if _packed_key_bits(b) > 63:
-        raise DomainError(
-            f"bounds {b.to_obj()} overflow the 64-bit packed collision keys"
-        )
+    refusal = _refusal(b)
+    if refusal:
+        raise DomainError(f"bounds {b.to_obj()} {refusal}")
     space = _StateSpace(b)
     near_pairs: list[tuple[int, int]] = []
     with tempfile.TemporaryFile() if epsilon > 0 else nullcontext() as spill:

@@ -14,6 +14,12 @@ exponents positive; the constructor brings any monomial it is given to
 that form.  Rendering and leading-term selection use graded-lex order with
 alphabetical variables.
 
+A polynomial times itself (``p * p`` on one object, and each squaring
+inside ``**``) takes a squaring path: each of the ``n*(n-1)/2`` cross
+products is formed once and doubled, beside the ``n`` squared terms, where a
+general product forms all ``n*n``.  It uses the product memo like any
+product and holds no table of its own.
+
 The monomial algebra is done once per distinct monomial or pair:
 
 - every monomial a polynomial stores is interned, so equal monomials are
@@ -299,6 +305,8 @@ class Polynomial:
             return Polynomial._from_numerators(
                 {m: c * other for m, c in self.terms.items()}, self.den
             )
+        if other is self:
+            return self._square()
         other = Polynomial.coerce(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -318,6 +326,32 @@ class Polynomial:
         return Polynomial._from_numerators(res, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _square(self) -> "Polynomial":
+        """self * self, forming each cross product once and doubling it."""
+        items = list(self.terms.items())
+        res: dict[Mono, int] = {}
+        for i, (m1, c1) in enumerate(items):
+            row = _PRODUCTS.get(m1, _NO_ROW)
+            mono = row.get(m1)
+            if mono is None:
+                mono = _mono_mul(m1, m1)
+            c = res.get(mono, 0) + c1 * c1
+            if c:
+                res[mono] = c
+            else:
+                del res[mono]
+            twice = 2 * c1
+            for m2, c2 in items[i + 1:]:
+                mono = row.get(m2)
+                if mono is None:
+                    mono = _mono_mul(m1, m2)
+                c = res.get(mono, 0) + twice * c2
+                if c:
+                    res[mono] = c
+                else:
+                    del res[mono]
+        return Polynomial._from_numerators(res, self.den * self.den)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:

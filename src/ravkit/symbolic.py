@@ -75,7 +75,8 @@ class LogSquareAtom:
         return self.arg == other.arg
 
     def __hash__(self) -> int:
-        return hash(self.arg)
+        # Equal canonical arguments render equally, so this agrees with __eq__.
+        return hash(self.key)
 
     def render(self) -> str:
         return f"ln({self.key})^2"
@@ -128,7 +129,7 @@ class SymbolicScore:
     @classmethod
     def atom(cls, arg: RationalFunction, coeff: Scalar = 1) -> "SymbolicScore":
         """Score ``coeff * ln(arg)**2``; an argument of exactly 1 is zero."""
-        if arg == RationalFunction.constant(1):
+        if arg == _ONE_ARG:
             return cls()
         return cls([(Fraction(coeff), (LogSquareAtom(arg),))])
 
@@ -250,6 +251,7 @@ def _coerce_score(value: "SymbolicScore | Scalar") -> SymbolicScore:
 
 
 _ONE = Polynomial.constant(1)
+_ONE_ARG = RationalFunction.constant(1)
 
 
 def _branch_max_zero(value: Polynomial) -> Polynomial:
@@ -310,12 +312,20 @@ def symbolic_breakdown(
     """Run the symbolic pipeline and return the atom arguments with the score.
 
     All intermediates are polynomial numerators over powers of the (linear,
-    hence irreducible) porosity polynomial, so the one reduction needed for
-    the limitation argument is dividing that linear factor out of the
-    numerator as often as it goes.
+    hence irreducible) porosity polynomial ``L``, so the one reduction needed
+    for the limitation argument is dividing ``L`` out of its numerator
+    ``s_num = L**2*(100*L**2 + 10**4*vwc) + 100*R`` over ``100*L**4``, where
+    ``vwc`` and ``R`` are the count-weighted squares of the vulnerability,
+    weakness and concern and of the exposure and anomaly weight numerators.
+    ``L`` divides the first part, so the exact division is tried on ``R``
+    alone: when it fails, ``s_num`` over ``100*L**4`` is already reduced;
+    when it succeeds, ``s_num/L`` is built from ``R/L`` and ``L`` is divided
+    out of it as often as it goes.  (For a scope, ``L`` divides ``R`` only
+    if it divides each of the two weight numerators whose count is nonzero,
+    so then ``L**2`` divides ``R`` too.)  An exact quotient is unique, so the
+    argument is the one canonical rational function either way.
     """
     units = _validate_units(unit_map)
-    one = RationalFunction.constant(1)
 
     def counted(kind: str, count: int) -> Polynomial:
         if count and kind in units:
@@ -338,7 +348,7 @@ def symbolic_breakdown(
                 f"scope {scope.id!r} has zero porosity but nonzero limitations; "
                 "limitation weights are undefined"
             )
-        return SymbolicBreakdown(one, f_arg, one, SymbolicScore.atom(f_arg) + 100)
+        return SymbolicBreakdown(_ONE_ARG, f_arg, _ONE_ARG, SymbolicScore.atom(f_arg) + 100)
 
     mc = {cls: _branch_max_zero(opsec - lc[cls]) for cls in ControlClass}
     mc_sum = sum(mc.values(), Polynomial())
@@ -358,39 +368,48 @@ def symbolic_breakdown(
     we_n = (pv + pa) * mc_sum + 10 * weighted_vwc
     wa_n = pt * mc_sum + 10 * weighted_vwc
 
-    # seclim_sum = [100*L**2*(n_v*wv_n**2 + n_w*ww_n**2 + n_c*wc_n**2)
-    #               + n_e*we_n**2 + n_a*wa_n**2] / (100*L**4)
+    # seclim_sum = [100*L**2*vwc + R] / (100*L**4), with
+    # vwc = n_v*wv_n**2 + n_w*ww_n**2 + n_c*wc_n**2 and R = n_e*we_n**2 + n_a*wa_n**2.
     l_sq = opsec * opsec
     vwc_part = (
-        n["vulnerabilities"] * wv_n * wv_n
-        + n["weaknesses"] * ww_n * ww_n
-        + n["concerns"] * wc_n * wc_n
+        n["vulnerabilities"] * (wv_n * wv_n)
+        + n["weaknesses"] * (ww_n * ww_n)
+        + n["concerns"] * (wc_n * wc_n)
     )
-    seclim_num = 100 * l_sq * vwc_part + n["exposures"] * we_n * we_n + n["anomalies"] * wa_n * wa_n
-    # 1 + 100*seclim_sum over the common denominator 100*L**4.
-    l_four = l_sq * l_sq
-    s_num = 100 * l_four + 100 * seclim_num
-    s_den_power = 4
-    while s_den_power > 0:
-        quotient = try_divide_exact(s_num, opsec)
-        if quotient is None:
-            break
-        s_num = quotient
-        s_den_power -= 1
+    r_part = n["exposures"] * (we_n * we_n) + n["anomalies"] * (wa_n * wa_n)
+    # 1 + 100*seclim_sum = s_num / (100*L**4), s_num = L**2*head + 100*R.
+    # L divides L**2*head, so it divides s_num exactly when it divides R.
+    head = 100 * l_sq + 10**4 * vwc_part
+    r_by_l = try_divide_exact(r_part, opsec)
+    if r_by_l is None:
+        s_num, s_den_power = l_sq * head + 100 * r_part, 4
+    else:
+        s_num, s_den_power = opsec * head + 100 * r_by_l, 3
+        while s_den_power > 0:
+            quotient = try_divide_exact(s_num, opsec)
+            if quotient is None:
+                break
+            s_num = quotient
+            s_den_power -= 1
     s_arg = RationalFunction.from_coprime(s_num, 100 * opsec**s_den_power)
-
     a_arg = RationalFunction.from_coprime(1 + 100 * opsec, _ONE)
-    a_score = SymbolicScore.atom(a_arg)
-    f_score = SymbolicScore.atom(f_arg)
-    s_score = SymbolicScore.atom(s_arg)
 
+    # S*((A - F)/100 - 1) - (F + 100)*A/100 + F + 100, expanded; a term with
+    # an atom of argument 1 is zero.
+    a_atom, f_atom, s_atom = (LogSquareAtom(arg) for arg in (a_arg, f_arg, s_arg))
     hundredth = Fraction(1, 100)
-    score = (
-        s_score * (a_score - f_score) * hundredth
-        - s_score
-        - (f_score + 100) * a_score * hundredth
-        + f_score
-        + 100
+    terms = [
+        (hundredth, (s_atom, a_atom)),
+        (-hundredth, (s_atom, f_atom)),
+        (-1, (s_atom,)),
+        (-hundredth, (f_atom, a_atom)),
+        (-1, (a_atom,)),
+        (1, (f_atom,)),
+        (100, ()),
+    ]
+    score = SymbolicScore(
+        (coeff, atoms) for coeff, atoms in terms
+        if all(atom.arg != _ONE_ARG for atom in atoms)
     )
     return SymbolicBreakdown(a_arg, f_arg, s_arg, score)
 

@@ -394,6 +394,14 @@ class TestSymbolicCommand:
         assert code == 0, err
         assert out == (fixtures / "units_symbolic.txt").read_bytes()
 
+    def test_every_unit_shape_golden(self, fixtures):
+        # 16 scopes, each of 0-3 porosity units crossed with 5-8 unit
+        # variables once, counts 0-50, at a point of integers 2-4.
+        code, out, err = run("symbolic", str(fixtures / "units_shapes.json"),
+                             "--eval", "a=2,b=3,c=4,d=2,e=3,f=4,g=2,h=3")
+        assert code == 0, err
+        assert out == (fixtures / "units_shapes.txt").read_bytes()
+
     def test_bad_eval_spec(self, fixtures):
         code, _, err = run("symbolic", str(fixtures / "toy.json"), "--eval", "h=two")
         assert code == 1 and b"rational" in err

@@ -8,6 +8,7 @@ with the same inputs.
 from __future__ import annotations
 
 import math
+import re
 import tempfile
 import tracemalloc
 from bisect import bisect_right
@@ -42,6 +43,7 @@ from ravkit.critique import (
     _group_keys,
     _packed_key_bits,
     _range_records,
+    _refusal,
     _seclim_num_bound,
     _slab_size_bound,
     _value_ranges,
@@ -371,6 +373,49 @@ class TestCollisionSearch:
         assert code == 2 and out == b""
         assert len(err.splitlines()) == 1 and b"packed collision keys" in err
         assert err.startswith(b"ravkit: domain error: ")
+
+    @pytest.mark.parametrize("bounds, reason", [
+        # C(1005, 5) control multisets, packed keys of 35 bits.
+        ((1, 1000, 1), "more than 16,777,216 control multisets"),
+        # 61**5 limitation tuples, packed keys of 0 bits.
+        ((0, 0, 60), "more than 16,777,216 limitation tuples"),
+        # Packed keys of 33 bits, slabs of up to 4,302,212,600 states.
+        ((350, 1051, 0), "more than 16,777,216 control multisets"),
+        # Past the cap before any slab bound is walked.
+        ((10**9, 0, 0), "more than 16,777,216 porosity layouts"),
+        ((7, 20, 0), "more than 16,777,216 control signature pairs"),
+    ])
+    def test_bounds_past_a_table_cap_refused_before_any_table(
+        self, monkeypatch, bounds, reason
+    ):
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(critique, "_StateSpace", no_table)
+        monkeypatch.setattr(critique, "_control_signatures", no_table)
+        with pytest.raises(DomainError, match=rf"^bounds .* {re.escape(reason)}$"):
+            collision_search(CollisionBounds(*bounds), 0)
+
+    def test_the_old_rule_accepted_bounds_that_cannot_be_built(self):
+        # The packed-key rule alone let these through.
+        for bounds in ((1, 1000, 1), (0, 0, 60), (350, 1051, 0)):
+            assert _packed_key_bits(CollisionBounds(*bounds)) <= 63
+        assert _slab_size_bound(CollisionBounds(350, 1051, 0)) == 4_302_212_600
+
+    def test_slabs_past_a_u4_head_are_refused(self, monkeypatch):
+        # With the table caps lifted, (350, 1051, 0) passes the packed-key
+        # rule and is refused for its slab bound alone.
+        monkeypatch.setattr(critique, "_TABLE_CAP", 10**20)
+        assert _refusal(CollisionBounds(350, 1051, 0)) == (
+            "allow slabs past 2**32 states, more than a 32-bit head can index"
+        )
+
+    @pytest.mark.parametrize("bound", range(7))
+    def test_cli_bounds_clear_every_cap_with_room(self, bound):
+        assert _refusal(CollisionBounds.coerce(bound)) is None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(critique, "_TABLE_CAP", critique._TABLE_CAP // 64)
+            assert _refusal(CollisionBounds.coerce(bound)) is None
 
     @pytest.mark.parametrize("bound, epsilon", [(2, 1e-6), (2, 1e-3), (3, 1e-6)])
     def test_near_witnesses_match_a_stable_argsort_oracle(self, bound, epsilon):

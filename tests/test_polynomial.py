@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ravkit import polynomial
 from ravkit.errors import DomainError
@@ -424,3 +425,69 @@ def test_cached_variables_match_a_fresh_scan(fixtures, monkeypatch):
         loaded = pickle.loads(pickle.dumps(poly))
         assert loaded._vars is None
         assert loaded.variables() == scanned
+
+
+# Polynomials in 1-4 variables with exponents 0-2, so products of different
+# term pairs often share a monomial, and small signed coefficients over
+# denominators 1-3, so those shared monomials sometimes cancel.
+_monomials = st.lists(
+    st.tuples(st.sampled_from("wxyz"), st.integers(1, 2)), max_size=3
+).map(lambda pairs: tuple(sorted(dict(pairs).items())))
+_coefficients = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_polynomials = st.dictionaries(_monomials, _coefficients, max_size=6).map(Polynomial)
+
+
+def distinct_copy(poly: Polynomial) -> Polynomial:
+    copy = Polynomial(dict(poly.sorted_terms()))
+    assert copy == poly and copy is not poly
+    return copy
+
+
+class TestSquaring:
+    """``p * p`` on one object and the squarings inside ``**`` form each cross
+    product once and double it; the result is the general product's."""
+
+    # x**2*y**2 is both (x**2)*(y**2) and (x*y)**2: 2*1*(-1/2) + 1**2 = 0.
+    # The terms are squared in stored order, so the last contribution to
+    # x**2*y**2 is the square of x*y in one order and the cross product in
+    # the other.
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    def test_a_cancelling_term_is_dropped(self, order):
+        terms = [((("x", 2),), 1), ((("y", 2),), Fraction(-1, 2)), ((("x", 1), ("y", 1)), 1)]
+        p = Polynomial(dict(terms[i] for i in order))
+        square = p * p
+        assert square == p * distinct_copy(p)
+        assert square == Polynomial({
+            (("x", 4),): 1, (("x", 3), ("y", 1)): 2,
+            (("x", 1), ("y", 3)): -1, (("y", 4),): Fraction(1, 4),
+        })
+        assert square.den == 4
+
+    @pytest.mark.parametrize("cap", [None, 6])
+    @settings(max_examples=150, deadline=None)
+    @given(p=_polynomials, n=st.integers(0, 5))
+    def test_square_and_powers_match_the_general_product(self, cap, p, n):
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                # Small enough that the memos clear inside one square.
+                mp.setattr(polynomial, "_MEMO_CAP", cap)
+            copy = distinct_copy(p)
+            square = p * p
+            assert square == p * copy
+            assert {m: c for m, c in square.sorted_terms()} == naive_product(p, copy)
+            repeated = Polynomial.constant(1)
+            for _ in range(n):
+                repeated = repeated * copy
+            assert p**n == repeated
+
+    def test_memos_clear_in_the_middle_of_a_square(self, cold_memos, monkeypatch):
+        p = sum((var(name) * (i + 1) for i, name in enumerate("wxyz")), Polynomial.constant(-2))
+        expected = p * distinct_copy(p)
+        clears = []
+        clear = polynomial._clear_memos
+        monkeypatch.setattr(polynomial, "_clear_memos", lambda: (clears.append(1), clear()))
+        monkeypatch.setattr(polynomial, "_MEMO_CAP", 6)
+        polynomial._clear_memos()
+        clears.clear()
+        assert p * p == expected
+        assert len(clears) >= 2

@@ -4,7 +4,9 @@ Seeded random sparse polynomials in 2-4 variables with small rational
 coefficients go through ravkit's gcd, reduction, exact division and
 evaluation, and sympy computes the same thing independently.  A second set
 has the shape of the ``symbolic-units`` benchmark input: 5-8 variables,
-each term a product of at most three of them.
+each term a product of at most three of them.  Last, the symbolic
+pipeline's limitation argument is rebuilt from a scope's counts with the
+OSSTMM weight formulas in sympy's rational function field.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 import time
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 from math import gcd
 
 import pytest
@@ -307,3 +310,136 @@ class TestUnitShapedAgainstSympy:
                 {SYMBOLS[n]: sympy.Rational(v.numerator, v.denominator) for n, v in point.items()}
             )
             assert f.evaluate(point) == Fraction(int(expected.p), int(expected.q))
+
+
+# The OSSTMM v3 count kinds, written out here so the oracle below takes
+# nothing from ravkit but the scope records it feeds in.
+POROSITY_KINDS = ("visibility", "access", "trust")
+CLASS_A = ("authentication", "indemnification", "resilience", "subjugation", "continuity")
+CLASS_B = ("non-repudiation", "integrity", "privacy", "confidentiality", "alarm")
+LIMITATION_KINDS = ("vulnerabilities", "weaknesses", "concerns", "exposures", "anomalies")
+
+
+def limitation_argument(counts: dict, units: dict):
+    """``1 + 100*sum(n_i * W_i**2)`` from the OSSTMM v3 weights, reduced.
+
+    With ``O`` the porosity sum and ``MC`` the controls each class misses,
+    ``max(O - LC, 0)`` with the branch taken where every unit is 1:
+    ``W_V = (O + MC)/O``, ``W_W = (O + MC_A)/O``, ``W_C = (O + MC_B)/O``,
+    ``W_E = (V + A)*MC/(10*O**2) + X/O`` and ``W_A = T*MC/(10*O**2) + X/O``
+    with ``X = n_V*W_V + n_W*W_W + n_C*W_C``.  The arithmetic runs in sympy's
+    field of rational functions over QQ in the scope's units, which keeps
+    every value as ``sympy.cancel`` does: a coprime numerator and
+    denominator.  Also returns ``O`` and
+    ``R = n_E*(10*O**2*W_E)**2 + n_A*(10*O**2*W_A)**2``.
+    """
+    names = sorted(units.values()) or ["a"]
+    fld, *gens = sympy.polys.fields.field(",".join(names), sympy.QQ)
+    gen_of = dict(zip(names, gens))
+    value = {kind: counts[kind] * gen_of[units[kind]] if kind in units else fld(counts[kind])
+             for kind in counts}
+    ones = [(gen, 1) for gen in fld.ring.gens]
+    o = value["visibility"] + value["access"] + value["trust"]
+    missing = {}
+    for kind in CLASS_A + CLASS_B:
+        shortfall = o - value[kind]
+        missing[kind] = shortfall if shortfall.numer.evaluate(ones) >= 0 else fld(0)
+    mc_a = sum(missing[kind] for kind in CLASS_A)
+    mc_b = sum(missing[kind] for kind in CLASS_B)
+    mc = mc_a + mc_b
+    nv, nw, nc, ne, na = (value[kind] for kind in LIMITATION_KINDS)
+    wv, ww, wc = (o + mc) / o, (o + mc_a) / o, (o + mc_b) / o
+    x = nv * wv + nw * ww + nc * wc
+    we = (value["visibility"] + value["access"]) * mc / (10 * o**2) + x / o
+    wa = value["trust"] * mc / (10 * o**2) + x / o
+    total = nv * wv**2 + nw * ww**2 + nc * wc**2 + ne * we**2 + na * wa**2
+    r = ne * (10 * o**2 * we) ** 2 + na * (10 * o**2 * wa) ** 2
+    return 1 + 100 * total, o, r
+
+
+def in_ring(poly: Polynomial, fld):
+    """A ravkit polynomial as an element of the polynomial ring of ``fld``."""
+    names = [str(gen) for gen in fld.ring.gens]
+    terms = {
+        tuple(dict(mono).get(name, 0) for name in names): sympy.QQ(c.numerator, c.denominator)
+        for mono, c in poly.sorted_terms()
+    }
+    return fld.ring(terms)
+
+
+def unit_scopes(seed: int):
+    """Endless seeded scopes: 0-3 porosity units and up to two more, counts
+    0-9.  Some scopes give every class more controls than the porosity sum,
+    some have no exposures or anomalies, so L**2 divides R often enough."""
+    from ravkit.metrics import ControlCounts, LimitationCounts, PorosityCounts, Scope
+
+    rng = random.Random(seed)
+    for i in count():
+        porosity_units = rng.sample(POROSITY_KINDS, i % 4)
+        others = rng.sample(CLASS_A + CLASS_B + LIMITATION_KINDS, rng.randint(0, 2))
+        kinds = porosity_units + others
+        units = dict(zip(kinds, rng.sample(UNIT_NAMES, len(kinds))))
+        counts = {kind: rng.randint(0, 9) for kind in POROSITY_KINDS}
+        for kind in porosity_units:
+            counts[kind] = max(counts[kind], 1)
+        counts["trust"] = max(counts["trust"], 1)  # limitations need porosity
+        control_floor = 30 if rng.random() < 0.3 else 0
+        for kind in CLASS_A + CLASS_B:
+            counts[kind] = rng.randint(control_floor, control_floor + 9)
+        no_exposures = rng.random() < 0.2
+        for kind in LIMITATION_KINDS:
+            counts[kind] = rng.randint(0, 9)
+        if no_exposures:
+            counts["exposures"] = counts["anomalies"] = 0
+        scope = Scope(
+            id=f"s{i}",
+            porosity=PorosityCounts(*(counts[kind] for kind in POROSITY_KINDS)),
+            controls=ControlCounts.from_mapping({k: counts[k] for k in CLASS_A + CLASS_B}),
+            limitations=LimitationCounts(*(counts[kind] for kind in LIMITATION_KINDS)),
+        )
+        yield scope, counts, units
+
+
+class TestLimitationArgumentAgainstSympy:
+    def test_seclim_argument_equals_cancel_of_the_weighted_sum(self):
+        # The pipeline tries the division by the porosity polynomial L on the
+        # exposure and anomaly part R alone.  Each case occurs at least ten
+        # times: L does not divide R; L**2 divides R with L a polynomial in
+        # units; L is a constant; R is 0.  L dividing R exactly once never
+        # occurs: where L vanishes and the other units are positive, R is a
+        # sum of counts (>= 0) times squares, so R vanishes there only if
+        # each term does, and then L divides each weight numerator whose
+        # count is nonzero, so L**2 divides R.
+        from ravkit.symbolic import symbolic_breakdown
+
+        seen = {"not": 0, "once": 0, "twice with a variable": 0, "twice, L constant": 0,
+                "R = 0": 0}
+        checked = 0
+        for scope, counts, units in unit_scopes(2323):
+            if checked >= 200 and min(seen[k] for k in seen if k != "once") >= 10:
+                break
+            expected, o, r = limitation_argument(counts, units)
+            got = symbolic_breakdown(scope, units).seclim_argument
+            if checked < 10:
+                # The field's reduced form is sympy.cancel's.
+                assert expected.as_expr() == sympy.cancel(expected.as_expr())
+            num, den = in_ring(got.num, expected.field), in_ring(got.den, expected.field)
+            assert num * expected.denom == expected.numer * den
+            ratio, rest = den.div(expected.denom)  # reduced as far: a constant ratio
+            assert not rest and ratio.is_ground
+            checked += 1
+            # Divisibility over QQ: a quotient with a constant denominator.
+            assert r.denom == 1  # a polynomial
+            if r == 0:
+                seen["R = 0"] += 1
+            if o.numer.is_ground:
+                seen["twice, L constant"] += 1
+            elif (r / o**2).denom.is_ground:
+                seen["twice with a variable"] += 1
+            elif (r / o).denom.is_ground:
+                seen["once"] += 1
+            else:
+                seen["not"] += 1
+        assert checked >= 200
+        assert seen["once"] == 0, seen
+        assert min(seen[k] for k in seen if k != "once") >= 10, seen
