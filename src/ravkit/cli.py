@@ -175,14 +175,34 @@ def _cmd_aggregate(args, out: BinaryIO) -> None:
     out.write(report.render_report(actual_security(combined), combined, args.format))
 
 
+class _Scoring:
+    """The records' (id, rule results, score) entries, each scored as the
+    report reaches it, so an applicant's objects are dropped once it is
+    rendered.  It has a length, the record count, so it can be counted
+    without scoring anything."""
+
+    def __init__(self, records: Sequence, mode: str) -> None:
+        score_applicant = _layers.score_applicant
+        self._count = len(records)
+        self._left = ((r.applicant_id, *score_applicant(r, mode=mode)) for r in records)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return self._left
+
+
 def _cmd_trust(args, out: BinaryIO) -> None:
-    records = ingest.parse_applicants_csv(_read(args.csv_file))
-    scored = []
-    score_applicant = _layers.score_applicant
-    for record in records:
-        results, score = score_applicant(record, mode=args.mode)
-        scored.append((record.applicant_id, results, score))
-    out.write(report.render_trust_report(scored, args.format))
+    scoring = _Scoring(ingest.parse_applicants_csv(_read(args.csv_file)), args.mode)
+    try:
+        out.write(report.render_trust_report(scoring, args.format))
+    except InputError:
+        # A record that cannot be rendered yields to a domain error in any
+        # later record, as it would if every record were scored first.
+        for _ in scoring:
+            pass
+        raise
 
 
 def _parse_assignment(spec: str | None) -> dict[str, Fraction]:

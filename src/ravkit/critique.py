@@ -1138,7 +1138,7 @@ def trust_equivalence_demo(tolerance: float = 1e-3) -> CritiqueFinding:
     claim that both are 'the same security liability (1/32)' holds only up
     to rounding: exactly, 39/1250 = 0.0312 while 1/32 = 0.03125.
     """
-    from .trust import ApplicantRecord, consistency_score, porosity_rule
+    from .trust import ApplicantRecord, consistency_score, porosity_rule, ratios_equal
 
     conviction = ApplicantRecord(
         applicant_id="conviction-case", criminal_offenses_known=1, age_years=50
@@ -1152,7 +1152,7 @@ def trust_equivalence_demo(tolerance: float = 1e-3) -> CritiqueFinding:
     r_community = porosity_rule(community)
     assert r_conviction.value is not None and r_community.value is not None
     exact_equal = r_conviction.value == r_community.value
-    close = float(abs(r_conviction.value - r_community.value)) <= tolerance
+    close = ratios_equal(r_conviction.value, r_community.value, tolerance)
     narrative = (
         "Two applicants with nothing in common - one 50-year-old with a "
         "prior conviction, one living in a small town among 156 colleagues - "

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, Union
@@ -39,7 +40,7 @@ from .metrics import (
 )
 
 if TYPE_CHECKING:
-    from .trust import RuleResult, TrustScore
+    from .trust import Rational, RuleResult, TrustProperty, TrustScore
 
 REPORT_SCHEMA = "ravkit-report/1"
 TRUST_SCHEMA = "ravkit-trust/1"
@@ -336,22 +337,27 @@ def _expect_same(found: Any, expected: Any, path: str) -> None:
 # ---------------------------------------------------------------------------
 #
 # Like the rav report, a trust report's objects are templates with their
-# keys in ``emit_json`` order; ids, rule ids and reasons are quoted per call.
+# keys in ``emit_json`` order.  Only the applicant ids and the values are
+# quoted per applicant: a rule's members but its value, and the mode, are
+# the same for every applicant, so each is quoted once and kept.
 
-_RULE_JSON = _object(
+# "value" sorts last, so a rule object is this head, then its value and "}".
+_RULE_HEAD = _object(
     {
         key: f"%({key})s"
         for key in ("rule_id", "property", "value", "undefined_reason", "excluded")
     }
-)
+).partition("%(value)s")[0]
+# Positional: its keys sort as applicant_id, combined, combined_decimal,
+# mode, per_property, rules.
 _APPLICANT_JSON = _object(
     {
-        "applicant_id": "%(applicant_id)s",
-        "rules": "[%(rules)s]",
-        "per_property": "%(per_property)s",
-        "combined": '"%(combined)s"',
-        "combined_decimal": "%(combined_decimal).6f",
-        "mode": "%(mode)s",
+        "applicant_id": "%s",
+        "rules": "[%s]",
+        "per_property": "{%s}",
+        "combined": '"%s"',
+        "combined_decimal": "%.6f",
+        "mode": "%s",
     }
 )
 _TRUST_JSON = _object({"schema": json.dumps(TRUST_SCHEMA), "applicants": "[%s]"}) + "\n"
@@ -378,15 +384,19 @@ def _string_or_null(value: str | None) -> str:
     return "null" if value is None else json.dumps(value)
 
 
-def _rule_json(r: RuleResult) -> str:
-    excluded = ", ".join(f"[{', '.join(map(json.dumps, pair))}]" for pair in r.excluded)
-    return _RULE_JSON % {
-        "rule_id": json.dumps(r.rule_id),
-        "property": _PROPERTY_KEYS[r.property],
-        "value": _fraction_or_null(r.value),
-        "undefined_reason": _string_or_null(r.undefined_reason),
-        "excluded": f"[{excluded}]",
+@lru_cache(maxsize=1024)
+def _rule_head(rule_id: str, prop: TrustProperty, reason: str | None, excluded: tuple) -> str:
+    """A rule object's JSON up to its value: the same for every applicant."""
+    pairs = ", ".join(f"[{', '.join(map(json.dumps, pair))}]" for pair in excluded)
+    return _RULE_HEAD % {
+        "rule_id": json.dumps(rule_id),
+        "property": _PROPERTY_KEYS[prop],
+        "undefined_reason": _string_or_null(reason),
+        "excluded": f"[{pairs}]",
     }
+
+
+_quoted = lru_cache(maxsize=64)(json.dumps)
 
 
 def _applicant_json(applicant_id: str, results: Sequence[RuleResult], score: TrustScore) -> str:
@@ -394,38 +404,47 @@ def _applicant_json(applicant_id: str, results: Sequence[RuleResult], score: Tru
         (_PROPERTY_KEYS[prop], _fraction_or_null(value))
         for prop, value in score.per_property.items()
     )
-    return _APPLICANT_JSON % {
-        "applicant_id": json.dumps(applicant_id),
-        "rules": ", ".join(map(_rule_json, results)),
-        "per_property": "{" + ", ".join(f"{key}: {value}" for key, value in per_property) + "}",
-        "combined": fraction_str(score.combined),
-        "combined_decimal": float(score.combined),
-        "mode": json.dumps(score.mode),
-    }
+    rules = ", ".join([
+        _rule_head(r.rule_id, r.property, r.undefined_reason, r.excluded)
+        + _fraction_or_null(r.value) + "}"
+        for r in results
+    ])
+    num, den = score.combined.numerator, score.combined.denominator
+    return _APPLICANT_JSON % (
+        json.dumps(applicant_id), f"{num}/{den}", num / den, _quoted(score.mode),
+        ", ".join(f"{key}: {value}" for key, value in per_property), rules,
+    )
 
 
-def _trust_text(scored: Sequence[tuple[str, Sequence[RuleResult], TrustScore]]) -> str:
+def _value_text(value: Rational) -> str:
+    """A value as the text report writes it: ``num/den (decimal)``."""
+    num, den = value.numerator, value.denominator
+    return f"{num}/{den} ({num / den:.6f})"
+
+
+def _trust_text(scored: Iterable[tuple[str, Sequence[RuleResult], TrustScore]]) -> str:
     lines: list[str] = []
     for applicant_id, results, score in scored:
         lines.append(f"applicant: {applicant_id}")
         for r in results:
             if r.value is not None:
-                lines.append(f"  {r.rule_id:<32}{fraction_str(r.value)} ({float(r.value):.6f})")
+                lines.append(f"  {r.rule_id:<32}{_value_text(r.value)}")
             else:
                 lines.append(f"  {r.rule_id:<32}undefined: {r.undefined_reason}")
             for rule_id, reason in r.excluded:
                 lines.append(f"    excluded {rule_id}: {reason}")
         label = f"combined({score.mode})"
-        lines.append(f"  {label:<32}{fraction_str(score.combined)} ({float(score.combined):.6f})")
+        lines.append(f"  {label:<32}{_value_text(score.combined)}")
         lines.append("")
     return "\n".join(lines)
 
 
 def render_trust_report(
-    scored: Sequence[tuple[str, Sequence[RuleResult], TrustScore]],
+    scored: Iterable[tuple[str, Sequence[RuleResult], TrustScore]],
     format: str = "text",
 ) -> bytes:
-    """Render per-applicant rule values and combined trust scores."""
+    """Render per-applicant rule values and combined trust scores, reading
+    ``scored`` once, in order, so it may be an iterator."""
     try:
         if format == "json":
             applicants = ", ".join(_applicant_json(*entry) for entry in scored)
@@ -433,8 +452,11 @@ def render_trust_report(
         if format != "text":
             raise InputError(f"unknown report format {format!r}; expected text or json")
         return _trust_text(scored).encode("utf-8")
+    except ValueError:
+        # str() of a value past the interpreter's int-digit limit.
+        raise DigitLimitError() from None
     except OverflowError:
-        # float() of a rule value or combined score past the float range.
+        # A rule value or combined score past the float range, as a decimal.
         raise FloatRangeError() from None
 
 

@@ -17,14 +17,20 @@ than one with none.
 The rules and :func:`trust_combine` work on int numerators and
 denominators: each ratio is reduced with one gcd, and averages and sums are
 taken over a common denominator (the max by cross-multiplication).
-``Fraction`` objects are built only for the returned values.
+``Fraction`` objects are built only for the returned values, and each
+result is built once: the rules and :func:`trust_combine` construct their
+:class:`RuleResult` and :class:`TrustScore` directly, without re-checking
+values they derived themselves, and a property or a combination with a
+single value takes that value as it is.  The ``trust`` command scores one
+applicant at a time as its report is written, so a batch never holds more
+than one applicant's results.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, UndefinedTrustError
@@ -110,11 +116,15 @@ def _mean(pairs: Sequence[tuple[int, int]]) -> Fraction:
     return _exact(num, den * len(pairs))
 
 
-def _coerce_hours(name: str, value: Rational) -> Fraction:
-    v = value if type(value) is Fraction else Fraction(value)
-    if v.numerator < 0:
-        raise DomainError(f"{name} must be >= 0, got {v}")
-    return v
+def _coerce_hours(name: str, value: Rational | float) -> Fraction:
+    if type(value) is not Fraction:
+        number = isfinite(value) if isinstance(value, float) else isinstance(value, (int, Fraction))
+        if not number or type(value) is bool:
+            raise DomainError(f"{name} must be an int, a Fraction or a finite float, got {value!r}")
+        value = Fraction(value)
+    if value.numerator < 0:
+        raise DomainError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 class ApplicantRecord(Record):
@@ -316,22 +326,40 @@ class TrustScore(Record):
         set_(self, "undefined_reasons", undefined_reasons)
 
 
+def _rule_result(prop: TrustProperty, rule_id: str, value: Fraction | None,
+                 reason: str | None = None, excluded: tuple = ()) -> RuleResult:
+    """A :class:`RuleResult` of values a rule here derived itself, so
+    without the checks of its public constructor."""
+    r = object.__new__(RuleResult)
+    set_ = object.__setattr__
+    set_(r, "property", prop)
+    set_(r, "rule_id", rule_id)
+    set_(r, "value", value)
+    set_(r, "undefined_reason", reason)
+    set_(r, "excluded", excluded)
+    return r
+
+
 # ---------------------------------------------------------------------------
 # Built-in rules
 # ---------------------------------------------------------------------------
 
 
-def _consistency_terms(record: ApplicantRecord) -> tuple[tuple[str, int, int, str], ...]:
-    """The three consistency ratios as (rule id, numerator, denominator,
-    reason); a zero denominator marks an undefined ratio and its reason."""
-    adult_years = record.age_years - record.legal_adult_age
+#: The consistency ratios' rule ids and the reason each is undefined.
+_CONSISTENCY_RULES = (
+    ("consistency/unemployment", "no eligible workforce months on record"),
+    ("consistency/offenses", "applicant not beyond the legal adult age"),
+    ("consistency/references", "no past employers"),
+)
+
+
+def _consistency_terms(record: ApplicantRecord) -> tuple[tuple[int, int], ...]:
+    """The three consistency ratios as (numerator, denominator), in
+    ``_CONSISTENCY_RULES`` order; a zero denominator marks an undefined ratio."""
     return (
-        ("consistency/unemployment", record.months_unemployed, record.months_eligible,
-         "no eligible workforce months on record"),
-        ("consistency/offenses", record.criminal_offenses_known, max(adult_years, 0),
-         "applicant not beyond the legal adult age"),
-        ("consistency/references", record.references_neutral + record.references_negative,
-         record.past_employer_count, "no past employers"),
+        (record.months_unemployed, record.months_eligible),
+        (record.criminal_offenses_known, max(record.age_years - record.legal_adult_age, 0)),
+        (record.references_neutral + record.references_negative, record.past_employer_count),
     )
 
 
@@ -339,9 +367,9 @@ def consistency_ratios(record: ApplicantRecord) -> tuple[RuleResult, RuleResult,
     """The three consistency ratios, before the rule-5.4 averaging."""
     prop = TrustProperty.CONSISTENCY
     r1, r2, r3 = (
-        RuleResult(prop, rule_id, _exact(num, den)) if den
-        else RuleResult(prop, rule_id, None, reason)
-        for rule_id, num, den, reason in _consistency_terms(record)
+        _rule_result(prop, rule_id, _exact(num, den)) if den
+        else _rule_result(prop, rule_id, None, reason)
+        for (rule_id, reason), (num, den) in zip(_CONSISTENCY_RULES, _consistency_terms(record))
     )
     return r1, r2, r3
 
@@ -349,21 +377,21 @@ def consistency_ratios(record: ApplicantRecord) -> tuple[RuleResult, RuleResult,
 def consistency_score(record: ApplicantRecord) -> RuleResult:
     """Average of the defined consistency ratios; excluded ratios are reported."""
     terms = _consistency_terms(record)
-    defined = [(num, den) for _, num, den, _ in terms if den]
-    excluded = tuple((rule_id, reason) for rule_id, _, den, reason in terms if not den)
+    defined = [term for term in terms if term[1]]
+    excluded = tuple([rule for rule, (_, den) in zip(_CONSISTENCY_RULES, terms) if not den])
     if not defined:
-        return RuleResult(TrustProperty.CONSISTENCY, "consistency", None,
-                          "all three consistency ratios undefined", excluded)
-    return RuleResult(TrustProperty.CONSISTENCY, "consistency", _mean(defined), None, excluded)
+        return _rule_result(TrustProperty.CONSISTENCY, "consistency", None,
+                            "all three consistency ratios undefined", excluded)
+    return _rule_result(TrustProperty.CONSISTENCY, "consistency", _mean(defined), None, excluded)
 
 
 def porosity_rule(record: ApplicantRecord) -> RuleResult:
     """Community employees divided by the community population."""
     if record.community_population == 0:
-        return RuleResult(TrustProperty.POROSITY, "porosity/community", None,
-                          "community population not recorded")
-    return RuleResult(TrustProperty.POROSITY, "porosity/community",
-                      _exact(record.employees_in_community, record.community_population))
+        return _rule_result(TrustProperty.POROSITY, "porosity/community", None,
+                            "community population not recorded")
+    return _rule_result(TrustProperty.POROSITY, "porosity/community",
+                        _exact(record.employees_in_community, record.community_population))
 
 
 def unmonitored_hours_rule(
@@ -375,10 +403,10 @@ def unmonitored_hours_rule(
     under Subjugation by default and the assignment is configurable.
     """
     if record.working_hours_per_day == 0:
-        return RuleResult(property, "subjugation/unmonitored-hours", None,
-                          "no working hours recorded")
-    return RuleResult(property, "subjugation/unmonitored-hours",
-                      _quotient(record.hours_alone_per_day, record.working_hours_per_day))
+        return _rule_result(property, "subjugation/unmonitored-hours", None,
+                            "no working hours recorded")
+    return _rule_result(property, "subjugation/unmonitored-hours",
+                        _quotient(record.hours_alone_per_day, record.working_hours_per_day))
 
 
 #: The record fields a :class:`RatioRule` may divide: every field but the id.
@@ -411,10 +439,9 @@ class RatioRule(Record):
                 raise DomainError(f"rule {self.rule_id!r}: {detail}")
         den = getattr(record, self.denominator)
         if den == 0:
-            return RuleResult(self.property, self.rule_id, None,
-                              f"{self.denominator} is zero")
-        return RuleResult(self.property, self.rule_id,
-                          _quotient(getattr(record, self.numerator), den))
+            return _rule_result(self.property, self.rule_id, None, f"{self.denominator} is zero")
+        return _rule_result(self.property, self.rule_id,
+                            _quotient(getattr(record, self.numerator), den))
 
 
 RuleFn = Callable[[ApplicantRecord], RuleResult]
@@ -431,13 +458,8 @@ def evaluate_rules(
     record: ApplicantRecord,
     rules: Sequence[Union[RuleFn, RatioRule]] = DEFAULT_RULES,
 ) -> list[RuleResult]:
-    out = []
-    for rule in rules:
-        if isinstance(rule, RatioRule):
-            out.append(rule.evaluate(record))
-        else:
-            out.append(rule(record))
-    return out
+    return [rule.evaluate(record) if isinstance(rule, RatioRule) else rule(record)
+            for rule in rules]
 
 
 def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> TrustScore:
@@ -449,8 +471,9 @@ def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> Trust
     for result in results:
         group = groups.get(result.property)
         if group is None:
-            groups[result.property] = group = []
-        group.append(result)
+            groups[result.property] = [result]
+        else:
+            group.append(result)
 
     per_property: dict[TrustProperty, Fraction | None] = {}
     values: list[Fraction] = []
@@ -464,29 +487,35 @@ def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> Trust
             if r.value is None:
                 reasons.append((r.rule_id, r.undefined_reason or ""))
             else:
-                defined.append((r.value.numerator, r.value.denominator))
-        if defined:
-            per_property[prop] = value = _mean(defined)
-            values.append(value)
-        else:
+                defined.append(r.value)
+        if not defined:
             per_property[prop] = None
+            continue
+        if len(defined) == 1 and type(defined[0]) is Fraction:
+            value = defined[0]
+        else:
+            value = _mean([(v.numerator, v.denominator) for v in defined])
+        per_property[prop] = value
+        values.append(value)
 
     if not values:
         raise UndefinedTrustError("every supplied rule result is undefined")
+    # A lone value is every mode's combination of it.
+    combined = values[0]
     if mode == "max":
-        combined = values[0]
         for value in values[1:]:
             if value.numerator * combined.denominator > combined.numerator * value.denominator:
                 combined = value
-    else:
+    elif len(values) > 1:
         num, den = _sum([(v.numerator, v.denominator) for v in values])
         combined = _exact(num, den * len(values) if mode == "average" else den)
-    return TrustScore(
-        per_property=per_property,
-        combined=combined,
-        mode=mode,
-        undefined_reasons=tuple(reasons),
-    )
+    score = object.__new__(TrustScore)
+    set_ = object.__setattr__
+    set_(score, "per_property", per_property)
+    set_(score, "combined", combined)
+    set_(score, "mode", mode)
+    set_(score, "undefined_reasons", tuple(reasons))
+    return score
 
 
 def score_applicant(
@@ -501,6 +530,8 @@ def score_applicant(
 
 def ratios_equal(a: Rational, b: Rational, tolerance: float = 0.0) -> bool:
     """Compare two ratios exactly (tolerance 0) or within an absolute tolerance."""
+    if not tolerance >= 0:  # negative or NaN
+        raise DomainError(f"tolerance must be a number >= 0, got {tolerance!r}")
     a, b = Fraction(a), Fraction(b)
     if tolerance == 0:
         return a == b

@@ -308,13 +308,36 @@ class TestTrustCommand:
                 "past_employer_count")[column]
         assert f"{name} must be a non-negative integer, got -3".encode() in err
 
-    @pytest.mark.parametrize("mode", ["average", "sum", "max"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_domain_error_in_a_later_record_wins_over_a_render_error(self, tmp_path, fmt):
+        # Row 1 scores, but its offenses ratio is past the float range; row 2
+        # has no defined rule.  A malformed row 3 wins over both.
+        csv = tmp_path / "precedence.csv"
+        rows = ("applicant_id,criminal_offenses_known,age_years,legal_adult_age\n"
+                f"x,{10**400},19,18\nghost,0,18,18\n")
+        csv.write_text(rows)
+        code, out, err = run("trust", str(csv), "--format", fmt)
+        assert (code, out) == (2, b"")
+        assert err == b"ravkit: domain error: every supplied rule result is undefined\n"
+        csv.write_text(rows + "bad,-1,18,18\n")
+        code, out, err = run("trust", str(csv), "--format", fmt)
+        assert_one_line_input_error(code, out, err)
+        assert err.startswith(b"ravkit: error: line 4: criminal_offenses_known must be")
+
+    # applicants_mixed.csv: every subset of undefined consistency ratios,
+    # undefined porosity and subjugation, fractional hours, empty ids and
+    # three properties tied under max.
+    @pytest.mark.parametrize("stem, mode", [
+        *[pytest.param("applicants", mode, id=mode) for mode in ("average", "sum", "max")],
+        *[pytest.param("applicants_mixed", mode, id=f"mixed-{mode}")
+          for mode in ("average", "sum", "max")],
+    ])
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-    def test_fixture_report_matches_golden(self, fixtures, mode, fmt, suffix):
-        code, out, err = run("trust", str(fixtures / "applicants.csv"),
+    def test_fixture_report_matches_golden(self, fixtures, stem, mode, fmt, suffix):
+        code, out, err = run("trust", str(fixtures / f"{stem}.csv"),
                              "--mode", mode, "--format", fmt)
         assert (code, err) == (0, b"")
-        assert out == (fixtures / f"applicants_{mode}.{suffix}").read_bytes()
+        assert out == (fixtures / f"{stem}_{mode}.{suffix}").read_bytes()
 
     def test_two_million_references_score_at_once(self, tmp_path):
         csv = self.references_csv(tmp_path, "1500000", "400000", "100000", "2000000")

@@ -847,6 +847,11 @@ class TestTrustEquivalence:
     def test_violated_at_tight_tolerance(self):
         assert trust_equivalence_demo(tolerance=1e-5).verdict == "violated"
 
+    @pytest.mark.parametrize("tolerance", [-1e-3, float("nan")])
+    def test_negative_or_nan_tolerance_rejected(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance must be a number >= 0"):
+            trust_equivalence_demo(tolerance=tolerance)
+
 
 class TestFindingInvariants:
     def test_verdict_validation(self):

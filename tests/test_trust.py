@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,19 @@ class TestRecordInvariants:
     def test_negative_counts_rejected(self):
         with pytest.raises(DomainError):
             ApplicantRecord(age_years=-1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), None, True, "3/2"])
+    @pytest.mark.parametrize("field", ["hours_alone_per_day", "working_hours_per_day"])
+    def test_hours_that_are_not_numbers_rejected(self, field, value):
+        message = f"{field} must be an int, a Fraction or a finite float, got {value!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ApplicantRecord(**{field: value})
+
+    @pytest.mark.parametrize("value, hours", [
+        (8, Fraction(8)), (Fraction(15, 2), Fraction(15, 2)), (7.5, Fraction(15, 2)),
+    ])
+    def test_hours_as_int_fraction_or_finite_float(self, value, hours):
+        assert ApplicantRecord(working_hours_per_day=value).working_hours_per_day == hours
 
 
 class TestConsistency:
@@ -146,6 +160,11 @@ class TestPorosityRule:
         assert ratios_equal(community, conviction, tolerance=1e-3)
         assert not ratios_equal(community, conviction, tolerance=1e-5)
         assert abs(community - conviction) == Fraction(1, 20000)
+
+    @pytest.mark.parametrize("tolerance", [-1, -1e-9, float("nan")])
+    def test_negative_or_nan_tolerance_rejected(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance must be a number >= 0"):
+            ratios_equal(1, 1, tolerance=tolerance)
 
 
 class TestUnmonitoredHours:
