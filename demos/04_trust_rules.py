@@ -10,8 +10,6 @@ from fractions import Fraction
 
 from ravkit import (
     ApplicantRecord,
-    Polarity,
-    Reference,
     consistency_ratios,
     porosity_rule,
     ratios_equal,
@@ -24,7 +22,7 @@ applicants = [
         months_unemployed=2,
         months_eligible=180,
         age_years=41,
-        references=(Reference("acme", Polarity.POSITIVE), Reference("initech", Polarity.POSITIVE)),
+        references_positive=2,  # acme, initech
         past_employer_count=2,
         hours_alone_per_day=Fraction(1),
         working_hours_per_day=Fraction(8),
@@ -36,7 +34,7 @@ applicants = [
         months_unemployed=6,
         months_eligible=48,
         age_years=29,
-        references=(Reference("acme", Polarity.NEUTRAL),),
+        references_neutral=1,  # acme
         past_employer_count=3,
         hours_alone_per_day=Fraction(7),
         working_hours_per_day=Fraction(8),
@@ -48,7 +46,7 @@ applicants = [
         months_unemployed=0,
         months_eligible=60,
         age_years=35,
-        references=(Reference("mill", Polarity.POSITIVE),),
+        references_positive=1,  # mill
         past_employer_count=1,
         hours_alone_per_day=Fraction(0),
         working_hours_per_day=Fraction(8),

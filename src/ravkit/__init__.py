@@ -65,9 +65,6 @@ _SOURCES = {
     ),
     "trust": (
         "ApplicantRecord",
-        "Polarity",
-        "RatioRule",
-        "Reference",
         "RuleResult",
         "TrustProperty",
         "TrustScore",

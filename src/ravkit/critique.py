@@ -27,6 +27,7 @@ importing this module (and with it ``ravkit``) does not load numpy.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -881,7 +882,11 @@ def collision_search(
     record (see docs/formats.md), whose ``truncated`` flag says whether
     reportable pairs were left out.  The whole space is always enumerated;
     ``seed`` does not change the result and is recorded for
-    reproducibility of the emitted document.
+    reproducibility of the emitted document.  ``max_findings`` must be an
+    int >= 0, ``seed`` an int and ``epsilon`` an int or float >= 0 within
+    the float range, none of them a bool; anything else is a
+    ``DomainError`` raised before any table is built.  ``epsilon`` is
+    recorded as a float.
 
     Time, peak memory and spill size at bounds 3 to 6 are measured in the
     README ("Collisions").
@@ -890,8 +895,16 @@ def collision_search(
     from contextlib import nullcontext
 
     b = CollisionBounds.coerce(bounds)
-    if not (math.isfinite(epsilon) and epsilon >= 0):
+    CollisionBounds._check("max_findings", max_findings)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise DomainError(f"seed must be an int, got {seed!r}")
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+        raise DomainError(f"epsilon must be an int or a float, got {epsilon!r}")
+    if not 0 <= epsilon <= sys.float_info.max:
+        if not isinstance(epsilon, float) and abs(epsilon) > sys.float_info.max:
+            epsilon = "an int outside the float range"  # may be too long to write out
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
+    epsilon = float(epsilon)  # echoed as a float whatever number type it came as
     refusal = _refusal(b)
     if refusal:
         raise DomainError(f"bounds {b.to_obj()} {refusal}")

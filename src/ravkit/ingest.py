@@ -35,6 +35,7 @@ from .metrics import (
     CHANNELS,
     LIMITATION_CATEGORIES,
     UNIT_KINDS,
+    _POROSITY_FIELDS,
     ControlClass,
     ControlCounts,
     LimitationCounts,
@@ -53,7 +54,7 @@ _DOCUMENT_KEYS = frozenset(("schema", "scopes"))
 _SCOPE_KEYS = frozenset(
     ("id", "channel", "vector", "index", "porosity", "controls", "limitations", "units")
 )
-_POROSITY_KEYS = frozenset(("visibility", "access", "trust"))
+_POROSITY_KEYS = frozenset(_POROSITY_FIELDS)
 _CONTROL_KEYS = frozenset(cls.value for cls in ControlClass)
 _LIMITATION_KEYS = frozenset(LIMITATION_CATEGORIES)
 _UNIT_KEYS = frozenset(UNIT_KINDS)
@@ -312,8 +313,6 @@ _SCAN_READS: dict[str, dict[str, bool]] = {
     "port": {"state": False},
     "state": {},
 }
-#: Elements the importer reads.
-SCAN_ELEMENTS = tuple(_SCAN_READS)
 
 
 class ScanReport(Record):
@@ -447,18 +446,11 @@ _CSV_READ_ORDER = (
     ("employees_in_community", "count", 0),
     ("community_population", "count", 0),
 )
-#: Every column a header may name, in any order.
-CSV_COLUMNS = (
-    "applicant_id", "months_unemployed", "months_eligible", "criminal_offenses_known",
-    "age_years", "legal_adult_age", "references_positive", "references_neutral",
-    "references_negative", "past_employer_count", "employees_in_community",
-    "community_population", "hours_alone_per_day", "working_hours_per_day",
-)
+#: Every column a header may name, in any order; listed in read order.
+CSV_COLUMNS = tuple(name for name, _, _ in _CSV_READ_ORDER)
 
 
-def parse_applicants_csv(
-    data: Union[bytes, str], required_columns: Sequence[str] = ()
-) -> list[ApplicantRecord]:
+def parse_applicants_csv(data: Union[bytes, str]) -> list[ApplicantRecord]:
     """Parse applicant records from CSV with a header row.
 
     Header names must all be known columns; absent columns default to zero
@@ -489,13 +481,10 @@ def parse_applicants_csv(
         raise CsvFormatError(f"unknown column(s): {', '.join(map(repr, unknown))}")
     if len(set(header)) != len(header):
         raise CsvFormatError("duplicate column names in header")
-    missing = sorted(set(required_columns) - set(header))
-    if missing:
-        raise CsvFormatError(f"missing required column(s): {', '.join(missing)}")
-    # Each column's cell position in _CSV_READ_ORDER order; an absent column
-    # is placed past every row that is not refused, so it reads as empty.
+    # Each column's cell position in read order; an absent column is placed
+    # past every row that is not refused, so it reads as empty.
     width = len(header)
-    positions = [header.index(name) if name in header else width for name, _, _ in _CSV_READ_ORDER]
+    positions = [header.index(name) if name in header else width for name in CSV_COLUMNS]
 
     records: list[ApplicantRecord] = []
     errors: list[str] = []

@@ -138,9 +138,9 @@ class _DataclassFields:
     :func:`dataclasses.replace` accept the class and its instances.
 
     The fields are those of a ``dataclasses.make_dataclass`` twin made from
-    the class's ``__init__``: its parameters in order, each a field if it is
-    a slot and an ``InitVar`` if not, with the same defaults.  The result is
-    stored on the class, so later reads skip this descriptor.
+    the class's slots, in order, with the defaults of its ``__init__``,
+    whose parameters are those slots.  The result is stored on the class, so
+    later reads skip this descriptor.
     """
 
     def __get__(self, instance, owner):
@@ -149,16 +149,11 @@ class _DataclassFields:
             raise AttributeError("__dataclass_fields__")
         import dataclasses
 
-        code = init.__code__
-        params = code.co_varnames[1:code.co_argcount]
         defaults = init.__defaults__ or ()
-        first_default = len(params) - len(defaults)
+        first_default = len(owner.__slots__) - len(defaults)
         spec = []
-        for i, name in enumerate(params):
-            if name in owner.__slots__:
-                kind = owner.__annotations__[name]
-            else:
-                kind = dataclasses.InitVar(init.__annotations__.get(name))
+        for i, name in enumerate(owner.__slots__):
+            kind = owner.__annotations__[name]
             if i < first_default:
                 spec.append((name, kind))
             else:

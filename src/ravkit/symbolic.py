@@ -85,9 +85,6 @@ class LogSquareAtom:
         return f"LogSquareAtom({self.key})"
 
 
-Term = tuple[Fraction, tuple[LogSquareAtom, ...]]
-
-
 class SymbolicScore:
     """Sum of rational multiples of products of log-square atoms.
 

@@ -1,18 +1,21 @@
-"""Trust Properties and ratio-based Trust Rules over applicant records.
+"""Trust Properties and the published Trust Rules over applicant records.
 
-Implements the hiring rules quoted from OSSTMM v3 chapter 5: the three
-consistency ratios (unemployment gaps, criminal offenses per adult year,
-neutral-or-negative references per past employer) averaged per rule 5.4,
-the community-porosity ratio, and the unmonitored-hours ratio.  Every rule
-value is an exact non-negative rational; degenerate denominators make a
-ratio *undefined* rather than silently zero, and undefined ratios are
-excluded from averages but reported with their reason.
+Implements the hiring rules quoted from OSSTMM v3 chapter 5, and only
+those: the three consistency ratios (unemployment gaps, criminal offenses
+per adult year, neutral-or-negative references per past employer)
+averaged per rule 5.4, the community-porosity ratio, and the
+unmonitored-hours ratio.  Every rule value is an exact non-negative
+rational; degenerate denominators make a ratio *undefined* rather than
+silently zero, and undefined ratios are excluded from averages but
+reported with their reason.
 
-Additional ratio rules can be attached declaratively via :class:`RatioRule`
-(numerator field / denominator field / property); reference polarity is an
-explicit input, never inferred.  A record holds its references as three
-polarity counts, so a record with millions of references costs no more
-than one with none.
+A rule of the caller's own is a :class:`RuleResult` built with the public
+constructor and passed to :func:`trust_combine` beside the three rules'
+results, ``[consistency_score(r), porosity_rule(r),
+unmonitored_hours_rule(r)]``; it averages the results of each property.
+Reference polarity is an explicit input, never inferred: a record holds
+its references as three polarity counts, so a record with millions of
+references costs no more than one with none.
 
 The rules and :func:`trust_combine` work on int numerators and
 denominators: each ratio is reduced with one gcd, and averages and sums are
@@ -31,7 +34,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import gcd, isfinite, lcm
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, UndefinedTrustError
 from .metrics import Record
@@ -61,24 +64,6 @@ class TrustProperty(enum.Enum):
 
 
 _PROPERTIES = tuple(TrustProperty)
-
-
-class Polarity(enum.Enum):
-    POSITIVE = "positive"
-    NEUTRAL = "neutral"
-    NEGATIVE = "negative"
-
-
-class Reference(Record):
-    """One reference from a past employer with an explicitly labelled polarity."""
-
-    __slots__ = __match_args__ = ("employer_id", "polarity")
-    employer_id: str
-    polarity: Polarity
-
-    def __init__(self, employer_id: str, polarity: Polarity) -> None:
-        object.__setattr__(self, "employer_id", employer_id)
-        object.__setattr__(self, "polarity", polarity)
 
 
 def _exact(num: int, den: int) -> Fraction:
@@ -130,17 +115,14 @@ def _coerce_hours(name: str, value: Rational | float) -> Fraction:
 class ApplicantRecord(Record):
     """Inputs to the hiring Trust Rules.
 
-    References are stored as three counts by polarity.  ``references=``
-    takes :class:`Reference` objects instead and counts them; it cannot be
-    combined with nonzero counts.
-
-    Reference entries must not outnumber past employers, unemployment months
-    must fit inside the eligible months, unmonitored hours must fit inside
-    the working hours, and community employees must fit inside the community
-    population (when the respective denominators are nonzero).
+    References are given and stored as three counts by polarity.  They must
+    not outnumber past employers, unemployment months must fit inside the
+    eligible months, unmonitored hours must fit inside the working hours,
+    and community employees must fit inside the community population (when
+    the respective denominators are nonzero).
     """
 
-    __slots__ = (
+    __slots__ = __match_args__ = (
         "applicant_id",
         "months_unemployed",
         "months_eligible",
@@ -156,7 +138,6 @@ class ApplicantRecord(Record):
         "references_neutral",
         "references_negative",
     )
-    __match_args__ = __slots__[:6] + ("references",) + __slots__[6:]
     applicant_id: str
     months_unemployed: int
     months_eligible: int
@@ -171,9 +152,6 @@ class ApplicantRecord(Record):
     references_positive: int
     references_neutral: int
     references_negative: int
-    #: ``references`` is an init-only argument, never stored; this default is
-    #: what ``dataclasses.replace`` and pattern matching read for it.
-    references = None
 
     def __init__(
         self,
@@ -183,7 +161,6 @@ class ApplicantRecord(Record):
         criminal_offenses_known: int = 0,
         age_years: int = 0,
         legal_adult_age: int = 18,
-        references: Iterable[Reference] | None = None,
         past_employer_count: int = 0,
         hours_alone_per_day: Fraction = Fraction(0),
         working_hours_per_day: Fraction = Fraction(0),
@@ -193,15 +170,6 @@ class ApplicantRecord(Record):
         references_neutral: int = 0,
         references_negative: int = 0,
     ) -> None:
-        if references is not None:
-            if references_positive or references_neutral or references_negative:
-                raise DomainError("give references or reference counts, not both")
-            counts = dict.fromkeys(Polarity, 0)
-            for ref in references:
-                counts[ref.polarity] += 1
-            references_positive = counts[Polarity.POSITIVE]
-            references_neutral = counts[Polarity.NEUTRAL]
-            references_negative = counts[Polarity.NEGATIVE]
         # The reference counts are checked first, so a record with a reference
         # fault reports it before any other count fault.
         _check_counts(
@@ -243,9 +211,6 @@ class ApplicantRecord(Record):
         set_(self, "references_positive", references_positive)
         set_(self, "references_neutral", references_neutral)
         set_(self, "references_negative", references_negative)
-
-    def reference_count(self, *polarities: Polarity) -> int:
-        return sum(getattr(self, f"references_{p.value}") for p in set(polarities))
 
 
 def _check_count(name: str, value: object) -> None:
@@ -394,72 +359,17 @@ def porosity_rule(record: ApplicantRecord) -> RuleResult:
                         _exact(record.employees_in_community, record.community_population))
 
 
-def unmonitored_hours_rule(
-    record: ApplicantRecord, property: TrustProperty = TrustProperty.SUBJUGATION
-) -> RuleResult:
+def unmonitored_hours_rule(record: ApplicantRecord) -> RuleResult:
     """Hours working alone, unassisted, unmonitored per working hour.
 
     OSSTMM does not name the property this rule instantiates; it is filed
-    under Subjugation by default and the assignment is configurable.
+    under Subjugation.
     """
     if record.working_hours_per_day == 0:
-        return _rule_result(property, "subjugation/unmonitored-hours", None,
+        return _rule_result(TrustProperty.SUBJUGATION, "subjugation/unmonitored-hours", None,
                             "no working hours recorded")
-    return _rule_result(property, "subjugation/unmonitored-hours",
+    return _rule_result(TrustProperty.SUBJUGATION, "subjugation/unmonitored-hours",
                         _quotient(record.hours_alone_per_day, record.working_hours_per_day))
-
-
-#: The record fields a :class:`RatioRule` may divide: every field but the id.
-_RATIO_FIELDS = frozenset(ApplicantRecord.__slots__) - {"applicant_id"}
-
-
-class RatioRule(Record):
-    """Declarative extra rule: one record field divided by another."""
-
-    __slots__ = __match_args__ = ("rule_id", "property", "numerator", "denominator")
-    rule_id: str
-    property: TrustProperty
-    numerator: str
-    denominator: str
-
-    def __init__(
-        self, rule_id: str, property: TrustProperty, numerator: str, denominator: str
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "rule_id", rule_id)
-        set_(self, "property", property)
-        set_(self, "numerator", numerator)
-        set_(self, "denominator", denominator)
-
-    def evaluate(self, record: ApplicantRecord) -> RuleResult:
-        for name in (self.numerator, self.denominator):
-            if name not in _RATIO_FIELDS:
-                detail = (f"record field {name!r} is not a number" if name == "applicant_id"
-                          else f"unknown record field {name!r}")
-                raise DomainError(f"rule {self.rule_id!r}: {detail}")
-        den = getattr(record, self.denominator)
-        if den == 0:
-            return _rule_result(self.property, self.rule_id, None, f"{self.denominator} is zero")
-        return _rule_result(self.property, self.rule_id,
-                            _quotient(getattr(record, self.numerator), den))
-
-
-RuleFn = Callable[[ApplicantRecord], RuleResult]
-
-#: The rules quoted in OSSTMM v3 and built in here.
-DEFAULT_RULES: tuple[RuleFn, ...] = (
-    consistency_score,
-    porosity_rule,
-    unmonitored_hours_rule,
-)
-
-
-def evaluate_rules(
-    record: ApplicantRecord,
-    rules: Sequence[Union[RuleFn, RatioRule]] = DEFAULT_RULES,
-) -> list[RuleResult]:
-    return [rule.evaluate(record) if isinstance(rule, RatioRule) else rule(record)
-            for rule in rules]
 
 
 def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> TrustScore:
@@ -519,12 +429,10 @@ def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> Trust
 
 
 def score_applicant(
-    record: ApplicantRecord,
-    mode: str = "average",
-    extra_rules: Sequence[Union[RuleFn, RatioRule]] = (),
+    record: ApplicantRecord, mode: str = "average"
 ) -> tuple[list[RuleResult], TrustScore]:
-    """Evaluate the built-in rules (plus any extra) and combine them."""
-    results = evaluate_rules(record, DEFAULT_RULES + tuple(extra_rules))
+    """Evaluate the three published rules and combine them."""
+    results = [consistency_score(record), porosity_rule(record), unmonitored_hours_rule(record)]
     return results, trust_combine(results, mode)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from ravkit.metrics import (
     Scope,
     toy_scope,
 )
+from ravkit.trust import ApplicantRecord, RuleResult, TrustProperty
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,3 +49,12 @@ def random_scope(rng: random.Random, max_count: int = 3, allow_empty: bool = Fal
         controls=controls,
         limitations=limitations,
     )
+
+
+def ratio_result(record: ApplicantRecord, rule_id: str, prop: TrustProperty,
+                 numerator: str, denominator: str) -> RuleResult:
+    """A caller's own trust rule: one numeric record field divided by another."""
+    den = Fraction(getattr(record, denominator))
+    if den == 0:
+        return RuleResult(prop, rule_id, None, f"{denominator} is zero")
+    return RuleResult(prop, rule_id, Fraction(getattr(record, numerator)) / den)

@@ -211,6 +211,18 @@ class TestLoneSurrogates:
 
 
 class TestTrustCommand:
+    def test_mode_choices_are_the_combine_modes(self):
+        # cli does not import trust when it loads, so it writes the modes out.
+        import argparse
+
+        from ravkit.cli import _trust_arguments
+        from ravkit.trust import COMBINE_MODES
+
+        parser = argparse.ArgumentParser()
+        _trust_arguments(parser)
+        (mode,) = [action for action in parser._actions if action.dest == "mode"]
+        assert tuple(mode.choices) == COMBINE_MODES
+
     def test_average_mode(self, fixtures):
         code, out, err = run("trust", str(fixtures / "applicants.csv"), "--format", "json")
         assert code == 0, err

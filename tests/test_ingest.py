@@ -6,6 +6,7 @@ never crash, and never coerce unknown input into silent zero counts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -22,6 +23,7 @@ from ravkit.errors import (
     ScopeFormatError,
 )
 from ravkit.ingest import (
+    _CSV_READ_ORDER,
     CSV_COLUMNS,
     _hours_cell,
     import_scan_report,
@@ -34,6 +36,7 @@ from ravkit.ingest import (
     render_scope_document,
 )
 from ravkit.metrics import PorosityCounts
+from ravkit.trust import ApplicantRecord
 
 
 class TestScopeParsing:
@@ -318,6 +321,17 @@ class TestScanImport:
 
 
 class TestApplicantCsv:
+    def test_columns_are_the_record_fields(self):
+        assert len(set(CSV_COLUMNS)) == len(CSV_COLUMNS)
+        assert set(_HEADER) == set(CSV_COLUMNS) and _HEADER != CSV_COLUMNS
+        assert set(CSV_COLUMNS) == set(ApplicantRecord.__slots__)
+
+    def test_empty_cells_take_the_record_defaults(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(ApplicantRecord)}
+        for name, _, empty in _CSV_READ_ORDER:
+            if name != "applicant_id":
+                assert empty == defaults[name], name
+
     def test_fixture_rows(self, fixtures):
         records = parse_applicants_csv((fixtures / "applicants.csv").read_bytes())
         assert [r.applicant_id for r in records] == [
@@ -354,10 +368,6 @@ class TestApplicantCsv:
     def test_utf8_byte_order_mark_is_dropped(self, fixtures):
         data = (fixtures / "applicants.csv").read_bytes()
         assert parse_applicants_csv(b"\xef\xbb\xbf" + data) == parse_applicants_csv(data)
-
-    def test_missing_required_column(self):
-        with pytest.raises(CsvFormatError, match="age_years"):
-            parse_applicants_csv(b"applicant_id\nx\n", required_columns=("age_years",))
 
     def test_unknown_column_rejected(self):
         with pytest.raises(CsvFormatError, match="shoe_size"):
@@ -398,11 +408,21 @@ class TestApplicantCsv:
             pass
 
 
+#: Every column, in an order that is not read order, so a case with two bad
+#: cells tells the first one read from the first one in the header.
+_HEADER = (
+    "applicant_id", "months_unemployed", "months_eligible", "criminal_offenses_known",
+    "age_years", "legal_adult_age", "references_positive", "references_neutral",
+    "references_negative", "past_employer_count", "employees_in_community",
+    "community_population", "hours_alone_per_day", "working_hours_per_day",
+)
+
+
 def _csv(*rows: dict, extra: str = "") -> bytes:
     """A CSV with every column in the header and one line per row; a row
     names only its non-empty cells, and ``extra`` is appended to the last."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(row.get(name, "") for name in CSV_COLUMNS) for row in rows]
+    lines = [",".join(_HEADER)]
+    lines += [",".join(row.get(name, "") for name in _HEADER) for row in rows]
     return ("\n".join(lines) + extra + "\n").encode()
 
 

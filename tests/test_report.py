@@ -35,16 +35,16 @@ from ravkit.report import (
 )
 from ravkit.trust import (
     ApplicantRecord,
-    Polarity,
-    RatioRule,
-    Reference,
     RuleResult,
     TrustProperty,
+    consistency_score,
+    porosity_rule,
     score_applicant,
     trust_combine,
+    unmonitored_hours_rule,
 )
 
-from conftest import FIXTURES, random_scope
+from conftest import FIXTURES, random_scope, ratio_result
 
 
 class TestJsonEmitter:
@@ -581,21 +581,24 @@ class TestFixedSchemaEmittersMatchGenericEmitter:
     @pytest.mark.parametrize("mode", ["average", "sum", "max"])
     def test_trust_reports_byte_identical_on_2000_seeded_records(self, mode):
         rng = random.Random(f"trust/{mode}")
+        # Rules of the caller's own, combined beside the built-in results.
         extra = [
-            RatioRule("size/community", TrustProperty.SIZE,
-                      "employees_in_community", "community_population"),
-            RatioRule("value/offenses", TrustProperty.VALUE,
-                      "criminal_offenses_known", "months_eligible"),
-            RatioRule(AWKWARD[0], TrustProperty.COMPONENTS, "age_years", "legal_adult_age"),
-            RatioRule(AWKWARD[4], TrustProperty.VISIBILITY, "months_unemployed", "age_years"),
+            ("size/community", TrustProperty.SIZE,
+             "employees_in_community", "community_population"),
+            ("value/offenses", TrustProperty.VALUE, "criminal_offenses_known", "months_eligible"),
+            (AWKWARD[0], TrustProperty.COMPONENTS, "age_years", "legal_adult_age"),
+            (AWKWARD[4], TrustProperty.VISIBILITY, "months_unemployed", "age_years"),
         ]
         scored = []
         shapes = {"undefined": 0, "excluded": 0}
         while len(scored) < 2000:
             record = differential_record(rng, len(scored))
             rules = rng.sample(extra, rng.randint(0, len(extra)))
+            results = [consistency_score(record), porosity_rule(record),
+                       unmonitored_hours_rule(record)]
+            results += [ratio_result(record, *rule) for rule in rules]
             try:
-                results, score = score_applicant(record, mode=mode, extra_rules=rules)
+                score = trust_combine(results, mode)
             except UndefinedTrustError:
                 continue
             if rng.random() < 0.1:
@@ -621,10 +624,13 @@ class TestFixedSchemaEmittersMatchGenericEmitter:
             assert render_trust_report([], format) == oracle_trust_report([], format)
 
 
+POLARITIES = ("positive", "neutral", "negative")
+
+
 def differential_record(rng: random.Random, i: int) -> ApplicantRecord:
     eligible = rng.choice((0, rng.randint(1, 240)))
     past = rng.randint(0, 6)
-    polarities = [rng.choice(list(Polarity)) for _ in range(rng.randint(0, past))]
+    polarities = [rng.choice(POLARITIES) for _ in range(rng.randint(0, past))]
     working = Fraction(rng.choice((0, 6, 8, 10)), rng.choice((1, 2, 3)))
     population = rng.choice((0, rng.randint(1, 10**6)))
     return ApplicantRecord(
@@ -634,7 +640,7 @@ def differential_record(rng: random.Random, i: int) -> ApplicantRecord:
         criminal_offenses_known=rng.choice((0, 1, 2, 10**300)),
         age_years=rng.randint(14, 70),
         legal_adult_age=rng.choice((18, 21)),
-        references=tuple(Reference(f"e{k}", p) for k, p in enumerate(polarities)),
+        **{f"references_{p}": polarities.count(p) for p in POLARITIES},
         past_employer_count=past,
         hours_alone_per_day=working * Fraction(rng.randint(0, 4), 4),
         working_hours_per_day=working,

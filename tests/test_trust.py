@@ -11,9 +11,6 @@ import pytest
 from ravkit.errors import DomainError, UndefinedTrustError
 from ravkit.trust import (
     ApplicantRecord,
-    Polarity,
-    RatioRule,
-    Reference,
     RuleResult,
     TrustProperty,
     consistency_ratios,
@@ -26,12 +23,10 @@ from ravkit.trust import (
 )
 
 
-def refs(neutral: int = 0, negative: int = 0, positive: int = 0) -> tuple[Reference, ...]:
-    out = []
-    out += [Reference(f"n{i}", Polarity.NEUTRAL) for i in range(neutral)]
-    out += [Reference(f"g{i}", Polarity.NEGATIVE) for i in range(negative)]
-    out += [Reference(f"p{i}", Polarity.POSITIVE) for i in range(positive)]
-    return tuple(out)
+def refs(neutral: int = 0, negative: int = 0, positive: int = 0) -> dict[str, int]:
+    """The reference-count arguments of an ApplicantRecord."""
+    return {"references_neutral": neutral, "references_negative": negative,
+            "references_positive": positive}
 
 
 class TestTrustProperty:
@@ -58,9 +53,9 @@ class TestRecordInvariants:
 
     def test_references_bounded_by_employers(self):
         with pytest.raises(DomainError):
-            ApplicantRecord(references=refs(neutral=2), past_employer_count=1)
+            ApplicantRecord(**refs(neutral=2), past_employer_count=1)
         with pytest.raises(DomainError):
-            ApplicantRecord(references=refs(neutral=1), past_employer_count=0)
+            ApplicantRecord(**refs(neutral=1), past_employer_count=0)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(DomainError):
@@ -96,7 +91,7 @@ class TestConsistency:
             months_eligible=120,
             criminal_offenses_known=0,
             age_years=40,
-            references=refs(positive=3),
+            **refs(positive=3),
             past_employer_count=3,
         )
         assert consistency_score(record).value == 0
@@ -107,7 +102,7 @@ class TestConsistency:
             months_eligible=60,
             criminal_offenses_known=1,
             age_years=30,
-            references=refs(neutral=1),
+            **refs(neutral=1),
             past_employer_count=4,
         )
         r1, r2, r3 = consistency_ratios(record)
@@ -131,7 +126,7 @@ class TestConsistency:
 
     def test_negative_references_count(self):
         record = ApplicantRecord(
-            age_years=18, references=refs(neutral=1, negative=2, positive=3),
+            age_years=18, **refs(neutral=1, negative=2, positive=3),
             past_employer_count=6,
         )
         _, _, r3 = consistency_ratios(record)
@@ -181,10 +176,8 @@ class TestUnmonitoredHours:
     def test_zero_working_hours_undefined(self):
         assert not unmonitored_hours_rule(ApplicantRecord()).defined
 
-    def test_property_is_configurable(self):
+    def test_filed_under_subjugation(self):
         record = ApplicantRecord(hours_alone_per_day=Fraction(1), working_hours_per_day=Fraction(8))
-        result = unmonitored_hours_rule(record, property=TrustProperty.VISIBILITY)
-        assert result.property is TrustProperty.VISIBILITY
         assert unmonitored_hours_rule(record).property is TrustProperty.SUBJUGATION
 
 
@@ -278,41 +271,6 @@ class TestTrustCombine:
                 assert after <= before
 
 
-class TestRatioRule:
-    def test_declared_rule(self):
-        rule = RatioRule("size/team", TrustProperty.SIZE,
-                         "employees_in_community", "community_population")
-        record = ApplicantRecord(employees_in_community=3, community_population=12)
-        assert rule.evaluate(record).value == Fraction(1, 4)
-
-    def test_zero_denominator_undefined(self):
-        rule = RatioRule("size/team", TrustProperty.SIZE,
-                         "employees_in_community", "community_population")
-        assert not rule.evaluate(ApplicantRecord()).defined
-
-    @pytest.mark.parametrize("name, message", [
-        ("nope", "unknown record field 'nope'"),
-        ("references", "unknown record field 'references'"),
-        ("applicant_id", "record field 'applicant_id' is not a number"),
-    ])
-    def test_unknown_field_rejected(self, name, message):
-        rule = RatioRule("bad", TrustProperty.SIZE, name, "community_population")
-        with pytest.raises(DomainError, match=f"^rule 'bad': {message}$"):
-            rule.evaluate(ApplicantRecord(community_population=1))
-
-    def test_reference_count_field(self):
-        rule = RatioRule("consistency/neutral", TrustProperty.CONSISTENCY,
-                         "references_neutral", "past_employer_count")
-        record = ApplicantRecord(references=refs(neutral=2, positive=1), past_employer_count=6)
-        assert rule.evaluate(record).value == Fraction(1, 3)
-
-    def test_hours_fields(self):
-        rule = RatioRule("hours", TrustProperty.VALUE, "hours_alone_per_day", "months_eligible")
-        record = ApplicantRecord(months_eligible=6, hours_alone_per_day=Fraction(3, 2),
-                                 working_hours_per_day=Fraction(8))
-        assert rule.evaluate(record).value == Fraction(1, 4)
-
-
 class TestScoreApplicant:
     def test_built_in_rules_and_extra(self):
         record = ApplicantRecord(
@@ -326,10 +284,12 @@ class TestScoreApplicant:
         results, score = score_applicant(record, mode="max")
         assert len(results) == 3
         assert score.combined == Fraction(1, 4)
-        extra = RatioRule("size/team", TrustProperty.SIZE,
-                          "employees_in_community", "community_population")
-        results2, _ = score_applicant(record, extra_rules=(extra,))
-        assert len(results2) == 4
+        # A rule of the caller's own is a RuleResult combined beside them.
+        extra = RuleResult(TrustProperty.SIZE, "size/team", Fraction(3, 4))
+        score2 = trust_combine([*results, extra], "max")
+        assert score2.per_property[TrustProperty.SIZE] == Fraction(3, 4)
+        assert score2.combined == Fraction(3, 4)
+        assert list(score2.per_property) == [TrustProperty.SIZE, *score.per_property]
 
     def test_structurally_bounded_rules_stay_below_one(self):
         # porosity, unmonitored hours, unemployment, references: ratios of a
@@ -343,7 +303,7 @@ class TestScoreApplicant:
             record = ApplicantRecord(
                 months_unemployed=rng.randrange(0, eligible + 1),
                 months_eligible=eligible,
-                references=refs(neutral=rng.randrange(0, employers + 1)),
+                **refs(neutral=rng.randrange(0, employers + 1)),
                 past_employer_count=employers,
                 hours_alone_per_day=Fraction(rng.randrange(0, working + 1)),
                 working_hours_per_day=Fraction(working),

@@ -2,10 +2,12 @@
 
 ``reference_*`` below are the rules and ``trust_combine`` as they were
 written on ``Fraction`` arithmetic, kept here as the oracle.  Records are
-drawn with counts up to 10**300, extra ``RatioRule``s (several per
-property, so within-property averaging runs) and rules that are always
-undefined; every rule value, every per-property value, the combined score
-and the rendered report must match exactly.
+drawn with counts up to 10**300.  Beside each record's built-in results,
+``trust_combine`` gets extra rule results built by the caller: ratios of
+record fields (several per property, so within-property averaging runs)
+and results that are always undefined.  Every rule value, every
+per-property value, the combined score and the rendered report must
+match exactly.
 """
 
 from __future__ import annotations
@@ -21,13 +23,17 @@ from ravkit.report import render_trust_report
 from ravkit.trust import (
     COMBINE_MODES,
     ApplicantRecord,
-    RatioRule,
     RuleResult,
     TrustProperty,
     TrustScore,
+    consistency_score,
+    porosity_rule,
     score_applicant,
     trust_combine,
+    unmonitored_hours_rule,
 )
+
+from conftest import ratio_result
 
 RECORDS_PER_MODE = 2000
 
@@ -85,14 +91,6 @@ def reference_unmonitored(record: ApplicantRecord) -> RuleResult:
                       record.hours_alone_per_day / record.working_hours_per_day)
 
 
-def reference_ratio(rule: RatioRule, record: ApplicantRecord) -> RuleResult:
-    den = Fraction(getattr(record, rule.denominator))
-    if den == 0:
-        return RuleResult(rule.property, rule.rule_id, None, f"{rule.denominator} is zero")
-    return RuleResult(rule.property, rule.rule_id,
-                      Fraction(getattr(record, rule.numerator)) / den)
-
-
 def reference_combine(results, mode: str) -> TrustScore:
     results = list(results)
     groups: dict = {}
@@ -121,13 +119,20 @@ def reference_combine(results, mode: str) -> TrustScore:
                       undefined_reasons=tuple(reasons))
 
 
-def reference_score(record, mode, extra_rules):
+def reference_score(record, mode, extra):
     results = [reference_consistency(record), reference_porosity(record),
-               reference_unmonitored(record)]
-    for rule in extra_rules:
-        results.append(reference_ratio(rule, record) if isinstance(rule, RatioRule)
-                       else rule(record))
+               reference_unmonitored(record), *extra]
     return results, reference_combine(results, mode)
+
+
+def kernel_score(record, mode, extra):
+    """``score_applicant`` when there is no ``extra``; otherwise the three
+    rules' results with ``extra`` beside them, combined by ``trust_combine``."""
+    if not extra:
+        return score_applicant(record, mode)
+    results = [consistency_score(record), porosity_rule(record),
+               unmonitored_hours_rule(record), *extra]
+    return results, trust_combine(results, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -186,25 +191,21 @@ _NUMBER_FIELDS = (
 )
 
 
-def never_defined(record: ApplicantRecord) -> RuleResult:
-    return RuleResult(TrustProperty.INTEGRITY, "integrity/never", None, "never recorded")
+NEVER_DEFINED = RuleResult(TrustProperty.INTEGRITY, "integrity/never", None, "never recorded")
 
 
-def kernel_rules(rng: random.Random) -> tuple:
-    """0-4 extra rules: ratio rules on any numeric fields, some sharing a
-    property with a built-in rule, and sometimes a rule never defined."""
-    rules: list = []
+def kernel_extra(rng: random.Random, record: ApplicantRecord) -> tuple:
+    """0-4 extra results: ratios of any numeric fields, some sharing a
+    property with a built-in rule, and sometimes a result never defined."""
+    extra: list = []
     for k in range(rng.randint(0, 3)):
-        rules.append(RatioRule(
-            f"extra/{k}",
-            rng.choice((TrustProperty.SIZE, TrustProperty.CONSISTENCY,
-                        TrustProperty.POROSITY, TrustProperty.VALUE)),
-            rng.choice(_NUMBER_FIELDS),
-            rng.choice(_NUMBER_FIELDS),
-        ))
+        prop = rng.choice((TrustProperty.SIZE, TrustProperty.CONSISTENCY,
+                           TrustProperty.POROSITY, TrustProperty.VALUE))
+        extra.append(ratio_result(record, f"extra/{k}", prop,
+                                  rng.choice(_NUMBER_FIELDS), rng.choice(_NUMBER_FIELDS)))
     if rng.random() < 0.3:
-        rules.insert(rng.randint(0, len(rules)), never_defined)
-    return tuple(rules)
+        extra.insert(rng.randint(0, len(extra)), NEVER_DEFINED)
+    return tuple(extra)
 
 
 def _assert_normal(value) -> None:
@@ -221,15 +222,15 @@ def test_kernel_matches_fraction_rules(mode):
     undefined = 0
     for i in range(RECORDS_PER_MODE):
         record = kernel_record(rng, i)
-        extra = kernel_rules(rng)
+        extra = kernel_extra(rng, record)
         try:
             want = reference_score(record, mode, extra)
         except UndefinedTrustError:
             undefined += 1
             with pytest.raises(UndefinedTrustError):
-                score_applicant(record, mode, extra)
+                kernel_score(record, mode, extra)
             continue
-        results, score = score_applicant(record, mode, extra)
+        results, score = kernel_score(record, mode, extra)
         assert (results, score) == want
         for r in results:
             if r.value is not None:
@@ -286,26 +287,6 @@ def test_combine_accepts_int_values():
 
 
 class TestReferencesArgument:
-    def test_references_are_counted_by_polarity(self):
-        from ravkit.trust import Polarity, Reference
-
-        refs = [Reference(f"e{i}", p) for i, p in enumerate(
-            [Polarity.NEGATIVE, Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.NEUTRAL])]
-        record = ApplicantRecord(references=refs, past_employer_count=5)
-        assert record == ApplicantRecord(
-            references_positive=1, references_neutral=1, references_negative=2,
-            past_employer_count=5,
-        )
-        assert record.reference_count(Polarity.NEUTRAL, Polarity.NEGATIVE) == 3
-        assert record.reference_count(Polarity.NEUTRAL, Polarity.NEUTRAL) == 1
-
-    def test_references_and_counts_together_rejected(self):
-        from ravkit.trust import Polarity, Reference
-
-        with pytest.raises(DomainError, match="give references or reference counts, not both"):
-            ApplicantRecord(references=[Reference("e", Polarity.NEUTRAL)],
-                            references_neutral=1, past_employer_count=2)
-
     @pytest.mark.parametrize("counts, message", [
         ({"references_neutral": 2, "past_employer_count": 1},
          "more references than past employers"),
