@@ -81,7 +81,6 @@ _SOURCES = {
         "ScopeDocument",
         "ScopeEntry",
         "import_scan_report",
-        "import_scan_xml",
         "merge_scan_into_scope",
         "parse_applicants_csv",
         "parse_scope_document",

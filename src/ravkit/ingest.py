@@ -5,6 +5,14 @@ Scope documents use the ``ravkit-scope/1`` JSON schema (see
 missing counts default to zero, and ``parse_scope_document`` round-trips
 with :func:`render_scope_document` on canonical documents.
 
+Each value is checked once, by the parser, in the order the format
+documents.  The records are then built from the checked values directly,
+through ``Record._trusted``, so no constructor checks a value again.  The
+applicant CSV is parsed row by row as the ``csv`` reader yields it; a row
+whose cells parse is checked by ``trust._checked``, the function the public
+``ApplicantRecord`` constructor calls, where its ints and ``Fraction``
+hours pass the type checks at once.
+
 The scanner import reads the documented subset of nmap-style XML output:
 host status and port state only.  Visibility is the number of hosts with
 ``up`` status, access the number of ``open`` ports, trust is never
@@ -19,7 +27,8 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Mapping, Sequence, Union
+from operator import add, itemgetter
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     CsvFormatError,
@@ -35,6 +44,10 @@ from .metrics import (
     CHANNELS,
     LIMITATION_CATEGORIES,
     UNIT_KINDS,
+    _EMPTY_SCOPE_ID,
+    _NO_CONTROLS,
+    _NO_LIMITATIONS,
+    _NO_POROSITY,
     _POROSITY_FIELDS,
     ControlClass,
     ControlCounts,
@@ -42,6 +55,9 @@ from .metrics import (
     PorosityCounts,
     Record,
     Scope,
+    _exact,
+    _porosity_counts,
+    _unknown_channel,
 )
 
 if TYPE_CHECKING:
@@ -54,13 +70,24 @@ _DOCUMENT_KEYS = frozenset(("schema", "scopes"))
 _SCOPE_KEYS = frozenset(
     ("id", "channel", "vector", "index", "porosity", "controls", "limitations", "units")
 )
-_POROSITY_KEYS = frozenset(_POROSITY_FIELDS)
-_CONTROL_KEYS = frozenset(cls.value for cls in ControlClass)
-_LIMITATION_KEYS = frozenset(LIMITATION_CATEGORIES)
 _UNIT_KEYS = frozenset(UNIT_KINDS)
 _SCOPE_CHANNELS = frozenset((*CHANNELS, AGGREGATE_CHANNEL))
-#: Stands in for an absent count group or unit map; never mutated.
+#: Stands in for an absent count group; never mutated.
 _EMPTY_OBJECT: dict = {}
+
+
+def _count_group(record: type[Record], names: tuple[str, ...], none: Record) -> tuple:
+    """How a count group is read: its record class, the JSON names of the
+    record's fields in slot order, those names as a set and as one getter,
+    and the record of an absent or empty group."""
+    return record, names, frozenset(names), itemgetter(*names), none
+
+
+_POROSITY_GROUP = _count_group(PorosityCounts, _POROSITY_FIELDS, _NO_POROSITY)
+_CONTROL_GROUP = _count_group(
+    ControlCounts, tuple(cls.value for cls in ControlClass), _NO_CONTROLS
+)
+_LIMITATION_GROUP = _count_group(LimitationCounts, LIMITATION_CATEGORIES, _NO_LIMITATIONS)
 
 
 class ScopeEntry(Record):
@@ -86,10 +113,6 @@ class ScopeDocument(Record):
 
     def __init__(self, entries: tuple[ScopeEntry, ...]) -> None:
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def scopes(self) -> list[Scope]:
-        return [entry.scope for entry in self.entries]
 
 
 def load_json(text: str, error: type[InputError], what: str) -> Any:
@@ -141,20 +164,17 @@ def _expect_object(value: Any, path: str) -> dict:
     return value
 
 
-def _expect_count(value: Any, path: str) -> int:
+def _expect_count(value: Any, path: str) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScopeFormatError(f"{path}: expected an integer count, got {value!r}")
     if value < 0:
         raise ScopeFormatError(f"{path}: count must be >= 0, got {value}")
-    return value
 
 
-def _expect_string(value: Any, path: str) -> str:
+def _expect_string(value: Any, path: str) -> None:
     if not isinstance(value, str):
         raise ScopeFormatError(f"{path}: expected a string, got {value!r}")
-    if not value.isascii():
-        _expect_text(value, path)
-    return value
+    _expect_text(value, path)
 
 
 def _expect_text(text: str, path: str, what: str = "string") -> None:
@@ -176,30 +196,47 @@ def _reject_unknown(obj: dict, allowed: frozenset, path: str, what: str = "field
         raise ScopeFormatError(f"{path}: unknown {what} {', '.join(map(shown, unknown))}")
 
 
-# The two readers below check one member of a scope object in one pass, and
-# build its JSON path only for an error message.
+# The readers below check one member of a scope object in one pass.  Their
+# errors name a path relative to the scope object, built only when one is
+# raised; the caller puts the scope's own path in front.
 
 
-def _string_member(obj: dict, key: str, default: str, path: str) -> str:
+def _string_member(obj: dict, key: str, default: str) -> str:
     value = obj.get(key, default)
     if type(value) is not str or not value.isascii():
-        _expect_string(value, f"{path}.{key}")
+        _expect_string(value, f".{key}")
     return value
 
 
-def _count_member(obj: dict, key: str, allowed: frozenset, path: str) -> dict[str, int]:
-    """A count group, checked item by item; the parsed object itself is returned."""
-    group = obj.get(key, _EMPTY_OBJECT)
-    if type(group) is not dict or not group.keys() <= allowed:
-        _reject_unknown(_expect_object(group, f"{path}.{key}"), allowed, f"{path}.{key}")
-    for name, value in group.items():
+def _count_member(obj: dict, key: str, group: tuple) -> Record:
+    """A count group, checked item by item in document order, as its record."""
+    record, names, allowed, by_name, none = group
+    counts = obj.get(key, _EMPTY_OBJECT)
+    if type(counts) is not dict or not counts.keys() <= allowed:
+        _reject_unknown(_expect_object(counts, f".{key}"), allowed, f".{key}")
+    if not counts:
+        return none
+    for name, value in counts.items():
         if type(value) is not int or value < 0:
-            _expect_count(value, f"{path}.{key}.{name}")
-    return group
+            _expect_count(value, f".{key}.{name}")
+    if len(counts) == len(names):
+        return record._trusted(by_name(counts))
+    return record._trusted([counts.get(name, 0) for name in names])
 
 
 def parse_scope_document(data: Union[bytes, str]) -> ScopeDocument:
     """Parse a ``ravkit-scope/1`` document into scopes with unit maps."""
+    entries = [ScopeEntry._trusted(pair) for pair in _parse_scopes(data)]
+    return ScopeDocument(entries=tuple(entries))
+
+
+def parse_scope_file(data: Union[bytes, str]) -> list[Scope]:
+    """Parse a scope document and return just the validated scopes."""
+    return [scope for scope, _ in _parse_scopes(data)]
+
+
+def _parse_scopes(data: Union[bytes, str]) -> list[tuple[Scope, dict]]:
+    """Each scope of a document with its unit map, in file order."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -214,52 +251,45 @@ def parse_scope_document(data: Union[bytes, str]) -> ScopeDocument:
     scopes_raw = doc.get("scopes")
     if not isinstance(scopes_raw, list):
         raise ScopeFormatError("$.scopes: expected a list")
-    entries = []
-    for i, raw in enumerate(scopes_raw):
-        entries.append(_parse_scope_obj(raw, f"$.scopes[{i}]"))
-    return ScopeDocument(entries=tuple(entries))
-
-
-def _parse_scope_obj(raw: Any, path: str) -> ScopeEntry:
-    obj = _expect_object(raw, path)
-    _reject_unknown(obj, _SCOPE_KEYS, path)
-    if "id" not in obj:
-        raise ScopeFormatError(f"{path}: missing required field 'id'")
-    scope_id = _string_member(obj, "id", "", path)
-    channel = _string_member(obj, "channel", "data-network", path)
-    if channel not in _SCOPE_CHANNELS:
-        raise ScopeFormatError(
-            f"{path}.channel: unknown channel {channel!r}; expected one of "
-            f"{', '.join(CHANNELS)} (or {AGGREGATE_CHANNEL!r})"
-        )
-    vector = _string_member(obj, "vector", "", path)
-    index = _string_member(obj, "index", "", path)
-    porosity = _count_member(obj, "porosity", _POROSITY_KEYS, path)
-    controls = _count_member(obj, "controls", _CONTROL_KEYS, path)
-    limitations = _count_member(obj, "limitations", _LIMITATION_KEYS, path)
-
-    units_obj = _expect_object(obj.get("units", _EMPTY_OBJECT), f"{path}.units")
-    _reject_unknown(units_obj, _UNIT_KEYS, f"{path}.units", "count kind(s)")
-    units = {kind: _expect_string(name, f"{path}.units.{kind}") for kind, name in units_obj.items()}
-
+    scopes: list[tuple[Scope, dict]] = []
     try:
-        scope = Scope(
-            id=scope_id,
-            channel=channel,
-            vector=vector,
-            index=index,
-            porosity=PorosityCounts(**porosity),
-            controls=ControlCounts.from_mapping(controls),
-            limitations=LimitationCounts(**limitations),
-        )
-    except DomainError as exc:
-        raise ScopeFormatError(f"{path}: {exc}") from None
-    return ScopeEntry(scope=scope, units=units)
+        for raw in scopes_raw:
+            scopes.append(_parse_scope_obj(raw))
+    except ScopeFormatError as exc:
+        # The scope that failed is the one after the last one parsed.
+        raise ScopeFormatError(f"$.scopes[{len(scopes)}]{exc}") from None
+    return scopes
 
 
-def parse_scope_file(data: Union[bytes, str]) -> list[Scope]:
-    """Parse a scope document and return just the validated scopes."""
-    return parse_scope_document(data).scopes
+def _parse_scope_obj(raw: Any) -> tuple[Scope, dict]:
+    """One scope object as its scope and unit map, each value checked once,
+    in the order ``docs/formats.md`` gives.  The records are built from the
+    checked values directly, without their constructors' checks."""
+    obj = _expect_object(raw, "")
+    _reject_unknown(obj, _SCOPE_KEYS, "")
+    if "id" not in obj:
+        raise ScopeFormatError(": missing required field 'id'")
+    scope_id = _string_member(obj, "id", "")
+    channel = _string_member(obj, "channel", "data-network")
+    if channel not in _SCOPE_CHANNELS:
+        raise ScopeFormatError(f".channel: {_unknown_channel(channel)}")
+    vector = _string_member(obj, "vector", "")
+    index = _string_member(obj, "index", "")
+    porosity = _count_member(obj, "porosity", _POROSITY_GROUP)
+    controls = _count_member(obj, "controls", _CONTROL_GROUP)
+    limitations = _count_member(obj, "limitations", _LIMITATION_GROUP)
+    if "units" in obj:
+        units = _expect_object(obj["units"], ".units")
+        _reject_unknown(units, _UNIT_KEYS, ".units", "count kind(s)")
+        for kind, name in units.items():
+            if type(name) is not str or not name.isascii():
+                _expect_string(name, f".units.{kind}")
+    else:
+        units = {}
+    if not scope_id:
+        raise ScopeFormatError(f": {_EMPTY_SCOPE_ID}")
+    scope = Scope._trusted((scope_id, channel, vector, index, porosity, controls, limitations))
+    return scope, units
 
 
 def scope_to_obj(scope: Scope, units: Mapping[str, str] | None = None) -> dict:
@@ -395,31 +425,18 @@ def import_scan_report(data: Union[bytes, str]) -> ScanReport:
     )
 
 
-def import_scan_xml(data: Union[bytes, str]) -> PorosityCounts:
-    """Porosity counts from a scan: up hosts, open ports, and zero trust."""
-    return import_scan_report(data).porosity
-
-
 def merge_scan_into_scope(porosity: PorosityCounts, scope: Scope) -> Scope:
     """Add scanned porosity onto a scope, keeping its other counts and labels.
 
     Addition (rather than replacement) lets the scope file carry
     analyst-supplied counts a scan cannot see, such as trust.
     """
-    merged = PorosityCounts(
-        visibility=scope.porosity.visibility + porosity.visibility,
-        access=scope.porosity.access + porosity.access,
-        trust=scope.porosity.trust + porosity.trust,
-    )
-    return Scope(
-        id=scope.id,
-        channel=scope.channel,
-        vector=scope.vector,
-        index=scope.index,
-        porosity=merged,
-        controls=scope.controls,
-        limitations=scope.limitations,
-    )
+    # Every value was checked when the scope and the scanned counts were built.
+    counts = map(add, _porosity_counts(scope.porosity), _porosity_counts(porosity))
+    return Scope._trusted((
+        scope.id, scope.channel, scope.vector, scope.index,
+        PorosityCounts._trusted(counts), scope.controls, scope.limitations,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +458,8 @@ _CSV_READ_ORDER = (
     ("criminal_offenses_known", "count", 0),
     ("age_years", "count", 0),
     ("legal_adult_age", "count", 18),
-    ("hours_alone_per_day", "hours", 0),
-    ("working_hours_per_day", "hours", 0),
+    ("hours_alone_per_day", "hours", Fraction(0)),
+    ("working_hours_per_day", "hours", Fraction(0)),
     ("employees_in_community", "count", 0),
     ("community_population", "count", 0),
 )
@@ -458,9 +475,7 @@ def parse_applicants_csv(data: Union[bytes, str]) -> list[ApplicantRecord]:
     of positive/neutral/negative.  Row-level problems are collected and
     reported together with their line numbers.
     """
-    import csv
-
-    from .trust import ApplicantRecord
+    from .trust import ApplicantRecord, _checked
 
     if isinstance(data, bytes):
         try:
@@ -468,13 +483,10 @@ def parse_applicants_csv(data: Union[bytes, str]) -> list[ApplicantRecord]:
             data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"applicant CSV is not valid UTF-8: {exc}") from None
-    reader = csv.reader(io.StringIO(data))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvFormatError("applicant CSV has no header row") from None
-    except csv.Error as exc:
-        raise CsvFormatError(f"malformed CSV: {exc}") from None
+    rows = _csv_rows(data)
+    header = next(rows, None)
+    if header is None:
+        raise CsvFormatError("applicant CSV has no header row")
     header = [h.strip() for h in header]
     unknown = sorted(set(header) - set(CSV_COLUMNS))
     if unknown:
@@ -485,13 +497,13 @@ def parse_applicants_csv(data: Union[bytes, str]) -> list[ApplicantRecord]:
     # past every row that is not refused, so it reads as empty.
     width = len(header)
     positions = [header.index(name) if name in header else width for name in CSV_COLUMNS]
+    # A row's values, from read order to the record's slot order.
+    slot_order = itemgetter(*map(CSV_COLUMNS.index, ApplicantRecord.__slots__))
 
     records: list[ApplicantRecord] = []
     errors: list[str] = []
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise CsvFormatError(f"malformed CSV: {exc}") from None
+    # Rows are parsed as they are read.  Row errors are raised only after
+    # the last row, so a CSV error in any row is the one reported.
     for line_no, row in enumerate(rows, start=2):
         n = len(row)
         if n > width:
@@ -503,46 +515,56 @@ def parse_applicants_csv(data: Union[bytes, str]) -> list[ApplicantRecord]:
         if not any(cells):
             continue  # a blank row
         try:
-            records.append(ApplicantRecord(**_record_fields(cells, line_no)))
+            values = _checked(*slot_order(_row_values(cells, line_no)))
         except (InputError, DomainError) as exc:
             errors.append(f"line {line_no}: {exc}")
+        else:
+            records.append(ApplicantRecord._trusted(values))
     if errors:
         raise CsvFormatError("; ".join(errors))
     return records
 
 
-def _hours_cell(text: str, name: str) -> Union[int, Fraction]:
-    """The value of an hours cell of column ``name``: an int for plain
-    digits, a ``Fraction`` for ASCII ``digits/digits`` with a nonzero
-    denominator, else ``parse_rational``'s value or error."""
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The ``csv`` reader's rows of ``text``; its error is a :class:`CsvFormatError`."""
+    import csv
+
+    try:
+        yield from csv.reader(io.StringIO(text))
+    except csv.Error as exc:
+        raise CsvFormatError(f"malformed CSV: {exc}") from None
+
+
+def _hours_cell(text: str, name: str) -> Fraction:
+    """The value of an hours cell of column ``name``: plain digits and
+    ASCII ``digits/digits`` with a nonzero denominator are read directly,
+    anything else by ``parse_rational``, with its error."""
     try:
         if text.isdigit():
-            return int(text)
+            return _exact(int(text), 1)
         num, slash, den = text.partition("/")
-        if slash and text.isascii() and num.isdigit() and den.isdigit():
-            return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
-        pass  # past the int-digit limit, digits int() refuses, or a zero denominator
+        if slash and text.isascii() and num.isdigit() and den.isdigit() and int(den):
+            return _exact(int(num), int(den))
+    except ValueError:
+        pass  # past the int-digit limit, or digits int() refuses
     return parse_rational(text, f"column {name!r}")
 
 
-def _record_fields(cells: list[str], line_no: int) -> dict[str, Any]:
-    """The ``ApplicantRecord`` keyword arguments of one row's stripped cells,
-    given in ``_CSV_READ_ORDER``; each cell is parsed once, and the first
-    malformed one raises."""
-    fields: dict[str, Any] = {}
+def _row_values(cells: list[str], line_no: int) -> list:
+    """The values of one row's stripped cells, given and returned in
+    ``_CSV_READ_ORDER``: ints, ``Fraction`` hours and the id.  Each cell is
+    parsed once, and the first malformed one raises."""
+    values = []
     for (name, kind, empty), text in zip(_CSV_READ_ORDER, cells):
         if not text:
-            fields[name] = empty
+            values.append(f"row-{line_no}" if empty is None else empty)
         elif kind == "count":
             try:
-                fields[name] = int(text)
+                values.append(int(text))
             except ValueError:
                 raise CsvFormatError(f"column {name!r}: not an integer count: {text!r}") from None
         elif kind == "hours":
-            fields[name] = _hours_cell(text, name)
+            values.append(_hours_cell(text, name))
         else:
-            fields[name] = text
-    if fields["applicant_id"] is None:
-        fields["applicant_id"] = f"row-{line_no}"
-    return fields
+            values.append(text)
+    return values

@@ -119,6 +119,22 @@ UNIT_KINDS = (
 )
 
 
+def _exact(num: int, den: int) -> Fraction:
+    """The ``Fraction`` ``num/den`` of ints (``den > 0``), reduced with one gcd.
+
+    The reduced pair is stored directly, as ``Fraction`` itself does for
+    pairs it knows are coprime, so no second gcd is taken.
+    """
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
+
+
 def _check_count(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer count, got {value!r}")
@@ -211,6 +227,17 @@ class Record:
     def __setstate__(self, state: tuple) -> None:
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, values: Sequence):
+        """An instance holding ``values``, one per slot in order, built
+        without the public constructor's checks: for values the caller has
+        already checked, as a parser does."""
+        self = object.__new__(cls)
+        set_ = object.__setattr__
+        for name, value in zip(cls.__slots__, values):
+            set_(self, name, value)
+        return self
 
     __dataclass_fields__ = _DataclassFields()
 
@@ -388,12 +415,21 @@ class Scope(Record):
         set_(self, "controls", controls)
         set_(self, "limitations", limitations)
         if not id:
-            raise DomainError("scope id must be non-empty")
+            raise DomainError(_EMPTY_SCOPE_ID)
         if channel not in CHANNELS and channel != AGGREGATE_CHANNEL:
-            raise DomainError(
-                f"unknown channel {channel!r}; expected one of "
-                f"{', '.join(CHANNELS)} (or {AGGREGATE_CHANNEL!r})"
-            )
+            raise DomainError(_unknown_channel(channel))
+
+
+#: The refusal of an empty scope id, by ``Scope`` and by the scope parser.
+_EMPTY_SCOPE_ID = "scope id must be non-empty"
+
+
+def _unknown_channel(channel: str) -> str:
+    """The refusal of a channel outside ``CHANNELS`` and the aggregate label."""
+    return (
+        f"unknown channel {channel!r}; expected one of "
+        f"{', '.join(CHANNELS)} (or {AGGREGATE_CHANNEL!r})"
+    )
 
 
 class Weights(Record):

@@ -20,11 +20,18 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, Union
 
-from .errors import DigitLimitError, FloatRangeError, InputError, UndefinedWeightError
+from .errors import (
+    DigitLimitError,
+    FloatRangeError,
+    InputError,
+    ScopeFormatError,
+    UndefinedWeightError,
+)
 from .ingest import _parse_scope_obj, _reject_unknown, load_json
 from .metrics import (
     LIMITATION_CATEGORIES,
@@ -115,7 +122,11 @@ def _emit(value: Any, out: list[str]) -> None:
 # ``emit_json`` gives them, and then made positional: each ``%(name)``
 # placeholder becomes a bare ``%`` and the template keeps a getter that puts
 # one tuple of values, in ``_VALUE_NAMES`` order, into its placeholder order.
-# Only the scope's id, channel, vector and index are quoted per report.
+# A rational field is written ``num/den`` from two int placeholders, so the
+# ``%`` operator formats every number.  Each template has a second form for
+# a breakdown that holds the kernel ints, where the 25 denominators the
+# kernel always has as 1 are written into the text.  Only the scope's id,
+# channel, vector and index are quoted per report.
 
 _FLOATS = ("opsec_base", "tc_base", "fc_base", "seclim_base", "actsec")
 _SCOPE_LABELS = ("id", "channel", "vector", "index")
@@ -127,6 +138,8 @@ _fractions = attrgetter(*_FRACTIONS)
 _floats = attrgetter(*_FLOATS)
 _scope_labels = attrgetter(*_SCOPE_LABELS)
 _by_class = itemgetter(*ControlClass)
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 # Placeholder names, each tuple in the order of the values its getters return.
 _COUNT_NAMES = (
@@ -140,19 +153,44 @@ _FRACTION_NAMES = (
     *(f"tc_per_class.{key}" for key in _CLASS_KEYS),
     *(f"weights.{name}" for name in LIMITATION_CATEGORIES),
 )
-_VALUE_NAMES = (*_SCOPE_LABELS, *_COUNT_NAMES, *_FRACTION_NAMES, *_FLOATS)
+#: The values of a breakdown built field by field: the rational fields'
+#: numerators, then their denominators.
+_VALUE_NAMES = (
+    *_SCOPE_LABELS,
+    *_COUNT_NAMES,
+    *(f"{name}.num" for name in _FRACTION_NAMES),
+    *(f"{name}.den" for name in _FRACTION_NAMES),
+    *_FLOATS,
+)
+#: The denominators that are 1 in every breakdown of the kernel ints: all
+#: but those of ``mc_vg``, ``seclim_sum`` and the weights.
+_ONES = frozenset(
+    f"{name}.den" for name in _FRACTION_NAMES
+    if name not in ("mc_vg", "seclim_sum") and not name.startswith("weights.")
+)
+_KERNEL_NAMES = tuple(name for name in _VALUE_NAMES if name not in _ONES)
 
 
-def _positional(template: str) -> tuple[str, itemgetter]:
+def _positional(template: str, value_names: tuple[str, ...]) -> tuple[str, itemgetter]:
     """A named-placeholder template as a positional one, with the getter
-    that orders a ``_VALUE_NAMES`` tuple for it."""
+    that orders a tuple of ``value_names`` for it."""
     text, *rest = template.split("%(")
     pieces, names = [text], []
     for part in rest:
         name, text = part.split(")", 1)
         names.append(name)
         pieces.append("%" + text)
-    return "".join(pieces), itemgetter(*map(_VALUE_NAMES.index, names))
+    return "".join(pieces), itemgetter(*map(value_names.index, names))
+
+
+def _templates(template: str) -> tuple[tuple[str, itemgetter], tuple[str, itemgetter]]:
+    """The positional form of a report template for a breakdown built field
+    by field, and for one that holds the kernel ints, with each of ``_ONES``
+    written as a literal 1."""
+    kernel = template
+    for name in _ONES:
+        kernel = kernel.replace(f"%({name})s", "1")
+    return _positional(template, _VALUE_NAMES), _positional(kernel, _KERNEL_NAMES)
 
 
 def _object(members: Mapping[str, str]) -> str:
@@ -161,12 +199,18 @@ def _object(members: Mapping[str, str]) -> str:
     return "{" + ", ".join(f"{json.dumps(key)}: {members[key]}" for key in sorted(members)) + "}"
 
 
+def _ratio(name: str) -> str:
+    """A rational field's placeholder text: ``num/den``."""
+    return f"%({name}.num)s/%({name}.den)s"
+
+
 def _members(prefix: str, keys: Iterable[str], quoted: bool = False) -> str:
-    text = '"%%(%s.%s)s"' if quoted else "%%(%s.%s)s"
-    return _object({key: text % (prefix, key) for key in keys})
+    if quoted:
+        return _object({key: f'"{_ratio(f"{prefix}.{key}")}"' for key in keys})
+    return _object({key: f"%({prefix}.{key})s" for key in keys})
 
 
-_REPORT_JSON = _positional(_object(
+_REPORT_JSON = _templates(_object(
     {
         "schema": json.dumps(REPORT_SCHEMA),
         "scope": _object(
@@ -179,7 +223,7 @@ _REPORT_JSON = _positional(_object(
         ),
         "breakdown": _object(
             {
-                **{key: f'"%({key})s"' for key in _FRACTIONS},
+                **{key: f'"{_ratio(key)}"' for key in _FRACTIONS},
                 **{key: f"%({key}).6f" for key in _FLOATS},
                 "mc_per_class": _members("mc_per_class", _CLASS_KEYS, quoted=True),
                 "tc_per_class": _members("tc_per_class", _CLASS_KEYS, quoted=True),
@@ -190,12 +234,17 @@ _REPORT_JSON = _positional(_object(
 ) + "\n")
 
 
-def _assignments(prefix: str, keys: Sequence[str], labels: Sequence[str] = ()) -> str:
+def _assignments(
+    prefix: str, keys: Sequence[str], labels: Sequence[str] = (), rational: bool = False
+) -> str:
     """The text report's ``label=value`` list; the labels default to the keys."""
-    return " ".join(f"{label}=%({prefix}.{key})s" for label, key in zip(labels or keys, keys))
+    value = _ratio if rational else "%({})s".format
+    return " ".join(
+        f"{label}={value(f'{prefix}.{key}')}" for label, key in zip(labels or keys, keys)
+    )
 
 
-_REPORT_TEXT = _positional("\n".join(
+_REPORT_TEXT = _templates("\n".join(
     (
         "rav report: %(id)s",
         "scope: channel=%(channel)s vector=%(vector)s index=%(index)s",
@@ -206,16 +255,19 @@ _REPORT_TEXT = _positional("\n".join(
         "  limitations  " + _assignments("limitations", LIMITATION_CATEGORIES),
         "",
         "pipeline",
-        "  opsec_sum    %(opsec_sum)s",
+        "  opsec_sum    " + _ratio("opsec_sum"),
         "  opsec_base   %(opsec_base).6f",
-        "  lc_sum       %(lc_sum)s",
+        "  lc_sum       " + _ratio("lc_sum"),
         "  fc_base      %(fc_base).6f",
-        "  mc_per_class " + _assignments("mc_per_class", _CLASS_KEYS, _CLASS_ABBREVIATIONS),
-        "  mc_sum       %(mc_sum)s (class_a %(mc_class_a)s, class_b %(mc_class_b)s, vg %(mc_vg)s)",
-        "  tc_per_class " + _assignments("tc_per_class", _CLASS_KEYS, _CLASS_ABBREVIATIONS),
+        "  mc_per_class "
+        + _assignments("mc_per_class", _CLASS_KEYS, _CLASS_ABBREVIATIONS, rational=True),
+        f"  mc_sum       {_ratio('mc_sum')} (class_a {_ratio('mc_class_a')}, "
+        f"class_b {_ratio('mc_class_b')}, vg {_ratio('mc_vg')})",
+        "  tc_per_class "
+        + _assignments("tc_per_class", _CLASS_KEYS, _CLASS_ABBREVIATIONS, rational=True),
         "  tc_base      %(tc_base).6f",
-        "  weights      " + _assignments("weights", LIMITATION_CATEGORIES),
-        "  seclim_sum   %(seclim_sum)s",
+        "  weights      " + _assignments("weights", LIMITATION_CATEGORIES, rational=True),
+        "  seclim_sum   " + _ratio("seclim_sum"),
         "  seclim_base  %(seclim_base).6f",
         "  actsec       %(actsec).6f",
         "",
@@ -223,66 +275,64 @@ _REPORT_TEXT = _positional("\n".join(
 ))
 
 
-def _ratio_str(num: int, den: int) -> str:
-    """``num/den`` (``den > 0``) in lowest terms, as ``fraction_str`` writes it."""
-    g = gcd(num, den)
-    return f"{num // g}/{den // g}"
-
-
-def _kernel_strings(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key) -> tuple:
-    """The rational fields' strings, in ``_FRACTION_NAMES`` order, from the
-    kernel ints an ``actual_security`` breakdown holds."""
+def _kernel_ints(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key) -> tuple:
+    """The rational fields' numerators, then the denominators that are not
+    always 1, each pair in lowest terms and each half in ``_FRACTION_NAMES``
+    order, from the kernel ints an ``actual_security`` breakdown holds."""
+    mc_sum = mc_a + mc_b
+    vg, lim = gcd(mc_sum, vg_den), gcd(key, den * den)
+    wv, ww, wc, we, wa = weights
+    gv, gw, gc, ge, ga = gcd(wv, den), gcd(ww, den), gcd(wc, den), gcd(we, den), gcd(wa, den)
     return (
-        f"{s}/1",
-        f"{lc_sum}/1",
-        f"{mc_a + mc_b}/1",
-        f"{mc_a}/1",
-        f"{mc_b}/1",
-        _ratio_str(mc_a + mc_b, vg_den),
-        _ratio_str(key, den * den),
-        *[f"{n}/1" for n in mc],
-        *[f"{n}/1" for n in tc],
-        *[_ratio_str(w, den) for w in weights],
+        s, lc_sum, mc_sum, mc_a, mc_b, mc_sum // vg, key // lim, *mc, *tc,
+        wv // gv, ww // gw, wc // gc, we // ge, wa // ga,
+        vg_den // vg, den * den // lim, den // gv, den // gw, den // gc, den // ge, den // ga,
     )
 
 
-def _report_values(b: RavBreakdown, scope: Scope) -> tuple:
-    """The numbers both report templates share: the counts, the rational
-    fields' strings and the floats, in ``_VALUE_NAMES`` order."""
-    kernel = b._kernel
-    if kernel is None:
-        rationals = map(
-            fraction_str,
-            (
-                *_fractions(b),
-                *_by_class(b.mc_per_class),
-                *_by_class(b.tc_per_class),
-                *_by_category(b.weights),
-            ),
-        )
-    else:
-        rationals = _kernel_strings(*kernel)
-    return (
-        *_porosity_counts(scope.porosity),
-        *_control_counts(scope.controls),
-        *_by_category(scope.limitations),
-        *rationals,
-        *_floats(b),
+def _fraction_ints(b: RavBreakdown) -> tuple:
+    """The rational fields' numerators, then all their denominators, in
+    ``_FRACTION_NAMES`` order, from a breakdown built field by field."""
+    fractions = (
+        *_fractions(b),
+        *_by_class(b.mc_per_class),
+        *_by_class(b.tc_per_class),
+        *_by_category(b.weights),
     )
+    return (*map(_numerator, fractions), *map(_denominator, fractions))
 
 
 def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -> bytes:
     """Render one scope's breakdown, inputs included, as text or JSON."""
     if format == "json":
-        template, order = _REPORT_JSON
-        labels = map(json.dumps, _scope_labels(scope))
+        templates = _REPORT_JSON
+        labels = _scope_labels(scope)
+        try:
+            labels = tuple(map(_quote, labels))
+        except TypeError:
+            # A label that is not a str, which Scope does not refuse.
+            labels = tuple(map(json.dumps, labels))
     elif format == "text":
-        template, order = _REPORT_TEXT
+        templates = _REPORT_TEXT
         labels = (scope.id, scope.channel, scope.vector or "-", scope.index or "-")
     else:
         raise InputError(f"unknown report format {format!r}; expected text or json")
+    kernel = breakdown._kernel
+    if kernel is None:
+        (template, order), _ = templates
+        rationals = _fraction_ints(breakdown)
+    else:
+        _, (template, order) = templates
+        rationals = _kernel_ints(*kernel)
     try:
-        text = template % order((*labels, *_report_values(breakdown, scope)))
+        text = template % order((
+            *labels,
+            *_porosity_counts(scope.porosity),
+            *_control_counts(scope.controls),
+            *_by_category(scope.limitations),
+            *rationals,
+            *_floats(breakdown),
+        ))
     except ValueError:
         # str() of an int past the int-digit limit: a rational field, or an
         # echoed count (an aggregate can sum counts that each parsed to one
@@ -309,7 +359,10 @@ def parse_report(data: Union[bytes, str]) -> tuple[Scope, RavBreakdown]:
     doc = load_json(data, InputError, "invalid report JSON")
     if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
         raise InputError(f"not a {REPORT_SCHEMA} document")
-    scope = _parse_scope_obj(doc.get("scope"), "$.scope").scope
+    try:
+        scope, _ = _parse_scope_obj(doc.get("scope"))
+    except ScopeFormatError as exc:
+        raise ScopeFormatError(f"$.scope{exc}") from None
     try:
         breakdown = actual_security(scope)
     except UndefinedWeightError as exc:

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import isfinite, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, UndefinedTrustError
-from .metrics import Record
+from .metrics import Record, _exact
 
 Rational = Union[int, Fraction]
 
@@ -64,22 +64,6 @@ class TrustProperty(enum.Enum):
 
 
 _PROPERTIES = tuple(TrustProperty)
-
-
-def _exact(num: int, den: int) -> Fraction:
-    """The ``Fraction`` ``num/den`` (``den > 0``), reduced with one gcd.
-
-    The reduced pair is stored directly, as ``Fraction`` itself does for
-    pairs it knows are coprime, so no second gcd is taken.
-    """
-    g = gcd(num, den)
-    if g != 1:
-        num //= g
-        den //= g
-    value = object.__new__(Fraction)
-    value._numerator = num
-    value._denominator = den
-    return value
 
 
 def _quotient(a: Rational, b: Rational) -> Fraction:
@@ -170,47 +154,13 @@ class ApplicantRecord(Record):
         references_neutral: int = 0,
         references_negative: int = 0,
     ) -> None:
-        # The reference counts are checked first, so a record with a reference
-        # fault reports it before any other count fault.
-        _check_counts(
-            _REFERENCE_COUNTS,
-            (references_positive, references_neutral, references_negative, past_employer_count),
-        )
-        total = references_positive + references_neutral + references_negative
-        if total and past_employer_count == 0:
-            raise DomainError("references require at least one past employer")
-        if past_employer_count < total:
-            raise DomainError("more references than past employers")
-        _check_counts(
-            _OTHER_COUNTS,
-            (
-                months_unemployed, months_eligible, criminal_offenses_known, age_years,
-                legal_adult_age, employees_in_community, community_population,
-            ),
-        )
-        hours_alone_per_day = _coerce_hours("hours_alone_per_day", hours_alone_per_day)
-        working_hours_per_day = _coerce_hours("working_hours_per_day", working_hours_per_day)
-        if months_eligible > 0 and months_unemployed > months_eligible:
-            raise DomainError("months_unemployed cannot exceed months_eligible")
-        if hours_alone_per_day > working_hours_per_day:
-            raise DomainError("hours_alone_per_day cannot exceed working_hours_per_day")
-        if community_population > 0 and employees_in_community > community_population:
-            raise DomainError("employees_in_community cannot exceed community_population")
-        set_ = object.__setattr__
-        set_(self, "applicant_id", applicant_id)
-        set_(self, "months_unemployed", months_unemployed)
-        set_(self, "months_eligible", months_eligible)
-        set_(self, "criminal_offenses_known", criminal_offenses_known)
-        set_(self, "age_years", age_years)
-        set_(self, "legal_adult_age", legal_adult_age)
-        set_(self, "past_employer_count", past_employer_count)
-        set_(self, "hours_alone_per_day", hours_alone_per_day)
-        set_(self, "working_hours_per_day", working_hours_per_day)
-        set_(self, "employees_in_community", employees_in_community)
-        set_(self, "community_population", community_population)
-        set_(self, "references_positive", references_positive)
-        set_(self, "references_neutral", references_neutral)
-        set_(self, "references_negative", references_negative)
+        # The checked values fill the slots as unpickling fills them.
+        self.__setstate__(_checked(
+            applicant_id, months_unemployed, months_eligible, criminal_offenses_known,
+            age_years, legal_adult_age, past_employer_count, hours_alone_per_day,
+            working_hours_per_day, employees_in_community, community_population,
+            references_positive, references_neutral, references_negative,
+        ))
 
 
 def _check_count(name: str, value: object) -> None:
@@ -232,6 +182,62 @@ def _check_counts(names: Sequence[str], values: Sequence[object]) -> None:
     for name, value in zip(names, values):
         if type(value) is not int or value < 0:
             _check_count(name, value)
+
+
+def _checked(
+    applicant_id: str,
+    months_unemployed: int,
+    months_eligible: int,
+    criminal_offenses_known: int,
+    age_years: int,
+    legal_adult_age: int,
+    past_employer_count: int,
+    hours_alone_per_day: Rational | float,
+    working_hours_per_day: Rational | float,
+    employees_in_community: int,
+    community_population: int,
+    references_positive: int,
+    references_neutral: int,
+    references_negative: int,
+) -> tuple:
+    """The values of an :class:`ApplicantRecord`, in slot order, once every
+    check passes; the hours are returned as ``Fraction`` values.
+
+    The public constructor and the CSV parser both call this.  A count that
+    is already an int, and hours that are already a ``Fraction``, skip the
+    type checks, so a parsed row pays for its range checks only.
+    """
+    # The reference counts are checked first, so a record with a reference
+    # fault reports it before any other count fault.
+    _check_counts(
+        _REFERENCE_COUNTS,
+        (references_positive, references_neutral, references_negative, past_employer_count),
+    )
+    total = references_positive + references_neutral + references_negative
+    if total and past_employer_count == 0:
+        raise DomainError("references require at least one past employer")
+    if past_employer_count < total:
+        raise DomainError("more references than past employers")
+    _check_counts(
+        _OTHER_COUNTS,
+        (
+            months_unemployed, months_eligible, criminal_offenses_known, age_years,
+            legal_adult_age, employees_in_community, community_population,
+        ),
+    )
+    alone = _coerce_hours("hours_alone_per_day", hours_alone_per_day)
+    working = _coerce_hours("working_hours_per_day", working_hours_per_day)
+    if months_eligible > 0 and months_unemployed > months_eligible:
+        raise DomainError("months_unemployed cannot exceed months_eligible")
+    if alone.numerator * working.denominator > working.numerator * alone.denominator:
+        raise DomainError("hours_alone_per_day cannot exceed working_hours_per_day")
+    if community_population > 0 and employees_in_community > community_population:
+        raise DomainError("employees_in_community cannot exceed community_population")
+    return (
+        applicant_id, months_unemployed, months_eligible, criminal_offenses_known, age_years,
+        legal_adult_age, past_employer_count, alone, working, employees_in_community,
+        community_population, references_positive, references_neutral, references_negative,
+    )
 
 
 class RuleResult(Record):

@@ -15,7 +15,7 @@ import pytest
 
 from ravkit.cli import dispatch
 from ravkit.critique import collision_search, cross_class_counterexample
-from ravkit.ingest import import_scan_xml, parse_scope_file
+from ravkit.ingest import import_scan_report, parse_scope_file
 from ravkit.metrics import (
     ControlClass,
     PorosityCounts,
@@ -193,7 +193,7 @@ def test_c09_collision_search():
 
 
 def test_c10_ingestion_end_to_end(tmp_path):
-    three = import_scan_xml((FIXTURES / "scan_1host_3ports.xml").read_bytes())
+    three = import_scan_report((FIXTURES / "scan_1host_3ports.xml").read_bytes()).porosity
     assert three == PorosityCounts(visibility=1, access=3, trust=0)
 
     code, merged, err = dispatch([

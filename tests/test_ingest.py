@@ -6,8 +6,11 @@ never crash, and never coerce unknown input into silent zero counts.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
+import pickle
 import sys
 from fractions import Fraction
 
@@ -17,17 +20,19 @@ from hypothesis import given, settings, strategies as st
 from ravkit.cli import dispatch
 from ravkit.errors import (
     CsvFormatError,
+    DomainError,
     InputError,
     RavkitError,
     ScanFormatError,
     ScopeFormatError,
+    shown,
 )
 from ravkit.ingest import (
     _CSV_READ_ORDER,
     CSV_COLUMNS,
+    ScopeEntry,
     _hours_cell,
     import_scan_report,
-    import_scan_xml,
     merge_scan_into_scope,
     parse_applicants_csv,
     parse_rational,
@@ -35,7 +40,14 @@ from ravkit.ingest import (
     parse_scope_file,
     render_scope_document,
 )
-from ravkit.metrics import PorosityCounts
+from ravkit.metrics import (
+    LIMITATION_CATEGORIES,
+    ControlClass,
+    ControlCounts,
+    LimitationCounts,
+    PorosityCounts,
+    Scope,
+)
 from ravkit.trust import ApplicantRecord
 
 
@@ -228,15 +240,15 @@ class TestScopeParsing:
 
 class TestScanImport:
     def test_one_host_one_port(self, fixtures):
-        porosity = import_scan_xml((fixtures / "scan_1host_1port.xml").read_bytes())
+        porosity = import_scan_report((fixtures / "scan_1host_1port.xml").read_bytes()).porosity
         assert porosity == PorosityCounts(visibility=1, access=1, trust=0)
 
     def test_one_host_three_ports(self, fixtures):
-        porosity = import_scan_xml((fixtures / "scan_1host_3ports.xml").read_bytes())
+        porosity = import_scan_report((fixtures / "scan_1host_3ports.xml").read_bytes()).porosity
         assert porosity == PorosityCounts(visibility=1, access=3, trust=0)
 
     def test_no_up_hosts(self, fixtures):
-        porosity = import_scan_xml((fixtures / "scan_0hosts.xml").read_bytes())
+        porosity = import_scan_report((fixtures / "scan_0hosts.xml").read_bytes()).porosity
         assert porosity == PorosityCounts(0, 0, 0)
 
     def test_diagnostics_count_ignored_elements(self, fixtures):
@@ -278,15 +290,15 @@ class TestScanImport:
 
     def test_malformed_xml_rejected(self):
         with pytest.raises(ScanFormatError, match="malformed"):
-            import_scan_xml(b"<nmaprun><host>")
+            import_scan_report(b"<nmaprun><host>").porosity
 
     def test_unknown_root_rejected_not_zeroed(self):
         with pytest.raises(ScanFormatError, match="schema"):
-            import_scan_xml(b"<scandata></scandata>")
+            import_scan_report(b"<scandata></scandata>").porosity
 
     def test_unknown_output_version_rejected(self):
         with pytest.raises(ScanFormatError, match="version"):
-            import_scan_xml(b'<nmaprun xmloutputversion="9.99"></nmaprun>')
+            import_scan_report(b'<nmaprun xmloutputversion="9.99"></nmaprun>').porosity
 
     def test_adding_open_port_increases_access_by_one(self, fixtures):
         base = (fixtures / "scan_1host_1port.xml").read_text()
@@ -295,8 +307,8 @@ class TestScanImport:
             '<state state="open" reason="syn-ack"/></port>'
         )
         grown = base.replace("</ports>", extra_port + "</ports>")
-        before = import_scan_xml(base.encode())
-        after = import_scan_xml(grown.encode())
+        before = import_scan_report(base.encode()).porosity
+        after = import_scan_report(grown.encode()).porosity
         assert after.access == before.access + 1
         assert after.visibility == before.visibility
 
@@ -308,7 +320,7 @@ class TestScanImport:
     @settings(max_examples=200)
     def test_never_crashes_on_arbitrary_bytes(self, data):
         try:
-            import_scan_xml(data)
+            import_scan_report(data).porosity
         except RavkitError:
             pass
 
@@ -623,3 +635,326 @@ def test_hours_ratio_fast_path_agrees_with_fraction(text):
         assert fast[0] is InputError
     else:
         assert fast == (Fraction, expected)
+
+
+# ---------------------------------------------------------------------------
+# The parsers build their records without the constructors' checks, so each
+# parsed record is compared with the one the public constructors build, and
+# each refusal with the text the documented check order gives.
+# ---------------------------------------------------------------------------
+
+_CONTROL_NAMES = tuple(cls.value for cls in ControlClass)
+_GROUPS = {
+    "porosity": ("visibility", "access", "trust"),
+    "controls": _CONTROL_NAMES,
+    "limitations": LIMITATION_CATEGORIES,
+}
+_UNIT_KINDS = ("visibility", "access", "trust", *_CONTROL_NAMES, *LIMITATION_CATEGORIES)
+#: Strings, some of them non-ASCII; none spells a key.
+_TEXT = st.text(st.sampled_from("aZ0 -é中"), max_size=4)
+#: Values that are not a string a report could write: a lone surrogate
+#: (a JSON ``\ud800`` escape) is not one either.
+_NOT_TEXT = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(allow_nan=False), st.just([]),
+    st.builds(lambda a, ch, b: a + ch + b, _TEXT, st.sampled_from("\ud800\udfff"), _TEXT),
+)
+_GOOD_COUNT = st.one_of(st.integers(0, 3), st.integers(0, 10**40))
+_BAD_COUNT = st.one_of(
+    st.booleans(), st.integers(-10**40, -1), st.floats(allow_nan=False), st.just("3"),
+    st.none(),
+)
+_CHANNELS = ("human", "physical", "wireless", "telecom", "data-network", "aggregate")
+
+
+#: Where a drawn scope object may carry a fault.
+_FAULT_SITES = ("object", "missing id", "id", "channel", "vector", "index", *_GROUPS, "units",
+                "unknown field")
+
+
+@st.composite
+def _scope_objects(draw):
+    """A scope object with faults at none, one or two of ``_FAULT_SITES``;
+    an empty id, refused last, may come on top."""
+    faults = draw(st.sets(st.sampled_from(_FAULT_SITES), max_size=2))
+    if "object" in faults:
+        return draw(st.one_of(_NOT_TEXT, _TEXT))
+    obj = {}
+    if "missing id" not in faults:
+        obj["id"] = draw(_NOT_TEXT if "id" in faults else _TEXT)
+    for key, good, bad in (
+        ("channel", st.sampled_from(_CHANNELS), st.one_of(_NOT_TEXT, _TEXT)),
+        ("vector", _TEXT, _NOT_TEXT),
+        ("index", _TEXT, _NOT_TEXT),
+    ):
+        if key in faults:
+            obj[key] = draw(bad)
+        elif draw(st.booleans()):
+            obj[key] = draw(good)
+    for key, names in _GROUPS.items():
+        fault = draw(st.sampled_from(("object", "unknown", "count"))) if key in faults else None
+        if fault == "object":
+            obj[key] = draw(_NOT_TEXT)
+            continue
+        members = draw(st.lists(st.sampled_from(names), unique=True, min_size=fault == "count"))
+        if not (members or fault or draw(st.booleans())):
+            continue  # an absent group
+        bad = ()
+        if fault == "count":
+            bad = draw(st.sets(st.sampled_from(members), min_size=1, max_size=2))
+        obj[key] = {name: draw(_BAD_COUNT if name in bad else _GOOD_COUNT) for name in members}
+        if fault == "unknown":
+            obj[key][draw(_TEXT)] = 1
+    if "units" in faults or draw(st.booleans()):
+        fault = draw(st.sampled_from(("object", "unknown", "name"))) if "units" in faults else None
+        kinds = draw(st.lists(
+            st.sampled_from(_UNIT_KINDS), unique=True, min_size=fault == "name", max_size=5
+        ))
+        bad = draw(st.sampled_from(kinds)) if fault == "name" else None
+        obj["units"] = {kind: draw(_NOT_TEXT if kind == bad else _TEXT) for kind in kinds}
+        if fault == "unknown":
+            obj["units"][draw(_TEXT)] = "x"
+        elif fault == "object":
+            obj["units"] = draw(_NOT_TEXT)
+    if "unknown field" in faults:
+        obj[draw(st.one_of(_TEXT, st.sampled_from(("\ud800", "a\udfff"))))] = 1
+    return obj
+
+
+def _first_fault(obj, path: str = "$.scopes[0]") -> str | None:
+    """The error text of the first failed check on a scope object, checking
+    each value in the order ``docs/formats.md`` gives; None if it is valid."""
+
+    def surrogate(text: str, where: str, what: str) -> str | None:
+        for i, ch in enumerate(text):
+            if "\ud800" <= ch <= "\udfff":
+                return f"{where}: {what} has a lone surrogate {ch!r} at index {i}"
+        return None
+
+    def string(value, where: str) -> str | None:
+        if not isinstance(value, str):
+            return f"{where}: expected a string, got {value!r}"
+        return surrogate(value, where, "string")
+
+    def members(value, allowed, where: str, what: str = "field(s)") -> str | None:
+        if not isinstance(value, dict):
+            return f"{where}: expected an object, got {type(value).__name__}"
+        unknown = sorted(value.keys() - set(allowed))
+        for name in unknown:
+            fault = surrogate(name, where, "field name")
+            if fault:
+                return fault
+        if unknown:
+            return f"{where}: unknown {what} {', '.join(map(shown, unknown))}"
+        return None
+
+    fault = members(obj, ("id", "channel", "vector", "index", "units", *_GROUPS), path)
+    if fault:
+        return fault
+    if "id" not in obj:
+        return f"{path}: missing required field 'id'"
+    fault = string(obj["id"], f"{path}.id")
+    if fault:
+        return fault
+    channel = obj.get("channel", "data-network")
+    fault = string(channel, f"{path}.channel")
+    if fault:
+        return fault
+    if channel not in ("human", "physical", "wireless", "telecom", "data-network", "aggregate"):
+        return (f"{path}.channel: unknown channel {channel!r}; expected one of human, physical, "
+                "wireless, telecom, data-network (or 'aggregate')")
+    for key in ("vector", "index"):
+        fault = string(obj.get(key, ""), f"{path}.{key}")
+        if fault:
+            return fault
+    for key, names in _GROUPS.items():
+        group = obj.get(key, {})
+        fault = members(group, names, f"{path}.{key}")
+        if fault:
+            return fault
+        for name, count in group.items():
+            if not isinstance(count, int) or isinstance(count, bool):
+                return f"{path}.{key}.{name}: expected an integer count, got {count!r}"
+            if count < 0:
+                return f"{path}.{key}.{name}: count must be >= 0, got {count}"
+    units = obj.get("units", {})
+    fault = members(units, _UNIT_KINDS, f"{path}.units", "count kind(s)")
+    if fault:
+        return fault
+    for kind, name in units.items():
+        fault = string(name, f"{path}.units.{kind}")
+        if fault:
+            return fault
+    if not obj["id"]:
+        return f"{path}: scope id must be non-empty"
+    return None
+
+
+@given(_scope_objects())
+@settings(max_examples=600)
+def test_parsed_scope_is_the_constructors_scope(raw):
+    doc = json.dumps({"schema": "ravkit-scope/1", "scopes": [{"id": "first"}, raw]})
+    obj = json.loads(doc)["scopes"][1]
+    fault = _first_fault(obj, "$.scopes[1]")
+    if fault is not None:
+        with pytest.raises(ScopeFormatError) as raised:
+            parse_scope_document(doc)
+        assert str(raised.value) == fault
+        return
+    entry = parse_scope_document(doc).entries[1]
+    expected = Scope(
+        id=obj["id"],
+        channel=obj.get("channel", "data-network"),
+        vector=obj.get("vector", ""),
+        index=obj.get("index", ""),
+        porosity=PorosityCounts(**obj.get("porosity", {})),
+        controls=ControlCounts.from_mapping(obj.get("controls", {})),
+        limitations=LimitationCounts(**obj.get("limitations", {})),
+    )
+    scope = entry.scope
+    assert scope == expected and hash(scope) == hash(expected)
+    assert repr(scope) == repr(expected)
+    assert pickle.loads(pickle.dumps(scope)) == expected
+    assert entry == ScopeEntry(expected, obj.get("units"))
+    assert repr(entry) == repr(ScopeEntry(expected, obj.get("units")))
+
+
+#: One fault per step of the documented scope check order, in that order:
+#: the members it sets (``None`` removes one) and the error it gives alone.
+_ORDERED_FAULTS = (
+    ("unknown field", {"zeta": 1}, "$.scopes[0]: unknown field(s) zeta"),
+    ("missing id", {"id": None}, "$.scopes[0]: missing required field 'id'"),
+    ("id not a string", {"id": 7}, "$.scopes[0].id: expected a string, got 7"),
+    ("channel not a string", {"channel": 1}, "$.scopes[0].channel: expected a string, got 1"),
+    ("vector", {"vector": 1.5}, "$.scopes[0].vector: expected a string, got 1.5"),
+    ("index", {"index": ["x"]}, "$.scopes[0].index: expected a string, got ['x']"),
+    ("porosity", {"porosity": {"access": -1}},
+     "$.scopes[0].porosity.access: count must be >= 0, got -1"),
+    ("controls", {"controls": {"alarm": True}},
+     "$.scopes[0].controls.alarm: expected an integer count, got True"),
+    ("limitations", {"limitations": {"bugs": 1}},
+     "$.scopes[0].limitations: unknown field(s) bugs"),
+    ("units", {"units": {"access": 3}}, "$.scopes[0].units.access: expected a string, got 3"),
+    ("empty id", {"id": ""}, "$.scopes[0]: scope id must be non-empty"),
+)
+
+
+@pytest.mark.parametrize(
+    "earlier, later",
+    [
+        pytest.param(a, b, id=f"{a[0]} before {b[0]}")
+        for i, a in enumerate(_ORDERED_FAULTS)
+        for b in _ORDERED_FAULTS[i + 1:]
+        if not a[1].keys() & b[1].keys()
+    ],
+)
+def test_scope_check_order(earlier, later):
+    obj = {"id": "a"}
+    for _, members, _ in (later, earlier):
+        obj.update(members)
+    obj = {key: value for key, value in obj.items() if value is not None}
+    doc = json.dumps({"schema": "ravkit-scope/1", "scopes": [obj]})
+    with pytest.raises(ScopeFormatError) as raised:
+        parse_scope_document(doc)
+    assert str(raised.value) == earlier[2]
+    assert _first_fault(obj) == earlier[2]
+
+
+_COUNT_FIELDS = tuple(name for name, kind, _ in _CSV_READ_ORDER if kind == "count")
+_HOURS_FIELDS = tuple(name for name, kind, _ in _CSV_READ_ORDER if kind == "hours")
+
+
+@st.composite
+def _applicant_rows(draw):
+    """The header, the one row and the ``ApplicantRecord`` keyword arguments
+    of an applicant CSV: a valid record with, now and then, faults in its
+    counts, its hours or the relations between them."""
+    past = draw(st.integers(0, 4))
+    positive = draw(st.integers(0, past))
+    neutral = draw(st.integers(0, past - positive))
+    eligible = draw(st.one_of(st.just(0), st.integers(1, 240)))
+    population = draw(st.one_of(st.just(0), st.integers(1, 10**30)))
+    working = draw(st.fractions(0, 24, max_denominator=12))
+    fields = {
+        "applicant_id": draw(st.text(st.sampled_from("ab-é中"), max_size=5)),
+        "references_positive": positive,
+        "references_neutral": neutral,
+        "references_negative": draw(st.integers(0, past - positive - neutral)),
+        "past_employer_count": past,
+        "months_eligible": eligible,
+        "months_unemployed": draw(st.integers(0, eligible)),
+        "criminal_offenses_known": draw(st.integers(0, 3)),
+        "age_years": draw(st.integers(0, 90)),
+        "legal_adult_age": draw(st.sampled_from((18, 21))),
+        "working_hours_per_day": working,
+        "hours_alone_per_day": working * draw(st.fractions(0, 1, max_denominator=8)),
+        "community_population": population,
+        "employees_in_community": draw(st.integers(0, min(population, 5000))),
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(("negative", "references", "unemployed", "hours",
+                                      "negative hours", "employees")))
+        if fault == "negative":
+            fields[draw(st.sampled_from(_COUNT_FIELDS))] = -draw(st.integers(1, 10**30))
+        elif fault == "references":
+            fields["references_negative"] = fields["past_employer_count"] + 1
+        elif fault == "unemployed":
+            fields["months_unemployed"] = fields["months_eligible"] + draw(st.integers(1, 9))
+        elif fault == "hours":
+            fields["hours_alone_per_day"] = fields["working_hours_per_day"] + Fraction(1, 3)
+        elif fault == "negative hours":
+            fields[draw(st.sampled_from(_HOURS_FIELDS))] = -draw(st.fractions(0, 9)) - 1
+        else:
+            fields["employees_in_community"] = fields["community_population"] + 1
+    defaults = {name: empty for name, _, empty in _CSV_READ_ORDER}
+    cells = {}
+    for name, value in fields.items():
+        if value == defaults[name] and draw(st.booleans()):
+            cells[name] = ""  # an empty cell reads as the default
+        elif isinstance(value, Fraction):
+            cells[name] = draw(st.sampled_from(
+                (str(value), f"{value.numerator}/{value.denominator}", f" {value} ")
+            ))
+        else:
+            cells[name] = draw(st.sampled_from((str(value), f" {value}")))
+    header = draw(st.permutations(CSV_COLUMNS))
+    return header, [cells[name] for name in header], fields
+
+
+@given(_applicant_rows())
+@settings(max_examples=500)
+def test_parsed_record_is_the_constructors_record(case):
+    header, row, fields = case
+    out = io.StringIO()
+    ok = ["ok" if name == "applicant_id" else "" for name in header]
+    csv.writer(out).writerows([header, ok, row])
+    data = out.getvalue().encode()
+    if not any(row):
+        assert parse_applicants_csv(data) == [ApplicantRecord("ok")]  # a blank row
+        return
+    if not fields["applicant_id"]:
+        fields["applicant_id"] = "row-3"
+    try:
+        expected = ApplicantRecord(**fields)
+    except DomainError as exc:
+        with pytest.raises(CsvFormatError) as raised:
+            parse_applicants_csv(data)
+        assert str(raised.value) == f"line 3: {exc}"
+        return
+    first, record = parse_applicants_csv(data)
+    assert first == ApplicantRecord("ok")
+    assert record == expected and hash(record) == hash(expected)
+    assert repr(record) == repr(expected)
+    assert pickle.loads(pickle.dumps(record)) == expected
+    assert [type(getattr(record, name)) for name in record.__slots__] == [
+        type(getattr(expected, name)) for name in expected.__slots__
+    ]
+
+
+def test_csv_error_in_the_last_row_wins_over_earlier_row_errors():
+    # Rows are parsed as they stream, but a row error is only raised once
+    # the reader has reached the end without a CSV error.
+    data = _csv({"months_unemployed": "-3"}, {"applicant_id": "ok"},
+                {"applicant_id": "x" * 131073})
+    with pytest.raises(CsvFormatError) as raised:
+        parse_applicants_csv(data)
+    assert str(raised.value) == "malformed CSV: field larger than field limit (131072)"

@@ -199,7 +199,9 @@ class TestReportVerifier:
     """``parse_report`` scores the echoed scope and returns the kernel's
     breakdown, or refuses a report whose breakdown disagrees with it."""
 
-    @pytest.mark.parametrize("golden", ["toy_report.json", "multi_scope_report.json"])
+    @pytest.mark.parametrize(
+        "golden", ["toy_report.json", "multi_scope_report.json", "units_shapes_report.json"]
+    )
     def test_every_golden_line_parses_to_a_kernel_breakdown(self, golden):
         lines = (FIXTURES / golden).read_bytes().splitlines(keepends=True)
         for line in lines:
@@ -207,7 +209,9 @@ class TestReportVerifier:
             assert parsed._kernel is not None
             assert parsed == actual_security(scope)
             assert render_report(parsed, scope, "json") == line
-        assert len(lines) == {"toy_report.json": 1, "multi_scope_report.json": 6}[golden]
+        assert len(lines) == {
+            "toy_report.json": 1, "multi_scope_report.json": 6, "units_shapes_report.json": 16
+        }[golden]
 
     def test_the_breakdown_has_37_leaves(self):
         # 7 rationals, 5 floats, 10 + 10 per-class values and 5 weights.
@@ -514,6 +518,19 @@ class TestKernelFill:
         # and 10**300, non-ASCII ids and labels.
         argv = ["rav", str(fixtures / "multi_scope.json"), "--format", format]
         assert dispatch(argv) == (0, (fixtures / golden).read_bytes(), b"")
+
+    def test_labels_that_are_not_strings_are_written_as_json_dumps_writes_them(self):
+        # Scope checks its id and channel only, so a label may be any value.
+        scope = Scope(id=5, vector=None, index="é")
+        text = render_report(actual_security(scope), scope, "json")
+        labels = json.loads(text)["scope"]
+        assert (labels["id"], labels["vector"], labels["index"]) == (5, None, "é")
+        assert b'"id": 5' in text and b'"vector": null' in text and b'"\\u00e9"' in text
+
+    def test_units_shapes_golden(self, fixtures):
+        # Sixteen scopes, each with a units map, which rav reads past.
+        argv = ["rav", str(fixtures / "units_shapes.json"), "--format", "json"]
+        assert dispatch(argv) == (0, (fixtures / "units_shapes_report.json").read_bytes(), b"")
 
     def test_kernel_fill_matches_the_fraction_fill_on_500_seeded_scopes(self):
         rng = random.Random("kernel-fill")
