@@ -52,10 +52,9 @@ _SOURCES = {
         "toy_scope",
     ),
     "polynomial": ("Polynomial", "divide_exact", "polynomial_gcd"),
-    "ratfun": ("RationalFunction", "ratfun_arith"),
+    "ratfun": ("RationalFunction",),
     "symbolic": (
         "EquivalenceResult",
-        "FormalVar",
         "LogSquareAtom",
         "SymbolicBreakdown",
         "SymbolicScore",

@@ -78,14 +78,9 @@ class CritiqueFinding(Record):
         verdict: str,
         narrative: str,
     ) -> None:
-        set_ = object.__setattr__
-        set_(self, "kind", kind)
-        set_(self, "inputs", inputs)
-        set_(self, "scores", scores)
-        set_(self, "verdict", verdict)
-        set_(self, "narrative", narrative)
         if verdict not in ("holds", "violated"):
             raise DomainError(f"verdict must be holds|violated, got {verdict!r}")
+        self.__setstate__((kind, inputs, scores, verdict, narrative))
 
     def to_obj(self) -> dict:
         return {
@@ -225,9 +220,10 @@ class CollisionBounds(Record):
     limitation: int
 
     def __init__(self, porosity: int = 3, control: int = 3, limitation: int = 3) -> None:
-        for name, value in zip(self.__slots__, (porosity, control, limitation)):
+        values = (porosity, control, limitation)
+        for name, value in zip(self.__slots__, values):
             self._check(f"bounds.{name}", value)
-            object.__setattr__(self, name, value)
+        self.__setstate__(values)
 
     @staticmethod
     def _check(label: str, value: object) -> None:

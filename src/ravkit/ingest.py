@@ -101,8 +101,7 @@ class ScopeEntry(Record):
     units: Mapping[str, str]
 
     def __init__(self, scope: Scope, units: Mapping[str, str] | None = None) -> None:
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "units", {} if units is None else units)
+        self.__setstate__((scope, {} if units is None else units))
 
 
 class ScopeDocument(Record):
@@ -112,7 +111,7 @@ class ScopeDocument(Record):
     entries: tuple[ScopeEntry, ...]
 
     def __init__(self, entries: tuple[ScopeEntry, ...]) -> None:
-        object.__setattr__(self, "entries", entries)
+        self.__setstate__((entries,))
 
 
 def load_json(text: str, error: type[InputError], what: str) -> Any:
@@ -365,12 +364,7 @@ class ScanReport(Record):
         open_ports: int,
         ignored_elements: Mapping[str, int],
     ) -> None:
-        set_ = object.__setattr__
-        set_(self, "porosity", porosity)
-        set_(self, "hosts_up", hosts_up)
-        set_(self, "hosts_total", hosts_total)
-        set_(self, "open_ports", open_ports)
-        set_(self, "ignored_elements", ignored_elements)
+        self.__setstate__((porosity, hosts_up, hosts_total, open_ports, ignored_elements))
 
 
 def import_scan_report(data: Union[bytes, str]) -> ScanReport:

@@ -188,8 +188,10 @@ def _refuse(message: str) -> NoReturn:
 class Record:
     """Base of ravkit's frozen record classes.
 
-    A subclass lists its fields, in order, as ``__slots__`` and sets them in
-    an explicit ``__init__`` with ``object.__setattr__``.  This base supplies
+    A subclass lists its fields, in order, as ``__slots__``; its explicit
+    ``__init__`` checks the values, then fills the slots in one
+    :meth:`__setstate__` call, as unpickling does, and :meth:`_trusted`
+    builds an instance without the checks.  This base supplies
     the rest of what ``@dataclass(frozen=True, slots=True)`` would generate:
     equality and hashing by the field tuple, the same repr, refusal to assign
     or delete, pickling and copying, and ``__dataclass_fields__`` for
@@ -251,11 +253,9 @@ class PorosityCounts(Record):
     trust: int
 
     def __init__(self, visibility: int = 0, access: int = 0, trust: int = 0) -> None:
-        set_ = object.__setattr__
-        set_(self, "visibility", visibility)
-        set_(self, "access", access)
-        set_(self, "trust", trust)
-        _check_counts(_POROSITY_FIELDS, (visibility, access, trust))
+        values = (visibility, access, trust)
+        _check_counts(_POROSITY_FIELDS, values)
+        self.__setstate__(values)
 
     @property
     def total(self) -> int:
@@ -297,24 +297,12 @@ class ControlCounts(Record):
         confidentiality: int = 0,
         alarm: int = 0,
     ) -> None:
-        set_ = object.__setattr__
-        set_(self, "authentication", authentication)
-        set_(self, "indemnification", indemnification)
-        set_(self, "resilience", resilience)
-        set_(self, "subjugation", subjugation)
-        set_(self, "continuity", continuity)
-        set_(self, "non_repudiation", non_repudiation)
-        set_(self, "integrity", integrity)
-        set_(self, "privacy", privacy)
-        set_(self, "confidentiality", confidentiality)
-        set_(self, "alarm", alarm)
-        _check_counts(
-            _CONTROL_FIELDS,
-            (
-                authentication, indemnification, resilience, subjugation, continuity,
-                non_repudiation, integrity, privacy, confidentiality, alarm,
-            ),
+        values = (
+            authentication, indemnification, resilience, subjugation, continuity,
+            non_repudiation, integrity, privacy, confidentiality, alarm,
         )
+        _check_counts(_CONTROL_FIELDS, values)
+        self.__setstate__(values)
 
     def get(self, cls: ControlClass) -> int:
         return getattr(self, _CONTROL_FIELD_OF[cls])
@@ -354,15 +342,9 @@ class LimitationCounts(Record):
         exposures: int = 0,
         anomalies: int = 0,
     ) -> None:
-        set_ = object.__setattr__
-        set_(self, "vulnerabilities", vulnerabilities)
-        set_(self, "weaknesses", weaknesses)
-        set_(self, "concerns", concerns)
-        set_(self, "exposures", exposures)
-        set_(self, "anomalies", anomalies)
-        _check_counts(
-            LIMITATION_CATEGORIES, (vulnerabilities, weaknesses, concerns, exposures, anomalies)
-        )
+        values = (vulnerabilities, weaknesses, concerns, exposures, anomalies)
+        _check_counts(LIMITATION_CATEGORIES, values)
+        self.__setstate__(values)
 
     @property
     def total(self) -> int:
@@ -406,22 +388,28 @@ class Scope(Record):
         controls: ControlCounts = _NO_CONTROLS,
         limitations: LimitationCounts = _NO_LIMITATIONS,
     ) -> None:
-        set_ = object.__setattr__
-        set_(self, "id", id)
-        set_(self, "channel", channel)
-        set_(self, "vector", vector)
-        set_(self, "index", index)
-        set_(self, "porosity", porosity)
-        set_(self, "controls", controls)
-        set_(self, "limitations", limitations)
+        for name, label in (("id", id), ("vector", vector), ("index", index)):
+            _check_label(name, label)
         if not id:
             raise DomainError(_EMPTY_SCOPE_ID)
         if channel not in CHANNELS and channel != AGGREGATE_CHANNEL:
             raise DomainError(_unknown_channel(channel))
+        self.__setstate__((id, channel, vector, index, porosity, controls, limitations))
 
 
 #: The refusal of an empty scope id, by ``Scope`` and by the scope parser.
 _EMPTY_SCOPE_ID = "scope id must be non-empty"
+
+
+def _check_label(name: str, label: object) -> None:
+    """Refuse a scope label that no report could write: one that is not a
+    ``str``, or one with a lone surrogate, which has no UTF-8 form."""
+    if not isinstance(label, str):
+        raise DomainError(f"scope {name} must be a string, got {label!r}")
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DomainError(f"scope {name} has a lone surrogate: {label!r}") from None
 
 
 def _unknown_channel(channel: str) -> str:
@@ -452,13 +440,7 @@ class Weights(Record):
         anomalies: Fraction,
         mc_vg: Fraction,
     ) -> None:
-        set_ = object.__setattr__
-        set_(self, "vulnerabilities", vulnerabilities)
-        set_(self, "weaknesses", weaknesses)
-        set_(self, "concerns", concerns)
-        set_(self, "exposures", exposures)
-        set_(self, "anomalies", anomalies)
-        set_(self, "mc_vg", mc_vg)
+        self.__setstate__((vulnerabilities, weaknesses, concerns, exposures, anomalies, mc_vg))
 
     def for_category(self, category: str) -> Fraction:
         return getattr(self, category)
@@ -536,22 +518,10 @@ class RavBreakdown(_KernelInts):
         seclim_base: float,
         actsec: float,
     ) -> None:
-        set_ = object.__setattr__
-        set_(self, "opsec_sum", opsec_sum)
-        set_(self, "opsec_base", opsec_base)
-        set_(self, "lc_sum", lc_sum)
-        set_(self, "mc_per_class", mc_per_class)
-        set_(self, "mc_sum", mc_sum)
-        set_(self, "mc_class_a", mc_class_a)
-        set_(self, "mc_class_b", mc_class_b)
-        set_(self, "mc_vg", mc_vg)
-        set_(self, "tc_per_class", tc_per_class)
-        set_(self, "tc_base", tc_base)
-        set_(self, "fc_base", fc_base)
-        set_(self, "weights", weights)
-        set_(self, "seclim_sum", seclim_sum)
-        set_(self, "seclim_base", seclim_base)
-        set_(self, "actsec", actsec)
+        self.__setstate__((
+            opsec_sum, opsec_base, lc_sum, mc_per_class, mc_sum, mc_class_a, mc_class_b, mc_vg,
+            tc_per_class, tc_base, fc_base, weights, seclim_sum, seclim_base, actsec,
+        ))
 
     def __getattr__(self, name: str):
         # Reached only for an unset slot or an unknown name.

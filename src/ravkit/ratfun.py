@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DomainError, ZeroDenominatorError
+from .errors import ZeroDenominatorError
 from .polynomial import (
     Point,
     Polynomial,
@@ -198,16 +198,3 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.render()})"
-
-
-def ratfun_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Apply one of ``add|sub|mul|div`` and return the reduced result."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise DomainError(f"unknown operation {op!r}; expected add|sub|mul|div")

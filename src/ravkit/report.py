@@ -306,12 +306,7 @@ def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -
     """Render one scope's breakdown, inputs included, as text or JSON."""
     if format == "json":
         templates = _REPORT_JSON
-        labels = _scope_labels(scope)
-        try:
-            labels = tuple(map(_quote, labels))
-        except TypeError:
-            # A label that is not a str, which Scope does not refuse.
-            labels = tuple(map(json.dumps, labels))
+        labels = tuple(map(_quote, _scope_labels(scope)))
     elif format == "text":
         templates = _REPORT_TEXT
         labels = (scope.id, scope.channel, scope.vector or "-", scope.index or "-")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import DomainError, UnassignedVariableError, UndefinedWeightError
 from .metrics import (
@@ -33,22 +33,6 @@ from .metrics import (
 )
 from .polynomial import Point, Polynomial, Scalar, render_sum, try_divide_exact
 from .ratfun import RationalFunction
-
-
-class FormalVar(Record):
-    """A named formal unit variable (e.g. ``h`` for one visible host)."""
-
-    __slots__ = __match_args__ = ("name",)
-    name: str
-
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
-        if not name:
-            raise DomainError("formal variable name must be non-empty")
-
-
-def _var_name(var: Union[FormalVar, str]) -> str:
-    return var.name if isinstance(var, FormalVar) else str(var)
 
 
 class LogSquareAtom:
@@ -193,7 +177,7 @@ class SymbolicScore:
 
     # -- evaluation and rendering -------------------------------------------------
 
-    def evaluate(self, assignment: Mapping[Union[str, FormalVar], Scalar]) -> float:
+    def evaluate(self, assignment: Mapping[str, Scalar]) -> float:
         """Substitute exactly, then apply natural logs in floating point.
 
         Every variable must be assigned a positive rational; every atom
@@ -202,7 +186,7 @@ class SymbolicScore:
         power of a variable is computed once and each argument is one
         division of two exact integers.
         """
-        values = {_var_name(k): Fraction(v) for k, v in assignment.items()}
+        values = {k: Fraction(v) for k, v in assignment.items()}
         for name, value in values.items():
             if value <= 0:
                 raise DomainError(f"assignment for {name!r} must be positive, got {value}")
@@ -260,22 +244,20 @@ def _branch_max_zero(value: Polynomial) -> Polynomial:
     return value if sum(value.terms.values()) >= 0 else Polynomial()
 
 
-def _validate_units(
-    unit_map: Mapping[str, Union[str, FormalVar]] | None,
-) -> dict[str, str]:
+def _validate_units(unit_map: Mapping[str, str] | None) -> dict[str, str]:
     if not unit_map:
         return {}
-    out: dict[str, str] = {}
-    for kind, var in unit_map.items():
+    for kind, name in unit_map.items():
         if kind not in UNIT_KINDS:
             raise DomainError(
                 f"unknown count kind {kind!r} in unit map; expected one of {', '.join(UNIT_KINDS)}"
             )
-        out[kind] = _var_name(var)
-    names = list(out.values())
+        if not isinstance(name, str):
+            raise DomainError(f"unit variable for {kind!r} must be a string, got {name!r}")
+    names = list(unit_map.values())
     if len(set(names)) != len(names):
         raise DomainError("unit map must assign distinct variables to distinct count kinds")
-    return out
+    return dict(unit_map)
 
 
 class SymbolicBreakdown(Record):
@@ -296,15 +278,11 @@ class SymbolicBreakdown(Record):
         seclim_argument: RationalFunction,
         score: SymbolicScore,
     ) -> None:
-        set_ = object.__setattr__
-        set_(self, "opsec_argument", opsec_argument)
-        set_(self, "controls_argument", controls_argument)
-        set_(self, "seclim_argument", seclim_argument)
-        set_(self, "score", score)
+        self.__setstate__((opsec_argument, controls_argument, seclim_argument, score))
 
 
 def symbolic_breakdown(
-    scope: Scope, unit_map: Mapping[str, Union[str, FormalVar]] | None = None
+    scope: Scope, unit_map: Mapping[str, str] | None = None
 ) -> SymbolicBreakdown:
     """Run the symbolic pipeline and return the atom arguments with the score.
 
@@ -411,9 +389,7 @@ def symbolic_breakdown(
     return SymbolicBreakdown(a_arg, f_arg, s_arg, score)
 
 
-def symbolic_rav(
-    scope: Scope, unit_map: Mapping[str, Union[str, FormalVar]] | None = None
-) -> SymbolicScore:
+def symbolic_rav(scope: Scope, unit_map: Mapping[str, str] | None = None) -> SymbolicScore:
     """Build the Actual Security score of a scope as a symbolic expression.
 
     ``unit_map`` maps count kinds (``visibility``, ``access``, ``trust``,
@@ -435,9 +411,7 @@ class EquivalenceResult(Record):
     def __init__(
         self, equivalent: bool, method: str, witness: Mapping[str, Fraction] | None = None
     ) -> None:
-        object.__setattr__(self, "equivalent", equivalent)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "witness", witness)
+        self.__setstate__((equivalent, method, witness))
 
     def __bool__(self) -> bool:
         return self.equivalent

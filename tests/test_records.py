@@ -28,7 +28,8 @@ from ravkit.metrics import (
     actual_security,
     toy_scope,
 )
-from ravkit.symbolic import EquivalenceResult, FormalVar, SymbolicBreakdown, symbolic_breakdown
+from ravkit.ratfun import RationalFunction
+from ravkit.symbolic import EquivalenceResult, SymbolicBreakdown, SymbolicScore, symbolic_breakdown
 from ravkit.trust import (
     ApplicantRecord,
     RuleResult,
@@ -100,7 +101,6 @@ CASES = {
     "TrustScore": (lambda v: TrustScore({TrustProperty.SIZE: Fraction(v)}, Fraction(v), "sum"),
                    ("per_property", "combined", "mode", "undefined_reasons"),
                    ("mode", "max"), False),
-    "FormalVar": (lambda v: FormalVar(f"h{v}"), ("name",), ("name", "p"), True),
     "SymbolicBreakdown": (
         lambda v: symbolic_breakdown(toy_scope(), {"visibility": "h"} if v else None),
         ("opsec_argument", "controls_argument", "seclim_argument", "score"),
@@ -116,6 +116,49 @@ def make(name, variant=0):
 
 def field_values(obj) -> tuple:
     return tuple(getattr(obj, name) for name in CASES[type(obj).__name__][1])
+
+
+def _arguments() -> dict[str, tuple]:
+    """One valid value per field of each ``CASES`` class, in slot order, no
+    two of a class alike, so a value filled into the wrong slot shows."""
+    porosity, controls = PorosityCounts(1, 2, 3), ControlCounts(*range(1, 11))
+    limitations = LimitationCounts(*range(1, 6))
+    scope = Scope("s", "human", "v", "i", porosity, controls, limitations)
+    weights = Weights(*(Fraction(1, i) for i in range(2, 8)))
+    entry = ScopeEntry(scope, {"visibility": "h"})
+    return {
+        "PorosityCounts": (1, 2, 3),
+        "ControlCounts": tuple(range(1, 11)),
+        "LimitationCounts": tuple(range(1, 6)),
+        "Scope": ("s", "human", "v", "i", porosity, controls, limitations),
+        "Weights": tuple(Fraction(1, i) for i in range(2, 8)),
+        "RavBreakdown": (
+            Fraction(1, 2), 0.5, Fraction(1, 3), {ControlClass.ALARM: Fraction(1)}, Fraction(1, 4),
+            Fraction(1, 5), Fraction(1, 6), Fraction(1, 7), {ControlClass.PRIVACY: Fraction(2)},
+            1.5, 2.5, weights, Fraction(1, 8), 3.5, 4.5,
+        ),
+        "ScopeEntry": (scope, {"access": "p"}),
+        "ScopeDocument": ((entry,),),
+        "ScanReport": (porosity, 1, 2, 3, {"os": 4}),
+        "CritiqueFinding": ("kind", {"x": 1}, {"y": 2}, "holds", "narrative"),
+        "CollisionBounds": (1, 2, 3),
+        "ApplicantRecord": ("a", 1, 12, 2, 40, 18, 20, Fraction(1, 2), Fraction(8), 3, 100, 4, 5, 6),
+        "RuleResult": (TrustProperty.POROSITY, "r", Fraction(1, 3), "why", (("a", "b"),)),
+        "TrustScore": ({TrustProperty.SIZE: Fraction(1)}, Fraction(1, 3), "sum", (("a", "b"),)),
+        "SymbolicBreakdown": (*map(RationalFunction.constant, (2, 3, 4)), SymbolicScore.constant(5)),
+        "EquivalenceResult": (True, "sampled", {"h": Fraction(2)}),
+    }
+
+
+def test_each_field_holds_its_own_argument():
+    arguments = _arguments()
+    assert set(arguments) == set(CASES)
+    for name, values in arguments.items():
+        cls, names = type(make(name)), CASES[name][1]
+        assert len(values) == len(names), name
+        for obj in (cls(*values), cls(**dict(zip(names, values)))):
+            for field, value in zip(names, values):
+                assert getattr(obj, field) is value, (name, field)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -234,8 +277,6 @@ class TestRecordValidation:
     def test_other_checks(self):
         with pytest.raises(DomainError, match=r"^verdict must be holds\|violated, got 'maybe'$"):
             CritiqueFinding("k", {}, {}, "maybe", "n")
-        with pytest.raises(DomainError, match="^formal variable name must be non-empty$"):
-            FormalVar("")
         with pytest.raises(DomainError, match="^undefined rule 'r' needs a reason$"):
             RuleResult(TrustProperty.SIZE, "r", None)
         with pytest.raises(DomainError, match=r"^rule 'r' value must be >= 0, got -1/2$"):

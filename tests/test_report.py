@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ravkit.cli import dispatch
-from ravkit.errors import DigitLimitError, InputError, UndefinedTrustError
+from ravkit.errors import DigitLimitError, DomainError, InputError, UndefinedTrustError
 from ravkit.ingest import scope_to_obj
 from ravkit.metrics import (
     _RATIONAL_AGGREGATES,
@@ -110,9 +110,12 @@ class TestRavReport:
             render_report(actual_security(toy), toy, "yaml")
 
     def test_unencodable_text_is_not_reported_as_a_digit_limit(self, toy):
-        # A library caller can build a scope id that no parser accepts; the
-        # text report fails on the encoding, not with the digit-limit error.
-        scope = replace(toy, id="\ud800x")
+        # Scope refuses a lone surrogate in a label, but a scope built
+        # without its checks can hold one; the text report then fails on
+        # the encoding, not with the digit-limit error.
+        with pytest.raises(DomainError, match="^scope id has a lone surrogate"):
+            replace(toy, id="\ud800x")
+        scope = Scope._trusted(("\ud800x", *toy.__getstate__()[1:]))
         with pytest.raises(UnicodeEncodeError):
             render_report(actual_security(scope), scope, "text")
         assert b'"\\ud800x"' in render_report(actual_security(scope), scope, "json")
@@ -519,13 +522,38 @@ class TestKernelFill:
         argv = ["rav", str(fixtures / "multi_scope.json"), "--format", format]
         assert dispatch(argv) == (0, (fixtures / golden).read_bytes(), b"")
 
-    def test_labels_that_are_not_strings_are_written_as_json_dumps_writes_them(self):
-        # Scope checks its id and channel only, so a label may be any value.
-        scope = Scope(id=5, vector=None, index="é")
+    @pytest.mark.parametrize(("field", "label", "message"), [
+        ("id", 5, "scope id must be a string, got 5"),
+        ("vector", None, "scope vector must be a string, got None"),
+        ("index", b"x", "scope index must be a string, got b'x'"),
+        ("id", "a\ud800", "scope id has a lone surrogate: 'a\\ud800'"),
+        ("vector", "\udfff", "scope vector has a lone surrogate: '\\udfff'"),
+        ("index", "é\udc80", "scope index has a lone surrogate: 'é\\udc80'"),
+    ], ids=["id-int", "vector-none", "index-bytes", "id-surrogate", "vector-surrogate",
+            "index-surrogate"])
+    def test_labels_no_report_could_carry_are_refused(self, field, label, message):
+        # A label that is not a str, or that has no UTF-8 form, would give a
+        # JSON report parse_report refuses and a text report that cannot be
+        # encoded, so Scope refuses it; an empty id is refused after it.
+        labels = {"id": "x", field: label}
+        with pytest.raises(DomainError) as raised:
+            Scope(**labels)
+        assert str(raised.value) == message
+        if field != "id":
+            with pytest.raises(DomainError, match="^scope " + field):
+                Scope(**{**labels, "id": ""})
+
+    def test_non_ascii_labels_survive_a_json_round_trip(self):
+        scope = Scope(id="naïve-日本", vector="emoji-\U0001F512", index="é",
+                      porosity=PorosityCounts(1, 1, 0))
         text = render_report(actual_security(scope), scope, "json")
-        labels = json.loads(text)["scope"]
-        assert (labels["id"], labels["vector"], labels["index"]) == (5, None, "é")
-        assert b'"id": 5' in text and b'"vector": null' in text and b'"\\u00e9"' in text
+        assert text.isascii() and b'"\\u00e9"' in text
+        parsed_scope, parsed = parse_report(text)
+        assert parsed_scope == scope
+        assert render_report(parsed, parsed_scope, "json") == text
+        lines = render_report(parsed, parsed_scope, "text").decode("utf-8").splitlines()
+        assert lines[:2] == ["rav report: naïve-日本",
+                             "scope: channel=data-network vector=emoji-\U0001F512 index=é"]
 
     def test_units_shapes_golden(self, fixtures):
         # Sixteen scopes, each with a units map, which rav reads past.
