@@ -161,8 +161,8 @@ def _cmd_import_nmap(args, out: BinaryIO) -> None:
         entries = (ingest.ScopeEntry(scope=merged, units=first.units),) + document.entries[1:]
         out.write(ingest.render_scope_document(ingest.ScopeDocument(entries=entries)))
     else:
-        scope = Scope(id="scan", porosity=scan.porosity)
-        out.write(ingest.render_scope_document([scope]))
+        entry = ingest.ScopeEntry(Scope(id="scan", porosity=scan.porosity))
+        out.write(ingest.render_scope_document(ingest.ScopeDocument((entry,))))
 
 
 def _cmd_aggregate(args, out: BinaryIO) -> None:

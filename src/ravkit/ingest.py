@@ -28,7 +28,7 @@ import json
 import sys
 from fractions import Fraction
 from operator import add, itemgetter
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Union
 
 from .errors import (
     CsvFormatError,
@@ -45,6 +45,7 @@ from .metrics import (
     LIMITATION_CATEGORIES,
     UNIT_KINDS,
     _EMPTY_SCOPE_ID,
+    _check_label,
     _NO_CONTROLS,
     _NO_LIMITATIONS,
     _NO_POROSITY,
@@ -93,7 +94,9 @@ _LIMITATION_GROUP = _count_group(LimitationCounts, LIMITATION_CATEGORIES, _NO_LI
 class ScopeEntry(Record):
     """One scope plus its optional unit-variable names for symbolic mode.
 
-    ``units`` defaults to a new empty mapping.
+    ``units`` defaults to a new empty mapping.  The constructor refuses what
+    the scope parser refuses in a unit map: a kind outside ``UNIT_KINDS``,
+    and a name that is not a ``str`` or has a lone surrogate.
     """
 
     __slots__ = __match_args__ = ("scope", "units")
@@ -101,7 +104,14 @@ class ScopeEntry(Record):
     units: Mapping[str, str]
 
     def __init__(self, scope: Scope, units: Mapping[str, str] | None = None) -> None:
-        self.__setstate__((scope, {} if units is None else units))
+        units = {} if units is None else units
+        for kind, name in units.items():
+            if kind not in _UNIT_KEYS:
+                raise DomainError(
+                    f"unknown count kind {kind!r} in units; expected one of {', '.join(UNIT_KINDS)}"
+                )
+            _check_label(f"unit variable for {kind!r}", name)
+        self.__setstate__((scope, units))
 
 
 class ScopeDocument(Record):
@@ -307,17 +317,11 @@ def scope_to_obj(scope: Scope, units: Mapping[str, str] | None = None) -> dict:
     return obj
 
 
-def render_scope_document(
-    document: Union[ScopeDocument, Sequence[Scope]],
-) -> bytes:
-    """Canonical rendering of scopes as a ``ravkit-scope/1`` document."""
-    if isinstance(document, ScopeDocument):
-        entries = document.entries
-    else:
-        entries = tuple(ScopeEntry(scope=s) for s in document)
+def render_scope_document(document: ScopeDocument) -> bytes:
+    """Canonical rendering of a document's scopes as ``ravkit-scope/1``."""
     doc = {
         "schema": SCOPE_SCHEMA,
-        "scopes": [scope_to_obj(e.scope, e.units or None) for e in entries],
+        "scopes": [scope_to_obj(e.scope, e.units or None) for e in document.entries],
     }
     try:
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")

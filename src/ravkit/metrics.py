@@ -188,10 +188,12 @@ def _refuse(message: str) -> NoReturn:
 class Record:
     """Base of ravkit's frozen record classes.
 
-    A subclass lists its fields, in order, as ``__slots__``; its explicit
-    ``__init__`` checks the values, then fills the slots in one
-    :meth:`__setstate__` call, as unpickling does, and :meth:`_trusted`
-    builds an instance without the checks.  This base supplies
+    A subclass lists its fields, in order, as ``__slots__``, and each
+    class collects its slots' setters once, when it is defined.
+    :meth:`__setstate__` fills the slots through them and is the one fill:
+    an explicit ``__init__`` checks the values and then calls it,
+    unpickling calls it, and :meth:`_trusted` builds an instance through it
+    without the checks.  This base supplies
     the rest of what ``@dataclass(frozen=True, slots=True)`` would generate:
     equality and hashing by the field tuple, the same repr, refusal to assign
     or delete, pickling and copying, and ``__dataclass_fields__`` for
@@ -226,9 +228,14 @@ class Record:
     def __getstate__(self) -> tuple:
         return self._values()
 
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls) -> None:
+        # Each slot's member descriptor writes it past the refusing
+        # __setattr__, and faster than a write by name.
+        cls._setters = tuple([cls.__dict__[name].__set__ for name in cls.__slots__])
+
+    def __setstate__(self, state: Sequence) -> None:
+        for set_, value in zip(self._setters, state):
+            set_(self, value)
 
     @classmethod
     def _trusted(cls, values: Sequence):
@@ -236,9 +243,7 @@ class Record:
         without the public constructor's checks: for values the caller has
         already checked, as a parser does."""
         self = object.__new__(cls)
-        set_ = object.__setattr__
-        for name, value in zip(cls.__slots__, values):
-            set_(self, name, value)
+        self.__setstate__(values)
         return self
 
     __dataclass_fields__ = _DataclassFields()
@@ -388,7 +393,7 @@ class Scope(Record):
         controls: ControlCounts = _NO_CONTROLS,
         limitations: LimitationCounts = _NO_LIMITATIONS,
     ) -> None:
-        for name, label in (("id", id), ("vector", vector), ("index", index)):
+        for name, label in (("scope id", id), ("scope vector", vector), ("scope index", index)):
             _check_label(name, label)
         if not id:
             raise DomainError(_EMPTY_SCOPE_ID)
@@ -401,15 +406,15 @@ class Scope(Record):
 _EMPTY_SCOPE_ID = "scope id must be non-empty"
 
 
-def _check_label(name: str, label: object) -> None:
-    """Refuse a scope label that no report could write: one that is not a
+def _check_label(what: str, label: object) -> None:
+    """Refuse a label that no document could write: one that is not a
     ``str``, or one with a lone surrogate, which has no UTF-8 form."""
     if not isinstance(label, str):
-        raise DomainError(f"scope {name} must be a string, got {label!r}")
+        raise DomainError(f"{what} must be a string, got {label!r}")
     try:
         label.encode("utf-8")
     except UnicodeEncodeError:
-        raise DomainError(f"scope {name} has a lone surrogate: {label!r}") from None
+        raise DomainError(f"{what} has a lone surrogate: {label!r}") from None
 
 
 def _unknown_channel(channel: str) -> str:
@@ -456,27 +461,32 @@ class _KernelInts(Record):
     __slots__ = ("_kernel",)
 
 
+#: Sets a breakdown's ``_kernel`` slot, the one slot ``actual_security`` fills.
+(_set_kernel,) = _KernelInts._setters
+
+
 #: The seven aggregate rational fields of a RavBreakdown, in report order.
 _RATIONAL_AGGREGATES = (
     "opsec_sum", "lc_sum", "mc_sum", "mc_class_a", "mc_class_b", "mc_vg", "seclim_sum"
 )
-#: The rational fields of a RavBreakdown; actual_security leaves them unset
-#: and RavBreakdown.__getattr__ builds them from the kernel ints.
-_RATIONAL_FIELDS = frozenset((*_RATIONAL_AGGREGATES, "mc_per_class", "tc_per_class", "weights"))
 
 
 class RavBreakdown(_KernelInts):
     """Every intermediate of the pipeline plus the final Actual Security value.
 
-    A breakdown from :func:`actual_security` holds the kernel's ints in
-    ``_kernel``, as the tuple ``(s, lc_sum, mc_a, mc_b, mc, tc, vg_den,
-    weights, den, key)``: the porosity total, the control sum, the two
-    meta-class shortfall sums, the ten shortfalls and ten true controls in
-    pipeline order, the denominator of ``mc_vg`` (over which ``mc_a + mc_b``
-    is its numerator), the five weight numerators over ``den`` and the
-    limitation key over ``den**2``.  Its rational fields are built from those
-    ints the first time one is read; a report is rendered from the ints
-    directly.  A breakdown built field by field has ``_kernel`` None.
+    A breakdown from :func:`actual_security` holds only ``_kernel``, the
+    tuple ``(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key,
+    opsec_base, tc_base, fc_base, seclim_base, actsec)``: the porosity
+    total, the control sum, the two meta-class shortfall sums, the ten
+    shortfalls and ten true controls in pipeline order, the denominator of
+    ``mc_vg`` (over which ``mc_a + mc_b`` is its numerator), the five weight
+    numerators over ``den``, the limitation key over ``den**2`` and the five
+    float fields.  The first read of any field fills all fifteen from it, in
+    one :meth:`__setstate__`; a report is rendered from the tuple directly.
+    A breakdown built field by field, by ``dataclasses.replace`` or by
+    unpickling has ``_kernel`` None: ``render_report`` checks it against
+    ``actual_security`` of its scope and writes it from that kernel if the
+    two are equal, and refuses it if not.
     """
 
     __slots__ = __match_args__ = (
@@ -528,21 +538,18 @@ class RavBreakdown(_KernelInts):
         if name == "_kernel":
             return None
         kernel = self._kernel
-        if kernel is None or name not in _RATIONAL_FIELDS:
+        if kernel is None or name not in RavBreakdown.__slots__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key = kernel
+        (s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key,
+         opsec_base, tc_base, fc_base, seclim_base, actsec) = kernel
         mc_vg = Fraction(mc_a + mc_b, vg_den)
-        set_ = object.__setattr__
-        set_(self, "opsec_sum", Fraction(s))
-        set_(self, "lc_sum", Fraction(lc_sum))
-        set_(self, "mc_per_class", dict(zip(_CLASSES, map(Fraction, mc))))
-        set_(self, "mc_sum", Fraction(mc_a + mc_b))
-        set_(self, "mc_class_a", Fraction(mc_a))
-        set_(self, "mc_class_b", Fraction(mc_b))
-        set_(self, "mc_vg", mc_vg)
-        set_(self, "tc_per_class", dict(zip(_CLASSES, map(Fraction, tc))))
-        set_(self, "weights", Weights(*(Fraction(w, den) for w in weights), mc_vg=mc_vg))
-        set_(self, "seclim_sum", Fraction(key, den * den))
+        self.__setstate__((
+            Fraction(s), opsec_base, Fraction(lc_sum), dict(zip(_CLASSES, map(Fraction, mc))),
+            Fraction(mc_a + mc_b), Fraction(mc_a), Fraction(mc_b), mc_vg,
+            dict(zip(_CLASSES, map(Fraction, tc))), tc_base, fc_base,
+            Weights(*(Fraction(w, den) for w in weights), mc_vg=mc_vg),
+            Fraction(key, den * den), seclim_base, actsec,
+        ))
         return object.__getattribute__(self, name)
 
 
@@ -620,14 +627,10 @@ def actual_security(scope: Scope) -> RavBreakdown:
     fc_base = _log_ratio(1 + 10 * lc_sum, 1) ** 2
     tc_base = _log_ratio(1 + 100 * s - 10 * mc_sum, 1) ** 2
     b = object.__new__(RavBreakdown)
-    set_ = object.__setattr__
-    set_(b, "opsec_base", opsec_base)
-    set_(b, "tc_base", tc_base)
-    set_(b, "fc_base", fc_base)
-    set_(b, "seclim_base", seclim_base)
-    set_(b, "actsec", combine_bases(opsec_base, fc_base, seclim_base))
-    tc = [n if n < s else s for n in lc]
-    set_(b, "_kernel", (s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key))
+    _set_kernel(b, (
+        s, lc_sum, mc_a, mc_b, mc, [n if n < s else s for n in lc], vg_den, weights, den, key,
+        opsec_base, tc_base, fc_base, seclim_base, combine_bases(opsec_base, fc_base, seclim_base),
+    ))
     return b
 
 

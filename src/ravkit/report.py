@@ -123,10 +123,9 @@ def _emit(value: Any, out: list[str]) -> None:
 # placeholder becomes a bare ``%`` and the template keeps a getter that puts
 # one tuple of values, in ``_VALUE_NAMES`` order, into its placeholder order.
 # A rational field is written ``num/den`` from two int placeholders, so the
-# ``%`` operator formats every number.  Each template has a second form for
-# a breakdown that holds the kernel ints, where the 25 denominators the
-# kernel always has as 1 are written into the text.  Only the scope's id,
-# channel, vector and index are quoted per report.
+# ``%`` operator formats every number; the 25 denominators the kernel always
+# has as 1 are written into the text.  Only the scope's id, channel, vector
+# and index are quoted per report.
 
 _FLOATS = ("opsec_base", "tc_base", "fc_base", "seclim_base", "actsec")
 _SCOPE_LABELS = ("id", "channel", "vector", "index")
@@ -134,12 +133,7 @@ _SCOPE_LABELS = ("id", "channel", "vector", "index")
 _CLASS_KEYS = tuple(cls.value for cls in ControlClass)
 _CLASS_ABBREVIATIONS = tuple(cls.abbreviation for cls in ControlClass)
 
-_fractions = attrgetter(*_FRACTIONS)
-_floats = attrgetter(*_FLOATS)
 _scope_labels = attrgetter(*_SCOPE_LABELS)
-_by_class = itemgetter(*ControlClass)
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
 
 # Placeholder names, each tuple in the order of the values its getters return.
 _COUNT_NAMES = (
@@ -153,44 +147,36 @@ _FRACTION_NAMES = (
     *(f"tc_per_class.{key}" for key in _CLASS_KEYS),
     *(f"weights.{name}" for name in LIMITATION_CATEGORIES),
 )
-#: The values of a breakdown built field by field: the rational fields'
-#: numerators, then their denominators.
-_VALUE_NAMES = (
-    *_SCOPE_LABELS,
-    *_COUNT_NAMES,
-    *(f"{name}.num" for name in _FRACTION_NAMES),
-    *(f"{name}.den" for name in _FRACTION_NAMES),
-    *_FLOATS,
-)
 #: The denominators that are 1 in every breakdown of the kernel ints: all
 #: but those of ``mc_vg``, ``seclim_sum`` and the weights.
 _ONES = frozenset(
     f"{name}.den" for name in _FRACTION_NAMES
     if name not in ("mc_vg", "seclim_sum") and not name.startswith("weights.")
 )
-_KERNEL_NAMES = tuple(name for name in _VALUE_NAMES if name not in _ONES)
+#: The values a report is written from: the rational fields' numerators,
+#: then their denominators that are not always 1.
+_VALUE_NAMES = (
+    *_SCOPE_LABELS,
+    *_COUNT_NAMES,
+    *(f"{name}.num" for name in _FRACTION_NAMES),
+    *(f"{name}.den" for name in _FRACTION_NAMES if f"{name}.den" not in _ONES),
+    *_FLOATS,
+)
 
 
-def _positional(template: str, value_names: tuple[str, ...]) -> tuple[str, itemgetter]:
-    """A named-placeholder template as a positional one, with the getter
-    that orders a tuple of ``value_names`` for it."""
+def _positional(template: str) -> tuple[str, itemgetter]:
+    """A named-placeholder template as a positional one, with each of
+    ``_ONES`` written as a literal 1, and the getter that orders a tuple of
+    ``_VALUE_NAMES`` for it."""
+    for name in _ONES:
+        template = template.replace(f"%({name})s", "1")
     text, *rest = template.split("%(")
     pieces, names = [text], []
     for part in rest:
         name, text = part.split(")", 1)
         names.append(name)
         pieces.append("%" + text)
-    return "".join(pieces), itemgetter(*map(value_names.index, names))
-
-
-def _templates(template: str) -> tuple[tuple[str, itemgetter], tuple[str, itemgetter]]:
-    """The positional form of a report template for a breakdown built field
-    by field, and for one that holds the kernel ints, with each of ``_ONES``
-    written as a literal 1."""
-    kernel = template
-    for name in _ONES:
-        kernel = kernel.replace(f"%({name})s", "1")
-    return _positional(template, _VALUE_NAMES), _positional(kernel, _KERNEL_NAMES)
+    return "".join(pieces), itemgetter(*map(_VALUE_NAMES.index, names))
 
 
 def _object(members: Mapping[str, str]) -> str:
@@ -210,7 +196,7 @@ def _members(prefix: str, keys: Iterable[str], quoted: bool = False) -> str:
     return _object({key: f"%({prefix}.{key})s" for key in keys})
 
 
-_REPORT_JSON = _templates(_object(
+_REPORT_JSON = _positional(_object(
     {
         "schema": json.dumps(REPORT_SCHEMA),
         "scope": _object(
@@ -244,7 +230,7 @@ def _assignments(
     )
 
 
-_REPORT_TEXT = _templates("\n".join(
+_REPORT_TEXT = _positional("\n".join(
     (
         "rav report: %(id)s",
         "scope: channel=%(channel)s vector=%(vector)s index=%(index)s",
@@ -275,10 +261,11 @@ _REPORT_TEXT = _templates("\n".join(
 ))
 
 
-def _kernel_ints(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key) -> tuple:
+def _kernel_values(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key, *floats) -> tuple:
     """The rational fields' numerators, then the denominators that are not
     always 1, each pair in lowest terms and each half in ``_FRACTION_NAMES``
-    order, from the kernel ints an ``actual_security`` breakdown holds."""
+    order, then the float fields: the values of an ``actual_security``
+    breakdown's kernel that a report writes."""
     mc_sum = mc_a + mc_b
     vg, lim = gcd(mc_sum, vg_den), gcd(key, den * den)
     wv, ww, wc, we, wa = weights
@@ -287,46 +274,49 @@ def _kernel_ints(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key) -> tu
         s, lc_sum, mc_sum, mc_a, mc_b, mc_sum // vg, key // lim, *mc, *tc,
         wv // gv, ww // gw, wc // gc, we // ge, wa // ga,
         vg_den // vg, den * den // lim, den // gv, den // gw, den // gc, den // ge, den // ga,
+        *floats,
     )
 
 
-def _fraction_ints(b: RavBreakdown) -> tuple:
-    """The rational fields' numerators, then all their denominators, in
-    ``_FRACTION_NAMES`` order, from a breakdown built field by field."""
-    fractions = (
-        *_fractions(b),
-        *_by_class(b.mc_per_class),
-        *_by_class(b.tc_per_class),
-        *_by_category(b.weights),
-    )
-    return (*map(_numerator, fractions), *map(_denominator, fractions))
+def _scope_kernel(breakdown: RavBreakdown, scope: Scope) -> tuple:
+    """The kernel of ``scope``'s own breakdown, for a breakdown without one
+    (built field by field, by ``dataclasses.replace`` or by unpickling),
+    which must equal it."""
+    try:
+        own = actual_security(scope)
+    except UndefinedWeightError:
+        own = None  # no breakdown belongs to this scope
+    if own != breakdown:
+        raise InputError(f"breakdown disagrees with the one computed from scope {scope.id!r}")
+    return own._kernel
 
 
 def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -> bytes:
-    """Render one scope's breakdown, inputs included, as text or JSON."""
+    """Render one scope's breakdown, inputs included, as text or JSON.
+
+    A breakdown from :func:`actual_security` is written from its kernel.
+    One without a kernel is written from that of ``actual_security(scope)``
+    if it equals that breakdown, and refused with an :class:`InputError`
+    if not.
+    """
     if format == "json":
-        templates = _REPORT_JSON
+        template, order = _REPORT_JSON
         labels = tuple(map(_quote, _scope_labels(scope)))
     elif format == "text":
-        templates = _REPORT_TEXT
+        template, order = _REPORT_TEXT
         labels = (scope.id, scope.channel, scope.vector or "-", scope.index or "-")
     else:
         raise InputError(f"unknown report format {format!r}; expected text or json")
     kernel = breakdown._kernel
     if kernel is None:
-        (template, order), _ = templates
-        rationals = _fraction_ints(breakdown)
-    else:
-        _, (template, order) = templates
-        rationals = _kernel_ints(*kernel)
+        kernel = _scope_kernel(breakdown, scope)
     try:
         text = template % order((
             *labels,
             *_porosity_counts(scope.porosity),
             *_control_counts(scope.controls),
             *_by_category(scope.limitations),
-            *rationals,
-            *_floats(breakdown),
+            *_kernel_values(*kernel),
         ))
     except ValueError:
         # str() of an int past the int-digit limit: a rational field, or an

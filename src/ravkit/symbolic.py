@@ -188,6 +188,8 @@ class SymbolicScore:
         """
         values = {k: Fraction(v) for k, v in assignment.items()}
         for name, value in values.items():
+            if not isinstance(name, str):
+                raise DomainError(f"assignment variable must be a string, got {name!r}")
             if value <= 0:
                 raise DomainError(f"assignment for {name!r} must be positive, got {value}")
         missing = self.variables() - set(values)

@@ -288,23 +288,6 @@ class TrustScore(Record):
         self.__setstate__((per_property, combined, mode, undefined_reasons))
 
 
-def _rule_result(prop: TrustProperty, rule_id: str, value: Fraction | None,
-                 reason: str | None = None, excluded: tuple = ()) -> RuleResult:
-    """A :class:`RuleResult` of values a rule here derived itself, so
-    without the checks of its public constructor."""
-    # Filled slot by slot, not through RuleResult._trusted: this runs three
-    # times per scored applicant, and the loop in _trusted is slower (about
-    # 1.2 us a build against 0.8 us here; Python 3.11, x86-64, best of 7).
-    r = object.__new__(RuleResult)
-    set_ = object.__setattr__
-    set_(r, "property", prop)
-    set_(r, "rule_id", rule_id)
-    set_(r, "value", value)
-    set_(r, "undefined_reason", reason)
-    set_(r, "excluded", excluded)
-    return r
-
-
 # ---------------------------------------------------------------------------
 # Built-in rules
 # ---------------------------------------------------------------------------
@@ -332,8 +315,8 @@ def consistency_ratios(record: ApplicantRecord) -> tuple[RuleResult, RuleResult,
     """The three consistency ratios, before the rule-5.4 averaging."""
     prop = TrustProperty.CONSISTENCY
     r1, r2, r3 = (
-        _rule_result(prop, rule_id, _exact(num, den)) if den
-        else _rule_result(prop, rule_id, None, reason)
+        RuleResult._trusted((prop, rule_id, _exact(num, den), None, ())) if den
+        else RuleResult._trusted((prop, rule_id, None, reason, ()))
         for (rule_id, reason), (num, den) in zip(_CONSISTENCY_RULES, _consistency_terms(record))
     )
     return r1, r2, r3
@@ -344,19 +327,20 @@ def consistency_score(record: ApplicantRecord) -> RuleResult:
     terms = _consistency_terms(record)
     defined = [term for term in terms if term[1]]
     excluded = tuple([rule for rule, (_, den) in zip(_CONSISTENCY_RULES, terms) if not den])
+    prop, rule_id = TrustProperty.CONSISTENCY, "consistency"
     if not defined:
-        return _rule_result(TrustProperty.CONSISTENCY, "consistency", None,
-                            "all three consistency ratios undefined", excluded)
-    return _rule_result(TrustProperty.CONSISTENCY, "consistency", _mean(defined), None, excluded)
+        reason = "all three consistency ratios undefined"
+        return RuleResult._trusted((prop, rule_id, None, reason, excluded))
+    return RuleResult._trusted((prop, rule_id, _mean(defined), None, excluded))
 
 
 def porosity_rule(record: ApplicantRecord) -> RuleResult:
     """Community employees divided by the community population."""
+    prop, rule_id = TrustProperty.POROSITY, "porosity/community"
     if record.community_population == 0:
-        return _rule_result(TrustProperty.POROSITY, "porosity/community", None,
-                            "community population not recorded")
-    return _rule_result(TrustProperty.POROSITY, "porosity/community",
-                        _exact(record.employees_in_community, record.community_population))
+        return RuleResult._trusted((prop, rule_id, None, "community population not recorded", ()))
+    value = _exact(record.employees_in_community, record.community_population)
+    return RuleResult._trusted((prop, rule_id, value, None, ()))
 
 
 def unmonitored_hours_rule(record: ApplicantRecord) -> RuleResult:
@@ -365,11 +349,11 @@ def unmonitored_hours_rule(record: ApplicantRecord) -> RuleResult:
     OSSTMM does not name the property this rule instantiates; it is filed
     under Subjugation.
     """
+    prop, rule_id = TrustProperty.SUBJUGATION, "subjugation/unmonitored-hours"
     if record.working_hours_per_day == 0:
-        return _rule_result(TrustProperty.SUBJUGATION, "subjugation/unmonitored-hours", None,
-                            "no working hours recorded")
-    return _rule_result(TrustProperty.SUBJUGATION, "subjugation/unmonitored-hours",
-                        _quotient(record.hours_alone_per_day, record.working_hours_per_day))
+        return RuleResult._trusted((prop, rule_id, None, "no working hours recorded", ()))
+    value = _quotient(record.hours_alone_per_day, record.working_hours_per_day)
+    return RuleResult._trusted((prop, rule_id, value, None, ()))
 
 
 def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> TrustScore:
@@ -419,13 +403,7 @@ def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> Trust
     elif len(values) > 1:
         num, den = _sum([(v.numerator, v.denominator) for v in values])
         combined = _exact(num, den * len(values) if mode == "average" else den)
-    score = object.__new__(TrustScore)
-    set_ = object.__setattr__
-    set_(score, "per_property", per_property)
-    set_(score, "combined", combined)
-    set_(score, "mode", mode)
-    set_(score, "undefined_reasons", tuple(reasons))
-    return score
+    return TrustScore._trusted((per_property, combined, mode, tuple(reasons)))
 
 
 def score_applicant(

@@ -105,6 +105,7 @@ class TestImportNmap:
     def test_scan_to_scope_document(self, fixtures):
         code, out, err = run("import-nmap", str(fixtures / "scan_1host_3ports.xml"))
         assert code == 0 and err == b""
+        assert out == (fixtures / "scan_1host_3ports_scope.json").read_bytes()
         doc = json.loads(out)
         assert doc["schema"] == "ravkit-scope/1"
         assert doc["scopes"][0]["porosity"] == {"visibility": 1, "access": 3, "trust": 0}

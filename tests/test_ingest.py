@@ -30,6 +30,7 @@ from ravkit.errors import (
 from ravkit.ingest import (
     _CSV_READ_ORDER,
     CSV_COLUMNS,
+    ScopeDocument,
     ScopeEntry,
     _hours_cell,
     import_scan_report,
@@ -197,6 +198,32 @@ class TestScopeParsing:
         with pytest.raises(ScopeFormatError) as exc:
             parse_scope_document(doc)
         assert str(exc.value) == "$: unknown field(s) extra"
+
+    @pytest.mark.parametrize(("units", "message"), [
+        ({"visibility": 5}, "unit variable for 'visibility' must be a string, got 5"),
+        ({"access": None}, "unit variable for 'access' must be a string, got None"),
+        ({"alarm": "h\ud800"}, "unit variable for 'alarm' has a lone surrogate: 'h\\ud800'"),
+        ({"nope": "h"}, "unknown count kind 'nope' in units; expected one of visibility, "),
+        ({5: "h"}, "unknown count kind 5 in units; expected one of visibility, "),
+        ({"non_repudiation": "h"}, "unknown count kind 'non_repudiation' in units; "),
+    ], ids=["int", "none", "surrogate", "unknown", "int-kind", "field-name"])
+    def test_scope_entry_refuses_a_unit_map_the_parser_refuses(self, units, message):
+        # Else render_scope_document would write a document that
+        # parse_scope_document refuses.
+        with pytest.raises(DomainError) as raised:
+            ScopeEntry(Scope("x"), units)
+        assert str(raised.value).startswith(message)
+        assert "\n" not in str(raised.value)
+        doc = json.dumps({"schema": "ravkit-scope/1",
+                          "scopes": [{"id": "x", "units": units}]}, default=str)
+        with pytest.raises(ScopeFormatError):
+            parse_scope_document(doc)
+
+    def test_scope_entry_units_round_trip(self):
+        entry = ScopeEntry(Scope("x", porosity=PorosityCounts(1)),
+                           {"visibility": "h", "non-repudiation": "é"})
+        document = ScopeDocument((entry,))
+        assert parse_scope_document(render_scope_document(document)) == document
 
     def test_round_trip_identity(self, fixtures):
         for name in ("toy.json", "empty.json", "fifty.json", "hundred.json"):

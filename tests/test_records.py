@@ -162,6 +162,18 @@ def test_each_field_holds_its_own_argument():
 
 
 @pytest.mark.parametrize("name", CASES)
+def test_trusted_builds_the_constructors_record(name):
+    # _trusted fills through the same slot setters as the constructor,
+    # without its checks.
+    values = _arguments()[name]
+    cls = type(make(name))
+    obj = cls._trusted(values)
+    assert type(obj) is cls and obj == cls(*values)
+    for field, value in zip(CASES[name][1], values):
+        assert getattr(obj, field) is value, field
+
+
+@pytest.mark.parametrize("name", CASES)
 class TestRecordClass:
     def test_fields_and_match_args(self, name):
         cls, names = type(make(name)), CASES[name][1]
@@ -350,6 +362,19 @@ class TestKernelBreakdown:
             elif not name.endswith(("_base", "actsec")):
                 assert type(value) is Fraction, name
         assert pickle.loads(pickle.dumps(b))._kernel is None
+
+    @pytest.mark.parametrize("first", _BREAKDOWN)
+    def test_first_read_fills_every_field(self, first):
+        b = actual_security(toy_scope())
+        slots = [RavBreakdown.__dict__[name] for name in _BREAKDOWN]
+        for slot in slots:
+            with pytest.raises(AttributeError):
+                slot.__get__(b)  # unset: a member descriptor skips __getattr__
+        getattr(b, first)
+        eager = dataclasses.replace(actual_security(toy_scope()))
+        assert [slot.__get__(b) for slot in slots] == [getattr(eager, n) for n in _BREAKDOWN]
+        assert b._kernel is not None
+        assert "_kernel" not in {f.name for f in dataclasses.fields(b)}
 
     def test_kernel_slot_is_not_a_field(self):
         assert "_kernel" not in RavBreakdown.__slots__

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 import sys
 from dataclasses import replace
@@ -580,6 +581,26 @@ class TestKernelFill:
             shapes["huge"] += scope.porosity.total > 10**200
             shapes["awkward"] += scope.vector in AWKWARD or scope.id in AWKWARD
         assert min(shapes.values()) >= 5, shapes
+
+    @pytest.mark.parametrize("format", ["json", "text"])
+    def test_breakdown_without_a_kernel_is_checked_against_its_scope(self, format):
+        toy = toy_scope()
+        b = actual_security(toy)
+        expected = render_report(b, toy, format)
+        for same in (replace(b), pickle.loads(pickle.dumps(b))):
+            assert same._kernel is None and render_report(same, toy, format) == expected
+        # A breakdown that is not the scope's own is refused, not written
+        # into a report that parse_report would refuse.
+        undefined = Scope("undefined", limitations=LimitationCounts(1))
+        for wrong, scope in ((replace(b, actsec=5.0), toy),
+                             (replace(b, mc_per_class={}), toy),
+                             (replace(b), Scope("other", porosity=PorosityCounts(1))),
+                             (replace(b), undefined)):
+            with pytest.raises(InputError) as raised:
+                render_report(wrong, scope, format)
+            assert str(raised.value) == (
+                f"breakdown disagrees with the one computed from scope {scope.id!r}"
+            )
 
     @pytest.mark.parametrize("format", ["json", "text"])
     def test_kernel_field_past_the_digit_limit(self, format):

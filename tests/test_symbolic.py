@@ -411,6 +411,14 @@ class TestEvaluationErrors:
         with pytest.raises(DomainError):
             symbolic_rav(toy, TOY_UNITS).evaluate({"h": 0, "p": 1, "l": 1})
 
+    @pytest.mark.parametrize("key", [5, None, ("h",)], ids=["int", "none", "tuple"])
+    def test_assignment_key_that_is_not_a_string_rejected(self, toy, key):
+        # Not ignored: no variable could have that name.
+        score = symbolic_rav(toy, {"visibility": "h"})
+        with pytest.raises(DomainError) as raised:
+            score.evaluate({"h": 1, key: 2})
+        assert str(raised.value) == f"assignment variable must be a string, got {key!r}"
+
 
 class TestEquivalence:
     def test_score_vs_score_plus_one(self):
