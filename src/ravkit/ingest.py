@@ -96,7 +96,9 @@ class ScopeEntry(Record):
 
     ``units`` defaults to a new empty mapping.  The constructor refuses what
     the scope parser refuses in a unit map: a kind outside ``UNIT_KINDS``,
-    and a name that is not a ``str`` or has a lone surrogate.
+    and a name that is not a ``str`` or has a lone surrogate.  It keeps a
+    copy of the map it checked, so a later change to the caller's map
+    cannot reach the entry.
     """
 
     __slots__ = __match_args__ = ("scope", "units")
@@ -111,7 +113,7 @@ class ScopeEntry(Record):
                     f"unknown count kind {kind!r} in units; expected one of {', '.join(UNIT_KINDS)}"
                 )
             _check_label(f"unit variable for {kind!r}", name)
-        self.__setstate__((scope, units))
+        self.__setstate__((scope, dict(units)))
 
 
 class ScopeDocument(Record):

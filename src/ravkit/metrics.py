@@ -452,16 +452,39 @@ class Weights(Record):
 
 
 class _KernelInts(Record):
-    """Private base of :class:`RavBreakdown`: one slot for the kernel's ints.
+    """Private base of a record that may hold only its kernel's ints.
 
-    A subclass's ``__slots__`` names its public fields only, so ``Record``
-    compares, hashes, prints and pickles those and never this slot.
+    ``_kernel`` is this class's one slot.  A subclass's ``__slots__`` names
+    its public fields only, so ``Record`` compares, hashes, prints and
+    pickles those and never this slot.  An instance built by
+    :meth:`_holding` has ``_kernel`` set and its fields unset; the first read
+    of any field fills them all, in one :meth:`__setstate__`, from
+    ``_fields(kernel)``, which each subclass supplies.  An instance built by
+    its public constructor, by ``dataclasses.replace`` or by unpickling has
+    ``_kernel`` None.
     """
 
     __slots__ = ("_kernel",)
 
+    @classmethod
+    def _holding(cls, kernel: tuple):
+        """An instance that holds ``kernel`` and fills its fields on first read."""
+        self = object.__new__(cls)
+        _set_kernel(self, kernel)
+        return self
 
-#: Sets a breakdown's ``_kernel`` slot, the one slot ``actual_security`` fills.
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot or an unknown name.
+        if name == "_kernel":
+            return None
+        kernel = self._kernel
+        if kernel is None or name not in self.__slots__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__setstate__(self._fields(kernel))
+        return object.__getattribute__(self, name)
+
+
+#: Sets a record's ``_kernel`` slot.
 (_set_kernel,) = _KernelInts._setters
 
 
@@ -476,17 +499,16 @@ class RavBreakdown(_KernelInts):
 
     A breakdown from :func:`actual_security` holds only ``_kernel``, the
     tuple ``(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key,
-    opsec_base, tc_base, fc_base, seclim_base, actsec)``: the porosity
+    opsec_base, tc_base, fc_base, seclim_base, actsec, scope)``: the porosity
     total, the control sum, the two meta-class shortfall sums, the ten
     shortfalls and ten true controls in pipeline order, the denominator of
     ``mc_vg`` (over which ``mc_a + mc_b`` is its numerator), the five weight
-    numerators over ``den``, the limitation key over ``den**2`` and the five
-    float fields.  The first read of any field fills all fifteen from it, in
-    one :meth:`__setstate__`; a report is rendered from the tuple directly.
-    A breakdown built field by field, by ``dataclasses.replace`` or by
-    unpickling has ``_kernel`` None: ``render_report`` checks it against
-    ``actual_security`` of its scope and writes it from that kernel if the
-    two are equal, and refuses it if not.
+    numerators over ``den``, the limitation key over ``den**2``, the five
+    float fields and the scope it was computed from.  Its fields fill from
+    the tuple on first read (see :class:`_KernelInts`), and ``render_report``
+    writes it from the tuple directly when given that same scope.  A
+    breakdown without a kernel, or given another scope, is checked against
+    ``actual_security`` of the scope it is rendered with.
     """
 
     __slots__ = __match_args__ = (
@@ -533,24 +555,18 @@ class RavBreakdown(_KernelInts):
             tc_per_class, tc_base, fc_base, weights, seclim_sum, seclim_base, actsec,
         ))
 
-    def __getattr__(self, name: str):
-        # Reached only for an unset slot or an unknown name.
-        if name == "_kernel":
-            return None
-        kernel = self._kernel
-        if kernel is None or name not in RavBreakdown.__slots__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @staticmethod
+    def _fields(kernel: tuple) -> tuple:
         (s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key,
-         opsec_base, tc_base, fc_base, seclim_base, actsec) = kernel
+         opsec_base, tc_base, fc_base, seclim_base, actsec, _) = kernel
         mc_vg = Fraction(mc_a + mc_b, vg_den)
-        self.__setstate__((
+        return (
             Fraction(s), opsec_base, Fraction(lc_sum), dict(zip(_CLASSES, map(Fraction, mc))),
             Fraction(mc_a + mc_b), Fraction(mc_a), Fraction(mc_b), mc_vg,
             dict(zip(_CLASSES, map(Fraction, tc))), tc_base, fc_base,
             Weights(*(Fraction(w, den) for w in weights), mc_vg=mc_vg),
             Fraction(key, den * den), seclim_base, actsec,
-        ))
-        return object.__getattribute__(self, name)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +642,11 @@ def actual_security(scope: Scope) -> RavBreakdown:
     opsec_base = _log_ratio(1 + 100 * s, 1) ** 2
     fc_base = _log_ratio(1 + 10 * lc_sum, 1) ** 2
     tc_base = _log_ratio(1 + 100 * s - 10 * mc_sum, 1) ** 2
-    b = object.__new__(RavBreakdown)
-    _set_kernel(b, (
+    return RavBreakdown._holding((
         s, lc_sum, mc_a, mc_b, mc, [n if n < s else s for n in lc], vg_den, weights, den, key,
         opsec_base, tc_base, fc_base, seclim_base, combine_bases(opsec_base, fc_base, seclim_base),
+        scope,
     ))
-    return b
 
 
 def aggregate_scopes(scopes: Sequence[Scope]) -> Scope:

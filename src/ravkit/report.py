@@ -261,7 +261,10 @@ _REPORT_TEXT = _positional("\n".join(
 ))
 
 
-def _kernel_values(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key, *floats) -> tuple:
+def _kernel_values(
+    s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key,
+    opsec_base, tc_base, fc_base, seclim_base, actsec, scope,
+) -> tuple:
     """The rational fields' numerators, then the denominators that are not
     always 1, each pair in lowest terms and each half in ``_FRACTION_NAMES``
     order, then the float fields: the values of an ``actual_security``
@@ -274,14 +277,15 @@ def _kernel_values(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key, *fl
         s, lc_sum, mc_sum, mc_a, mc_b, mc_sum // vg, key // lim, *mc, *tc,
         wv // gv, ww // gw, wc // gc, we // ge, wa // ga,
         vg_den // vg, den * den // lim, den // gv, den // gw, den // gc, den // ge, den // ga,
-        *floats,
+        opsec_base, tc_base, fc_base, seclim_base, actsec,
     )
 
 
 def _scope_kernel(breakdown: RavBreakdown, scope: Scope) -> tuple:
-    """The kernel of ``scope``'s own breakdown, for a breakdown without one
-    (built field by field, by ``dataclasses.replace`` or by unpickling),
-    which must equal it."""
+    """The kernel of ``scope``'s own breakdown, for a breakdown that was not
+    computed from ``scope`` itself (one built field by field, by
+    ``dataclasses.replace`` or by unpickling, or one of another scope
+    object), which must equal it."""
     try:
         own = actual_security(scope)
     except UndefinedWeightError:
@@ -294,10 +298,10 @@ def _scope_kernel(breakdown: RavBreakdown, scope: Scope) -> tuple:
 def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -> bytes:
     """Render one scope's breakdown, inputs included, as text or JSON.
 
-    A breakdown from :func:`actual_security` is written from its kernel.
-    One without a kernel is written from that of ``actual_security(scope)``
-    if it equals that breakdown, and refused with an :class:`InputError`
-    if not.
+    A breakdown that :func:`actual_security` computed from ``scope`` itself
+    is written from its kernel.  Any other breakdown is written from the
+    kernel of ``actual_security(scope)`` if it equals that breakdown, and
+    refused with an :class:`InputError` if not.
     """
     if format == "json":
         template, order = _REPORT_JSON
@@ -308,7 +312,7 @@ def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -
     else:
         raise InputError(f"unknown report format {format!r}; expected text or json")
     kernel = breakdown._kernel
-    if kernel is None:
+    if kernel is None or kernel[-1] is not scope:
         kernel = _scope_kernel(breakdown, scope)
     try:
         text = template % order((
@@ -378,6 +382,12 @@ def _expect_same(found: Any, expected: Any, path: str) -> None:
 # keys in ``emit_json`` order.  Only the applicant ids and the values are
 # quoted per applicant: a rule's members but its value, and the mode, are
 # the same for every applicant, so each is quoted once and kept.
+#
+# A rule result or score that holds a kernel (see ``trust.score_applicant``)
+# is written from its ints, one that does not from its fields, and both give
+# the same bytes.  Either way each value is written in the order the report
+# shows it, its numerator and denominator before its decimal, so a value
+# past the int-digit limit or the float range fails at the same point.
 
 # "value" sorts last, so a rule object is this head, then its value and "}".
 _RULE_HEAD = _object(
@@ -434,45 +444,101 @@ def _rule_head(rule_id: str, prop: TrustProperty, reason: str | None, excluded: 
     }
 
 
+def _excluded_lines(excluded: Iterable[tuple[str, str]]) -> str:
+    """The text report's lines for a rule's excluded ratios, each after a newline."""
+    return "".join([f"\n    excluded {rule_id}: {reason}" for rule_id, reason in excluded])
+
+
+@lru_cache(maxsize=1)
+def _kernel_pieces() -> tuple:
+    """What a kernel's ints are written with: for each published rule and
+    excluded mask, the rule's text label, its whole text when undefined, its
+    excluded lines, and its JSON head when defined and when undefined; and
+    the template of a score's ``per_property`` members with the getter that
+    puts the rules' values, in rule order, into its key order."""
+    from .trust import _EXCLUDED, _RULES
+
+    pieces = []
+    for prop, rule_id, reason in _RULES:
+        label = f"  {rule_id:<32}"
+        by_mask = []
+        for excluded in _EXCLUDED:
+            lines = _excluded_lines(excluded)
+            by_mask.append((
+                label, f"{label}undefined: {reason}{lines}", lines,
+                _rule_head(rule_id, prop, None, excluded),
+                _rule_head(rule_id, prop, reason, excluded),
+            ))
+        pieces.append(tuple(by_mask))
+    keys = [_PROPERTY_KEYS[prop] for prop, _, _ in _RULES]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    per_property = ", ".join(f"{keys[i]}: %s" for i in order)
+    return tuple(pieces), per_property, itemgetter(*order)
+
+
 _quoted = lru_cache(maxsize=64)(json.dumps)
 
 
 def _applicant_json(applicant_id: str, results: Sequence[RuleResult], score: TrustScore) -> str:
-    per_property = sorted(
-        (_PROPERTY_KEYS[prop], _fraction_or_null(value))
-        for prop, value in score.per_property.items()
-    )
-    rules = ", ".join([
-        _rule_head(r.rule_id, r.property, r.undefined_reason, r.excluded)
-        + _fraction_or_null(r.value) + "}"
-        for r in results
-    ])
-    num, den = score.combined.numerator, score.combined.denominator
+    rule_pieces, per_property_json, property_order = _kernel_pieces()
+    kernel = score._kernel
+    if kernel is None:
+        per_property = ", ".join([
+            f"{key}: {value}" for key, value in sorted(
+                (_PROPERTY_KEYS[prop], _fraction_or_null(value))
+                for prop, value in score.per_property.items()
+            )
+        ])
+        num, den, mode = score.combined.numerator, score.combined.denominator, score.mode
+    else:
+        rules, num, den, mode = kernel
+        per_property = per_property_json % property_order(
+            tuple([f'"{n}/{d}"' if d else "null" for _, n, d, _ in rules])
+        )
+    texts = []
+    for r in results:
+        kernel = r._kernel
+        if kernel is None:
+            head = _rule_head(r.rule_id, r.property, r.undefined_reason, r.excluded)
+            texts.append(head + _fraction_or_null(r.value) + "}")
+        else:
+            rule, n, d, excluded = kernel
+            _, _, _, head, undefined_head = rule_pieces[rule][excluded]
+            texts.append(f'{head}"{n}/{d}"}}' if d else undefined_head + "null}")
     return _APPLICANT_JSON % (
-        json.dumps(applicant_id), f"{num}/{den}", num / den, _quoted(score.mode),
-        ", ".join(f"{key}: {value}" for key, value in per_property), rules,
+        json.dumps(applicant_id), f"{num}/{den}", num / den, _quoted(mode),
+        per_property, ", ".join(texts),
     )
-
-
-def _value_text(value: Rational) -> str:
-    """A value as the text report writes it: ``num/den (decimal)``."""
-    num, den = value.numerator, value.denominator
-    return f"{num}/{den} ({num / den:.6f})"
 
 
 def _trust_text(scored: Iterable[tuple[str, Sequence[RuleResult], TrustScore]]) -> str:
+    rule_pieces = _kernel_pieces()[0]
     lines: list[str] = []
     for applicant_id, results, score in scored:
         lines.append(f"applicant: {applicant_id}")
         for r in results:
-            if r.value is not None:
-                lines.append(f"  {r.rule_id:<32}{_value_text(r.value)}")
+            kernel = r._kernel
+            if kernel is None:
+                value = r.value
+                if value is None:
+                    line = f"  {r.rule_id:<32}undefined: {r.undefined_reason}"
+                else:
+                    num, den = value.numerator, value.denominator
+                    line = f"  {r.rule_id:<32}{num}/{den} ({num / den:.6f})"
+                lines.append(line + _excluded_lines(r.excluded))
             else:
-                lines.append(f"  {r.rule_id:<32}undefined: {r.undefined_reason}")
-            for rule_id, reason in r.excluded:
-                lines.append(f"    excluded {rule_id}: {reason}")
-        label = f"combined({score.mode})"
-        lines.append(f"  {label:<32}{_value_text(score.combined)}")
+                rule, num, den, excluded = kernel
+                label, undefined, excluded_lines, _, _ = rule_pieces[rule][excluded]
+                if den:
+                    lines.append(f"{label}{num}/{den} ({num / den:.6f}){excluded_lines}")
+                else:
+                    lines.append(undefined)
+        kernel = score._kernel
+        if kernel is None:
+            num, den, mode = score.combined.numerator, score.combined.denominator, score.mode
+        else:
+            _, num, den, mode = kernel
+        lines.append(f"  {f'combined({mode})':<32}{num}/{den} ({num / den:.6f})")
         lines.append("")
     return "\n".join(lines)
 
@@ -482,7 +548,12 @@ def render_trust_report(
     format: str = "text",
 ) -> bytes:
     """Render per-applicant rule values and combined trust scores, reading
-    ``scored`` once, in order, so it may be an iterator."""
+    ``scored`` once, in order, so it may be an iterator.
+
+    Results and scores from :func:`~ravkit.trust.score_applicant` are
+    written from their kernels' ints, any others from their fields, to the
+    same bytes.
+    """
     try:
         if format == "json":
             applicants = ", ".join(_applicant_json(*entry) for entry in scored)

@@ -17,14 +17,17 @@ Reference polarity is an explicit input, never inferred: a record holds
 its references as three polarity counts, so a record with millions of
 references costs no more than one with none.
 
-The rules and :func:`trust_combine` work on int numerators and
-denominators: each ratio is reduced with one gcd, and averages and sums are
-taken over a common denominator (the max by cross-multiplication).
-``Fraction`` objects are built only for the returned values, and each
-result is built once: the rules and :func:`trust_combine` construct their
-:class:`RuleResult` and :class:`TrustScore` directly, without re-checking
-values they derived themselves, and a property or a combination with a
-single value takes that value as it is.  The ``trust`` command scores one
+Every ratio and every combination is taken by one int helper:
+``_reduced`` puts a pair in lowest terms with one gcd, and ``_combine``
+takes the average, sum or max of pairs and reduces it once.  The three rules compute their kernels with
+them: ``(rule, num, den, excluded)``, the value in lowest terms with
+``den`` 0 when undefined and a bit mask of the consistency ratios left
+out.  :func:`score_applicant` combines those ints under the mode and
+returns results and a score that hold only the kernels; their fields, and
+the ``Fraction`` values among them, are built on first read, and
+``render_trust_report`` writes them from the ints without reading a field.
+:func:`trust_combine`, for results of any origin, groups them per property
+and combines through the same helpers.  The ``trust`` command scores one
 applicant at a time as its report is written, so a batch never holds more
 than one applicant's results.
 """
@@ -33,11 +36,11 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import isfinite, lcm
+from math import gcd, isfinite
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, UndefinedTrustError
-from .metrics import Record, _exact
+from .metrics import Record, _exact, _KernelInts
 
 Rational = Union[int, Fraction]
 
@@ -66,23 +69,31 @@ class TrustProperty(enum.Enum):
 _PROPERTIES = tuple(TrustProperty)
 
 
-def _quotient(a: Rational, b: Rational) -> Fraction:
-    """``a / b`` of two non-negative rationals with ``b > 0``."""
-    return _exact(a.numerator * b.denominator, a.denominator * b.numerator)
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """``num/den`` (``den > 0``) in lowest terms, with one gcd."""
+    g = gcd(num, den)
+    return (num, den) if g == 1 else (num // g, den // g)
 
 
-def _sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of (numerator, denominator) pairs, unreduced, over their
-    least common denominator."""
-    if len(pairs) == 1:
-        return pairs[0]
-    den = lcm(*[d for _, d in pairs])
-    return sum([n * (den // d) for n, d in pairs]), den
-
-
-def _mean(pairs: Sequence[tuple[int, int]]) -> Fraction:
-    num, den = _sum(pairs)
-    return _exact(num, den * len(pairs))
+def _combine(pairs: Sequence[tuple[int, int]], mode: str) -> tuple[int, int]:
+    """The average, sum or max of (numerator, denominator) pairs with
+    positive denominators, in lowest terms.  Sums are taken pair by pair
+    over the product of the distinct denominators and reduced once; the
+    max is found by cross-multiplication."""
+    num, den = pairs[0]
+    if mode == "max":
+        for n, d in pairs[1:]:
+            if n * den > num * d:
+                num, den = n, d
+    else:
+        for n, d in pairs[1:]:
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        if mode == "average":
+            den *= len(pairs)
+    return _reduced(num, den)
 
 
 def _coerce_hours(name: str, value: Rational | float) -> Fraction:
@@ -240,8 +251,14 @@ def _checked(
     )
 
 
-class RuleResult(Record):
-    """Value of one trust rule: an exact ratio, or undefined with a reason."""
+class RuleResult(_KernelInts):
+    """Value of one trust rule: an exact ratio, or undefined with a reason.
+
+    A result of one of the three published rules holds only its kernel,
+    ``(rule, num, den, excluded)``: the rule's index in ``_RULES``, its
+    value in lowest terms (``den`` 0 when undefined) and the bit mask of
+    the consistency ratios it excludes.  Its fields fill on first read.
+    """
 
     __slots__ = __match_args__ = ("property", "rule_id", "value", "undefined_reason", "excluded")
     property: TrustProperty
@@ -268,9 +285,23 @@ class RuleResult(Record):
     def defined(self) -> bool:
         return self.value is not None
 
+    @staticmethod
+    def _fields(kernel: tuple) -> tuple:
+        rule, num, den, excluded = kernel
+        prop, rule_id, reason = _RULES[rule]
+        if den:
+            return prop, rule_id, _exact(num, den), None, _EXCLUDED[excluded]
+        return prop, rule_id, None, reason, _EXCLUDED[excluded]
 
-class TrustScore(Record):
-    """Per-property trust values and their combination under one mode."""
+
+class TrustScore(_KernelInts):
+    """Per-property trust values and their combination under one mode.
+
+    A score from :func:`score_applicant` holds only its kernel, ``(rules,
+    num, den, mode)``: the kernels of its three rule results, in ``_RULES``
+    order, and the combination in lowest terms.  Its fields fill on first
+    read.
+    """
 
     __slots__ = __match_args__ = ("per_property", "combined", "mode", "undefined_reasons")
     per_property: Mapping[TrustProperty, Fraction | None]
@@ -287,6 +318,21 @@ class TrustScore(Record):
     ) -> None:
         self.__setstate__((per_property, combined, mode, undefined_reasons))
 
+    @staticmethod
+    def _fields(kernel: tuple) -> tuple:
+        rules, num, den, mode = kernel
+        per_property: dict[TrustProperty, Fraction | None] = {}
+        reasons = []
+        for i in _RULE_ORDER:
+            _, n, d, _ = rules[i]
+            prop, rule_id, reason = _RULES[i]
+            if d:
+                per_property[prop] = _exact(n, d)
+            else:
+                per_property[prop] = None
+                reasons.append((rule_id, reason))
+        return per_property, _exact(num, den), mode, tuple(reasons)
+
 
 # ---------------------------------------------------------------------------
 # Built-in rules
@@ -299,6 +345,21 @@ _CONSISTENCY_RULES = (
     ("consistency/offenses", "applicant not beyond the legal adult age"),
     ("consistency/references", "no past employers"),
 )
+#: The consistency ratios an excluded mask names: bit i is ratio i.
+_EXCLUDED = tuple(
+    tuple(rule for i, rule in enumerate(_CONSISTENCY_RULES) if mask >> i & 1)
+    for mask in range(8)
+)
+#: The three published rules, as ``score_applicant`` returns their results:
+#: each one's property, rule id and the reason it is undefined.
+_RULES = (
+    (TrustProperty.CONSISTENCY, "consistency", "all three consistency ratios undefined"),
+    (TrustProperty.POROSITY, "porosity/community", "community population not recorded"),
+    (TrustProperty.SUBJUGATION, "subjugation/unmonitored-hours", "no working hours recorded"),
+)
+#: The rules' indices in the order of their properties, the order in which
+#: ``trust_combine`` groups results.
+_RULE_ORDER = tuple(sorted(range(3), key=lambda i: _PROPERTIES.index(_RULES[i][0])))
 
 
 def _consistency_terms(record: ApplicantRecord) -> tuple[tuple[int, int], ...]:
@@ -322,25 +383,45 @@ def consistency_ratios(record: ApplicantRecord) -> tuple[RuleResult, RuleResult,
     return r1, r2, r3
 
 
-def consistency_score(record: ApplicantRecord) -> RuleResult:
-    """Average of the defined consistency ratios; excluded ratios are reported."""
+# The kernel of each published rule: ``(rule, num, den, excluded)``, as a
+# RuleResult holds it.
+
+
+def _consistency(record: ApplicantRecord) -> tuple[int, int, int, int]:
     terms = _consistency_terms(record)
     defined = [term for term in terms if term[1]]
-    excluded = tuple([rule for rule, (_, den) in zip(_CONSISTENCY_RULES, terms) if not den])
-    prop, rule_id = TrustProperty.CONSISTENCY, "consistency"
+    excluded = (not terms[0][1]) | (not terms[1][1]) << 1 | (not terms[2][1]) << 2
     if not defined:
-        reason = "all three consistency ratios undefined"
-        return RuleResult._trusted((prop, rule_id, None, reason, excluded))
-    return RuleResult._trusted((prop, rule_id, _mean(defined), None, excluded))
+        return 0, 0, 0, excluded
+    num, den = _combine(defined, "average")
+    return 0, num, den, excluded
+
+
+def _porosity(record: ApplicantRecord) -> tuple[int, int, int, int]:
+    if record.community_population == 0:
+        return 1, 0, 0, 0
+    num, den = _reduced(record.employees_in_community, record.community_population)
+    return 1, num, den, 0
+
+
+def _unmonitored(record: ApplicantRecord) -> tuple[int, int, int, int]:
+    alone, working = record.hours_alone_per_day, record.working_hours_per_day
+    if working.numerator == 0:
+        return 2, 0, 0, 0
+    num, den = _reduced(
+        alone.numerator * working.denominator, alone.denominator * working.numerator
+    )
+    return 2, num, den, 0
+
+
+def consistency_score(record: ApplicantRecord) -> RuleResult:
+    """Average of the defined consistency ratios; excluded ratios are reported."""
+    return RuleResult._holding(_consistency(record))
 
 
 def porosity_rule(record: ApplicantRecord) -> RuleResult:
     """Community employees divided by the community population."""
-    prop, rule_id = TrustProperty.POROSITY, "porosity/community"
-    if record.community_population == 0:
-        return RuleResult._trusted((prop, rule_id, None, "community population not recorded", ()))
-    value = _exact(record.employees_in_community, record.community_population)
-    return RuleResult._trusted((prop, rule_id, value, None, ()))
+    return RuleResult._holding(_porosity(record))
 
 
 def unmonitored_hours_rule(record: ApplicantRecord) -> RuleResult:
@@ -349,18 +430,21 @@ def unmonitored_hours_rule(record: ApplicantRecord) -> RuleResult:
     OSSTMM does not name the property this rule instantiates; it is filed
     under Subjugation.
     """
-    prop, rule_id = TrustProperty.SUBJUGATION, "subjugation/unmonitored-hours"
-    if record.working_hours_per_day == 0:
-        return RuleResult._trusted((prop, rule_id, None, "no working hours recorded", ()))
-    value = _quotient(record.hours_alone_per_day, record.working_hours_per_day)
-    return RuleResult._trusted((prop, rule_id, value, None, ()))
+    return RuleResult._holding(_unmonitored(record))
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in COMBINE_MODES:
+        raise DomainError(f"unknown mode {mode!r}; expected one of {', '.join(COMBINE_MODES)}")
+
+
+_ALL_UNDEFINED = "every supplied rule result is undefined"
 
 
 def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> TrustScore:
     """Group results per property (averaging within a property), then combine
     the defined per-property values under ``average``, ``sum`` or ``max``."""
-    if mode not in COMBINE_MODES:
-        raise DomainError(f"unknown mode {mode!r}; expected one of {', '.join(COMBINE_MODES)}")
+    _check_mode(mode)
     groups: dict[TrustProperty, list[RuleResult]] = {}
     for result in results:
         group = groups.get(result.property)
@@ -370,7 +454,7 @@ def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> Trust
             group.append(result)
 
     per_property: dict[TrustProperty, Fraction | None] = {}
-    values: list[Fraction] = []
+    values: list[tuple[int, int]] = []
     reasons: list[tuple[str, str]] = []
     for prop in _PROPERTIES:
         group = groups.get(prop)
@@ -378,40 +462,40 @@ def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> Trust
             continue
         defined = []
         for r in group:
-            if r.value is None:
+            value = r.value
+            if value is None:
                 reasons.append((r.rule_id, r.undefined_reason or ""))
             else:
-                defined.append(r.value)
+                defined.append((value.numerator, value.denominator))
         if not defined:
             per_property[prop] = None
             continue
-        if len(defined) == 1 and type(defined[0]) is Fraction:
-            value = defined[0]
-        else:
-            value = _mean([(v.numerator, v.denominator) for v in defined])
-        per_property[prop] = value
-        values.append(value)
+        pair = _combine(defined, "average")
+        per_property[prop] = _exact(*pair)
+        values.append(pair)
 
     if not values:
-        raise UndefinedTrustError("every supplied rule result is undefined")
-    # A lone value is every mode's combination of it.
-    combined = values[0]
-    if mode == "max":
-        for value in values[1:]:
-            if value.numerator * combined.denominator > combined.numerator * value.denominator:
-                combined = value
-    elif len(values) > 1:
-        num, den = _sum([(v.numerator, v.denominator) for v in values])
-        combined = _exact(num, den * len(values) if mode == "average" else den)
+        raise UndefinedTrustError(_ALL_UNDEFINED)
+    combined = _exact(*_combine(values, mode))
     return TrustScore._trusted((per_property, combined, mode, tuple(reasons)))
 
 
 def score_applicant(
     record: ApplicantRecord, mode: str = "average"
 ) -> tuple[list[RuleResult], TrustScore]:
-    """Evaluate the three published rules and combine them."""
-    results = [consistency_score(record), porosity_rule(record), unmonitored_hours_rule(record)]
-    return results, trust_combine(results, mode)
+    """Evaluate the three published rules and combine them.
+
+    The results and the score hold only the rules' kernels and the
+    combination, and fill their fields on first read.
+    """
+    _check_mode(mode)
+    rules = (_consistency(record), _porosity(record), _unmonitored(record))
+    values = [(num, den) for _, num, den, _ in rules if den]
+    if not values:
+        raise UndefinedTrustError(_ALL_UNDEFINED)
+    holding = RuleResult._holding
+    results = [holding(rules[0]), holding(rules[1]), holding(rules[2])]
+    return results, TrustScore._holding((rules, *_combine(values, mode), mode))
 
 
 def ratios_equal(a: Rational, b: Rational, tolerance: float = 0.0) -> bool:

@@ -337,6 +337,21 @@ class TestTrustCommand:
         assert_one_line_input_error(code, out, err)
         assert err.startswith(b"ravkit: error: line 4: criminal_offenses_known must be")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_domain_error_in_a_later_record_wins_over_a_digit_limit_error(self, tmp_path, fmt):
+        # Row 1's unmonitored-hours ratio, 1/10**4300 in lowest terms, has a
+        # denominator past the int-digit limit; row 2 has no defined rule.
+        csv = tmp_path / "digits.csv"
+        head = "applicant_id,hours_alone_per_day,working_hours_per_day,age_years\n"
+        csv.write_text(head + "x,1,1e4300,30\n")
+        code, out, err = run("trust", str(csv), "--format", fmt)
+        assert_one_line_input_error(code, out, err)
+        assert err.startswith(b"ravkit: error: a result has more than 4300 digits")
+        csv.write_text(head + "x,1,1e4300,30\nghost,0,0,18\n")
+        code, out, err = run("trust", str(csv), "--format", fmt)
+        assert (code, out) == (2, b"")
+        assert err == b"ravkit: domain error: every supplied rule result is undefined\n"
+
     # applicants_mixed.csv: every subset of undefined consistency ratios,
     # undefined porosity and subjugation, fractional hours, empty ids and
     # three properties tied under max.

@@ -225,6 +225,17 @@ class TestScopeParsing:
         document = ScopeDocument((entry,))
         assert parse_scope_document(render_scope_document(document)) == document
 
+    def test_scope_entry_keeps_its_own_units(self):
+        # A later change to the caller's map cannot reach the entry, so the
+        # entry's document still parses.
+        units = {"visibility": "h"}
+        entry = ScopeEntry(Scope("x", porosity=PorosityCounts(1)), units)
+        units["nope"] = 5
+        units["visibility"] = "g"
+        assert entry.units == {"visibility": "h"}
+        document = ScopeDocument((entry,))
+        assert parse_scope_document(render_scope_document(document)) == document
+
     def test_round_trip_identity(self, fixtures):
         for name in ("toy.json", "empty.json", "fifty.json", "hundred.json"):
             document = parse_scope_document((fixtures / name).read_bytes())

@@ -35,6 +35,8 @@ from ravkit.trust import (
     RuleResult,
     TrustProperty,
     TrustScore,
+    score_applicant,
+    trust_combine,
 )
 
 _CONTROLS = tuple(cls.value.replace("-", "_") for cls in ControlClass)
@@ -150,6 +152,10 @@ def _arguments() -> dict[str, tuple]:
     }
 
 
+#: The fields a constructor keeps a copy of, not the caller's object.
+_COPIED = {("ScopeEntry", "units")}
+
+
 def test_each_field_holds_its_own_argument():
     arguments = _arguments()
     assert set(arguments) == set(CASES)
@@ -158,7 +164,11 @@ def test_each_field_holds_its_own_argument():
         assert len(values) == len(names), name
         for obj in (cls(*values), cls(**dict(zip(names, values)))):
             for field, value in zip(names, values):
-                assert getattr(obj, field) is value, (name, field)
+                if (name, field) in _COPIED:
+                    held = getattr(obj, field)
+                    assert held == value and held is not value, (name, field)
+                else:
+                    assert getattr(obj, field) is value, (name, field)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -384,3 +394,91 @@ class TestKernelBreakdown:
             b.x
         with pytest.raises(dataclasses.FrozenInstanceError):
             b._kernel = None
+
+
+_RESULT = ("property", "rule_id", "value", "undefined_reason", "excluded")
+_SCORE = ("per_property", "combined", "mode", "undefined_reasons")
+
+
+class TestKernelTrustRecords:
+    """``score_applicant`` returns results and a score that hold only the
+    kernel's ints and fill their fields when one is first read; every
+    record method sees what the same objects built field by field have."""
+
+    RECORDS = (
+        ApplicantRecord("all", 2, 10, 1, 30, 18, 4, Fraction(1, 2), 8, 3, 7, 1, 1, 1),
+        ApplicantRecord("porosity-only", employees_in_community=2, community_population=6),
+        ApplicantRecord("two-excluded", months_eligible=4, working_hours_per_day=Fraction(15, 2),
+                        hours_alone_per_day=Fraction(3, 4)),
+    )
+
+    @staticmethod
+    def eager(record, mode):
+        """The same results and score, built by the public constructors."""
+        results, score = score_applicant(record, mode)
+        results = [RuleResult(*(getattr(r, n) for n in _RESULT)) for r in results]
+        return results, TrustScore(*(getattr(score, n) for n in _SCORE))
+
+    @pytest.mark.parametrize("mode", ["average", "sum", "max"])
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.applicant_id)
+    def test_unread_objects_are_their_eager_twins(self, record, mode):
+        want_results, want_score = self.eager(record, mode)
+        assert trust_combine(want_results, mode) == want_score
+        for i, want in enumerate((*want_results, want_score)):
+            def fresh():
+                results, score = score_applicant(record, mode)
+                return (*results, score)[i]
+
+            checks = {
+                "eq": lambda obj: obj == want and want == obj,
+                "repr": lambda obj: repr(obj) == repr(want),
+                "pickle": lambda obj: pickle.loads(pickle.dumps(obj)) == want,
+                "copy": lambda obj: copy.copy(obj) == want and copy.deepcopy(obj) == want,
+                "replace": lambda obj: dataclasses.replace(obj) == want,
+                "fields": lambda obj: [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+                == [getattr(want, f.name) for f in dataclasses.fields(want)],
+            }
+            for name, check in checks.items():
+                assert check(fresh()), (i, name)
+            assert fresh()._kernel is not None and want._kernel is None
+            assert pickle.loads(pickle.dumps(fresh()))._kernel is None
+            assert dataclasses.replace(fresh())._kernel is None
+            if isinstance(want, RuleResult):
+                assert hash(fresh()) == hash(want)
+                assert fresh().defined == want.defined
+            else:
+                with pytest.raises(TypeError, match="unhashable"):
+                    hash(fresh())
+
+    @pytest.mark.parametrize("first", [*(("result", n) for n in _RESULT),
+                                       *(("score", n) for n in _SCORE)],
+                             ids=lambda pair: ".".join(pair))
+    def test_first_read_fills_every_field(self, first):
+        kind, name = first
+        record = self.RECORDS[2]
+        results, score = score_applicant(record, "max")
+        want_results, want_score = self.eager(record, "max")
+        obj, want, names = ((results[0], want_results[0], _RESULT) if kind == "result"
+                            else (score, want_score, _SCORE))
+        cls = type(obj)
+        slots = [cls.__dict__[n] for n in names]
+        for slot in slots:
+            with pytest.raises(AttributeError):
+                slot.__get__(obj)  # unset: a member descriptor skips __getattr__
+        getattr(obj, name)
+        assert [slot.__get__(obj) for slot in slots] == [getattr(want, n) for n in names]
+        assert obj._kernel is not None
+        # The other objects of the same applicant are still unread.
+        with pytest.raises(AttributeError):
+            RuleResult.__dict__["value"].__get__(results[1])
+
+    def test_kernel_slot_is_not_a_field(self):
+        results, score = score_applicant(self.RECORDS[0])
+        for obj in (*results, score):
+            assert "_kernel" not in type(obj).__slots__
+            assert "_kernel" not in {f.name for f in dataclasses.fields(obj)}
+            with pytest.raises(AttributeError, match=f"^'{type(obj).__name__}' object has no "
+                                                     "attribute 'x'$"):
+                obj.x
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                obj._kernel = None

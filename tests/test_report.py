@@ -603,6 +603,19 @@ class TestKernelFill:
             )
 
     @pytest.mark.parametrize("format", ["json", "text"])
+    def test_kernel_breakdown_is_checked_against_another_scope(self, format):
+        b = actual_security(toy_scope())
+        # An equal scope object is written from the breakdown's own kernel.
+        expected = render_report(b, toy_scope(), format)
+        assert expected == render_report(replace(b), toy_scope(), format)
+        if format == "json":
+            assert parse_report(expected) == (toy_scope(), b)
+        other = Scope("other", porosity=PorosityCounts(1))
+        with pytest.raises(InputError) as raised:
+            render_report(b, other, format)
+        assert str(raised.value) == "breakdown disagrees with the one computed from scope 'other'"
+
+    @pytest.mark.parametrize("format", ["json", "text"])
     def test_kernel_field_past_the_digit_limit(self, format):
         # Every count has fewer digits than the limit, but the limitation
         # sum in lowest terms has more.
@@ -637,8 +650,9 @@ class TestFixedSchemaEmittersMatchGenericEmitter:
 
     @pytest.mark.parametrize("format", ["json", "text"])
     def test_rav_report_past_the_digit_limit_fails_alike(self, format):
+        # The scope's own breakdown: an echoed count is past the limit.
         scope = Scope(id="big", porosity=PorosityCounts(visibility=10**4400))
-        breakdown = actual_security(Scope(id="small", porosity=PorosityCounts(visibility=1)))
+        breakdown = actual_security(scope)
         with pytest.raises(DigitLimitError):
             render_report(breakdown, scope, format)
         with pytest.raises(DigitLimitError):

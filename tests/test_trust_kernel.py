@@ -7,18 +7,24 @@ drawn with counts up to 10**300.  Beside each record's built-in results,
 record fields (several per property, so within-property averaging runs)
 and results that are always undefined.  Every rule value, every
 per-property value, the combined score and the rendered report must
-match exactly.
+match exactly.  The results and score of ``score_applicant``, which hold
+only the kernel's ints until a field is read, must be the oracle's in
+every record method, and must render to the bytes (or the error) of
+their unpickled twins, which hold only fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from ravkit.errors import DomainError, UndefinedTrustError
+from ravkit.errors import DigitLimitError, DomainError, FloatRangeError, UndefinedTrustError
 from ravkit.report import render_trust_report
 from ravkit.trust import (
     COMBINE_MODES,
@@ -254,6 +260,121 @@ def test_kernel_matches_fraction_rules(mode):
     for fmt in ("text", "json"):
         assert (render_trust_report([a for a, _ in renderable], fmt)
                 == render_trust_report([b for _, b in renderable], fmt))
+
+
+KERNEL_RECORDS = 400
+_DIGITS = sys.get_int_max_str_digits()
+#: Records whose values a report cannot write: past the float range as a
+#: decimal, or past the int-digit limit as num/den, or both.
+LIMIT_RECORDS = (
+    ApplicantRecord("float", criminal_offenses_known=10**400, age_years=19),
+    ApplicantRecord("float-sum", criminal_offenses_known=10**308, age_years=19,
+                    months_unemployed=1, months_eligible=1),
+    ApplicantRecord("digits", employees_in_community=10**_DIGITS,
+                    community_population=10**_DIGITS + 1),
+    ApplicantRecord("digits-hours", hours_alone_per_day=1,
+                    working_hours_per_day=Fraction(10**_DIGITS)),
+    ApplicantRecord("both", criminal_offenses_known=10**400, age_years=19,
+                    employees_in_community=10**_DIGITS, community_population=10**_DIGITS + 1),
+)
+
+
+def _kernel_cases(mode: str):
+    """Seeded records with at least one defined rule, then ``LIMIT_RECORDS``:
+    each with the oracle's results and score."""
+    rng = random.Random(f"trust-kernel-objects/{mode}")
+    cases = []
+    while len(cases) < KERNEL_RECORDS:
+        record = kernel_record(rng, len(cases))
+        try:
+            cases.append((record, reference_score(record, mode, ())))
+        except UndefinedTrustError:
+            continue
+    return cases + [(record, reference_score(record, mode, ())) for record in LIMIT_RECORDS]
+
+
+@pytest.mark.parametrize("mode", COMBINE_MODES)
+def test_score_applicant_objects_are_the_oracles(mode):
+    excluded = set()
+    cases = _kernel_cases(mode)
+    for record, wants in cases[KERNEL_RECORDS:]:
+        # Past the int-digit limit, repr fails, so these compare by value.
+        results, score = score_applicant(record, mode)
+        assert (results, score) == wants
+        assert pickle.loads(pickle.dumps((results, score))) == wants
+    for record, (want_results, want_score) in cases[:KERNEL_RECORDS]:
+        wants = (*want_results, want_score)
+
+        def fresh():
+            results, score = score_applicant(record, mode)
+            assert type(results) is list and len(results) == 3
+            return (*results, score)
+
+        # Each check on objects no field of which has been read.
+        assert fresh() == wants
+        assert repr(fresh()) == repr(wants)  # per_property and reasons in order
+        assert [hash(r) for r in fresh()[:3]] == [hash(r) for r in want_results]
+        twins = pickle.loads(pickle.dumps(fresh()))
+        assert twins == wants and all(t._kernel is None for t in twins)
+        assert repr(twins) == repr(wants)
+        replaced = [dataclasses.replace(obj) for obj in fresh()]
+        assert replaced == list(wants) and all(r._kernel is None for r in replaced)
+        changed = dataclasses.replace(fresh()[3], mode="other")
+        assert changed.mode == "other" and changed.per_property == want_score.per_property
+        assert list(fresh()[3].undefined_reasons) == list(want_score.undefined_reasons)
+        excluded.add(want_results[0].excluded)
+    assert len(excluded) == 8  # every subset of undefined consistency ratios
+
+
+def _outcome(render):
+    """The bytes ``render()`` returns, or the type and text of its error."""
+    try:
+        return render()
+    except (DigitLimitError, FloatRangeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mode", COMBINE_MODES)
+def test_kernel_objects_render_as_their_unpickled_twins(mode):
+    entries = []
+    for record, _ in _kernel_cases(mode):
+        results, score = score_applicant(record, mode)
+        entries.append((record.applicant_id, results, score))
+    twins = pickle.loads(pickle.dumps(entries))
+    assert all(t._kernel is None for _, results, score in twins for t in (*results, score))
+    failed = set()
+    for fmt in ("text", "json"):
+        for (i, results, score), (_, twin_results, twin_score) in zip(entries, twins):
+            want = _outcome(lambda: render_trust_report([(i, twin_results, twin_score)], fmt))
+            # Kernel results beside a twin score, and the other way round.
+            for mixed in ((results, score), (results, twin_score), (twin_results, score)):
+                assert _outcome(lambda: render_trust_report([(i, *mixed)], fmt)) == want
+            if type(want) is tuple:
+                failed.add((fmt, want[0]))
+        renderable = [
+            pair for pair in zip(entries, twins)
+            if type(_outcome(lambda: render_trust_report([pair[1]], fmt))) is bytes
+        ]
+        assert len(renderable) > KERNEL_RECORDS // 2
+        assert (render_trust_report(iter([e for e, _ in renderable]), fmt)
+                == render_trust_report([t for _, t in renderable], fmt))
+    assert failed == {(fmt, error) for fmt in ("text", "json")
+                      for error in (DigitLimitError, FloatRangeError)}
+
+
+def test_a_record_past_both_limits_fails_alike():
+    # The offenses ratio is past the float range and the community ratio
+    # past the int-digit limit.  The text report writes the consistency
+    # line first and meets the float first; the JSON report writes every
+    # num/den before its one decimal, the combined score, and meets the
+    # digit limit first.
+    record = LIMIT_RECORDS[-1]
+    results, score = score_applicant(record, "sum")
+    twin = pickle.loads(pickle.dumps(("both", results, score)))
+    for fmt, error in (("text", FloatRangeError), ("json", DigitLimitError)):
+        for entry in (("both", results, score), twin):
+            with pytest.raises(error):
+                render_trust_report([entry], fmt)
 
 
 @pytest.mark.parametrize("mode", COMBINE_MODES)
