@@ -1072,7 +1072,7 @@ def trust_aggregation_demo(
     uniform-ratio record strictly between them is ranked riskier by the
     average rule and safer by the worst-case rule.
     """
-    from .trust import consistency_ratios
+    from .trust import consistency_ratios, consistency_score
 
     record = record or _default_disagreement_record()
     ratios = [r.value for r in consistency_ratios(record) if r.defined]
@@ -1081,7 +1081,7 @@ def trust_aggregation_demo(
             "need at least two defined, distinct consistency ratios to "
             "demonstrate an aggregation disagreement"
         )
-    avg = sum(ratios, Fraction(0)) / len(ratios)
+    avg = consistency_score(record).value
     top = max(ratios)
     between: Fraction | None = None
     for den in range(1, max_denominator + 1):
@@ -1097,7 +1097,7 @@ def trust_aggregation_demo(
         )
     other = _uniform_ratio_record(between, "applicant-b")
     other_ratios = [r.value for r in consistency_ratios(other) if r.defined]
-    other_avg = sum(other_ratios, Fraction(0)) / len(other_ratios)
+    other_avg = consistency_score(other).value
     other_max = max(other_ratios)
 
     average_says_other = other_avg > avg

@@ -459,9 +459,11 @@ class _KernelInts(Record):
     pickles those and never this slot.  An instance built by
     :meth:`_holding` has ``_kernel`` set and its fields unset; the first read
     of any field fills them all, in one :meth:`__setstate__`, from
-    ``_fields(kernel)``, which each subclass supplies.  An instance built by
-    its public constructor, by ``dataclasses.replace`` or by unpickling has
-    ``_kernel`` None.
+    ``_fields(kernel)``, which each subclass supplies.  An instance built
+    from its fields (by its public constructor, ``dataclasses.replace``,
+    copying or unpickling) leaves ``_kernel`` unset, and a read of it
+    returns ``_from_fields()``: a kernel derived from the fields afresh at
+    every read, or None where the subclass derives none.
     """
 
     __slots__ = ("_kernel",)
@@ -473,14 +475,16 @@ class _KernelInts(Record):
         _set_kernel(self, kernel)
         return self
 
+    def _from_fields(self) -> tuple | None:
+        return None
+
     def __getattr__(self, name: str):
         # Reached only for an unset slot or an unknown name.
         if name == "_kernel":
-            return None
-        kernel = self._kernel
-        if kernel is None or name not in self.__slots__:
+            return self._from_fields()
+        if name not in self.__slots__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__setstate__(self._fields(kernel))
+        self.__setstate__(self._fields(self._kernel))
         return object.__getattribute__(self, name)
 
 
@@ -507,8 +511,9 @@ class RavBreakdown(_KernelInts):
     float fields and the scope it was computed from.  Its fields fill from
     the tuple on first read (see :class:`_KernelInts`), and ``render_report``
     writes it from the tuple directly when given that same scope.  A
-    breakdown without a kernel, or given another scope, is checked against
-    ``actual_security`` of the scope it is rendered with.
+    breakdown built from its fields derives no kernel; it, or a breakdown
+    given another scope, is checked against ``actual_security`` of the scope
+    it is rendered with.
     """
 
     __slots__ = __match_args__ = (

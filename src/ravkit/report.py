@@ -47,7 +47,7 @@ from .metrics import (
 )
 
 if TYPE_CHECKING:
-    from .trust import Rational, RuleResult, TrustProperty, TrustScore
+    from .trust import RuleResult, TrustScore
 
 REPORT_SCHEMA = "ravkit-report/1"
 TRUST_SCHEMA = "ravkit-trust/1"
@@ -379,15 +379,15 @@ def _expect_same(found: Any, expected: Any, path: str) -> None:
 # ---------------------------------------------------------------------------
 #
 # Like the rav report, a trust report's objects are templates with their
-# keys in ``emit_json`` order.  Only the applicant ids and the values are
-# quoted per applicant: a rule's members but its value, and the mode, are
-# the same for every applicant, so each is quoted once and kept.
-#
-# A rule result or score that holds a kernel (see ``trust.score_applicant``)
-# is written from its ints, one that does not from its fields, and both give
-# the same bytes.  Either way each value is written in the order the report
-# shows it, its numerator and denominator before its decimal, so a value
-# past the int-digit limit or the float range fails at the same point.
+# keys in ``emit_json`` order.  Every rule result and score is written from
+# its kernel alone (see ``trust.RuleResult`` and ``trust.TrustScore``),
+# whether it holds one or derives it from its fields.  A result's head,
+# everything but its value, is shared by many applicants, so the text and
+# JSON pieces of each head are built once and kept in one bounded cache;
+# only the applicant ids and the values are written per applicant.  Each
+# value is written in the order the report shows it, its numerator and
+# denominator before its decimal, so a value past the int-digit limit or
+# the float range fails at the same point in every report.
 
 # "value" sorts last, so a rule object is this head, then its value and "}".
 _RULE_HEAD = _object(
@@ -423,122 +423,69 @@ class _PropertyKeys(dict):
 
 _PROPERTY_KEYS = _PropertyKeys()
 
-
-def _fraction_or_null(value: Fraction | None) -> str:
-    return "null" if value is None else f'"{fraction_str(value)}"'
-
-
-def _string_or_null(value: str | None) -> str:
-    return "null" if value is None else json.dumps(value)
+#: The most rule heads whose pieces are kept at once.
+_PIECES_MAX = 1024
 
 
-@lru_cache(maxsize=1024)
-def _rule_head(rule_id: str, prop: TrustProperty, reason: str | None, excluded: tuple) -> str:
-    """A rule object's JSON up to its value: the same for every applicant."""
-    pairs = ", ".join(f"[{', '.join(map(json.dumps, pair))}]" for pair in excluded)
-    return _RULE_HEAD % {
-        "rule_id": json.dumps(rule_id),
-        "property": _PROPERTY_KEYS[prop],
-        "undefined_reason": _string_or_null(reason),
-        "excluded": f"[{pairs}]",
-    }
+class _Pieces(dict):
+    """The pieces a rule head is written with, built on first use: its text
+    label, its excluded lines, its whole text when undefined and its JSON
+    object up to the value.  Emptied when it holds ``_PIECES_MAX`` heads."""
 
-
-def _excluded_lines(excluded: Iterable[tuple[str, str]]) -> str:
-    """The text report's lines for a rule's excluded ratios, each after a newline."""
-    return "".join([f"\n    excluded {rule_id}: {reason}" for rule_id, reason in excluded])
-
-
-@lru_cache(maxsize=1)
-def _kernel_pieces() -> tuple:
-    """What a kernel's ints are written with: for each published rule and
-    excluded mask, the rule's text label, its whole text when undefined, its
-    excluded lines, and its JSON head when defined and when undefined; and
-    the template of a score's ``per_property`` members with the getter that
-    puts the rules' values, in rule order, into its key order."""
-    from .trust import _EXCLUDED, _RULES
-
-    pieces = []
-    for prop, rule_id, reason in _RULES:
+    def __missing__(self, head):
+        prop, rule_id, reason, excluded = head
         label = f"  {rule_id:<32}"
-        by_mask = []
-        for excluded in _EXCLUDED:
-            lines = _excluded_lines(excluded)
-            by_mask.append((
-                label, f"{label}undefined: {reason}{lines}", lines,
-                _rule_head(rule_id, prop, None, excluded),
-                _rule_head(rule_id, prop, reason, excluded),
-            ))
-        pieces.append(tuple(by_mask))
-    keys = [_PROPERTY_KEYS[prop] for prop, _, _ in _RULES]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    per_property = ", ".join(f"{keys[i]}: %s" for i in order)
-    return tuple(pieces), per_property, itemgetter(*order)
+        lines = "".join([f"\n    excluded {rule}: {why}" for rule, why in excluded])
+        pairs = ", ".join(f"[{', '.join(map(json.dumps, pair))}]" for pair in excluded)
+        json_head = _RULE_HEAD % {
+            "rule_id": json.dumps(rule_id),
+            "property": _PROPERTY_KEYS[prop],
+            "undefined_reason": json.dumps(reason),
+            "excluded": f"[{pairs}]",
+        }
+        if len(self) >= _PIECES_MAX:
+            self.clear()
+        self[head] = pieces = (label, lines, f"{label}undefined: {reason}{lines}", json_head)
+        return pieces
 
 
+_PIECES = _Pieces()
 _quoted = lru_cache(maxsize=64)(json.dumps)
 
 
+@lru_cache(maxsize=64)
+def _combined_label(mode: str) -> str:
+    """The text label of a score's combined line, padded as a rule's is."""
+    return f"  {f'combined({mode})':<32}"
+
+
 def _applicant_json(applicant_id: str, results: Sequence[RuleResult], score: TrustScore) -> str:
-    rule_pieces, per_property_json, property_order = _kernel_pieces()
-    kernel = score._kernel
-    if kernel is None:
-        per_property = ", ".join([
-            f"{key}: {value}" for key, value in sorted(
-                (_PROPERTY_KEYS[prop], _fraction_or_null(value))
-                for prop, value in score.per_property.items()
-            )
-        ])
-        num, den, mode = score.combined.numerator, score.combined.denominator, score.mode
-    else:
-        rules, num, den, mode = kernel
-        per_property = per_property_json % property_order(
-            tuple([f'"{n}/{d}"' if d else "null" for _, n, d, _ in rules])
-        )
+    per_property, num, den, mode, _ = score._kernel
+    members = sorted([
+        f'{_PROPERTY_KEYS[prop]}: "{n}/{d}"' if d else f"{_PROPERTY_KEYS[prop]}: null"
+        for prop, n, d in per_property
+    ])
     texts = []
     for r in results:
-        kernel = r._kernel
-        if kernel is None:
-            head = _rule_head(r.rule_id, r.property, r.undefined_reason, r.excluded)
-            texts.append(head + _fraction_or_null(r.value) + "}")
-        else:
-            rule, n, d, excluded = kernel
-            _, _, _, head, undefined_head = rule_pieces[rule][excluded]
-            texts.append(f'{head}"{n}/{d}"}}' if d else undefined_head + "null}")
+        head, n, d = r._kernel
+        json_head = _PIECES[head][3]
+        texts.append(f'{json_head}"{n}/{d}"}}' if d else json_head + "null}")
     return _APPLICANT_JSON % (
         json.dumps(applicant_id), f"{num}/{den}", num / den, _quoted(mode),
-        per_property, ", ".join(texts),
+        ", ".join(members), ", ".join(texts),
     )
 
 
 def _trust_text(scored: Iterable[tuple[str, Sequence[RuleResult], TrustScore]]) -> str:
-    rule_pieces = _kernel_pieces()[0]
     lines: list[str] = []
     for applicant_id, results, score in scored:
         lines.append(f"applicant: {applicant_id}")
         for r in results:
-            kernel = r._kernel
-            if kernel is None:
-                value = r.value
-                if value is None:
-                    line = f"  {r.rule_id:<32}undefined: {r.undefined_reason}"
-                else:
-                    num, den = value.numerator, value.denominator
-                    line = f"  {r.rule_id:<32}{num}/{den} ({num / den:.6f})"
-                lines.append(line + _excluded_lines(r.excluded))
-            else:
-                rule, num, den, excluded = kernel
-                label, undefined, excluded_lines, _, _ = rule_pieces[rule][excluded]
-                if den:
-                    lines.append(f"{label}{num}/{den} ({num / den:.6f}){excluded_lines}")
-                else:
-                    lines.append(undefined)
-        kernel = score._kernel
-        if kernel is None:
-            num, den, mode = score.combined.numerator, score.combined.denominator, score.mode
-        else:
-            _, num, den, mode = kernel
-        lines.append(f"  {f'combined({mode})':<32}{num}/{den} ({num / den:.6f})")
+            head, num, den = r._kernel
+            label, excluded, undefined, _ = _PIECES[head]
+            lines.append(f"{label}{num}/{den} ({num / den:.6f}){excluded}" if den else undefined)
+        _, num, den, mode, _ = score._kernel
+        lines.append(f"{_combined_label(mode)}{num}/{den} ({num / den:.6f})")
         lines.append("")
     return "\n".join(lines)
 
@@ -550,9 +497,9 @@ def render_trust_report(
     """Render per-applicant rule values and combined trust scores, reading
     ``scored`` once, in order, so it may be an iterator.
 
-    Results and scores from :func:`~ravkit.trust.score_applicant` are
-    written from their kernels' ints, any others from their fields, to the
-    same bytes.
+    Every result and score is written from its kernel's ints: one that holds
+    a kernel, from :func:`~ravkit.trust.score_applicant` or
+    :func:`~ravkit.trust.trust_combine`, and one built from its fields alike.
     """
     try:
         if format == "json":

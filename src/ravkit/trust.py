@@ -19,17 +19,15 @@ references costs no more than one with none.
 
 Every ratio and every combination is taken by one int helper:
 ``_reduced`` puts a pair in lowest terms with one gcd, and ``_combine``
-takes the average, sum or max of pairs and reduces it once.  The three rules compute their kernels with
-them: ``(rule, num, den, excluded)``, the value in lowest terms with
-``den`` 0 when undefined and a bit mask of the consistency ratios left
-out.  :func:`score_applicant` combines those ints under the mode and
-returns results and a score that hold only the kernels; their fields, and
-the ``Fraction`` values among them, are built on first read, and
-``render_trust_report`` writes them from the ints without reading a field.
-:func:`trust_combine`, for results of any origin, groups them per property
-and combines through the same helpers.  The ``trust`` command scores one
-applicant at a time as its report is written, so a batch never holds more
-than one applicant's results.
+takes the average, sum or max of pairs and reduces it once.  Every
+:class:`RuleResult` and :class:`TrustScore` reads as one kernel of ints,
+the only thing ``render_trust_report`` writes from.  The published rules,
+:func:`consistency_ratios`, :func:`trust_combine` and
+:func:`score_applicant` build objects that hold only their kernels and
+fill their fields, ``Fraction`` values included, on first read; an object
+built from its fields derives its kernel from them.  The ``trust`` command
+scores one applicant at a time as its report is written, so a batch never
+holds more than one applicant's results.
 """
 
 from __future__ import annotations
@@ -67,6 +65,11 @@ class TrustProperty(enum.Enum):
 
 
 _PROPERTIES = tuple(TrustProperty)
+# The published rules' properties, read as globals on the scoring path,
+# where a read of a member through its class is a slow attribute lookup.
+_SUBJUGATION, _CONSISTENCY, _POROSITY = (
+    TrustProperty.SUBJUGATION, TrustProperty.CONSISTENCY, TrustProperty.POROSITY
+)
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
@@ -251,19 +254,43 @@ def _checked(
     )
 
 
+def _check_rational(what: str, value: object) -> None:
+    """Refuse anything but a non-negative int or ``Fraction`` (a bool too)."""
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an int or a Fraction, got {value!r}")
+    if value < 0:
+        raise DomainError(f"{what} must be >= 0, got {value}")
+
+
+def _check_pairs(what: str, pairs: object) -> None:
+    """Refuse anything but a tuple of ``(str, str)`` pairs."""
+    if not isinstance(pairs, tuple) or not all(
+        isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(s, str) for s in pair)
+        for pair in pairs
+    ):
+        raise DomainError(f"{what} must be a tuple of (str, str) pairs, got {pairs!r}")
+
+
+def _ints(value: Rational | None) -> tuple[int, int]:
+    """A value as a kernel holds it: ``(num, den)``, or ``(0, 0)`` for None."""
+    return (0, 0) if value is None else (value.numerator, value.denominator)
+
+
 class RuleResult(_KernelInts):
     """Value of one trust rule: an exact ratio, or undefined with a reason.
 
-    A result of one of the three published rules holds only its kernel,
-    ``(rule, num, den, excluded)``: the rule's index in ``_RULES``, its
-    value in lowest terms (``den`` 0 when undefined) and the bit mask of
-    the consistency ratios it excludes.  Its fields fill on first read.
+    Its kernel is ``(head, num, den)``: ``head`` is ``(property, rule_id,
+    undefined_reason, excluded)`` and ``num/den`` the value in lowest
+    terms, with ``den`` 0 when the result is undefined.  A result of a
+    published rule holds only its kernel, whose head is one of a few
+    constants, and fills its fields on first read; any other result derives
+    its kernel from its fields.
     """
 
     __slots__ = __match_args__ = ("property", "rule_id", "value", "undefined_reason", "excluded")
     property: TrustProperty
     rule_id: str
-    value: Fraction | None
+    value: Rational | None
     undefined_reason: str | None
     excluded: tuple[tuple[str, str], ...]
 
@@ -271,14 +298,22 @@ class RuleResult(_KernelInts):
         self,
         property: TrustProperty,
         rule_id: str,
-        value: Fraction | None,
+        value: Rational | None,
         undefined_reason: str | None = None,
         excluded: tuple[tuple[str, str], ...] = (),
     ) -> None:
-        if value is None and not undefined_reason:
-            raise DomainError(f"undefined rule {rule_id!r} needs a reason")
-        if value is not None and value.numerator < 0:
-            raise DomainError(f"rule {rule_id!r} value must be >= 0, got {value}")
+        if not isinstance(property, TrustProperty):
+            raise DomainError(f"rule property must be a TrustProperty, got {property!r}")
+        if not isinstance(rule_id, str):
+            raise DomainError(f"rule id must be a str, got {rule_id!r}")
+        if undefined_reason is not None and not isinstance(undefined_reason, str):
+            raise DomainError(f"rule {rule_id!r} reason must be a str, got {undefined_reason!r}")
+        if value is None:
+            if not undefined_reason:
+                raise DomainError(f"undefined rule {rule_id!r} needs a reason")
+        else:
+            _check_rational(f"rule {rule_id!r} value", value)
+        _check_pairs(f"rule {rule_id!r} excluded", excluded)
         self.__setstate__((property, rule_id, value, undefined_reason, excluded))
 
     @property
@@ -287,56 +322,68 @@ class RuleResult(_KernelInts):
 
     @staticmethod
     def _fields(kernel: tuple) -> tuple:
-        rule, num, den, excluded = kernel
-        prop, rule_id, reason = _RULES[rule]
-        if den:
-            return prop, rule_id, _exact(num, den), None, _EXCLUDED[excluded]
-        return prop, rule_id, None, reason, _EXCLUDED[excluded]
+        (prop, rule_id, reason, excluded), num, den = kernel
+        return prop, rule_id, _exact(num, den) if den else None, reason, excluded
+
+    def _from_fields(self) -> tuple:
+        head = (self.property, self.rule_id, self.undefined_reason, self.excluded)
+        return (head, *_ints(self.value))
 
 
 class TrustScore(_KernelInts):
     """Per-property trust values and their combination under one mode.
 
-    A score from :func:`score_applicant` holds only its kernel, ``(rules,
-    num, den, mode)``: the kernels of its three rule results, in ``_RULES``
-    order, and the combination in lowest terms.  Its fields fill on first
-    read.
+    Its kernel is ``(per_property, num, den, mode, undefined_reasons)``:
+    ``per_property`` is a tuple of ``(property, num, den)`` in field order,
+    ``den`` 0 for an undefined property, and ``num/den`` the combination in
+    lowest terms.  A score from :func:`score_applicant` or
+    :func:`trust_combine` holds only its kernel and fills its fields on
+    first read; any other score derives its kernel from its fields afresh
+    at every read, so the kernel always agrees with the fields.
     """
 
     __slots__ = __match_args__ = ("per_property", "combined", "mode", "undefined_reasons")
-    per_property: Mapping[TrustProperty, Fraction | None]
-    combined: Fraction
+    per_property: Mapping[TrustProperty, Rational | None]
+    combined: Rational
     mode: str
     undefined_reasons: tuple[tuple[str, str], ...]
 
     def __init__(
         self,
-        per_property: Mapping[TrustProperty, Fraction | None],
-        combined: Fraction,
+        per_property: Mapping[TrustProperty, Rational | None],
+        combined: Rational,
         mode: str,
         undefined_reasons: tuple[tuple[str, str], ...] = (),
     ) -> None:
+        for prop, value in per_property.items():
+            if not isinstance(prop, TrustProperty):
+                raise DomainError(f"per_property key must be a TrustProperty, got {prop!r}")
+            if value is not None:
+                _check_rational(f"per_property value of {prop.value!r}", value)
+        _check_rational("combined score", combined)
+        _check_mode(mode)
+        _check_pairs("undefined_reasons", undefined_reasons)
         self.__setstate__((per_property, combined, mode, undefined_reasons))
 
     @staticmethod
     def _fields(kernel: tuple) -> tuple:
-        rules, num, den, mode = kernel
-        per_property: dict[TrustProperty, Fraction | None] = {}
-        reasons = []
-        for i in _RULE_ORDER:
-            _, n, d, _ = rules[i]
-            prop, rule_id, reason = _RULES[i]
-            if d:
-                per_property[prop] = _exact(n, d)
-            else:
-                per_property[prop] = None
-                reasons.append((rule_id, reason))
-        return per_property, _exact(num, den), mode, tuple(reasons)
+        per_property, num, den, mode, reasons = kernel
+        values = {prop: _exact(n, d) if d else None for prop, n, d in per_property}
+        return values, _exact(num, den), mode, reasons
+
+    def _from_fields(self) -> tuple:
+        per_property = tuple([(prop, *_ints(value)) for prop, value in self.per_property.items()])
+        return (per_property, *_ints(self.combined), self.mode, self.undefined_reasons)
 
 
 # ---------------------------------------------------------------------------
 # Built-in rules
 # ---------------------------------------------------------------------------
+
+
+def _heads(prop: TrustProperty, rule_id: str, reason: str, excluded: tuple = ()) -> tuple:
+    """A rule's kernel heads: when its value is defined, and when it is not."""
+    return (prop, rule_id, None, excluded), (prop, rule_id, reason, excluded)
 
 
 #: The consistency ratios' rule ids and the reason each is undefined.
@@ -345,21 +392,20 @@ _CONSISTENCY_RULES = (
     ("consistency/offenses", "applicant not beyond the legal adult age"),
     ("consistency/references", "no past employers"),
 )
-#: The consistency ratios an excluded mask names: bit i is ratio i.
-_EXCLUDED = tuple(
-    tuple(rule for i, rule in enumerate(_CONSISTENCY_RULES) if mask >> i & 1)
+_RATIO_HEADS = tuple(_heads(_CONSISTENCY, *rule) for rule in _CONSISTENCY_RULES)
+#: The consistency rule's head for each mask of excluded ratios (bit i is
+#: ratio i): defined unless all three are excluded.
+_CONSISTENCY_HEADS = tuple(
+    _heads(
+        _CONSISTENCY, "consistency", "all three consistency ratios undefined",
+        tuple(rule for i, rule in enumerate(_CONSISTENCY_RULES) if mask >> i & 1),
+    )[mask == 7]
     for mask in range(8)
 )
-#: The three published rules, as ``score_applicant`` returns their results:
-#: each one's property, rule id and the reason it is undefined.
-_RULES = (
-    (TrustProperty.CONSISTENCY, "consistency", "all three consistency ratios undefined"),
-    (TrustProperty.POROSITY, "porosity/community", "community population not recorded"),
-    (TrustProperty.SUBJUGATION, "subjugation/unmonitored-hours", "no working hours recorded"),
+_POROSITY_HEADS = _heads(_POROSITY, "porosity/community", "community population not recorded")
+_UNMONITORED_HEADS = _heads(
+    _SUBJUGATION, "subjugation/unmonitored-hours", "no working hours recorded"
 )
-#: The rules' indices in the order of their properties, the order in which
-#: ``trust_combine`` groups results.
-_RULE_ORDER = tuple(sorted(range(3), key=lambda i: _PROPERTIES.index(_RULES[i][0])))
 
 
 def _consistency_terms(record: ApplicantRecord) -> tuple[tuple[int, int], ...]:
@@ -374,44 +420,42 @@ def _consistency_terms(record: ApplicantRecord) -> tuple[tuple[int, int], ...]:
 
 def consistency_ratios(record: ApplicantRecord) -> tuple[RuleResult, RuleResult, RuleResult]:
     """The three consistency ratios, before the rule-5.4 averaging."""
-    prop = TrustProperty.CONSISTENCY
     r1, r2, r3 = (
-        RuleResult._trusted((prop, rule_id, _exact(num, den), None, ())) if den
-        else RuleResult._trusted((prop, rule_id, None, reason, ()))
-        for (rule_id, reason), (num, den) in zip(_CONSISTENCY_RULES, _consistency_terms(record))
+        RuleResult._holding((defined, *_reduced(num, den)) if den else (undefined, 0, 0))
+        for (defined, undefined), (num, den) in zip(_RATIO_HEADS, _consistency_terms(record))
     )
     return r1, r2, r3
 
 
-# The kernel of each published rule: ``(rule, num, den, excluded)``, as a
-# RuleResult holds it.
+# The kernel of each published rule, ``(head, num, den)``, as a RuleResult
+# holds it.
 
 
-def _consistency(record: ApplicantRecord) -> tuple[int, int, int, int]:
+def _consistency(record: ApplicantRecord) -> tuple:
     terms = _consistency_terms(record)
     defined = [term for term in terms if term[1]]
-    excluded = (not terms[0][1]) | (not terms[1][1]) << 1 | (not terms[2][1]) << 2
     if not defined:
-        return 0, 0, 0, excluded
+        return _CONSISTENCY_HEADS[7], 0, 0
+    excluded = (not terms[0][1]) | (not terms[1][1]) << 1 | (not terms[2][1]) << 2
     num, den = _combine(defined, "average")
-    return 0, num, den, excluded
+    return _CONSISTENCY_HEADS[excluded], num, den
 
 
-def _porosity(record: ApplicantRecord) -> tuple[int, int, int, int]:
+def _porosity(record: ApplicantRecord) -> tuple:
     if record.community_population == 0:
-        return 1, 0, 0, 0
+        return _POROSITY_HEADS[1], 0, 0
     num, den = _reduced(record.employees_in_community, record.community_population)
-    return 1, num, den, 0
+    return _POROSITY_HEADS[0], num, den
 
 
-def _unmonitored(record: ApplicantRecord) -> tuple[int, int, int, int]:
+def _unmonitored(record: ApplicantRecord) -> tuple:
     alone, working = record.hours_alone_per_day, record.working_hours_per_day
     if working.numerator == 0:
-        return 2, 0, 0, 0
+        return _UNMONITORED_HEADS[1], 0, 0
     num, den = _reduced(
         alone.numerator * working.denominator, alone.denominator * working.numerator
     )
-    return 2, num, den, 0
+    return _UNMONITORED_HEADS[0], num, den
 
 
 def consistency_score(record: ApplicantRecord) -> RuleResult:
@@ -445,39 +489,25 @@ def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> Trust
     """Group results per property (averaging within a property), then combine
     the defined per-property values under ``average``, ``sum`` or ``max``."""
     _check_mode(mode)
-    groups: dict[TrustProperty, list[RuleResult]] = {}
+    groups: dict[TrustProperty, list[tuple]] = {}
     for result in results:
-        group = groups.get(result.property)
-        if group is None:
-            groups[result.property] = [result]
-        else:
-            group.append(result)
-
-    per_property: dict[TrustProperty, Fraction | None] = {}
-    values: list[tuple[int, int]] = []
+        kernel = result._kernel
+        groups.setdefault(kernel[0][0], []).append(kernel)
+    per_property: list[tuple[TrustProperty, int, int]] = []
     reasons: list[tuple[str, str]] = []
     for prop in _PROPERTIES:
         group = groups.get(prop)
         if group is None:
             continue
-        defined = []
-        for r in group:
-            value = r.value
-            if value is None:
-                reasons.append((r.rule_id, r.undefined_reason or ""))
-            else:
-                defined.append((value.numerator, value.denominator))
-        if not defined:
-            per_property[prop] = None
-            continue
-        pair = _combine(defined, "average")
-        per_property[prop] = _exact(*pair)
-        values.append(pair)
-
+        defined = [(num, den) for _, num, den in group if den]
+        reasons += [(head[1], head[2]) for head, _, den in group if not den]
+        per_property.append((prop, *_combine(defined, "average")) if defined else (prop, 0, 0))
+    values = [(num, den) for _, num, den in per_property if den]
     if not values:
         raise UndefinedTrustError(_ALL_UNDEFINED)
-    combined = _exact(*_combine(values, mode))
-    return TrustScore._trusted((per_property, combined, mode, tuple(reasons)))
+    return TrustScore._holding(
+        (tuple(per_property), *_combine(values, mode), mode, tuple(reasons))
+    )
 
 
 def score_applicant(
@@ -485,17 +515,25 @@ def score_applicant(
 ) -> tuple[list[RuleResult], TrustScore]:
     """Evaluate the three published rules and combine them.
 
-    The results and the score hold only the rules' kernels and the
-    combination, and fill their fields on first read.
+    The results and the score hold only their kernels and fill their fields
+    on first read.
     """
     _check_mode(mode)
-    rules = (_consistency(record), _porosity(record), _unmonitored(record))
-    values = [(num, den) for _, num, den, _ in rules if den]
+    c, p, u = _consistency(record), _porosity(record), _unmonitored(record)
+    values = [(num, den) for _, num, den in (c, p, u) if den]
     if not values:
         raise UndefinedTrustError(_ALL_UNDEFINED)
+    num, den = _combine(values, mode)
+    # The rules in the order of their properties, as trust_combine gives them.
+    reasons = () if len(values) == 3 else tuple(
+        [(head[1], head[2]) for head, _, d in (u, c, p) if not d]
+    )
+    score = TrustScore._holding((
+        ((_SUBJUGATION, u[1], u[2]), (_CONSISTENCY, c[1], c[2]), (_POROSITY, p[1], p[2])),
+        num, den, mode, reasons,
+    ))
     holding = RuleResult._holding
-    results = [holding(rules[0]), holding(rules[1]), holding(rules[2])]
-    return results, TrustScore._holding((rules, *_combine(values, mode), mode))
+    return [holding(c), holding(p), holding(u)], score
 
 
 def ratios_equal(a: Rational, b: Rational, tolerance: float = 0.0) -> bool:

@@ -12,6 +12,7 @@ from ravkit.metrics import (
     LimitationCounts,
     PorosityCounts,
     Scope,
+    _KernelInts,
     toy_scope,
 )
 from ravkit.trust import ApplicantRecord, RuleResult, TrustProperty
@@ -58,3 +59,23 @@ def ratio_result(record: ApplicantRecord, rule_id: str, prop: TrustProperty,
     if den == 0:
         return RuleResult(prop, rule_id, None, f"{denominator} is zero")
     return RuleResult(prop, rule_id, Fraction(getattr(record, numerator)) / den)
+
+
+#: The ``_kernel`` slot itself: a member descriptor, which skips ``__getattr__``.
+_KERNEL_SLOT = _KernelInts.__dict__["_kernel"]
+
+
+def holds_kernel(obj) -> bool:
+    """Whether ``obj`` has its ``_kernel`` slot set, rather than deriving
+    its kernel from its fields when ``_kernel`` is read."""
+    try:
+        _KERNEL_SLOT.__get__(obj)
+    except AttributeError:
+        return False
+    return True
+
+
+def derives_kernel(twin, original) -> bool:
+    """Whether ``twin`` has no kernel slot set and reads a kernel equal to
+    ``original``'s."""
+    return not holds_kernel(twin) and twin._kernel == original._kernel

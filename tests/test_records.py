@@ -39,6 +39,8 @@ from ravkit.trust import (
     trust_combine,
 )
 
+from conftest import derives_kernel, holds_kernel
+
 _CONTROLS = tuple(cls.value.replace("-", "_") for cls in ControlClass)
 _BREAKDOWN = (
     "opsec_sum", "opsec_base", "lc_sum", "mc_per_class", "mc_sum", "mc_class_a",
@@ -440,9 +442,10 @@ class TestKernelTrustRecords:
             }
             for name, check in checks.items():
                 assert check(fresh()), (i, name)
-            assert fresh()._kernel is not None and want._kernel is None
-            assert pickle.loads(pickle.dumps(fresh()))._kernel is None
-            assert dataclasses.replace(fresh())._kernel is None
+            original = fresh()
+            assert holds_kernel(original) and derives_kernel(want, original)
+            assert derives_kernel(pickle.loads(pickle.dumps(original)), original)
+            assert derives_kernel(dataclasses.replace(original), original)
             if isinstance(want, RuleResult):
                 assert hash(fresh()) == hash(want)
                 assert fresh().defined == want.defined

@@ -27,6 +27,7 @@ from ravkit.metrics import (
     actual_security,
     toy_scope,
 )
+from ravkit import report
 from ravkit.report import (
     emit_json,
     fraction_str,
@@ -35,9 +36,11 @@ from ravkit.report import (
     render_trust_report,
 )
 from ravkit.trust import (
+    COMBINE_MODES,
     ApplicantRecord,
     RuleResult,
     TrustProperty,
+    TrustScore,
     consistency_score,
     porosity_rule,
     score_applicant,
@@ -695,6 +698,62 @@ class TestFixedSchemaEmittersMatchGenericEmitter:
             assert render_trust_report(scored, format) == oracle_trust_report(scored, format)
             # One record at a time too, so a mismatch names its record.
             for entry in scored[:200]:
+                assert render_trust_report([entry], format) == oracle_trust_report(
+                    [entry], format
+                ), entry[0]
+
+    def test_trust_reports_of_every_origin_match(self):
+        # The results and scores of score_applicant beside their twins built
+        # by the public constructors, by unpickling and by replace; caller
+        # results with int values, or defined and carrying a reason; and more
+        # distinct rule heads than the report keeps pieces for.
+        rng = random.Random("trust/origins")
+        scored = []
+        while len(scored) < 4 * 150:
+            record = differential_record(rng, len(scored))
+            try:
+                entry = (record.applicant_id, *score_applicant(record, rng.choice(COMBINE_MODES)))
+            except UndefinedTrustError:
+                continue
+            _, results, score = entry
+            scored += [
+                entry,
+                (entry[0], [RuleResult(*r.__getstate__()) for r in results],
+                 TrustScore(*score.__getstate__())),
+                pickle.loads(pickle.dumps(entry)),
+                (entry[0], [replace(r) for r in results], replace(score)),
+            ]
+        properties = list(TrustProperty)
+        heads = report._PIECES_MAX + 100
+        for k in range(0, heads, 5):
+            results = []
+            for j in range(k, k + 5):
+                prop, rule_id = rng.choice(properties), f"caller/{j}"
+                kind = j % 4
+                if kind == 0:
+                    results.append(RuleResult(prop, rule_id, rng.randint(0, 9)))
+                elif kind == 1:
+                    results.append(RuleResult(prop, rule_id, Fraction(j, 7), rng.choice(AWKWARD)))
+                elif kind == 2:
+                    results.append(RuleResult(prop, rule_id, None, rng.choice(AWKWARD),
+                                              ((rng.choice(AWKWARD), f"why {j}"),)))
+                else:
+                    results.append(RuleResult(prop, rule_id, Fraction(1, j)))
+            mode = rng.choice(COMBINE_MODES)
+            score = trust_combine(results, mode)
+            scored.append((f"caller-{k}", results, score))
+            per_property = {
+                prop: None if value is None else int(value)
+                for prop, value in score.per_property.items()
+            }
+            combined = max(v for v in per_property.values() if v is not None)
+            scored.append((f"caller-int-{k}", results, TrustScore(per_property, combined, "max")))
+        for format in ("json", "text"):
+            # Twice: the second pass meets the heads the bounded cache let go.
+            for _ in range(2):
+                assert render_trust_report(scored, format) == oracle_trust_report(scored, format)
+                assert len(report._PIECES) <= report._PIECES_MAX
+            for entry in scored:
                 assert render_trust_report([entry], format) == oracle_trust_report(
                     [entry], format
                 ), entry[0]

@@ -9,10 +9,12 @@ from fractions import Fraction
 import pytest
 
 from ravkit.errors import DomainError, UndefinedTrustError
+from ravkit.report import render_trust_report
 from ravkit.trust import (
     ApplicantRecord,
     RuleResult,
     TrustProperty,
+    TrustScore,
     consistency_ratios,
     consistency_score,
     porosity_rule,
@@ -315,3 +317,73 @@ class TestScoreApplicant:
             assert 0 <= r3.value <= 1
             assert 0 <= porosity_rule(record).value <= 1
             assert 0 <= unmonitored_hours_rule(record).value <= 1
+
+
+SIZE, VALUE = TrustProperty.SIZE, TrustProperty.VALUE
+
+
+class TestResultAndScoreChecks:
+    """A result or score that ``trust_combine`` or the report could not
+    take is refused by its constructor, with one line."""
+
+    @pytest.mark.parametrize("args, message", [
+        (("size", "x", Fraction(1)), "rule property must be a TrustProperty, got 'size'"),
+        ((SIZE, 5, Fraction(1)), "rule id must be a str, got 5"),
+        ((SIZE, "r", 0.5), "rule 'r' value must be an int or a Fraction, got 0.5"),
+        ((SIZE, "r", True), "rule 'r' value must be an int or a Fraction, got True"),
+        ((SIZE, "r", "1/2"), "rule 'r' value must be an int or a Fraction, got '1/2'"),
+        ((SIZE, "r", -1), "rule 'r' value must be >= 0, got -1"),
+        ((SIZE, "r", None, 7), "rule 'r' reason must be a str, got 7"),
+        ((SIZE, "r", 1, None, [("a", "why")]),
+         r"rule 'r' excluded must be a tuple of \(str, str\) pairs, got \[\('a', 'why'\)\]"),
+        ((SIZE, "r", 1, None, (("a",),)),
+         r"rule 'r' excluded must be a tuple of \(str, str\) pairs, got \(\('a',\),\)"),
+        ((SIZE, "r", 1, None, (("a", 2),)),
+         r"rule 'r' excluded must be a tuple of \(str, str\) pairs, got \(\('a', 2\),\)"),
+    ], ids=["str-property", "int-rule-id", "float", "bool", "str-value", "negative",
+            "int-reason", "list-excluded", "short-pair", "int-in-pair"])
+    def test_rule_result_refusals(self, args, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            RuleResult(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        (({}, 0.5, "average"), "combined score must be an int or a Fraction, got 0.5"),
+        (({}, Fraction(-1), "max"), "combined score must be >= 0, got -1"),
+        (({}, False, "max"), "combined score must be an int or a Fraction, got False"),
+        (({}, 1, "nope"), "unknown mode 'nope'; expected one of average, sum, max"),
+        (({"size": Fraction(1)}, 1, "sum"),
+         "per_property key must be a TrustProperty, got 'size'"),
+        (({SIZE: 0.5}, 1, "sum"), "per_property value of 'size' must be an int or a "
+                                  "Fraction, got 0.5"),
+        (({SIZE: Fraction(-1, 2)}, 1, "sum"), "per_property value of 'size' must be >= 0, "
+                                              "got -1/2"),
+        (({}, 1, "sum", [("a", "why")]),
+         r"undefined_reasons must be a tuple of \(str, str\) pairs, got \[\('a', 'why'\)\]"),
+    ], ids=["float", "negative", "bool", "unknown-mode", "str-key", "float-value",
+            "negative-value", "list-reasons"])
+    def test_trust_score_refusals(self, args, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            TrustScore(*args)
+
+    def test_int_values_and_undefined_properties_are_accepted(self):
+        result = RuleResult(SIZE, "r", 3, "a reason a defined result may carry")
+        score = TrustScore({SIZE: 3, VALUE: None}, 3, "max", (("v", "why"),))
+        assert result.defined and score.combined == 3
+        assert result._kernel == ((SIZE, "r", "a reason a defined result may carry", ()), 3, 1)
+        assert score._kernel == (((SIZE, 3, 1), (VALUE, 0, 0)), 3, 1, "max", (("v", "why"),))
+
+    def test_combine_no_longer_drops_a_result(self):
+        # A str property used to be grouped under no property and dropped.
+        with pytest.raises(DomainError, match="^rule property must be a TrustProperty"):
+            trust_combine([RuleResult(SIZE, "a", Fraction(1, 2)),
+                           RuleResult("size", "x", Fraction(1))], "sum")
+
+    def test_kernel_follows_a_changed_mapping(self):
+        # A score's kernel is derived from its fields at every read, so a
+        # caller who changes their mapping later cannot make the two disagree.
+        values = {SIZE: Fraction(1, 2)}
+        score = TrustScore(values, Fraction(1, 2), "sum")
+        assert score._kernel[0] == ((SIZE, 1, 2),)
+        values[VALUE] = Fraction(3)
+        assert score._kernel[0] == ((SIZE, 1, 2), (VALUE, 3, 1))
+        assert b'"value": "3/1"' in render_trust_report([("a", [], score)], "json")

@@ -39,7 +39,7 @@ from ravkit.trust import (
     unmonitored_hours_rule,
 )
 
-from conftest import ratio_result
+from conftest import derives_kernel, ratio_result
 
 RECORDS_PER_MODE = 2000
 
@@ -314,13 +314,18 @@ def test_score_applicant_objects_are_the_oracles(mode):
         assert fresh() == wants
         assert repr(fresh()) == repr(wants)  # per_property and reasons in order
         assert [hash(r) for r in fresh()[:3]] == [hash(r) for r in want_results]
-        twins = pickle.loads(pickle.dumps(fresh()))
-        assert twins == wants and all(t._kernel is None for t in twins)
+        originals = fresh()
+        twins = pickle.loads(pickle.dumps(originals))
+        assert twins == wants and all(map(derives_kernel, twins, originals))
         assert repr(twins) == repr(wants)
-        replaced = [dataclasses.replace(obj) for obj in fresh()]
-        assert replaced == list(wants) and all(r._kernel is None for r in replaced)
-        changed = dataclasses.replace(fresh()[3], mode="other")
-        assert changed.mode == "other" and changed.per_property == want_score.per_property
+        originals = fresh()
+        replaced = [dataclasses.replace(obj) for obj in originals]
+        assert replaced == list(wants) and all(map(derives_kernel, replaced, originals))
+        other = "max" if mode == "sum" else "sum"
+        changed = dataclasses.replace(fresh()[3], mode=other)
+        assert changed.mode == other and changed.per_property == want_score.per_property
+        with pytest.raises(DomainError, match="^unknown mode 'other'"):
+            dataclasses.replace(fresh()[3], mode="other")
         assert list(fresh()[3].undefined_reasons) == list(want_score.undefined_reasons)
         excluded.add(want_results[0].excluded)
     assert len(excluded) == 8  # every subset of undefined consistency ratios
@@ -341,7 +346,8 @@ def test_kernel_objects_render_as_their_unpickled_twins(mode):
         results, score = score_applicant(record, mode)
         entries.append((record.applicant_id, results, score))
     twins = pickle.loads(pickle.dumps(entries))
-    assert all(t._kernel is None for _, results, score in twins for t in (*results, score))
+    for (_, twin_results, twin_score), (_, results, score) in zip(twins, entries):
+        assert all(map(derives_kernel, (*twin_results, twin_score), (*results, score)))
     failed = set()
     for fmt in ("text", "json"):
         for (i, results, score), (_, twin_results, twin_score) in zip(entries, twins):
