@@ -9,6 +9,7 @@ arguments).  The CLI maps them to exit codes 1 and 2 respectively.
 
 from __future__ import annotations
 
+import math
 import sys
 
 
@@ -19,6 +20,33 @@ def shown(text: str) -> str:
     if all(ch.isprintable() or "\udc80" <= ch <= "\udcff" for ch in text):
         return text
     return repr(text)
+
+
+def shown_number(value: object, text=repr) -> str:
+    """``text(value)`` as an error line writes a refused value.  An int or a
+    ``Fraction`` with a part past the interpreter's int-to-str digit limit,
+    which ``text`` cannot write, is written by sign and digit count instead:
+    ``-<5001 digits>``, or ``<5001 digits>/3`` for a ``Fraction``."""
+    try:
+        return text(value)
+    except ValueError:
+        if not isinstance(getattr(value, "numerator", None), int):
+            raise
+    parts = [value.numerator] if value.denominator == 1 else [value.numerator, value.denominator]
+    return "/".join(map(_digit_count_text, parts))
+
+
+def _digit_count_text(n: int) -> str:
+    """``str(n)``, or past the int-to-str digit limit ``n``'s sign and digit count."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    magnitude = abs(n)
+    digits = int(math.log10(magnitude)) + 1
+    if magnitude < 10 ** (digits - 1):  # log10 rounds up to k just below 10**k
+        digits -= 1
+    return f"{'-' if n < 0 else ''}<{digits} digits>"
 
 
 class RavkitError(Exception):

@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Mapping, NoReturn, Sequence, Union
 
-from .errors import DomainError, UndefinedWeightError
+from .errors import DomainError, UndefinedWeightError, shown_number
 
 #: The five scope channels plus the synthetic label given to merged scopes.
 CHANNELS = ("human", "physical", "wireless", "telecom", "data-network")
@@ -137,9 +137,9 @@ def _exact(num: int, den: int) -> Fraction:
 
 def _check_count(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer count, got {value!r}")
+        raise DomainError(f"{name} must be an integer count, got {shown_number(value)}")
     if value < 0:
-        raise DomainError(f"{name} must be >= 0, got {value}")
+        raise DomainError(f"{name} must be >= 0, got {shown_number(value, str)}")
 
 
 def _check_counts(names: Sequence[str], values: Sequence[int]) -> None:

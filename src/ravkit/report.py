@@ -18,7 +18,6 @@ sorts each object's keys as it writes it.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -54,14 +53,6 @@ TRUST_SCHEMA = "ravkit-trust/1"
 FINDING_SCHEMA = "ravkit-finding/1"
 
 FORMATS = ("text", "json")
-
-
-def fraction_str(value: Fraction) -> str:
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError:
-        # str() of an int past the interpreter's int-digit limit.
-        raise DigitLimitError() from None
 
 
 # ---------------------------------------------------------------------------

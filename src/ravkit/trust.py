@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, isfinite
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import DomainError, UndefinedTrustError
+from .errors import DomainError, UndefinedTrustError, shown_number
 from .metrics import Record, _exact, _KernelInts
 
 Rational = Union[int, Fraction]
@@ -179,7 +179,7 @@ class ApplicantRecord(Record):
 
 def _check_count(name: str, value: object) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+        raise DomainError(f"{name} must be a non-negative integer, got {shown_number(value)}")
 
 
 # The count fields of an ApplicantRecord, in the order they are checked.
@@ -257,9 +257,9 @@ def _checked(
 def _check_rational(what: str, value: object) -> None:
     """Refuse anything but a non-negative int or ``Fraction`` (a bool too)."""
     if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-        raise DomainError(f"{what} must be an int or a Fraction, got {value!r}")
+        raise DomainError(f"{what} must be an int or a Fraction, got {shown_number(value)}")
     if value < 0:
-        raise DomainError(f"{what} must be >= 0, got {value}")
+        raise DomainError(f"{what} must be >= 0, got {shown_number(value, str)}")
 
 
 def _check_pairs(what: str, pairs: object) -> None:

@@ -571,15 +571,16 @@ class TestDemoCommand:
         code, _, err = run("demo", "--kind", "formula", "--seed", "3")
         assert code == 0 and err == b""
 
-    @pytest.mark.parametrize("epsilon", ["1e-9", "0"])
+    @pytest.mark.parametrize("bounds, epsilon", [("2", "1e-9"), ("2", "0"), ("1", "1e-9")])
     def test_missing_temporary_directory_fails_only_the_near_pass(
-        self, monkeypatch, tmp_path, epsilon
+        self, monkeypatch, tmp_path, bounds, epsilon
     ):
-        # Only the near pass (epsilon > 0) spills to a temporary file.
+        # Only the numpy kernel's near pass (epsilon > 0, more than 2**16
+        # states) spills to a temporary file; bounds 1 runs on the int kernel.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-        code, out, err = run("demo", "--kind", "collision", "--bounds", "1",
+        code, out, err = run("demo", "--kind", "collision", "--bounds", bounds,
                              "--epsilon", epsilon)
-        if epsilon == "0":
+        if epsilon == "0" or bounds == "1":
             assert code == 0 and err == b""
             assert json.loads(out)["findings"]
         else:
@@ -599,7 +600,7 @@ class TestDemoCommand:
                 raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(tempfile, "TemporaryFile", Full)
-        code, out, err = run("demo", "--kind", "collision", "--bounds", "1")
+        code, out, err = run("demo", "--kind", "collision", "--bounds", "2")
         assert_one_line_input_error(code, out, err)
         assert err == (b"ravkit: error: collision search: temporary file: "
                        b"[Errno 28] No space left on device\n")

@@ -11,6 +11,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+import warnings
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
@@ -40,7 +41,12 @@ from ravkit.critique import (
     _close_gaps,
     _collision_slabs,
     _float_scores,
+    _INT_KERNEL_STATES,
     _group_keys,
+    _int_kernel,
+    _int_scores,
+    _int_slabs,
+    _numpy_kernel,
     _packed_key_bits,
     _range_records,
     _refusal,
@@ -384,9 +390,10 @@ class TestCollisionSearch:
         by_id = space.by_id
         first_id, pvpa, pt = by_id[-1]
         n_bases = first_id + len(space.triples_by_s[pvpa + pt])
-        assert space.layout_of.tolist() == [
+        assert space.layout_of == [
             bisect_right(by_id, (base_id, math.inf)) - 1 for base_id in range(n_bases)
         ]
+        assert space.layout_array.tolist() == space.layout_of
 
     def test_slab_sizes_match_the_enumeration(self):
         bounds = CollisionBounds.coerce(2)
@@ -641,8 +648,8 @@ class TestCollisionSearch:
         # The open-grid kernel against the same kernel on one flat column per
         # limitation count, shaped (layout, triple, limitation tuple).
         space = _StateSpace(CollisionBounds.coerce(bound))
-        lims = space.lim_tuples
-        assert lims.tolist() == [list(lim) for lim in product(range(bound + 1), repeat=5)]
+        assert space.lim_tuples == list(product(range(bound + 1), repeat=5))
+        lims = np.array(space.lim_tuples, dtype=np.int64)
         slabs = 0
         for s, lc_sum, keys, base_ids in _collision_slabs(space):
             layout = space.layouts[s]
@@ -703,7 +710,7 @@ class TestCollisionSearch:
             assert np.array_equal(keys, expected_keys)
             assert np.array_equal(starts, np.flatnonzero(np.diff(keys, prepend=-1)))
 
-    @pytest.mark.parametrize("bound", [2, 3], ids=["b2", "b3"])
+    @pytest.mark.parametrize("bound", [1, 2, 3], ids=["b1", "b2", "b3"])
     @pytest.mark.parametrize(
         "epsilon, tag",
         [
@@ -713,8 +720,10 @@ class TestCollisionSearch:
         ],
     )
     def test_findings_match_golden(self, bound, epsilon, tag, fixtures):
-        # Recorded before the packed-key sort and the scores-only near pass;
-        # the coverage records pin the near-pair and skip counts.
+        # Recorded before the packed-key sort and the scores-only near pass,
+        # and bounds 1 before the int kernel; bounds 1 runs on the int
+        # kernel, 2 and 3 on numpy.  The coverage records pin the near-pair
+        # and skip counts.
         golden = fixtures / f"collision_b{bound}_eps{tag}.json"
         assert render_findings(collision_search(bound, epsilon, 0)) == golden.read_bytes()
 
@@ -782,6 +791,116 @@ class TestCollisionSearch:
         for bounds, message in [(2.7, "got 2.7"), (True, "got True"), (False, "got False")]:
             with pytest.raises(DomainError, match=f"^bounds must be an int, {message}$"):
                 collision_search(bounds)
+
+
+# Every bounds (p, c, l) in {0, 1, 2}**3 that the int kernel serves.
+INT_KERNEL_BOUNDS = [
+    bounds for bounds in product(range(3), repeat=3)
+    if _StateSpace(CollisionBounds(*bounds)).n_states <= _INT_KERNEL_STATES
+]
+
+
+
+def bounds_id(bounds: tuple[int, int, int]) -> str:
+    return "-".join(map(str, bounds))
+
+
+class TestIntKernel:
+    """The int kernel against the numpy kernel, both called directly: the
+    same coverage, exact pairs and near pairs as state codes, and the same
+    float score, bit for bit, for every distinct key."""
+
+    EPSILONS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.1)
+
+    def test_the_limit_splits_the_grid(self):
+        assert _INT_KERNEL_STATES == 2**16
+        # Past it: (1, 2, 2) 193,206 states, (2, 1, 2) 122,483, (2, 2, 2) 457,833.
+        assert len(INT_KERNEL_BOUNDS) == 24
+        assert (2, 2, 1) in INT_KERNEL_BOUNDS  # 60,309 states
+
+    @pytest.mark.parametrize("bounds", INT_KERNEL_BOUNDS, ids=bounds_id)
+    def test_kernels_agree(self, bounds):
+        space = _StateSpace(CollisionBounds(*bounds))
+        for epsilon in self.EPSILONS:
+            for max_findings in (10**6, 3):
+                got = _int_kernel(space, epsilon, max_findings)
+                assert got == _numpy_kernel(space, epsilon, max_findings), (epsilon, max_findings)
+
+    @pytest.mark.parametrize("bounds", INT_KERNEL_BOUNDS, ids=bounds_id)
+    def test_every_distinct_key_scores_the_same_bits(self, bounds, monkeypatch):
+        # The int kernel takes math.log1p, the numpy kernel numpy's log1p.
+        # Given numpy's log1p, the int kernel scores every distinct key to
+        # the same bits: one formula, in one order.  Each with its own, a
+        # score may differ only where the two log1p differ, and a host
+        # where they do is reported: numpy's SIMD log1p is not the C
+        # library's on every CPU.
+        space = _StateSpace(CollisionBounds(*bounds))
+        slabs = []
+        for (s, lc_sum, groups), (s_np, lc_np, keys, _) in zip(
+            _int_slabs(space), _collision_slabs(space), strict=True
+        ):
+            assert (s, lc_sum) == (s_np, lc_np)
+            sorted_keys, _, starts = _group_keys(keys)
+            assert sorted(groups) == sorted_keys[starts].tolist()
+            slabs.append((s, lc_sum, sorted_keys[starts]))
+
+        def differ(s, lc_sum, keys):
+            ints = np.array(_int_scores(s, lc_sum, keys.tolist()), dtype=float)
+            return ints.view(np.uint64) != _float_scores(s, lc_sum, keys).view(np.uint64)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(math, "log1p", np.log1p)
+            assert not any(differ(*slab).any() for slab in slabs)
+        scores = differing = 0
+        for s, lc_sum, keys in slabs:
+            x = (100.0 * keys / float((10 * s * s) ** 2)).tolist() if s else []
+            log1p_differs = np.array([math.log1p(v) != np.log1p(v) for v in x], dtype=bool)
+            mask = differ(s, lc_sum, keys)
+            assert not (mask & ~log1p_differs if s else mask).any(), (s, lc_sum)
+            scores, differing = scores + len(keys), differing + int(mask.sum())
+        if differing:
+            warnings.warn(
+                f"numpy's log1p is not math.log1p on this host: {differing} of {scores} "
+                f"distinct-key scores at bounds {bounds} differ between the kernels"
+            )
+
+    def test_tied_scores_keep_slab_then_key_order(self, monkeypatch):
+        # As test_witness_ties_rank_by_slab_then_key for the numpy kernel:
+        # at s = 0 every key scores the same, so fake slabs stand in, each
+        # key a group of one whose head code is also its structure.
+        slabs = [(0, 1, {5: [7, 7, None, 1], 3: [1, 1, None, 1]}), (0, 1, {2: [0, 0, None, 1]})]
+        monkeypatch.setattr(critique, "_int_slabs", lambda space: iter(slabs))
+        coverage, exact_pairs, near_pairs = _int_kernel(None, 1e-9, 10)
+        # Keys 3 and 5 of the first slab, then the second slab's 2.
+        assert near_pairs == [(1, 7), (7, 0)] and exact_pairs == []
+        assert coverage["near_pairs"] == 2 and coverage["distinct_keys"] == 3
+
+    def test_int_kernel_forced_at_bounds_two(self):
+        space = _StateSpace(CollisionBounds.coerce(2))
+        assert space.n_states == 457_833 > _INT_KERNEL_STATES
+        got = _int_kernel(space, 1e-6, 10**6)
+        assert got == _numpy_kernel(space, 1e-6, 10**6)
+        assert got[0]["near_pairs"] == 306
+
+    @pytest.mark.parametrize("limit, bounds, kernel", [
+        (2**16, CollisionBounds(2, 2, 1), "_int_kernel"),
+        (2**16, CollisionBounds(2, 2, 2), "_numpy_kernel"),
+        (5_771, CollisionBounds(1, 1, 1), "_int_kernel"),
+        (5_770, CollisionBounds(1, 1, 1), "_numpy_kernel"),
+    ])
+    def test_search_picks_the_kernel_by_state_count(self, monkeypatch, limit, bounds, kernel):
+        calls = []
+        for name in ("_int_kernel", "_numpy_kernel"):
+            real = getattr(critique, name)
+
+            def recorded(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(critique, name, recorded)
+        monkeypatch.setattr(critique, "_INT_KERNEL_STATES", limit)
+        collision_search(bounds, 0, max_findings=1)
+        assert calls == [kernel]
 
 
 class TestFloatScoreBound:

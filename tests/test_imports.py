@@ -1,5 +1,6 @@
-"""What each command loads: only the layers it runs, and numpy only for the
-collision search.  The layer attributes of ``ravkit.cli`` stay replaceable.
+"""What each command loads: only the layers it runs, and numpy only for a
+collision search past the int kernel's state limit.  The layer attributes
+of ``ravkit.cli`` stay replaceable.
 
 Each probe runs in a fresh interpreter, because ``sys.modules`` only grows.
 """
@@ -40,7 +41,8 @@ print(json.dumps({
 }))
 """
 
-# One case per cold-CLI command shape of the benchmark, collision demo aside.
+# One case per cold-CLI command shape of the benchmark, and the collision
+# demos small enough for the int kernel (bounds 1: 5,771 states).
 WITHOUT_NUMPY = {
     "import-ravkit": ["--import-only"],
     "rav-text": ["rav", "toy.json"],
@@ -52,8 +54,11 @@ WITHOUT_NUMPY = {
     "demo-formula": ["demo", "--kind", "formula"],
     "demo-permutation": ["demo", "--kind", "permutation"],
     "demo-trust": ["demo", "--kind", "trust"],
+    "demo-collision-b0": ["demo", "--kind", "collision", "--bounds", "0"],
+    "demo-collision-b1": ["demo", "--kind", "collision", "--bounds", "1"],
 }
-COLLISION_DEMO = ["demo", "--kind", "collision", "--bounds", "1"]
+# Bounds 2, 457,833 states, runs on the numpy kernel.
+COLLISION_DEMO = ["demo", "--kind", "collision", "--bounds", "2"]
 
 # The layers every command loads with ravkit.cli, then what each shape adds:
 # scope reports (rav, aggregate) load no symbolic, trust or critique layer,
@@ -71,20 +76,26 @@ LAYERS = {
     "demo-formula": CLI_BASE | {"critique"},
     "demo-permutation": CLI_BASE | {"critique"},
     "demo-trust": CLI_BASE | {"critique", "trust"},
+    "demo-collision-b0": CLI_BASE | {"critique"},
+    "demo-collision-b1": CLI_BASE | {"critique"},
     "demo-collision": CLI_BASE | {"critique"},
 }
 SHAPES = {**WITHOUT_NUMPY, "demo-collision": COLLISION_DEMO}
 
 
-@functools.lru_cache(maxsize=None)
-def probe(argv: tuple[str, ...]) -> dict:
+def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@functools.lru_cache(maxsize=None)
+def probe(argv: tuple[str, ...]) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
-        capture_output=True, cwd=FIXTURES, env=env, timeout=120,
+        capture_output=True, cwd=FIXTURES, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     return json.loads(proc.stdout)
@@ -107,8 +118,25 @@ def test_command_does_not_load_dataclasses_or_inspect(argv):
 
 
 def test_collision_demo_loads_numpy():
-    # The control: the probe does see numpy when the collision search runs.
+    # The control: the probe does see numpy when the numpy kernel runs.
     assert numpy_loaded(COLLISION_DEMO)
+
+
+@pytest.mark.parametrize("bounds", ["0", "1"])
+def test_small_collision_demo_runs_where_numpy_cannot_be_imported(bounds):
+    # With numpy blocked, the demo still writes the bytes of a normal run.
+    argv = ["demo", "--kind", "collision", "--bounds", bounds]
+    blocked = ("import sys; sys.modules['numpy'] = None; from ravkit.cli import main; "
+               "sys.exit(main(sys.argv[1:]))")
+    runs = [
+        subprocess.run([sys.executable, *prefix, *argv], capture_output=True, env=child_env(),
+                       timeout=120)
+        for prefix in (["-m", "ravkit.cli"], ["-c", blocked])
+    ]
+    for run in runs:
+        assert (run.returncode, run.stderr) == (0, b"")
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith(b"{")
 
 
 @pytest.mark.parametrize("shape", LAYERS)

@@ -10,12 +10,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
 
-from ravkit.critique import CollisionBounds, CritiqueFinding
-from ravkit.errors import DomainError
+from ravkit.critique import CollisionBounds, CritiqueFinding, collision_search
+from ravkit.errors import DomainError, shown_number
 from ravkit.ingest import ScanReport, ScopeDocument, ScopeEntry
 from ravkit.metrics import (
     ControlClass,
@@ -307,6 +308,35 @@ class TestRecordValidation:
             RuleResult(TrustProperty.SIZE, "r", Fraction(-1, 2))
         assert not EquivalenceResult(False, "sampled")
         assert CollisionBounds() == CollisionBounds(3, 3, 3)
+
+    # A refused value past the int-to-str digit limit cannot be written out
+    # by str or repr; the message gives its sign and digit count instead.
+    @pytest.mark.parametrize("call, message", [
+        (lambda: CollisionBounds(-(10**5000)), "bounds.porosity must be >= 0, got -<5001 digits>"),
+        (lambda: collision_search(-(10**5000)), "bounds must be >= 0, got -<5001 digits>"),
+        (lambda: collision_search(1, 1e-9, 0, max_findings=-(10**5000)),
+         "max_findings must be >= 0, got -<5001 digits>"),
+        (lambda: PorosityCounts(-(10**5000)), "visibility must be >= 0, got -<5001 digits>"),
+        (lambda: ApplicantRecord(months_unemployed=-(10**5000)),
+         "months_unemployed must be a non-negative integer, got -<5001 digits>"),
+        (lambda: RuleResult(TrustProperty.SIZE, "r", Fraction(-(10**5000), 3)),
+         "rule 'r' value must be >= 0, got -<5001 digits>/3"),
+    ], ids=["CollisionBounds", "bounds", "max_findings", "PorosityCounts", "ApplicantRecord",
+            "RuleResult"])
+    def test_refused_value_past_the_digit_limit(self, call, message):
+        with pytest.raises(DomainError) as raised:
+            call()
+        assert str(raised.value) == message
+        assert message.isprintable()
+
+    def test_digit_counts_at_powers_of_ten(self):
+        limit = sys.get_int_max_str_digits()
+        assert shown_number(10**limit - 1) == "9" * limit
+        assert shown_number(10**limit) == f"<{limit + 1} digits>"
+        assert shown_number(-(10**5000) + 1) == "-<5000 digits>"
+        assert shown_number(Fraction(1, 10**5000), str) == "1/<5001 digits>"
+        assert shown_number(Fraction(-1, 3)) == "Fraction(-1, 3)"
+        assert shown_number(2.5, str) == "2.5"
 
 
 class TestApplicantReferences:

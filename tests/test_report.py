@@ -30,7 +30,6 @@ from ravkit.metrics import (
 from ravkit import report
 from ravkit.report import (
     emit_json,
-    fraction_str,
     parse_report,
     render_report,
     render_trust_report,
@@ -49,6 +48,11 @@ from ravkit.trust import (
 )
 
 from conftest import FIXTURES, random_scope, ratio_result
+
+
+def fraction_str(value: Fraction) -> str:
+    """A rational as the reports write it: ``num/den`` in lowest terms."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 class TestJsonEmitter:
