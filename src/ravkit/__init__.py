@@ -72,7 +72,6 @@ _SOURCES = {
         "porosity_rule",
         "ratios_equal",
         "score_applicant",
-        "trust_combine",
         "unmonitored_hours_rule",
     ),
     "ingest": (

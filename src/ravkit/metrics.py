@@ -410,7 +410,7 @@ def _check_label(what: str, label: object) -> None:
     """Refuse a label that no document could write: one that is not a
     ``str``, or one with a lone surrogate, which has no UTF-8 form."""
     if not isinstance(label, str):
-        raise DomainError(f"{what} must be a string, got {label!r}")
+        raise DomainError(f"{what} must be a string, got {shown_number(label)}")
     try:
         label.encode("utf-8")
     except UnicodeEncodeError:
@@ -460,10 +460,7 @@ class _KernelInts(Record):
     :meth:`_holding` has ``_kernel`` set and its fields unset; the first read
     of any field fills them all, in one :meth:`__setstate__`, from
     ``_fields(kernel)``, which each subclass supplies.  An instance built
-    from its fields (by its public constructor, ``dataclasses.replace``,
-    copying or unpickling) leaves ``_kernel`` unset, and a read of it
-    returns ``_from_fields()``: a kernel derived from the fields afresh at
-    every read, or None where the subclass derives none.
+    from its fields leaves ``_kernel`` unset, and a read of it returns None.
     """
 
     __slots__ = ("_kernel",)
@@ -475,13 +472,10 @@ class _KernelInts(Record):
         _set_kernel(self, kernel)
         return self
 
-    def _from_fields(self) -> tuple | None:
-        return None
-
     def __getattr__(self, name: str):
         # Reached only for an unset slot or an unknown name.
         if name == "_kernel":
-            return self._from_fields()
+            return None
         if name not in self.__slots__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self.__setstate__(self._fields(self._kernel))

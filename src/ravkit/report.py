@@ -371,14 +371,14 @@ def _expect_same(found: Any, expected: Any, path: str) -> None:
 #
 # Like the rav report, a trust report's objects are templates with their
 # keys in ``emit_json`` order.  Every rule result and score is written from
-# its kernel alone (see ``trust.RuleResult`` and ``trust.TrustScore``),
-# whether it holds one or derives it from its fields.  A result's head,
-# everything but its value, is shared by many applicants, so the text and
-# JSON pieces of each head are built once and kept in one bounded cache;
-# only the applicant ids and the values are written per applicant.  Each
-# value is written in the order the report shows it, its numerator and
-# denominator before its decimal, so a value past the int-digit limit or
-# the float range fails at the same point in every report.
+# its kernel alone (see ``trust.RuleResult`` and ``trust.TrustScore``).  A
+# result's head, everything but its value, is one of the published rules'
+# 18, shared by many applicants, so the text and JSON pieces of each head
+# are built once and kept; only the applicant ids and the values are
+# written per applicant.  Each value is written in the order the report
+# shows it, its numerator and denominator before its decimal, so a value
+# past the int-digit limit or the float range fails at the same point in
+# every report.
 
 # "value" sorts last, so a rule object is this head, then its value and "}".
 _RULE_HEAD = _object(
@@ -414,14 +414,11 @@ class _PropertyKeys(dict):
 
 _PROPERTY_KEYS = _PropertyKeys()
 
-#: The most rule heads whose pieces are kept at once.
-_PIECES_MAX = 1024
-
 
 class _Pieces(dict):
     """The pieces a rule head is written with, built on first use: its text
     label, its excluded lines, its whole text when undefined and its JSON
-    object up to the value.  Emptied when it holds ``_PIECES_MAX`` heads."""
+    object up to the value."""
 
     def __missing__(self, head):
         prop, rule_id, reason, excluded = head
@@ -434,8 +431,6 @@ class _Pieces(dict):
             "undefined_reason": json.dumps(reason),
             "excluded": f"[{pairs}]",
         }
-        if len(self) >= _PIECES_MAX:
-            self.clear()
         self[head] = pieces = (label, lines, f"{label}undefined: {reason}{lines}", json_head)
         return pieces
 
@@ -488,9 +483,9 @@ def render_trust_report(
     """Render per-applicant rule values and combined trust scores, reading
     ``scored`` once, in order, so it may be an iterator.
 
-    Every result and score is written from its kernel's ints: one that holds
-    a kernel, from :func:`~ravkit.trust.score_applicant` or
-    :func:`~ravkit.trust.trust_combine`, and one built from its fields alike.
+    Every result and score is written from its kernel's ints, so ``scored``
+    holds the outputs of :func:`~ravkit.trust.score_applicant` or of the
+    published rules, or copies of them.
     """
     try:
         if format == "json":

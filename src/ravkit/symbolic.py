@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import DomainError, UnassignedVariableError, UndefinedWeightError
+from .errors import DomainError, UnassignedVariableError, UndefinedWeightError, shown_number
 from .metrics import (
     LIMITATION_CATEGORIES,
     ControlClass,
@@ -186,12 +186,20 @@ class SymbolicScore:
         power of a variable is computed once and each argument is one
         division of two exact integers.
         """
-        values = {k: Fraction(v) for k, v in assignment.items()}
-        for name, value in values.items():
+        values: dict[str, Fraction] = {}
+        for name, value in assignment.items():
             if not isinstance(name, str):
-                raise DomainError(f"assignment variable must be a string, got {name!r}")
-            if value <= 0:
-                raise DomainError(f"assignment for {name!r} must be positive, got {value}")
+                raise DomainError(f"assignment variable must be a string, got {shown_number(name)}")
+            try:
+                values[name] = number = Fraction(value)
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(
+                    f"assignment for {name!r} must be a finite number, got {shown_number(value)}"
+                ) from None
+            if number <= 0:
+                raise DomainError(
+                    f"assignment for {name!r} must be positive, got {shown_number(number, str)}"
+                )
         missing = self.variables() - set(values)
         if missing:
             raise UnassignedVariableError(

@@ -9,33 +9,29 @@ rational; degenerate denominators make a ratio *undefined* rather than
 silently zero, and undefined ratios are excluded from averages but
 reported with their reason.
 
-A rule of the caller's own is a :class:`RuleResult` built with the public
-constructor and passed to :func:`trust_combine` beside the three rules'
-results, ``[consistency_score(r), porosity_rule(r),
-unmonitored_hours_rule(r)]``; it averages the results of each property.
 Reference polarity is an explicit input, never inferred: a record holds
 its references as three polarity counts, so a record with millions of
 references costs no more than one with none.
 
 Every ratio and every combination is taken by one int helper:
 ``_reduced`` puts a pair in lowest terms with one gcd, and ``_combine``
-takes the average, sum or max of pairs and reduces it once.  Every
-:class:`RuleResult` and :class:`TrustScore` reads as one kernel of ints,
-the only thing ``render_trust_report`` writes from.  The published rules,
-:func:`consistency_ratios`, :func:`trust_combine` and
-:func:`score_applicant` build objects that hold only their kernels and
-fill their fields, ``Fraction`` values included, on first read; an object
-built from its fields derives its kernel from them.  The ``trust`` command
-scores one applicant at a time as its report is written, so a batch never
-holds more than one applicant's results.
+takes the average, sum or max of pairs and reduces it once.
+:class:`RuleResult` and :class:`TrustScore` are outputs only: the three
+rules, :func:`consistency_ratios` and :func:`score_applicant` build them,
+and neither has a public constructor.  Each holds one kernel of ints, the
+only thing ``render_trust_report`` writes from, and fills its fields,
+``Fraction`` values included, on first read; a copy or an unpickled twin
+is rebuilt from the kernel.  A caller with rules of their own combines
+the ``result.value``s with ``Fraction`` arithmetic.  The ``trust``
+command scores one applicant at a time as its report is written, so a
+batch never holds more than one applicant's results.
 """
-
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
 from math import gcd, isfinite
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, UndefinedTrustError, shown_number
 from .metrics import Record, _exact, _KernelInts
@@ -64,7 +60,6 @@ class TrustProperty(enum.Enum):
     __hash__ = object.__hash__
 
 
-_PROPERTIES = tuple(TrustProperty)
 # The published rules' properties, read as globals on the scoring path,
 # where a read of a member through its class is a slow attribute lookup.
 _SUBJUGATION, _CONSISTENCY, _POROSITY = (
@@ -106,7 +101,7 @@ def _coerce_hours(name: str, value: Rational | float) -> Fraction:
             raise DomainError(f"{name} must be an int, a Fraction or a finite float, got {value!r}")
         value = Fraction(value)
     if value.numerator < 0:
-        raise DomainError(f"{name} must be >= 0, got {value}")
+        raise DomainError(f"{name} must be >= 0, got {shown_number(value, str)}")
     return value
 
 
@@ -254,37 +249,30 @@ def _checked(
     )
 
 
-def _check_rational(what: str, value: object) -> None:
-    """Refuse anything but a non-negative int or ``Fraction`` (a bool too)."""
-    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-        raise DomainError(f"{what} must be an int or a Fraction, got {shown_number(value)}")
-    if value < 0:
-        raise DomainError(f"{what} must be >= 0, got {shown_number(value, str)}")
+class _TrustOutput(_KernelInts):
+    """Base of a trust result or score: built only through ``_holding``, by
+    the published rules and :func:`score_applicant`.  A copy or an unpickled
+    twin is rebuilt from the kernel, so it holds the kernel too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(
+            f"cannot create {cls.__name__!r} instances: trust results are built "
+            "only by the published rules and score_applicant"
+        )
+
+    def __reduce__(self):
+        return self._holding, (self._kernel,)
 
 
-def _check_pairs(what: str, pairs: object) -> None:
-    """Refuse anything but a tuple of ``(str, str)`` pairs."""
-    if not isinstance(pairs, tuple) or not all(
-        isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(s, str) for s in pair)
-        for pair in pairs
-    ):
-        raise DomainError(f"{what} must be a tuple of (str, str) pairs, got {pairs!r}")
-
-
-def _ints(value: Rational | None) -> tuple[int, int]:
-    """A value as a kernel holds it: ``(num, den)``, or ``(0, 0)`` for None."""
-    return (0, 0) if value is None else (value.numerator, value.denominator)
-
-
-class RuleResult(_KernelInts):
+class RuleResult(_TrustOutput):
     """Value of one trust rule: an exact ratio, or undefined with a reason.
 
     Its kernel is ``(head, num, den)``: ``head`` is ``(property, rule_id,
-    undefined_reason, excluded)`` and ``num/den`` the value in lowest
-    terms, with ``den`` 0 when the result is undefined.  A result of a
-    published rule holds only its kernel, whose head is one of a few
-    constants, and fills its fields on first read; any other result derives
-    its kernel from its fields.
+    undefined_reason, excluded)``, one of the few constants below, and
+    ``num/den`` the value in lowest terms, with ``den`` 0 when the result
+    is undefined.  Its fields fill from the kernel on first read.
     """
 
     __slots__ = __match_args__ = ("property", "rule_id", "value", "undefined_reason", "excluded")
@@ -293,28 +281,6 @@ class RuleResult(_KernelInts):
     value: Rational | None
     undefined_reason: str | None
     excluded: tuple[tuple[str, str], ...]
-
-    def __init__(
-        self,
-        property: TrustProperty,
-        rule_id: str,
-        value: Rational | None,
-        undefined_reason: str | None = None,
-        excluded: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        if not isinstance(property, TrustProperty):
-            raise DomainError(f"rule property must be a TrustProperty, got {property!r}")
-        if not isinstance(rule_id, str):
-            raise DomainError(f"rule id must be a str, got {rule_id!r}")
-        if undefined_reason is not None and not isinstance(undefined_reason, str):
-            raise DomainError(f"rule {rule_id!r} reason must be a str, got {undefined_reason!r}")
-        if value is None:
-            if not undefined_reason:
-                raise DomainError(f"undefined rule {rule_id!r} needs a reason")
-        else:
-            _check_rational(f"rule {rule_id!r} value", value)
-        _check_pairs(f"rule {rule_id!r} excluded", excluded)
-        self.__setstate__((property, rule_id, value, undefined_reason, excluded))
 
     @property
     def defined(self) -> bool:
@@ -325,21 +291,14 @@ class RuleResult(_KernelInts):
         (prop, rule_id, reason, excluded), num, den = kernel
         return prop, rule_id, _exact(num, den) if den else None, reason, excluded
 
-    def _from_fields(self) -> tuple:
-        head = (self.property, self.rule_id, self.undefined_reason, self.excluded)
-        return (head, *_ints(self.value))
 
-
-class TrustScore(_KernelInts):
+class TrustScore(_TrustOutput):
     """Per-property trust values and their combination under one mode.
 
     Its kernel is ``(per_property, num, den, mode, undefined_reasons)``:
     ``per_property`` is a tuple of ``(property, num, den)`` in field order,
     ``den`` 0 for an undefined property, and ``num/den`` the combination in
-    lowest terms.  A score from :func:`score_applicant` or
-    :func:`trust_combine` holds only its kernel and fills its fields on
-    first read; any other score derives its kernel from its fields afresh
-    at every read, so the kernel always agrees with the fields.
+    lowest terms.  Its fields fill from the kernel on first read.
     """
 
     __slots__ = __match_args__ = ("per_property", "combined", "mode", "undefined_reasons")
@@ -348,32 +307,11 @@ class TrustScore(_KernelInts):
     mode: str
     undefined_reasons: tuple[tuple[str, str], ...]
 
-    def __init__(
-        self,
-        per_property: Mapping[TrustProperty, Rational | None],
-        combined: Rational,
-        mode: str,
-        undefined_reasons: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        for prop, value in per_property.items():
-            if not isinstance(prop, TrustProperty):
-                raise DomainError(f"per_property key must be a TrustProperty, got {prop!r}")
-            if value is not None:
-                _check_rational(f"per_property value of {prop.value!r}", value)
-        _check_rational("combined score", combined)
-        _check_mode(mode)
-        _check_pairs("undefined_reasons", undefined_reasons)
-        self.__setstate__((per_property, combined, mode, undefined_reasons))
-
     @staticmethod
     def _fields(kernel: tuple) -> tuple:
         per_property, num, den, mode, reasons = kernel
         values = {prop: _exact(n, d) if d else None for prop, n, d in per_property}
         return values, _exact(num, den), mode, reasons
-
-    def _from_fields(self) -> tuple:
-        per_property = tuple([(prop, *_ints(value)) for prop, value in self.per_property.items()])
-        return (per_property, *_ints(self.combined), self.mode, self.undefined_reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -479,35 +417,9 @@ def unmonitored_hours_rule(record: ApplicantRecord) -> RuleResult:
 
 def _check_mode(mode: str) -> None:
     if mode not in COMBINE_MODES:
-        raise DomainError(f"unknown mode {mode!r}; expected one of {', '.join(COMBINE_MODES)}")
-
-
-_ALL_UNDEFINED = "every supplied rule result is undefined"
-
-
-def trust_combine(results: Iterable[RuleResult], mode: str = "average") -> TrustScore:
-    """Group results per property (averaging within a property), then combine
-    the defined per-property values under ``average``, ``sum`` or ``max``."""
-    _check_mode(mode)
-    groups: dict[TrustProperty, list[tuple]] = {}
-    for result in results:
-        kernel = result._kernel
-        groups.setdefault(kernel[0][0], []).append(kernel)
-    per_property: list[tuple[TrustProperty, int, int]] = []
-    reasons: list[tuple[str, str]] = []
-    for prop in _PROPERTIES:
-        group = groups.get(prop)
-        if group is None:
-            continue
-        defined = [(num, den) for _, num, den in group if den]
-        reasons += [(head[1], head[2]) for head, _, den in group if not den]
-        per_property.append((prop, *_combine(defined, "average")) if defined else (prop, 0, 0))
-    values = [(num, den) for _, num, den in per_property if den]
-    if not values:
-        raise UndefinedTrustError(_ALL_UNDEFINED)
-    return TrustScore._holding(
-        (tuple(per_property), *_combine(values, mode), mode, tuple(reasons))
-    )
+        raise DomainError(
+            f"unknown mode {shown_number(mode)}; expected one of {', '.join(COMBINE_MODES)}"
+        )
 
 
 def score_applicant(
@@ -522,9 +434,9 @@ def score_applicant(
     c, p, u = _consistency(record), _porosity(record), _unmonitored(record)
     values = [(num, den) for _, num, den in (c, p, u) if den]
     if not values:
-        raise UndefinedTrustError(_ALL_UNDEFINED)
+        raise UndefinedTrustError("every supplied rule result is undefined")
     num, den = _combine(values, mode)
-    # The rules in the order of their properties, as trust_combine gives them.
+    # The undefined rules' reasons, in the order of their properties.
     reasons = () if len(values) == 3 else tuple(
         [(head[1], head[2]) for head, _, d in (u, c, p) if not d]
     )
@@ -536,11 +448,30 @@ def score_applicant(
     return [holding(c), holding(p), holding(u)], score
 
 
+def _ratio(value: object) -> Fraction:
+    """``value`` as ``Fraction`` takes it; refused when it is not a finite number."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"ratios must be finite numbers, got {shown_number(value)}") from None
+
+
 def ratios_equal(a: Rational, b: Rational, tolerance: float = 0.0) -> bool:
-    """Compare two ratios exactly (tolerance 0) or within an absolute tolerance."""
-    if not tolerance >= 0:  # negative or NaN
-        raise DomainError(f"tolerance must be a number >= 0, got {tolerance!r}")
-    a, b = Fraction(a), Fraction(b)
+    """Compare two ratios exactly (tolerance 0) or within an absolute tolerance.
+
+    A difference past the float range is compared exactly with the
+    tolerance: within ``inf``, and beyond any float tolerance.
+    """
+    try:
+        valid = tolerance >= 0  # False when negative or NaN
+    except (TypeError, ArithmeticError):
+        valid = False
+    if not valid:
+        raise DomainError(f"tolerance must be a number >= 0, got {shown_number(tolerance)}")
+    a, b = _ratio(a), _ratio(b)
     if tolerance == 0:
         return a == b
-    return float(abs(a - b)) <= tolerance
+    try:
+        return float(abs(a - b)) <= tolerance
+    except OverflowError:
+        return abs(a - b) <= tolerance

@@ -15,7 +15,7 @@ from ravkit.metrics import (
     _KernelInts,
     toy_scope,
 )
-from ravkit.trust import ApplicantRecord, RuleResult, TrustProperty
+from ravkit.report import emit_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -52,22 +52,13 @@ def random_scope(rng: random.Random, max_count: int = 3, allow_empty: bool = Fal
     )
 
 
-def ratio_result(record: ApplicantRecord, rule_id: str, prop: TrustProperty,
-                 numerator: str, denominator: str) -> RuleResult:
-    """A caller's own trust rule: one numeric record field divided by another."""
-    den = Fraction(getattr(record, denominator))
-    if den == 0:
-        return RuleResult(prop, rule_id, None, f"{denominator} is zero")
-    return RuleResult(prop, rule_id, Fraction(getattr(record, numerator)) / den)
-
-
 #: The ``_kernel`` slot itself: a member descriptor, which skips ``__getattr__``.
 _KERNEL_SLOT = _KernelInts.__dict__["_kernel"]
 
 
 def holds_kernel(obj) -> bool:
-    """Whether ``obj`` has its ``_kernel`` slot set, rather than deriving
-    its kernel from its fields when ``_kernel`` is read."""
+    """Whether ``obj`` has its ``_kernel`` slot set, rather than reading
+    None for ``_kernel``, as a breakdown built from its fields does."""
     try:
         _KERNEL_SLOT.__get__(obj)
     except AttributeError:
@@ -75,7 +66,65 @@ def holds_kernel(obj) -> bool:
     return True
 
 
-def derives_kernel(twin, original) -> bool:
-    """Whether ``twin`` has no kernel slot set and reads a kernel equal to
-    ``original``'s."""
-    return not holds_kernel(twin) and twin._kernel == original._kernel
+def carries_kernel(twin, original) -> bool:
+    """Whether ``twin`` holds a kernel equal to ``original``'s."""
+    return holds_kernel(twin) and twin._kernel == original._kernel
+
+
+def fraction_str(value: Fraction) -> str:
+    """A rational as the reports write it: ``num/den`` in lowest terms."""
+    return f"{value.numerator}/{value.denominator}"
+
+
+# The trust report as ``emit_json`` and plain line lists write it, from the
+# fields of each result and score alone: the oracle of the fixed-schema
+# trust emitter, which writes from the kernels.
+
+
+def oracle_trust_to_obj(applicant_id, results, score) -> dict:
+    return {
+        "applicant_id": applicant_id,
+        "rules": [
+            {
+                "rule_id": r.rule_id,
+                "property": r.property.value,
+                "value": fraction_str(r.value) if r.defined else None,
+                "undefined_reason": r.undefined_reason,
+                "excluded": [list(pair) for pair in r.excluded],
+            }
+            for r in results
+        ],
+        "per_property": {
+            prop.value: (fraction_str(v) if v is not None else None)
+            for prop, v in score.per_property.items()
+        },
+        "combined": fraction_str(score.combined),
+        "combined_decimal": float(score.combined),
+        "mode": score.mode,
+    }
+
+
+def oracle_trust_report(scored, format: str) -> bytes:
+    if format == "json":
+        return emit_json(
+            {
+                "schema": "ravkit-trust/1",
+                "applicants": [oracle_trust_to_obj(aid, res, sc) for aid, res, sc in scored],
+            }
+        )
+    lines: list[str] = []
+    for applicant_id, results, score in scored:
+        lines.append(f"applicant: {applicant_id}")
+        for r in results:
+            if r.defined:
+                lines.append(
+                    f"  {r.rule_id:<32}{fraction_str(r.value)} ({float(r.value):.6f})"
+                )
+            else:
+                lines.append(f"  {r.rule_id:<32}undefined: {r.undefined_reason}")
+            for rule_id, reason in r.excluded:
+                lines.append(f"    excluded {rule_id}: {reason}")
+        label = f"combined({score.mode})"
+        lines.append(f"  {label:<32}{fraction_str(score.combined)} ({float(score.combined):.6f})")
+        lines.append("")
+    return "\n".join(lines).encode("utf-8")

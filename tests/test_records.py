@@ -24,23 +24,23 @@ from ravkit.metrics import (
     LimitationCounts,
     PorosityCounts,
     RavBreakdown,
+    Record,
     Scope,
     Weights,
     actual_security,
     toy_scope,
 )
 from ravkit.ratfun import RationalFunction
-from ravkit.symbolic import EquivalenceResult, SymbolicBreakdown, SymbolicScore, symbolic_breakdown
-from ravkit.trust import (
-    ApplicantRecord,
-    RuleResult,
-    TrustProperty,
-    TrustScore,
-    score_applicant,
-    trust_combine,
+from ravkit.symbolic import (
+    EquivalenceResult,
+    SymbolicBreakdown,
+    SymbolicScore,
+    symbolic_breakdown,
+    symbolic_rav,
 )
+from ravkit.trust import ApplicantRecord, RuleResult, score_applicant
 
-from conftest import derives_kernel, holds_kernel
+from conftest import carries_kernel, holds_kernel
 
 _CONTROLS = tuple(cls.value.replace("-", "_") for cls in ControlClass)
 _BREAKDOWN = (
@@ -100,12 +100,6 @@ CASES = {
                                                   hours_alone_per_day=Fraction(1, 2),
                                                   working_hours_per_day=8),
                         _RECORD, ("age_years", 40), True),
-    "RuleResult": (lambda v: RuleResult(TrustProperty.POROSITY, f"r{v}", Fraction(1, 3)),
-                   ("property", "rule_id", "value", "undefined_reason", "excluded"),
-                   ("excluded", (("a", "b"),)), True),
-    "TrustScore": (lambda v: TrustScore({TrustProperty.SIZE: Fraction(v)}, Fraction(v), "sum"),
-                   ("per_property", "combined", "mode", "undefined_reasons"),
-                   ("mode", "max"), False),
     "SymbolicBreakdown": (
         lambda v: symbolic_breakdown(toy_scope(), {"visibility": "h"} if v else None),
         ("opsec_argument", "controls_argument", "seclim_argument", "score"),
@@ -115,12 +109,29 @@ CASES = {
 }
 
 
+_RESULT = ("property", "rule_id", "value", "undefined_reason", "excluded")
+_SCORE = ("per_property", "combined", "mode", "undefined_reasons")
+_APPLICANTS = (
+    ApplicantRecord("a", 2, 10, 1, 30, 18, 4, Fraction(1, 2), 8, 3, 7, 1, 1, 1),
+    ApplicantRecord("b", employees_in_community=2, community_population=6),
+)
+
+# The records only ravkit builds, the results and scores of score_applicant:
+# name -> (make(variant), field names, None, hashable).  They have no public
+# constructor, so no replace.
+OUTPUTS = {
+    "RuleResult": (lambda v: score_applicant(_APPLICANTS[v])[0][1], _RESULT, None, True),
+    "TrustScore": (lambda v: score_applicant(_APPLICANTS[v], "sum")[1], _SCORE, None, False),
+}
+ALL = {**CASES, **OUTPUTS}
+
+
 def make(name, variant=0):
-    return CASES[name][0](variant)
+    return ALL[name][0](variant)
 
 
 def field_values(obj) -> tuple:
-    return tuple(getattr(obj, name) for name in CASES[type(obj).__name__][1])
+    return tuple(getattr(obj, name) for name in ALL[type(obj).__name__][1])
 
 
 def _arguments() -> dict[str, tuple]:
@@ -148,8 +159,6 @@ def _arguments() -> dict[str, tuple]:
         "CritiqueFinding": ("kind", {"x": 1}, {"y": 2}, "holds", "narrative"),
         "CollisionBounds": (1, 2, 3),
         "ApplicantRecord": ("a", 1, 12, 2, 40, 18, 20, Fraction(1, 2), Fraction(8), 3, 100, 4, 5, 6),
-        "RuleResult": (TrustProperty.POROSITY, "r", Fraction(1, 3), "why", (("a", "b"),)),
-        "TrustScore": ({TrustProperty.SIZE: Fraction(1)}, Fraction(1, 3), "sum", (("a", "b"),)),
         "SymbolicBreakdown": (*map(RationalFunction.constant, (2, 3, 4)), SymbolicScore.constant(5)),
         "EquivalenceResult": (True, "sampled", {"h": Fraction(2)}),
     }
@@ -186,8 +195,8 @@ def test_trusted_builds_the_constructors_record(name):
         assert getattr(obj, field) is value, field
 
 
-@pytest.mark.parametrize("name", CASES)
 class TestRecordClass:
+    @pytest.mark.parametrize("name", CASES)
     def test_fields_and_match_args(self, name):
         cls, names = type(make(name)), CASES[name][1]
         assert tuple(f.name for f in dataclasses.fields(cls)) == names
@@ -195,17 +204,28 @@ class TestRecordClass:
         assert dataclasses.is_dataclass(cls)
         assert cls.__match_args__ == names
 
+    @pytest.mark.parametrize("name", CASES)
     def test_init_parameters_are_the_slots(self, name):
         cls = type(make(name))
         code = cls.__init__.__code__
         params = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
         assert params == cls.__slots__
 
+    @pytest.mark.parametrize("name", OUTPUTS)
+    def test_match_args_without_a_constructor(self, name):
+        cls = type(make(name))
+        assert cls.__match_args__ == cls.__slots__ == OUTPUTS[name][1]
+        assert not dataclasses.is_dataclass(cls)
+        with pytest.raises(TypeError, match=f"^cannot create '{name}' instances"):
+            cls(*field_values(make(name)))
+
+    @pytest.mark.parametrize("name", ALL)
     def test_repr_is_the_dataclass_repr(self, name):
         obj = make(name)
-        fields = ", ".join(f"{n}={getattr(obj, n)!r}" for n in CASES[name][1])
+        fields = ", ".join(f"{n}={getattr(obj, n)!r}" for n in ALL[name][1])
         assert repr(obj) == f"{type(obj).__qualname__}({fields})"
 
+    @pytest.mark.parametrize("name", ALL)
     def test_equality(self, name):
         a, b = make(name), make(name, 1)
         assert a == make(name) and not a != make(name)
@@ -214,9 +234,10 @@ class TestRecordClass:
         other = next(make(n) for n in CASES if n != name)
         assert a.__eq__(other) is NotImplemented and a != other
 
+    @pytest.mark.parametrize("name", ALL)
     def test_hash(self, name):
         a = make(name)
-        if CASES[name][3]:
+        if ALL[name][3]:
             assert hash(a) == hash(make(name))
             assert hash(a) == hash(field_values(a))
             assert len({a, make(name)}) == 1
@@ -224,8 +245,9 @@ class TestRecordClass:
             with pytest.raises(TypeError, match="unhashable"):
                 hash(a)
 
+    @pytest.mark.parametrize("name", ALL)
     def test_frozen(self, name):
-        a, field = make(name), CASES[name][1][0]
+        a, field = make(name), ALL[name][1][0]
         before = field_values(a)
         with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{field}'"):
             setattr(a, field, 1)
@@ -239,6 +261,7 @@ class TestRecordClass:
             a.extra = 1
         assert field_values(a) == before
 
+    @pytest.mark.parametrize("name", CASES)
     def test_replace(self, name):
         a = make(name)
         field, value = CASES[name][2]
@@ -250,6 +273,7 @@ class TestRecordClass:
         with pytest.raises(TypeError):
             dataclasses.replace(a, no_such_field=1)
 
+    @pytest.mark.parametrize("name", ALL)
     def test_copy_and_pickle(self, name):
         a = make(name)
         for b in (copy.copy(a), copy.deepcopy(a),
@@ -270,9 +294,10 @@ def test_every_record_class_is_covered():
         for module in (ravkit.metrics, ravkit.ingest, ravkit.critique, ravkit.trust, ravkit.symbolic)
         for name, value in vars(module).items()
         if isinstance(value, type) and value.__module__ == module.__name__
-        and dataclasses.is_dataclass(value)
+        and (dataclasses.is_dataclass(value) or issubclass(value, Record))
+        and value is not Record and not name.startswith("_")
     }
-    assert found == set(CASES)
+    assert found == set(ALL)
 
 
 class TestRecordValidation:
@@ -302,10 +327,6 @@ class TestRecordValidation:
     def test_other_checks(self):
         with pytest.raises(DomainError, match=r"^verdict must be holds\|violated, got 'maybe'$"):
             CritiqueFinding("k", {}, {}, "maybe", "n")
-        with pytest.raises(DomainError, match="^undefined rule 'r' needs a reason$"):
-            RuleResult(TrustProperty.SIZE, "r", None)
-        with pytest.raises(DomainError, match=r"^rule 'r' value must be >= 0, got -1/2$"):
-            RuleResult(TrustProperty.SIZE, "r", Fraction(-1, 2))
         assert not EquivalenceResult(False, "sampled")
         assert CollisionBounds() == CollisionBounds(3, 3, 3)
 
@@ -319,10 +340,15 @@ class TestRecordValidation:
         (lambda: PorosityCounts(-(10**5000)), "visibility must be >= 0, got -<5001 digits>"),
         (lambda: ApplicantRecord(months_unemployed=-(10**5000)),
          "months_unemployed must be a non-negative integer, got -<5001 digits>"),
-        (lambda: RuleResult(TrustProperty.SIZE, "r", Fraction(-(10**5000), 3)),
-         "rule 'r' value must be >= 0, got -<5001 digits>/3"),
+        (lambda: ApplicantRecord(hours_alone_per_day=Fraction(-(10**5000), 3)),
+         "hours_alone_per_day must be >= 0, got -<5001 digits>/3"),
+        (lambda: score_applicant(ApplicantRecord(community_population=1), mode=10**5000),
+         "unknown mode <5001 digits>; expected one of average, sum, max"),
+        (lambda: Scope(id=10**5000), "scope id must be a string, got <5001 digits>"),
+        (lambda: symbolic_rav(toy_scope(), {"visibility": "a"}).evaluate({"a": -(10**5000)}),
+         "assignment for 'a' must be positive, got -<5001 digits>"),
     ], ids=["CollisionBounds", "bounds", "max_findings", "PorosityCounts", "ApplicantRecord",
-            "RuleResult"])
+            "hours", "mode", "Scope", "evaluate"])
     def test_refused_value_past_the_digit_limit(self, call, message):
         with pytest.raises(DomainError) as raised:
             call()
@@ -428,14 +454,11 @@ class TestKernelBreakdown:
             b._kernel = None
 
 
-_RESULT = ("property", "rule_id", "value", "undefined_reason", "excluded")
-_SCORE = ("per_property", "combined", "mode", "undefined_reasons")
-
-
 class TestKernelTrustRecords:
     """``score_applicant`` returns results and a score that hold only the
     kernel's ints and fill their fields when one is first read; every
-    record method sees what the same objects built field by field have."""
+    record method sees what the same objects have once every field is read,
+    and a copy or an unpickled twin holds the same kernel."""
 
     RECORDS = (
         ApplicantRecord("all", 2, 10, 1, 30, 18, 4, Fraction(1, 2), 8, 3, 7, 1, 1, 1),
@@ -446,36 +469,37 @@ class TestKernelTrustRecords:
 
     @staticmethod
     def eager(record, mode):
-        """The same results and score, built by the public constructors."""
+        """The same results and score, with every field read."""
         results, score = score_applicant(record, mode)
-        results = [RuleResult(*(getattr(r, n) for n in _RESULT)) for r in results]
-        return results, TrustScore(*(getattr(score, n) for n in _SCORE))
+        for obj in (*results, score):
+            obj.__getstate__()
+        return results, score
 
     @pytest.mark.parametrize("mode", ["average", "sum", "max"])
     @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.applicant_id)
     def test_unread_objects_are_their_eager_twins(self, record, mode):
         want_results, want_score = self.eager(record, mode)
-        assert trust_combine(want_results, mode) == want_score
         for i, want in enumerate((*want_results, want_score)):
             def fresh():
                 results, score = score_applicant(record, mode)
                 return (*results, score)[i]
 
+            names = want.__slots__
             checks = {
                 "eq": lambda obj: obj == want and want == obj,
                 "repr": lambda obj: repr(obj) == repr(want),
                 "pickle": lambda obj: pickle.loads(pickle.dumps(obj)) == want,
                 "copy": lambda obj: copy.copy(obj) == want and copy.deepcopy(obj) == want,
-                "replace": lambda obj: dataclasses.replace(obj) == want,
-                "fields": lambda obj: [getattr(obj, f.name) for f in dataclasses.fields(obj)]
-                == [getattr(want, f.name) for f in dataclasses.fields(want)],
+                "fields": lambda obj: [getattr(obj, n) for n in names]
+                == [getattr(want, n) for n in names],
             }
             for name, check in checks.items():
                 assert check(fresh()), (i, name)
             original = fresh()
-            assert holds_kernel(original) and derives_kernel(want, original)
-            assert derives_kernel(pickle.loads(pickle.dumps(original)), original)
-            assert derives_kernel(dataclasses.replace(original), original)
+            assert holds_kernel(original) and carries_kernel(want, original)
+            for twin in (pickle.loads(pickle.dumps(original)), copy.copy(original),
+                         copy.deepcopy(original)):
+                assert carries_kernel(twin, original)
             if isinstance(want, RuleResult):
                 assert hash(fresh()) == hash(want)
                 assert fresh().defined == want.defined
@@ -509,7 +533,6 @@ class TestKernelTrustRecords:
         results, score = score_applicant(self.RECORDS[0])
         for obj in (*results, score):
             assert "_kernel" not in type(obj).__slots__
-            assert "_kernel" not in {f.name for f in dataclasses.fields(obj)}
             with pytest.raises(AttributeError, match=f"^'{type(obj).__name__}' object has no "
                                                      "attribute 'x'$"):
                 obj.x

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import importlib.util
 import json
 import pickle
 import random
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from ravkit.cli import dispatch
 from ravkit.errors import DigitLimitError, DomainError, InputError, UndefinedTrustError
-from ravkit.ingest import scope_to_obj
+from ravkit.ingest import parse_applicants_csv, scope_to_obj
 from ravkit.metrics import (
     _RATIONAL_AGGREGATES,
     CHANNELS,
@@ -27,32 +29,16 @@ from ravkit.metrics import (
     actual_security,
     toy_scope,
 )
-from ravkit import report
+from ravkit import report, trust
 from ravkit.report import (
     emit_json,
     parse_report,
     render_report,
     render_trust_report,
 )
-from ravkit.trust import (
-    COMBINE_MODES,
-    ApplicantRecord,
-    RuleResult,
-    TrustProperty,
-    TrustScore,
-    consistency_score,
-    porosity_rule,
-    score_applicant,
-    trust_combine,
-    unmonitored_hours_rule,
-)
+from ravkit.trust import COMBINE_MODES, ApplicantRecord, score_applicant
 
-from conftest import FIXTURES, random_scope, ratio_result
-
-
-def fraction_str(value: Fraction) -> str:
-    """A rational as the reports write it: ``num/den`` in lowest terms."""
-    return f"{value.numerator}/{value.denominator}"
+from conftest import FIXTURES, fraction_str, oracle_trust_report, random_scope
 
 
 class TestJsonEmitter:
@@ -330,13 +316,54 @@ class TestTrustReport:
             render_trust_report([], "xml")
         assert str(raised.value) == "unknown report format 'xml'; expected text or json"
 
+    def test_copies_render_as_the_untouched_score(self):
+        # A caller who changes the per_property dict a score hands out
+        # changes neither the kernel the report is written from nor the one
+        # a copy or an unpickled twin is rebuilt from.
+        record = ApplicantRecord(applicant_id="x", criminal_offenses_known=1, age_years=50,
+                                 employees_in_community=1, community_population=4)
+        want = {fmt: render_trust_report([("x", *score_applicant(record, "max"))], fmt)
+                for fmt in ("json", "text")}
+        results, score = score_applicant(record, "max")
+        score.per_property["not a property"] = Fraction(1, 2)
+        for twin in (copy.copy(score), copy.deepcopy(score), pickle.loads(pickle.dumps(score))):
+            assert "not a property" not in twin.per_property
+            for fmt in ("json", "text"):
+                assert render_trust_report([("x", results, twin)], fmt) == want[fmt]
+        for fmt in ("json", "text"):
+            assert render_trust_report([("x", results, score)], fmt) == want[fmt]
+
+    def test_pieces_hold_only_the_published_heads(self, monkeypatch):
+        published = {*trust._CONSISTENCY_HEADS, *trust._POROSITY_HEADS,
+                     *trust._UNMONITORED_HEADS, *(h for pair in trust._RATIO_HEADS for h in pair)}
+        assert len(published) == 18
+        records = parse_applicants_csv(score_batch_applicants(7, monkeypatch))
+        assert len(records) == 5000
+        for mode in COMBINE_MODES:
+            scored = [(r.applicant_id, *score_applicant(r, mode)) for r in records]
+            for fmt in ("json", "text"):
+                assert render_trust_report(scored, fmt) == oracle_trust_report(scored, fmt)
+        assert report._PIECES and set(report._PIECES) <= published
+
+
+def score_batch_applicants(seed: int, monkeypatch) -> bytes:
+    """The applicant CSV of the benchmark's ``score-batch`` workload at ``seed``."""
+    path = FIXTURES.parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    return workloads.make("score-batch", seed, path.parents[1]).files["applicants.csv"]
+
 
 # ---------------------------------------------------------------------------
 # Differential tests: the fixed-schema emitters against the generic emitter
 # ---------------------------------------------------------------------------
 #
-# The oracles below are the renderers the fixed-schema emitters replaced:
-# dicts fed to ``emit_json`` for JSON, and line lists for text.
+# The oracles below, and ``oracle_trust_report`` in conftest, are the
+# renderers the fixed-schema emitters replaced: dicts fed to ``emit_json``
+# for JSON, and line lists for text.
 
 
 def oracle_breakdown_to_obj(breakdown) -> dict:
@@ -421,55 +448,6 @@ def oracle_report_text(b, scope: Scope) -> bytes:
         f"  actsec       {b.actsec:.6f}",
         "",
     ]
-    return "\n".join(lines).encode("utf-8")
-
-
-def oracle_trust_to_obj(applicant_id, results, score) -> dict:
-    return {
-        "applicant_id": applicant_id,
-        "rules": [
-            {
-                "rule_id": r.rule_id,
-                "property": r.property.value,
-                "value": fraction_str(r.value) if r.defined else None,
-                "undefined_reason": r.undefined_reason,
-                "excluded": [list(pair) for pair in r.excluded],
-            }
-            for r in results
-        ],
-        "per_property": {
-            prop.value: (fraction_str(v) if v is not None else None)
-            for prop, v in score.per_property.items()
-        },
-        "combined": fraction_str(score.combined),
-        "combined_decimal": float(score.combined),
-        "mode": score.mode,
-    }
-
-
-def oracle_trust_report(scored, format: str) -> bytes:
-    if format == "json":
-        return emit_json(
-            {
-                "schema": "ravkit-trust/1",
-                "applicants": [oracle_trust_to_obj(aid, res, sc) for aid, res, sc in scored],
-            }
-        )
-    lines: list[str] = []
-    for applicant_id, results, score in scored:
-        lines.append(f"applicant: {applicant_id}")
-        for r in results:
-            if r.defined:
-                lines.append(
-                    f"  {r.rule_id:<32}{fraction_str(r.value)} ({float(r.value):.6f})"
-                )
-            else:
-                lines.append(f"  {r.rule_id:<32}undefined: {r.undefined_reason}")
-            for rule_id, reason in r.excluded:
-                lines.append(f"    excluded {rule_id}: {reason}")
-        label = f"combined({score.mode})"
-        lines.append(f"  {label:<32}{fraction_str(score.combined)} ({float(score.combined):.6f})")
-        lines.append("")
     return "\n".join(lines).encode("utf-8")
 
 
@@ -668,32 +646,14 @@ class TestFixedSchemaEmittersMatchGenericEmitter:
     @pytest.mark.parametrize("mode", ["average", "sum", "max"])
     def test_trust_reports_byte_identical_on_2000_seeded_records(self, mode):
         rng = random.Random(f"trust/{mode}")
-        # Rules of the caller's own, combined beside the built-in results.
-        extra = [
-            ("size/community", TrustProperty.SIZE,
-             "employees_in_community", "community_population"),
-            ("value/offenses", TrustProperty.VALUE, "criminal_offenses_known", "months_eligible"),
-            (AWKWARD[0], TrustProperty.COMPONENTS, "age_years", "legal_adult_age"),
-            (AWKWARD[4], TrustProperty.VISIBILITY, "months_unemployed", "age_years"),
-        ]
         scored = []
         shapes = {"undefined": 0, "excluded": 0}
         while len(scored) < 2000:
             record = differential_record(rng, len(scored))
-            rules = rng.sample(extra, rng.randint(0, len(extra)))
-            results = [consistency_score(record), porosity_rule(record),
-                       unmonitored_hours_rule(record)]
-            results += [ratio_result(record, *rule) for rule in rules]
             try:
-                score = trust_combine(results, mode)
+                results, score = score_applicant(record, mode)
             except UndefinedTrustError:
                 continue
-            if rng.random() < 0.1:
-                results.append(RuleResult(
-                    rng.choice(list(TrustProperty)), rng.choice(AWKWARD), None,
-                    rng.choice(AWKWARD), excluded=((rng.choice(AWKWARD), rng.choice(AWKWARD)),),
-                ))
-                score = trust_combine(results, mode)
             scored.append((record.applicant_id, results, score))
             shapes["undefined"] += any(not r.defined for r in results)
             shapes["excluded"] += any(r.excluded for r in results)
@@ -702,62 +662,6 @@ class TestFixedSchemaEmittersMatchGenericEmitter:
             assert render_trust_report(scored, format) == oracle_trust_report(scored, format)
             # One record at a time too, so a mismatch names its record.
             for entry in scored[:200]:
-                assert render_trust_report([entry], format) == oracle_trust_report(
-                    [entry], format
-                ), entry[0]
-
-    def test_trust_reports_of_every_origin_match(self):
-        # The results and scores of score_applicant beside their twins built
-        # by the public constructors, by unpickling and by replace; caller
-        # results with int values, or defined and carrying a reason; and more
-        # distinct rule heads than the report keeps pieces for.
-        rng = random.Random("trust/origins")
-        scored = []
-        while len(scored) < 4 * 150:
-            record = differential_record(rng, len(scored))
-            try:
-                entry = (record.applicant_id, *score_applicant(record, rng.choice(COMBINE_MODES)))
-            except UndefinedTrustError:
-                continue
-            _, results, score = entry
-            scored += [
-                entry,
-                (entry[0], [RuleResult(*r.__getstate__()) for r in results],
-                 TrustScore(*score.__getstate__())),
-                pickle.loads(pickle.dumps(entry)),
-                (entry[0], [replace(r) for r in results], replace(score)),
-            ]
-        properties = list(TrustProperty)
-        heads = report._PIECES_MAX + 100
-        for k in range(0, heads, 5):
-            results = []
-            for j in range(k, k + 5):
-                prop, rule_id = rng.choice(properties), f"caller/{j}"
-                kind = j % 4
-                if kind == 0:
-                    results.append(RuleResult(prop, rule_id, rng.randint(0, 9)))
-                elif kind == 1:
-                    results.append(RuleResult(prop, rule_id, Fraction(j, 7), rng.choice(AWKWARD)))
-                elif kind == 2:
-                    results.append(RuleResult(prop, rule_id, None, rng.choice(AWKWARD),
-                                              ((rng.choice(AWKWARD), f"why {j}"),)))
-                else:
-                    results.append(RuleResult(prop, rule_id, Fraction(1, j)))
-            mode = rng.choice(COMBINE_MODES)
-            score = trust_combine(results, mode)
-            scored.append((f"caller-{k}", results, score))
-            per_property = {
-                prop: None if value is None else int(value)
-                for prop, value in score.per_property.items()
-            }
-            combined = max(v for v in per_property.values() if v is not None)
-            scored.append((f"caller-int-{k}", results, TrustScore(per_property, combined, "max")))
-        for format in ("json", "text"):
-            # Twice: the second pass meets the heads the bounded cache let go.
-            for _ in range(2):
-                assert render_trust_report(scored, format) == oracle_trust_report(scored, format)
-                assert len(report._PIECES) <= report._PIECES_MAX
-            for entry in scored:
                 assert render_trust_report([entry], format) == oracle_trust_report(
                     [entry], format
                 ), entry[0]

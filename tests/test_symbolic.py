@@ -411,6 +411,15 @@ class TestEvaluationErrors:
         with pytest.raises(DomainError):
             symbolic_rav(toy, TOY_UNITS).evaluate({"h": 0, "p": 1, "l": 1})
 
+    @pytest.mark.parametrize("value, shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), ("x", "'x'"), (None, "None"), (1j, "1j"),
+    ], ids=["nan", "inf", "str", "none", "complex"])
+    def test_assignment_that_is_not_a_number_rejected(self, toy, value, shown):
+        score = symbolic_rav(toy, {"visibility": "h"})
+        with pytest.raises(DomainError) as raised:
+            score.evaluate({"h": value})
+        assert str(raised.value) == f"assignment for 'h' must be a finite number, got {shown}"
+
     @pytest.mark.parametrize("key", [5, None, ("h",)], ids=["int", "none", "tuple"])
     def test_assignment_key_that_is_not_a_string_rejected(self, toy, key):
         # Not ignored: no variable could have that name.

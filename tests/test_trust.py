@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+import ravkit
+from ravkit import trust
 from ravkit.errors import DomainError, UndefinedTrustError
-from ravkit.report import render_trust_report
 from ravkit.trust import (
     ApplicantRecord,
     RuleResult,
@@ -20,7 +23,6 @@ from ravkit.trust import (
     porosity_rule,
     ratios_equal,
     score_applicant,
-    trust_combine,
     unmonitored_hours_rule,
 )
 
@@ -158,10 +160,34 @@ class TestPorosityRule:
         assert not ratios_equal(community, conviction, tolerance=1e-5)
         assert abs(community - conviction) == Fraction(1, 20000)
 
-    @pytest.mark.parametrize("tolerance", [-1, -1e-9, float("nan")])
-    def test_negative_or_nan_tolerance_rejected(self, tolerance):
-        with pytest.raises(DomainError, match="tolerance must be a number >= 0"):
+    @pytest.mark.parametrize("tolerance, shown", [
+        (-1, "-1"), (-1e-9, "-1e-09"), (float("nan"), "nan"), ("x", "'x'"), (None, "None"),
+        (-(10**5000), "-<5001 digits>"),
+    ], ids=["-1", "-1e-09", "nan", "str", "None", "past-the-digit-limit"])
+    def test_negative_or_nan_tolerance_rejected(self, tolerance, shown):
+        with pytest.raises(DomainError) as raised:
             ratios_equal(1, 1, tolerance=tolerance)
+        assert str(raised.value) == f"tolerance must be a number >= 0, got {shown}"
+
+    @pytest.mark.parametrize("a, b, shown", [
+        (float("nan"), 2, "nan"), (float("inf"), 2, "inf"), (1, float("-inf"), "-inf"),
+        ("x", 1, "'x'"), (None, 1, "None"), (1, 1j, "1j"),
+    ], ids=["nan", "inf", "-inf", "str", "None", "complex"])
+    def test_ratios_that_are_not_finite_numbers_rejected(self, a, b, shown):
+        with pytest.raises(DomainError) as raised:
+            ratios_equal(a, b, 0.1)
+        assert str(raised.value) == f"ratios must be finite numbers, got {shown}"
+
+    @pytest.mark.parametrize("a, b, tolerance, equal", [
+        (Fraction(1, 3), 10**400, 1e-9, False),
+        (1, 10**400, float("inf"), True),
+        (10**400, 0, 1.7976931348623157e308, False),
+        (10**400, -(10**400), 10**401, True),
+        (10**400, -(10**400), 10**400, False),
+    ], ids=["finite", "inf", "float-max", "int-within", "int-beyond"])
+    def test_difference_past_the_float_range_is_compared(self, a, b, tolerance, equal):
+        assert ratios_equal(a, b, tolerance) is equal
+        assert ratios_equal(b, a, tolerance) is equal
 
 
 class TestUnmonitoredHours:
@@ -183,93 +209,112 @@ class TestUnmonitoredHours:
         assert unmonitored_hours_rule(record).property is TrustProperty.SUBJUGATION
 
 
-def _results(*values: Fraction) -> list[RuleResult]:
-    properties = list(TrustProperty)
-    return [
-        RuleResult(properties[i], f"rule-{i}", Fraction(v)) for i, v in enumerate(values)
-    ]
+def scored(consistency=None, porosity=None, unmonitored=None, mode="average"):
+    """``score_applicant`` on a record whose three rules take the given
+    values, None leaving a rule undefined.  The consistency rule takes its
+    value from the offenses ratio alone, so it may exceed 1; the porosity
+    and unmonitored-hours rules are parts of a whole, so at most 1."""
+    fields = {}
+    if consistency is not None:
+        value = Fraction(consistency)
+        fields.update(criminal_offenses_known=value.numerator,
+                      age_years=18 + value.denominator)
+    if porosity is not None:
+        value = Fraction(porosity)
+        fields.update(employees_in_community=value.numerator,
+                      community_population=value.denominator)
+    if unmonitored is not None:
+        fields.update(hours_alone_per_day=unmonitored, working_hours_per_day=1)
+    results, score = score_applicant(ApplicantRecord(**fields), mode)
+    assert [r.value for r in results] == [consistency, porosity, unmonitored]
+    return results, score
 
 
-class TestTrustCombine:
+def _random_values(rng: random.Random, top: int, defined: int) -> list:
+    """Values for the three rules, ``defined`` of them at random places and
+    the rest None, with numerators and denominators below ``top``.  Only
+    the consistency rule's value may exceed 1."""
+    values = [None, None, None]
+    for i in rng.sample(range(3), defined):
+        den = rng.randrange(1, top)
+        values[i] = Fraction(rng.randrange(0, top if i == 0 else den + 1), den)
+    return values
+
+
+class TestCombination:
+    """The average, sum and max of the three rules' values, taken by
+    ``score_applicant`` on records chosen to give those values."""
+
     def test_average_and_max_on_distinct_properties(self):
-        results = _results(Fraction(1, 5), Fraction(1, 12), Fraction(1, 4))
-        assert trust_combine(results, "average").combined == Fraction(8, 45)
-        assert trust_combine(results, "max").combined == Fraction(1, 4)
-        assert trust_combine(results, "sum").combined == Fraction(8, 15)
+        values = (Fraction(1, 5), Fraction(1, 12), Fraction(1, 4))
+        assert scored(*values, mode="average")[1].combined == Fraction(8, 45)
+        assert scored(*values, mode="max")[1].combined == Fraction(1, 4)
+        assert scored(*values, mode="sum")[1].combined == Fraction(8, 15)
 
     def test_single_value_any_mode(self):
         for mode in ("average", "sum", "max"):
-            assert trust_combine(_results(Fraction(3, 7)), mode).combined == Fraction(3, 7)
+            assert scored(Fraction(3, 7), mode=mode)[1].combined == Fraction(3, 7)
+            assert scored(porosity=Fraction(3, 7), mode=mode)[1].combined == Fraction(3, 7)
 
     def test_all_zero_values(self):
         for mode in ("average", "sum", "max"):
-            assert trust_combine(_results(0, 0, 0), mode).combined == 0
+            assert scored(0, 0, 0, mode=mode)[1].combined == 0
 
     def test_within_property_averaging(self):
-        results = [
-            RuleResult(TrustProperty.CONSISTENCY, "a", Fraction(1, 2)),
-            RuleResult(TrustProperty.CONSISTENCY, "b", Fraction(1, 4)),
-            RuleResult(TrustProperty.POROSITY, "c", Fraction(1, 8)),
-        ]
-        score = trust_combine(results, "max")
+        # The consistency rule averages its defined ratios, 1/2 and 1/4.
+        record = ApplicantRecord(months_unemployed=1, months_eligible=2,
+                                 criminal_offenses_known=1, age_years=22,
+                                 employees_in_community=1, community_population=8)
+        _, score = score_applicant(record, "max")
+        assert [r.value for r in consistency_ratios(record)] == [Fraction(1, 2), Fraction(1, 4),
+                                                                  None]
         assert score.per_property[TrustProperty.CONSISTENCY] == Fraction(3, 8)
+        assert score.per_property[TrustProperty.POROSITY] == Fraction(1, 8)
         assert score.combined == Fraction(3, 8)
 
     def test_undefined_results_reported(self):
-        results = [
-            RuleResult(TrustProperty.CONSISTENCY, "a", Fraction(1, 2)),
-            RuleResult(TrustProperty.POROSITY, "b", None, "no population"),
-        ]
-        score = trust_combine(results, "average")
+        _, score = scored(Fraction(1, 2))
         assert score.per_property[TrustProperty.POROSITY] is None
-        assert score.undefined_reasons == (("b", "no population"),)
+        assert score.per_property[TrustProperty.SUBJUGATION] is None
+        assert score.undefined_reasons == (
+            ("subjugation/unmonitored-hours", "no working hours recorded"),
+            ("porosity/community", "community population not recorded"),
+        )
         assert score.combined == Fraction(1, 2)
 
     def test_all_undefined_rejected(self):
-        results = [RuleResult(TrustProperty.POROSITY, "b", None, "no population")]
         with pytest.raises(UndefinedTrustError):
-            trust_combine(results, "average")
+            scored()
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(DomainError):
-            trust_combine(_results(Fraction(1)), "median")
+        with pytest.raises(DomainError, match="^unknown mode 'median'; expected one of "):
+            scored(Fraction(1), mode="median")
 
     def test_max_at_least_average_at_least_zero(self):
         rng = random.Random(5)
         for _ in range(200):
-            values = [Fraction(rng.randrange(0, 30), rng.randrange(1, 30)) for _ in
-                      range(rng.randint(1, 8))]
-            results = [
-                RuleResult(list(TrustProperty)[i % 10], f"r{i}", v)
-                for i, v in enumerate(values)
-            ]
-            avg = trust_combine(results, "average").combined
-            top = trust_combine(results, "max").combined
+            values = _random_values(rng, 30, rng.randint(1, 3))
+            avg = scored(*values, mode="average")[1].combined
+            top = scored(*values, mode="max")[1].combined
             assert top >= avg >= 0
 
     def test_permutation_invariant(self):
-        rng = random.Random(6)
-        results = _results(Fraction(1, 3), Fraction(2, 5), Fraction(1, 7), Fraction(3, 4))
+        # Which rule carries which value does not change the combination.
+        values = (Fraction(1, 3), Fraction(2, 5), Fraction(1, 7))
         for mode in ("average", "sum", "max"):
-            want = trust_combine(results, mode).combined
-            for _ in range(10):
-                shuffled = list(results)
-                rng.shuffle(shuffled)
-                assert trust_combine(shuffled, mode).combined == want
+            want = scored(*values, mode=mode)[1].combined
+            for permuted in itertools.permutations(values):
+                assert scored(*permuted, mode=mode)[1].combined == want
 
     def test_adding_zero_result_never_increases_max_or_sum(self):
         rng = random.Random(8)
         for _ in range(100):
-            values = [Fraction(rng.randrange(0, 20), rng.randrange(1, 20)) for _ in
-                      range(rng.randint(1, 6))]
-            results = [
-                RuleResult(list(TrustProperty)[i % 10], f"r{i}", v)
-                for i, v in enumerate(values)
-            ]
-            zero = RuleResult(list(TrustProperty)[rng.randrange(10)], "zero", Fraction(0))
+            values = _random_values(rng, 20, rng.randint(1, 2))
+            with_zero = list(values)
+            with_zero[with_zero.index(None)] = Fraction(0)
             for mode in ("max", "sum"):
-                before = trust_combine(results, mode).combined
-                after = trust_combine(results + [zero], mode).combined
+                before = scored(*values, mode=mode)[1].combined
+                after = scored(*with_zero, mode=mode)[1].combined
                 assert after <= before
 
 
@@ -286,12 +331,13 @@ class TestScoreApplicant:
         results, score = score_applicant(record, mode="max")
         assert len(results) == 3
         assert score.combined == Fraction(1, 4)
-        # A rule of the caller's own is a RuleResult combined beside them.
-        extra = RuleResult(TrustProperty.SIZE, "size/team", Fraction(3, 4))
-        score2 = trust_combine([*results, extra], "max")
-        assert score2.per_property[TrustProperty.SIZE] == Fraction(3, 4)
-        assert score2.combined == Fraction(3, 4)
-        assert list(score2.per_property) == [TrustProperty.SIZE, *score.per_property]
+        assert list(score.per_property) == [
+            TrustProperty.SUBJUGATION, TrustProperty.CONSISTENCY, TrustProperty.POROSITY]
+        # A rule of the caller's own is combined with the rules' values by
+        # Fraction arithmetic.
+        size = Fraction(3, 4)
+        assert max([*(r.value for r in results if r.defined), size]) == Fraction(3, 4)
+        assert max(score.combined, size) == Fraction(3, 4)
 
     def test_structurally_bounded_rules_stay_below_one(self):
         # porosity, unmonitored hours, unemployment, references: ratios of a
@@ -319,71 +365,25 @@ class TestScoreApplicant:
             assert 0 <= unmonitored_hours_rule(record).value <= 1
 
 
-SIZE, VALUE = TrustProperty.SIZE, TrustProperty.VALUE
+class TestOutputsOnly:
+    """Rule results and scores are built by the published rules and
+    ``score_applicant`` alone."""
 
+    @pytest.mark.parametrize("call", [
+        lambda: RuleResult(TrustProperty.SIZE, "r", Fraction(1)),
+        lambda: RuleResult(),
+        lambda: TrustScore({TrustProperty.SIZE: Fraction(1)}, Fraction(1), "sum"),
+        lambda: TrustScore(),
+    ], ids=["RuleResult", "RuleResult-no-arguments", "TrustScore", "TrustScore-no-arguments"])
+    def test_no_public_constructor(self, call):
+        with pytest.raises(TypeError, match="^cannot create '(RuleResult|TrustScore)' instances"):
+            call()
 
-class TestResultAndScoreChecks:
-    """A result or score that ``trust_combine`` or the report could not
-    take is refused by its constructor, with one line."""
-
-    @pytest.mark.parametrize("args, message", [
-        (("size", "x", Fraction(1)), "rule property must be a TrustProperty, got 'size'"),
-        ((SIZE, 5, Fraction(1)), "rule id must be a str, got 5"),
-        ((SIZE, "r", 0.5), "rule 'r' value must be an int or a Fraction, got 0.5"),
-        ((SIZE, "r", True), "rule 'r' value must be an int or a Fraction, got True"),
-        ((SIZE, "r", "1/2"), "rule 'r' value must be an int or a Fraction, got '1/2'"),
-        ((SIZE, "r", -1), "rule 'r' value must be >= 0, got -1"),
-        ((SIZE, "r", None, 7), "rule 'r' reason must be a str, got 7"),
-        ((SIZE, "r", 1, None, [("a", "why")]),
-         r"rule 'r' excluded must be a tuple of \(str, str\) pairs, got \[\('a', 'why'\)\]"),
-        ((SIZE, "r", 1, None, (("a",),)),
-         r"rule 'r' excluded must be a tuple of \(str, str\) pairs, got \(\('a',\),\)"),
-        ((SIZE, "r", 1, None, (("a", 2),)),
-         r"rule 'r' excluded must be a tuple of \(str, str\) pairs, got \(\('a', 2\),\)"),
-    ], ids=["str-property", "int-rule-id", "float", "bool", "str-value", "negative",
-            "int-reason", "list-excluded", "short-pair", "int-in-pair"])
-    def test_rule_result_refusals(self, args, message):
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            RuleResult(*args)
-
-    @pytest.mark.parametrize("args, message", [
-        (({}, 0.5, "average"), "combined score must be an int or a Fraction, got 0.5"),
-        (({}, Fraction(-1), "max"), "combined score must be >= 0, got -1"),
-        (({}, False, "max"), "combined score must be an int or a Fraction, got False"),
-        (({}, 1, "nope"), "unknown mode 'nope'; expected one of average, sum, max"),
-        (({"size": Fraction(1)}, 1, "sum"),
-         "per_property key must be a TrustProperty, got 'size'"),
-        (({SIZE: 0.5}, 1, "sum"), "per_property value of 'size' must be an int or a "
-                                  "Fraction, got 0.5"),
-        (({SIZE: Fraction(-1, 2)}, 1, "sum"), "per_property value of 'size' must be >= 0, "
-                                              "got -1/2"),
-        (({}, 1, "sum", [("a", "why")]),
-         r"undefined_reasons must be a tuple of \(str, str\) pairs, got \[\('a', 'why'\)\]"),
-    ], ids=["float", "negative", "bool", "unknown-mode", "str-key", "float-value",
-            "negative-value", "list-reasons"])
-    def test_trust_score_refusals(self, args, message):
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            TrustScore(*args)
-
-    def test_int_values_and_undefined_properties_are_accepted(self):
-        result = RuleResult(SIZE, "r", 3, "a reason a defined result may carry")
-        score = TrustScore({SIZE: 3, VALUE: None}, 3, "max", (("v", "why"),))
-        assert result.defined and score.combined == 3
-        assert result._kernel == ((SIZE, "r", "a reason a defined result may carry", ()), 3, 1)
-        assert score._kernel == (((SIZE, 3, 1), (VALUE, 0, 0)), 3, 1, "max", (("v", "why"),))
-
-    def test_combine_no_longer_drops_a_result(self):
-        # A str property used to be grouped under no property and dropped.
-        with pytest.raises(DomainError, match="^rule property must be a TrustProperty"):
-            trust_combine([RuleResult(SIZE, "a", Fraction(1, 2)),
-                           RuleResult("size", "x", Fraction(1))], "sum")
-
-    def test_kernel_follows_a_changed_mapping(self):
-        # A score's kernel is derived from its fields at every read, so a
-        # caller who changes their mapping later cannot make the two disagree.
-        values = {SIZE: Fraction(1, 2)}
-        score = TrustScore(values, Fraction(1, 2), "sum")
-        assert score._kernel[0] == ((SIZE, 1, 2),)
-        values[VALUE] = Fraction(3)
-        assert score._kernel[0] == ((SIZE, 1, 2), (VALUE, 3, 1))
-        assert b'"value": "3/1"' in render_trust_report([("a", [], score)], "json")
+    def test_no_replace_and_no_combine(self):
+        results, score = score_applicant(ApplicantRecord(community_population=3))
+        for obj in (*results, score):
+            assert not dataclasses.is_dataclass(obj)
+            with pytest.raises(TypeError):
+                dataclasses.replace(obj)
+        assert "trust_combine" not in ravkit.__all__
+        assert not hasattr(trust, "trust_combine")

@@ -1,24 +1,25 @@
 """The integer trust kernel against the ``Fraction`` rules it replaced.
 
-``reference_*`` below are the rules and ``trust_combine`` as they were
-written on ``Fraction`` arithmetic, kept here as the oracle.  Records are
-drawn with counts up to 10**300.  Beside each record's built-in results,
-``trust_combine`` gets extra rule results built by the caller: ratios of
-record fields (several per property, so within-property averaging runs)
-and results that are always undefined.  Every rule value, every
-per-property value, the combined score and the rendered report must
-match exactly.  The results and score of ``score_applicant``, which hold
-only the kernel's ints until a field is read, must be the oracle's in
-every record method, and must render to the bytes (or the error) of
-their unpickled twins, which hold only fields.
+``reference_*`` below are the rules and their combination as they were
+written on ``Fraction`` arithmetic, kept here as the oracle; they build
+named tuples with the fields, and so the repr and hash, of ``RuleResult``
+and ``TrustScore``.  Records are drawn with counts up to 10**300.  Every
+rule value, every per-property value, the combined score and the
+rendered report must match exactly: the report against
+``oracle_trust_report``, which writes the oracle's fields.  The results
+and score of ``score_applicant``, which hold only the kernel's ints until
+a field is read, must be the oracle's in every record method, and their
+copies and unpickled twins, rebuilt from the kernel, must render to the
+same bytes (or the same error).
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import pickle
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -26,20 +27,9 @@ import pytest
 
 from ravkit.errors import DigitLimitError, DomainError, FloatRangeError, UndefinedTrustError
 from ravkit.report import render_trust_report
-from ravkit.trust import (
-    COMBINE_MODES,
-    ApplicantRecord,
-    RuleResult,
-    TrustProperty,
-    TrustScore,
-    consistency_score,
-    porosity_rule,
-    score_applicant,
-    trust_combine,
-    unmonitored_hours_rule,
-)
+from ravkit.trust import COMBINE_MODES, ApplicantRecord, TrustProperty, _combine, score_applicant
 
-from conftest import derives_kernel, ratio_result
+from conftest import carries_kernel, oracle_trust_report
 
 RECORDS_PER_MODE = 2000
 
@@ -48,57 +38,74 @@ RECORDS_PER_MODE = 2000
 # The Fraction oracle
 # ---------------------------------------------------------------------------
 
+Result = namedtuple("RuleResult", "property rule_id value undefined_reason excluded",
+                    defaults=(None, ()))
+Result.defined = property(lambda r: r.value is not None)
+Score = namedtuple("TrustScore", "per_property combined mode undefined_reasons")
 
-def reference_consistency(record: ApplicantRecord) -> RuleResult:
+
+def fields(obj) -> tuple:
+    """A result's or score's fields, in slot order, to compare with the oracle's."""
+    return obj.__getstate__()
+
+
+def reference_consistency(record: ApplicantRecord) -> Result:
     prop = TrustProperty.CONSISTENCY
     if record.months_eligible > 0:
-        r1 = RuleResult(prop, "consistency/unemployment",
-                        Fraction(record.months_unemployed, record.months_eligible))
+        r1 = Result(prop, "consistency/unemployment",
+                    Fraction(record.months_unemployed, record.months_eligible))
     else:
-        r1 = RuleResult(prop, "consistency/unemployment", None,
-                        "no eligible workforce months on record")
+        r1 = Result(prop, "consistency/unemployment", None,
+                    "no eligible workforce months on record")
     adult_years = record.age_years - record.legal_adult_age
     if adult_years > 0:
-        r2 = RuleResult(prop, "consistency/offenses",
-                        Fraction(record.criminal_offenses_known, adult_years))
+        r2 = Result(prop, "consistency/offenses",
+                    Fraction(record.criminal_offenses_known, adult_years))
     else:
-        r2 = RuleResult(prop, "consistency/offenses", None,
-                        "applicant not beyond the legal adult age")
+        r2 = Result(prop, "consistency/offenses", None,
+                    "applicant not beyond the legal adult age")
     if record.past_employer_count > 0:
         flagged = record.references_neutral + record.references_negative
-        r3 = RuleResult(prop, "consistency/references",
-                        Fraction(flagged, record.past_employer_count))
+        r3 = Result(prop, "consistency/references",
+                    Fraction(flagged, record.past_employer_count))
     else:
-        r3 = RuleResult(prop, "consistency/references", None, "no past employers")
+        r3 = Result(prop, "consistency/references", None, "no past employers")
     ratios = (r1, r2, r3)
     defined = [r.value for r in ratios if r.defined]
     excluded = tuple((r.rule_id, r.undefined_reason) for r in ratios if not r.defined)
     if not defined:
-        return RuleResult(prop, "consistency", None,
-                          "all three consistency ratios undefined", excluded)
-    return RuleResult(prop, "consistency", sum(defined, Fraction(0)) / len(defined),
-                      None, excluded)
+        return Result(prop, "consistency", None,
+                      "all three consistency ratios undefined", excluded)
+    return Result(prop, "consistency", sum(defined, Fraction(0)) / len(defined),
+                  None, excluded)
 
 
-def reference_porosity(record: ApplicantRecord) -> RuleResult:
+def reference_porosity(record: ApplicantRecord) -> Result:
     if record.community_population == 0:
-        return RuleResult(TrustProperty.POROSITY, "porosity/community", None,
-                          "community population not recorded")
-    return RuleResult(TrustProperty.POROSITY, "porosity/community",
-                      Fraction(record.employees_in_community, record.community_population))
+        return Result(TrustProperty.POROSITY, "porosity/community", None,
+                      "community population not recorded")
+    return Result(TrustProperty.POROSITY, "porosity/community",
+                  Fraction(record.employees_in_community, record.community_population))
 
 
-def reference_unmonitored(record: ApplicantRecord) -> RuleResult:
+def reference_unmonitored(record: ApplicantRecord) -> Result:
     prop = TrustProperty.SUBJUGATION
     if record.working_hours_per_day == 0:
-        return RuleResult(prop, "subjugation/unmonitored-hours", None,
-                          "no working hours recorded")
-    return RuleResult(prop, "subjugation/unmonitored-hours",
-                      record.hours_alone_per_day / record.working_hours_per_day)
+        return Result(prop, "subjugation/unmonitored-hours", None,
+                      "no working hours recorded")
+    return Result(prop, "subjugation/unmonitored-hours",
+                  record.hours_alone_per_day / record.working_hours_per_day)
 
 
-def reference_combine(results, mode: str) -> TrustScore:
-    results = list(results)
+def reference_mode(values: list, mode: str) -> Fraction:
+    if mode == "average":
+        return sum(values, Fraction(0)) / len(values)
+    if mode == "sum":
+        return sum(values, Fraction(0))
+    return max(values)
+
+
+def reference_combine(results, mode: str) -> Score:
     groups: dict = {}
     for result in results:
         groups.setdefault(result.property, []).append(result)
@@ -115,30 +122,13 @@ def reference_combine(results, mode: str) -> TrustScore:
     values = [v for v in per_property.values() if v is not None]
     if not values:
         raise UndefinedTrustError("every supplied rule result is undefined")
-    if mode == "average":
-        combined = sum(values, Fraction(0)) / len(values)
-    elif mode == "sum":
-        combined = sum(values, Fraction(0))
-    else:
-        combined = max(values)
-    return TrustScore(per_property=per_property, combined=combined, mode=mode,
-                      undefined_reasons=tuple(reasons))
+    return Score(per_property, reference_mode(values, mode), mode, tuple(reasons))
 
 
-def reference_score(record, mode, extra):
+def reference_score(record, mode):
     results = [reference_consistency(record), reference_porosity(record),
-               reference_unmonitored(record), *extra]
+               reference_unmonitored(record)]
     return results, reference_combine(results, mode)
-
-
-def kernel_score(record, mode, extra):
-    """``score_applicant`` when there is no ``extra``; otherwise the three
-    rules' results with ``extra`` beside them, combined by ``trust_combine``."""
-    if not extra:
-        return score_applicant(record, mode)
-    results = [consistency_score(record), porosity_rule(record),
-               unmonitored_hours_rule(record), *extra]
-    return results, trust_combine(results, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -189,31 +179,6 @@ def kernel_record(rng: random.Random, i: int) -> ApplicantRecord:
     )
 
 
-_NUMBER_FIELDS = (
-    "months_unemployed", "months_eligible", "criminal_offenses_known", "age_years",
-    "legal_adult_age", "references_positive", "references_neutral", "references_negative",
-    "past_employer_count", "hours_alone_per_day", "working_hours_per_day",
-    "employees_in_community", "community_population",
-)
-
-
-NEVER_DEFINED = RuleResult(TrustProperty.INTEGRITY, "integrity/never", None, "never recorded")
-
-
-def kernel_extra(rng: random.Random, record: ApplicantRecord) -> tuple:
-    """0-4 extra results: ratios of any numeric fields, some sharing a
-    property with a built-in rule, and sometimes a result never defined."""
-    extra: list = []
-    for k in range(rng.randint(0, 3)):
-        prop = rng.choice((TrustProperty.SIZE, TrustProperty.CONSISTENCY,
-                           TrustProperty.POROSITY, TrustProperty.VALUE))
-        extra.append(ratio_result(record, f"extra/{k}", prop,
-                                  rng.choice(_NUMBER_FIELDS), rng.choice(_NUMBER_FIELDS)))
-    if rng.random() < 0.3:
-        extra.insert(rng.randint(0, len(extra)), NEVER_DEFINED)
-    return tuple(extra)
-
-
 def _assert_normal(value) -> None:
     """A Fraction in lowest terms, as Fraction(n, d) would build it."""
     assert type(value) is Fraction
@@ -228,16 +193,16 @@ def test_kernel_matches_fraction_rules(mode):
     undefined = 0
     for i in range(RECORDS_PER_MODE):
         record = kernel_record(rng, i)
-        extra = kernel_extra(rng, record)
         try:
-            want = reference_score(record, mode, extra)
+            want_results, want_score = reference_score(record, mode)
         except UndefinedTrustError:
             undefined += 1
             with pytest.raises(UndefinedTrustError):
-                kernel_score(record, mode, extra)
+                score_applicant(record, mode)
             continue
-        results, score = kernel_score(record, mode, extra)
-        assert (results, score) == want
+        results, score = score_applicant(record, mode)
+        assert [fields(r) for r in results] == want_results
+        assert fields(score) == want_score
         for r in results:
             if r.value is not None:
                 _assert_normal(r.value)
@@ -245,9 +210,9 @@ def test_kernel_matches_fraction_rules(mode):
             if value is not None:
                 _assert_normal(value)
         _assert_normal(score.combined)
-        assert list(score.per_property) == list(want[1].per_property)
+        assert list(score.per_property) == list(want_score.per_property)
         scored.append((record.applicant_id, results, score))
-        expected.append((record.applicant_id, *want))
+        expected.append((record.applicant_id, want_results, want_score))
     assert len(scored) > RECORDS_PER_MODE // 2 and undefined > 0
     # Values past the float range are a render error on both sides; the
     # rest must render to the same bytes.
@@ -259,7 +224,7 @@ def test_kernel_matches_fraction_rules(mode):
     assert len(renderable) > RECORDS_PER_MODE // 4
     for fmt in ("text", "json"):
         assert (render_trust_report([a for a, _ in renderable], fmt)
-                == render_trust_report([b for _, b in renderable], fmt))
+                == oracle_trust_report([b for _, b in renderable], fmt))
 
 
 KERNEL_RECORDS = 400
@@ -287,21 +252,27 @@ def _kernel_cases(mode: str):
     while len(cases) < KERNEL_RECORDS:
         record = kernel_record(rng, len(cases))
         try:
-            cases.append((record, reference_score(record, mode, ())))
+            cases.append((record, reference_score(record, mode)))
         except UndefinedTrustError:
             continue
-    return cases + [(record, reference_score(record, mode, ())) for record in LIMIT_RECORDS]
+    return cases + [(record, reference_score(record, mode)) for record in LIMIT_RECORDS]
+
+
+def _twins(objects) -> list:
+    """A copy, a deep copy and an unpickled twin of ``objects``."""
+    return [list(map(copy.copy, objects)), copy.deepcopy(objects),
+            pickle.loads(pickle.dumps(objects))]
 
 
 @pytest.mark.parametrize("mode", COMBINE_MODES)
 def test_score_applicant_objects_are_the_oracles(mode):
     excluded = set()
     cases = _kernel_cases(mode)
-    for record, wants in cases[KERNEL_RECORDS:]:
+    for record, (want_results, want_score) in cases[KERNEL_RECORDS:]:
         # Past the int-digit limit, repr fails, so these compare by value.
         results, score = score_applicant(record, mode)
-        assert (results, score) == wants
-        assert pickle.loads(pickle.dumps((results, score))) == wants
+        for objects in ((*results, score), *_twins((*results, score))):
+            assert list(map(fields, objects)) == [*want_results, want_score]
     for record, (want_results, want_score) in cases[:KERNEL_RECORDS]:
         wants = (*want_results, want_score)
 
@@ -311,21 +282,15 @@ def test_score_applicant_objects_are_the_oracles(mode):
             return (*results, score)
 
         # Each check on objects no field of which has been read.
-        assert fresh() == wants
+        assert tuple(map(fields, fresh())) == wants
         assert repr(fresh()) == repr(wants)  # per_property and reasons in order
         assert [hash(r) for r in fresh()[:3]] == [hash(r) for r in want_results]
         originals = fresh()
-        twins = pickle.loads(pickle.dumps(originals))
-        assert twins == wants and all(map(derives_kernel, twins, originals))
-        assert repr(twins) == repr(wants)
-        originals = fresh()
-        replaced = [dataclasses.replace(obj) for obj in originals]
-        assert replaced == list(wants) and all(map(derives_kernel, replaced, originals))
-        other = "max" if mode == "sum" else "sum"
-        changed = dataclasses.replace(fresh()[3], mode=other)
-        assert changed.mode == other and changed.per_property == want_score.per_property
-        with pytest.raises(DomainError, match="^unknown mode 'other'"):
-            dataclasses.replace(fresh()[3], mode="other")
+        for twins in _twins(originals):
+            assert tuple(map(fields, twins)) == wants
+            assert all(map(carries_kernel, twins, originals))
+            assert repr(tuple(twins)) == repr(wants)
+        assert fresh()[:3] == fresh()[:3] and fresh()[3] == fresh()[3]
         assert list(fresh()[3].undefined_reasons) == list(want_score.undefined_reasons)
         excluded.add(want_results[0].excluded)
     assert len(excluded) == 8  # every subset of undefined consistency ratios
@@ -345,9 +310,13 @@ def test_kernel_objects_render_as_their_unpickled_twins(mode):
     for record, _ in _kernel_cases(mode):
         results, score = score_applicant(record, mode)
         entries.append((record.applicant_id, results, score))
-    twins = pickle.loads(pickle.dumps(entries))
+    for twins in (pickle.loads(pickle.dumps(entries)), copy.deepcopy(entries)):
+        _assert_twins_render_alike(entries, twins)
+
+
+def _assert_twins_render_alike(entries: list, twins: list) -> None:
     for (_, twin_results, twin_score), (_, results, score) in zip(twins, entries):
-        assert all(map(derives_kernel, (*twin_results, twin_score), (*results, score)))
+        assert all(map(carries_kernel, (*twin_results, twin_score), (*results, score)))
     failed = set()
     for fmt in ("text", "json"):
         for (i, results, score), (_, twin_results, twin_score) in zip(entries, twins):
@@ -385,32 +354,13 @@ def test_a_record_past_both_limits_fails_alike():
 
 @pytest.mark.parametrize("mode", COMBINE_MODES)
 def test_combine_matches_fraction_combine(mode):
+    # The one combination helper, on pairs in and out of lowest terms.
     rng = random.Random(f"trust-combine/{mode}")
-    properties = list(TrustProperty)
     for _ in range(RECORDS_PER_MODE):
-        results = []
-        for k in range(rng.randint(1, 8)):
-            if rng.random() < 0.2:
-                results.append(RuleResult(rng.choice(properties), f"u{k}", None, "why"))
-            else:
-                value = Fraction(_count(rng), _count(rng) or 1)
-                results.append(RuleResult(rng.choice(properties), f"r{k}", value))
-        try:
-            want = reference_combine(results, mode)
-        except UndefinedTrustError:
-            with pytest.raises(UndefinedTrustError):
-                trust_combine(results, mode)
-            continue
-        got = trust_combine(results, mode)
-        assert got == want
-        assert list(got.per_property) == list(want.per_property)
-        _assert_normal(got.combined)
-
-
-def test_combine_accepts_int_values():
-    results = [RuleResult(TrustProperty.SIZE, "a", 1), RuleResult(TrustProperty.VALUE, "b", 0)]
-    for mode in COMBINE_MODES:
-        assert trust_combine(results, mode) == reference_combine(results, mode)
+        pairs = [(_count(rng), _count(rng) or 1) for _ in range(rng.randint(1, 8))]
+        num, den = _combine(pairs, mode)
+        assert den > 0 and gcd(num, den) == 1
+        assert Fraction(num, den) == reference_mode([Fraction(*pair) for pair in pairs], mode)
 
 
 class TestReferencesArgument:
