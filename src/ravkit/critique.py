@@ -365,13 +365,14 @@ class _StateSpace:
         first_id, pvpa, pt = self.by_id[self.layout_of[base_id]]
         _, (witness_a, witness_b) = self.triples_by_s[pvpa + pt][base_id - first_id]
         pv = max(0, pvpa - self.b.porosity) + split
-        witnesses = dict(zip(_META_A + _META_B, witness_a + witness_b))
-        return Scope(
-            id=scope_id,
-            porosity=PorosityCounts(pv, pvpa - pv, pt),
-            controls=ControlCounts.from_mapping(witnesses),
-            limitations=LimitationCounts(*self.lim_tuples[lim_id]),
-        )
+        # Every count is a non-negative int of the space, and meta-class A's
+        # witnesses come first, as the ControlCounts fields do.
+        return Scope._trusted((
+            scope_id, "data-network", "", "",
+            PorosityCounts._trusted((pv, pvpa - pv, pt)),
+            ControlCounts._trusted(witness_a + witness_b),
+            LimitationCounts._trusted(self.lim_tuples[lim_id]),
+        ))
 
 
 def _collision_slabs(space: _StateSpace):

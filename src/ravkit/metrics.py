@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, NoReturn, Sequence, Union
 
 from .errors import DomainError, UndefinedWeightError, shown_number
@@ -188,24 +188,24 @@ def _refuse(message: str) -> NoReturn:
 class Record:
     """Base of ravkit's frozen record classes.
 
-    A subclass lists its fields, in order, as ``__slots__``, and each
-    class collects its slots' setters once, when it is defined.
-    :meth:`__setstate__` fills the slots through them and is the one fill:
-    an explicit ``__init__`` checks the values and then calls it,
-    unpickling calls it, and :meth:`_trusted` builds an instance through it
-    without the checks.  This base supplies
-    the rest of what ``@dataclass(frozen=True, slots=True)`` would generate:
-    equality and hashing by the field tuple, the same repr, refusal to assign
-    or delete, pickling and copying, and ``__dataclass_fields__`` for
-    :func:`dataclasses.fields` and :func:`dataclasses.replace`.  Written out
-    in source, the classes import no ``dataclasses`` and generate no code
-    when the module loads.
+    A subclass lists its fields, in order, as ``__slots__`` and
+    ``__match_args__``, and each class collects its slots' setters once,
+    when it is defined.  :meth:`__setstate__` fills the slots through them
+    and is the one fill: an explicit ``__init__`` checks the values and
+    then calls it, unpickling calls it, and :meth:`_trusted` builds an
+    instance through it without the checks.  This base supplies the rest of
+    what ``@dataclass(frozen=True, slots=True)`` would generate: equality
+    and hashing by the tuple of the ``__match_args__`` fields, the same
+    repr, refusal to assign or delete, pickling and copying, and
+    ``__dataclass_fields__`` for :func:`dataclasses.fields` and
+    :func:`dataclasses.replace`.  Written out in source, the classes import
+    no ``dataclasses`` and generate no code when the module loads.
     """
 
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
@@ -216,7 +216,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -452,34 +452,41 @@ class Weights(Record):
 
 
 class _KernelInts(Record):
-    """Private base of a record that may hold only its kernel's ints.
+    """Private base of an output record that holds only its kernel.
 
-    ``_kernel`` is this class's one slot.  A subclass's ``__slots__`` names
-    its public fields only, so ``Record`` compares, hashes, prints and
-    pickles those and never this slot.  An instance built by
-    :meth:`_holding` has ``_kernel`` set and its fields unset; the first read
-    of any field fills them all, in one :meth:`__setstate__`, from
-    ``_fields(kernel)``, which each subclass supplies.  An instance built
-    from its fields leaves ``_kernel`` unset, and a read of it returns None.
+    ``_kernel``, one tuple of what the pipeline computed, is the one slot.
+    Each subclass lists ``_readers``, one function of the kernel per public
+    field, in field order.  Each field is a read-only property that applies
+    its reader to the kernel on every read and caches nothing, and
+    ``__match_args__`` names the fields, so ``Record`` compares, hashes,
+    prints and pickles those and never the kernel.  An instance is built
+    only by :meth:`_holding`: calling the class raises ``TypeError``, naming
+    the subclass's ``_built_by``, and a copy or an unpickled twin is rebuilt
+    from the same kernel.
     """
 
     __slots__ = ("_kernel",)
 
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = tuple(cls._readers)
+        for name, read in cls._readers.items():
+            setattr(cls, name, property(lambda self, read=read: read(self._kernel)))
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(
+            f"cannot create {cls.__name__!r} instances: they are built only by {cls._built_by}"
+        )
+
+    def __reduce__(self):
+        return self._holding, (self._kernel,)
+
     @classmethod
     def _holding(cls, kernel: tuple):
-        """An instance that holds ``kernel`` and fills its fields on first read."""
+        """An instance that holds ``kernel``."""
         self = object.__new__(cls)
         _set_kernel(self, kernel)
         return self
-
-    def __getattr__(self, name: str):
-        # Reached only for an unset slot or an unknown name.
-        if name == "_kernel":
-            return None
-        if name not in self.__slots__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__setstate__(self._fields(self._kernel))
-        return object.__getattribute__(self, name)
 
 
 #: Sets a record's ``_kernel`` slot.
@@ -492,80 +499,62 @@ _RATIONAL_AGGREGATES = (
 )
 
 
+def _mc_vg(kernel: tuple) -> Fraction:
+    return _exact(kernel[2] + kernel[3], kernel[6])
+
+
 class RavBreakdown(_KernelInts):
     """Every intermediate of the pipeline plus the final Actual Security value.
 
-    A breakdown from :func:`actual_security` holds only ``_kernel``, the
-    tuple ``(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key,
-    opsec_base, tc_base, fc_base, seclim_base, actsec, scope)``: the porosity
-    total, the control sum, the two meta-class shortfall sums, the ten
-    shortfalls and ten true controls in pipeline order, the denominator of
-    ``mc_vg`` (over which ``mc_a + mc_b`` is its numerator), the five weight
-    numerators over ``den``, the limitation key over ``den**2``, the five
-    float fields and the scope it was computed from.  Its fields fill from
-    the tuple on first read (see :class:`_KernelInts`), and ``render_report``
-    writes it from the tuple directly when given that same scope.  A
-    breakdown built from its fields derives no kernel; it, or a breakdown
-    given another scope, is checked against ``actual_security`` of the scope
-    it is rendered with.
+    Only :func:`actual_security` builds one.  Its kernel is the tuple
+    ``(s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key,
+    opsec_base, tc_base, fc_base, seclim_base, actsec, scope)``: the
+    porosity total, the control sum, the two meta-class shortfall sums, the
+    ten shortfalls and ten true controls in pipeline order, the denominator
+    of ``mc_vg`` (over which ``mc_a + mc_b`` is its numerator), the five
+    weight numerators over ``den``, the limitation key over ``den**2``, the
+    five float fields and the scope it was computed from.  Each field is
+    read from it (see :class:`_KernelInts`): the rational ones as
+    ``Fraction`` values, the two ``*_per_class`` maps as new dicts keyed by
+    :class:`ControlClass` and ``weights`` as a :class:`Weights`.
+    ``render_report`` writes a breakdown from the kernel directly when
+    given that same scope.
     """
 
-    __slots__ = __match_args__ = (
-        "opsec_sum", "opsec_base", "lc_sum", "mc_per_class", "mc_sum", "mc_class_a",
-        "mc_class_b", "mc_vg", "tc_per_class", "tc_base", "fc_base", "weights",
-        "seclim_sum", "seclim_base", "actsec",
-    )
+    __slots__ = ()
     opsec_sum: Fraction
     opsec_base: float
     lc_sum: Fraction
-    mc_per_class: Mapping[ControlClass, Fraction]
+    mc_per_class: dict[ControlClass, Fraction]
     mc_sum: Fraction
     mc_class_a: Fraction
     mc_class_b: Fraction
     mc_vg: Fraction
-    tc_per_class: Mapping[ControlClass, Fraction]
+    tc_per_class: dict[ControlClass, Fraction]
     tc_base: float
     fc_base: float
     weights: Weights
     seclim_sum: Fraction
     seclim_base: float
     actsec: float
-
-    def __init__(
-        self,
-        opsec_sum: Fraction,
-        opsec_base: float,
-        lc_sum: Fraction,
-        mc_per_class: Mapping[ControlClass, Fraction],
-        mc_sum: Fraction,
-        mc_class_a: Fraction,
-        mc_class_b: Fraction,
-        mc_vg: Fraction,
-        tc_per_class: Mapping[ControlClass, Fraction],
-        tc_base: float,
-        fc_base: float,
-        weights: Weights,
-        seclim_sum: Fraction,
-        seclim_base: float,
-        actsec: float,
-    ) -> None:
-        self.__setstate__((
-            opsec_sum, opsec_base, lc_sum, mc_per_class, mc_sum, mc_class_a, mc_class_b, mc_vg,
-            tc_per_class, tc_base, fc_base, weights, seclim_sum, seclim_base, actsec,
-        ))
-
-    @staticmethod
-    def _fields(kernel: tuple) -> tuple:
-        (s, lc_sum, mc_a, mc_b, mc, tc, vg_den, weights, den, key,
-         opsec_base, tc_base, fc_base, seclim_base, actsec, _) = kernel
-        mc_vg = Fraction(mc_a + mc_b, vg_den)
-        return (
-            Fraction(s), opsec_base, Fraction(lc_sum), dict(zip(_CLASSES, map(Fraction, mc))),
-            Fraction(mc_a + mc_b), Fraction(mc_a), Fraction(mc_b), mc_vg,
-            dict(zip(_CLASSES, map(Fraction, tc))), tc_base, fc_base,
-            Weights(*(Fraction(w, den) for w in weights), mc_vg=mc_vg),
-            Fraction(key, den * den), seclim_base, actsec,
-        )
+    _built_by = "actual_security"
+    _readers = {
+        "opsec_sum": lambda k: Fraction(k[0]),
+        "opsec_base": itemgetter(10),
+        "lc_sum": lambda k: Fraction(k[1]),
+        "mc_per_class": lambda k: dict(zip(_CLASSES, map(Fraction, k[4]))),
+        "mc_sum": lambda k: Fraction(k[2] + k[3]),
+        "mc_class_a": lambda k: Fraction(k[2]),
+        "mc_class_b": lambda k: Fraction(k[3]),
+        "mc_vg": _mc_vg,
+        "tc_per_class": lambda k: dict(zip(_CLASSES, map(Fraction, k[5]))),
+        "tc_base": itemgetter(11),
+        "fc_base": itemgetter(12),
+        "weights": lambda k: Weights._trusted((*[_exact(w, k[8]) for w in k[7]], _mc_vg(k))),
+        "seclim_sum": lambda k: _exact(k[9], k[8] * k[8]),
+        "seclim_base": itemgetter(13),
+        "actsec": itemgetter(14),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +598,8 @@ def actual_security(scope: Scope) -> RavBreakdown:
     """Run the full pipeline on one scope and return every intermediate.
 
     The counts go through the integer kernel, and each log is taken of an
-    exact int ratio.  The breakdown keeps the kernel's ints and builds its
-    ``Fraction`` fields only when they are read.  Raises
+    exact int ratio.  The breakdown holds only the kernel's values and
+    builds a ``Fraction`` field each time it is read.  Raises
     :class:`UndefinedWeightError` for a zero-porosity scope with any nonzero
     limitation count.
     """

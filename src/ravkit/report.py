@@ -273,10 +273,8 @@ def _kernel_values(
 
 
 def _scope_kernel(breakdown: RavBreakdown, scope: Scope) -> tuple:
-    """The kernel of ``scope``'s own breakdown, for a breakdown that was not
-    computed from ``scope`` itself (one built field by field, by
-    ``dataclasses.replace`` or by unpickling, or one of another scope
-    object), which must equal it."""
+    """The kernel of ``scope``'s own breakdown, for a breakdown computed
+    from another scope object, which must equal it."""
     try:
         own = actual_security(scope)
     except UndefinedWeightError:
@@ -289,8 +287,9 @@ def _scope_kernel(breakdown: RavBreakdown, scope: Scope) -> tuple:
 def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -> bytes:
     """Render one scope's breakdown, inputs included, as text or JSON.
 
-    A breakdown that :func:`actual_security` computed from ``scope`` itself
-    is written from its kernel.  Any other breakdown is written from the
+    The report is written from the breakdown's kernel when
+    :func:`actual_security` computed it from ``scope`` itself.  A
+    breakdown computed from another scope object is written from the
     kernel of ``actual_security(scope)`` if it equals that breakdown, and
     refused with an :class:`InputError` if not.
     """
@@ -303,7 +302,7 @@ def render_report(breakdown: RavBreakdown, scope: Scope, format: str = "text") -
     else:
         raise InputError(f"unknown report format {format!r}; expected text or json")
     kernel = breakdown._kernel
-    if kernel is None or kernel[-1] is not scope:
+    if kernel[-1] is not scope:
         kernel = _scope_kernel(breakdown, scope)
     try:
         text = template % order((

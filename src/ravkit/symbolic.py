@@ -191,6 +191,8 @@ class SymbolicScore:
             if not isinstance(name, str):
                 raise DomainError(f"assignment variable must be a string, got {shown_number(name)}")
             try:
+                if isinstance(value, str):  # a number string is not a number
+                    raise TypeError
                 values[name] = number = Fraction(value)
             except (TypeError, ValueError, OverflowError):
                 raise DomainError(

@@ -19,19 +19,20 @@ takes the average, sum or max of pairs and reduces it once.
 :class:`RuleResult` and :class:`TrustScore` are outputs only: the three
 rules, :func:`consistency_ratios` and :func:`score_applicant` build them,
 and neither has a public constructor.  Each holds one kernel of ints, the
-only thing ``render_trust_report`` writes from, and fills its fields,
-``Fraction`` values included, on first read; a copy or an unpickled twin
-is rebuilt from the kernel.  A caller with rules of their own combines
-the ``result.value``s with ``Fraction`` arithmetic.  The ``trust``
-command scores one applicant at a time as its report is written, so a
-batch never holds more than one applicant's results.
+only thing ``render_trust_report`` writes from, and reads each field,
+``Fraction`` values included, from it when the field is read; a copy or
+an unpickled twin is rebuilt from the kernel.  A caller with rules of
+their own combines the ``result.value``s with ``Fraction`` arithmetic.
+The ``trust`` command scores one applicant at a time as its report is
+written, so a batch never holds more than one applicant's results.
 """
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
 from math import gcd, isfinite
-from typing import Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Sequence, Union
 
 from .errors import DomainError, UndefinedTrustError, shown_number
 from .metrics import Record, _exact, _KernelInts
@@ -249,69 +250,57 @@ def _checked(
     )
 
 
-class _TrustOutput(_KernelInts):
-    """Base of a trust result or score: built only through ``_holding``, by
-    the published rules and :func:`score_applicant`.  A copy or an unpickled
-    twin is rebuilt from the kernel, so it holds the kernel too."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        raise TypeError(
-            f"cannot create {cls.__name__!r} instances: trust results are built "
-            "only by the published rules and score_applicant"
-        )
-
-    def __reduce__(self):
-        return self._holding, (self._kernel,)
-
-
-class RuleResult(_TrustOutput):
+class RuleResult(_KernelInts):
     """Value of one trust rule: an exact ratio, or undefined with a reason.
 
     Its kernel is ``(head, num, den)``: ``head`` is ``(property, rule_id,
     undefined_reason, excluded)``, one of the few constants below, and
     ``num/den`` the value in lowest terms, with ``den`` 0 when the result
-    is undefined.  Its fields fill from the kernel on first read.
+    is undefined.  Each field is read from the kernel.
     """
 
-    __slots__ = __match_args__ = ("property", "rule_id", "value", "undefined_reason", "excluded")
+    __slots__ = ()
     property: TrustProperty
     rule_id: str
-    value: Rational | None
+    value: Fraction | None
     undefined_reason: str | None
     excluded: tuple[tuple[str, str], ...]
+    _built_by = "the published rules and score_applicant"
+    _readers = {
+        "property": lambda k: k[0][0],
+        "rule_id": lambda k: k[0][1],
+        "value": lambda k: _exact(k[1], k[2]) if k[2] else None,
+        "undefined_reason": lambda k: k[0][2],
+        "excluded": lambda k: k[0][3],
+    }
 
     @property
     def defined(self) -> bool:
-        return self.value is not None
-
-    @staticmethod
-    def _fields(kernel: tuple) -> tuple:
-        (prop, rule_id, reason, excluded), num, den = kernel
-        return prop, rule_id, _exact(num, den) if den else None, reason, excluded
+        return self._kernel[2] != 0
 
 
-class TrustScore(_TrustOutput):
+class TrustScore(_KernelInts):
     """Per-property trust values and their combination under one mode.
 
     Its kernel is ``(per_property, num, den, mode, undefined_reasons)``:
     ``per_property`` is a tuple of ``(property, num, den)`` in field order,
     ``den`` 0 for an undefined property, and ``num/den`` the combination in
-    lowest terms.  Its fields fill from the kernel on first read.
+    lowest terms.  Each field is read from the kernel; ``per_property`` is
+    a new dict at every read.
     """
 
-    __slots__ = __match_args__ = ("per_property", "combined", "mode", "undefined_reasons")
-    per_property: Mapping[TrustProperty, Rational | None]
-    combined: Rational
+    __slots__ = ()
+    per_property: dict[TrustProperty, Fraction | None]
+    combined: Fraction
     mode: str
     undefined_reasons: tuple[tuple[str, str], ...]
-
-    @staticmethod
-    def _fields(kernel: tuple) -> tuple:
-        per_property, num, den, mode, reasons = kernel
-        values = {prop: _exact(n, d) if d else None for prop, n, d in per_property}
-        return values, _exact(num, den), mode, reasons
+    _built_by = RuleResult._built_by
+    _readers = {
+        "per_property": lambda k: {prop: _exact(n, d) if d else None for prop, n, d in k[0]},
+        "combined": lambda k: _exact(k[1], k[2]),
+        "mode": itemgetter(3),
+        "undefined_reasons": itemgetter(4),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +416,7 @@ def score_applicant(
 ) -> tuple[list[RuleResult], TrustScore]:
     """Evaluate the three published rules and combine them.
 
-    The results and the score hold only their kernels and fill their fields
-    on first read.
+    The results and the score hold only their kernels.
     """
     _check_mode(mode)
     c, p, u = _consistency(record), _porosity(record), _unmonitored(record)
@@ -449,11 +437,14 @@ def score_applicant(
 
 
 def _ratio(value: object) -> Fraction:
-    """``value`` as ``Fraction`` takes it; refused when it is not a finite number."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"ratios must be finite numbers, got {shown_number(value)}") from None
+    """``value`` as ``Fraction`` takes it; refused when it is not a finite
+    number, a number string included."""
+    if not isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"ratios must be finite numbers, got {shown_number(value)}")
 
 
 def ratios_equal(a: Rational, b: Rational, tolerance: float = 0.0) -> bool:

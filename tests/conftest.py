@@ -52,13 +52,12 @@ def random_scope(rng: random.Random, max_count: int = 3, allow_empty: bool = Fal
     )
 
 
-#: The ``_kernel`` slot itself: a member descriptor, which skips ``__getattr__``.
+#: The ``_kernel`` slot itself, read through its member descriptor.
 _KERNEL_SLOT = _KernelInts.__dict__["_kernel"]
 
 
 def holds_kernel(obj) -> bool:
-    """Whether ``obj`` has its ``_kernel`` slot set, rather than reading
-    None for ``_kernel``, as a breakdown built from its fields does."""
+    """Whether ``obj`` has its ``_kernel`` slot set."""
     try:
         _KERNEL_SLOT.__get__(obj)
     except AttributeError:

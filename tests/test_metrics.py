@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import fields
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -467,7 +468,15 @@ def _reference_rationals(scope: Scope) -> dict:
     )
 
 
-def _reference_actual_security(scope: Scope) -> RavBreakdown:
+#: The oracle's breakdown: the fields of a RavBreakdown, in the same order.
+ReferenceBreakdown = namedtuple("RavBreakdown", (
+    "opsec_sum", "opsec_base", "lc_sum", "mc_per_class", "mc_sum", "mc_class_a",
+    "mc_class_b", "mc_vg", "tc_per_class", "tc_base", "fc_base", "weights",
+    "seclim_sum", "seclim_base", "actsec",
+))
+
+
+def _reference_actual_security(scope: Scope) -> ReferenceBreakdown:
     """The reference rationals, with ``math.log`` taken of each Fraction."""
     r = _reference_rationals(scope)
 
@@ -475,7 +484,7 @@ def _reference_actual_security(scope: Scope) -> RavBreakdown:
         return 0.0 if magnitude == 0 else math.log(1 + 100 * magnitude) ** 2
 
     a, f, s = base(r["opsec_sum"]), base(r["lc_sum"] / 10), base(r["seclim_sum"])
-    return RavBreakdown(
+    return ReferenceBreakdown(
         **r,
         opsec_base=a,
         tc_base=base(max(r["opsec_sum"] - r["mc_sum"] / 10, Fraction(0))),
@@ -517,12 +526,13 @@ class TestIntegerKernelBitExact:
                 assert str(raised.value) == str(exc)
                 continue
             got = actual_security(scope)
-            for f in fields(RavBreakdown):
-                want, have = getattr(expected, f.name), getattr(got, f.name)
+            assert RavBreakdown.__match_args__ == expected._fields
+            for name in expected._fields:
+                want, have = getattr(expected, name), getattr(got, name)
                 if isinstance(want, dict):
                     assert all(type(v) is Fraction for v in have.values())
                     want, have = dict(want), dict(have)
-                assert type(have) is type(want) and have == want, (scope, f.name)
+                assert type(have) is type(want) and have == want, (scope, name)
         # Zero porosity with limitations occurs in the small ranges.
         assert undefined > 0
 

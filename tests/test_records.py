@@ -12,6 +12,7 @@ import dataclasses
 import pickle
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -23,7 +24,6 @@ from ravkit.metrics import (
     ControlCounts,
     LimitationCounts,
     PorosityCounts,
-    RavBreakdown,
     Record,
     Scope,
     Weights,
@@ -41,6 +41,8 @@ from ravkit.symbolic import (
 from ravkit.trust import ApplicantRecord, RuleResult, score_applicant
 
 from conftest import carries_kernel, holds_kernel
+from test_metrics import _reference_actual_security
+from test_trust_kernel import reference_score
 
 _CONTROLS = tuple(cls.value.replace("-", "_") for cls in ControlClass)
 _BREAKDOWN = (
@@ -81,8 +83,6 @@ CASES = {
     "Weights": (lambda v: Weights(*(Fraction(i + v, 3) for i in range(6))),
                 ("vulnerabilities", "weaknesses", "concerns", "exposures", "anomalies", "mc_vg"),
                 ("mc_vg", Fraction(1, 7)), True),
-    "RavBreakdown": (lambda v: actual_security(toy_scope() if v == 0 else _other_scope()),
-                     _BREAKDOWN, ("actsec", 1.5), False),
     "ScopeEntry": (lambda v: ScopeEntry(_scope(f"s{v}"), {"visibility": "h"}),
                    ("scope", "units"), ("units", {}), False),
     "ScopeDocument": (lambda v: ScopeDocument((ScopeEntry(_scope(f"s{v}")),)), ("entries",),
@@ -116,10 +116,12 @@ _APPLICANTS = (
     ApplicantRecord("b", employees_in_community=2, community_population=6),
 )
 
-# The records only ravkit builds, the results and scores of score_applicant:
-# name -> (make(variant), field names, None, hashable).  They have no public
-# constructor, so no replace.
+# The records only ravkit builds, the breakdowns of actual_security and the
+# results and scores of score_applicant: name -> (make(variant), field
+# names, None, hashable).  They have no public constructor, so no replace.
 OUTPUTS = {
+    "RavBreakdown": (lambda v: actual_security(toy_scope() if v == 0 else _other_scope()),
+                     _BREAKDOWN, None, False),
     "RuleResult": (lambda v: score_applicant(_APPLICANTS[v])[0][1], _RESULT, None, True),
     "TrustScore": (lambda v: score_applicant(_APPLICANTS[v], "sum")[1], _SCORE, None, False),
 }
@@ -140,7 +142,6 @@ def _arguments() -> dict[str, tuple]:
     porosity, controls = PorosityCounts(1, 2, 3), ControlCounts(*range(1, 11))
     limitations = LimitationCounts(*range(1, 6))
     scope = Scope("s", "human", "v", "i", porosity, controls, limitations)
-    weights = Weights(*(Fraction(1, i) for i in range(2, 8)))
     entry = ScopeEntry(scope, {"visibility": "h"})
     return {
         "PorosityCounts": (1, 2, 3),
@@ -148,11 +149,6 @@ def _arguments() -> dict[str, tuple]:
         "LimitationCounts": tuple(range(1, 6)),
         "Scope": ("s", "human", "v", "i", porosity, controls, limitations),
         "Weights": tuple(Fraction(1, i) for i in range(2, 8)),
-        "RavBreakdown": (
-            Fraction(1, 2), 0.5, Fraction(1, 3), {ControlClass.ALARM: Fraction(1)}, Fraction(1, 4),
-            Fraction(1, 5), Fraction(1, 6), Fraction(1, 7), {ControlClass.PRIVACY: Fraction(2)},
-            1.5, 2.5, weights, Fraction(1, 8), 3.5, 4.5,
-        ),
         "ScopeEntry": (scope, {"access": "p"}),
         "ScopeDocument": ((entry,),),
         "ScanReport": (porosity, 1, 2, 3, {"os": 4}),
@@ -214,10 +210,12 @@ class TestRecordClass:
     @pytest.mark.parametrize("name", OUTPUTS)
     def test_match_args_without_a_constructor(self, name):
         cls = type(make(name))
-        assert cls.__match_args__ == cls.__slots__ == OUTPUTS[name][1]
+        assert cls.__match_args__ == OUTPUTS[name][1] and cls.__slots__ == ()
         assert not dataclasses.is_dataclass(cls)
         with pytest.raises(TypeError, match=f"^cannot create '{name}' instances"):
             cls(*field_values(make(name)))
+        with pytest.raises(TypeError):
+            dataclasses.replace(make(name))
 
     @pytest.mark.parametrize("name", ALL)
     def test_repr_is_the_dataclass_repr(self, name):
@@ -394,147 +392,95 @@ class TestApplicantReferences:
             ApplicantRecord(hours_alone_per_day=2, working_hours_per_day=1)
 
 
-class TestKernelBreakdown:
-    """``actual_security`` keeps the kernel ints and builds the rational
-    fields when one is first read; every record method sees what a
-    breakdown built field by field has."""
-
-    SCOPES = (toy_scope(), Scope("empty"), _other_scope(),
+def _kernel_records():
+    """(id, fresh, oracle) for each breakdown and trust output the kernel
+    tests read: ``fresh()`` builds the record anew, and ``oracle`` is the
+    Fraction pipeline's named tuple of its fields."""
+    scopes = (toy_scope(), Scope("empty"), _other_scope(),
               Scope("zero-porosity", controls=ControlCounts(alarm=3)))
-
-    @pytest.mark.parametrize("scope", SCOPES, ids=lambda s: s.id)
-    def test_unread_breakdown_is_its_eager_twin(self, scope):
-        eager = dataclasses.replace(actual_security(scope))
-        assert eager._kernel is None
-        checks = {
-            "eq": lambda b: b == eager and eager == b,
-            "repr": lambda b: repr(b) == repr(eager),
-            "pickle": lambda b: pickle.loads(pickle.dumps(b)) == eager,
-            "copy": lambda b: copy.copy(b) == eager and copy.deepcopy(b) == eager,
-            "fields": lambda b: [getattr(b, f.name) for f in dataclasses.fields(b)]
-            == [getattr(eager, f.name) for f in dataclasses.fields(eager)],
-            "match": lambda b: b.__match_args__ == _BREAKDOWN,
-        }
-        for name, check in checks.items():
-            assert check(actual_security(scope)), name
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(actual_security(scope))
-        b = actual_security(scope)
-        for name in _BREAKDOWN:
-            value = getattr(b, name)
-            if name.endswith("_per_class"):
-                assert all(type(v) is Fraction for v in value.values())
-            elif name == "weights":
-                assert all(type(getattr(value, n)) is Fraction for n in value.__slots__)
-                assert value.mc_vg == b.mc_vg
-            elif not name.endswith(("_base", "actsec")):
-                assert type(value) is Fraction, name
-        assert pickle.loads(pickle.dumps(b))._kernel is None
-
-    @pytest.mark.parametrize("first", _BREAKDOWN)
-    def test_first_read_fills_every_field(self, first):
-        b = actual_security(toy_scope())
-        slots = [RavBreakdown.__dict__[name] for name in _BREAKDOWN]
-        for slot in slots:
-            with pytest.raises(AttributeError):
-                slot.__get__(b)  # unset: a member descriptor skips __getattr__
-        getattr(b, first)
-        eager = dataclasses.replace(actual_security(toy_scope()))
-        assert [slot.__get__(b) for slot in slots] == [getattr(eager, n) for n in _BREAKDOWN]
-        assert b._kernel is not None
-        assert "_kernel" not in {f.name for f in dataclasses.fields(b)}
-
-    def test_kernel_slot_is_not_a_field(self):
-        assert "_kernel" not in RavBreakdown.__slots__
-        assert "_kernel" not in {f.name for f in dataclasses.fields(RavBreakdown)}
-        b = actual_security(toy_scope())
-        with pytest.raises(AttributeError, match="^'RavBreakdown' object has no attribute 'x'$"):
-            b.x
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            b._kernel = None
-
-
-class TestKernelTrustRecords:
-    """``score_applicant`` returns results and a score that hold only the
-    kernel's ints and fill their fields when one is first read; every
-    record method sees what the same objects have once every field is read,
-    and a copy or an unpickled twin holds the same kernel."""
-
-    RECORDS = (
+    records = (
         ApplicantRecord("all", 2, 10, 1, 30, 18, 4, Fraction(1, 2), 8, 3, 7, 1, 1, 1),
         ApplicantRecord("porosity-only", employees_in_community=2, community_population=6),
         ApplicantRecord("two-excluded", months_eligible=4, working_hours_per_day=Fraction(15, 2),
                         hours_alone_per_day=Fraction(3, 4)),
     )
+    cases = [(f"breakdown-{scope.id}", partial(actual_security, scope),
+              _reference_actual_security(scope)) for scope in scopes]
+    for record in records:
+        for mode in ("average", "sum", "max"):
+            results, score = reference_score(record, mode)
+            for i, want in enumerate((*results, score)):
+                def fresh(record=record, mode=mode, i=i):
+                    results, score = score_applicant(record, mode)
+                    return (*results, score)[i]
 
-    @staticmethod
-    def eager(record, mode):
-        """The same results and score, with every field read."""
-        results, score = score_applicant(record, mode)
-        for obj in (*results, score):
-            obj.__getstate__()
-        return results, score
+                cases.append((f"{record.applicant_id}-{mode}-{i}", fresh, want))
+    return cases
 
-    @pytest.mark.parametrize("mode", ["average", "sum", "max"])
-    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.applicant_id)
-    def test_unread_objects_are_their_eager_twins(self, record, mode):
-        want_results, want_score = self.eager(record, mode)
-        for i, want in enumerate((*want_results, want_score)):
-            def fresh():
-                results, score = score_applicant(record, mode)
-                return (*results, score)[i]
 
-            names = want.__slots__
-            checks = {
-                "eq": lambda obj: obj == want and want == obj,
-                "repr": lambda obj: repr(obj) == repr(want),
-                "pickle": lambda obj: pickle.loads(pickle.dumps(obj)) == want,
-                "copy": lambda obj: copy.copy(obj) == want and copy.deepcopy(obj) == want,
-                "fields": lambda obj: [getattr(obj, n) for n in names]
-                == [getattr(want, n) for n in names],
-            }
-            for name, check in checks.items():
-                assert check(fresh()), (i, name)
-            original = fresh()
-            assert holds_kernel(original) and carries_kernel(want, original)
-            for twin in (pickle.loads(pickle.dumps(original)), copy.copy(original),
-                         copy.deepcopy(original)):
-                assert carries_kernel(twin, original)
-            if isinstance(want, RuleResult):
-                assert hash(fresh()) == hash(want)
-                assert fresh().defined == want.defined
-            else:
-                with pytest.raises(TypeError, match="unhashable"):
-                    hash(fresh())
+KERNEL_RECORDS = _kernel_records()
 
-    @pytest.mark.parametrize("first", [*(("result", n) for n in _RESULT),
-                                       *(("score", n) for n in _SCORE)],
-                             ids=lambda pair: ".".join(pair))
-    def test_first_read_fills_every_field(self, first):
-        kind, name = first
-        record = self.RECORDS[2]
-        results, score = score_applicant(record, "max")
-        want_results, want_score = self.eager(record, "max")
-        obj, want, names = ((results[0], want_results[0], _RESULT) if kind == "result"
-                            else (score, want_score, _SCORE))
-        cls = type(obj)
-        slots = [cls.__dict__[n] for n in names]
-        for slot in slots:
-            with pytest.raises(AttributeError):
-                slot.__get__(obj)  # unset: a member descriptor skips __getattr__
-        getattr(obj, name)
-        assert [slot.__get__(obj) for slot in slots] == [getattr(want, n) for n in names]
-        assert obj._kernel is not None
-        # The other objects of the same applicant are still unread.
-        with pytest.raises(AttributeError):
-            RuleResult.__dict__["value"].__get__(results[1])
 
-    def test_kernel_slot_is_not_a_field(self):
-        results, score = score_applicant(self.RECORDS[0])
-        for obj in (*results, score):
-            assert "_kernel" not in type(obj).__slots__
-            with pytest.raises(AttributeError, match=f"^'{type(obj).__name__}' object has no "
-                                                     "attribute 'x'$"):
-                obj.x
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                obj._kernel = None
+def _assert_same(have, want, name):
+    """``have`` equals ``want`` and is of its type, and so is each value of a dict."""
+    assert type(have) is type(want) and have == want, name
+    if isinstance(want, dict):
+        assert [type(v) for v in have.values()] == [type(want[k]) for k in have], name
+
+
+class TestKernelRecords:
+    """A breakdown from ``actual_security`` and the results and score from
+    ``score_applicant`` hold only their kernel.  Each field read computes
+    that field from it, every record method sees what those reads give, and
+    a copy or an unpickled twin holds the same kernel."""
+
+    @pytest.mark.parametrize("fresh, oracle", [case[1:] for case in KERNEL_RECORDS],
+                             ids=[case[0] for case in KERNEL_RECORDS])
+    def test_every_field_read_is_the_oracles(self, fresh, oracle):
+        obj = fresh()
+        assert type(obj).__match_args__ == oracle._fields
+        for name in oracle._fields:
+            first = getattr(obj, name)
+            _assert_same(first, getattr(oracle, name), name)
+            # Nothing is cached: each read builds the field again.
+            again = getattr(obj, name)
+            _assert_same(again, first, name)
+            if isinstance(first, dict):
+                assert again is not first, name
+        slots = [slot for cls in type(obj).__mro__ for slot in cls.__dict__.get("__slots__", ())]
+        assert slots == ["_kernel"] and not hasattr(obj, "__dict__")
+
+    @pytest.mark.parametrize("fresh, oracle", [case[1:] for case in KERNEL_RECORDS],
+                             ids=[case[0] for case in KERNEL_RECORDS])
+    def test_record_methods_see_the_field_reads(self, fresh, oracle):
+        name = type(fresh()).__name__
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(oracle._fields, oracle))
+        checks = {
+            "eq": lambda obj: obj == fresh() and not obj != fresh(),
+            "values": lambda obj: obj.__getstate__() == tuple(oracle),
+            "repr": lambda obj: repr(obj) == f"{name}({fields})",
+            "pickle": lambda obj: pickle.loads(pickle.dumps(obj)) == obj,
+            "copy": lambda obj: copy.copy(obj) == obj and copy.deepcopy(obj) == obj,
+        }
+        for check_name, check in checks.items():
+            assert check(fresh()), check_name
+        original = fresh()
+        assert holds_kernel(original)
+        for twin in (pickle.loads(pickle.dumps(original)), copy.copy(original),
+                     copy.deepcopy(original)):
+            assert carries_kernel(twin, original)
+        if isinstance(original, RuleResult):
+            assert hash(fresh()) == hash(tuple(oracle))
+            assert fresh().defined == oracle.defined
+        else:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(fresh())
+
+    @pytest.mark.parametrize("name", OUTPUTS)
+    def test_kernel_slot_is_not_a_field(self, name):
+        obj = make(name)
+        assert "_kernel" not in type(obj).__match_args__
+        with pytest.raises(AttributeError, match=f"^'{name}' object has no attribute 'x'$"):
+            obj.x
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj._kernel = None

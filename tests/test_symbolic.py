@@ -413,7 +413,8 @@ class TestEvaluationErrors:
 
     @pytest.mark.parametrize("value, shown", [
         (float("nan"), "nan"), (float("inf"), "inf"), ("x", "'x'"), (None, "None"), (1j, "1j"),
-    ], ids=["nan", "inf", "str", "none", "complex"])
+        ("2", "'2'"), ("3/2", "'3/2'"),
+    ], ids=["nan", "inf", "str", "none", "complex", "number-string", "ratio-string"])
     def test_assignment_that_is_not_a_number_rejected(self, toy, value, shown):
         score = symbolic_rav(toy, {"visibility": "h"})
         with pytest.raises(DomainError) as raised:

@@ -172,7 +172,9 @@ class TestPorosityRule:
     @pytest.mark.parametrize("a, b, shown", [
         (float("nan"), 2, "nan"), (float("inf"), 2, "inf"), (1, float("-inf"), "-inf"),
         ("x", 1, "'x'"), (None, 1, "None"), (1, 1j, "1j"),
-    ], ids=["nan", "inf", "-inf", "str", "None", "complex"])
+        ("1/3", Fraction(1, 3), "'1/3'"), (Fraction(1, 3), "1/3", "'1/3'"), (" 2 ", 2, "' 2 '"),
+    ], ids=["nan", "inf", "-inf", "str", "None", "complex", "number-string", "number-string-b",
+            "padded-number-string"])
     def test_ratios_that_are_not_finite_numbers_rejected(self, a, b, shown):
         with pytest.raises(DomainError) as raised:
             ratios_equal(a, b, 0.1)
